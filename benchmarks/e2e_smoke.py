@@ -1,0 +1,70 @@
+"""CI smoke over the end-to-end benchmark (``benchmarks/e2e``).
+
+Runs one short traced pass of a workload exactly as ``BENCHMARK.json``
+names it and checks the last stdout line: answers verified, nothing
+failed, every traced callable still resolves, and the Phase-1 span —
+``RStarTree.range_search_rect`` — was actually hit, i.e. it still sits on
+the search the pipeline uses.
+
+    python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+RUN = Path(__file__).parent / "e2e" / "run.py"
+
+
+def problems(result: dict) -> list[str]:
+    """What is wrong with one result line of ``benchmarks/e2e/run.py``."""
+
+    def metric(name: str):
+        return (result.get("metrics", {}).get(name) or {}).get("value")
+
+    found = []
+    if result.get("correct") is not True:
+        found.append("answers did not verify")
+    if result.get("failed") != 0:
+        found.append(f"failed = {result.get('failed')!r}, expected 0")
+    if metric("trace.unresolved_targets") != 0:
+        found.append(
+            f"trace.unresolved_targets = {metric('trace.unresolved_targets')!r}, "
+            "expected 0"
+        )
+    if not (metric("index.range_search_calls") or 0) > 0:
+        found.append(
+            "index.range_search_calls is not positive: the Phase-1 span no "
+            "longer sits on the search the pipeline uses"
+        )
+    return found
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", default="prq_cascade_9d")
+    parser.add_argument("--seconds", default="3")
+    args = parser.parse_args(argv)
+    command = [
+        sys.executable, str(RUN), "--workload", args.workload,
+        "--seed", "0", "--seconds", args.seconds, "--trace", "1",
+    ]  # fmt: skip
+    run = subprocess.run(command, stdout=subprocess.PIPE, text=True)
+    lines = run.stdout.strip().splitlines()
+    if run.returncode != 0 or not lines:
+        print(f"e2e smoke: {' '.join(command)} exited {run.returncode}")
+        return 1
+    found = problems(json.loads(lines[-1]))
+    for problem in found:
+        print(f"e2e smoke: {problem}")
+    if not found:
+        print(f"e2e smoke OK: {args.workload}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -111,7 +111,7 @@ class SpatialDatabase:
             index = self._pending_index
             if index is None:
                 index = RStarTree(self._points.shape[1])
-            index.bulk_load([int(i) for i in self._ids], self._points)
+            index.bulk_load(self._ids.tolist(), self._points)
             self._built_index = index
             self._pending_index = None
         return self._built_index
@@ -309,7 +309,7 @@ class SpatialDatabase:
             )
             scored: list[tuple[int, float]] = []
             if candidate_ids:
-                points = np.vstack([self.index.get(i) for i in candidate_ids])
+                points = self.index.points_of(candidate_ids)
                 undecided = np.ones(len(candidate_ids), dtype=bool)
                 for strategy in strategies:
                     codes = strategy.classify(points[undecided])

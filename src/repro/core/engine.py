@@ -53,6 +53,7 @@ from repro.core.stages import (
     SearchStage,
     StageContext,
     execute_pipeline,
+    phase1_rect,
 )
 from repro.core.stats import BatchStats, QueryStats
 from repro.core.strategies import STRATEGY_COMBINATIONS, Strategy
@@ -424,8 +425,9 @@ class QueryEngine:
         Returns ``None`` when some strategy proved the result empty (the
         reason is recorded in ``stats.empty_by_strategy``).
         """
-        stage = SearchStage(self.index, phase1=self.phase1)
-        return stage.prepare(query, self.strategies, stats)
+        return phase1_rect(
+            query, self.strategies, stats, dim=self.index.dim, phase1=self.phase1
+        )
 
     def filter_and_integrate(
         self,
@@ -595,8 +597,9 @@ class QueryEngine:
             index=self.index,
             targets=self.targets,
         )
-        stage = SearchStage(self.index, phase1=phase1)
-        rect = stage.prepare(query, strategies, stats)
+        rect = phase1_rect(
+            query, strategies, stats, dim=self.index.dim, phase1=phase1
+        )
         descriptions: list[str] = []
         alpha_upper = alpha_lower = None
         for strategy in strategies:

@@ -111,12 +111,9 @@ class MonitoringSession:
                 expanded = Rect.from_center(
                     rect.center, (rect.extents / 2.0) * (1.0 + self.margin)
                 )
-                cached_ids = self._database.index.range_search_rect(expanded)
-                cached_points = (
-                    np.vstack([self._database.point(i) for i in cached_ids])
-                    if cached_ids
-                    else np.empty((0, query.dim))
-                )
+                index = self._database.index
+                cached_ids = index.range_search_rect(expanded)
+                cached_points = index.points_of(cached_ids)
                 self._cache = _Cache(expanded, cached_ids, cached_points)
                 if cached_ids:
                     mask = rect.contains_points(cached_points)

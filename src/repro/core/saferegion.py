@@ -230,7 +230,6 @@ class SafeRegion:
         answer: tuple[int, ...],
         *,
         index,
-        point_of,
         anchor_rect: Rect | None,
         margin: float = 0.5,
         reuse: "SafeRegion | None" = None,
@@ -238,9 +237,9 @@ class SafeRegion:
     ) -> "SafeRegion":
         """Anchor a safe region at ``query`` whose full answer is ``answer``.
 
-        ``index``/``point_of`` come from the database (``db.index`` and
-        ``db.point``); ``anchor_rect`` is the query's combined Phase-1
-        rectangle (``None`` when a strategy proved the result empty).
+        ``index`` comes from the database (``db.index``); ``anchor_rect``
+        is the query's combined Phase-1 rectangle (``None`` when a
+        strategy proved the result empty).
         ``margin`` scales the cached rectangle (0.5 = 50 % wider per
         side), trading memory for how far the object can roam before a
         cache rebuild.  ``reuse`` donates its cached superset when the
@@ -291,13 +290,10 @@ class SafeRegion:
                 anchor_rect.center,
                 (anchor_rect.extents / 2.0) * (1.0 + margin),
             )
-            id_list = index.range_search_rect(cached_rect)
-            ids = np.asarray(id_list, dtype=np.int64)
-            points = (
-                np.vstack([point_of(int(i)) for i in id_list])
-                if id_list
-                else np.empty((0, query.dim))
+            ids = np.asarray(
+                index.range_search_rect(cached_rect), dtype=np.int64
             )
+            points = index.points_of(ids)
         return cls(
             query,
             r_accept=r_accept,

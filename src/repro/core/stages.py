@@ -33,6 +33,7 @@ from repro.obs import Observability
 __all__ = [
     "StageContext",
     "Stage",
+    "phase1_rect",
     "SearchStage",
     "FilterStage",
     "IntegrateStage",
@@ -80,6 +81,38 @@ class Stage(abc.ABC):
         """Execute this phase against ``ctx``."""
 
 
+def phase1_rect(
+    query: ProbabilisticRangeQuery,
+    strategies: list[Strategy],
+    stats: QueryStats,
+    *,
+    dim: int,
+    phase1: str = "intersect",
+) -> Rect | None:
+    """Prepare every strategy and return the combined Phase-1 rectangle.
+
+    ``dim`` is the dimensionality of the indexed points — all this step
+    needs of the index, so a shard coordinator can route without one.
+    Returns ``None`` when some strategy proved the result empty (the
+    reason lands in ``stats.empty_by_strategy``).
+    """
+    if query.dim != dim:
+        raise QueryError(
+            f"query dimension {query.dim} does not match index "
+            f"dimension {dim}"
+        )
+    for strategy in strategies:
+        strategy.prepare(query)
+    for strategy in strategies:
+        if strategy.proves_empty:
+            stats.empty_by_strategy = strategy.name
+            return None
+    rect = combined_search_rect(strategies, phase1=phase1)
+    if rect is None:
+        stats.empty_by_strategy = "intersection"
+    return rect
+
+
 class SearchStage(Stage):
     """Phase 1: prepare the strategies and run one index range search.
 
@@ -99,35 +132,14 @@ class SearchStage(Stage):
         self.index = index
         self.phase1 = phase1
 
-    def prepare(
-        self,
-        query: ProbabilisticRangeQuery,
-        strategies: list[Strategy],
-        stats: QueryStats,
-    ) -> Rect | None:
-        """Prepare every strategy and return the combined Phase-1 rectangle.
-
-        Returns ``None`` when some strategy proved the result empty (the
-        reason lands in ``stats.empty_by_strategy``).
-        """
-        if query.dim != self.index.dim:
-            raise QueryError(
-                f"query dimension {query.dim} does not match index "
-                f"dimension {self.index.dim}"
-            )
-        for strategy in strategies:
-            strategy.prepare(query)
-        for strategy in strategies:
-            if strategy.proves_empty:
-                stats.empty_by_strategy = strategy.name
-                return None
-        rect = combined_search_rect(strategies, phase1=self.phase1)
-        if rect is None:
-            stats.empty_by_strategy = "intersection"
-        return rect
-
     def run(self, ctx: StageContext) -> None:
-        rect = self.prepare(ctx.query, ctx.strategies, ctx.stats)
+        rect = phase1_rect(
+            ctx.query,
+            ctx.strategies,
+            ctx.stats,
+            dim=self.index.dim,
+            phase1=self.phase1,
+        )
         if rect is None:
             ctx.finished = True
             return
@@ -137,7 +149,7 @@ class SearchStage(Stage):
             ctx.finished = True
             return
         ctx.candidate_ids = np.asarray(candidate_ids)
-        ctx.points = np.vstack([self.index.get(i) for i in candidate_ids])
+        ctx.points = self.index.points_of(ctx.candidate_ids)
 
 
 class FilterStage(Stage):

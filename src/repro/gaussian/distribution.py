@@ -192,10 +192,18 @@ class Gaussian:
             log_const - 0.5 * self.lam_perp * sq,
         )
 
-    def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Exact samples via the eigendecomposition (no Cholesky needed)."""
-        z = rng.standard_normal((n, self.dim))
-        return self._whitening.unwhiten(z)
+    def sample(
+        self, n: int, rng: np.random.Generator, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Exact samples via the eigendecomposition (no Cholesky needed).
+
+        A caller that draws repeatedly passes the same ``(2, n, dim)``
+        float array as ``work``: the draw then allocates nothing and
+        returns ``work[1]`` (same stream, same values).
+        """
+        if work is None:
+            return self._whitening.unwhiten(rng.standard_normal((n, self.dim)))
+        return self._whitening.unwhiten(rng.standard_normal(out=work[0]), work)
 
     def mahalanobis(self, points: np.ndarray) -> np.ndarray:
         return self._whitening.mahalanobis(points)

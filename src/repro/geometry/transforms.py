@@ -130,10 +130,14 @@ class EigenTransform:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts - self._center) @ self._basis
 
-    def to_world(self, points: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_eigen`."""
+    def to_world(
+        self, points: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Inverse of :meth:`to_eigen`, written into ``out`` when given."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return pts @ self._basis.T + self._center
+        out = np.matmul(pts, self._basis.T, out=out)
+        out += self._center
+        return out
 
 
 class WhiteningTransform:
@@ -162,9 +166,21 @@ class WhiteningTransform:
     def whiten(self, points: np.ndarray) -> np.ndarray:
         return self._eigen.to_eigen(points) * self._inv_sqrt
 
-    def unwhiten(self, points: np.ndarray) -> np.ndarray:
+    def unwhiten(
+        self, points: np.ndarray, work: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Inverse of :meth:`whiten`.
+
+        ``work``, a ``(2, n, d)`` float array, makes the call allocation
+        free: ``work[0]`` takes the scaled points (it may be ``points``
+        itself) and ``work[1]`` is returned.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._eigen.to_world(pts * self._sqrt)
+        if work is None:
+            return self._eigen.to_world(pts * self._sqrt)
+        return self._eigen.to_world(
+            np.multiply(pts, self._sqrt, out=work[0]), out=work[1]
+        )
 
     def mahalanobis(self, points: np.ndarray) -> np.ndarray:
         """Mahalanobis distance of each row of ``points`` from the centre."""

@@ -72,6 +72,15 @@ class SpatialIndex(abc.ABC):
     def get(self, obj_id: int) -> np.ndarray:
         """The stored point for ``obj_id``."""
 
+    def points_of(self, ids: Iterable[int]) -> np.ndarray:
+        """The stored points of ``ids`` as one ``(k, d)`` array, in order.
+
+        Default: stack :meth:`get`.  Indexes that keep their points in
+        one matrix answer with a single gather.
+        """
+        rows = [self.get(obj_id) for obj_id in ids]
+        return np.vstack(rows) if rows else np.empty((0, self._dim))
+
     @abc.abstractmethod
     def ids(self) -> list[int]:
         """All indexed object ids, sorted."""
@@ -103,13 +112,9 @@ class SpatialIndex(abc.ABC):
         c = np.asarray(center, dtype=float)
         box = Rect.from_center(c, np.full(self._dim, radius))
         candidate_ids = self.range_search_rect(box)
-        r2 = radius * radius
-        hits = []
-        for obj_id in candidate_ids:
-            gap = self.get(obj_id) - c
-            if float(gap @ gap) <= r2:
-                hits.append(obj_id)
-        return hits
+        gaps = self.points_of(candidate_ids) - c
+        inside = np.einsum("ij,ij->i", gaps, gaps) <= radius * radius
+        return [obj_id for obj_id, hit in zip(candidate_ids, inside.tolist()) if hit]
 
     @abc.abstractmethod
     def knn(self, point: _ArrayLike, k: int) -> list[tuple[int, float]]:

@@ -48,11 +48,12 @@ def tile_points(
     return tiles
 
 
-def str_pack(ids: Sequence[int], points: np.ndarray, capacity: int, *, node_cls, entry_cls):
-    """Build a packed tree and return its root node.
+def str_pack(entries: Sequence, points: np.ndarray, capacity: int, *, node_cls, entry_cls):
+    """Build a packed tree over ``entries`` and return its root node.
 
-    ``node_cls`` / ``entry_cls`` are the R*-tree's private node and entry
-    types — passed in to keep this module free of circular imports.
+    ``entries[i]`` is the leaf entry of ``points[i]``.  ``node_cls`` /
+    ``entry_cls`` are the R*-tree's private node and entry types — passed
+    in to keep this module free of circular imports.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -61,18 +62,8 @@ def str_pack(ids: Sequence[int], points: np.ndarray, capacity: int, *, node_cls,
     if capacity < 2:
         raise IndexError_(f"capacity must be >= 2, got {capacity}")
 
-    id_array = np.asarray(list(ids))
     tiles = tile_points(np.arange(n), pts, capacity, axis=0)
-    nodes = [
-        node_cls(
-            0,
-            [
-                entry_cls.for_object(int(id_array[i]), pts[i])
-                for i in tile
-            ],
-        )
-        for tile in tiles
-    ]
+    nodes = [node_cls(0, [entries[i] for i in tile.tolist()]) for tile in tiles]
     level = 0
     while len(nodes) > 1:
         level += 1
@@ -82,12 +73,11 @@ def str_pack(ids: Sequence[int], points: np.ndarray, capacity: int, *, node_cls,
             node_cls(level, [entry_cls.for_child(nodes[i]) for i in group])
             for group in groups
         ]
-    root = nodes[0]
-    return root
+    return nodes[0]
 
 
 def hilbert_pack(
-    ids: Sequence[int],
+    entries: Sequence,
     points: np.ndarray,
     capacity: int,
     *,
@@ -101,7 +91,7 @@ def hilbert_pack(
     upper levels chunk their children in the same order.  Compared to STR,
     the space-filling curve keeps leaf pages compact on strongly skewed
     data — the ablation benchmark measures the difference in node accesses
-    on the road network.
+    on the road network.  Same arguments and result as :func:`str_pack`.
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
@@ -111,16 +101,10 @@ def hilbert_pack(
         raise IndexError_(f"capacity must be >= 2, got {capacity}")
     from repro.index.hilbert import hilbert_order
 
-    id_array = np.asarray(list(ids))
-    order = hilbert_order(pts, bits=bits)
+    # The curve index must fit an int64: cap the resolution in high d.
+    order = hilbert_order(pts, bits=min(bits, 62 // pts.shape[1])).tolist()
     nodes = [
-        node_cls(
-            0,
-            [
-                entry_cls.for_object(int(id_array[i]), pts[i])
-                for i in order[start : start + capacity]
-            ],
-        )
+        node_cls(0, [entries[i] for i in order[start : start + capacity]])
         for start in range(0, n, capacity)
     ]
     level = 0

@@ -12,7 +12,8 @@ R*-tree the paper used.  It implements the full dynamic algorithm:
   (:func:`repro.index.split.rstar_split`);
 - **Delete** with tree condensation and orphan reinsertion;
 - **STR bulk loading** (:mod:`repro.index.bulk`);
-- rectangle and sphere range search plus best-first k-NN.
+- rectangle and sphere range search as array sweeps over a flat snapshot
+  of the tree (:mod:`repro.index.flat`), plus best-first k-NN.
 
 Statistics (node accesses, splits, reinsertions) accumulate in
 ``self.stats`` for the benchmark harness.
@@ -30,6 +31,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
 from repro.index.base import SpatialIndex
+from repro.index.flat import FlatSnapshot, int_ids
 from repro.index.split import rstar_split
 
 __all__ = ["RStarTree"]
@@ -59,7 +61,9 @@ class _Entry:
 
     @classmethod
     def for_object(cls, obj_id: int, point: np.ndarray) -> "_Entry":
-        return cls(Rect.from_point(point), obj_id=obj_id, point=point)
+        # Rect is immutable, so the degenerate rectangle shares the point
+        # as both corners instead of copying it.
+        return cls(Rect(point, point), obj_id=obj_id, point=point)
 
     @classmethod
     def for_child(cls, child: "_Node") -> "_Entry":
@@ -112,6 +116,9 @@ class RStarTree(SpatialIndex):
         self.min_entries = int(resolved_min)
         self._root = _Node(level=0)
         self._points: dict[int, np.ndarray] = {}
+        # Derived array form of the tree that the range searches sweep;
+        # dropped by every mutation and rebuilt by the next search.
+        self._flat: FlatSnapshot | None = None
         self._reinserted_levels: set[int] = set()
         # STR packing may legally leave trailing nodes under min fill; the
         # invariant checker skips fill-factor checks on packed trees.
@@ -137,6 +144,23 @@ class RStarTree(SpatialIndex):
             return self._points[obj_id]
         except KeyError:
             raise IndexError_(f"unknown object id {obj_id!r}") from None
+
+    def points_of(self, ids) -> np.ndarray:
+        flat = self._flat
+        wanted = int_ids(ids) if flat is not None and flat.integral else None
+        if wanted is None:
+            # Stale snapshot or non-integer ids: stack the table's rows; a
+            # gather is never worth a rebuild.
+            return super().points_of(ids)
+        return flat.points_of(wanted)
+
+    def _snapshot(self) -> FlatSnapshot:
+        flat = self._flat
+        if flat is None:
+            # Concurrent first searches may each build one; they are
+            # identical and the last assignment wins.
+            flat = self._flat = FlatSnapshot(self._root, self._dim)
+        return flat
 
     def node_count(self) -> int:
         total = 0
@@ -232,6 +256,7 @@ class RStarTree(SpatialIndex):
         if obj_id in self._points:
             raise IndexError_(f"duplicate object id {obj_id!r}")
         self._points[obj_id] = p
+        self._flat = None
         self._reinserted_levels = set()
         self._insert_entry(_Entry.for_object(obj_id, p), target_level=0)
 
@@ -251,7 +276,9 @@ class RStarTree(SpatialIndex):
             )
         if len(self) != 0:
             raise IndexError_("bulk_load requires an empty tree")
-        pts = np.asarray(points, dtype=float)
+        # One owned copy: leaf entries and the id table share its rows and
+        # never alias the caller's array.
+        pts = np.array(points, dtype=float)
         id_list = list(ids)
         if pts.ndim != 2 or pts.shape[1] != self._dim:
             raise IndexError_(
@@ -263,15 +290,19 @@ class RStarTree(SpatialIndex):
             )
         if len(set(id_list)) != len(id_list):
             raise IndexError_("duplicate ids in bulk load")
-        for obj_id, row in zip(id_list, pts):
-            if not np.all(np.isfinite(row)):
-                raise IndexError_(f"point for id {obj_id!r} is not finite")
-            self._points[obj_id] = row.copy()
+        finite = np.isfinite(pts).all(axis=1)
+        if not finite.all():
+            raise IndexError_(
+                f"point for id {id_list[int(np.argmin(finite))]!r} is not finite"
+            )
+        entries = [_Entry.for_object(i, row) for i, row in zip(id_list, pts)]
+        self._points = {entry.obj_id: entry.point for entry in entries}
         pack = str_pack if method == "str" else hilbert_pack
         self._root = pack(
-            id_list, pts, self.max_entries, node_cls=_Node, entry_cls=_Entry
+            entries, pts, self.max_entries, node_cls=_Node, entry_cls=_Entry
         )
         self._packed = True
+        self._flat = FlatSnapshot(self._root, self._dim)
 
     def _insert_entry(self, entry: _Entry, target_level: int) -> None:
         # Descend to the target level, remembering (parent, parent_entry).
@@ -393,6 +424,7 @@ class RStarTree(SpatialIndex):
         if found is None:  # pragma: no cover - table/tree always agree
             raise IndexError_(f"id {obj_id!r} in table but not in tree")
         leaf, path = found
+        self._flat = None
         leaf.entries = [e for e in leaf.entries if e.obj_id != obj_id]
         del self._points[obj_id]
         self._condense(leaf, path)
@@ -447,48 +479,14 @@ class RStarTree(SpatialIndex):
     def range_search_rect(self, rect: Rect) -> list[int]:
         self._validate_rect(rect)
         self.stats.queries += 1
-        hits: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.stats.node_accesses += 1
-            if node.is_leaf:
-                self.stats.leaf_accesses += 1
-                for entry in node.entries:
-                    self.stats.entries_examined += 1
-                    if rect.contains_point(entry.point):
-                        hits.append(entry.obj_id)  # type: ignore[arg-type]
-            else:
-                for entry in node.entries:
-                    self.stats.entries_examined += 1
-                    if rect.intersects(entry.rect):
-                        stack.append(entry.child)  # type: ignore[arg-type]
-        return hits
+        return self._snapshot().search_rect(rect, self.stats)
 
     def range_search_sphere(self, center: _ArrayLike, radius: float) -> list[int]:
         c = self._validate_point(center)
         if radius < 0:
             raise IndexError_(f"radius must be >= 0, got {radius}")
         self.stats.queries += 1
-        r2 = radius * radius
-        hits: list[int] = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.stats.node_accesses += 1
-            if node.is_leaf:
-                self.stats.leaf_accesses += 1
-                for entry in node.entries:
-                    self.stats.entries_examined += 1
-                    gap = entry.point - c
-                    if float(gap @ gap) <= r2:
-                        hits.append(entry.obj_id)  # type: ignore[arg-type]
-            else:
-                for entry in node.entries:
-                    self.stats.entries_examined += 1
-                    if entry.rect.min_distance(c) <= radius:
-                        stack.append(entry.child)  # type: ignore[arg-type]
-        return hits
+        return self._snapshot().search_sphere(c, radius, self.stats)
 
     def knn(self, point: _ArrayLike, k: int) -> list[tuple[int, float]]:
         if k < 1:

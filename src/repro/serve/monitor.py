@@ -61,7 +61,7 @@ from repro.core.saferegion import (
     RegionDecision,
     SafeRegion,
 )
-from repro.core.stages import FilterStage, IntegrateStage, SearchStage, StageContext
+from repro.core.stages import FilterStage, IntegrateStage, StageContext, phase1_rect
 from repro.core.stats import QueryStats
 from repro.errors import QueryError, ReproError, ServiceError
 from repro.gaussian.distribution import Gaussian
@@ -913,13 +913,17 @@ class SubscriptionManager:
         )
         answer = batch.results[0].ids
         strategies = [s.clone() for s in self.engine.strategies]
-        search = SearchStage(self.engine.index, phase1=self.engine.phase1)
-        rect = search.prepare(query, strategies, QueryStats())
+        rect = phase1_rect(
+            query,
+            strategies,
+            QueryStats(),
+            dim=self.database.dim,
+            phase1=self.engine.phase1,
+        )
         region = SafeRegion.build(
             query,
             answer,
             index=self.database.index,
-            point_of=self.database.point,
             anchor_rect=rect,
             margin=self.margin,
             reuse=reuse,
@@ -942,9 +946,14 @@ class SubscriptionManager:
             Gaussian(mean, query.gaussian.sigma), query.delta, query.theta
         )
         strategies = [s.clone() for s in self.engine.strategies]
-        search = SearchStage(self.engine.index, phase1=self.engine.phase1)
         stats = QueryStats()
-        rect = search.prepare(shifted, strategies, stats)
+        rect = phase1_rect(
+            shifted,
+            strategies,
+            stats,
+            dim=self.database.dim,
+            phase1=self.engine.phase1,
+        )
         if rect is None:
             # A strategy proved the shifted answer empty — which subsumes
             # every certain accept (both proofs are sound).
@@ -973,7 +982,6 @@ class SubscriptionManager:
             shifted,
             answer,
             index=self.database.index,
-            point_of=self.database.point,
             anchor_rect=rect,
             margin=self.margin,
             reuse=region,

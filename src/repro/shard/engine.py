@@ -48,7 +48,7 @@ from repro.core.engine import (
 )
 from repro.core.kinds import adapt_pipeline, query_kind
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.stages import SearchStage
+from repro.core.stages import phase1_rect
 from repro.core.stats import BatchStats, QueryStats
 from repro.core.strategies import STRATEGY_COMBINATIONS, Strategy
 from repro.errors import QueryError, ReproError, ShardError
@@ -317,13 +317,21 @@ class ShardedEngine:
                 f"phase1 must be 'intersect' or 'primary', got {phase1!r}"
             )
         self.database = database
-        self.index = database.index
         self.strategies = list(strategies)
         self.integrator = integrator or ImportanceSamplingIntegrator()
         self.phase1 = phase1
         self.planner = planner
         self.obs = obs
         self.targets = targets
+
+    @property
+    def index(self):
+        """The coordinator's index over the full point set.
+
+        Phase-0 routing needs only the dimension, so this is built on
+        first use — by ``explain`` or a k-NN query — not at construction.
+        """
+        return self.database.index
 
     # -- drop-in entry points ------------------------------------------
 
@@ -470,7 +478,8 @@ class ShardedEngine:
                 integrator = integrator_factory(query, seed)
             else:
                 integrator = self.integrator.fork(seed)
-            if query_kind(query) == "knn":
+            kind = query_kind(query)
+            if kind == "knn":
                 # The win count compares every competitor against every
                 # other, so the candidate set cannot be partitioned;
                 # execute against the coordinator's full index with the
@@ -512,19 +521,21 @@ class ShardedEngine:
             # fix-up so a kind decider stays outermost and the routing
             # rectangle below already carries the kind's Phase-1 geometry
             # (convolved reach padding, per-component union).
+            # Only the k-NN adapter probes an index, and k-NN returned above.
+            assert kind != "knn"
             strategies, integrator = adapt_pipeline(
                 query,
                 strategies,
                 integrator,
-                index=self.index,
+                index=None,
                 targets=self.targets,
                 seed=seed,
             )
             # Phase-0 routing: prepare a throwaway strategy set and reuse
             # the engine's own Phase-1 rectangle as the routing volume.
             routing = [s.clone() for s in strategies]
-            rect = SearchStage(self.index, phase1=phase1).prepare(
-                query, routing, stats
+            rect = phase1_rect(
+                query, routing, stats, dim=self.database.dim, phase1=phase1
             )
             if rect is None:
                 return _Prepared(stats=stats, phase1=phase1)

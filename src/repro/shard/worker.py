@@ -94,7 +94,7 @@ def build_shard_tree(
     """Bulk-load one shard's R*-tree over shared-memory views."""
     tree = RStarTree(store.dim, max_entries=max_entries)
     ids = store.ids[positions]
-    tree.bulk_load([int(i) for i in ids], store.points[positions], method=method)
+    tree.bulk_load(ids.tolist(), store.points[positions], method=method)
     return tree
 
 

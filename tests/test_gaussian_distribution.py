@@ -108,6 +108,13 @@ class TestSampling:
             np.cov(samples.T), paper_gaussian.sigma, rtol=0.05
         )
 
+    def test_sample_into_a_workspace_is_the_same_draw(self, paper_gaussian):
+        fresh = paper_gaussian.sample(4_000, np.random.default_rng(11))
+        work = np.empty((2, 4_000, 2))
+        reused = paper_gaussian.sample(4_000, np.random.default_rng(11), work)
+        assert reused.base is work
+        np.testing.assert_array_equal(reused, fresh)
+
     def test_mahalanobis_of_samples_is_chi(self, rng, paper_gaussian):
         samples = paper_gaussian.sample(50_000, rng)
         m = paper_gaussian.mahalanobis(samples)

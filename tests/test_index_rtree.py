@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
+from repro.index.grid import GridIndex
 from repro.index.linear import LinearScanIndex
 from repro.index.rtree import RStarTree
 from repro.index.split import rstar_split
@@ -286,6 +289,287 @@ class TestBulkLoad:
         got = tree.knn(np.zeros(9), 20)
         expected = oracle.knn(np.zeros(9), 20)
         assert [i for i, _ in got] == [i for i, _ in expected]
+
+
+# ----------------------------------------------------------------------
+# Flat-snapshot searches: answers, order and counters
+# ----------------------------------------------------------------------
+
+
+def reference_search(tree, node_test, point_test):
+    """The per-entry depth-first stack traversal the array sweeps replaced.
+
+    Walks the pointer tree; returns the hit ids in traversal order and the
+    ``(node_accesses, leaf_accesses, entries_examined)`` it would count.
+    """
+    hits, nodes, leaves, entries = [], 0, 0, 0
+    stack = [tree._root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.is_leaf:
+            leaves += 1
+            for entry in node.entries:
+                entries += 1
+                if point_test(entry.point):
+                    hits.append(entry.obj_id)
+        else:
+            for entry in node.entries:
+                entries += 1
+                if node_test(entry.rect):
+                    stack.append(entry.child)
+    return hits, (nodes, leaves, entries)
+
+
+def counters(tree) -> tuple[int, int, int]:
+    s = tree.stats
+    return (s.node_accesses, s.leaf_accesses, s.entries_examined)
+
+
+def rect_cases(pts: np.ndarray, dim: int, rng) -> dict[str, Rect]:
+    """Random and adversarial query rectangles over integer-grid points."""
+    anchor = pts[0] if len(pts) else np.zeros(dim)
+    low = rng.integers(0, 15, dim).astype(float)
+    return {
+        "random": Rect(low, low + rng.integers(0, 12, dim)),
+        "misses everything": Rect(np.full(dim, 100.0), np.full(dim, 101.0)),
+        "covers everything": Rect(np.full(dim, -1.0), np.full(dim, 21.0)),
+        "degenerate point": Rect(anchor, anchor),
+        "touches from below": Rect(anchor - 3.0, anchor),
+        "touches from above": Rect(anchor, anchor + 3.0),
+    }
+
+
+def sphere_cases(pts: np.ndarray, dim: int, rng) -> dict[str, tuple]:
+    """Random and adversarial query balls; the touching one is exact
+    (a 3-4-5 offset on the integer grid, or 3 along the only axis)."""
+    anchor = pts[0] if len(pts) else np.zeros(dim)
+    offset = np.zeros(dim)
+    offset[:2] = [3.0, 4.0][:dim]
+    return {
+        "random": (rng.integers(0, 20, dim).astype(float), float(rng.integers(1, 9))),
+        "misses everything": (np.full(dim, 100.0), 1.0),
+        "covers everything": (np.full(dim, 10.0), 1000.0),
+        "degenerate point": (anchor, 0.0),
+        "boundary touching": (anchor + offset, float(np.linalg.norm(offset))),
+    }
+
+
+_SHAPES = {"empty tree": 0, "single-leaf root": 5, "three levels": 300}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 9])
+@pytest.mark.parametrize("method", ["str", "hilbert"])
+@pytest.mark.parametrize("shape", list(_SHAPES))
+class TestFlatSearchBattery:
+    def build(self, dim, method, shape):
+        rng = np.random.default_rng(dim * 101 + _SHAPES[shape])
+        n = _SHAPES[shape]
+        # Integer coordinates: duplicates abound and every boundary
+        # comparison is exact.
+        pts = rng.integers(0, 20, (n, dim)).astype(float)
+        ids = list(range(1000, 1000 + n))
+        tree = RStarTree(dim, max_entries=8)
+        tree.bulk_load(ids, pts, method=method)
+        oracle = LinearScanIndex(dim)
+        oracle.bulk_load(ids, pts)
+        assert tree.height == 1 if n <= 8 else tree.height >= 3
+        return tree, oracle, pts, rng
+
+    def test_rect_search(self, dim, method, shape):
+        tree, oracle, pts, rng = self.build(dim, method, shape)
+        for _ in range(4):
+            for label, rect in rect_cases(pts, dim, rng).items():
+                before = counters(tree)
+                got = tree.range_search_rect(rect)
+                delta = tuple(a - b for a, b in zip(counters(tree), before))
+                expected, counted = reference_search(
+                    tree, rect.intersects, rect.contains_point
+                )
+                assert got == expected, label  # same ids, same order
+                assert delta == counted, label
+                assert sorted(got) == sorted(oracle.range_search_rect(rect)), label
+        if len(pts):
+            everything = tree.range_search_rect(Rect([-1.0] * dim, [21.0] * dim))
+            assert len(everything) == len(pts)
+
+    def test_sphere_search(self, dim, method, shape):
+        tree, oracle, pts, rng = self.build(dim, method, shape)
+        for _ in range(4):
+            for label, (center, radius) in sphere_cases(pts, dim, rng).items():
+                r2 = radius * radius
+
+                def near(rect, c=center):
+                    gaps = np.maximum(rect.lows - c, 0.0) + np.maximum(
+                        c - rect.highs, 0.0
+                    )
+                    return float(gaps @ gaps) <= r2
+
+                def inside(point, c=center):
+                    return float((point - c) @ (point - c)) <= r2
+
+                before = counters(tree)
+                got = tree.range_search_sphere(center, radius)
+                delta = tuple(a - b for a, b in zip(counters(tree), before))
+                expected, counted = reference_search(tree, near, inside)
+                assert got == expected, label
+                assert delta == counted, label
+                assert sorted(got) == sorted(
+                    oracle.range_search_sphere(center, radius)
+                ), label
+                if label == "boundary touching" and len(pts):
+                    assert 1000 in got  # the anchor sits exactly on the sphere
+
+
+class TestSnapshotLifecycle:
+    def test_order_is_leaves_right_to_left_entries_forward(self, rng):
+        pts = rng.random((200, 2))
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(range(200), pts)
+        leaves, frontier = [], [tree._root]
+        while frontier:  # left-to-right breadth-first walk down to the leaves
+            leaves = frontier
+            frontier = [e.child for node in frontier for e in node.entries if e.child]
+        documented = [
+            e.obj_id for leaf in reversed(leaves) for e in leaf.entries
+        ]
+        assert tree.range_search_rect(Rect([0.0, 0.0], [1.0, 1.0])) == documented
+
+    def test_insert_and_delete_drop_the_snapshot(self, rng):
+        pts = rng.random((400, 2)) * 10
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(range(400), pts)
+        rect = Rect([4.0, 4.0], [6.0, 6.0])
+        base = sorted(tree.range_search_rect(rect))
+        tree.insert(9000, [5.0, 5.0])
+        assert sorted(tree.range_search_rect(rect)) == sorted(base + [9000])
+        assert 9000 in tree.range_search_sphere([5.0, 5.0], 0.0)
+        np.testing.assert_array_equal(tree.points_of([9000, 0]), [[5.0, 5.0], pts[0]])
+        tree.delete(9000)
+        assert sorted(tree.range_search_rect(rect)) == base
+        with pytest.raises(IndexError_):
+            tree.points_of([0, 9000])
+        victim = base[0]
+        tree.delete(victim)
+        assert victim not in tree.range_search_rect(rect)
+        assert victim not in tree.range_search_sphere([5.0, 5.0], 3.0)
+        tree.check_invariants()
+
+    def test_gather_on_a_stale_snapshot_does_not_rebuild(self, rng):
+        pts = rng.random((60, 2))
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(range(60), pts)
+        tree.insert(60, [0.5, 0.5])
+        assert tree._flat is None
+        np.testing.assert_array_equal(
+            tree.points_of([60, 3]), [[0.5, 0.5], pts[3]]
+        )
+        assert tree._flat is None  # stacked from the table, no O(n) rebuild
+        tree.range_search_rect(Rect([0.0, 0.0], [1.0, 1.0]))
+        assert tree._flat is not None
+        np.testing.assert_array_equal(
+            tree.points_of(np.array([60, 3])), [[0.5, 0.5], pts[3]]
+        )
+
+    @pytest.mark.parametrize("load", ["bulk", "dynamic"])
+    def test_non_integer_ids_come_back_as_given(self, load, rng):
+        ids = [1, "b", (2, 3), (4,), 2**70] + list(range(10, 40))
+        pts = rng.random((len(ids), 2))
+        tree = RStarTree(2, max_entries=8)
+        if load == "bulk":
+            tree.bulk_load(ids, pts)
+        else:
+            for obj_id, p in zip(ids, pts):
+                tree.insert(obj_id, p)
+        everything = Rect([0.0, 0.0], [1.0, 1.0])
+        hits = tree.range_search_rect(everything)
+        assert sorted(map(repr, hits)) == sorted(map(repr, ids))
+        assert {type(i) for i in hits} == {type(i) for i in ids}
+        assert set(map(repr, tree.range_search_sphere([0.5, 0.5], 2.0))) == set(
+            map(repr, ids)
+        )
+        wanted = ["b", 1, (2, 3), 12]
+        np.testing.assert_array_equal(
+            tree.points_of(wanted), [pts[ids.index(i)] for i in wanted]
+        )
+        with pytest.raises(IndexError_):
+            tree.points_of(["missing"])
+
+    def test_integer_tree_rejects_non_integer_gather(self, rng):
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(range(20), rng.random((20, 2)))
+        for bad in (["x"], [(1, 2)], [1.5], [2**70]):
+            with pytest.raises(IndexError_):
+                tree.points_of(bad)
+
+    def test_bulk_load_does_not_alias_the_callers_array(self, rng):
+        pts = rng.random((50, 2))
+        original = pts.copy()
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(range(50), pts)
+        pts[:] = -7.0
+        np.testing.assert_array_equal(tree.get(3), original[3])
+        np.testing.assert_array_equal(tree.points_of([3, 4]), original[[3, 4]])
+        assert len(tree.range_search_rect(Rect([0.0, 0.0], [1.0, 1.0]))) == 50
+        assert tree.knn(original[7], 1)[0][0] == 7
+
+    def test_bulk_load_names_first_non_finite_id(self):
+        pts = np.zeros((5, 2))
+        pts[3, 1] = np.nan
+        pts[4, 0] = np.inf
+        tree = RStarTree(2)
+        with pytest.raises(IndexError_, match="id 13 "):
+            tree.bulk_load(range(10, 15), pts)
+        assert len(tree) == 0
+
+    def test_concurrent_first_searches_agree(self):
+        from repro.bench.workload import WorkloadGenerator
+        from repro.core.database import SpatialDatabase
+
+        rng = np.random.default_rng(8)
+        database = SpatialDatabase(rng.random((3000, 2)) * 1000.0)
+        workload = WorkloadGenerator(database, seed=2).batch(16)
+        engine = database.engine()
+        # A mutation drops the snapshot, so the four workers' first
+        # searches race to rebuild it; a short switch interval makes the
+        # threads interleave inside the build.
+        database.index.insert(10**6, [500.0, 500.0])
+        database.index.delete(10**6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            racing = engine.run_batch(workload, workers=4, base_seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        settled = engine.run_batch(workload, workers=1, base_seed=4)
+        assert racing.ids == settled.ids
+        assert racing.stats.retrieved == settled.stats.retrieved
+
+
+@pytest.mark.parametrize("backend", ["rtree-bulk", "rtree-dynamic", "grid", "linear"])
+def test_points_of_equals_stacked_get(backend, rng):
+    pts = rng.random((120, 3)) * 10
+    ids = [7 * i + 3 for i in range(120)]
+    if backend == "grid":
+        index = GridIndex(Rect([0.0] * 3, [10.0] * 3), cells_per_dim=4)
+    elif backend == "linear":
+        index = LinearScanIndex(3)
+    else:
+        index = RStarTree(3, max_entries=8)
+    if backend == "rtree-bulk":
+        index.bulk_load(ids, pts)
+    else:
+        for obj_id, p in zip(ids, pts):
+            index.insert(obj_id, p)
+    if backend == "rtree-dynamic":
+        index.delete(ids.pop())
+    wanted = [ids[i] for i in rng.integers(0, len(ids), 40)]  # with repeats
+    got = index.points_of(wanted)
+    np.testing.assert_array_equal(got, np.vstack([index.get(i) for i in wanted]))
+    np.testing.assert_array_equal(index.points_of(np.asarray(wanted)), got)
+    assert index.points_of([]).shape == (0, 3)
+    with pytest.raises(IndexError_):
+        index.points_of([wanted[0], -1])
 
 
 class TestSplitAlgorithm:

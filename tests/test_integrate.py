@@ -103,6 +103,18 @@ class TestImportanceSampling:
         )
         assert a.estimate == b.estimate
 
+    def test_batch_equals_one_candidate_at_a_time(self, paper_gaussian):
+        """The batch reuses one sample workspace; the stream and every
+        estimate are those of per-candidate calls."""
+        pts = np.array([[500.0, 500.0], [510.0, 490.0], [530.0, 530.0]])
+        batch = ImportanceSamplingIntegrator(
+            5_000, seed=9
+        ).qualification_probabilities(paper_gaussian, pts, 25.0)
+        single = ImportanceSamplingIntegrator(5_000, seed=9)
+        assert batch == [
+            single.qualification_probability(paper_gaussian, p, 25.0) for p in pts
+        ]
+
     def test_shared_samples_batch_matches_exact(self, paper_gaussian):
         pts = np.array([[500.0, 500.0], [510.0, 490.0], [530.0, 530.0]])
         integ = ImportanceSamplingIntegrator(

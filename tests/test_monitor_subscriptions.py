@@ -139,18 +139,21 @@ class TestClassify:
     def build_region(self, database, engine, gaussian, delta, theta):
         query = ProbabilisticRangeQuery(gaussian, delta, theta)
         answer = engine.run_batch([query]).results[0].ids
-        from repro.core.stages import SearchStage
+        from repro.core.stages import phase1_rect
         from repro.core.stats import QueryStats
 
         strategies = [s.clone() for s in engine.strategies]
-        rect = SearchStage(engine.index, phase1=engine.phase1).prepare(
-            query, strategies, QueryStats()
+        rect = phase1_rect(
+            query,
+            strategies,
+            QueryStats(),
+            dim=database.dim,
+            phase1=engine.phase1,
         )
         return SafeRegion.build(
             query,
             answer,
             index=database.index,
-            point_of=database.point,
             anchor_rect=rect,
         )
 

@@ -3,6 +3,11 @@
 A rule-based state machine performs arbitrary interleavings of inserts,
 deletes and queries; after every step the tree must agree with a plain
 ``dict`` model and satisfy its structural invariants.
+
+Range searches run over the tree's flat snapshot, which every mutation
+must drop.  An invariant searches after *every* step, so a snapshot is
+always live when the next insert or delete arrives: a mutation that
+failed to invalidate it would leave the following search stale.
 """
 
 from __future__ import annotations
@@ -63,6 +68,25 @@ class RTreeMachine(RuleBasedStateMachine):
         )
         assert got == expected
 
+    @rule(center=_coords, radius=st.floats(0.0, 120.0))
+    def sphere_query_matches_model(self, center, radius) -> None:
+        c = np.asarray(center, dtype=float)
+        got = sorted(self.tree.range_search_sphere(c, radius))
+        expected = sorted(
+            obj_id
+            for obj_id, p in self.model.items()
+            if float((p - c) @ (p - c)) <= radius * radius
+        )
+        assert got == expected
+
+    @precondition(lambda self: bool(self.model))
+    @rule(pick=st.randoms(use_true_random=False))
+    def points_of_matches_model(self, pick) -> None:
+        wanted = [pick.choice(sorted(self.model)) for _ in range(4)]
+        np.testing.assert_array_equal(
+            self.tree.points_of(wanted), [self.model[i] for i in wanted]
+        )
+
     @rule(center=_coords, k=st.integers(1, 6))
     def knn_matches_model(self, center, k) -> None:
         if not self.model:
@@ -80,6 +104,11 @@ class RTreeMachine(RuleBasedStateMachine):
         np.testing.assert_allclose(got_distances, expected_distances, rtol=1e-9)
         assert len(got) == min(k, len(self.model))
         del ordered  # ids may legitimately tie by distance; distances decide
+
+    @invariant()
+    def snapshot_tracks_mutations(self) -> None:
+        everything = Rect([-101.0, -101.0], [101.0, 101.0])
+        assert sorted(self.tree.range_search_rect(everything)) == sorted(self.model)
 
     @invariant()
     def sizes_agree(self) -> None:

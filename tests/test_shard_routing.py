@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.database import SpatialDatabase
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.stages import SearchStage
+from repro.core.stages import phase1_rect
 from repro.core.stats import QueryStats
 from repro.core.strategies import make_strategies
 from repro.errors import QueryError
@@ -79,8 +79,8 @@ def test_routed_union_equals_unsharded_candidates(dim, n_shards, method):
         pruned_somewhere = 0
         for qseed in range(N_QUERIES):
             query = seeded_query(dim, 9_000 + 7 * qseed)
-            rect = SearchStage(db.index).prepare(
-                query, make_strategies("all"), QueryStats()
+            rect = phase1_rect(
+                query, make_strategies("all"), QueryStats(), dim=dim
             )
             if rect is None:
                 # Some strategy proved the result empty before Phase 1 —
@@ -144,8 +144,8 @@ def test_single_shard_routes_everything():
     hits = 0
     for qseed in range(N_QUERIES):
         query = seeded_query(2, 20_000 + qseed)
-        rect = SearchStage(db.index).prepare(
-            query, make_strategies("all"), QueryStats()
+        rect = phase1_rect(
+            query, make_strategies("all"), QueryStats(), dim=2
         )
         if rect is None:
             continue
@@ -175,3 +175,26 @@ def test_end_to_end_candidate_parity_through_pool():
     for got, want in zip(batch.results, baseline.results):
         assert got.ids == want.ids
         assert got.stats.retrieved == want.stats.retrieved
+
+
+def test_coordinator_index_is_built_on_first_use_only():
+    """Phase-0 routing runs off the dimension alone: a PRQ batch through
+    the pool never builds the coordinator's full R*-tree; ``explain``
+    (or a k-NN query) builds it on demand."""
+    from repro.integrate import ExactIntegrator
+
+    db = SpatialDatabase(point_cloud(2, seed=707), defer_index=True)
+    queries = [seeded_query(2, 41_000 + 13 * s) for s in range(4)]
+    with db.shard(2) as sharded:
+        engine = sharded.engine(strategies="all", integrator=ExactIntegrator())
+        batch = engine.run_batch(queries, base_seed=1)
+        assert db._built_index is None
+        with pytest.raises(QueryError):
+            engine.run_batch([seeded_query(3, 5)])  # routed off database.dim
+        assert db._built_index is None
+        engine.explain(queries[0])
+        assert engine.index is db.index and db._built_index is not None
+    baseline = db.engine(
+        strategies="all", integrator=ExactIntegrator()
+    ).run_batch(queries, base_seed=1)
+    assert batch.ids == baseline.ids

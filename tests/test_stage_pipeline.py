@@ -17,10 +17,10 @@ from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import (
     FilterStage,
     IntegrateStage,
-    SearchStage,
     StageContext,
     combined_search_rect,
     execute_pipeline,
+    phase1_rect,
 )
 from repro.core.stats import QueryStats
 from repro.core.strategies import make_strategies
@@ -83,8 +83,7 @@ def test_pipeline_composes_without_search_stage(db, query):
     """Filter+Integrate over externally supplied candidates (monitor path)."""
     strategies = make_strategies("all")
     stats = QueryStats()
-    search = SearchStage(db.index)
-    rect = search.prepare(query, strategies, stats)
+    rect = phase1_rect(query, strategies, stats, dim=db.dim)
     ids = db.index.range_search_rect(rect)
     points = np.vstack([db.index.get(i) for i in ids])
 
