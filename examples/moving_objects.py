@@ -4,8 +4,8 @@ The paper's Section I: a tracking server lowers update frequency to save
 power and bandwidth, so between reports each object's position is known
 only as a Gaussian whose spread grows with the report's age.  Vehicle 0
 repeatedly asks "who is within 12 units of me with probability >= 30 %?"
-as its own report ages, and a MonitoringSession amortizes the index work
-across the epochs.
+as its own report ages, and a standing subscription then follows its
+drifting belief without re-running the query at every epoch.
 
 Run:  python examples/moving_objects.py
 """
@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import ExactIntegrator, MonitoringSession, MovingObject, MovingObjectDatabase
+from repro import ExactIntegrator, MovingObject, MovingObjectDatabase
 from repro.core.moving import stale_gaussian
+from repro.serve.monitor import SubscriptionManager
 
 
 def main() -> None:
@@ -54,25 +55,29 @@ def main() -> None:
         "vehicles) and then thins (mass spreads too thin for anyone).\n"
     )
 
-    # Amortized monitoring of one snapshot with a drifting query belief.
+    # Standing subscription over one snapshot with a drifting query belief.
     snapshot = fleet.snapshot_at(5.0)
-    session = MonitoringSession(
-        snapshot, strategies="all", integrator=ExactIntegrator(), margin=1.0
+    manager = SubscriptionManager(
+        snapshot, snapshot.engine(integrator=ExactIntegrator()), degrade=False
     )
     querier = fleet.object(0)
     base = querier.position_at(5.0)
-    for step in range(6):
-        belief = stale_gaussian(
+    beliefs = [
+        stale_gaussian(
             base + querier.velocity * step * 0.2, querier.velocity, 1.0,
             diffusion=2.0,
         )
-        session.query(belief, 12.0, 0.3)
+        for step in range(6)
+    ]
+    sub = manager.subscribe(beliefs[0], 12.0, 0.3).subscription_id
+    for belief in beliefs[1:]:
+        manager.update(sub, belief.mean)
+    stats = manager.stats()
     print(
-        f"monitoring session: {session.cache_hits} of "
-        f"{session.cache_hits + session.cache_misses} epochs served from the "
-        "candidate cache (zero index accesses)."
+        f"standing subscription: {stats['survived']} of {stats['updates']} "
+        f"updates survived in O(1), {stats['reintegrated']} re-decided only "
+        f"border objects, {stats['replanned']} re-ran the query."
     )
-
 
 if __name__ == "__main__":
     main()

@@ -4,7 +4,7 @@ A delivery robot lost track of which of two aisles it is in — its belief
 is bimodal.  The paper's model (one Gaussian) cannot express this, but the
 range predicate generalizes linearly over mixture components, and the
 paper's filters still apply per component (any answer must qualify the
-single-component query of some mode).  See ``repro.core.mixture``.
+single-component query of some mode).  See ``docs/query_types.md``.
 
 Run:  python examples/multi_hypothesis.py
 """
@@ -13,8 +13,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import Gaussian, GaussianMixture, SpatialDatabase
-from repro.core.mixture import MixtureQueryEngine
+from repro import (
+    ExactIntegrator,
+    Gaussian,
+    GaussianMixture,
+    MixtureRangeQuery,
+    SpatialDatabase,
+)
 
 
 def main() -> None:
@@ -36,10 +41,11 @@ def main() -> None:
         weights=[0.65, 0.35],
     )
 
-    engine = MixtureQueryEngine(db)
+    engine = db.engine(integrator=ExactIntegrator())
     print(f"{'theta':>6} {'candidates':>10} {'answers':>8}  breakdown")
     for theta in (0.05, 0.2, 0.4, 0.6):
-        ids, stats = engine.execute(belief, delta=8.0, theta=theta)
+        result = engine.execute(MixtureRangeQuery.create(belief, 8.0, theta))
+        ids, stats = result.ids, result.stats
         answers = objects[np.asarray(ids)] if ids else np.empty((0, 2))
         in_a = int(np.sum(np.abs(answers[:, 1] - 10.0) < 5)) if len(ids) else 0
         in_b = int(np.sum(np.abs(answers[:, 1] - 30.0) < 5)) if len(ids) else 0

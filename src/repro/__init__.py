@@ -28,7 +28,6 @@ from repro.core import (
     BatchResult,
     BatchStats,
     KNNQuery,
-    MixtureQueryEngine,
     MixtureRangeQuery,
     TargetCovarianceTable,
     UncertainTargetQuery,
@@ -36,9 +35,7 @@ from repro.core import (
     PlannerCostModel,
     QueryPlan,
     QueryPlanner,
-    mixture_range_query,
     threshold_sweep,
-    MonitoringSession,
     MovingObject,
     MovingObjectDatabase,
     SelectivityEstimator,
@@ -48,7 +45,6 @@ from repro.core import (
     QueryResult,
     QueryStats,
     SpatialDatabase,
-    UncertainDatabase,
     UncertainObject,
     OneDimensionalDatabase,
     make_strategies,
@@ -97,12 +93,10 @@ __all__ = [
     "BatchResult",
     "BatchStats",
     "SpatialDatabase",
-    "MonitoringSession",
     "MovingObject",
     "MovingObjectDatabase",
     "SelectivityEstimator",
     "stale_gaussian",
-    "UncertainDatabase",
     "UncertainObject",
     "OneDimensionalDatabase",
     "make_strategies",
@@ -113,8 +107,6 @@ __all__ = [
     "EllipsoidStrategy",
     "Gaussian",
     "GaussianMixture",
-    "MixtureQueryEngine",
-    "mixture_range_query",
     "threshold_sweep",
     "QueryPlan",
     "QueryPlanner",

@@ -7,9 +7,9 @@ Commands
     Generate a small dataset, run one probabilistic range query with every
     strategy combination, and print the comparison.
 ``query``
-    Run one query against a saved database (a ``.soa`` store or legacy
-    ``.npz`` from :meth:`SpatialDatabase.save`).  ``--kind`` selects the
-    query kind — exact-target PRQ (default), uncertain-target PRQ
+    Run one query against a saved database (a ``.soa`` store from
+    :meth:`SpatialDatabase.save`, or a legacy ``.npz`` archive).  ``--kind``
+    selects the query kind — exact-target PRQ (default), uncertain-target PRQ
     (``--target-sigma-scale``), Gaussian-mixture query object (repeated
     ``--component`` plus ``--weights``), or probabilistic k-NN (``--k``,
     ``--knn-samples``); every kind runs through the same unified stage
@@ -21,8 +21,8 @@ Commands
 ``catalog``
     Build an r_θ or BF U-catalog and write it to JSON.
 ``dataset``
-    Generate one of the synthetic datasets and save it (``--format npz``
-    portable archive, or ``soa`` memory-mapped store).
+    Generate one of the synthetic datasets and save it as a
+    memory-mapped ``.soa`` store.
 ``kernels``
     Show which kernel backend (compiled C or NumPy fallback) this
     process selected, per kernel, and the compile cache location.
@@ -183,15 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     dataset = commands.add_parser("dataset", help="generate a dataset")
     dataset.add_argument("kind", choices=["road", "corel", "uniform"])
-    dataset.add_argument("output", help="database file to write")
+    dataset.add_argument("output", help=".soa store file to write")
     dataset.add_argument("--size", type=int, default=None)
     dataset.add_argument("--dim", type=int, default=2)
     dataset.add_argument("--seed", type=int, default=0)
-    dataset.add_argument(
-        "--format", choices=["npz", "soa"], default="npz",
-        help="npz (default, portable archive) or soa (memory-mapped "
-        "store with O(1) load)",
-    )
 
     commands.add_parser(
         "kernels",
@@ -753,14 +748,9 @@ def _cmd_dataset(args) -> int:
     else:
         size = args.size or 10_000
         points = uniform_points(size, args.dim, seed=args.seed)
-    if args.format == "soa":
-        from repro.core.storage import write_soa
+    from repro.core.storage import write_soa
 
-        write_soa(args.output, np.arange(points.shape[0]), points)
-    else:
-        np.savez_compressed(
-            args.output, ids=np.arange(points.shape[0]), points=points
-        )
+    write_soa(args.output, np.arange(points.shape[0]), points)
     print(f"wrote {points.shape[0]} x {points.shape[1]} {args.kind} points "
           f"to {args.output}")
     return 0

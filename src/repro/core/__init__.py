@@ -12,10 +12,9 @@
   paper's future-work extensions (uncertain targets, Gaussian-mixture
   query objects, probabilistic k-NN) into the same three-phase stage
   pipeline as exact-target PRQs (see ``docs/query_types.md``);
-- legacy per-extension entry points kept for compatibility: sampling
-  k-NN (:mod:`~repro.core.nn`), the deprecated
-  :class:`~repro.core.uncertain.UncertainDatabase` shim, and the
-  closed-form 1-D case (:mod:`~repro.core.oned`).
+- standalone per-extension entry points: sampling k-NN
+  (:mod:`~repro.core.nn`) and the closed-form 1-D case
+  (:mod:`~repro.core.oned`).
 """
 
 from repro.core.query import ProbabilisticRangeQuery
@@ -37,6 +36,7 @@ from repro.core.kinds import (
     KNNQuery,
     MixtureRangeQuery,
     TargetCovarianceTable,
+    UncertainObject,
     UncertainTargetQuery,
     query_kind,
 )
@@ -46,14 +46,11 @@ from repro.core.planner import (
     PlannerCostModel,
     QueryPlanner,
 )
-from repro.core.mixture import MixtureQueryEngine, mixture_range_query
 from repro.core.database import SpatialDatabase
-from repro.core.monitor import MonitoringSession
 from repro.core.sweep import ThresholdSweepResult, threshold_sweep
 from repro.core.selectivity import SelectivityEstimator
 from repro.core.moving import MovingObject, MovingObjectDatabase, stale_gaussian
 from repro.core.nn import probabilistic_nearest_neighbors
-from repro.core.uncertain import UncertainObject, UncertainDatabase
 from repro.core.oned import OneDimensionalDatabase, interval_probability
 
 __all__ = [
@@ -82,11 +79,8 @@ __all__ = [
     "PlannerCostModel",
     "PlanChoice",
     "PlanDecision",
-    "MixtureQueryEngine",
-    "mixture_range_query",
     "QueryResult",
     "SpatialDatabase",
-    "MonitoringSession",
     "ThresholdSweepResult",
     "threshold_sweep",
     "SelectivityEstimator",
@@ -95,7 +89,6 @@ __all__ = [
     "stale_gaussian",
     "probabilistic_nearest_neighbors",
     "UncertainObject",
-    "UncertainDatabase",
     "OneDimensionalDatabase",
     "interval_probability",
 ]

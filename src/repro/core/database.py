@@ -24,6 +24,7 @@ from repro.core.engine import QueryEngine, QueryResult
 from repro.core.planner import QueryPlanner
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.selectivity import SelectivityEstimator
+from repro.core.stages import reject_only_candidates
 from repro.core.strategies import Strategy, make_strategies
 from repro.geometry.mbr import Rect
 from repro.errors import DatabaseLoadError, QueryError
@@ -208,21 +209,11 @@ class SpatialDatabase:
         only the first strategy's rectangle drives the index search.
         ``strategies="auto"`` attaches the database's shared
         :class:`QueryPlanner` so every query runs the cheapest plan under
-        the planner's cost model (the "all" list remains as the fallback
-        for the helper entry points).  ``obs`` attaches a
+        the planner's cost model.  ``obs`` attaches a
         :class:`repro.obs.Observability` sink: spans and metrics for every
         query the engine runs, with no effect on results.
         """
-        planner = None
-        if isinstance(strategies, str) and strategies.lower() == "auto":
-            planner = self.planner()
-            strategy_list = make_strategies("all")
-        else:
-            strategy_list = (
-                make_strategies(strategies)
-                if isinstance(strategies, str)
-                else list(strategies)
-            )
+        planner, strategy_list = self._resolve_strategies(strategies)
         return QueryEngine(
             self.index,
             strategy_list,
@@ -232,6 +223,18 @@ class SpatialDatabase:
             obs=obs,
             targets=self._target_table,
         )
+
+    def _resolve_strategies(
+        self, strategies: str | list[Strategy]
+    ) -> tuple[QueryPlanner | None, list[Strategy]]:
+        """The (planner, strategy list) an engine spec stands for:
+        ``"auto"`` is the shared planner over the ``"all"`` list, any
+        other spec string or explicit list runs unplanned."""
+        if isinstance(strategies, str) and strategies.lower() == "auto":
+            return self.planner(), make_strategies("all")
+        if isinstance(strategies, str):
+            return None, make_strategies(strategies)
+        return None, list(strategies)
 
     def planner(self, **kwargs) -> QueryPlanner:
         """The database's shared cost-based query planner.
@@ -280,8 +283,6 @@ class SpatialDatabase:
         fewer than k objects have non-negligible probability, fewer than k
         pairs are returned.
         """
-        from repro.core.strategies import REJECT
-
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
         if not 0.0 < theta_floor < 0.5:
@@ -298,31 +299,16 @@ class SpatialDatabase:
             query = ProbabilisticRangeQuery(gaussian, delta, theta)
             # RR+OR only: neither strategy ACCEPTs, so every surviving
             # candidate gets an actual probability for the ranking.
-            strategies = make_strategies("rr+or")
-            engine = QueryEngine(self.index, strategies, evaluator)
-            from repro.core.stats import QueryStats
-
-            stats = QueryStats()
-            rect = engine.prepare_search(query, stats)
-            candidate_ids = (
-                self.index.range_search_rect(rect) if rect is not None else []
+            ids, points = reject_only_candidates(
+                self.index, query, make_strategies("rr+or")
             )
-            scored: list[tuple[int, float]] = []
-            if candidate_ids:
-                points = self.index.points_of(candidate_ids)
-                undecided = np.ones(len(candidate_ids), dtype=bool)
-                for strategy in strategies:
-                    codes = strategy.classify(points[undecided])
-                    idx = np.nonzero(undecided)[0]
-                    undecided[idx[codes == REJECT]] = False
-                keep = np.nonzero(undecided)[0]
-                estimates = evaluator.qualification_probabilities(
-                    gaussian, points[keep], delta
-                )
-                scored = [
-                    (candidate_ids[slot], result.estimate)
-                    for slot, result in zip(keep, estimates)
-                ]
+            estimates = evaluator.qualification_probabilities(
+                gaussian, points, delta
+            )
+            scored = [
+                (obj_id, result.estimate)
+                for obj_id, result in zip(ids.tolist(), estimates)
+            ]
             scored.sort(key=lambda pair: (-pair[1], pair[0]))
             kth_probability = scored[k - 1][1] if len(scored) >= k else 0.0
             # Everything outside the theta-region has probability < theta;
@@ -397,27 +383,14 @@ class SpatialDatabase:
     # Persistence
     # ------------------------------------------------------------------
 
-    def save(self, path, *, format: str = "soa") -> None:
+    def save(self, path) -> None:
         """Persist ids and points; the index is rebuilt lazily on load.
 
-        The default ``format="soa"`` writes the versioned memory-mapped
-        structure-of-arrays file of :mod:`repro.core.storage`, which
-        :meth:`load` maps in O(1) without reading the data.
-        ``format="npz"`` writes the legacy compressed archive.
-
-        .. deprecated::
-            ``format="npz"`` is kept for one release as a compatibility
-            escape hatch; new code should use the default.  Legacy
-            archives will remain *loadable* indefinitely.
+        Writes the versioned memory-mapped structure-of-arrays file of
+        :mod:`repro.core.storage`, which :meth:`load` maps in O(1) without
+        reading the data.
         """
-        if format == "soa":
-            storage.write_soa(path, self._ids, self._points)
-        elif format == "npz":
-            np.savez_compressed(path, ids=self._ids, points=self._points)
-        else:
-            raise QueryError(
-                f"unknown save format {format!r}; use 'soa' or 'npz'"
-            )
+        storage.write_soa(path, self._ids, self._points)
 
     @classmethod
     def load(cls, path, index: SpatialIndex | None = None) -> "SpatialDatabase":

@@ -65,7 +65,7 @@ from repro.integrate.importance import ImportanceSamplingIntegrator
 from repro.obs import Observability
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.planner import PlanChoice, QueryPlanner
+    from repro.core.planner import PlanChoice, PlanDecision, QueryPlanner
 
 __all__ = ["QueryEngine", "QueryResult", "BatchResult", "QueryPlan"]
 
@@ -225,9 +225,9 @@ class QueryEngine:
         Any :class:`repro.index.SpatialIndex` holding the target objects.
     strategies:
         Filtering strategies to combine; must be non-empty (the strategies
-        also supply the Phase-1 search region).  With a ``planner`` these
-        act as the fallback list for the helper entry points
-        (:meth:`prepare_search`, :meth:`filter_and_integrate`).
+        also supply the Phase-1 search region).  With a ``planner`` the
+        chosen plan's combination replaces them; kind-specific plans keep
+        them as the base list the kind adapters wrap.
     integrator:
         Phase-3 probability evaluator; defaults to the paper's importance
         sampling with 100,000 samples.
@@ -261,13 +261,20 @@ class QueryEngine:
         obs: Observability | None = None,
         targets=None,
     ):
+        self.index = index
+        self._configure(strategies, integrator, phase1, planner, obs, targets)
+
+    def _configure(
+        self, strategies, integrator, phase1, planner, obs, targets
+    ) -> None:
+        """Validate and store everything but the index (the sharded
+        subclass reaches its index through the shard database)."""
         if not strategies:
             raise QueryError("at least one strategy is required")
         if phase1 not in ("intersect", "primary"):
             raise QueryError(
                 f"phase1 must be 'intersect' or 'primary', got {phase1!r}"
             )
-        self.index = index
         self.strategies = list(strategies)
         self.integrator = integrator or ImportanceSamplingIntegrator()
         #: Phase-1 policy.  ``"intersect"`` (default) intersects every
@@ -368,18 +375,7 @@ class QueryEngine:
                     query, strategies, integrator, seed=seed, obs=child
                 )
             except BaseException as exc:  # noqa: BLE001 - re-typed below
-                error = (
-                    exc
-                    if isinstance(exc, ReproError)
-                    else QueryError(
-                        f"query {i} failed: "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                )
-                if error is not exc:
-                    error.__cause__ = exc
-                if not return_errors:
-                    raise error from exc
+                error = self._typed_failure(i, exc, return_errors)
                 return QueryResult((), QueryStats(), error=error)
 
         batch_span = (
@@ -417,44 +413,21 @@ class QueryEngine:
                 self.planner.publish_metrics(obs)
         return BatchResult(tuple(results), batch)
 
-    def prepare_search(
-        self, query: ProbabilisticRangeQuery, stats: QueryStats
-    ) -> Rect | None:
-        """Prepare every strategy and return the combined Phase-1 rectangle.
-
-        Returns ``None`` when some strategy proved the result empty (the
-        reason is recorded in ``stats.empty_by_strategy``).
-        """
-        return phase1_rect(
-            query, self.strategies, stats, dim=self.index.dim, phase1=self.phase1
-        )
-
-    def filter_and_integrate(
-        self,
-        query: ProbabilisticRangeQuery,
-        candidate_ids: list[int],
-        points: np.ndarray,
-        stats: QueryStats,
-    ) -> QueryResult:
-        """Phases 2 and 3 over an externally supplied candidate set.
-
-        The strategies must already be prepared for ``query`` (as done by
-        :meth:`prepare_search`); the monitoring session uses this to feed
-        cached candidates instead of a fresh index search.
-        """
-        ctx = StageContext(
-            query,
-            self.strategies,
-            self.integrator,
-            stats,
-            candidate_ids=np.asarray(candidate_ids),
-            points=points,
-            obs=self.obs,
-        )
-        ids = execute_pipeline(ctx, [FilterStage(), IntegrateStage()])
-        if self.obs is not None:
-            self.obs.record_query(stats)
-        return QueryResult(ids, stats)
+    @staticmethod
+    def _typed_failure(
+        i: int, exc: BaseException, return_errors: bool
+    ) -> ReproError:
+        """Query ``i``'s failure as a :class:`ReproError` (non-library
+        exceptions wrapped in :class:`QueryError`): returned for capture
+        under ``return_errors``, raised otherwise."""
+        if isinstance(exc, ReproError):
+            error = exc
+        else:
+            error = QueryError(f"query {i} failed: {type(exc).__name__}: {exc}")
+            error.__cause__ = exc
+        if not return_errors:
+            raise error from exc
+        return error
 
     # ------------------------------------------------------------------
     # The shared execution path: every entry point funnels through here,
@@ -491,9 +464,10 @@ class QueryEngine:
                     if plan_span is not None:
                         plan_span.__enter__()
                     try:
-                        strategies, integrator, phase1 = self._apply_plan(
+                        strategies, integrator, decision = self._apply_plan(
                             query, strategies, integrator, stats, seed
                         )
+                        phase1 = decision.chosen.phase1
                     finally:
                         if plan_span is not None:
                             plan_span.annotate(
@@ -538,8 +512,9 @@ class QueryEngine:
         integrator: ProbabilityIntegrator,
         stats: QueryStats,
         seed: np.random.SeedSequence | None,
-    ) -> tuple[list[Strategy], ProbabilityIntegrator, str]:
-        """Plan ``query`` and materialize the chosen stages.
+    ) -> tuple[list[Strategy], ProbabilityIntegrator, "PlanDecision"]:
+        """Plan ``query`` and materialize the chosen stages; the decision
+        is returned for its Phase-1 mode and (``explain``) its comparison.
 
         Kind-specific plans carry the kind name (not a strategy combo) as
         their spec; the base strategies pass through untouched and
@@ -558,7 +533,7 @@ class QueryEngine:
         stats.plan_cache_hit = decision.cache_hit
         stats.predicted_integrations = chosen.predicted_candidates
         stats.predicted_seconds = chosen.predicted_seconds
-        return strategies, integrator, chosen.phase1
+        return strategies, integrator, decision
 
     def explain(
         self, query: ProbabilisticRangeQuery, *, estimator=None
@@ -581,13 +556,12 @@ class QueryEngine:
         comparison: tuple = ()
         planned = False
         if self.planner is not None:
-            decision = self.planner.plan(query, self.integrator)
-            chosen = decision.chosen
-            if chosen.strategies in STRATEGY_COMBINATIONS:
-                strategies = self.planner.build_strategies(chosen.strategies)
-            phase1 = chosen.phase1
-            predicted = chosen.predicted_candidates
-            predicted_seconds = chosen.predicted_seconds
+            strategies, _, decision = self._apply_plan(
+                query, strategies, self.integrator, stats, None
+            )
+            phase1 = decision.chosen.phase1
+            predicted = decision.chosen.predicted_candidates
+            predicted_seconds = decision.chosen.predicted_seconds
             comparison = decision.considered
             planned = True
         strategies, _ = adapt_pipeline(

@@ -49,6 +49,7 @@ __all__ = [
     "UncertainTargetQuery",
     "MixtureRangeQuery",
     "KNNQuery",
+    "UncertainObject",
     "TargetCovarianceTable",
     "ConvolvedTargetStrategy",
     "UncertainTargetDecider",
@@ -188,6 +189,18 @@ class KNNQuery(ProbabilisticRangeQuery):
 # ----------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class UncertainObject:
+    """A target object whose location is itself Gaussian."""
+
+    obj_id: int
+    gaussian: Gaussian
+
+    @property
+    def mean(self) -> np.ndarray:
+        return self.gaussian.mean
+
+
 class TargetCovarianceTable:
     """Per-object target covariances, deduplicated by matrix bytes.
 
@@ -227,7 +240,7 @@ class TargetCovarianceTable:
     @classmethod
     def from_objects(cls, objects: Iterable) -> "TargetCovarianceTable":
         """Build from objects exposing ``obj_id`` and ``gaussian`` attrs
-        (e.g. :class:`repro.core.uncertain.UncertainObject`)."""
+        (e.g. :class:`UncertainObject`)."""
         by_bytes: dict[bytes, int] = {}
         group_of: dict[int, int] = {}
         sigmas: list[np.ndarray] = []

@@ -51,8 +51,7 @@ re-opens them, but only them.
   around the new location.
 
 Soundness of the candidate cache: the cached superset is an *expanded*
-Phase-1 rectangle (margin-scaled, exactly as the legacy
-``MonitoringSession`` cached).  With Σ, δ, θ fixed, every strategy's
+Phase-1 rectangle (margin-scaled).  With Σ, δ, θ fixed, every strategy's
 Phase-1 rectangle is translation-equivariant in the mean, so the new
 rectangle fits inside the cached one iff the Euclidean shift respects
 the per-dimension margins — checked in O(d) without touching any

@@ -2,9 +2,9 @@
 
 The paper's query processor is one fixed Search → Filter → Integrate
 sequence; this module turns each phase into a stage object so the engine
-(and anything else — the monitoring session, the planner's what-if
-machinery) can compose, reorder or skip phases without duplicating the
-phase bodies.  A stage consumes and mutates one :class:`StageContext`;
+(and anything else — the planner's what-if machinery) can compose,
+reorder or skip phases without duplicating the phase bodies.  A stage
+consumes and mutates one :class:`StageContext`;
 :func:`execute_pipeline` is the single shared driver that
 ``QueryEngine.execute``, ``run`` and ``run_batch`` all funnel through,
 which is what guarantees the two paths can never drift apart.
@@ -34,6 +34,7 @@ __all__ = [
     "StageContext",
     "Stage",
     "phase1_rect",
+    "reject_only_candidates",
     "SearchStage",
     "FilterStage",
     "IntegrateStage",
@@ -45,8 +46,8 @@ __all__ = [
 class StageContext:
     """Mutable per-execution state handed from stage to stage.
 
-    ``candidate_ids``/``points`` may be pre-populated (the monitoring
-    session injects its cached candidates instead of running a
+    ``candidate_ids``/``points`` may be pre-populated (the subscription
+    manager re-decides cached rows instead of running a
     :class:`SearchStage`); ``finished`` short-circuits the remaining
     stages (set when a strategy proves the result empty or Phase 1
     retrieves nothing).
@@ -111,6 +112,31 @@ def phase1_rect(
     if rect is None:
         stats.empty_by_strategy = "intersection"
     return rect
+
+
+def reject_only_candidates(
+    index: SpatialIndex,
+    query: ProbabilisticRangeQuery,
+    strategies: list[Strategy],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phases 1+2 keeping every candidate no strategy REJECTs.
+
+    Returns the surviving ``(ids, points)``.  BF free accepts are *not*
+    honoured — an accepted candidate stays a survivor — so callers that
+    need an actual probability per object (ranking, a θ sweep evaluated
+    at the smallest θ) get one for every object the filters cannot rule
+    out.
+    """
+    rect = phase1_rect(query, strategies, QueryStats(), dim=index.dim)
+    ids = np.asarray(index.range_search_rect(rect) if rect is not None else [])
+    points = index.points_of(ids)
+    keep = np.ones(ids.size, dtype=bool)
+    for strategy in strategies:
+        if not keep.any():
+            break
+        codes = strategy.classify(points[keep])
+        keep[np.nonzero(keep)[0][codes == REJECT]] = False
+    return ids[keep], points[keep]
 
 
 class SearchStage(Stage):

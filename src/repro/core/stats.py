@@ -41,8 +41,6 @@ class QueryStats:
     #: ("cascade-sandwich"/"cascade-ruben"/"cascade-imhof").
     tier_decisions: dict[str, int] = field(default_factory=dict)
     empty_by_strategy: str | None = None
-    #: True when a monitoring session served Phase 1 from its cache.
-    cache_hit: bool = False
     #: Strategy names the cost-based planner chose (None = fixed engine).
     plan_strategies: tuple[str, ...] | None = None
     #: Phase-1 mode the planner chose ("intersect"/"primary").

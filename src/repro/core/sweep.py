@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.database import SpatialDatabase
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.strategies import REJECT, make_strategies
+from repro.core.stages import reject_only_candidates
+from repro.core.strategies import make_strategies
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.integrate.base import ProbabilityIntegrator
@@ -70,36 +69,11 @@ def threshold_sweep(
     theta_min = theta_list[0]
     query = ProbabilisticRangeQuery(gaussian, delta, theta_min)
 
-    strategy_list = make_strategies(strategies)
-    for strategy in strategy_list:
-        strategy.prepare(query)
-    if any(s.proves_empty for s in strategy_list):
-        empty = {theta: () for theta in theta_list}
-        return ThresholdSweepResult((), (), empty)
-    rect = None
-    for strategy in strategy_list:
-        contribution = strategy.search_rect()
-        if contribution is None:
-            continue
-        rect = contribution if rect is None else rect.intersection(contribution)
-        if rect is None:
-            empty = {theta: () for theta in theta_list}
-            return ThresholdSweepResult((), (), empty)
-    candidate_ids = database.index.range_search_rect(rect)
-    if not candidate_ids:
-        empty = {theta: () for theta in theta_list}
-        return ThresholdSweepResult((), (), empty)
-    points = np.vstack([database.point(i) for i in candidate_ids])
-    undecided = np.ones(len(candidate_ids), dtype=bool)
-    for strategy in strategy_list:
-        codes = strategy.classify(points[undecided])
-        idx = np.nonzero(undecided)[0]
-        undecided[idx[codes == REJECT]] = False
-    keep = np.nonzero(undecided)[0]
-    kept_ids = tuple(candidate_ids[i] for i in keep)
-    estimates = evaluator.qualification_probabilities(
-        gaussian, points[keep], delta
+    kept, points = reject_only_candidates(
+        database.index, query, make_strategies(strategies)
     )
+    kept_ids = tuple(kept.tolist())
+    estimates = evaluator.qualification_probabilities(gaussian, points, delta)
     probabilities = tuple(result.estimate for result in estimates)
 
     answers: dict[float, tuple[int, ...]] = {}

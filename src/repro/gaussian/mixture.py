@@ -12,8 +12,8 @@ since Σwᵢ = 1, the mixture probability is at most max_i Pᵢ, so an object
 qualifying at threshold θ must qualify the *single-component* query of at
 least one component — the sound Phase-1/2 reduction implemented by
 :class:`repro.core.kinds.MixtureFilterStrategy` inside the unified stage
-pipeline (build a :class:`repro.core.kinds.MixtureRangeQuery`, or use the
-:class:`repro.core.mixture.MixtureQueryEngine` convenience wrapper).
+pipeline (build a :class:`repro.core.kinds.MixtureRangeQuery` and hand it
+to any engine).
 """
 
 from __future__ import annotations

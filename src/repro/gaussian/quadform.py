@@ -34,7 +34,6 @@ __all__ = [
     "GaussianQuadraticForm",
     "imhof_cdf",
     "ruben_cdf",
-    "ruben_series_block",
     "chi2_sandwich_bounds",
     "chi2_sandwich_bounds_block",
     "qualification_probability_exact",
@@ -278,48 +277,6 @@ def ruben_cdf(
             f"{lam.min():g}..{lam.max():g}"
         )
     return float(min(1.0, max(0.0, cdf)))
-
-
-def ruben_series_block(
-    weights: np.ndarray,
-    dofs: np.ndarray,
-    noncentralities: np.ndarray,
-    x: float,
-    *,
-    theta: float | None = None,
-    tol: float = 1e-12,
-    max_terms: int = 10_000,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Ruben series over a block of candidates sharing one spectrum.
-
-    ``noncentralities`` is an ``(m, d)`` block — one row per candidate —
-    while ``weights``/``dofs`` (shape ``(d,)``) are shared, as produced by
-    :meth:`GaussianQuadraticForm.squared_distance_spectrum`.  The a_k
-    recursion runs as array operations over the whole block, and the
-    expansion parameter β, the ratio powers r_jᵏ and the incomplete-gamma
-    table gammainc((ρ+2k)/2, x/2β) are computed once per term and shared
-    by every candidate.
-
-    Returns ``(lower, upper, ok)``: rigorous per-candidate bounds
-    [partial sum, partial sum + remaining-mass bound] on P(Q ≤ x) at each
-    candidate's stopping point, and ``ok=False`` where the expansion is
-    unusable (leading weight underflow, or no decision within
-    ``max_terms`` terms) and the caller must fall back to Imhof.
-
-    Truncation is decision-aware: with ``theta`` given, a candidate stops
-    as soon as its [lower, upper] interval excludes θ; without it (or for
-    genuinely borderline candidates) it stops once the interval is
-    narrower than ``tol``.
-
-    The evaluation runs on the compiled kernel backend when available and
-    on the arena-buffered NumPy fallback otherwise (see
-    :mod:`repro.kernels`); the compiled path may return marginally wider
-    — never unsound — bounds.
-    """
-    return kernels.ruben_block(
-        weights, dofs, noncentralities, x,
-        theta=theta, tol=tol, max_terms=max_terms,
-    )
 
 
 def chi2_sandwich_bounds(

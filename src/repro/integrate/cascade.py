@@ -32,13 +32,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import kernels
 from repro.errors import IntegrationError
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import (
     GaussianQuadraticForm,
     chi2_sandwich_bounds_block,
     imhof_cdf,
-    ruben_series_block,
 )
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
@@ -183,7 +183,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                 weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
                     gaussian, pts[undecided]
                 )
-                lo2, hi2, ok2 = ruben_series_block(
+                lo2, hi2, ok2 = kernels.ruben_block(
                     weights,
                     np.ones_like(weights),
                     ncs,

@@ -303,7 +303,7 @@ void repro_sqdist_spectrum(long m, long d, const double *mean,
 
 /* Batched Ruben series over a block sharing one spectrum.
  *
- * Mirrors repro.gaussian.quadform.ruben_series_block: per candidate the
+ * Mirrors repro.kernels.fallback.ruben_block: per candidate the
  * mixture-weight recursion a_k = (1/2k) sum_{r<=k} g_r a_{k-r} runs until
  * the [partial sum, partial sum + remaining-mass * G_k] interval decides
  * the candidate (theta exclusion or width < tol).  The incomplete-gamma

@@ -117,7 +117,7 @@ def ruben_block(
     tol: float = 1e-12,
     max_terms: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched Ruben series (see ``quadform.ruben_series_block`` for the
+    """Batched Ruben series (see :func:`repro.kernels.ruben_block` for the
     full contract); scratch ``a``/``g`` recursion blocks come from the
     arena instead of fresh zeroed allocations per call."""
     lam = np.asarray(weights, dtype=float)

@@ -18,10 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.database import SpatialDatabase
-from repro.core.query import ProbabilisticRangeQuery
-from repro.core.strategies import Strategy, make_strategies
+from repro.core.strategies import Strategy
 from repro.errors import QueryError
-from repro.gaussian.distribution import Gaussian
 from repro.integrate.base import ProbabilityIntegrator
 from repro.shard.engine import ShardedEngine, ShardPool
 from repro.shard.partition import ShardSpec, partition_positions
@@ -122,16 +120,7 @@ class ShardedDatabase:
         obs=None,
     ) -> ShardedEngine:
         """A :class:`ShardedEngine` over the pool (drop-in engine)."""
-        planner = None
-        if isinstance(strategies, str) and strategies.lower() == "auto":
-            planner = self._database.planner()
-            strategy_list = make_strategies("all")
-        else:
-            strategy_list = (
-                make_strategies(strategies)
-                if isinstance(strategies, str)
-                else list(strategies)
-            )
+        planner, strategy_list = self._database._resolve_strategies(strategies)
         return ShardedEngine(
             self,
             strategy_list,
@@ -142,30 +131,9 @@ class ShardedDatabase:
             targets=self._database.targets,
         )
 
-    def probabilistic_range_query(
-        self,
-        gaussian: Gaussian | None = None,
-        delta: float = 0.0,
-        theta: float = 0.0,
-        *,
-        center=None,
-        sigma=None,
-        strategies: str | list[Strategy] = "all",
-        integrator: ProbabilityIntegrator | None = None,
-        obs=None,
-    ):
-        """Run PRQ(q, δ, θ) scattered across the shards."""
-        if gaussian is None:
-            if center is None or sigma is None:
-                raise QueryError(
-                    "provide either a Gaussian or both center= and sigma="
-                )
-            gaussian = Gaussian(center, sigma)
-        query = ProbabilisticRangeQuery(gaussian, delta, theta)
-        engine = self.engine(
-            strategies=strategies, integrator=integrator, obs=obs
-        )
-        return engine.execute(query)
+    #: The unsharded database's front door, verbatim: it only needs
+    #: :meth:`engine`, so here the query scatters across the shards.
+    probabilistic_range_query = SpatialDatabase.probabilistic_range_query
 
     def serve(self, config=None, **knobs):
         """An embedded :class:`repro.serve.QueryService` over the shards.

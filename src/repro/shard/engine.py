@@ -50,11 +50,10 @@ from repro.core.kinds import adapt_pipeline, query_kind
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import BatchStats, QueryStats
-from repro.core.strategies import STRATEGY_COMBINATIONS, Strategy
+from repro.core.strategies import Strategy
 from repro.errors import QueryError, ReproError, ShardError
 from repro.geometry.mbr import Rect
 from repro.integrate.base import ProbabilityIntegrator
-from repro.integrate.importance import ImportanceSamplingIntegrator
 from repro.obs import COUNT_BUCKETS, Observability
 from repro.shard.partition import ShardSpec
 from repro.shard.seeding import CandidateSeededIntegrator
@@ -287,16 +286,16 @@ class _Prepared:
     local: QueryResult | None = None
 
 
-class ShardedEngine:
+class ShardedEngine(QueryEngine):
     """Drop-in :class:`~repro.core.engine.QueryEngine` over a shard pool.
 
-    Exposes the same surface (``execute``/``run``/``run_batch``/
-    ``explain`` plus the ``index``/``strategies``/``integrator``/
-    ``phase1``/``planner`` attributes), so ``repro.serve`` and every
-    batch caller work unchanged.  The ``workers`` argument of
-    ``run_batch`` is validated for compatibility but parallelism is
-    governed by the pool's worker processes — queries fan out across
-    shards, not threads.
+    A :class:`QueryEngine` whose batches scatter across the pool: the
+    constructor contract, ``run``, ``explain``, plan application and
+    error typing are the base class's; ``execute`` and ``run_batch``
+    route, scatter and merge.  ``repro.serve`` and every batch caller
+    work unchanged.  The ``workers`` argument of ``run_batch`` is
+    validated for compatibility but parallelism is governed by the
+    pool's worker processes — queries fan out across shards, not threads.
     """
 
     def __init__(
@@ -310,19 +309,8 @@ class ShardedEngine:
         obs: Observability | None = None,
         targets=None,
     ):
-        if not strategies:
-            raise QueryError("at least one strategy is required")
-        if phase1 not in ("intersect", "primary"):
-            raise QueryError(
-                f"phase1 must be 'intersect' or 'primary', got {phase1!r}"
-            )
         self.database = database
-        self.strategies = list(strategies)
-        self.integrator = integrator or ImportanceSamplingIntegrator()
-        self.phase1 = phase1
-        self.planner = planner
-        self.obs = obs
-        self.targets = targets
+        self._configure(strategies, integrator, phase1, planner, obs, targets)
 
     @property
     def index(self):
@@ -333,40 +321,8 @@ class ShardedEngine:
         """
         return self.database.index
 
-    # -- drop-in entry points ------------------------------------------
-
     def execute(self, query: ProbabilisticRangeQuery) -> QueryResult:
-        batch = self.run_batch([query])
-        result = batch.results[0]
-        if self.obs is not None and self.planner is not None:
-            self.planner.publish_metrics(self.obs)
-        return result
-
-    def run(
-        self,
-        queries,
-        *,
-        base_seed: int = 0,
-        integrator_factory: IntegratorFactory | None = None,
-    ) -> BatchResult:
-        return self.run_batch(
-            queries,
-            workers=1,
-            base_seed=base_seed,
-            integrator_factory=integrator_factory,
-        )
-
-    def explain(self, query: ProbabilisticRangeQuery, *, estimator=None):
-        """Delegate to an unsharded engine view over the full index."""
-        probe = QueryEngine(
-            self.index,
-            [s.clone() for s in self.strategies],
-            self.integrator,
-            phase1=self.phase1,
-            planner=self.planner,
-            targets=self.targets,
-        )
-        return probe.explain(query, estimator=estimator)
+        return self.run_batch([query]).results[0]
 
     def run_batch(
         self,
@@ -499,22 +455,10 @@ class ShardedEngine:
                 return _Prepared(stats=result.stats, local=result)
             if self.planner is not None:
                 with stats.time_phase("plan"):
-                    decision = self.planner.plan(query, integrator)
-                    chosen = decision.chosen
-                    if chosen.strategies in STRATEGY_COMBINATIONS:
-                        strategies = self.planner.build_strategies(
-                            chosen.strategies
-                        )
-                    if chosen.integrator != integrator.name:
-                        picked = self.planner.integrator_for(chosen.integrator)
-                        if picked is not None:
-                            integrator = picked.fork(seed)
-                    stats.plan_strategies = chosen.strategy_names
-                    stats.plan_phase1 = chosen.phase1
-                    stats.plan_cache_hit = decision.cache_hit
-                    stats.predicted_integrations = chosen.predicted_candidates
-                    stats.predicted_seconds = chosen.predicted_seconds
-                    phase1 = chosen.phase1
+                    strategies, integrator, decision = self._apply_plan(
+                        query, strategies, integrator, stats, seed
+                    )
+                    phase1 = decision.chosen.phase1
             if not integrator.composition_independent:
                 integrator = CandidateSeededIntegrator(integrator)
             # Kind adapters wrap *after* the composition-independence
@@ -553,17 +497,7 @@ class ShardedEngine:
                 routed=routed,
             )
         except BaseException as exc:  # noqa: BLE001 - re-typed below
-            error = (
-                exc
-                if isinstance(exc, ReproError)
-                else QueryError(
-                    f"query {i} failed: {type(exc).__name__}: {exc}"
-                )
-            )
-            if error is not exc:
-                error.__cause__ = exc
-            if not return_errors:
-                raise error from exc
+            error = self._typed_failure(i, exc, return_errors)
             return _Prepared(stats=QueryStats(), error=error)
 
     def _merge(

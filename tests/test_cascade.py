@@ -23,10 +23,10 @@ from repro.gaussian.quadform import (
     chi2_sandwich_bounds_block,
     qualification_probability_exact,
     ruben_cdf,
-    ruben_series_block,
 )
 from repro.index.rtree import RStarTree
 from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
+from repro.kernels import ruben_block
 
 from tests.conftest import random_spd
 from tests.test_filter_soundness import oracle_probabilities
@@ -73,7 +73,7 @@ class TestVectorisedQuadform:
         weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
             gaussian, points
         )
-        lower, upper, ok = ruben_series_block(
+        lower, upper, ok = ruben_block(
             weights, np.ones_like(weights), ncs, delta * delta, tol=1e-12
         )
         for i, point in enumerate(points):
@@ -95,7 +95,7 @@ class TestVectorisedQuadform:
         weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
             gaussian, points
         )
-        lower, upper, ok = ruben_series_block(
+        lower, upper, ok = ruben_block(
             weights, np.ones(2), ncs, 4.0
         )
         assert ok[0] and not ok[1]
@@ -106,11 +106,11 @@ class TestVectorisedQuadform:
         weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
             gaussian, points
         )
-        tight = ruben_series_block(
+        tight = ruben_block(
             weights, np.ones_like(weights), ncs, delta * delta, tol=1e-12
         )
         theta = 0.2
-        fast = ruben_series_block(
+        fast = ruben_block(
             weights, np.ones_like(weights), ncs, delta * delta, theta=theta
         )
         exact = 0.5 * (tight[0] + tight[1])

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -36,7 +35,7 @@ class TestDemo:
 
 class TestDatasetAndQuery:
     def test_dataset_then_query(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", db_path, "--size", "400"]) == 0
         assert main([
             "query", db_path,
@@ -49,7 +48,7 @@ class TestDatasetAndQuery:
         assert "objects qualify" in out
 
     def test_query_with_auto_strategies(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", db_path, "--size", "400"]) == 0
         assert main([
             "query", db_path,
@@ -61,7 +60,7 @@ class TestDatasetAndQuery:
         assert "objects qualify" in capsys.readouterr().out
 
     def test_explain_renders_plan(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", db_path, "--size", "400"]) == 0
         assert main([
             "explain", db_path,
@@ -75,7 +74,7 @@ class TestDatasetAndQuery:
         assert "plan: strategies=" in out
 
     def test_explain_fixed_strategies(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", db_path, "--size", "400"]) == 0
         assert main([
             "explain", db_path,
@@ -89,7 +88,7 @@ class TestDatasetAndQuery:
         assert "plans considered" not in out
 
     def test_explain_dim_mismatch_fails_cleanly(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         main(["dataset", "uniform", db_path, "--size", "100"])
         code = main([
             "explain", db_path, "--center", "1", "2", "3",
@@ -99,7 +98,7 @@ class TestDatasetAndQuery:
         assert "error" in capsys.readouterr().err
 
     def test_query_dim_mismatch_fails_cleanly(self, tmp_path, capsys):
-        db_path = str(tmp_path / "data.npz")
+        db_path = str(tmp_path / "data.soa")
         main(["dataset", "uniform", db_path, "--size", "100"])
         code = main([
             "query", db_path, "--center", "1", "2", "3",
@@ -109,10 +108,11 @@ class TestDatasetAndQuery:
         assert "error" in capsys.readouterr().err
 
     def test_road_dataset_generation(self, tmp_path, capsys):
-        db_path = str(tmp_path / "road.npz")
+        db_path = str(tmp_path / "road.soa")
         assert main(["dataset", "road", db_path, "--size", "3000"]) == 0
-        with np.load(db_path) as archive:
-            assert archive["points"].shape == (3000, 2)
+        from repro import SpatialDatabase
+
+        assert SpatialDatabase.load(db_path).points.shape == (3000, 2)
 
 
 class TestCatalog:
@@ -153,7 +153,7 @@ class TestObservabilityCLI:
 
     @pytest.fixture()
     def db_path(self, tmp_path):
-        path = str(tmp_path / "data.npz")
+        path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", path, "--size", "400"]) == 0
         return path
 

@@ -8,15 +8,18 @@ import pytest
 from scipy import stats
 
 from repro.core.database import SpatialDatabase
+from repro.core.kinds import (
+    TargetCovarianceTable,
+    UncertainObject,
+    UncertainTargetQuery,
+)
 from repro.core.nn import probabilistic_nearest_neighbors
 from repro.core.oned import (
     OneDimensionalDatabase,
     interval_probability,
     qualifying_interval,
 )
-from repro.core.query import ProbabilisticRangeQuery
-from repro.core.uncertain import UncertainDatabase, UncertainObject
-from repro.errors import QueryError
+from repro.errors import IndexError_, QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import qualification_probability_exact
 from repro.integrate.exact import ExactIntegrator
@@ -89,19 +92,32 @@ class TestProbabilisticNN:
             probabilistic_nearest_neighbors(db, gaussian, k=10**7)
 
 
+def uncertain_query(objects, gaussian, delta, theta):
+    """UncertainTargetQuery over ``objects`` through the unified engine."""
+    db = SpatialDatabase(
+        np.vstack([obj.mean for obj in objects]),
+        ids=[obj.obj_id for obj in objects],
+        target_table=TargetCovarianceTable.from_objects(objects),
+    )
+    result = db.engine(integrator=ExactIntegrator()).execute(
+        UncertainTargetQuery(gaussian, delta, theta)
+    )
+    return list(result.ids), result.stats
+
+
+def shared_sigma_objects(points, sigma):
+    return [UncertainObject(i, Gaussian(p, sigma)) for i, p in enumerate(points)]
+
+
 class TestUncertainTargets:
     def test_reduces_to_exact_when_targets_precise(self, rng):
         # Near-zero target covariance: results must match the exact-target
         # machinery on the same points.
         points = rng.random((500, 2)) * 100
-        tiny = 1e-12 * np.eye(2)
-        udb = UncertainDatabase(
-            [UncertainObject(i, Gaussian(p, tiny)) for i, p in enumerate(points)]
-        )
+        objects = shared_sigma_objects(points, 1e-12 * np.eye(2))
         precise = SpatialDatabase(points)
         gaussian = Gaussian([50.0, 50.0], 20.0 * np.eye(2))
-        query = ProbabilisticRangeQuery(gaussian, 10.0, 0.05)
-        got, stats = udb.probabilistic_range_query(query)
+        got, stats = uncertain_query(objects, gaussian, 10.0, 0.05)
         expected = precise.probabilistic_range_query(
             gaussian, 10.0, 0.05, strategies="all", integrator=ExactIntegrator()
         )
@@ -111,11 +127,9 @@ class TestUncertainTargets:
     def test_convolution_against_monte_carlo(self, rng):
         # One uncertain target: P(||x - y|| <= delta) by simulation.
         target = UncertainObject(0, Gaussian([10.0, 0.0], np.diag([4.0, 1.0])))
-        udb = UncertainDatabase([target])
         query_gaussian = Gaussian([0.0, 0.0], np.diag([2.0, 2.0]))
         delta, theta = 12.0, 0.5
-        query = ProbabilisticRangeQuery(query_gaussian, delta, theta)
-        got, _ = udb.probabilistic_range_query(query)
+        got, _ = uncertain_query([target], query_gaussian, delta, theta)
         x = query_gaussian.sample(300_000, rng)
         y = target.gaussian.sample(300_000, rng)
         p = np.mean(np.sum((x - y) ** 2, axis=1) <= delta**2)
@@ -132,45 +146,34 @@ class TestUncertainTargets:
         # well-inside targets (mass leaks out of the ball).
         points = np.array([[1.0, 0.0]])
         q = Gaussian([0.0, 0.0], 0.5 * np.eye(2))
-        query = ProbabilisticRangeQuery(q, 3.0, 0.8)
-        small = UncertainDatabase.from_points(points, 0.01 * np.eye(2))
-        large = UncertainDatabase.from_points(points, 25.0 * np.eye(2))
-        got_small, _ = small.probabilistic_range_query(query)
-        got_large, _ = large.probabilistic_range_query(query)
+        small = shared_sigma_objects(points, 0.01 * np.eye(2))
+        large = shared_sigma_objects(points, 25.0 * np.eye(2))
+        got_small, _ = uncertain_query(small, q, 3.0, 0.8)
+        got_large, _ = uncertain_query(large, q, 3.0, 0.8)
         assert got_small == [0]
         assert got_large == []
 
     def test_phase1_prunes_far_targets(self, rng):
         points = np.vstack([rng.random((50, 2)) * 5, [[500.0, 500.0]]])
-        udb = UncertainDatabase.from_points(points, np.eye(2))
-        query = ProbabilisticRangeQuery(Gaussian([2.0, 2.0], np.eye(2)), 3.0, 0.1)
-        got, stats = udb.probabilistic_range_query(query)
+        objects = shared_sigma_objects(points, np.eye(2))
+        got, stats = uncertain_query(
+            objects, Gaussian([2.0, 2.0], np.eye(2)), 3.0, 0.1
+        )
         assert 50 not in got
         assert stats.retrieved < len(points)
 
     def test_validation(self):
         with pytest.raises(QueryError):
-            UncertainDatabase([])
+            TargetCovarianceTable.from_objects([])
         with pytest.raises(QueryError):
-            UncertainDatabase(
+            TargetCovarianceTable.from_objects(
                 [
                     UncertainObject(0, Gaussian([0.0], np.eye(1))),
                     UncertainObject(1, Gaussian([0.0, 0.0], np.eye(2))),
                 ]
             )
-        with pytest.raises(QueryError):
-            UncertainDatabase(
-                [
-                    UncertainObject(0, Gaussian([0.0], np.eye(1))),
-                    UncertainObject(0, Gaussian([1.0], np.eye(1))),
-                ]
-            )
-
-    def test_object_accessor(self):
-        udb = UncertainDatabase.from_points(np.zeros((1, 2)), np.eye(2))
-        assert udb.object(0).obj_id == 0
-        with pytest.raises(QueryError):
-            udb.object(5)
+        with pytest.raises(IndexError_, match="duplicate"):
+            SpatialDatabase(np.array([[0.0], [1.0]]), ids=[0, 0])
 
 
 class TestOneDimensional:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import SpatialDatabase
-from repro.core.mixture import MixtureQueryEngine, mixture_range_query
+from repro.core.kinds import MixtureRangeQuery
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.selectivity import SelectivityEstimator
 from repro.datasets.io import (
@@ -17,6 +17,7 @@ from repro.datasets.io import (
 from repro.errors import GeometryError, QueryError, ReproError
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.mixture import GaussianMixture
+from repro.integrate.exact import ExactIntegrator
 
 
 @pytest.fixture
@@ -80,6 +81,14 @@ class TestGaussianMixture:
             )
 
 
+def mixture_query(db, mixture, delta, theta):
+    """MixtureRangeQuery through the unified engine, exact Phase 3."""
+    result = db.engine(integrator=ExactIntegrator()).execute(
+        MixtureRangeQuery.create(mixture, delta, theta)
+    )
+    return list(result.ids), result.stats
+
+
 class TestMixtureQueries:
     @pytest.fixture(scope="class")
     def world(self):
@@ -90,7 +99,7 @@ class TestMixtureQueries:
     def test_matches_brute_force(self, world, bimodal):
         points, db = world
         delta, theta = 30.0, 0.05
-        got, stats = MixtureQueryEngine(db).execute(bimodal, delta, theta)
+        got, stats = mixture_query(db, bimodal, delta, theta)
         expected = [
             int(i)
             for i in range(points.shape[0])
@@ -101,7 +110,7 @@ class TestMixtureQueries:
 
     def test_answers_near_both_modes(self, world, bimodal):
         points, db = world
-        got = mixture_range_query(db, bimodal, 30.0, 0.05)
+        got, _ = mixture_query(db, bimodal, 30.0, 0.05)
         answers = points[np.asarray(got)]
         near_left = np.linalg.norm(answers - [300.0, 500.0], axis=1) < 150
         near_right = np.linalg.norm(answers - [700.0, 500.0], axis=1) < 150
@@ -109,12 +118,10 @@ class TestMixtureQueries:
         assert np.all(near_left | near_right)
 
     def test_single_component_matches_plain_engine(self, world, paper_sigma_10):
-        from repro.integrate.exact import ExactIntegrator
-
         points, db = world
         gaussian = Gaussian([500.0, 500.0], paper_sigma_10)
         single = GaussianMixture([gaussian])
-        got = mixture_range_query(db, single, 25.0, 0.01)
+        got, _ = mixture_query(db, single, 25.0, 0.01)
         plain = db.probabilistic_range_query(
             gaussian, 25.0, 0.01, integrator=ExactIntegrator()
         )
@@ -122,12 +129,11 @@ class TestMixtureQueries:
 
     def test_validation(self, world, bimodal):
         _, db = world
-        engine = MixtureQueryEngine(db)
         with pytest.raises(QueryError):
-            engine.execute(bimodal, 30.0, 0.0)
+            mixture_query(db, bimodal, 30.0, 0.0)
         mixture_3d = GaussianMixture([Gaussian(np.zeros(3), np.eye(3))])
         with pytest.raises(QueryError):
-            engine.execute(mixture_3d, 1.0, 0.1)
+            mixture_query(db, mixture_3d, 1.0, 0.1)
 
 
 class TestDataLoaders:

@@ -1,5 +1,5 @@
-"""Tests for the monitoring session, database persistence, and the
-incremental nearest-neighbour iterator."""
+"""Tests for database persistence and the incremental nearest-neighbour
+iterator."""
 
 from __future__ import annotations
 
@@ -9,84 +9,10 @@ import numpy as np
 import pytest
 
 from repro.core.database import SpatialDatabase
-from repro.core.monitor import MonitoringSession
-from repro.errors import DatabaseLoadError, QueryError
+from repro.errors import DatabaseLoadError
 from repro.gaussian.distribution import Gaussian
 from repro.index.rtree import RStarTree
 from repro.integrate.exact import ExactIntegrator
-
-
-@pytest.fixture(scope="module")
-def db():
-    rng = np.random.default_rng(21)
-    return SpatialDatabase(rng.random((5000, 2)) * 1000)
-
-
-class TestMonitoringSession:
-    def test_results_identical_to_fresh_queries(self, db, paper_sigma_10):
-        session = MonitoringSession(
-            db, strategies="all", integrator=ExactIntegrator(), margin=0.8
-        )
-        # A drifting query object: small steps so the cache keeps serving.
-        path = [(500.0 + 3 * i, 500.0 + 2 * i) for i in range(8)]
-        for center in path:
-            gaussian = Gaussian(center, paper_sigma_10)
-            cached = session.query(gaussian, 25.0, 0.01)
-            fresh = db.probabilistic_range_query(
-                gaussian, 25.0, 0.01, strategies="all",
-                integrator=ExactIntegrator(),
-            )
-            assert cached.ids == fresh.ids
-        assert session.cache_hits >= 5
-        assert session.cache_misses >= 1
-
-    def test_cache_invalidated_on_large_jump(self, db, paper_sigma_10):
-        session = MonitoringSession(db, integrator=ExactIntegrator(), margin=0.2)
-        session.query(Gaussian([100.0, 100.0], paper_sigma_10), 25.0, 0.01)
-        session.query(Gaussian([900.0, 900.0], paper_sigma_10), 25.0, 0.01)
-        assert session.cache_misses == 2
-        assert session.cache_hits == 0
-
-    def test_stats_flag_cache_hits(self, db, paper_sigma_10):
-        session = MonitoringSession(db, integrator=ExactIntegrator(), margin=1.0)
-        first = session.query(Gaussian([500.0, 500.0], paper_sigma_10), 25.0, 0.01)
-        second = session.query(Gaussian([502.0, 501.0], paper_sigma_10), 25.0, 0.01)
-        assert not first.stats.cache_hit
-        assert second.stats.cache_hit
-
-    def test_invalidate_after_update(self, paper_sigma_10):
-        rng = np.random.default_rng(5)
-        points = rng.random((800, 2)) * 100
-        db = SpatialDatabase(points)
-        session = MonitoringSession(db, integrator=ExactIntegrator(), margin=2.0)
-        gaussian = Gaussian([50.0, 50.0], 0.05 * paper_sigma_10)
-        before = session.query(gaussian, 10.0, 0.1)
-        # Insert a new object right at the centre, then invalidate.
-        db.index.insert(9999, np.array([50.0, 50.0]))
-        session.invalidate()
-        after = session.query(gaussian, 10.0, 0.1)
-        assert 9999 in after.ids
-        assert 9999 not in before.ids
-
-    def test_empty_proof_short_circuits(self, db):
-        session = MonitoringSession(db, integrator=ExactIntegrator())
-        gaussian = Gaussian.isotropic([500.0, 500.0], 400.0)
-        result = session.query(gaussian, 1.0, 0.95)
-        assert result.ids == ()
-        assert result.stats.empty_by_strategy == "BF"
-
-    def test_negative_margin_rejected(self, db):
-        with pytest.raises(QueryError):
-            MonitoringSession(db, margin=-0.1)
-
-    def test_zero_candidate_region(self, paper_sigma_10):
-        # A database whose points are far from the query: cache holds zero
-        # candidates but the session must keep functioning.
-        db = SpatialDatabase(np.array([[1000.0, 1000.0], [1001.0, 1001.0]]))
-        session = MonitoringSession(db, integrator=ExactIntegrator())
-        gaussian = Gaussian([0.0, 0.0], 0.01 * paper_sigma_10)
-        assert session.query(gaussian, 5.0, 0.1).ids == ()
-        assert session.query(gaussian, 5.0, 0.1).ids == ()
 
 
 class TestPersistence:

@@ -5,9 +5,6 @@ Covers the `repro.core.kinds` contract (docs/query_types.md):
 - oracle parity — each kind's unified-pipeline answers equal its
   brute-force oracle (exact convolved CDF, exact mixture sum, the legacy
   sampling k-NN with a matched seed) across dimensions and integrators;
-- legacy parity — the deprecated `UncertainDatabase` shim and the
-  `MixtureQueryEngine` wrapper return identical answers through the
-  unified path (the shim with a `DeprecationWarning`);
 - filter soundness — no kind's Phase 1/2 ever drops a qualifying object
   or free-accepts a non-qualifying one;
 - end-to-end determinism — mixed-kind `run_batch` across worker counts,
@@ -25,12 +22,10 @@ from repro import (
     Gaussian,
     GaussianMixture,
     KNNQuery,
-    MixtureQueryEngine,
     MixtureRangeQuery,
     ProbabilisticRangeQuery,
     SpatialDatabase,
     TargetCovarianceTable,
-    UncertainDatabase,
     UncertainObject,
     UncertainTargetQuery,
     probabilistic_nearest_neighbors,
@@ -232,63 +227,6 @@ class TestKNNLegacyParity:
         for spec in ("all", "auto"):
             result = db.engine(strategies=spec).execute(query)
             assert sorted(result.ids) == expected
-
-
-# ----------------------------------------------------------------------
-# Legacy entry-point parity
-# ----------------------------------------------------------------------
-
-
-class TestDeprecatedShims:
-    def make_uncertain_db(self, dim=2, n=150):
-        points = make_points(n, dim, seed=3)
-        rng = np.random.default_rng(4)
-        objs = []
-        for i, point in enumerate(points):
-            a = rng.normal(size=(dim, dim))
-            objs.append(
-                UncertainObject(i, Gaussian(point, 30.0 * (a @ a.T + np.eye(dim))))
-            )
-        return objs, points
-
-    def test_shim_warns_and_matches_unified(self):
-        objs, points = self.make_uncertain_db()
-        legacy_db = UncertainDatabase(objs)
-        query = ProbabilisticRangeQuery(paper_like_gaussian(2), 90.0, 0.03)
-
-        with pytest.warns(DeprecationWarning, match="UncertainDatabase"):
-            legacy_ids, legacy_stats = legacy_db.probabilistic_range_query(query)
-
-        db = SpatialDatabase(
-            points,
-            ids=[o.obj_id for o in objs],
-            target_table=TargetCovarianceTable.from_objects(objs),
-        )
-        kinded = UncertainTargetQuery(query.gaussian, query.delta, query.theta)
-        result = db.engine(
-            strategies="all", integrator=ExactIntegrator()
-        ).execute(kinded)
-        assert legacy_ids == list(result.ids)
-        assert legacy_stats.retrieved == result.stats.retrieved
-        assert legacy_stats.integrations == result.stats.integrations
-
-    def test_mixture_wrapper_matches_unified(self):
-        points = make_points(200, 2, seed=8)
-        db = SpatialDatabase(points)
-        mixture = GaussianMixture(
-            [
-                Gaussian([300.0, 300.0], 900.0 * np.eye(2)),
-                Gaussian([700.0, 700.0], 400.0 * np.eye(2)),
-            ]
-        )
-        wrapper_ids, wrapper_stats = MixtureQueryEngine(db).execute(
-            mixture, 80.0, 0.05
-        )
-        result = db.engine(
-            strategies="all", integrator=ExactIntegrator()
-        ).execute(MixtureRangeQuery.create(mixture, 80.0, 0.05))
-        assert wrapper_ids == list(result.ids)
-        assert wrapper_stats.integrations == result.stats.integrations
 
 
 # ----------------------------------------------------------------------

@@ -198,3 +198,40 @@ def test_coordinator_index_is_built_on_first_use_only():
         strategies="all", integrator=ExactIntegrator()
     ).run_batch(queries, base_seed=1)
     assert batch.ids == baseline.ids
+
+
+def test_sharded_engine_validates_and_types_errors_like_the_engine():
+    """One copy of the constructor contract and of failure typing: the
+    same bad arguments raise the same error on both engines, and a
+    non-library exception is captured identically under
+    ``return_errors=True``."""
+
+    def exploding_factory(query, seed):
+        raise RuntimeError("boom")
+
+    db = SpatialDatabase(point_cloud(2, seed=808))
+    queries = [seeded_query(2, 51_000 + 17 * s) for s in range(2)]
+    with db.shard(2) as sharded:
+        for bad in ({"strategies": []}, {"phase1": "nearest"}):
+            with pytest.raises(QueryError) as plain:
+                db.engine(**bad)
+            with pytest.raises(QueryError) as scattered:
+                sharded.engine(**bad)
+            assert str(scattered.value) == str(plain.value)
+        captured = [
+            engine.run_batch(
+                queries,
+                integrator_factory=exploding_factory,
+                return_errors=True,
+            )
+            for engine in (db.engine(), sharded.engine())
+        ]
+        with pytest.raises(QueryError, match="query 0 failed: RuntimeError"):
+            sharded.engine().run_batch(
+                queries, integrator_factory=exploding_factory
+            )
+    for plain, scattered in zip(*captured):
+        assert type(scattered.error) is type(plain.error) is QueryError
+        assert str(scattered.error) == str(plain.error)
+        assert isinstance(scattered.error.__cause__, RuntimeError)
+        assert scattered.ids == plain.ids == ()

@@ -2,8 +2,8 @@
 
 Covers the storage contract from docs/architecture.md: O(1) mapped
 loads, legacy ``.npz`` migration, corrupt-file diagnostics that name the
-path, the ``format="npz"`` escape hatch, and bit-identical sharded
-execution served straight from the mapped file.
+path, and bit-identical sharded execution served straight from the
+mapped file.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.storage import (
     open_soa,
     write_soa,
 )
-from repro.errors import DatabaseLoadError, QueryError
+from repro.errors import DatabaseLoadError
 from repro.gaussian.distribution import Gaussian
 
 
@@ -50,26 +50,11 @@ def test_soa_round_trip_preserves_everything(tmp_path, rng):
     )
 
 
-def test_save_default_is_soa_but_npz_escape_hatch_works(tmp_path, rng):
-    points = rng.random((64, 2))
-    db = SpatialDatabase(points)
-    soa_path, npz_path = tmp_path / "a.db", tmp_path / "b.npz"
-    db.save(soa_path)
-    db.save(npz_path, format="npz")
-    assert is_soa_file(soa_path)
-    assert not is_soa_file(npz_path)
-    with np.load(npz_path) as archive:  # still a real, portable .npz
-        np.testing.assert_array_equal(archive["points"], points)
-    for p in (soa_path, npz_path):
-        np.testing.assert_array_equal(
-            np.asarray(SpatialDatabase.load(p).points), points
-        )
-
-
 def test_save_rejects_unknown_format(tmp_path, rng):
+    """``save`` writes the store, full stop: ``format`` is not a parameter."""
     db = SpatialDatabase(rng.random((8, 2)))
-    with pytest.raises(QueryError, match="format"):
-        db.save(tmp_path / "x", format="parquet")
+    with pytest.raises(TypeError, match="format"):
+        db.save(tmp_path / "x.npz", format="npz")
 
 
 def test_legacy_npz_archives_still_load(tmp_path, rng):
