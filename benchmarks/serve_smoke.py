@@ -1,0 +1,226 @@
+"""CI smokes over ``repro serve``: request generators and response checkers.
+
+The ``serve-smoke`` and ``monitor-smoke`` jobs write a request file, pipe
+it through ``python -m repro serve`` and check what came back:
+
+    python benchmarks/serve_smoke.py generate serve|monitor REQUESTS
+    python benchmarks/serve_smoke.py check serve|monitor --requests R \
+        --responses OUT --summary ERR --metrics M [--database DB]
+
+``serve`` is 50 mixed-deadline PRQs: every request answered with one of
+the five typed statuses, none failed, at least one micro-batch coalesced.
+``monitor`` is a subscription storm — subscribe, random-walk ticks, one
+deadline-squeezed jump tick (far enough that border objects need
+re-integration, with zero budget to do it), notify, unsubscribe: every
+line answered in order, outcome counters adding up, every degraded
+update's certain ids and (lo, hi) intervals sound against the exact
+integrator, and staleness flagged on notify.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+
+STATUSES = {"ok", "degraded", "overloaded", "deadline_exceeded", "failed"}
+
+
+def serve_requests(n: int = 50) -> list[dict]:
+    """``n`` PRQ lines; every third has a deadline, every seventh priority."""
+    rng = random.Random(7)
+    rows = []
+    for i in range(n):
+        row = {
+            "center": [rng.uniform(100, 900), rng.uniform(100, 900)],
+            "sigma_scale": rng.choice([2.0, 5.0, 20.0]),
+            "delta": rng.choice([5.0, 10.0]),
+            "theta": rng.choice([0.1, 0.3]),
+            "id": i,
+        }
+        if i % 3 == 0:
+            row["deadline_ms"] = rng.choice([20.0, 200.0])
+        if i % 7 == 0:
+            row["priority"] = 1
+        rows.append(row)
+    return rows
+
+
+def monitor_storm(n_subs: int = 30, n_ticks: int = 4) -> list[dict]:
+    """Subscribe, ``n_ticks`` walk ticks, a zero-deadline jump, notify, bye."""
+    rng = random.Random(13)
+    centers = {
+        s: [rng.uniform(100, 900), rng.uniform(100, 900)] for s in range(n_subs)
+    }
+    lines: list[dict] = [
+        {"type": "subscribe", "sub": s, "center": centers[s], "sigma_scale": 0.5,
+         "delta": 15.0, "theta": 0.4, "id": f"sub-{s}"}
+        for s in range(n_subs)
+    ]  # fmt: skip
+    for tick in range(n_ticks):
+        for s in range(n_subs):
+            centers[s] = [c + rng.gauss(0.0, 0.1) for c in centers[s]]
+            lines.append({"type": "update", "sub": s, "center": centers[s],
+                          "id": f"upd-{tick}-{s}"})  # fmt: skip
+    for s in range(n_subs):
+        centers[s] = [centers[s][0] + 1.5, centers[s][1]]
+        lines.append({"type": "update", "sub": s, "center": centers[s],
+                      "deadline_ms": 0.0, "id": f"deg-{s}"})  # fmt: skip
+    for kind, tag in (("notify", "note"), ("unsubscribe", "bye")):
+        lines.extend(
+            {"type": kind, "sub": s, "id": f"{tag}-{s}"} for s in range(n_subs)
+        )
+    return lines
+
+
+def _stderr_json(stderr: str, prefix: str) -> dict:
+    for line in stderr.splitlines():
+        if line.startswith(prefix):
+            return json.loads(line.split(prefix, 1)[1])
+    return {}
+
+
+def check_serve(
+    requests: list[dict], rows: list[dict], stderr: str, metrics: str
+) -> list[str]:
+    """What is wrong with one ``repro serve`` run over ``serve_requests``."""
+    found = []
+    if len(rows) != len(requests):
+        found.append(f"expected {len(requests)} responses, got {len(rows)}")
+    statuses = {r.get("status") for r in rows}
+    if not statuses <= STATUSES:
+        found.append(f"untyped status among {sorted(map(str, statuses))}")
+    if "failed" in statuses:
+        found.append("unhandled failure")
+    summary = _stderr_json(stderr, "summary:")
+    if not summary.get("coalesced_batches", 0) >= 1:
+        found.append("no micro-batch coalesced")
+    if summary.get("submitted") != len(requests):
+        found.append(f"submitted = {summary.get('submitted')!r}")
+    for family in ("repro_serve_batch_size", "repro_serve_requests_total"):
+        if family not in metrics:
+            found.append(f"{family} missing from the metrics export")
+    return found
+
+
+def check_monitor(
+    requests: list[dict], rows: list[dict], stderr: str, metrics: str, database
+) -> list[str]:
+    """What is wrong with one ``repro serve`` run over ``monitor_storm``.
+
+    ``database`` is the loaded :class:`repro.SpatialDatabase` the storm
+    ran against; degraded answers are re-verified on it.
+    """
+    import numpy as np
+
+    from repro import ExactIntegrator, Gaussian
+
+    found = []
+    if len(rows) != len(requests):
+        return [f"expected {len(requests)} responses, got {len(rows)}"]
+    if any(r.get("status") == "failed" for r in rows):
+        found.append("a monitor line failed")
+    subscribes = {r["sub"]: r for r in requests if r["type"] == "subscribe"}
+    n_updates = sum(r["type"] == "update" for r in requests)
+    stats = _stderr_json(stderr, "monitor:")
+    expected = {
+        "subscribed": len(subscribes),
+        "unsubscribed": len(subscribes),
+        "updates": n_updates,
+        "failed": 0,
+        "active_subscriptions": 0,
+    }
+    for key, value in expected.items():
+        if stats.get(key) != value:
+            found.append(f"monitor {key} = {stats.get(key)!r}, expected {value}")
+    if not stats.get("survived", 0) > 0:
+        found.append("no update survived")
+    outcomes = sum(
+        stats.get(k, 0) for k in ("survived", "reintegrated", "replanned", "degraded")
+    )
+    if outcomes != n_updates:
+        found.append(f"outcomes sum to {outcomes}, not {n_updates} updates")
+    degraded = [r for r in rows if r.get("outcome") == "degraded"]
+    if not degraded:
+        found.append("deadline-squeezed tick produced no degraded update")
+    if stats.get("degraded") != len(degraded):
+        found.append(f"{len(degraded)} degraded rows vs counter {stats.get('degraded')!r}")
+
+    # Degraded answers are sound partial information: every certain id
+    # truly qualifies, every undecided interval encloses the exact
+    # qualification probability.
+    exact = ExactIntegrator()
+    request_by_id = {r["id"]: r for r in requests}
+    row_by_id = {r["id"]: r for r in rows}
+    for row in degraded:
+        sub = subscribes[row["subscription_id"]]
+        delta, theta = sub["delta"], sub["theta"]
+        center = request_by_id[row["id"]]["center"]
+        gaussian = Gaussian(center, sub["sigma_scale"] * np.eye(len(center)))
+
+        def prob(obj):
+            return exact.qualification_probabilities(
+                gaussian, database.point(obj).reshape(1, -1), delta
+            )[0].estimate
+
+        for obj in row["ids"]:
+            if not prob(obj) >= theta - 1e-9:
+                found.append(f"{row['id']}: certain id {obj} does not qualify")
+        for obj, lo, hi in row.get("bounds", []):
+            if not (lo < theta <= hi and lo - 1e-9 <= prob(obj) <= hi + 1e-9):
+                found.append(f"{row['id']}: unsound interval {(obj, lo, hi)}")
+        # A degraded update commits nothing; notify must flag the
+        # committed answer stale until an unconstrained retry.
+        if row_by_id[f"note-{row['subscription_id']}"].get("stale") is not True:
+            found.append(f"{row['id']}: notify did not flag the answer stale")
+    for family in ("repro_monitor_updates_total", "repro_monitor_subscriptions"):
+        if family not in metrics:
+            found.append(f"{family} missing from the metrics export")
+    return found
+
+
+def _read_jsonl(path: str) -> list[dict]:
+    return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    generate = commands.add_parser("generate")
+    generate.add_argument("smoke", choices=("serve", "monitor"))
+    generate.add_argument("requests")
+    check = commands.add_parser("check")
+    check.add_argument("smoke", choices=("serve", "monitor"))
+    for flag in ("--requests", "--responses", "--summary", "--metrics"):
+        check.add_argument(flag, required=True)
+    check.add_argument("--database", help="the store served (monitor only)")
+    args = parser.parse_args(argv)
+    if args.command == "check" and args.smoke == "monitor" and not args.database:
+        parser.error("check monitor needs --database")
+    if args.command == "generate":
+        rows = serve_requests() if args.smoke == "serve" else monitor_storm()
+        Path(args.requests).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        return 0
+    observed = (
+        _read_jsonl(args.requests),
+        _read_jsonl(args.responses),
+        Path(args.summary).read_text(),
+        Path(args.metrics).read_text(),
+    )
+    if args.smoke == "serve":
+        found = check_serve(*observed)
+    else:
+        from repro import SpatialDatabase
+
+        found = check_monitor(*observed, SpatialDatabase.load(args.database))
+    for problem in found:
+        print(f"{args.smoke} smoke: {problem}")
+    if not found:
+        print(f"{args.smoke} smoke OK: {len(observed[1])} responses checked")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

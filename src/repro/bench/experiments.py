@@ -443,16 +443,29 @@ def run_table3(
 # ----------------------------------------------------------------------
 
 
-def _candidate_counts_for_query(
-    database: SpatialDatabase, gaussian: Gaussian, delta: float, theta: float
-) -> dict[str, float]:
+def _sensitivity_table(
+    title, label, values, make_query, n_trials, seed, note
+) -> ExperimentTable:
+    """Mean candidate counts per strategy spec along one swept axis.
+
+    ``make_query(value)`` returns the ``(sigma, delta, theta)`` of the
+    sweep point; every point runs at the same ``n_trials`` road centres.
+    """
+    db = load_road_database()
+    centers = random_query_centers(db, n_trials, seed)
     counting = _CountOnlyIntegrator()
-    query = ProbabilisticRangeQuery(gaussian, delta, theta)
-    counts = {}
-    for spec in SPEC_ORDER:
-        engine = database.engine(strategies=spec, integrator=counting)
-        counts[spec] = float(engine.execute(query).stats.integrations)
-    return counts
+    table = ExperimentTable(title, [label] + [s.upper() for s in SPEC_ORDER])
+    for value in values:
+        sigma, delta, theta = make_query(value)
+        totals = {spec: 0.0 for spec in SPEC_ORDER}
+        for center in centers:
+            query = ProbabilisticRangeQuery(Gaussian(center, sigma), delta, theta)
+            for spec in SPEC_ORDER:
+                engine = db.engine(strategies=spec, integrator=counting)
+                totals[spec] += engine.execute(query).stats.integrations
+        table.add_row(value, *[totals[s] / n_trials for s in SPEC_ORDER])
+    table.note(note)
+    return table
 
 
 def run_sensitivity_delta(
@@ -464,25 +477,13 @@ def run_sensitivity_delta(
     seed: int = 0,
 ) -> ExperimentTable:
     """Candidate counts vs δ (§V-B-3 bullet 1)."""
-    db = load_road_database()
-    centers = random_query_centers(db, n_trials, seed)
-    table = ExperimentTable(
-        "Sensitivity — candidates vs delta (gamma=%g, theta=%g)" % (gamma, theta),
-        ["delta"] + [s.upper() for s in SPEC_ORDER],
-    )
     sigma = paper_sigma(gamma)
-    for delta in deltas:
-        totals = {spec: 0.0 for spec in SPEC_ORDER}
-        for center in centers:
-            counts = _candidate_counts_for_query(
-                db, Gaussian(center, sigma), delta, theta
-            )
-            for spec in SPEC_ORDER:
-                totals[spec] += counts[spec]
-        table.add_row(delta, *[totals[s] / n_trials for s in SPEC_ORDER])
-    table.note("paper: combination more effective for small delta; RR ~ BF for "
-               "large delta")
-    return table
+    return _sensitivity_table(
+        "Sensitivity — candidates vs delta (gamma=%g, theta=%g)" % (gamma, theta),
+        "delta", deltas, lambda delta: (sigma, delta, theta), n_trials, seed,
+        "paper: combination more effective for small delta; RR ~ BF for "
+        "large delta",
+    )
 
 
 def run_sensitivity_theta(
@@ -494,25 +495,13 @@ def run_sensitivity_theta(
     seed: int = 0,
 ) -> ExperimentTable:
     """Candidate counts vs θ (§V-B-3 bullet 2)."""
-    db = load_road_database()
-    centers = random_query_centers(db, n_trials, seed)
-    table = ExperimentTable(
-        "Sensitivity — candidates vs theta (gamma=%g, delta=%g)" % (gamma, delta),
-        ["theta"] + [s.upper() for s in SPEC_ORDER],
-    )
     sigma = paper_sigma(gamma)
-    for theta in thetas:
-        totals = {spec: 0.0 for spec in SPEC_ORDER}
-        for center in centers:
-            counts = _candidate_counts_for_query(
-                db, Gaussian(center, sigma), delta, theta
-            )
-            for spec in SPEC_ORDER:
-                totals[spec] += counts[spec]
-        table.add_row(theta, *[totals[s] / n_trials for s in SPEC_ORDER])
-    table.note("paper: costs barely move between theta=0.1 and theta=0.01 "
-               "(exponential tails)")
-    return table
+    return _sensitivity_table(
+        "Sensitivity — candidates vs theta (gamma=%g, delta=%g)" % (gamma, delta),
+        "theta", thetas, lambda theta: (sigma, delta, theta), n_trials, seed,
+        "paper: costs barely move between theta=0.1 and theta=0.01 "
+        "(exponential tails)",
+    )
 
 
 def run_sensitivity_shape(
@@ -530,31 +519,22 @@ def run_sensitivity_shape(
     scaled so its determinant (ellipse area) matches the default setting —
     isolating the *shape* effect from the *size* effect.
     """
-    db = load_road_database()
-    centers = random_query_centers(db, n_trials, seed)
-    table = ExperimentTable(
-        "Sensitivity — candidates vs axis ratio (equal-area covariances)",
-        ["ratio"] + [s.upper() for s in SPEC_ORDER],
-    )
     angle = math.radians(30.0)
     rotation = np.array(
         [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
     )
-    for ratio in axis_ratios:
+
+    def equal_area(ratio: float):
         scale = gamma_area / math.sqrt(ratio)
         eigenvalues = np.array([ratio * scale, scale])
-        sigma = rotation @ np.diag(eigenvalues) @ rotation.T
-        totals = {spec: 0.0 for spec in SPEC_ORDER}
-        for center in centers:
-            counts = _candidate_counts_for_query(
-                db, Gaussian(center, sigma), delta, theta
-            )
-            for spec in SPEC_ORDER:
-                totals[spec] += counts[spec]
-        table.add_row(ratio, *[totals[s] / n_trials for s in SPEC_ORDER])
-    table.note("paper: near-spherical covariances equalize the strategies; "
-               "thin ellipses favour the combination")
-    return table
+        return rotation @ np.diag(eigenvalues) @ rotation.T, delta, theta
+
+    return _sensitivity_table(
+        "Sensitivity — candidates vs axis ratio (equal-area covariances)",
+        "ratio", axis_ratios, equal_area, n_trials, seed,
+        "paper: near-spherical covariances equalize the strategies; "
+        "thin ellipses favour the combination",
+    )
 
 
 # ----------------------------------------------------------------------

@@ -33,17 +33,6 @@ from repro.gaussian import radial
 __all__ = ["BFLookup", "ExactBFLookup", "BFCatalog", "alpha_radii"]
 
 
-#: LRU size for memoized exact α lookups.  Each α is a brentq root-find
-#: over the noncentral-χ² CDF (~5 ms) — by far the most expensive part of
-#: per-query preparation — so repeated query shapes skip it entirely.
-_ALPHA_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=_ALPHA_CACHE_SIZE)
-def _alpha_for_mass_cached(dim: int, delta: float, theta: float) -> float | None:
-    return radial.alpha_for_mass(dim, delta, theta)
-
-
 class BFLookup(abc.ABC):
     """Provider of offset radii α for the normalized Gaussian."""
 
@@ -71,9 +60,8 @@ class BFLookup(abc.ABC):
 class ExactBFLookup(BFLookup):
     """Closed-form lookup via the noncentral-χ² CDF (no table).
 
-    Lookups are memoized in a process-wide LRU keyed on (dim, δ, θ): the
-    root-find is a pure function, so cache hits return bit-identical α
-    values and cannot perturb any sampling stream.
+    Both bounds are the root of Eq. 21 itself, memoized process-wide by
+    :func:`repro.gaussian.radial.alpha_for_mass`.
     """
 
     def __init__(self, dim: int):
@@ -88,12 +76,9 @@ class ExactBFLookup(BFLookup):
     def alpha_upper(self, delta: float, theta: float) -> float | None:
         if theta >= 1.0:
             return None
-        return _alpha_for_mass_cached(self._dim, float(delta), float(theta))
+        return radial.alpha_for_mass(self._dim, float(delta), float(theta))
 
-    def alpha_lower(self, delta: float, theta: float) -> float | None:
-        if theta >= 1.0:
-            return None
-        return _alpha_for_mass_cached(self._dim, float(delta), float(theta))
+    alpha_lower = alpha_upper
 
 
 class BFCatalog(BFLookup):
@@ -171,27 +156,31 @@ class BFCatalog(BFLookup):
     # ------------------------------------------------------------------
 
     @classmethod
-    def build_analytic(cls, dim: int, deltas, thetas) -> "BFCatalog":
-        """Tabulate α over the (δ, θ) product grid via the closed form.
+    def _tabulate(cls, dim: int, deltas, thetas, solve) -> "BFCatalog":
+        """One row per (δ, θ) grid point for which ``solve(δ, θ)`` finds an α.
 
         Grid points without a solution (mass at the origin below θ) are
         skipped, matching the paper's observation that such entries simply
         do not exist in the table.
         """
-        rows_d, rows_t, rows_a = [], [], []
-        for delta in np.asarray(deltas, dtype=float):
-            for theta in np.asarray(thetas, dtype=float):
-                alpha = radial.alpha_for_mass(dim, float(delta), float(theta))
-                if alpha is None:
-                    continue
-                rows_d.append(float(delta))
-                rows_t.append(float(theta))
-                rows_a.append(alpha)
-        if not rows_d:
+        rows = [
+            (delta, theta, alpha)
+            for delta in np.asarray(deltas, dtype=float).tolist()
+            for theta in np.asarray(thetas, dtype=float).tolist()
+            if (alpha := solve(delta, theta)) is not None
+        ]
+        if not rows:
             raise CatalogError(
                 "no (delta, theta) grid point admits an alpha; grid too extreme"
             )
-        return cls(dim, rows_d, rows_t, rows_a)
+        return cls(dim, *zip(*rows))
+
+    @classmethod
+    def build_analytic(cls, dim: int, deltas, thetas) -> "BFCatalog":
+        """Tabulate α over the (δ, θ) product grid via the closed form."""
+        return cls._tabulate(
+            dim, deltas, thetas, functools.partial(radial.alpha_for_mass, dim)
+        )
 
     @classmethod
     def build_monte_carlo(
@@ -221,30 +210,21 @@ class BFCatalog(BFLookup):
             inside = norm_sq - 2.0 * alpha * first_axis + alpha * alpha <= delta**2
             return float(np.count_nonzero(inside)) / n_samples
 
-        rows_d, rows_t, rows_a = [], [], []
-        for delta in np.asarray(deltas, dtype=float):
-            delta = float(delta)
-            for theta in np.asarray(thetas, dtype=float):
-                theta = float(theta)
-                if mass(delta, 0.0) < theta:
-                    continue
-                lo, hi = 0.0, delta + 1.0
-                while mass(delta, hi) >= theta:
-                    hi *= 2.0
-                for _ in range(iterations):
-                    mid = 0.5 * (lo + hi)
-                    if mass(delta, mid) >= theta:
-                        lo = mid
-                    else:
-                        hi = mid
-                rows_d.append(delta)
-                rows_t.append(theta)
-                rows_a.append(0.5 * (lo + hi))
-        if not rows_d:
-            raise CatalogError(
-                "no (delta, theta) grid point admits an alpha; grid too extreme"
-            )
-        return cls(dim, rows_d, rows_t, rows_a)
+        def bisect(delta: float, theta: float) -> float | None:
+            if mass(delta, 0.0) < theta:
+                return None
+            lo, hi = 0.0, delta + 1.0
+            while mass(delta, hi) >= theta:
+                hi *= 2.0
+            for _ in range(iterations):
+                mid = 0.5 * (lo + hi)
+                if mass(delta, mid) >= theta:
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        return cls._tabulate(dim, deltas, thetas, bisect)
 
 
 def alpha_radii(
@@ -252,10 +232,9 @@ def alpha_radii(
 ) -> tuple[float | None, float | None]:
     """The BF radii (α∥, α⊥) of PRQ(gaussian, δ, θ) in world units.
 
-    Implements the paper's Eqs. 29–31 rescaling: the normalized-Gaussian
-    table is queried at (√λ·δ, λ^{d/2}·√|Σ|·θ) and the resulting offset
-    scaled back by 1/√λ, with λ = λ∥ (largest precision eigenvalue) for
-    the pruning radius and λ = λ⊥ (smallest) for the acceptance radius.
+    Each is one :func:`repro.gaussian.radial.rescaled_alpha` (Eqs. 29–31)
+    over ``lookup``, with λ = λ∥ (largest precision eigenvalue) for the
+    pruning radius and λ = λ⊥ (smallest) for the acceptance radius.
 
     Returns ``(alpha_upper, alpha_lower)``:
 
@@ -268,28 +247,16 @@ def alpha_radii(
     and the query planner's plan explanations, so the radii reported by
     ``repro explain`` are exactly the radii the filter executes with.
     """
-    import math
-
     lookup = lookup or ExactBFLookup(gaussian.dim)
     if lookup.dim != gaussian.dim:
         raise CatalogError(
             f"BF lookup is for dimension {lookup.dim}, query has {gaussian.dim}"
         )
-    sqrt_det = math.exp(0.5 * gaussian.log_det_sigma)
-    dim = gaussian.dim
-
-    def scaled_alpha(lam: float, kind: str) -> float | None:
-        scaled_theta = lam ** (dim / 2.0) * sqrt_det * theta
-        if scaled_theta >= 1.0:
-            # A probability can never reach a scaled theta >= 1: for the
-            # upper bound this proves the result empty, for the lower
-            # bound it means no inner hole exists (Eq. 37 > 1).
-            return None
-        query = lookup.alpha_upper if kind == "upper" else lookup.alpha_lower
-        beta = query(math.sqrt(lam) * delta, scaled_theta)
-        return None if beta is None else beta / math.sqrt(lam)
-
     return (
-        scaled_alpha(gaussian.lam_parallel, "upper"),
-        scaled_alpha(gaussian.lam_perp, "lower"),
+        radial.rescaled_alpha(
+            gaussian, gaussian.lam_parallel, delta, theta, lookup.alpha_upper
+        ),
+        radial.rescaled_alpha(
+            gaussian, gaussian.lam_perp, delta, theta, lookup.alpha_lower
+        ),
     )

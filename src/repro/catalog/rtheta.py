@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import abc
 import bisect
-import functools
 
 import numpy as np
 
@@ -20,17 +19,6 @@ from repro.errors import CatalogError, CatalogLookupError
 from repro.gaussian import radial
 
 __all__ = ["RThetaLookup", "ExactRThetaLookup", "RThetaCatalog"]
-
-
-#: LRU size for memoized exact r_theta lookups.  A χ-quantile evaluation
-#: costs ~50 µs of scipy; workloads that reuse θ values (quantized
-#: thresholds, repeated query shapes) hit the cache instead.
-_RTHETA_CACHE_SIZE = 4096
-
-
-@functools.lru_cache(maxsize=_RTHETA_CACHE_SIZE)
-def _r_theta_cached(dim: int, theta: float) -> float:
-    return radial.r_theta(dim, theta)
 
 
 class RThetaLookup(abc.ABC):
@@ -48,9 +36,7 @@ class RThetaLookup(abc.ABC):
 class ExactRThetaLookup(RThetaLookup):
     """Closed-form lookup via the χ-distribution quantile (no table).
 
-    Lookups are memoized in a process-wide LRU keyed on (dim, θ): the
-    quantile is a pure function, so a cache hit returns bit-identical
-    radii and cannot perturb any sampling stream.
+    Memoized process-wide by :func:`repro.gaussian.radial.r_theta`.
     """
 
     def __init__(self, dim: int):
@@ -63,7 +49,7 @@ class ExactRThetaLookup(RThetaLookup):
         return self._dim
 
     def r_theta(self, theta: float) -> float:
-        return _r_theta_cached(self._dim, float(theta))
+        return radial.r_theta(self._dim, float(theta))
 
 
 class RThetaCatalog(RThetaLookup):

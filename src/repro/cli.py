@@ -91,6 +91,16 @@ def _add_kind_arguments(command) -> None:
                          help="Monte Carlo sample budget for --kind knn")
 
 
+def _add_obs_arguments(command) -> None:
+    """The ``--trace-out`` / ``--metrics-out`` pair :func:`_export_obs` writes."""
+    command.add_argument("--trace-out", default=None, metavar="FILE",
+                         help="write the command's trace as JSON-lines spans "
+                         "(render with 'repro trace FILE')")
+    command.add_argument("--metrics-out", default=None, metavar="FILE",
+                         help="write the metrics registry as Prometheus-style "
+                         "text exposition")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -143,12 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--seed", type=int, default=0,
                        help="base seed for the per-query RNG streams of "
                        "--batch execution")
-    query.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write the execution trace as JSON-lines spans "
-                       "(render with 'repro trace FILE')")
-    query.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the metrics registry as Prometheus-style "
-                       "text exposition")
+    _add_obs_arguments(query)
 
     explain = commands.add_parser(
         "explain", help="show the query plan without integrating"
@@ -258,11 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--seed", type=int, default=0,
                        help="seed for sampling integrators (per-request "
                        "streams are still fingerprint-derived)")
-    serve.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="write the service trace as JSON-lines spans")
-    serve.add_argument("--metrics-out", default=None, metavar="FILE",
-                       help="write the metrics registry as Prometheus-style "
-                       "text exposition")
+    _add_obs_arguments(serve)
 
     monitor = commands.add_parser(
         "monitor",
@@ -291,11 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "to sound probability intervals")
     monitor.add_argument("--seed", type=int, default=0,
                          help="fleet placement/trajectory seed")
-    monitor.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="write the monitor trace as JSON-lines spans")
-    monitor.add_argument("--metrics-out", default=None, metavar="FILE",
-                         help="write the metrics registry as Prometheus-"
-                         "style text exposition")
+    _add_obs_arguments(monitor)
 
     load = commands.add_parser(
         "load",
@@ -434,18 +431,22 @@ def _make_obs(args):
     )
 
 
-def _export_obs(obs, args) -> None:
-    """Write the requested trace/metrics files after a query command."""
+def _export_obs(obs, args, stream) -> None:
+    """Write the requested trace/metrics files, noting each on ``stream``.
+
+    Query commands report on stdout; ``serve`` and ``monitor`` keep
+    stdout for their response stream / table and report on stderr.
+    """
     if obs is None:
         return
     from pathlib import Path
 
     if args.trace_out is not None:
         count = obs.export_trace(args.trace_out)
-        print(f"wrote {count} spans to {args.trace_out}")
+        print(f"wrote {count} spans to {args.trace_out}", file=stream)
     if args.metrics_out is not None:
         Path(args.metrics_out).write_text(obs.render_metrics())
-        print(f"wrote metrics to {args.metrics_out}")
+        print(f"wrote metrics to {args.metrics_out}", file=stream)
 
 
 def _load_database(path):
@@ -482,62 +483,57 @@ def _with_target_table(db, scale):
 def _build_cli_query(dim, args):
     """The kinded query object for one CLI invocation.
 
-    Returns ``(query, None)`` or ``(None, error_message)`` so the caller
-    can print the one-line diagnostic and exit 2.
+    Checks what only the command line can get wrong (a missing flag, a
+    coordinate count), then hands the flags to :func:`_query_from_spec`
+    as one spec.  Returns ``(query, None)`` or ``(None, error_message)``
+    so the caller can print the one-line diagnostic and exit 2.
     """
-    from repro import Gaussian
-    from repro.core.query import ProbabilisticRangeQuery
     from repro.errors import ReproError
 
     if args.theta is None:
         return None, "--theta is required (or pass --batch FILE)"
+    spec = {"kind": args.kind, "theta": args.theta, "delta": args.delta}
     if args.kind == "mixture":
         if not args.component:
             return None, "--kind mixture needs at least one --component"
-        bad = [c for c in args.component if len(c) != dim]
-        if bad:
+        if any(len(c) != dim for c in args.component):
             return None, (f"database is {dim}-dimensional; every "
                           f"--component needs {dim} coordinates")
         if args.delta is None:
             return None, "--delta is required"
-        from repro import GaussianMixture, MixtureRangeQuery
-
-        try:
-            mixture = GaussianMixture(
-                [Gaussian(np.asarray(c, dtype=float),
-                          args.sigma_scale * np.eye(dim))
-                 for c in args.component],
-                args.weights,
-            )
-        except ReproError as exc:
-            return None, str(exc)
-        return MixtureRangeQuery.create(mixture, args.delta, args.theta), None
-    if args.center is None:
-        return None, "--center is required (or pass --batch FILE)"
-    center = np.asarray(args.center, dtype=float)
-    if center.size != dim:
-        return None, (f"database is {dim}-dimensional, got "
-                      f"{center.size} center coordinates")
-    gaussian = Gaussian(center, args.sigma_scale * np.eye(dim))
-    if args.kind == "knn":
-        from repro import KNNQuery
-
-        return KNNQuery.create(
-            gaussian, k=args.k, theta=args.theta,
-            n_samples=args.knn_samples, seed=args.seed,
+        spec.update(components=args.component, weights=args.weights)
+    else:
+        if args.center is None:
+            return None, "--center is required (or pass --batch FILE)"
+        if len(args.center) != dim:
+            return None, (f"database is {dim}-dimensional, got "
+                          f"{len(args.center)} center coordinates")
+        if args.kind != "knn" and args.delta is None:
+            return None, "--delta is required (or pass --batch FILE)"
+        spec.update(center=args.center, k=args.k, n_samples=args.knn_samples)
+    try:
+        return _query_from_spec(
+            spec, dim, sigma_scale=args.sigma_scale, seed=args.seed
         ), None
-    if args.delta is None:
-        return None, "--delta is required (or pass --batch FILE)"
-    if args.kind == "uncertain":
-        from repro import UncertainTargetQuery
+    except ReproError as exc:
+        return None, str(exc)
 
-        return UncertainTargetQuery(gaussian, args.delta, args.theta), None
-    return ProbabilisticRangeQuery(gaussian, args.delta, args.theta), None
+
+def _gaussian_from_spec(spec, dim, sigma_scale=1.0):
+    """N(center, sigma) of a JSON spec; sigma defaults to sigma_scale·I."""
+    from repro import Gaussian
+
+    center = np.asarray(spec["center"], dtype=float)
+    if "sigma" in spec:
+        sigma = np.asarray(spec["sigma"], dtype=float)
+    else:
+        sigma = float(spec.get("sigma_scale", sigma_scale)) * np.eye(dim)
+    return Gaussian(center, sigma)
 
 
 def _query_from_spec(spec, dim, *, sigma_scale=1.0, seed=0,
                      default_kind="prq"):
-    """One kinded query from a JSON spec (batch line or serve request).
+    """One kinded query from a spec (CLI flags, batch line, serve request).
 
     Raises ``KeyError``/``TypeError``/``ValueError`` or a ``ReproError``
     subclass on a malformed spec; callers map those onto per-line errors.
@@ -552,21 +548,16 @@ def _query_from_spec(spec, dim, *, sigma_scale=1.0, seed=0,
     from repro.core.query import ProbabilisticRangeQuery
 
     kind = spec.get("kind", default_kind)
-    scale = float(spec.get("sigma_scale", sigma_scale))
     theta = float(spec["theta"])
     if kind == "mixture":
+        scale = float(spec.get("sigma_scale", sigma_scale))
         components = [
             Gaussian(np.asarray(c, dtype=float), scale * np.eye(dim))
             for c in spec["components"]
         ]
         mixture = GaussianMixture(components, spec.get("weights"))
         return MixtureRangeQuery.create(mixture, float(spec["delta"]), theta)
-    center = np.asarray(spec["center"], dtype=float)
-    if "sigma" in spec:
-        sigma = np.asarray(spec["sigma"], dtype=float)
-    else:
-        sigma = scale * np.eye(dim)
-    gaussian = Gaussian(center, sigma)
+    gaussian = _gaussian_from_spec(spec, dim, sigma_scale)
     if kind == "knn":
         return KNNQuery.create(
             gaussian,
@@ -623,7 +614,7 @@ def _dispatch_query(db, args) -> int:
             f"{name}={count}"
             for name, count in sorted(result.stats.tier_decisions.items())
         ))
-    _export_obs(obs, args)
+    _export_obs(obs, args, sys.stdout)
     return 0
 
 
@@ -687,7 +678,7 @@ def _run_query_batch(db, args) -> int:
             f"{name}={count}"
             for name, count in sorted(batch.stats.tier_decisions.items())
         ))
-    _export_obs(obs, args)
+    _export_obs(obs, args, sys.stdout)
     return 0
 
 
@@ -843,16 +834,9 @@ def _parse_serve_request(spec: dict, dim: int, line_no: int, seed: int = 0):
     query = _query_from_spec(spec, dim, seed=seed)
     deadline = spec.get("deadline_ms")
     deadline = None if deadline is None else float(deadline) / 1e3
-    priority = int(spec.get("priority", 0))
-    request_id = spec.get("id", line_no)
-    if getattr(query, "kind", "prq") != "prq":
-        return PRQRequest.from_query(
-            query, deadline=deadline, priority=priority,
-            request_id=request_id,
-        )
-    return PRQRequest(
-        query.gaussian, query.delta, query.theta,
-        deadline=deadline, priority=priority, request_id=request_id,
+    return PRQRequest.from_query(
+        query, deadline=deadline, priority=int(spec.get("priority", 0)),
+        request_id=spec.get("id", line_no),
     )
 
 
@@ -864,7 +848,6 @@ def _parse_monitor_request(spec: dict, dim: int, line_no: int):
     additionally take the usual query fields (center/sigma/sigma_scale/
     delta/theta).
     """
-    from repro import Gaussian
     from repro.serve import MonitorRequest, REQUEST_SUBSCRIBE, REQUEST_UPDATE
 
     request_type = spec["type"]
@@ -873,13 +856,8 @@ def _parse_monitor_request(spec: dict, dim: int, line_no: int):
     deadline = spec.get("deadline_ms")
     deadline = None if deadline is None else float(deadline) / 1e3
     if request_type == REQUEST_SUBSCRIBE:
-        center = np.asarray(spec["center"], dtype=float)
-        if "sigma" in spec:
-            sigma = np.asarray(spec["sigma"], dtype=float)
-        else:
-            sigma = float(spec.get("sigma_scale", 1.0)) * np.eye(dim)
         return MonitorRequest.subscribe(
-            Gaussian(center, sigma),
+            _gaussian_from_spec(spec, dim),
             float(spec["delta"]),
             float(spec["theta"]),
             subscription_id=sub,
@@ -971,14 +949,7 @@ def _cmd_serve(args) -> int:
     monitor_stats = service.monitor.stats()
     if monitor_stats["subscribed"] or monitor_stats["updates"]:
         print("monitor:", json.dumps(monitor_stats), file=sys.stderr)
-    # stdout is the response stream, so export notices go to stderr.
-    if obs is not None:
-        if args.trace_out is not None:
-            count = obs.export_trace(args.trace_out)
-            print(f"wrote {count} spans to {args.trace_out}", file=sys.stderr)
-        if args.metrics_out is not None:
-            Path(args.metrics_out).write_text(obs.render_metrics())
-            print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
+    _export_obs(obs, args, sys.stderr)
     return 0
 
 
@@ -1047,15 +1018,7 @@ def _cmd_monitor(args) -> int:
         print(f"{outcome:>14} {count:>8} {count / max(updates, 1):>6.1%}")
     print(f"\nrechecked candidates: {stats['rechecked_candidates']} "
           f"({stats['rechecked_candidates'] / max(updates, 1):.1f}/update)")
-    if obs is not None:
-        if args.trace_out is not None:
-            count = obs.export_trace(args.trace_out)
-            print(f"wrote {count} spans to {args.trace_out}", file=sys.stderr)
-        if args.metrics_out is not None:
-            from pathlib import Path
-
-            Path(args.metrics_out).write_text(obs.render_metrics())
-            print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
+    _export_obs(obs, args, sys.stderr)
     return 0
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from repro.catalog.bf import alpha_radii
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.strategies import REJECT, UNKNOWN, ACCEPT, Strategy
-from repro.errors import CatalogError, QueryError
+from repro.errors import QueryError
 from repro.gaussian.convolve import conservative_reach_alpha
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.mixture import GaussianMixture
@@ -344,12 +344,7 @@ class ConvolvedTargetStrategy(Strategy):
                     query.center,
                     query.gaussian.sigma + self._table.sigma(group),
                 )
-                try:
-                    radii.append(
-                        alpha_radii(convolved, query.delta, query.theta)
-                    )
-                except CatalogError as exc:
-                    raise QueryError(str(exc)) from exc
+                radii.append(alpha_radii(convolved, query.delta, query.theta))
         self._radii = radii
 
     @property

@@ -232,7 +232,6 @@ class SafeRegion:
         anchor_rect: Rect | None,
         margin: float = 0.5,
         reuse: "SafeRegion | None" = None,
-        radii: tuple[float | None, float | None] | None = None,
     ) -> "SafeRegion":
         """Anchor a safe region at ``query`` whose full answer is ``answer``.
 
@@ -242,48 +241,24 @@ class SafeRegion:
         ``margin`` scales the cached rectangle (0.5 = 50 % wider per
         side), trading memory for how far the object can roam before a
         cache rebuild.  ``reuse`` donates its cached superset when the
-        new anchor rectangle still fits inside it.  ``radii`` skips the
-        shell-radius inversion when the caller already holds it — the
-        radii depend only on (Σ spectrum, δ, θ), so a re-anchor after
-        pure translation passes the old region's pair through.
+        new anchor rectangle still fits inside it.  The shell radii
+        depend only on (Σ spectrum, δ, θ), so a re-anchor after pure
+        translation finds both in the inversion memo.
         """
         if margin < 0:
             raise QueryError(f"margin must be >= 0, got {margin}")
-        r_accept, r_reject = (
-            radii
-            if radii is not None
-            else alpha_shell_radii(query.gaussian, query.delta, query.theta)
+        r_accept, r_reject = alpha_shell_radii(
+            query.gaussian, query.delta, query.theta
         )
-        if anchor_rect is None:
-            cached_rect = None if reuse is None else reuse.cached_rect
-            if cached_rect is not None and reuse is not None:
-                return cls(
-                    query,
-                    r_accept=r_accept,
-                    r_reject=r_reject,
-                    anchor_rect=None,
-                    cached_rect=cached_rect,
-                    ids=reuse.ids,
-                    points=reuse.points,
-                    answer=answer,
-                )
-            return cls(
-                query,
-                r_accept=r_accept,
-                r_reject=r_reject,
-                anchor_rect=None,
-                cached_rect=None,
-                ids=np.empty(0, dtype=np.int64),
-                points=np.empty((0, query.dim)),
-                answer=answer,
-            )
-        if (
-            reuse is not None
-            and reuse.cached_rect is not None
-            and reuse.cached_rect.contains_rect(anchor_rect)
+        reusable = reuse is not None and reuse.cached_rect is not None
+        if reusable and (
+            anchor_rect is None or reuse.cached_rect.contains_rect(anchor_rect)
         ):
-            cached_rect = reuse.cached_rect
-            ids, points = reuse.ids, reuse.points
+            cached_rect, ids, points = reuse.cached_rect, reuse.ids, reuse.points
+        elif anchor_rect is None:
+            cached_rect = None
+            ids = np.empty(0, dtype=np.int64)
+            points = np.empty((0, query.dim))
         else:
             cached_rect = Rect.from_center(
                 anchor_rect.center,

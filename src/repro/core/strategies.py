@@ -121,6 +121,18 @@ class Strategy(abc.ABC):
             raise QueryError(f"{self.name} strategy used before prepare()")
 
 
+def _r_theta_for(
+    lookup: RThetaLookup | None, query: ProbabilisticRangeQuery
+) -> float:
+    """r_θ of the query's θ-region, from ``lookup`` or the exact closed form."""
+    lookup = lookup or ExactRThetaLookup(query.dim)
+    if lookup.dim != query.dim:
+        raise QueryError(
+            f"r_theta lookup is for dimension {lookup.dim}, query has {query.dim}"
+        )
+    return lookup.r_theta(query.region_theta)
+
+
 class RectilinearStrategy(Strategy):
     """RR (Section IV-A): θ-region bounding box ⊕ δ-ball, with fringe filter.
 
@@ -156,12 +168,7 @@ class RectilinearStrategy(Strategy):
         return self._region
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        lookup = self._lookup or ExactRThetaLookup(query.dim)
-        if lookup.dim != query.dim:
-            raise QueryError(
-                f"r_theta lookup is for dimension {lookup.dim}, query has {query.dim}"
-            )
-        r_theta = lookup.r_theta(query.region_theta)
+        r_theta = _r_theta_for(self._lookup, query)
         core_box = query.gaussian.contour(r_theta).bounding_rect()
         self._region = MinkowskiRegion(core_box, query.delta)
 
@@ -214,12 +221,7 @@ class ObliqueStrategy(Strategy):
         return self._box
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        lookup = self._lookup or ExactRThetaLookup(query.dim)
-        if lookup.dim != query.dim:
-            raise QueryError(
-                f"r_theta lookup is for dimension {lookup.dim}, query has {query.dim}"
-            )
-        r_theta = lookup.r_theta(query.region_theta)
+        r_theta = _r_theta_for(self._lookup, query)
         self._box = ObliqueBox.for_range_query(
             query.center, query.gaussian.sigma, r_theta, query.delta
         )
@@ -345,12 +347,7 @@ class EllipsoidStrategy(Strategy):
         return self._ellipsoid
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        lookup = self._lookup or ExactRThetaLookup(query.dim)
-        if lookup.dim != query.dim:
-            raise QueryError(
-                f"r_theta lookup is for dimension {lookup.dim}, query has {query.dim}"
-            )
-        r_theta = lookup.r_theta(query.region_theta)
+        r_theta = _r_theta_for(self._lookup, query)
         self._ellipsoid = query.gaussian.contour(r_theta)
         self._delta = query.delta
 

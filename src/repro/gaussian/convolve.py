@@ -23,11 +23,9 @@ scaled threshold built from det(Σ_q) alone is smaller — hence safer
 
 from __future__ import annotations
 
-import math
-
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
-from repro.gaussian.radial import alpha_for_mass
+from repro.gaussian.radial import rescaled_alpha
 
 __all__ = ["conservative_reach_alpha"]
 
@@ -64,15 +62,7 @@ def conservative_reach_alpha(
             f"max_target_eig must be >= 0, got {max_target_eig}"
         )
     lam_par = 1.0 / (gaussian.eigenvalues[0] + max_target_eig)
-    dim = gaussian.dim
     # det(Sigma_q + Sigma_o) >= det(Sigma_q); the scaled theta of Eq. 29
     # shrinks with a smaller determinant, and a smaller theta gives a
-    # larger (safer) alpha, so use det(Sigma_q).
-    sqrt_det = math.exp(0.5 * gaussian.log_det_sigma)
-    scaled_theta = lam_par ** (dim / 2.0) * sqrt_det * theta
-    if scaled_theta >= 1.0:
-        return None
-    beta = alpha_for_mass(dim, math.sqrt(lam_par) * delta, scaled_theta)
-    if beta is None:
-        return None
-    return beta / math.sqrt(lam_par)
+    # larger (safer) alpha, so rescale with the query's own det(Sigma_q).
+    return rescaled_alpha(gaussian, lam_par, delta, theta)

@@ -779,9 +779,9 @@ class SubscriptionManager:
                 )
             else:
                 # Re-anchor at the new position: the answer is exact, the
-                # rectangle is already prepared, the candidate cache and
-                # the shell radii carry over — only the per-row slacks
-                # need recomputing.  This keeps the measured shift
+                # rectangle is already prepared, the candidate cache
+                # carries over and the shell radii are memo hits — only
+                # the per-row slacks need recomputing.  This keeps the measured shift
                 # per-update instead of cumulative, so slow motion keeps
                 # hitting the O(1) survived path.
                 answer, query, region = reintegrated
@@ -985,6 +985,5 @@ class SubscriptionManager:
             anchor_rect=rect,
             margin=self.margin,
             reuse=region,
-            radii=(region.r_accept, region.r_reject),
         )
         return answer, shifted, new_region

@@ -14,10 +14,9 @@ import numpy as np
 import pytest
 
 from repro.bench.workload import WorkloadGenerator
-from repro.catalog.bf import _alpha_for_mass_cached
-from repro.catalog.rtheta import _r_theta_cached
 from repro.core.database import SpatialDatabase
 from repro.core.engine import BatchResult
+from repro.gaussian import radial
 from repro.geometry.transforms import _spectral_decomposition_cached
 from repro.integrate.sequential import SequentialImportanceSampler
 
@@ -59,8 +58,8 @@ def fingerprint(batch: BatchResult):
 
 def clear_prep_caches() -> None:
     _spectral_decomposition_cached.cache_clear()
-    _r_theta_cached.cache_clear()
-    _alpha_for_mass_cached.cache_clear()
+    radial.r_theta.cache_clear()
+    radial.alpha_for_mass.cache_clear()
 
 
 def test_same_seed_two_fresh_engines(database, workload):
@@ -79,7 +78,7 @@ def test_cold_and_warm_caches_agree(database, workload):
     clear_prep_caches()
     cold = run_fresh(database, workload)
     assert _spectral_decomposition_cached.cache_info().currsize > 0
-    assert _r_theta_cached.cache_info().currsize > 0
+    assert radial.r_theta.cache_info().currsize > 0
     warm = run_fresh(database, workload)
     assert fingerprint(cold) == fingerprint(warm)
 
@@ -88,7 +87,7 @@ def test_cache_hits_actually_happen(database, workload):
     """The quantized workload reuses shapes, so the LRUs must hit."""
     clear_prep_caches()
     run_fresh(database, workload)
-    assert _r_theta_cached.cache_info().hits > 0
+    assert radial.r_theta.cache_info().hits > 0
     assert _spectral_decomposition_cached.cache_info().hits > 0
 
 

@@ -68,6 +68,19 @@ class TestPublicApi:
             for name in module.__all__:
                 assert hasattr(module, name), f"{module.__name__}.{name}"
 
+    def test_import_does_not_load_scipy_stats(self):
+        """Radii come from ``scipy.special`` directly; the generic
+        distribution layer (~0.3 s, ~20 MB) stays out of the process."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(repro.__file__).parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, repro, repro.cli; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_every_public_module_has_docstring(self):
         import importlib
         import pkgutil

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from repro.errors import GeometryError
 from repro.gaussian.radial import (
@@ -137,6 +137,52 @@ class TestAlphaForMass:
         else:
             assert offset_sphere_mass(dim, delta, alpha) == pytest.approx(
                 theta, abs=1e-9
+            )
+
+    def test_seeded_table_round_trips_and_decreases_in_theta(self):
+        """The inversion itself as the unit under test: 1080 seeded
+        (d, δ, θ) shapes, each δ swept over increasing θ up to past the
+        centred ball's mass, so ``None`` outcomes are in the table."""
+        rng = np.random.default_rng(20260928)
+        shapes = nones = 0
+        for dim in (1, 2, 3, 5, 9, 15):
+            for delta in 10.0 ** rng.uniform(-1.5, 2.5, size=12):
+                peak = radial_cdf(dim, delta)
+                thetas = np.sort(rng.uniform(0.0, 1.0, size=15) ** 3) * min(
+                    1.0, 1.2 * peak
+                )
+                alphas = [alpha_for_mass(dim, delta, float(t)) for t in thetas]
+                shapes += len(alphas)
+                for theta, alpha in zip(thetas, alphas):
+                    if alpha is None:
+                        assert peak < theta
+                        nones += 1
+                    else:
+                        assert offset_sphere_mass(dim, delta, alpha) == (
+                            pytest.approx(theta, abs=1e-9)
+                        )
+                found = [a for a in alphas if a is not None]
+                # Once θ passes the peak every later θ is unreachable too.
+                assert alphas[: len(found)] == found
+                assert all(a > b for a, b in zip(found, found[1:]))
+        assert shapes >= 1000 and nones > 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 9, 15])
+    def test_round_trip_through_the_normal_approximation(self, dim):
+        """δ = 10⁶ puts the root where ``chndtr`` overflows to NaN, so the
+        mass curve being inverted is the normal-approximation fallback.
+
+        There ``brentq``'s ``rtol`` (1e-12·α ≈ 1e-6) is what bounds the
+        root; the curve's slope never exceeds the normal density's 0.4,
+        so the mass is held to that, not to 1e-9.
+        """
+        delta = 1e6
+        low, high = alpha_for_mass(dim, delta, 0.05), alpha_for_mass(dim, delta, 0.6)
+        assert low > high
+        for theta, alpha in ((0.05, low), (0.6, high)):
+            assert np.isnan(special.chndtr(delta * delta, dim, alpha * alpha))
+            assert offset_sphere_mass(dim, delta, alpha) == (
+                pytest.approx(theta, abs=1e-12 * alpha)
             )
 
     def test_none_when_unreachable(self):

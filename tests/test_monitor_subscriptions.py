@@ -31,6 +31,7 @@ from repro.core.saferegion import (
 from repro.errors import QueryError, ServiceError
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import qualification_probability_exact
+from repro.gaussian.radial import alpha_for_mass
 from repro.integrate.cascade import CascadeIntegrator
 from repro.integrate.exact import ExactIntegrator
 from repro.obs import Observability
@@ -277,6 +278,30 @@ class TestTrajectoryParity:
                     engine, Gaussian(position, sigma), 15.0, 0.5
                 )
         assert survived > 0, "step size chosen to exercise the O(1) path"
+
+    def test_same_shape_reanchors_hit_the_radius_memo(self, database, engine):
+        """Shell and BF radii depend on (Σ, δ, θ) alone, so a reintegrate
+        re-anchor and a cache-overrun replan of an unchanged shape add
+        hits, never misses, to the one α memo."""
+        rng = np.random.default_rng(5)
+        sigma = random_spd(rng, 2, scale=4.0)
+        manager = make_manager(database, engine)
+        position = np.array([500.0, 500.0])
+        manager.subscribe(
+            Gaussian(position, sigma), 25.0, 0.3, subscription_id="memo"
+        )
+        reanchored = set()
+        for step in range(30):
+            jump = 150.0 if step % 10 == 9 else 0.0
+            position = position + rng.normal(0.0, 2.5, size=2) + jump
+            before = alpha_for_mass.cache_info()
+            update = manager.update("memo", position)
+            after = alpha_for_mass.cache_info()
+            assert after.misses == before.misses
+            if update.outcome != OUTCOME_SURVIVED:
+                assert after.hits > before.hits
+                reanchored.add(update.outcome)
+        assert reanchored == {OUTCOME_REINTEGRATED, OUTCOME_REPLANNED}
 
     def test_covariance_update_replans_and_stays_exact(
         self, database, engine
