@@ -4,7 +4,10 @@ Runs one short traced pass of a workload exactly as ``BENCHMARK.json``
 names it and checks the last stdout line: answers verified, nothing
 failed, every traced callable still resolves, and the Phase-1 span —
 ``RStarTree.range_search_rect`` — was actually hit, i.e. it still sits on
-the search the pipeline uses.
+the search the pipeline uses.  On ``prq_cascade_2d``, the one workload
+that reaches the cascade's Tier 3, it also checks that the tier is still
+exercised and that it runs as the block sweep, not as scalar
+``imhof_cdf`` calls.
 
     python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
 """
@@ -20,8 +23,8 @@ from pathlib import Path
 RUN = Path(__file__).parent / "e2e" / "run.py"
 
 
-def problems(result: dict) -> list[str]:
-    """What is wrong with one result line of ``benchmarks/e2e/run.py``."""
+def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
+    """What is wrong with ``workload``'s result line of ``benchmarks/e2e/run.py``."""
 
     def metric(name: str):
         return (result.get("metrics", {}).get(name) or {}).get("value")
@@ -41,6 +44,17 @@ def problems(result: dict) -> list[str]:
             "index.range_search_calls is not positive: the Phase-1 span no "
             "longer sits on the search the pipeline uses"
         )
+    if workload == "prq_cascade_2d":
+        if not (metric("integrate.imhof_share") or 0) > 0:
+            found.append(
+                "integrate.imhof_share is not positive: no candidate reached "
+                "the cascade's Tier 3, so the smoke no longer exercises it"
+            )
+        if metric("gaussian.imhof_calls") != 0:
+            found.append(
+                f"gaussian.imhof_calls = {metric('gaussian.imhof_calls')!r}, "
+                "expected 0: Tier 3 is back on the scalar imhof_cdf loop"
+            )
     return found
 
 
@@ -58,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
     if run.returncode != 0 or not lines:
         print(f"e2e smoke: {' '.join(command)} exited {run.returncode}")
         return 1
-    found = problems(json.loads(lines[-1]))
+    found = problems(json.loads(lines[-1]), args.workload)
     for problem in found:
         print(f"e2e smoke: {problem}")
     if not found:

@@ -13,7 +13,7 @@ sharing one interface:
   (:mod:`repro.gaussian.quadform`), zero variance, used as ground truth;
 - :class:`CascadeIntegrator` — tiered deterministic θ-decisions: vectorised
   χ² sandwich pruning, batched Ruben series with decision-aware
-  truncation, scalar Imhof only as a last resort.
+  truncation, one block Imhof quadrature for the Ruben underflows.
 
 All of them return an :class:`IntegrationResult` carrying the estimate,
 its standard error and the sample count.

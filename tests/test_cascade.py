@@ -16,17 +16,20 @@ from repro.core.engine import QueryEngine
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.strategies import make_strategies
 from repro.errors import IntegrationError
+from repro.gaussian import quadform
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import (
     GaussianQuadraticForm,
     chi2_sandwich_bounds,
     chi2_sandwich_bounds_block,
+    imhof_cdf_block,
     qualification_probability_exact,
     ruben_cdf,
 )
 from repro.index.rtree import RStarTree
 from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
 from repro.kernels import ruben_block
+from repro.obs import Observability
 
 from tests.conftest import random_spd
 from tests.test_filter_soundness import oracle_probabilities
@@ -237,6 +240,53 @@ class TestTiering:
             gaussian, points[0], 42.0, method="imhof"
         )
         assert results[0].estimate == pytest.approx(expected, abs=1e-9)
+
+    def test_imhof_tier_reports_its_quadrature_error(self):
+        gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
+        points = np.array([[40.0, 0.0], [39.0, 9.0], [38.5, 20.0]])
+        delta = 42.0
+        integrator = CascadeIntegrator()
+        results = integrator.qualification_probabilities(gaussian, points, delta)
+        assert {r.method for r in results} == {"cascade-imhof"}
+        weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+            gaussian, points
+        )
+        refined = imhof_cdf_block(
+            weights, np.ones(2), ncs, delta * delta, tol=1e-13
+        )[0]
+        for result, truth in zip(results, refined):
+            # A collapsed interval: the half-width is the truncation bound
+            # plus the last refinement gap, not the old flat 0.
+            assert 0.0 < result.stderr < 0.5 * integrator.tol
+            assert abs(result.estimate - truth) <= result.stderr
+
+    def test_scalar_fallback_gives_the_same_decisions(self, monkeypatch):
+        gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
+        points = np.array([[40.0, 0.0], [39.0, 9.0], [38.5, 20.0], [44.0, 3.0]])
+
+        def traced_decide():
+            obs = Observability()
+            integrator = CascadeIntegrator()
+            integrator.obs = obs
+            outcome = integrator.decide(gaussian, points, 42.0, 0.5)
+            (span,) = [s for s in obs.tracer.spans if s.name == "tier:imhof"]
+            return outcome, span.attributes
+
+        swept, sweep_span = traced_decide()
+        monkeypatch.setattr(quadform, "_BLOCK_MAX_NODES", 1)
+        scalar, scalar_span = traced_decide()
+        reached = sum(r.method == "cascade-imhof" for r in scalar[2])
+        assert sweep_span["candidates"] == scalar_span["candidates"] == reached >= 3
+        assert sweep_span["nodes"] > 0 and sweep_span["scalar_fallbacks"] == 0
+        assert scalar_span["nodes"] == 0
+        assert scalar_span["scalar_fallbacks"] == reached
+        assert swept[0].tolist() == scalar[0].tolist()
+        assert 0 < np.count_nonzero(swept[0]) < len(points)
+        for a, b in zip(swept[2], scalar[2]):
+            assert a.method == b.method
+            assert a.estimate == pytest.approx(b.estimate, abs=2e-8)
+            if b.method == "cascade-imhof":
+                assert b.stderr == 0.0  # the scalar path gives no estimate
 
     def test_engine_records_tier_decisions(self):
         rng = np.random.default_rng(8)

@@ -37,3 +37,20 @@ def test_each_guard_fires():
         found = e2e_smoke.problems(result_line(**{"index.range_search_calls": calls}))
         assert len(found) == 1 and "Phase-1 span" in found[0]
     assert len(e2e_smoke.problems({})) == 4
+
+
+def test_tier3_guards_apply_to_prq_cascade_2d_only():
+    def found(**metrics):
+        return e2e_smoke.problems(result_line(**metrics), "prq_cascade_2d")
+
+    healthy = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
+    assert found(**healthy) == []
+    # The contract line prints 0 for a metric that resolved to nothing.
+    for share in (0, 0.0, None):
+        (problem,) = found(**{**healthy, "integrate.imhof_share": share})
+        assert "imhof_share" in problem
+    (problem,) = found(**{**healthy, "gaussian.imhof_calls": 893})
+    assert "scalar imhof_cdf loop" in problem
+    assert len(e2e_smoke.problems({}, "prq_cascade_2d")) == 6
+    # prq_cascade_9d never reaches Tier 3: the guards stay off.
+    assert e2e_smoke.problems(result_line(**{"gaussian.imhof_calls": 7})) == []

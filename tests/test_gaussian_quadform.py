@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.errors import GeometryError, IntegrationError
+from repro.gaussian import quadform
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import (
     GaussianQuadraticForm,
     chi2_sandwich_bounds,
     imhof_cdf,
+    imhof_cdf_block,
     qualification_probability_exact,
     ruben_cdf,
 )
@@ -105,6 +107,173 @@ class TestImhofVsRuben:
         for x in np.quantile(draws, [0.1, 0.5, 0.9]):
             empirical = np.mean(draws <= x)
             assert imhof_cdf(form, float(x)) == pytest.approx(empirical, abs=0.005)
+
+
+def _spectrum(rng, dim: int, cond: float) -> np.ndarray:
+    """Weights in [1/cond, 1] hitting both ends.  The largest weight is
+    kept at 1 because the scalar oracle itself loses its 2e-8 once x runs
+    into the 1e5s; the block rule is scale-free (tested below)."""
+    lam = np.exp(-rng.uniform(0.0, np.log(cond), dim)) if cond > 1 else np.ones(dim)
+    lam[0] = 1.0
+    if dim > 1:
+        lam[-1] = 1.0 / cond
+    return lam
+
+
+def _diverse_block(rng, dim: int, rows: int = 40):
+    """A spectrum and rows whose panel counts differ (Σδ² from 1e2 to 1e4)."""
+    lam = _spectrum(rng, dim, 9.0)
+    totals = np.exp(rng.uniform(np.log(1e2), np.log(1e4), rows))
+    ncs = rng.dirichlet(np.ones(dim), size=rows) * totals[:, None]
+    form = GaussianQuadraticForm(lam, np.ones(dim), ncs[0])
+    return lam, np.ones(dim), ncs, form.mean()
+
+
+class TestImhofBlock:
+    @pytest.mark.parametrize(
+        "dim, cond",
+        [(1, 1.0)] + [(d, c) for d in (2, 3, 9) for c in (9.0, 1e4, 1e8)],
+    )
+    def test_parity_with_scalar_and_ruben(self, dim, cond):
+        rng = np.random.default_rng([dim, int(np.log10(cond))])
+        compared_to_ruben = 0
+        for total in (0.0, 1.0, 30.0, 1e3, 1e4):
+            lam = _spectrum(rng, dim, cond)
+            dofs = np.ones(dim)
+            ncs = rng.dirichlet(np.ones(dim), size=2) * total
+            anchor = GaussianQuadraticForm(lam, dofs, ncs[0])
+            sd = np.sqrt(anchor.variance())
+            for z in (0.0, 1.0, -1.0, 3.0, -3.0, 6.0, -6.0):
+                x = anchor.mean() + z * sd  # below 0 at the far left: CDF 0
+                values, errors, _, _ = imhof_cdf_block(lam, dofs, ncs, x)
+                assert np.all(errors <= 0.5e-9)
+                for row, value in zip(ncs, values):
+                    form = GaussianQuadraticForm(lam, dofs, row)
+                    assert value == pytest.approx(imhof_cdf(form, x), abs=2e-8)
+                    try:  # usable = converging within a few hundred terms
+                        series = ruben_cdf(form, x, tol=1e-13, max_terms=500)
+                    except IntegrationError:
+                        continue
+                    compared_to_ruben += 1
+                    assert value == pytest.approx(series, abs=1e-9)
+        assert compared_to_ruben > 0 or cond > 9
+
+    def test_non_unit_dofs(self):
+        lam = np.array([1.0, 0.4, 0.05])
+        dofs = np.array([2.0, 1.0, 3.0])
+        ncs = np.array([[0.0, 0.0, 0.0], [3.0, 0.5, 7.0], [400.0, 900.0, 50.0]])
+        for x in (2.0, 9.0, 700.0):
+            values, _, nodes, _ = imhof_cdf_block(lam, dofs, ncs, x)
+            assert nodes > 0
+            for row, value in zip(ncs, values):
+                form = GaussianQuadraticForm(lam, dofs, row)
+                assert value == pytest.approx(imhof_cdf(form, x), abs=2e-8)
+                if row.sum() < 100:
+                    assert value == pytest.approx(
+                        ruben_cdf(form, x, tol=1e-13), abs=1e-9
+                    )
+
+    def test_empty_block_and_nonpositive_threshold(self):
+        lam, dofs = np.array([2.0, 1.0]), np.ones(2)
+        values, errors, nodes, fallbacks = imhof_cdf_block(
+            lam, dofs, np.zeros((0, 2)), 3.0
+        )
+        assert values.shape == errors.shape == (0,)
+        assert (nodes, fallbacks) == (0, 0)
+        for x in (0.0, -4.0):
+            values, errors, nodes, fallbacks = imhof_cdf_block(
+                lam, dofs, np.array([[1.0, 2.0], [0.0, 0.0]]), x
+            )
+            assert values.tolist() == errors.tolist() == [0.0, 0.0]
+            assert (nodes, fallbacks) == (0, 0)
+
+    def test_rejects_malformed_blocks(self):
+        lam, dofs = np.array([2.0, 1.0]), np.ones(2)
+        for bad in (
+            (lam, dofs, np.zeros(2)),  # a row, not a block
+            (lam, dofs, np.zeros((3, 3))),
+            (lam, np.ones(3), np.zeros((3, 2))),
+            (np.array([2.0, 0.0]), dofs, np.zeros((1, 2))),
+            (lam, dofs, np.array([[1.0, -1.0]])),
+            (lam, dofs, np.array([[1.0, np.nan]])),
+        ):
+            with pytest.raises(GeometryError):
+                imhof_cdf_block(*bad, 3.0)
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    def test_rows_do_not_see_their_block(self, dim, monkeypatch):
+        # The contract composition_independent rests on: permuted, subset
+        # and singled-out rows give the very same bits.
+        rng = np.random.default_rng(dim)
+        lam, dofs, ncs, x = _diverse_block(rng, dim)
+        ncs[5] = 0.0  # one slow-decaying row that takes the scalar path
+        values, errors, _, fallbacks = imhof_cdf_block(lam, dofs, ncs, x)
+        assert fallbacks == 1
+
+        def same(rows, got):
+            return np.array_equal(got[0], values[rows]) and np.array_equal(
+                got[1], errors[rows]
+            )
+
+        order = rng.permutation(len(ncs))
+        assert same(order, imhof_cdf_block(lam, dofs, ncs[order], x))
+        subset = np.sort(rng.choice(len(ncs), size=11, replace=False))
+        assert same(subset, imhof_cdf_block(lam, dofs, ncs[subset], x))
+        for row in range(len(ncs)):
+            assert same([row], imhof_cdf_block(lam, dofs, ncs[row : row + 1], x))
+        # ... and so do rows swept in chunks of one.
+        monkeypatch.setattr(quadform, "_BLOCK_CHUNK_BYTES", 1)
+        assert same(slice(None), imhof_cdf_block(lam, dofs, ncs, x))
+
+    def test_reported_error_covers_the_refined_value(self):
+        rng = np.random.default_rng(23)
+        lam, dofs, ncs, x = _diverse_block(rng, 2)
+        values, errors, nodes, _ = imhof_cdf_block(lam, dofs, ncs, x, tol=1e-9)
+        refined, fine, more, _ = imhof_cdf_block(lam, dofs, ncs, x, tol=1e-13)
+        assert more > nodes
+        assert np.all(fine < errors) and np.all(errors > 0)
+        assert np.all(np.abs(values - refined) <= errors)
+
+    def test_scale_free(self):
+        rng = np.random.default_rng(29)
+        lam, dofs, ncs, x = _diverse_block(rng, 3, rows=6)
+        values = imhof_cdf_block(lam, dofs, ncs, x)[0]
+        for scale in (1e-6, 1e6):
+            scaled = imhof_cdf_block(scale * lam, dofs, ncs, scale * x)[0]
+            np.testing.assert_allclose(scaled, values, rtol=0, atol=1e-12)
+
+    def test_cap_sends_rows_to_the_scalar_path(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        lam, dofs, ncs, x = _diverse_block(rng, 2, rows=5)
+        swept = imhof_cdf_block(lam, dofs, ncs, x)
+        assert swept[2] > 0 and swept[3] == 0
+        monkeypatch.setattr(quadform, "_BLOCK_MAX_NODES", 1)
+        values, errors, nodes, fallbacks = imhof_cdf_block(lam, dofs, ncs, x)
+        assert (nodes, fallbacks) == (0, 5)
+        assert not errors.any()
+        for row, value in zip(ncs, values):
+            assert value == imhof_cdf(GaussianQuadraticForm(lam, dofs, row), x)
+        np.testing.assert_allclose(values, swept[0], rtol=0, atol=2e-8)
+
+    def test_doubling_runs_until_agreement_or_the_cap(self, monkeypatch):
+        lam, dofs = np.array([1.0, 0.25]), np.ones(2)
+        ncs = np.array([[900.0, 700.0]])
+        x = 1200.0
+        value, _, nodes, _ = imhof_cdf_block(lam, dofs, ncs, x, tol=1e-4)
+        # An off-centre rectangle rule is first order only, too slow for one
+        # doubling: a loose tolerance is met after several ...
+        monkeypatch.setattr(quadform, "_GL_NODES", (np.arange(16) + 0.1) / 16)
+        monkeypatch.setattr(quadform, "_GL_WEIGHTS", np.full(16, 1 / 16))
+        crude, errors, more, fallbacks = imhof_cdf_block(
+            lam, dofs, ncs, x, tol=1e-4
+        )
+        assert more > 2 * nodes and fallbacks == 0
+        assert abs(crude[0] - value[0]) <= errors[0] <= 0.5e-4
+        # ... a tight one is not met before the cap: scalar path.
+        crude, errors, more, fallbacks = imhof_cdf_block(lam, dofs, ncs, x)
+        assert more > quadform._BLOCK_MAX_NODES and fallbacks == 1
+        assert errors[0] == 0.0
+        assert crude[0] == imhof_cdf(GaussianQuadraticForm(lam, dofs, ncs[0]), x)
 
 
 class TestEdgeBehaviour:
