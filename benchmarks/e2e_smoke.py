@@ -7,7 +7,9 @@ failed, every traced callable still resolves, and the Phase-1 span —
 the search the pipeline uses.  On ``prq_cascade_2d``, the one workload
 that reaches the cascade's Tier 3, it also checks that the tier is still
 exercised and that it runs as the block sweep, not as scalar
-``imhof_cdf`` calls.
+``imhof_cdf`` calls.  On both cascade workloads it checks that Tier 2's
+kernel stays a minor share of the cascade (a within-run ratio, so the
+hardware does not matter).
 
     python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
 """
@@ -21,6 +23,11 @@ import sys
 from pathlib import Path
 
 RUN = Path(__file__).parent / "e2e" / "run.py"
+
+#: ``kernels.ruben_block_s`` over ``integrate.decide_s`` read 0.60 / 0.59
+#: (2-D / 9-D) while every term re-ran the convolution and reads about
+#: 0.14 / 0.30 with the running sums.
+RUBEN_SHARE_LIMIT = 0.45
 
 
 def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
@@ -44,6 +51,15 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
             "index.range_search_calls is not positive: the Phase-1 span no "
             "longer sits on the search the pipeline uses"
         )
+    if workload in ("prq_cascade_2d", "prq_cascade_9d"):
+        ruben = metric("kernels.ruben_block_s") or 0
+        decide = metric("integrate.decide_s") or 0
+        if ruben > RUBEN_SHARE_LIMIT * decide:
+            found.append(
+                f"kernels.ruben_block_s = {ruben!r} is more than "
+                f"{RUBEN_SHARE_LIMIT} of integrate.decide_s = {decide!r}: "
+                "a Tier-2 term no longer costs O(d)"
+            )
     if workload == "prq_cascade_2d":
         if not (metric("integrate.imhof_share") or 0) > 0:
             found.append(

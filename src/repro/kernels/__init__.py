@@ -7,8 +7,8 @@ provides two interchangeable backends for them:
 - ``c`` — a shared library built from ``_kernels.c`` at first import
   (content-hash cached, see :mod:`repro.kernels.build`) and called
   through :mod:`ctypes`;
-- ``numpy`` — :mod:`repro.kernels.fallback`, pure NumPy/SciPy with
-  reusable scratch arenas, always available.
+- ``numpy`` — :mod:`repro.kernels.fallback`, pure NumPy/SciPy (the
+  geometry kernels reuse scratch arenas), always available.
 
 Selection happens once at import: the C backend is used when it compiles
 and loads, unless ``REPRO_NO_JIT=1`` (or any value other than ``0``) is
@@ -193,10 +193,13 @@ def ruben_block(
     ``noncentralities`` is an ``(m, d)`` block — one row per candidate —
     while ``weights``/``dofs`` (shape ``(d,)``) are shared, as produced by
     :meth:`repro.gaussian.quadform.GaussianQuadraticForm.squared_distance_spectrum`.
-    The a_k recursion runs as array operations over the whole block, and
-    the expansion parameter β, the ratio powers r_jᵏ and the
-    incomplete-gamma table gammainc((ρ+2k)/2, x/2β) are computed once per
-    term and shared by every candidate.
+    Each candidate's mixture weights a_k come from d pairs of running
+    sums (derived above ``repro_ruben_block`` in ``_kernels.c``), so a
+    term costs O(d) whatever its index.  The expansion parameter β, the
+    ratios γ_j = 1 − β/λ_j and the incomplete-gamma table
+    gammainc((ρ+2k)/2, x/2β) depend on the spectrum and k only and are
+    shared; everything else is per row, so a row's ``(lower, upper, ok)``
+    does not depend on which block it arrives in.
 
     Returns ``(lower, upper, ok)``: rigorous per-candidate bounds
     [partial sum, partial sum + remaining-mass bound] on P(Q ≤ x) at each
@@ -210,8 +213,9 @@ def ruben_block(
     narrower than ``tol``.
 
     The evaluation runs on the compiled backend when available and on the
-    arena-buffered NumPy fallback otherwise; the compiled path may return
-    marginally wider — never unsound — bounds.
+    NumPy fallback (the same recurrence over ``(rows, d)`` arrays)
+    otherwise; the compiled path may return marginally wider — never
+    unsound — bounds.
     """
     if _LIB is None:
         return fallback.ruben_block(

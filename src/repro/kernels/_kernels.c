@@ -303,13 +303,29 @@ void repro_sqdist_spectrum(long m, long d, const double *mean,
 
 /* Batched Ruben series over a block sharing one spectrum.
  *
- * Mirrors repro.kernels.fallback.ruben_block: per candidate the
- * mixture-weight recursion a_k = (1/2k) sum_{r<=k} g_r a_{k-r} runs until
- * the [partial sum, partial sum + remaining-mass * G_k] interval decides
- * the candidate (theta exclusion or width < tol).  The incomplete-gamma
- * table G_k = P((rho + 2k)/2, x/(2 beta)) is shared by every candidate.
- * theta < 0 means "no theta" (converge to tol).  Bounds are widened by
- * `widen` so floating-point drift cannot make them unsound.
+ * P(Q <= x) = sum_k a_k G_k with G_k = P((rho + 2k)/2, x/(2 beta)) and
+ * Ruben's (1962) weights a_0 = exp(la0), a_k = (1/2k) sum_{m=1..k} g_m a_{k-m}.
+ * With gamma_j = 1 - beta/lam_j and nu_j = nc_j/lam_j the coefficients are
+ * sums of d geometric sequences,
+ *     g_m = sum_j [h_j gamma_j^m + m beta nu_j gamma_j^(m-1)],
+ * so the convolution splits into d pairs of running sums
+ *     S_j(k) = sum_{m=1..k} gamma_j^m a_{k-m},
+ *     T_j(k) = sum_{m=1..k} m gamma_j^(m-1) a_{k-m},
+ *     a_k    = (1/2k) sum_j [h_j S_j(k) + beta nu_j T_j(k)].
+ * Peeling the m = 1 term off each and shifting m gives, from
+ * S_j(0) = T_j(0) = 0,
+ *     S_j(k) = gamma_j (S_j(k-1) + a_{k-1}),
+ *     T_j(k) = a_{k-1} + gamma_j T_j(k-1) + S_j(k-1),
+ * which is O(d) per term with no a/g history.  beta = min lam puts every
+ * gamma_j in [0, 1), and h, nu, a_0 are non-negative, so every product and
+ * sum above is of non-negative terms: nothing cancels, and the rounding
+ * error of a_k stays a few ulps per term.
+ *
+ * Each row runs until [partial sum, partial sum + remaining-mass * G_k]
+ * decides it (theta excluded, or width < tol); theta < 0 means "no theta".
+ * The G_k table is filled lazily and shared by every row (it depends on k
+ * only), so a row's outputs are a function of that row alone.  Bounds are
+ * widened by `widen` so floating-point drift cannot make them unsound.
  * Returns 0 on success, 1 on allocation failure. */
 int repro_ruben_block(long d, long m, const double *lam, const double *h,
                       const double *ncs, double x, double theta, double tol,
@@ -336,16 +352,10 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
     log_shared *= 0.5;
     double sx = x / (2.0 * beta);
 
-    double *ratios = malloc(sizeof(double) * (size_t)d);
-    double *rp = malloc(sizeof(double) * (size_t)d);
-    double *ncol = malloc(sizeof(double) * (size_t)d);
-    double *a = malloc(sizeof(double) * (size_t)(max_terms + 1));
-    double *g = malloc(sizeof(double) * (size_t)(max_terms + 1));
-    double *gam = malloc(sizeof(double) * (size_t)(max_terms + 1));
-    if (!ratios || !rp || !ncol || !a || !g || !gam) {
-        free(ratios); free(rp); free(ncol); free(a); free(g); free(gam);
-        return 1;
-    }
+    /* gamma_j, beta nu_j, S_j, T_j (d each), then the shared G_k table. */
+    double *ratios = malloc(sizeof(double) * (size_t)(4 * d + max_terms + 1));
+    if (!ratios) return 1;
+    double *bnu = ratios + d, *S = bnu + d, *T = S + d, *gam = T + d;
     for (long j = 0; j < d; j++) ratios[j] = 1.0 - beta / lam[j];
     long gam_len = 0;
 
@@ -359,16 +369,16 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
             continue;
         }
         for (long j = 0; j < d; j++) {
-            ncol[j] = row[j] / lam[j];
-            rp[j] = 1.0;
+            bnu[j] = beta * (row[j] / lam[j]);
+            S[j] = T[j] = 0.0;
         }
         if (gam_len == 0) {
             gam[0] = igam_(rho / 2.0, sx);
             gam_len = 1;
         }
-        a[0] = exp(la0);
-        double wsum = a[0];
-        double cdf = a[0] * gam[0];
+        double a = exp(la0); /* a_k, the latest weight */
+        double wsum = a;
+        double cdf = a * gam[0];
         double gamma_k = gam[0];
         double lo = 0.0, hi = 1.0;
         int decided = 0;
@@ -386,28 +396,27 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
                       (theta >= 0.0 && (lo >= theta || hi < theta));
             if (decided || k >= max_terms) break;
             k++;
-            double gg = 0.0;
-            for (long j = 0; j < d; j++) {
-                gg += (h[j] * ratios[j] + (double)k * beta * ncol[j]) * rp[j];
-                rp[j] *= ratios[j];
-            }
-            g[k - 1] = gg;
             double acc = 0.0;
-            for (long r = 0; r < k; r++) acc += g[r] * a[k - 1 - r];
-            a[k] = acc / (2.0 * (double)k);
-            wsum += a[k];
+            for (long j = 0; j < d; j++) {
+                double s = S[j];
+                S[j] = ratios[j] * (s + a);
+                T[j] = a + ratios[j] * T[j] + s;
+                acc += h[j] * S[j] + bnu[j] * T[j];
+            }
+            a = acc / (2.0 * (double)k);
+            wsum += a;
             if (k >= gam_len) {
                 gam[k] = igam_((rho + 2.0 * (double)k) / 2.0, sx);
                 gam_len = k + 1;
             }
             gamma_k = gam[k];
-            cdf += a[k] * gamma_k;
+            cdf += a * gamma_k;
         }
         if (!decided) ok[i] = 0; /* undecided at max_terms */
         lower[i] = lo;
         upper[i] = hi;
     }
-    free(ratios); free(rp); free(ncol); free(a); free(g); free(gam);
+    free(ratios);
     return 0;
 }
 

@@ -3,10 +3,10 @@
 These functions are the reference semantics for every compiled kernel in
 ``_kernels.c``: same signatures, same results (the compiled probability
 kernels may widen their [lower, upper] bounds by a soundness epsilon; the
-fallback bounds are exactly the pre-kernel NumPy values).
+fallback bounds are the unwidened NumPy/SciPy values).
 
-Unlike the original in-line implementations they draw their *scratch*
-arrays from a per-thread arena keyed on block shape, so a steady stream
+The geometry kernels draw their *scratch* arrays (each written before it
+is read) from a per-thread arena keyed on block shape, so a steady stream
 of same-shaped candidate blocks — the common case inside ``run_batch``
 and the serve scheduler — allocates nothing after warm-up.  Only
 intermediate buffers live in the arena; every array returned to a caller
@@ -39,10 +39,7 @@ def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
 
     Contents are whatever the previous use left behind — callers must
     write before they read.  The backing buffer only ever grows
-    (elementwise max of requested shapes), and a growing request keeps
-    the already-written leading region intact, so rolling-state arrays
-    (the Ruben ``a``/``g`` recursions) survive capacity doubling in
-    place.
+    (elementwise max of requested shapes).
     """
     buffers = getattr(_local, "buffers", None)
     if buffers is None:
@@ -52,13 +49,10 @@ def scratch(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     if buf is None or buf.ndim != len(shape) or buf.dtype != np.dtype(dtype):
         buf = buffers[name] = np.empty(shape, dtype=dtype)
     elif any(have < want for have, want in zip(buf.shape, shape)):
-        grown = np.empty(
+        buf = buffers[name] = np.empty(
             tuple(max(have, want) for have, want in zip(buf.shape, shape)),
             dtype=dtype,
         )
-        region = tuple(slice(0, s) for s in buf.shape)
-        grown[region] = buf  # preserve rolling state across growth
-        buf = buffers[name] = grown
     return buf[tuple(slice(0, s) for s in shape)]
 
 
@@ -116,8 +110,9 @@ def ruben_block(
     max_terms: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched Ruben series (see :func:`repro.kernels.ruben_block` for the
-    full contract); scratch ``a``/``g`` recursion blocks come from the
-    arena instead of fresh zeroed allocations per call."""
+    full contract).  The weights a_k come from the running sums S_j, T_j
+    derived above ``repro_ruben_block`` in ``_kernels.c``, held here as
+    ``(rows, d)`` arrays over the rows still undecided."""
     lam = np.asarray(weights, dtype=float)
     h = np.asarray(dofs, dtype=float)
     ncs = np.atleast_2d(np.asarray(noncentralities, dtype=float))
@@ -131,73 +126,53 @@ def ruben_block(
         return lower, np.zeros(m), ok  # P(Q <= x) = 0 exactly
 
     beta = float(lam.min())
-    ratios = 1.0 - beta / lam  # r_j in [0, 1)
+    ratios = 1.0 - beta / lam  # gamma_j in [0, 1)
     rho = float(h.sum())
     log_a0 = -0.5 * ncs.sum(axis=1) + 0.5 * float(np.sum(h * np.log(beta / lam)))
-    usable = log_a0 >= -700.0
-    ok &= usable
-    rows = np.nonzero(usable)[0]
-    if rows.size == 0:
+    ok &= log_a0 >= -700.0
+    live = np.nonzero(ok)[0]  # output slots of the rows still running
+    if live.size == 0:
         return lower, upper, ok
 
-    n = rows.size
-    capacity = 64
-    # Scratch recursion blocks: only the [0..k) prefix written by the loop
-    # below is ever read, so stale arena contents are harmless, and
-    # growing the view preserves the prefix (see ``scratch``).
-    a = scratch("ruben_a", (n, capacity))
-    g = scratch("ruben_g", (n, capacity))
-    a[:, 0] = np.exp(log_a0[rows])
-    weight_sum = a[:, 0].copy()
+    a = np.exp(log_a0[live])  # a_k, the latest weight of each live row
+    weight_sum = a.copy()
     scaled_half_x = x / (2.0 * beta)
     gamma_k = float(special.gammainc(rho / 2.0, scaled_half_x))
-    cdf = a[:, 0] * gamma_k
-    nc_over_lam = np.divide(
-        ncs[rows], lam, out=scratch("ruben_ncol", (n, lam.size))
-    )
-    ratio_pow = np.ones_like(ratios)  # r_j^(k-1) entering iteration k
-    lo = np.zeros(n)
-    hi = np.ones(n)
-    active = np.ones(n, dtype=bool)
-
-    def settle(idx: np.ndarray) -> None:
-        """Record bounds for ``idx`` and retire the decided candidates.
-
-        The tail Σ_{k>K} a_k·G_k is bounded below by 0 and above by the
-        remaining mass times the current G_K (G_k decreases in k), so the
-        interval [cdf, cdf + rem·G_K] always contains the true CDF.
-        """
-        rem = np.maximum(1.0 - weight_sum[idx], 0.0)
-        lo[idx] = np.clip(cdf[idx], 0.0, 1.0)
-        hi[idx] = np.clip(cdf[idx] + rem * gamma_k, 0.0, 1.0)
-        done = hi[idx] - lo[idx] < tol
+    cdf = a * gamma_k
+    beta_nu = beta * (ncs[live] / lam)
+    s_run = np.zeros_like(beta_nu)
+    t_run = np.zeros_like(beta_nu)
+    for k in range(max_terms + 1):
+        if k:
+            t_run *= ratios
+            t_run += a[:, None]
+            t_run += s_run
+            s_run += a[:, None]
+            s_run *= ratios
+            # Summed over j row by row, so no row sees its block's shape.
+            a = (s_run * h + beta_nu * t_run).sum(axis=1) / (2.0 * k)
+            weight_sum += a
+            gamma_k = float(special.gammainc((rho + 2 * k) / 2.0, scaled_half_x))
+            cdf += a * gamma_k
+        # The tail sum_{k>K} a_k G_k lies between 0 and the remaining mass
+        # times G_K (G_k decreases in k), so [lo, hi] contains the CDF.
+        rem = np.maximum(1.0 - weight_sum, 0.0)
+        lo = np.clip(cdf, 0.0, 1.0)
+        hi = np.clip(cdf + rem * gamma_k, 0.0, 1.0)
+        done = hi - lo < tol
         if theta is not None:
-            done |= (lo[idx] >= theta) | (hi[idx] < theta)
-        active[idx[done]] = False
-
-    settle(np.arange(n))
-    for k in range(1, max_terms + 1):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            break
-        if k >= capacity:
-            capacity *= 2
-            a = scratch("ruben_a", (n, capacity))
-            g = scratch("ruben_g", (n, capacity))
-        shared = float(np.sum(h * ratio_pow * ratios))  # Σ h_j r_j^k
-        g[idx, k - 1] = shared + k * beta * (nc_over_lam[idx] @ ratio_pow)
-        ratio_pow = ratio_pow * ratios
-        # a_k = (1/(2k)) Σ_{r=1..k} g_r a_{k-r}: one rolling dot per row.
-        a[idx, k] = (
-            np.einsum("ij,ij->i", g[idx, :k], a[idx, k - 1 :: -1]) / (2.0 * k)
-        )
-        weight_sum[idx] += a[idx, k]
-        gamma_k = float(special.gammainc((rho + 2 * k) / 2.0, scaled_half_x))
-        cdf[idx] += a[idx, k] * gamma_k
-        settle(idx)
-    ok[rows[active]] = False  # undecided at max_terms: caller falls back
-    lower[rows] = lo
-    upper[rows] = hi
+            done |= (lo >= theta) | (hi < theta)
+        if k == max_terms:
+            ok[live[~done]] = False  # undecided at the cap: caller falls back
+            done[:] = True
+        if done.any():
+            lower[live[done]] = lo[done]
+            upper[live[done]] = hi[done]
+            keep = ~done
+            live, a, weight_sum, cdf = live[keep], a[keep], weight_sum[keep], cdf[keep]
+            beta_nu, s_run, t_run = beta_nu[keep], s_run[keep], t_run[keep]
+            if live.size == 0:
+                break
     return lower, upper, ok
 
 

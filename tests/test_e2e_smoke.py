@@ -54,3 +54,20 @@ def test_tier3_guards_apply_to_prq_cascade_2d_only():
     assert len(e2e_smoke.problems({}, "prq_cascade_2d")) == 6
     # prq_cascade_9d never reaches Tier 3: the guards stay off.
     assert e2e_smoke.problems(result_line(**{"gaussian.imhof_calls": 7})) == []
+
+
+def test_tier2_share_guard_applies_to_both_cascade_workloads():
+    slow = {"kernels.ruben_block_s": 3.0, "integrate.decide_s": 5.0}
+    fast = {"kernels.ruben_block_s": 0.9, "integrate.decide_s": 3.0}
+    tier3 = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
+    for workload, extra in (("prq_cascade_9d", {}), ("prq_cascade_2d", tier3)):
+        assert e2e_smoke.problems(result_line(**fast, **extra), workload) == []
+        (problem,) = e2e_smoke.problems(result_line(**slow, **extra), workload)
+        assert "ruben_block_s" in problem and "O(d)" in problem
+        # Tier 2 timed but the cascade span gone: the ratio has no base.
+        (problem,) = e2e_smoke.problems(
+            result_line(**{"kernels.ruben_block_s": 0.9}, **extra), workload
+        )
+        assert "ruben_block_s" in problem
+    # serve_uniform also runs Tier 2, but carries no guard.
+    assert e2e_smoke.problems(result_line(**slow), "serve_uniform") == []
