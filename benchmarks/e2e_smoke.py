@@ -7,9 +7,11 @@ failed, every traced callable still resolves, and the Phase-1 span —
 the search the pipeline uses.  On ``prq_cascade_2d``, the one workload
 that reaches the cascade's Tier 3, it also checks that the tier is still
 exercised and that it runs as the block sweep, not as scalar
-``imhof_cdf`` calls.  On both cascade workloads it checks that Tier 2's
-kernel stays a minor share of the cascade (a within-run ratio, so the
-hardware does not matter).
+``imhof_cdf`` calls.  On both cascade workloads it checks that a Tier-2
+row costs no more than a few Tier-1 rows, and on ``prq_cascade_9d``, where
+every candidate is decided inside a traced kernel, that Phase 3 spends
+little time outside them (within-run ratios, so the hardware does not
+matter).
 
     python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
 """
@@ -24,10 +26,21 @@ from pathlib import Path
 
 RUN = Path(__file__).parent / "e2e" / "run.py"
 
-#: ``kernels.ruben_block_s`` over ``integrate.decide_s`` read 0.60 / 0.59
-#: (2-D / 9-D) while every term re-ran the convolution and reads about
-#: 0.14 / 0.30 with the running sums.
-RUBEN_SHARE_LIMIT = 0.45
+#: ``kernels.ruben_block_ns_per_row`` over
+#: ``kernels.chi2_sandwich_block_ns_per_row`` read 11.4 / 6.3 (2-D / 9-D)
+#: while every term re-ran the convolution and reads about 1.4 / 2.0 with
+#: the running sums.
+RUBEN_ROW_COST_LIMIT = 4.0
+
+#: Share of ``integrate.decide_s`` outside the three kernel spans on
+#: ``prq_cascade_9d``: 0.40 while ``decide`` built one ``IntegrationResult``
+#: per candidate for the stage to walk, about 0.08 with the block hand-over.
+DECIDE_OVERHEAD_LIMIT = 0.25
+DECIDE_KERNELS = (
+    "kernels.chi2_sandwich_block_s",
+    "kernels.ruben_block_s",
+    "kernels.squared_distance_noncentralities_s",
+)
 
 
 def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
@@ -52,13 +65,22 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
             "longer sits on the search the pipeline uses"
         )
     if workload in ("prq_cascade_2d", "prq_cascade_9d"):
-        ruben = metric("kernels.ruben_block_s") or 0
-        decide = metric("integrate.decide_s") or 0
-        if ruben > RUBEN_SHARE_LIMIT * decide:
+        ruben = metric("kernels.ruben_block_ns_per_row") or 0
+        sandwich = metric("kernels.chi2_sandwich_block_ns_per_row") or 0
+        if not 0 < ruben <= RUBEN_ROW_COST_LIMIT * sandwich:
             found.append(
-                f"kernels.ruben_block_s = {ruben!r} is more than "
-                f"{RUBEN_SHARE_LIMIT} of integrate.decide_s = {decide!r}: "
-                "a Tier-2 term no longer costs O(d)"
+                f"kernels.ruben_block_ns_per_row = {ruben!r} is not within "
+                f"{RUBEN_ROW_COST_LIMIT} x kernels.chi2_sandwich_block_ns_per_row "
+                f"= {sandwich!r}: a Tier-2 term no longer costs O(d)"
+            )
+    if workload == "prq_cascade_9d":
+        decide = metric("integrate.decide_s") or 0
+        outside = decide - sum(metric(name) or 0 for name in DECIDE_KERNELS)
+        if not 0 < decide or outside > DECIDE_OVERHEAD_LIMIT * decide:
+            found.append(
+                f"{outside!r} s of integrate.decide_s = {decide!r} lie outside "
+                f"the kernel spans, more than {DECIDE_OVERHEAD_LIMIT} of it: "
+                "Phase 3 builds per-candidate objects again"
             )
     if workload == "prq_cascade_2d":
         if not (metric("integrate.imhof_share") or 0) > 0:

@@ -1,11 +1,14 @@
 """CI smokes over ``repro serve``: request generators and response checkers.
 
-The ``serve-smoke`` and ``monitor-smoke`` jobs write a request file, pipe
-it through ``python -m repro serve`` and check what came back:
+The ``serve-smoke``, ``monitor-smoke`` and ``query-kinds-smoke`` jobs write
+a request file, pipe it through ``python -m repro serve`` and check what
+came back:
 
     python benchmarks/serve_smoke.py generate serve|monitor REQUESTS
+    python benchmarks/serve_smoke.py generate kinds BATCH REQUESTS
     python benchmarks/serve_smoke.py check serve|monitor --requests R \
         --responses OUT --summary ERR --metrics M [--database DB]
+    python benchmarks/serve_smoke.py check kinds --responses OUT
 
 ``serve`` is 50 mixed-deadline PRQs: every request answered with one of
 the five typed statuses, none failed, at least one micro-batch coalesced.
@@ -14,7 +17,10 @@ deadline-squeezed jump tick (far enough that border objects need
 re-integration, with zero budget to do it), notify, unsubscribe: every
 line answered in order, outcome counters adding up, every degraded
 update's certain ids and (lo, hi) intervals sound against the exact
-integrator, and staleness flagged on notify.
+integrator, and staleness flagged on notify.  ``kinds`` is one workload
+cycling through the four query kinds, written twice: as a ``repro query
+--batch`` file and as the same specs in serve request lines; every line
+comes back ``ok`` and every kind qualifies at least one object.
 """
 
 from __future__ import annotations
@@ -26,6 +32,8 @@ import sys
 from pathlib import Path
 
 STATUSES = {"ok", "degraded", "overloaded", "deadline_exceeded", "failed"}
+KINDS = ("prq", "uncertain", "mixture", "knn")
+N_KINDS_SPECS = 12
 
 
 def serve_requests(n: int = 50) -> list[dict]:
@@ -73,6 +81,30 @@ def monitor_storm(n_subs: int = 30, n_ticks: int = 4) -> list[dict]:
             {"type": kind, "sub": s, "id": f"{tag}-{s}"} for s in range(n_subs)
         )
     return lines
+
+
+def kinds_specs() -> list[dict]:
+    """Query specs cycling through :data:`KINDS`, at the paper's data scale."""
+    rng = random.Random(23)
+    specs = []
+    for i in range(N_KINDS_SPECS):
+        kind = KINDS[i % 4]
+        spec = {"kind": kind, "sigma_scale": 900.0, "theta": 0.05}
+        if kind == "mixture":
+            spec["components"] = [
+                [rng.uniform(300, 700), rng.uniform(300, 700)] for _ in range(2)
+            ]
+            spec["weights"] = [0.6, 0.4]
+        else:
+            spec["center"] = [rng.uniform(300, 700), rng.uniform(300, 700)]
+        if kind == "knn":
+            # Tight query spread: with 20k dense points a sigma of 900
+            # smears the NN probability below any theta.
+            spec.update(k=2, n_samples=400, theta=0.05, seed=i, sigma_scale=25.0)
+        else:
+            spec["delta"] = 60.0
+        specs.append(spec)
+    return specs
 
 
 def _stderr_json(stderr: str, prefix: str) -> dict:
@@ -181,6 +213,22 @@ def check_monitor(
     return found
 
 
+def check_kinds(rows: list[dict]) -> list[str]:
+    """What is wrong with one ``repro serve`` run over ``kinds_specs``."""
+    found = []
+    if len(rows) != N_KINDS_SPECS:
+        found.append(f"expected {N_KINDS_SPECS} responses, got {len(rows)}")
+    statuses = [r.get("status") for r in rows]
+    if "failed" in statuses:
+        found.append("unhandled failure")
+    if statuses.count("ok") != N_KINDS_SPECS:
+        found.append(f"not every request answered ok: {statuses}")
+    for offset, kind in enumerate(KINDS):
+        if not any(r.get("ids") for r in rows[offset::4]):
+            found.append(f"every {kind} response empty")
+    return found
+
+
 def _read_jsonl(path: str) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
 
@@ -189,36 +237,52 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     generate = commands.add_parser("generate")
-    generate.add_argument("smoke", choices=("serve", "monitor"))
-    generate.add_argument("requests")
+    generate.add_argument("smoke", choices=("serve", "monitor", "kinds"))
+    generate.add_argument(
+        "paths", nargs="+", metavar="FILE", help="REQUESTS (kinds: BATCH REQUESTS)"
+    )
     check = commands.add_parser("check")
-    check.add_argument("smoke", choices=("serve", "monitor"))
-    for flag in ("--requests", "--responses", "--summary", "--metrics"):
-        check.add_argument(flag, required=True)
+    check.add_argument("smoke", choices=("serve", "monitor", "kinds"))
+    check.add_argument("--responses", required=True)
+    for flag in ("--requests", "--summary", "--metrics"):
+        check.add_argument(flag, help="serve and monitor only")
     check.add_argument("--database", help="the store served (monitor only)")
     args = parser.parse_args(argv)
-    if args.command == "check" and args.smoke == "monitor" and not args.database:
-        parser.error("check monitor needs --database")
     if args.command == "generate":
-        rows = serve_requests() if args.smoke == "serve" else monitor_storm()
-        Path(args.requests).write_text("".join(json.dumps(r) + "\n" for r in rows))
+        if len(args.paths) != (2 if args.smoke == "kinds" else 1):
+            parser.error(f"generate {args.smoke}: wrong number of files")
+        if args.smoke == "kinds":
+            specs = kinds_specs()
+            Path(args.paths[0]).write_text(json.dumps(specs))
+            rows = [dict(spec, id=i) for i, spec in enumerate(specs)]
+        else:
+            rows = serve_requests() if args.smoke == "serve" else monitor_storm()
+        Path(args.paths[-1]).write_text("".join(json.dumps(r) + "\n" for r in rows))
         return 0
-    observed = (
-        _read_jsonl(args.requests),
-        _read_jsonl(args.responses),
-        Path(args.summary).read_text(),
-        Path(args.metrics).read_text(),
-    )
-    if args.smoke == "serve":
-        found = check_serve(*observed)
+    responses = _read_jsonl(args.responses)
+    if args.smoke == "kinds":
+        found = check_kinds(responses)
     else:
-        from repro import SpatialDatabase
+        if not (args.requests and args.summary and args.metrics):
+            parser.error("check needs --requests, --summary and --metrics")
+        if args.smoke == "monitor" and not args.database:
+            parser.error("check monitor needs --database")
+        observed = (
+            _read_jsonl(args.requests),
+            responses,
+            Path(args.summary).read_text(),
+            Path(args.metrics).read_text(),
+        )
+        if args.smoke == "serve":
+            found = check_serve(*observed)
+        else:
+            from repro import SpatialDatabase
 
-        found = check_monitor(*observed, SpatialDatabase.load(args.database))
+            found = check_monitor(*observed, SpatialDatabase.load(args.database))
     for problem in found:
         print(f"{args.smoke} smoke: {problem}")
     if not found:
-        print(f"{args.smoke} smoke OK: {len(observed[1])} responses checked")
+        print(f"{args.smoke} smoke OK: {len(responses)} responses checked")
     return 1 if found else 0
 
 

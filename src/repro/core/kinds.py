@@ -20,12 +20,16 @@ adapters built by :func:`adapt_pipeline`:
 they talk to the adapters through the ``classify_candidates`` /
 ``decide_candidates`` protocol extensions, which add candidate *ids* to
 the classify/decide calls so per-target state (which covariance group an
-object belongs to) never leaks into the stage bodies.
+object belongs to) never leaks into the stage bodies.  Like ``decide``,
+``decide_candidates`` hands Phase 3 a block, not objects:
+``(accept, tally, samples)`` — the accept mask over the rows, the rows
+each method label decided, and the Monte Carlo samples spent.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -418,8 +422,9 @@ class UncertainTargetDecider(ProbabilityIntegrator):
 
     Wraps any base integrator; candidates are grouped by target
     covariance and each group decided with the base integrator against
-    its convolved Gaussian, so per-candidate results are exactly what the
-    base integrator produces for the reduced one-sided problem.
+    its convolved Gaussian, so per-candidate decisions are exactly what
+    the base integrator produces for the reduced one-sided problem; the
+    per-group tallies and sample counts are summed.
     """
 
     def __init__(self, base: ProbabilityIntegrator, table: TargetCovarianceTable):
@@ -442,11 +447,11 @@ class UncertainTargetDecider(ProbabilityIntegrator):
         points: np.ndarray,
         delta: float,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
+    ) -> tuple[np.ndarray, dict[str, int], int]:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        accept = np.zeros(n, dtype=bool)
-        results: list[IntegrationResult | None] = [None] * n
+        accept = np.zeros(pts.shape[0], dtype=bool)
+        tally: Counter[str] = Counter()
+        samples = 0
         groups = self._table.groups_for(ids)
         self._base.obs = self.obs
         try:
@@ -455,17 +460,15 @@ class UncertainTargetDecider(ProbabilityIntegrator):
                     gaussian.mean,
                     gaussian.sigma + self._table.sigma(int(group)),
                 )
-                mask = groups == group
-                idx = np.nonzero(mask)[0]
-                got_accept, _, got = self._base.decide(
+                idx = np.nonzero(groups == group)[0]
+                accept[idx], got_tally, got_samples = self._base.decide(
                     convolved, pts[idx], delta, theta
                 )
-                accept[idx] = got_accept
-                for slot, result in zip(idx, got):
-                    results[slot] = result
+                tally.update(got_tally)
+                samples += got_samples
         finally:
             self._base.obs = None
-        return accept, ~accept, results
+        return accept, dict(tally), samples
 
     @property
     def composition_independent(self) -> bool:
@@ -742,19 +745,18 @@ class KNNDecider(ProbabilityIntegrator):
         points: np.ndarray,
         delta: float,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
+    ) -> tuple[np.ndarray, dict[str, int], int]:
         if self._samples is None or self._cut_radius is None:
             raise QueryError("KNN decider used before its cut strategy prepared")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
         accept = np.zeros(n, dtype=bool)
-        outside = IntegrationResult(0.0, 0.0, 0, "knn-cut")
-        results: list[IntegrationResult] = [outside] * n
         deltas = pts - self._center
         distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
         compete = np.nonzero(distances <= self._cut_radius)[0]
+        tally = {"knn-cut": n - compete.size, "knn-mc": compete.size}
         if not compete.size:
-            return accept, ~accept, results
+            return accept, tally, 0
         candidates = pts[compete]
 
         if self.k == 1 and compete.size > 2:
@@ -781,17 +783,8 @@ class KNNDecider(ProbabilityIntegrator):
                 nearest = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
                 np.add.at(wins, nearest.ravel(), 1)
 
-        for local, slot in enumerate(compete):
-            p_hat = wins[local] / self.n_samples
-            stderr = float(
-                np.sqrt(p_hat * (1.0 - p_hat) / self.n_samples)
-            )
-            results[slot] = IntegrationResult(
-                float(p_hat), stderr, self.n_samples, "knn-mc"
-            )
-            if p_hat >= theta and reportable[local]:
-                accept[slot] = True
-        return accept, ~accept, results
+        accept[compete] = (wins / self.n_samples >= theta) & reportable
+        return accept, tally, self.n_samples * compete.size
 
 
 # ----------------------------------------------------------------------

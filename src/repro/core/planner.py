@@ -634,8 +634,8 @@ class QueryPlanner:
             candidates = candidate_counts[combo]
             for mode in self.phase1_modes:
                 mode_rect = (
-                    None
-                    if combo_empty[combo]
+                    combo_rects[combo]
+                    if mode == "intersect" or combo_empty[combo]
                     else combined_search_rect(strategies, phase1=mode)
                 )
                 retrieved = self._estimate_in_rect(mode_rect)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.query import ProbabilisticRangeQuery
+from repro.core.stages import phase1_rect
+from repro.core.stats import QueryStats
 from repro.core.strategies import Strategy, make_strategies
 from repro.errors import QueryError
 from repro.geometry.mbr import Rect
@@ -128,20 +130,9 @@ class SelectivityEstimator:
         )
         if not strategy_list:
             raise QueryError("at least one strategy is required")
-        for strategy in strategy_list:
-            strategy.prepare(query)
-        if any(s.proves_empty for s in strategy_list):
-            return 0.0
-        rect: Rect | None = None
-        for strategy in strategy_list:
-            contribution = strategy.search_rect()
-            if contribution is None:
-                continue
-            rect = contribution if rect is None else rect.intersection(contribution)
-            if rect is None:
-                return 0.0
+        rect = phase1_rect(query, strategy_list, QueryStats(), dim=self._dim)
         if rect is None:
-            raise QueryError("no strategy contributed a search region")
+            return 0.0
 
         rng = np.random.default_rng(seed)
         samples = rect.lows + rng.random((n_samples, self._dim)) * rect.extents

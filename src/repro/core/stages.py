@@ -245,7 +245,7 @@ class IntegrateStage(Stage):
             # ``tier:*`` child spans under this phase's span.
             ctx.integrator.obs = ctx.obs
         try:
-            accept, _, estimates = ctx.integrator.decide_candidates(
+            accept, tally, samples = ctx.integrator.decide_candidates(
                 query.gaussian,
                 ids_arr[to_integrate],
                 ctx.points[to_integrate],
@@ -255,11 +255,10 @@ class IntegrateStage(Stage):
         finally:
             if ctx.obs is not None:
                 ctx.integrator.obs = None
-        for slot, result, is_accept in zip(to_integrate, estimates, accept):
-            ctx.stats.integration_samples += result.n_samples
-            ctx.stats.note_decision(result.method)
-            if is_accept:
-                ctx.accepted.append(ids_arr[slot])
+        ctx.stats.integration_samples += samples
+        for method, count in tally.items():
+            ctx.stats.note_decision(method, count)
+        ctx.accepted.extend(ids_arr[to_integrate[accept]].tolist())
 
 
 def combined_search_rect(

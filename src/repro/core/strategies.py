@@ -76,7 +76,8 @@ class Strategy(abc.ABC):
         implementation falls back to the scalar path — one
         :meth:`classify` call per row — so a subclass only has to
         implement per-point logic to be correct; the built-in strategies
-        all override it with a single vectorised pass.
+        all alias it to their :meth:`classify`, which is already one
+        vectorised pass over the block.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[0] == 0:
@@ -177,17 +178,6 @@ class RectilinearStrategy(Strategy):
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         region = self.region
-        n = np.atleast_2d(points).shape[0]
-        codes = np.full(n, UNKNOWN, dtype=np.int8)
-        if self.fringe_filter == "off":
-            return codes
-        if self.fringe_filter == "paper" and region.dim != 2:
-            return codes
-        codes[~region.contains_points(points)] = REJECT
-        return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        region = self.region
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
         if self.fringe_filter == "off":
@@ -199,6 +189,9 @@ class RectilinearStrategy(Strategy):
         )
         codes[~contains] = REJECT
         return codes
+
+    def classify_many(self, points: np.ndarray) -> np.ndarray:
+        return self.classify(points)
 
 
 class ObliqueStrategy(Strategy):
@@ -230,12 +223,6 @@ class ObliqueStrategy(Strategy):
         return self.box.bounding_rect()
 
     def classify(self, points: np.ndarray) -> np.ndarray:
-        n = np.atleast_2d(points).shape[0]
-        codes = np.full(n, UNKNOWN, dtype=np.int8)
-        codes[~self.box.contains_points(points)] = REJECT
-        return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
         box = self.box
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
@@ -244,6 +231,9 @@ class ObliqueStrategy(Strategy):
         )
         codes[~contains] = REJECT
         return codes
+
+    def classify_many(self, points: np.ndarray) -> np.ndarray:
+        return self.classify(points)
 
 
 class BoundingFunctionStrategy(Strategy):
@@ -298,26 +288,14 @@ class BoundingFunctionStrategy(Strategy):
         if not self._prepared:
             raise QueryError("BF strategy used before prepare()")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
-        deltas = pts - self._center
-        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        if self.alpha_upper is None:
-            codes[:] = REJECT
-            return codes
-        codes[distances > self.alpha_upper] = REJECT
-        if self.alpha_lower is not None:
-            codes[distances <= self.alpha_lower] = ACCEPT
-        return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        if not self._prepared:
-            raise QueryError("BF strategy used before prepare()")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.alpha_upper is None:
             return np.full(pts.shape[0], REJECT, dtype=np.int8)
         return kernels.bf_classify(
             pts, self._center, self.alpha_upper, self.alpha_lower
         )
+
+    def classify_many(self, points: np.ndarray) -> np.ndarray:
+        return self.classify(points)
 
 
 class EllipsoidStrategy(Strategy):
@@ -378,6 +356,12 @@ STRATEGY_COMBINATIONS: dict[str, tuple[str, ...]] = {
     "em+bf": ("EM", "BF"),
 }
 
+#: The same table keyed by the order-insensitive form of the spec.
+_NORMALIZED_COMBINATIONS: dict[str, tuple[str, ...]] = {
+    "+".join(sorted(spec.split("+"))): names
+    for spec, names in STRATEGY_COMBINATIONS.items()
+}
+
 
 def make_strategies(
     spec: str,
@@ -392,16 +376,13 @@ def make_strategies(
     ``all`` (case-insensitive; order inside the spec does not matter).
     """
     key = "+".join(sorted(spec.lower().split("+")))
-    normalized = {
-        "+".join(sorted(k.split("+"))): names for k, names in STRATEGY_COMBINATIONS.items()
-    }
-    if key not in normalized:
+    if key not in _NORMALIZED_COMBINATIONS:
         raise QueryError(
             f"unknown strategy spec {spec!r}; choose from "
             f"{sorted(STRATEGY_COMBINATIONS)}"
         )
     built: list[Strategy] = []
-    for name in normalized[key]:
+    for name in _NORMALIZED_COMBINATIONS[key]:
         if name == "RR":
             built.append(
                 RectilinearStrategy(rtheta_lookup, fringe_filter=fringe_filter)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 import copy
+from collections import Counter
 
 import numpy as np
 
@@ -62,18 +63,20 @@ class ProbabilityIntegrator(abc.ABC):
         points: np.ndarray,
         delta: float,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
+    ) -> tuple[np.ndarray, dict[str, int], int]:
         """Batched θ-decisions over the rows of ``points``.
 
         Phase 3 only needs the predicate ``p ≥ θ``, not the probability
         itself; this entry point lets decision-aware integrators (the
         cascade, the sequential sampler) spend work only until each
         candidate's decision is certain.  Returns
-        ``(accept_mask, reject_mask, results)`` with the masks disjoint
-        boolean arrays over the candidate rows and ``results`` the
-        per-candidate estimates backing the decisions.
+        ``(accept, tally, samples)``: the boolean accept mask over the
+        candidate rows, a ``method label → rows that method decided``
+        count summing to the number of rows (the labels
+        ``IntegrationResult.method`` carries), and the total Monte Carlo
+        samples spent.
 
-        The default derives both masks from the full-precision estimates,
+        The default derives all three from the full-precision estimates,
         so for any integrator ``decide`` is exactly
         ``qualification_probabilities`` + the ``estimate ≥ θ`` rule — the
         engine can call it unconditionally without changing results.
@@ -84,7 +87,8 @@ class ProbabilityIntegrator(abc.ABC):
             dtype=bool,
             count=len(results),
         )
-        return accept, ~accept, results
+        tally = Counter(r.method for r in results)
+        return accept, dict(tally), sum(r.n_samples for r in results)
 
     def decide_candidates(
         self,
@@ -93,7 +97,7 @@ class ProbabilityIntegrator(abc.ABC):
         points: np.ndarray,
         delta: float,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
+    ) -> tuple[np.ndarray, dict[str, int], int]:
         """:meth:`decide` with the candidate object ids alongside the rows.
 
         The stage pipeline's Phase 3 always calls this entry point.  The

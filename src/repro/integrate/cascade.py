@@ -52,10 +52,10 @@ from repro.obs import NULL_SPAN
 __all__ = ["CascadeIntegrator"]
 
 #: Tier labels as they appear in ``IntegrationResult.method`` and in the
-#: engine's per-tier decision statistics.
-TIER_SANDWICH = "cascade-sandwich"
-TIER_RUBEN = "cascade-ruben"
-TIER_IMHOF = "cascade-imhof"
+#: engine's per-tier decision statistics, indexed by the ``int8`` tier code
+#: the cascade keeps per candidate.
+TIER_LABELS = ("cascade-sandwich", "cascade-ruben", "cascade-imhof")
+_SANDWICH, _RUBEN, _IMHOF = range(len(TIER_LABELS))
 
 
 class CascadeIntegrator(ProbabilityIntegrator):
@@ -116,13 +116,26 @@ class CascadeIntegrator(ProbabilityIntegrator):
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:
         p = self._validate(gaussian, point, delta)
-        return self._evaluate(gaussian, p[None, :], delta, theta=None)[2][0]
+        return self.qualification_probabilities(gaussian, p[None, :], delta)[0]
 
     def qualification_probabilities(
         self, gaussian: Gaussian, points: np.ndarray, delta: float
     ) -> list[IntegrationResult]:
+        """Every candidate evaluated to ``tol`` (no θ in play).
+
+        An interval narrower than ``tol`` is reported as its midpoint;
+        one that never collapsed as its lower bound, with the half-width
+        as the standard error either way.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._evaluate(gaussian, pts, delta, theta=None)[2]
+        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=None)
+        converged = upper - lower < self.tol
+        estimate = np.where(converged, 0.5 * (lower + upper), lower)
+        stderr = np.maximum(0.5 * (upper - lower), 0.0)
+        return [
+            IntegrationResult(e, s, 0, TIER_LABELS[t])
+            for e, s, t in zip(estimate.tolist(), stderr.tolist(), tier.tolist())
+        ]
 
     def decide(
         self,
@@ -130,39 +143,41 @@ class CascadeIntegrator(ProbabilityIntegrator):
         points: np.ndarray,
         delta: float,
         theta: float,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
+    ) -> tuple[np.ndarray, dict[str, int], int]:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._evaluate(gaussian, pts, delta, theta=theta)
+        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=theta)
+        # A collapsed interval is decided at its midpoint, any other by
+        # the bound that excluded θ (lower ≥ θ accepts, upper < θ rejects).
+        converged = upper - lower < self.tol
+        accept = np.where(converged, 0.5 * (lower + upper) >= theta, lower >= theta)
+        counts = np.bincount(tier, minlength=len(TIER_LABELS)).tolist()
+        return accept, dict(zip(TIER_LABELS, counts)), 0
 
     # ------------------------------------------------------------------
     # The cascade
     # ------------------------------------------------------------------
 
-    def _evaluate(
+    def _tiers(
         self,
         gaussian: Gaussian,
         pts: np.ndarray,
         delta: float,
         *,
         theta: float | None,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
-        """Run the tiers; returns (accept_mask, reject_mask, results).
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the tiers; returns ``(lower, upper, tier)`` per candidate.
 
-        With ``theta=None`` every candidate is evaluated to ``tol``
-        precision instead of merely θ-decided, and the masks reflect the
-        trivial rule estimate ≥ 0 (all "accepted") — callers wanting
-        plain probabilities read only ``results``.
+        ``tier`` indexes :data:`TIER_LABELS` with the tier that produced
+        the row's final interval.  With ``theta=None`` every candidate is
+        evaluated to ``tol`` precision instead of merely θ-decided.
         """
         m = pts.shape[0]
+        tier = np.full(m, _IMHOF, dtype=np.int8)
         if m == 0:
-            empty = np.zeros(0, dtype=bool)
-            return empty, empty, []
+            return np.zeros(0), np.ones(0), tier
         if not np.isfinite(delta) or delta < 0:
             raise IntegrationError(f"delta must be finite and >= 0, got {delta}")
         obs = self.obs
-        lower = np.zeros(m)
-        upper = np.ones(m)
-        tier = np.full(m, TIER_IMHOF, dtype=object)
 
         # Tier 1: one vectorised noncentral-χ² call for the whole block.
         with (
@@ -173,7 +188,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
             )
             lower, upper = bounds[:, 0].copy(), bounds[:, 1].copy()
             decided = self._decided(lower, upper, theta)
-            tier[decided] = TIER_SANDWICH
+            tier[decided] = _SANDWICH
             if obs is not None:
                 span.annotate(
                     candidates=m, decided=int(np.count_nonzero(decided))
@@ -202,7 +217,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                 rows = undecided[take]
                 lower[rows] = np.maximum(lower[rows], lo2[take])
                 upper[rows] = np.minimum(upper[rows], hi2[take])
-                tier[rows] = TIER_RUBEN
+                tier[rows] = _RUBEN
                 if obs is not None:
                     span.annotate(
                         candidates=int(undecided.size),
@@ -232,7 +247,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                             scalar_fallbacks=fallbacks,
                         )
 
-        return self._pack(lower, upper, tier, theta)
+        return lower, upper, tier
 
     def _decided(
         self, lower: np.ndarray, upper: np.ndarray, theta: float | None
@@ -241,37 +256,3 @@ class CascadeIntegrator(ProbabilityIntegrator):
         if theta is None:
             return converged
         return converged | (lower >= theta) | (upper < theta)
-
-    def _pack(
-        self,
-        lower: np.ndarray,
-        upper: np.ndarray,
-        tier: np.ndarray,
-        theta: float | None,
-    ) -> tuple[np.ndarray, np.ndarray, list[IntegrationResult]]:
-        """Turn per-candidate intervals into masks and IntegrationResults.
-
-        The reported estimate is chosen to *preserve the decision* under
-        the engine's ``estimate ≥ θ`` rule: the lower bound for accepts,
-        the upper bound for rejects, the midpoint once the interval has
-        collapsed below ``tol``.
-        """
-        converged = upper - lower < self.tol
-        mid = 0.5 * (lower + upper)
-        if theta is None:
-            estimate = np.where(converged, mid, lower)
-            accept = estimate >= 0.0
-        else:
-            accept = np.where(converged, mid >= theta, lower >= theta)
-            estimate = np.where(converged, mid, np.where(accept, lower, upper))
-        stderr = np.maximum(0.5 * (upper - lower), 0.0)
-        results = [
-            IntegrationResult(
-                estimate=float(estimate[i]),
-                stderr=float(stderr[i]),
-                n_samples=0,
-                method=str(tier[i]),
-            )
-            for i in range(lower.size)
-        ]
-        return accept, ~accept, results

@@ -28,6 +28,7 @@ from repro.gaussian.quadform import (
 )
 from repro.index.rtree import RStarTree
 from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
+from repro.integrate.result import IntegrationResult
 from repro.kernels import ruben_block
 from repro.obs import Observability
 
@@ -157,27 +158,29 @@ class TestCascadeAgreement:
         gaussian, points, delta = anisotropic_case(3, seed=21)
         theta = 0.15
         cascade = CascadeIntegrator()
-        accept, reject, results = cascade.decide(
+        accept, tally, samples = cascade.decide(
             gaussian, points, delta, theta
         )
-        assert accept.shape == reject.shape == (points.shape[0],)
-        assert not np.any(accept & reject)
-        assert np.all(accept | reject)  # the cascade decides everything
+        assert accept.shape == (points.shape[0],) and accept.dtype == bool
+        # The cascade decides everything, and without drawing a sample.
+        assert sum(tally.values()) == points.shape[0] and samples == 0
         exact = np.array([
             qualification_probability_exact(gaussian, p, delta)
             for p in points
         ])
         np.testing.assert_array_equal(accept, exact >= theta)
-        # Reported estimates must back the decision under estimate >= θ.
+        # The value path must back the decision under estimate >= θ.
+        results = cascade.qualification_probabilities(gaussian, points, delta)
         for est, acc in zip(results, accept):
             assert est.meets_threshold(theta) == acc
 
     def test_empty_block(self):
         gaussian = Gaussian([0.0, 0.0], np.eye(2))
-        accept, reject, results = CascadeIntegrator().decide(
+        accept, tally, samples = CascadeIntegrator().decide(
             gaussian, np.empty((0, 2)), 1.0, 0.1
         )
-        assert accept.size == 0 and reject.size == 0 and results == []
+        assert accept.size == 0 and accept.dtype == bool
+        assert sum(tally.values()) == 0 and samples == 0
 
     def test_scalar_entry_point(self, paper_gaussian):
         cascade = CascadeIntegrator()
@@ -204,14 +207,12 @@ class TestCascadeAgreement:
 class TestTiering:
     def test_tier_labels_partition_the_block(self):
         gaussian, points, delta = anisotropic_case(2, seed=33, n_points=120)
-        _, _, results = CascadeIntegrator().decide(
+        _, counts, _ = CascadeIntegrator().decide(
             gaussian, points, delta, 0.05
         )
-        methods = {r.method for r in results}
-        assert methods <= {
+        assert set(counts) <= {
             "cascade-sandwich", "cascade-ruben", "cascade-imhof"
         }
-        counts = {m: sum(r.method == m for r in results) for m in methods}
         assert sum(counts.values()) == points.shape[0]
         # The cloud spans deep-inside to far-outside candidates, so the
         # cheap sandwich tier must decide a non-trivial share.
@@ -219,11 +220,11 @@ class TestTiering:
 
     def test_far_candidates_decided_by_sandwich_alone(self, paper_gaussian):
         far = paper_gaussian.mean + np.array([[5000.0, 0.0], [0.0, 7000.0]])
-        accept, reject, results = CascadeIntegrator().decide(
+        accept, tally, _ = CascadeIntegrator().decide(
             paper_gaussian, far, 25.0, 0.01
         )
-        assert np.all(reject)
-        assert all(r.method == "cascade-sandwich" for r in results)
+        assert not np.any(accept)
+        assert tally["cascade-sandwich"] == len(far) == sum(tally.values())
 
     def test_underflow_candidates_reach_imhof(self):
         # Anisotropic covariance (isotropic ones make the sandwich bounds
@@ -231,15 +232,19 @@ class TestTiering:
         # sandwich stays wide, Ruben underflows, only Imhof can settle it.
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0]])
-        accept, _, results = CascadeIntegrator().decide(
+        accept, tally, _ = CascadeIntegrator().decide(
             gaussian, points, 42.0, 0.5
         )
-        assert results[0].method == "cascade-imhof"
+        assert tally["cascade-imhof"] == 1 == sum(tally.values())
         assert accept[0]  # exact probability is > 0.5 here
         expected = qualification_probability_exact(
             gaussian, points[0], 42.0, method="imhof"
         )
-        assert results[0].estimate == pytest.approx(expected, abs=1e-9)
+        (result,) = CascadeIntegrator().qualification_probabilities(
+            gaussian, points, 42.0
+        )
+        assert result.method == "cascade-imhof"
+        assert result.estimate == pytest.approx(expected, abs=1e-9)
 
     def test_imhof_tier_reports_its_quadrature_error(self):
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
@@ -270,25 +275,29 @@ class TestTiering:
             integrator.obs = obs
             outcome = integrator.decide(gaussian, points, 42.0, 0.5)
             (span,) = [s for s in obs.tracer.spans if s.name == "tier:imhof"]
-            return outcome, span.attributes
+            values = integrator.qualification_probabilities(
+                gaussian, points, 42.0
+            )
+            return outcome, span.attributes, values
 
-        swept, sweep_span = traced_decide()
+        swept, sweep_span, swept_values = traced_decide()
         monkeypatch.setattr(quadform, "_BLOCK_MAX_NODES", 1)
-        scalar, scalar_span = traced_decide()
-        reached = sum(r.method == "cascade-imhof" for r in scalar[2])
+        scalar, scalar_span, scalar_values = traced_decide()
+        assert swept[1] == scalar[1] and swept[2] == scalar[2] == 0
+        reached = scalar[1]["cascade-imhof"]
         assert sweep_span["candidates"] == scalar_span["candidates"] == reached >= 3
         assert sweep_span["nodes"] > 0 and sweep_span["scalar_fallbacks"] == 0
         assert scalar_span["nodes"] == 0
         assert scalar_span["scalar_fallbacks"] == reached
         assert swept[0].tolist() == scalar[0].tolist()
         assert 0 < np.count_nonzero(swept[0]) < len(points)
-        for a, b in zip(swept[2], scalar[2]):
+        for a, b in zip(swept_values, scalar_values):
             assert a.method == b.method
             assert a.estimate == pytest.approx(b.estimate, abs=2e-8)
             if b.method == "cascade-imhof":
                 assert b.stderr == 0.0  # the scalar path gives no estimate
 
-    def test_engine_records_tier_decisions(self):
+    def test_engine_records_tier_decisions(self, monkeypatch):
         rng = np.random.default_rng(8)
         pts = rng.random((3000, 2)) * 100.0
         index = RStarTree(2)
@@ -300,13 +309,27 @@ class TestTiering:
         query = ProbabilisticRangeQuery(
             Gaussian([50.0, 50.0], 40.0 * np.eye(2)), 8.0, 0.02
         )
-        result = engine.execute(query)
-        assert result.stats.integrations > 0
-        assert (
-            sum(result.stats.tier_decisions.values())
-            == result.stats.integrations
+        # Phase 3 hands over a block: the decision path builds no
+        # per-candidate IntegrationResult (one per integration before).
+        built = []
+        monkeypatch.setattr(
+            IntegrationResult, "__post_init__", lambda self: built.append(self)
         )
-        assert result.stats.integration_samples == 0
+        for stats in (
+            engine.execute(query).stats,
+            engine.run_batch([query, query], workers=2)[1].stats,
+        ):
+            assert stats.integrations > 0
+            assert sum(stats.tier_decisions.values()) == stats.integrations
+            assert set(stats.tier_decisions) <= {
+                "cascade-sandwich", "cascade-ruben", "cascade-imhof"
+            }
+            assert stats.integration_samples == 0
+        assert built == []
+        CascadeIntegrator().qualification_probabilities(
+            query.gaussian, pts[:3], query.delta
+        )
+        assert len(built) == 3  # the value path still does, and is counted
 
 
 class TestDecideDefault:
@@ -317,15 +340,13 @@ class TestDecideDefault:
         theta = 0.05
         a = ImportanceSamplingIntegrator(4_000, seed=3, share_samples=True)
         b = ImportanceSamplingIntegrator(4_000, seed=3, share_samples=True)
-        accept, reject, results = a.decide(paper_gaussian, pts, 25.0, theta)
+        accept, tally, samples = a.decide(paper_gaussian, pts, 25.0, theta)
         reference = b.qualification_probabilities(paper_gaussian, pts, 25.0)
-        assert [r.estimate for r in results] == [
-            r.estimate for r in reference
-        ]
         np.testing.assert_array_equal(
             accept, [r.meets_threshold(theta) for r in reference]
         )
-        np.testing.assert_array_equal(accept, ~reject)
+        assert tally == {reference[0].method: len(pts)}
+        assert samples == sum(r.n_samples for r in reference) > 0
 
 
 class TestBatchDeterminism:

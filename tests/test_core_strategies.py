@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.catalog.bf import BFCatalog
 from repro.catalog.rtheta import RThetaCatalog
 from repro.core.query import ProbabilisticRangeQuery
@@ -19,6 +20,7 @@ from repro.core.strategies import (
     REJECT,
     UNKNOWN,
     BoundingFunctionStrategy,
+    EllipsoidStrategy,
     ObliqueStrategy,
     RectilinearStrategy,
     make_strategies,
@@ -307,3 +309,177 @@ class TestRandomizedSoundness:
                 assert np.all(probs < theta)
                 continue
             assert_sound(strategy, query, points)
+
+
+# ----------------------------------------------------------------------
+# One classify body per strategy: the kernel-backed one, on both backends
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(params=["c", "numpy"])
+def backend(request, monkeypatch):
+    """Run the test once per ``repro.kernels`` backend."""
+    if request.param == "numpy":
+        monkeypatch.setattr(kernels, "_LIB", None)
+    elif kernels.BACKEND != "c":
+        pytest.skip("no compiled kernel backend on this machine")
+    return request.param
+
+
+def oracle_codes(strategy, query, points):
+    """Phase-2 codes from the geometry API, never through ``repro.kernels``."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if isinstance(strategy, BoundingFunctionStrategy):
+        distances = np.linalg.norm(pts - query.center, axis=1)
+        codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
+        codes[distances > strategy.alpha_upper] = REJECT
+        if strategy.alpha_lower is not None:
+            codes[distances <= strategy.alpha_lower] = ACCEPT
+        return codes
+    if isinstance(strategy, RectilinearStrategy):
+        inside = strategy.region.contains_points(pts)
+    elif isinstance(strategy, ObliqueStrategy):
+        inside = strategy.box.contains_points(pts)
+    else:
+        inside = strategy.ellipsoid.distance_to_surface(pts) <= query.delta
+    return np.where(inside, UNKNOWN, REJECT).astype(np.int8)
+
+
+def prepared(factory, query):
+    strategy = factory()
+    strategy.prepare(query)
+    return strategy
+
+
+STRATEGY_CLASSES = [
+    RectilinearStrategy,
+    ObliqueStrategy,
+    BoundingFunctionStrategy,
+    EllipsoidStrategy,
+]
+
+
+@pytest.mark.usefixtures("backend")
+class TestClassifyMatchesGeometryOracle:
+    @pytest.mark.parametrize("factory", STRATEGY_CLASSES)
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_random_block_empty_block_and_single_row(self, factory, dim):
+        rng = np.random.default_rng(100 * dim + STRATEGY_CLASSES.index(factory))
+        gaussian = Gaussian(rng.uniform(-5.0, 5.0, dim), random_spd(rng, dim))
+        query = ProbabilisticRangeQuery(gaussian, 1.0 + dim, 0.01)
+        strategy = prepared(factory, query)
+        reach = 0.6 * strategy.search_rect().extents
+        points = gaussian.mean + rng.uniform(-reach, reach, size=(600, dim))
+        codes = strategy.classify(points)
+        assert codes.dtype == np.int8
+        np.testing.assert_array_equal(
+            codes, oracle_codes(strategy, query, points)
+        )
+        assert len(set(codes.tolist())) > 1  # the block straddles the filter
+        np.testing.assert_array_equal(strategy.classify_many(points), codes)
+        assert strategy.classify(np.empty((0, dim))).shape == (0,)
+        # A single candidate may arrive as a bare 1-D row.
+        for row in points[:5]:
+            np.testing.assert_array_equal(
+                strategy.classify(row), oracle_codes(strategy, query, row)
+            )
+
+    def test_rr_on_every_face_and_rounded_corner(self):
+        # Centre at the origin: a face point has one non-zero gap and the
+        # 2-D corner arc two, so the kernel's row loop and the oracle's
+        # einsum do the same arithmetic, to the last bit.
+        query = ProbabilisticRangeQuery(
+            Gaussian([0.0, 0.0], np.diag([9.0, 4.0])), 2.5, 0.05
+        )
+        strategy = prepared(RectilinearStrategy, query)
+        core = strategy.region.core
+        faces = [
+            sign * (core.highs[axis] + query.delta) * np.eye(2)[axis]
+            for axis in range(2)
+            for sign in (-1.0, 1.0)
+        ]
+        angles = np.linspace(0.0, np.pi / 2.0, 9)
+        arc = core.highs + query.delta * np.column_stack(
+            [np.cos(angles), np.sin(angles)]
+        )
+        on = np.vstack([faces, arc, -arc, arc * [1, -1], arc * [-1, 1]])
+        for scale, expected in ((1.0 - 1e-9, UNKNOWN), (1.0 + 1e-9, REJECT)):
+            assert np.all(strategy.classify(on * scale) == expected)
+        np.testing.assert_array_equal(
+            strategy.classify(on), oracle_codes(strategy, query, on)
+        )
+        assert np.all(strategy.classify(np.array(faces)) == UNKNOWN)
+
+    def test_or_on_every_face(self):
+        # An axis-aligned Σ makes the eigenbasis a signed permutation, so
+        # the rotation is exact whatever order it is summed in.
+        query = ProbabilisticRangeQuery(
+            Gaussian([0.0, 0.0, 0.0], np.diag([9.0, 4.0, 1.0])), 2.5, 0.05
+        )
+        strategy = prepared(ObliqueStrategy, query)
+        box = strategy.box
+        on = np.vstack(
+            [sign * box.transform.to_world(np.diag(box.half_widths))
+             for sign in (-1.0, 1.0)]
+        )  # fmt: skip
+        assert np.all(strategy.classify(on) == UNKNOWN)
+        assert np.all(strategy.classify(on * (1.0 + 1e-9)) == REJECT)
+        np.testing.assert_array_equal(
+            strategy.classify(on), oracle_codes(strategy, query, on)
+        )
+
+    def test_bf_on_both_spheres(self):
+        root3 = np.sqrt(3.0)
+        sigma = 10.0 * np.array([[7.0, 2.0 * root3], [2.0 * root3, 3.0]])
+        query = ProbabilisticRangeQuery(Gaussian([0.0, 0.0], sigma), 25.0, 0.01)
+        strategy = prepared(BoundingFunctionStrategy, query)
+        axes = np.vstack([np.eye(2), -np.eye(2)])
+        for radius, on, beyond in (
+            (strategy.alpha_lower, ACCEPT, UNKNOWN),
+            (strategy.alpha_upper, UNKNOWN, REJECT),
+        ):
+            assert np.all(strategy.classify(radius * axes) == on)
+            assert np.all(strategy.classify(radius * (1.0 + 1e-9) * axes) == beyond)
+            np.testing.assert_array_equal(
+                strategy.classify(radius * axes),
+                oracle_codes(strategy, query, radius * axes),
+            )
+
+    def test_bf_without_inner_hole_and_proven_empty(self):
+        eigenvalues = np.concatenate([[100.0], np.full(8, 0.01)])
+        hollow = ProbabilisticRangeQuery(
+            Gaussian(np.zeros(9), np.diag(eigenvalues)), 0.7, 0.4
+        )
+        strategy = prepared(BoundingFunctionStrategy, hollow)
+        assert strategy.alpha_lower is None
+        points = np.random.default_rng(5).normal(0.0, 12.0, size=(300, 9))
+        codes = strategy.classify(points)
+        np.testing.assert_array_equal(
+            codes, oracle_codes(strategy, hollow, points)
+        )
+        assert set(codes.tolist()) == {REJECT, UNKNOWN}
+        hopeless = ProbabilisticRangeQuery(
+            Gaussian.isotropic([0.0, 0.0], 100.0), 0.1, 0.9
+        )
+        strategy = prepared(BoundingFunctionStrategy, hopeless)
+        assert strategy.alpha_upper is None
+        assert strategy.classify(np.zeros((4, 2))).tolist() == [REJECT] * 4
+        assert strategy.classify(np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("mode", ["off", "paper"])
+    def test_rr_fringe_modes_skip_the_kernel_at_d3(self, mode, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("fringe filter is disabled at d = 3")
+
+        monkeypatch.setattr(kernels, "minkowski_contains", forbidden)
+        query = ProbabilisticRangeQuery(
+            Gaussian(np.zeros(3), np.diag([9.0, 4.0, 1.0])), 2.0, 0.05
+        )
+        strategy = prepared(
+            lambda: RectilinearStrategy(fringe_filter=mode), query
+        )
+        points = np.random.default_rng(3).uniform(-40, 40, size=(50, 3))
+        for block in (points, points[0], np.empty((0, 3))):
+            codes = strategy.classify(block)
+            assert codes.dtype == np.int8
+            assert codes.tolist() == [UNKNOWN] * np.atleast_2d(block).shape[0]

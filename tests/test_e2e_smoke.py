@@ -12,8 +12,23 @@ e2e_smoke = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(e2e_smoke)
 
 
+#: Traced readings of the cascade spans (prq_cascade_9d, seed 0, 10 s).
+CASCADE = {
+    "integrate.decide_s": 3.50,
+    "kernels.chi2_sandwich_block_s": 1.34,
+    "kernels.ruben_block_s": 1.76,
+    "kernels.squared_distance_noncentralities_s": 0.13,
+    "kernels.chi2_sandwich_block_ns_per_row": 1394.0,
+    "kernels.ruben_block_ns_per_row": 2755.0,
+}
+
+
 def result_line(**metrics) -> dict:
-    values = {"trace.unresolved_targets": 0, "index.range_search_calls": 212}
+    values = {
+        "trace.unresolved_targets": 0,
+        "index.range_search_calls": 212,
+        **CASCADE,
+    }
     values.update(metrics)
     return {
         "correct": True,
@@ -36,7 +51,15 @@ def test_each_guard_fires():
     for calls in (0, None):
         found = e2e_smoke.problems(result_line(**{"index.range_search_calls": calls}))
         assert len(found) == 1 and "Phase-1 span" in found[0]
-    assert len(e2e_smoke.problems({})) == 4
+    # The stage walks one object per candidate again: 0.40 of decide_s
+    # lies outside the 3.23 s of kernels (as before the block hand-over),
+    # or the span is gone and the share has no base.
+    for decide in (5.40, None):
+        (problem,) = e2e_smoke.problems(
+            result_line(**{"integrate.decide_s": decide})
+        )
+        assert "per-candidate objects" in problem
+    assert len(e2e_smoke.problems({})) == 6
 
 
 def test_tier3_guards_apply_to_prq_cascade_2d_only():
@@ -51,23 +74,29 @@ def test_tier3_guards_apply_to_prq_cascade_2d_only():
         assert "imhof_share" in problem
     (problem,) = found(**{**healthy, "gaussian.imhof_calls": 893})
     assert "scalar imhof_cdf loop" in problem
-    assert len(e2e_smoke.problems({}, "prq_cascade_2d")) == 6
+    assert len(e2e_smoke.problems({}, "prq_cascade_2d")) == 7
     # prq_cascade_9d never reaches Tier 3: the guards stay off.
     assert e2e_smoke.problems(result_line(**{"gaussian.imhof_calls": 7})) == []
 
 
 def test_tier2_share_guard_applies_to_both_cascade_workloads():
-    slow = {"kernels.ruben_block_s": 3.0, "integrate.decide_s": 5.0}
-    fast = {"kernels.ruben_block_s": 0.9, "integrate.decide_s": 3.0}
+    ruben, sandwich = (
+        "kernels.ruben_block_ns_per_row",
+        "kernels.chi2_sandwich_block_ns_per_row",
+    )
+    # Per row, with and without the O(K^2) convolution (9-D, then 2-D).
+    slow = {ruben: 9000.0, sandwich: 1440.0}
+    fast = {ruben: 966.0, sandwich: 700.0}
     tier3 = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
     for workload, extra in (("prq_cascade_9d", {}), ("prq_cascade_2d", tier3)):
         assert e2e_smoke.problems(result_line(**fast, **extra), workload) == []
         (problem,) = e2e_smoke.problems(result_line(**slow, **extra), workload)
-        assert "ruben_block_s" in problem and "O(d)" in problem
-        # Tier 2 timed but the cascade span gone: the ratio has no base.
-        (problem,) = e2e_smoke.problems(
-            result_line(**{"kernels.ruben_block_s": 0.9}, **extra), workload
-        )
-        assert "ruben_block_s" in problem
+        assert "ruben_block_ns_per_row" in problem and "O(d)" in problem
+        # Either kernel span gone: the ratio has no base.
+        for missing in (ruben, sandwich):
+            (problem,) = e2e_smoke.problems(
+                result_line(**{missing: None}, **extra), workload
+            )
+            assert "ruben_block_ns_per_row" in problem and "O(d)" in problem
     # serve_uniform also runs Tier 2, but carries no guard.
     assert e2e_smoke.problems(result_line(**slow), "serve_uniform") == []

@@ -271,6 +271,38 @@ class TestMixedKindExecution:
             for a, b in zip(baseline, batch):
                 assert list(a.ids) == list(b.ids)
 
+    def test_decision_tally_accounts_for_every_integration(self):
+        """Phase 3 hands over a per-method tally and a sample total."""
+        db = kinded_db()
+        queries = mixed_kind_queries()
+        # RR never free-accepts, so every kind leaves Phase 3 real work.
+        engine = db.engine(strategies="rr", integrator=CascadeIntegrator())
+        baseline = engine.run_batch(queries, workers=1, base_seed=11)
+        labels = {
+            "prq": {"cascade-sandwich", "cascade-ruben", "cascade-imhof"},
+            "uncertain": {"cascade-sandwich", "cascade-ruben", "cascade-imhof"},
+            "mixture": {"mixture(cascade)"},
+            "knn": {"knn-cut", "knn-mc"},
+        }
+        for query, result in zip(queries, baseline):
+            stats, kind = result.stats, query_kind(query)
+            assert stats.integrations > 0, kind
+            assert sum(stats.tier_decisions.values()) == stats.integrations
+            assert set(stats.tier_decisions) <= labels[kind]
+            if kind == "knn":
+                competitors = stats.tier_decisions["knn-mc"]
+                assert competitors > 0
+                assert stats.integration_samples == query.n_samples * competitors
+            else:
+                assert stats.integration_samples == 0
+        batch = engine.run_batch(queries, workers=3, base_seed=11)
+        for a, b in zip(baseline, batch):
+            assert a.ids == b.ids
+            assert a.stats.tier_decisions == b.stats.tier_decisions
+            for name in ("integrations", "integration_samples", "retrieved",
+                         "rejected_by_filter", "accepted_without_integration"):  # fmt: skip
+                assert getattr(a.stats, name) == getattr(b.stats, name), name
+
     def test_every_kind_executes_through_pipeline(self):
         """Each kind reports stage timings — proof it ran execute_pipeline."""
         db = kinded_db()

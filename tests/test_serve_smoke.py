@@ -1,7 +1,9 @@
-"""The CI ``serve-smoke`` / ``monitor-smoke`` logic (``benchmarks/serve_smoke.py``).
+"""The CI ``serve-smoke`` / ``monitor-smoke`` / ``query-kinds-smoke`` logic
+(``benchmarks/serve_smoke.py``).
 
-A shrunken request file goes through ``repro.cli.main(["serve", ...])`` and
-the same checkers CI runs; canned edits show each guard firing.
+A shrunken run (fewer requests; for the kinds workload the CI request file
+against the shrunken store) goes through ``repro.cli.main(["serve", ...])``
+and the same checkers CI runs; canned edits show each guard firing.
 """
 
 from __future__ import annotations
@@ -89,3 +91,38 @@ def test_monitor_smoke_passes_and_each_guard_fires(store, capsys):
     )
     note = f"note-{degraded['subscription_id']}"
     assert any("stale" in p for p in problems(edited(note, stale=False)))
+
+
+def test_kinds_smoke_passes_and_each_guard_fires(store, capsys):
+    batch_file = store.parent / "kinds-batch.json"
+    request_file = store.parent / "kinds-requests.jsonl"
+    response_file = store.parent / "kinds-responses.jsonl"
+    generate = ["generate", "kinds", str(batch_file), str(request_file)]
+    assert serve_smoke.main(generate) == 0
+    specs = json.loads(batch_file.read_text())
+    assert specs == serve_smoke.kinds_specs()
+    assert [s["kind"] for s in specs[:4]] == list(serve_smoke.KINDS)
+    requests = [json.loads(line) for line in request_file.read_text().splitlines()]
+    assert requests == [dict(spec, id=i) for i, spec in enumerate(specs)]
+
+    rows, _, _ = serve(
+        store, requests, capsys, "--integrator", "cascade",
+        "--target-sigma-scale", "40", "--max-batch", "8", "--window-ms", "5",
+    )  # fmt: skip
+    response_file.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert serve_smoke.main(["check", "kinds", "--responses", str(response_file)]) == 0
+    assert "kinds smoke OK: 12 responses" in capsys.readouterr().out
+
+    def edited(keep, **fields):
+        return [{**r, **fields} if keep(i) else r for i, r in enumerate(rows)]
+
+    assert any("got 11" in p for p in serve_smoke.check_kinds(rows[:-1]))
+    failed = serve_smoke.check_kinds(edited(lambda i: i == 0, status="failed"))
+    assert "unhandled failure" in failed
+    (problem,) = serve_smoke.check_kinds(edited(lambda i: i == 5, status="degraded"))
+    assert "answered ok" in problem
+    for offset, kind in enumerate(serve_smoke.KINDS):
+        (problem,) = serve_smoke.check_kinds(edited(lambda i: i % 4 == offset, ids=[]))
+        assert problem == f"every {kind} response empty"
+    response_file.write_text(json.dumps({**rows[0], "status": "failed"}) + "\n")
+    assert serve_smoke.main(["check", "kinds", "--responses", str(response_file)]) == 1
