@@ -1,14 +1,16 @@
-"""CI smokes over ``repro serve``: request generators and response checkers.
+"""CI smokes over the ``repro`` CLI: input generators and output checkers.
 
 The ``serve-smoke``, ``monitor-smoke`` and ``query-kinds-smoke`` jobs write
 a request file, pipe it through ``python -m repro serve`` and check what
-came back:
+came back; the shard and load jobs borrow a generator and a checker:
 
     python benchmarks/serve_smoke.py generate serve|monitor REQUESTS
     python benchmarks/serve_smoke.py generate kinds BATCH REQUESTS
+    python benchmarks/serve_smoke.py generate shard-batch BATCH
     python benchmarks/serve_smoke.py check serve|monitor --requests R \
         --responses OUT --summary ERR --metrics M [--database DB]
     python benchmarks/serve_smoke.py check kinds --responses OUT
+    python benchmarks/serve_smoke.py check load --report CAPACITY.json
 
 ``serve`` is 50 mixed-deadline PRQs: every request answered with one of
 the five typed statuses, none failed, at least one micro-batch coalesced.
@@ -21,6 +23,10 @@ integrator, and staleness flagged on notify.  ``kinds`` is one workload
 cycling through the four query kinds, written twice: as a ``repro query
 --batch`` file and as the same specs in serve request lines; every line
 comes back ``ok`` and every kind qualifies at least one object.
+``shard-batch`` is the 12-query ``repro query --batch`` file the shard job
+runs at one and at four shards; ``load`` reads a ``repro load --sweep``
+capacity report: five statuses per step summing to the injected count,
+none failed, a saturated knee, shedding somewhere on the ladder.
 """
 
 from __future__ import annotations
@@ -105,6 +111,20 @@ def kinds_specs() -> list[dict]:
             spec["delta"] = 60.0
         specs.append(spec)
     return specs
+
+
+def shard_batch_specs(n: int = 12) -> list[dict]:
+    """``n`` PRQ specs for the one-shard vs four-shard CLI parity run."""
+    rng = random.Random(17)
+    return [
+        {
+            "center": [rng.uniform(100, 900), rng.uniform(100, 900)],
+            "sigma_scale": rng.choice([5.0, 20.0]),
+            "delta": rng.choice([10.0, 25.0]),
+            "theta": rng.choice([0.05, 0.2]),
+        }
+        for _ in range(n)
+    ]
 
 
 def _stderr_json(stderr: str, prefix: str) -> dict:
@@ -229,21 +249,66 @@ def check_kinds(rows: list[dict]) -> list[str]:
     return found
 
 
+def check_load(report: dict) -> list[str]:
+    """What is wrong with one ``repro load --sweep`` capacity report."""
+    found = []
+    for i, step in enumerate(report["steps"]):
+        statuses = step["statuses"]
+        if set(statuses) != STATUSES:
+            found.append(f"step {i}: statuses are {sorted(statuses)}")
+        elif sum(statuses.values()) != step["injected"]:
+            found.append(f"step {i}: statuses do not sum to {step['injected']}")
+        elif statuses["failed"] != 0:
+            found.append(f"step {i}: {statuses['failed']} failed")
+    knee = report["knee"]
+    if not knee["saturated"]:
+        found.append(f"knee not saturated: {knee}")
+    if knee["knee_qps"] is None:
+        found.append("no knee_qps")
+    if not any(s["statuses"].get("overloaded", 0) > 0 for s in report["steps"]):
+        found.append("sweep never shed")
+    return found
+
+
 def _read_jsonl(path: str) -> list[dict]:
     return [json.loads(line) for line in Path(path).read_text().splitlines()]
+
+
+def _check_responses(parser, args, responses: list[dict]) -> list[str]:
+    """Run the serve / monitor / kinds checker over one response file."""
+    if args.smoke == "kinds":
+        return check_kinds(responses)
+    if not (args.requests and args.summary and args.metrics):
+        parser.error("check needs --requests, --summary and --metrics")
+    if args.smoke == "monitor" and not args.database:
+        parser.error("check monitor needs --database")
+    observed = (
+        _read_jsonl(args.requests),
+        responses,
+        Path(args.summary).read_text(),
+        Path(args.metrics).read_text(),
+    )
+    if args.smoke == "serve":
+        return check_serve(*observed)
+    from repro import SpatialDatabase
+
+    return check_monitor(*observed, SpatialDatabase.load(args.database))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
     generate = commands.add_parser("generate")
-    generate.add_argument("smoke", choices=("serve", "monitor", "kinds"))
+    generate.add_argument(
+        "smoke", choices=("serve", "monitor", "kinds", "shard-batch")
+    )
     generate.add_argument(
         "paths", nargs="+", metavar="FILE", help="REQUESTS (kinds: BATCH REQUESTS)"
     )
     check = commands.add_parser("check")
-    check.add_argument("smoke", choices=("serve", "monitor", "kinds"))
-    check.add_argument("--responses", required=True)
+    check.add_argument("smoke", choices=("serve", "monitor", "kinds", "load"))
+    check.add_argument("--responses", help="all but load")
+    check.add_argument("--report", help="the capacity report (load only)")
     for flag in ("--requests", "--summary", "--metrics"):
         check.add_argument(flag, help="serve and monitor only")
     check.add_argument("--database", help="the store served (monitor only)")
@@ -251,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "generate":
         if len(args.paths) != (2 if args.smoke == "kinds" else 1):
             parser.error(f"generate {args.smoke}: wrong number of files")
+        if args.smoke == "shard-batch":
+            Path(args.paths[0]).write_text(json.dumps(shard_batch_specs()))
+            return 0
         if args.smoke == "kinds":
             specs = kinds_specs()
             Path(args.paths[0]).write_text(json.dumps(specs))
@@ -259,30 +327,21 @@ def main(argv: list[str] | None = None) -> int:
             rows = serve_requests() if args.smoke == "serve" else monitor_storm()
         Path(args.paths[-1]).write_text("".join(json.dumps(r) + "\n" for r in rows))
         return 0
-    responses = _read_jsonl(args.responses)
-    if args.smoke == "kinds":
-        found = check_kinds(responses)
+    if args.smoke == "load":
+        if not args.report:
+            parser.error("check load needs --report")
+        report = json.loads(Path(args.report).read_text())
+        found, passed = check_load(report), f"OK: {report['knee']}"
     else:
-        if not (args.requests and args.summary and args.metrics):
-            parser.error("check needs --requests, --summary and --metrics")
-        if args.smoke == "monitor" and not args.database:
-            parser.error("check monitor needs --database")
-        observed = (
-            _read_jsonl(args.requests),
-            responses,
-            Path(args.summary).read_text(),
-            Path(args.metrics).read_text(),
-        )
-        if args.smoke == "serve":
-            found = check_serve(*observed)
-        else:
-            from repro import SpatialDatabase
-
-            found = check_monitor(*observed, SpatialDatabase.load(args.database))
+        if not args.responses:
+            parser.error(f"check {args.smoke} needs --responses")
+        responses = _read_jsonl(args.responses)
+        found = _check_responses(parser, args, responses)
+        passed = f"OK: {len(responses)} responses checked"
     for problem in found:
         print(f"{args.smoke} smoke: {problem}")
     if not found:
-        print(f"{args.smoke} smoke OK: {len(responses)} responses checked")
+        print(f"{args.smoke} smoke {passed}")
     return 1 if found else 0
 
 

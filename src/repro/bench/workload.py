@@ -131,7 +131,7 @@ class WorkloadReport:
     tier_decisions: dict[str, int] = field(default_factory=dict)
     phase_totals: dict[str, float] = field(default_factory=dict)
     #: Per-query planner decisions (input order): strategy combo chosen,
-    #: phase-1 mode, plan-cache hit, and predicted vs actual Phase-3
+    #: plan-cache hit, and predicted vs actual Phase-3
     #: candidate counts.  Empty when the engine has no planner attached.
     plans: list[dict] = field(default_factory=list)
     #: End-to-end batch wall time; None on the legacy per-query path,
@@ -185,7 +185,6 @@ def _record_plan(report: WorkloadReport, stats) -> None:
     report.plans.append(
         {
             "strategies": "+".join(stats.plan_strategies),
-            "phase1": stats.plan_phase1,
             "cache_hit": bool(stats.plan_cache_hit),
             "predicted_phase3": stats.predicted_integrations,
             "actual_phase3": stats.integrations,

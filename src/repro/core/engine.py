@@ -19,9 +19,9 @@ The engine is strategy-agnostic: the paper's six configurations are just
 different strategy lists (see :func:`repro.core.strategies.make_strategies`).
 With a :class:`repro.core.planner.QueryPlanner` attached (the
 ``strategy="auto"`` path), the engine instead plans each query
-individually: the planner scores every candidate (strategy combo ×
-phase-1 mode × integrator) on its cost model and the engine executes the
-cheapest plan, recording predictions into :class:`QueryStats`.
+individually: the planner scores one plan per strategy combo on its cost
+model and the engine executes the cheapest (always over the intersected
+Phase-1 rectangle), recording predictions into :class:`QueryStats`.
 
 Beyond single-query :meth:`QueryEngine.execute`, the engine offers a
 batched path — :meth:`QueryEngine.run` (sequential) and
@@ -56,13 +56,17 @@ from repro.core.stages import (
     phase1_rect,
 )
 from repro.core.stats import BatchStats, QueryStats
-from repro.core.strategies import STRATEGY_COMBINATIONS, Strategy
+from repro.core.strategies import (
+    STRATEGY_COMBINATIONS,
+    Strategy,
+    make_strategies,
+)
 from repro.errors import QueryError, ReproError
 from repro.geometry.mbr import Rect
 from repro.index.base import SpatialIndex
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.importance import ImportanceSamplingIntegrator
-from repro.obs import Observability
+from repro.obs import Observability, span_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.planner import PlanChoice, PlanDecision, QueryPlanner
@@ -202,13 +206,13 @@ class QueryPlan:
         if self.comparison:
             lines.append("plans considered (cost model, cheapest first):")
             lines.append(
-                f"    {'strategies':<12} {'phase1':<10} "
+                f"    {'strategies':<12} "
                 f"{'retrieved':>9} {'phase3':>7} {'cost ms':>8}"
             )
             for choice in self.comparison:
                 marker = "  * " if choice is self.comparison[0] else "    "
                 lines.append(
-                    f"{marker}{choice.strategies:<12} {choice.phase1:<10} "
+                    f"{marker}{choice.strategies:<12} "
                     f"{choice.predicted_retrieved:>9.1f} "
                     f"{choice.predicted_candidates:>7.1f} "
                     f"{choice.predicted_seconds * 1e3:>8.2f}"
@@ -234,9 +238,9 @@ class QueryEngine:
     planner:
         Optional :class:`repro.core.planner.QueryPlanner`.  When present,
         every executed query is planned individually — the planner picks
-        the cheapest (strategy combo × phase-1 mode × integrator) under
-        its cost model — and the predictions are recorded in the query's
-        :class:`QueryStats`.
+        the cheapest strategy combo under its cost model, run with the
+        ``"intersect"`` Phase 1 whatever ``phase1`` says — and the
+        predictions are recorded in the query's :class:`QueryStats`.
     obs:
         Optional :class:`repro.obs.Observability`.  When present, every
         execution emits hierarchical spans (query → phase → integrator
@@ -281,7 +285,10 @@ class QueryEngine:
         #: strategy's rectangle; ``"primary"`` searches only the first
         #: strategy's rectangle, exactly as the paper's Algorithms 1 and 2
         #: do (the remaining strategies act purely as Phase-2 filters).
-        self.phase1 = phase1
+        #: A planned engine always intersects: that is the only Phase 1
+        #: the planner scores, since "primary" retrieves a superset at the
+        #: same Phase-2/3 cost.
+        self.phase1 = phase1 if planner is None else "intersect"
         self.planner = planner
         self.obs = obs
         self.targets = targets
@@ -378,24 +385,16 @@ class QueryEngine:
                 error = self._typed_failure(i, exc, return_errors)
                 return QueryResult((), QueryStats(), error=error)
 
-        batch_span = (
-            obs.span("batch", queries=len(queries), workers=workers)
-            if obs is not None
-            else None
-        )
         start = time.perf_counter()
         pairs = [(i, q, s) for i, (q, s) in enumerate(zip(queries, seeds))]
-        if batch_span is not None:
-            batch_span.__enter__()
-        try:
+        with span_of(
+            obs, "batch", queries=len(queries), workers=workers
+        ) as batch_span:
             if workers == 1 or len(queries) <= 1:
                 results = [task(pair) for pair in pairs]
             else:
                 with ThreadPoolExecutor(max_workers=workers) as pool:
                     results = list(pool.map(task, pairs))
-        finally:
-            if batch_span is not None:
-                batch_span.__exit__(None, None, None)
         wall = time.perf_counter() - start
 
         batch = BatchStats(workers=workers, wall_seconds=wall)
@@ -404,10 +403,7 @@ class QueryEngine:
             batch.failed += result.failed
         if obs is not None:
             for child in children:
-                obs.absorb(
-                    child,
-                    parent=batch_span.span if batch_span is not None else None,
-                )
+                obs.absorb(child, parent=batch_span.span)
             obs.record_batch(batch)
             if self.planner is not None:
                 self.planner.publish_metrics(obs)
@@ -447,60 +443,48 @@ class QueryEngine:
     ) -> QueryResult:
         obs = obs if obs is not None else self.obs
         stats = QueryStats()
-        phase1 = self.phase1
-        query_span = (
-            obs.span("query", delta=query.delta, theta=query.theta)
-            if obs is not None
-            else None
-        )
-        if query_span is not None:
-            query_span.__enter__()
-        try:
-            if self.planner is not None:
-                with stats.time_phase("plan"):
-                    plan_span = (
-                        obs.span("phase:plan") if obs is not None else None
-                    )
-                    if plan_span is not None:
-                        plan_span.__enter__()
-                    try:
-                        strategies, integrator, decision = self._apply_plan(
-                            query, strategies, integrator, stats, seed
-                        )
-                        phase1 = decision.chosen.phase1
-                    finally:
-                        if plan_span is not None:
+        with span_of(
+            obs, "query", delta=query.delta, theta=query.theta
+        ) as query_span:
+            try:
+                if self.planner is not None:
+                    with stats.time_phase("plan"), span_of(
+                        obs, "phase:plan"
+                    ) as plan_span:
+                        try:
+                            strategies, _ = self._apply_plan(
+                                query, strategies, integrator, stats
+                            )
+                        finally:
                             plan_span.annotate(
                                 strategies="+".join(
                                     stats.plan_strategies or ()
                                 ),
-                                phase1=stats.plan_phase1,
                                 cache_hit=bool(stats.plan_cache_hit),
                             )
-                            plan_span.__exit__(None, None, None)
-            strategies, integrator = adapt_pipeline(
-                query,
-                strategies,
-                integrator,
-                index=self.index,
-                targets=self.targets,
-                seed=seed,
-            )
-            ctx = StageContext(query, strategies, integrator, stats, obs=obs)
-            stages = [
-                SearchStage(self.index, phase1=phase1),
-                FilterStage(),
-                IntegrateStage(),
-            ]
-            ids = execute_pipeline(ctx, stages)
-        finally:
-            if query_span is not None:
+                strategies, integrator = adapt_pipeline(
+                    query,
+                    strategies,
+                    integrator,
+                    index=self.index,
+                    targets=self.targets,
+                    seed=seed,
+                )
+                ctx = StageContext(
+                    query, strategies, integrator, stats, obs=obs
+                )
+                stages = [
+                    SearchStage(self.index, phase1=self.phase1),
+                    FilterStage(),
+                    IntegrateStage(),
+                ]
+                ids = execute_pipeline(ctx, stages)
+            finally:
                 query_span.annotate(
                     retrieved=stats.retrieved,
                     integrations=stats.integrations,
                     results=stats.results,
                 )
-                query_span.__exit__(None, None, None)
         if obs is not None:
             obs.record_query(stats)
         return QueryResult(ids, stats)
@@ -511,10 +495,9 @@ class QueryEngine:
         strategies: list[Strategy],
         integrator: ProbabilityIntegrator,
         stats: QueryStats,
-        seed: np.random.SeedSequence | None,
-    ) -> tuple[list[Strategy], ProbabilityIntegrator, "PlanDecision"]:
-        """Plan ``query`` and materialize the chosen stages; the decision
-        is returned for its Phase-1 mode and (``explain``) its comparison.
+    ) -> tuple[list[Strategy], "PlanDecision"]:
+        """Plan ``query`` and materialize the chosen strategies; the
+        decision is returned for ``explain``'s comparison table.
 
         Kind-specific plans carry the kind name (not a strategy combo) as
         their spec; the base strategies pass through untouched and
@@ -523,17 +506,12 @@ class QueryEngine:
         decision = self.planner.plan(query, integrator)
         chosen = decision.chosen
         if chosen.strategies in STRATEGY_COMBINATIONS:
-            strategies = self.planner.build_strategies(chosen.strategies)
-        if chosen.integrator != integrator.name:
-            picked = self.planner.integrator_for(chosen.integrator)
-            if picked is not None:
-                integrator = picked.fork(seed) if seed is not None else picked
+            strategies = make_strategies(chosen.strategies)
         stats.plan_strategies = chosen.strategy_names
-        stats.plan_phase1 = chosen.phase1
         stats.plan_cache_hit = decision.cache_hit
         stats.predicted_integrations = chosen.predicted_candidates
         stats.predicted_seconds = chosen.predicted_seconds
-        return strategies, integrator, decision
+        return strategies, decision
 
     def explain(
         self, query: ProbabilisticRangeQuery, *, estimator=None
@@ -550,16 +528,14 @@ class QueryEngine:
         """
         stats = QueryStats()
         strategies = self.strategies
-        phase1 = self.phase1
         predicted = None
         predicted_seconds = None
         comparison: tuple = ()
         planned = False
         if self.planner is not None:
-            strategies, _, decision = self._apply_plan(
-                query, strategies, self.integrator, stats, None
+            strategies, decision = self._apply_plan(
+                query, strategies, self.integrator, stats
             )
-            phase1 = decision.chosen.phase1
             predicted = decision.chosen.predicted_candidates
             predicted_seconds = decision.chosen.predicted_seconds
             comparison = decision.considered
@@ -572,7 +548,7 @@ class QueryEngine:
             targets=self.targets,
         )
         rect = phase1_rect(
-            query, strategies, stats, dim=self.index.dim, phase1=phase1
+            query, strategies, stats, dim=self.index.dim, phase1=self.phase1
         )
         descriptions: list[str] = []
         alpha_upper = alpha_lower = None
@@ -631,7 +607,7 @@ class QueryEngine:
             search_rect=rect,
             proves_empty=stats.empty_by_strategy,
             predicted_candidates=predicted,
-            phase1=phase1,
+            phase1=self.phase1,
             alpha_upper=alpha_upper,
             alpha_lower=alpha_lower,
             predicted_seconds=predicted_seconds,

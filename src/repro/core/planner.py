@@ -6,13 +6,17 @@ the right combination depends on the query's shape (Σ), range (δ) and
 threshold (θ).  ``QueryPlanner`` picks the cheapest plan per query
 instead of trusting the caller:
 
-1. **Enumerate** candidate plans — every (strategy combo × Phase-1 mode ×
-   integrator) from its configured menus.
+1. **Enumerate** one candidate plan per strategy combo of its menu.  Each
+   runs Phase 1 over the *intersection* of its strategies' rectangles:
+   the ``"primary"`` twin (first rectangle only, the paper's literal
+   Algorithms 1/2) retrieves a superset at the same Phase-2/3 cost, so
+   under non-negative cost coefficients it can tie but never win, and is
+   not scored.
 2. **Predict** each plan's workload: expected Phase-1 retrievals from a
-   :class:`repro.core.selectivity.SelectivityEstimator` (uniform-density
-   fallback above d = 3) and expected Phase-3 candidates from the
-   strategies' own prepared regions (BF's catalog-derived α∥/α⊥ radii,
-   RR/OR boxes).
+   :class:`repro.core.selectivity.SelectivityEstimator`
+   (:class:`~repro.core.selectivity.UniformDensity` above d = 3) and
+   expected Phase-3 candidates from the strategies' own prepared regions
+   (BF's α∥/α⊥ radii, RR/OR boxes).
 3. **Score** with calibrated per-strategy and per-integrator cost
    coefficients (:class:`PlannerCostModel`,
    ``ProbabilityIntegrator.cost_per_candidate``) and pick the minimum.
@@ -48,9 +52,13 @@ import numpy as np
 
 from repro.core.kinds import query_kind
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.selectivity import SelectivityEstimator
+from repro.core.selectivity import (
+    SelectivityEstimator,
+    UniformDensity,
+    undecided_mass,
+)
 from repro.core.stages import combined_search_rect
-from repro.core.strategies import UNKNOWN, Strategy, make_strategies
+from repro.core.strategies import Strategy, make_strategies
 from repro.errors import QueryError
 from repro.gaussian.convolve import conservative_reach_alpha
 from repro.gaussian.distribution import Gaussian
@@ -64,19 +72,25 @@ __all__ = [
     "QueryPlanner",
     "quantize_log",
     "quantized_shape_key",
+    "SHAPE_BINS_PER_EFOLD",
 ]
 
+#: Resolution of the shape key: each of log λᵢ, log δ and log θ is rounded
+#: to 1/4 e-fold.  One value for the plan cache and the serving layer's
+#: result cache, whose buckets are documented as the planner's shapes.
+SHAPE_BINS_PER_EFOLD = 4
 
-def quantize_log(value: float, bins_per_efold: int) -> int:
-    """Quantize a positive scalar onto a log grid (``bins_per_efold``
-    bins per e-fold) — the planner's cache-key scheme, exposed for reuse
-    (the serving layer's result cache keys with the same scheme)."""
-    return round(math.log(max(value, 1e-300)) * bins_per_efold)
+#: Monte Carlo budget of one candidate-count prediction (planning-time
+#: only; executed results never depend on it).
+PLAN_SAMPLES = 4_000
 
 
-def quantized_shape_key(
-    query: ProbabilisticRangeQuery, bins_per_efold: int
-) -> tuple:
+def quantize_log(value: float) -> int:
+    """Quantize a positive scalar onto the shape key's log grid."""
+    return round(math.log(max(value, 1e-300)) * SHAPE_BINS_PER_EFOLD)
+
+
+def quantized_shape_key(query: ProbabilisticRangeQuery) -> tuple:
     """The quantized (dim, Σ-spectrum, δ, θ) shape of a query.
 
     Two queries share a shape key iff their covariance spectra, ranges
@@ -85,14 +99,13 @@ def quantized_shape_key(
     result cache groups entries by.
     """
     spectrum = tuple(
-        quantize_log(ev, bins_per_efold)
-        for ev in np.sort(query.gaussian.eigenvalues)
+        quantize_log(ev) for ev in np.sort(query.gaussian.eigenvalues)
     )
     return (
         query.dim,
         spectrum,
-        quantize_log(query.delta, bins_per_efold),
-        quantize_log(query.theta, bins_per_efold),
+        quantize_log(query.delta),
+        quantize_log(query.theta),
     )
 
 #: Strategy combinations the planner enumerates by default — the paper's
@@ -165,10 +178,6 @@ class PlanChoice:
     strategies: str
     #: The individual strategy names, execution order.
     strategy_names: tuple[str, ...]
-    #: Phase-1 policy: ``"intersect"`` or ``"primary"``.
-    phase1: str
-    #: Name of the Phase-3 integrator this plan assumes.
-    integrator: str
     #: Predicted Phase-1 retrievals.
     predicted_retrieved: float
     #: Predicted Phase-3 candidates (after all filters).
@@ -191,7 +200,8 @@ class PlanDecision:
 
 
 class QueryPlanner:
-    """Chooses the cheapest (strategies × phase-1 × integrator) per query.
+    """Chooses the cheapest strategy combination per query; the caller's
+    integrator and the ``"intersect"`` Phase 1 are never second-guessed.
 
     Parameters
     ----------
@@ -205,27 +215,10 @@ class QueryPlanner:
         planner assumes uniform density inside ``data_bounds``.
     combos:
         Strategy spec strings to enumerate.
-    phase1_modes:
-        Phase-1 policies to enumerate (both paper modes by default).
-    integrators:
-        Optional menu of alternative Phase-3 integrators to enumerate in
-        addition to the caller's own.  Off by default so the planner
-        never silently changes the caller's accuracy contract.
     cost_model:
         Replacement :class:`PlannerCostModel` coefficients.
     cache_size:
         LRU plan-cache capacity (distinct quantized workload shapes).
-    bins_per_efold:
-        Quantization resolution of the cache key: each of log λᵢ, log δ
-        and log θ is rounded to 1/``bins_per_efold`` — coarser bins mean
-        more cache reuse but blunter plans.
-    n_samples:
-        Monte Carlo budget per candidate-count prediction (planning-time
-        only; executed results never depend on it).
-    rtheta_lookup, bf_lookup, fringe_filter:
-        Forwarded to ``make_strategies`` for both planning and the
-        strategies the engine executes, so catalog-driven deployments
-        plan with the same conservative radii they run with.
     targets:
         Optional :class:`repro.core.kinds.TargetCovarianceTable`.  Lets
         uncertain-target plans predict the convolved Phase-1 reach from
@@ -240,46 +233,23 @@ class QueryPlanner:
         data_bounds: Rect,
         estimator: SelectivityEstimator | None = None,
         combos: Sequence[str] = DEFAULT_COMBOS,
-        phase1_modes: Sequence[str] = ("intersect", "primary"),
-        integrators: Sequence[ProbabilityIntegrator] | None = None,
         cost_model: PlannerCostModel | None = None,
         cache_size: int = 256,
-        bins_per_efold: int = 4,
-        n_samples: int = 4_000,
-        rtheta_lookup=None,
-        bf_lookup=None,
-        fringe_filter: str = "exact",
         targets=None,
     ):
         if total_points < 1:
             raise QueryError(f"total_points must be >= 1, got {total_points}")
         if not combos:
             raise QueryError("at least one strategy combo is required")
-        for mode in phase1_modes:
-            if mode not in ("intersect", "primary"):
-                raise QueryError(f"unknown phase1 mode {mode!r}")
-        if not phase1_modes:
-            raise QueryError("at least one phase1 mode is required")
         if cache_size < 1:
             raise QueryError(f"cache_size must be >= 1, got {cache_size}")
-        if bins_per_efold < 1:
-            raise QueryError(
-                f"bins_per_efold must be >= 1, got {bins_per_efold}"
-            )
-        if n_samples < 100:
-            raise QueryError(f"n_samples must be >= 100, got {n_samples}")
         self._total = int(total_points)
         self._bounds = data_bounds
+        if estimator is None:
+            estimator = UniformDensity(total_points, data_bounds)
         self._estimator = estimator
         self.combos = tuple(combos)
-        self.phase1_modes = tuple(phase1_modes)
-        self._integrators = {i.name: i for i in integrators or ()}
         self.cost_model = cost_model or PlannerCostModel()
-        self._bins = int(bins_per_efold)
-        self._n_samples = int(n_samples)
-        self._rtheta_lookup = rtheta_lookup
-        self._bf_lookup = bf_lookup
-        self._fringe_filter = fringe_filter
         self._targets = targets
         self._cache: OrderedDict[tuple, PlanDecision] = OrderedDict()
         self._cache_size = int(cache_size)
@@ -318,19 +288,6 @@ class QueryPlanner:
             while len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return decision
-
-    def build_strategies(self, spec: str) -> list[Strategy]:
-        """Fresh strategy instances for a chosen plan (engine-executable)."""
-        return make_strategies(
-            spec,
-            rtheta_lookup=self._rtheta_lookup,
-            bf_lookup=self._bf_lookup,
-            fringe_filter=self._fringe_filter,
-        )
-
-    def integrator_for(self, name: str) -> ProbabilityIntegrator | None:
-        """The menu integrator behind a plan's choice, if any."""
-        return self._integrators.get(name)
 
     def cache_info(self) -> dict[str, int]:
         """Plan-cache counters: hits, misses, current and maximum size."""
@@ -394,7 +351,7 @@ class QueryPlanner:
         covariance spectra (uncertain), the component count (mixture), or
         ``(k, n_samples)`` (k-NN).
         """
-        base = quantized_shape_key(query, self._bins) + (integrator.name,)
+        base = quantized_shape_key(query) + (integrator.name,)
         kind = query_kind(query)
         if kind == "prq":
             return base
@@ -402,7 +359,7 @@ class QueryPlanner:
             spectra: tuple = ()
             if self._targets is not None:
                 spectra = tuple(
-                    tuple(quantize_log(ev, self._bins) for ev in spectrum)
+                    tuple(quantize_log(ev) for ev in spectrum)
                     for spectrum in self._targets.spectra()
                 )
             return base + (kind, spectra)
@@ -412,8 +369,9 @@ class QueryPlanner:
             return base + (kind, query.k, query.n_samples)
         return base + (kind,)
 
-    def _dequantize(self, q: int) -> float:
-        return math.exp(q / self._bins)
+    @staticmethod
+    def _dequantize(q: int) -> float:
+        return math.exp(q / SHAPE_BINS_PER_EFOLD)
 
     def _generic_rotation(self, dim: int) -> np.ndarray:
         """A fixed, deterministic 'generic orientation' rotation per dim.
@@ -457,73 +415,7 @@ class QueryPlanner:
     # ------------------------------------------------------------------
 
     def _estimate_in_rect(self, rect: Rect | None) -> float:
-        if rect is None:
-            return 0.0
-        if self._estimator is not None:
-            return self._estimator.estimate_in_rect(rect)
-        clipped = rect.intersection(self._bounds)
-        if clipped is None:
-            return 0.0
-        bounds_volume = self._bounds.volume()
-        if bounds_volume <= 0.0:
-            return float(self._total)
-        return self._total * clipped.volume() / bounds_volume
-
-    def _shared_candidate_estimates(
-        self,
-        combo_strategies: Mapping[str, list[Strategy]],
-        combo_rects: Mapping[str, Rect | None],
-    ) -> dict[str, float]:
-        """Predicted Phase-3 candidates per combo from one shared sample set.
-
-        One uniform sample set over the union of every combo's Phase-1
-        rectangle, one ``classify_many`` pass per *distinct* strategy and
-        one density lookup serve all combos — common random numbers, so
-        the predicted ranking between combos is far more stable than
-        independent per-combo estimates (and ~|combos|× cheaper).
-
-        The filters reject everything outside their own regions, so each
-        combo's undecided region — hence its Phase-3 candidate count — is
-        the same for every Phase-1 mode; only the retrieved count differs.
-        """
-        rects = [rect for rect in combo_rects.values() if rect is not None]
-        estimates = {combo: 0.0 for combo in combo_rects}
-        if not rects:
-            return estimates
-        union = Rect(
-            np.min([rect.lows for rect in rects], axis=0),
-            np.max([rect.highs for rect in rects], axis=0),
-        )
-        rng = np.random.default_rng(0)
-        samples = (
-            union.lows + rng.random((self._n_samples, union.dim)) * union.extents
-        )
-        unknown: dict[str, np.ndarray] = {}
-        for combo, strategies in combo_strategies.items():
-            if combo_rects[combo] is None:
-                continue
-            for strategy in strategies:
-                if strategy.name not in unknown:
-                    unknown[strategy.name] = (
-                        strategy.classify_many(samples) == UNKNOWN
-                    )
-        if self._estimator is not None:
-            weights = self._estimator.density_at(samples)
-        else:
-            bounds_volume = self._bounds.volume()
-            density = self._total / bounds_volume if bounds_volume > 0 else 0.0
-            weights = np.where(
-                self._bounds.contains_points(samples), density, 0.0
-            )
-        cell = union.volume() / self._n_samples
-        for combo, rect in combo_rects.items():
-            if rect is None:
-                continue
-            mask = rect.contains_points(samples)
-            for strategy in combo_strategies[combo]:
-                mask &= unknown[strategy.name]
-            estimates[combo] = float(weights[mask].sum() * cell)
-        return estimates
+        return 0.0 if rect is None else self._estimator.estimate_in_rect(rect)
 
     def _fixed_kind_plan(
         self,
@@ -568,8 +460,6 @@ class QueryPlanner:
         choice = PlanChoice(
             strategies=kind,
             strategy_names=names,
-            phase1="intersect",
-            integrator=integrator.name,
             predicted_retrieved=retrieved,
             predicted_candidates=candidates,
             predicted_seconds=cost,
@@ -577,17 +467,13 @@ class QueryPlanner:
         return PlanDecision(chosen=choice, considered=(choice,), key=key)
 
     def _plan_key(
-        self, key: tuple, caller_integrator: ProbabilityIntegrator
+        self, key: tuple, integrator: ProbabilityIntegrator
     ) -> PlanDecision:
         kind = key[5] if len(key) > 5 else "prq"
         if kind == "uncertain":
-            return self._fixed_kind_plan(
-                key, kind, ("UT",), caller_integrator
-            )
+            return self._fixed_kind_plan(key, kind, ("UT",), integrator)
         if kind == "knn":
-            return self._fixed_kind_plan(
-                key, kind, ("KNN",), caller_integrator
-            )
+            return self._fixed_kind_plan(key, kind, ("KNN",), integrator)
         # Exact-target PRQs and mixtures share the combo menu: a mixture
         # is planned on its moment-matched envelope, and the chosen combo
         # becomes the per-component filter template inside
@@ -596,11 +482,6 @@ class QueryPlanner:
         # term below is charged that many times.
         components = key[6] if kind == "mixture" else 1
         canonical = self._canonical_query(key)
-        integrators = [caller_integrator] + [
-            i
-            for i in self._integrators.values()
-            if i.name != caller_integrator.name
-        ]
         # Combos share one prepared instance per strategy name: BF's α
         # root finds and RR/OR's r_θ lookups run once per cache key, not
         # once per combo.
@@ -608,67 +489,57 @@ class QueryPlanner:
         combo_strategies: dict[str, list[Strategy]] = {}
         for combo in self.combos:
             combo_strategies[combo] = [
-                pool.setdefault(s.name, s) for s in self.build_strategies(combo)
+                pool.setdefault(s.name, s) for s in make_strategies(combo)
             ]
         for strategy in pool.values():
             strategy.prepare(canonical)
-        combo_empty = {
-            combo: any(s.proves_empty for s in strategies)
-            for combo, strategies in combo_strategies.items()
-        }
         combo_rects = {
             combo: (
                 None
-                if combo_empty[combo]
-                else combined_search_rect(strategies, phase1="intersect")
+                if any(s.proves_empty for s in strategies)
+                else combined_search_rect(strategies)
             )
             for combo, strategies in combo_strategies.items()
         }
-        candidate_counts = self._shared_candidate_estimates(
-            combo_strategies, combo_rects
-        )
+        # The filters reject everything outside their own regions, so one
+        # sample set over the union of the live rectangles serves every
+        # combo; a combo proven empty has nothing left to integrate.
+        live = {
+            combo: combo_strategies[combo]
+            for combo, rect in combo_rects.items()
+            if rect is not None
+        }
+        candidate_counts = dict.fromkeys(self.combos, 0.0)
+        if live:
+            union = Rect.union_of(combo_rects[combo] for combo in live)
+            candidate_counts.update(
+                undecided_mass(
+                    self._estimator, live, union, n_samples=PLAN_SAMPLES
+                )
+            )
         choices: list[PlanChoice] = []
         for combo in self.combos:
-            strategies = combo_strategies[combo]
-            names = tuple(s.name for s in strategies)
+            names = tuple(s.name for s in combo_strategies[combo])
+            retrieved = self._estimate_in_rect(combo_rects[combo])
             candidates = candidate_counts[combo]
-            for mode in self.phase1_modes:
-                mode_rect = (
-                    combo_rects[combo]
-                    if mode == "intersect" or combo_empty[combo]
-                    else combined_search_rect(strategies, phase1=mode)
-                )
-                retrieved = self._estimate_in_rect(mode_rect)
-                for integrator in integrators:
-                    cost = (
-                        self.cost_model.search_base
-                        + self.cost_model.search_per_object * retrieved
-                        + components
-                        * self.cost_model.strategy_cost(names, retrieved)
-                        + integrator.cost_per_candidate * candidates
-                    )
-                    choices.append(
-                        PlanChoice(
-                            strategies=combo,
-                            strategy_names=names,
-                            phase1=mode,
-                            integrator=integrator.name,
-                            predicted_retrieved=retrieved,
-                            predicted_candidates=candidates,
-                            predicted_seconds=cost,
-                        )
-                    )
-        # Deterministic ordering: cost, then menu order, so ties never
-        # depend on dict iteration or float noise across processes.
-        order = {combo: i for i, combo in enumerate(self.combos)}
-        modes = {mode: i for i, mode in enumerate(self.phase1_modes)}
-        choices.sort(
-            key=lambda c: (
-                c.predicted_seconds,
-                order[c.strategies],
-                modes[c.phase1],
+            cost = (
+                self.cost_model.search_base
+                + self.cost_model.search_per_object * retrieved
+                + components * self.cost_model.strategy_cost(names, retrieved)
+                + integrator.cost_per_candidate * candidates
             )
-        )
+            choices.append(
+                PlanChoice(
+                    strategies=combo,
+                    strategy_names=names,
+                    predicted_retrieved=retrieved,
+                    predicted_candidates=candidates,
+                    predicted_seconds=cost,
+                )
+            )
+        # Stable sort: equal costs keep menu order, so ties never depend
+        # on dict iteration or float noise across processes.
+        choices.sort(key=lambda c: c.predicted_seconds)
         return PlanDecision(
             chosen=choices[0], considered=tuple(choices), key=key
         )

@@ -10,24 +10,99 @@ integral of the data density over its region.
 once, then estimates any strategy's candidate count by sampling its region
 (uniformly over the region's bounding rectangle, thinned by region
 membership) and summing histogram densities.  Practical for d ≤ 3 where a
-dense histogram fits in memory; the constructor refuses larger d.
+dense histogram fits in memory; the constructor refuses larger d, and
+:class:`UniformDensity` stands in there with the same two density queries
+(``estimate_in_rect``, ``density_at``).  :func:`undecided_mass` is the one
+sampled region-mass routine; the planner and ``estimate_candidates`` are
+both callers of it.
 """
 
 from __future__ import annotations
+
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import QueryStats
-from repro.core.strategies import Strategy, make_strategies
+from repro.core.strategies import UNKNOWN, Strategy, make_strategies
 from repro.errors import QueryError
 from repro.geometry.mbr import Rect
 
-__all__ = ["SelectivityEstimator"]
+__all__ = ["SelectivityEstimator", "UniformDensity", "undecided_mass"]
 
 #: Histograms beyond this dimension would be sparse and huge.
 _MAX_DIM = 3
+
+
+def undecided_mass(
+    density,
+    strategy_sets: Mapping[Hashable, Sequence[Strategy]],
+    region: Rect,
+    *,
+    n_samples: int,
+    seed: int = 0,
+) -> dict:
+    """Data mass each prepared strategy set leaves UNKNOWN inside ``region``.
+
+    One uniform sample set over ``region``, one ``classify_many`` pass per
+    distinct strategy instance and one ``density.density_at`` lookup serve
+    every set — common random numbers, so the ranking between sets is far
+    more stable than independent estimates (and ~|sets|× cheaper).
+
+    ``region`` must contain every set's Phase-1 rectangle (the planner
+    passes their union).  No per-set rectangle mask is needed: a filter
+    rejects everything outside its own region, which lies inside its own
+    search rectangle, so a sample every member leaves UNKNOWN is already
+    inside every member's rectangle.
+    """
+    rng = np.random.default_rng(seed)
+    samples = region.lows + rng.random((n_samples, region.dim)) * region.extents
+    weights = density.density_at(samples)
+    cell = region.volume() / n_samples
+    unknown: dict[int, np.ndarray] = {}
+    masses = {}
+    for key, strategies in strategy_sets.items():
+        mask = np.ones(n_samples, dtype=bool)
+        for strategy in strategies:
+            if id(strategy) not in unknown:
+                unknown[id(strategy)] = strategy.classify_many(samples) == UNKNOWN
+            mask &= unknown[id(strategy)]
+        masses[key] = float(weights[mask].sum() * cell)
+    return masses
+
+
+class UniformDensity:
+    """``total`` points spread evenly over ``bounds`` — the density model
+    where no histogram exists (d > 3).
+
+    An axis on which the bounds have zero extent (a constant column, a
+    single point) has no spread to take a ratio against: it is left out of
+    the volume, and a rectangle or point must cover the constant to see
+    any data at all.
+    """
+
+    def __init__(self, total: int, bounds: Rect):
+        self.total = int(total)
+        self._bounds = bounds
+        self._live = bounds.extents > 0
+        self._volume = float(np.prod(bounds.extents[self._live]))
+
+    def density_at(self, points: np.ndarray) -> np.ndarray:
+        """Points per unit volume at each row (0 outside the data bounds)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.where(
+            self._bounds.contains_points(pts), self.total / self._volume, 0.0
+        )
+
+    def estimate_in_rect(self, rect: Rect) -> float:
+        """Expected number of points inside an axis-aligned rectangle."""
+        clipped = rect.intersection(self._bounds)
+        if clipped is None:
+            return 0.0
+        covered = float(np.prod(clipped.extents[self._live]))
+        return self.total * covered / self._volume
 
 
 class SelectivityEstimator:
@@ -121,8 +196,6 @@ class SelectivityEstimator:
         rejected, not BF-accepted), and integrate the data density over
         that region.
         """
-        from repro.core.strategies import UNKNOWN
-
         strategy_list = (
             make_strategies(strategies)
             if isinstance(strategies, str)
@@ -133,14 +206,7 @@ class SelectivityEstimator:
         rect = phase1_rect(query, strategy_list, QueryStats(), dim=self._dim)
         if rect is None:
             return 0.0
-
-        rng = np.random.default_rng(seed)
-        samples = rect.lows + rng.random((n_samples, self._dim)) * rect.extents
-        undecided = np.ones(n_samples, dtype=bool)
-        for strategy in strategy_list:
-            codes = strategy.classify(samples[undecided])
-            idx = np.nonzero(undecided)[0]
-            undecided[idx[codes != UNKNOWN]] = False
-        densities = np.zeros(n_samples)
-        densities[undecided] = self.density_at(samples[undecided])
-        return float(densities.mean() * rect.volume())
+        masses = undecided_mass(
+            self, {None: strategy_list}, rect, n_samples=n_samples, seed=seed
+        )
+        return masses[None]

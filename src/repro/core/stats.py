@@ -43,8 +43,6 @@ class QueryStats:
     empty_by_strategy: str | None = None
     #: Strategy names the cost-based planner chose (None = fixed engine).
     plan_strategies: tuple[str, ...] | None = None
-    #: Phase-1 mode the planner chose ("intersect"/"primary").
-    plan_phase1: str | None = None
     #: True when the plan came from the planner's LRU cache (None = no
     #: planner ran for this query).
     plan_cache_hit: bool | None = None

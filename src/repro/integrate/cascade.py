@@ -47,7 +47,7 @@ from repro.gaussian.quadform import (
 )
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
-from repro.obs import NULL_SPAN
+from repro.obs import span_of
 
 __all__ = ["CascadeIntegrator"]
 
@@ -180,9 +180,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
         obs = self.obs
 
         # Tier 1: one vectorised noncentral-χ² call for the whole block.
-        with (
-            obs.span("tier:sandwich") if obs is not None else NULL_SPAN
-        ) as span:
+        with span_of(obs, "tier:sandwich") as span:
             bounds = chi2_sandwich_bounds_block(
                 gaussian, pts, delta, dtype=self.fast_dtype
             )
@@ -197,9 +195,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
         # Tier 2: batched Ruben over the survivors, shared tables.
         undecided = np.nonzero(~decided)[0]
         if undecided.size:
-            with (
-                obs.span("tier:ruben") if obs is not None else NULL_SPAN
-            ) as span:
+            with span_of(obs, "tier:ruben") as span:
                 weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
                     gaussian, pts[undecided]
                 )
@@ -228,9 +224,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
             # leftovers, on the noncentralities tier 2 already holds.
             leftovers = undecided[~ok2]
             if leftovers.size:
-                with (
-                    obs.span("tier:imhof") if obs is not None else NULL_SPAN
-                ) as span:
+                with span_of(obs, "tier:imhof") as span:
                     values, errors, nodes, fallbacks = imhof_cdf_block(
                         weights,
                         np.ones_like(weights),

@@ -73,6 +73,8 @@ __all__ = [
     "COUNT_BUCKETS",
     "ERROR_BUCKETS",
     "QUEUE_BUCKETS",
+    "NULL_SPAN",
+    "span_of",
 ]
 
 
@@ -97,6 +99,12 @@ class _NullSpan:
 
 
 NULL_SPAN = _NullSpan()
+
+
+def span_of(obs: "Observability | None", name: str, **attributes):
+    """``obs.span(name, ...)``, or the no-op handle when ``obs`` is
+    ``None`` — so instrumented code is a plain ``with`` either way."""
+    return NULL_SPAN if obs is None else obs.span(name, **attributes)
 
 
 class Observability:

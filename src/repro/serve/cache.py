@@ -34,30 +34,19 @@ class ResultCache:
     ----------
     max_entries:
         Capacity; least-recently-used entries are evicted beyond it.
-    bins_per_efold:
-        Resolution of the quantized shape prefix of each key (the same
-        knob the planner's plan cache uses).
     """
 
-    def __init__(self, max_entries: int = 1024, *, bins_per_efold: int = 4):
+    def __init__(self, max_entries: int = 1024):
         if max_entries < 1:
             raise ServiceError(f"max_entries must be >= 1, got {max_entries}")
-        if bins_per_efold < 1:
-            raise ServiceError(
-                f"bins_per_efold must be >= 1, got {bins_per_efold}"
-            )
         self.max_entries = int(max_entries)
-        self._bins = int(bins_per_efold)
         self._entries: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
     def _key(self, request: PRQRequest) -> tuple:
-        return (
-            quantized_shape_key(request.query, self._bins),
-            request.fingerprint,
-        )
+        return (quantized_shape_key(request.query), request.fingerprint)
 
     def get(self, request: PRQRequest) -> tuple[int, ...] | None:
         """The cached result ids for an identical past request, or None."""

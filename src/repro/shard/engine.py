@@ -54,7 +54,7 @@ from repro.core.strategies import Strategy
 from repro.errors import QueryError, ReproError, ShardError
 from repro.geometry.mbr import Rect
 from repro.integrate.base import ProbabilityIntegrator
-from repro.obs import COUNT_BUCKETS, Observability
+from repro.obs import COUNT_BUCKETS, Observability, span_of
 from repro.shard.partition import ShardSpec
 from repro.shard.seeding import CandidateSeededIntegrator
 from repro.shard.shm import SharedPointStore
@@ -341,17 +341,10 @@ class ShardedEngine(QueryEngine):
         seeds = np.random.SeedSequence(base_seed).spawn(len(queries))
         obs = self.obs
 
-        batch_span = (
-            obs.span(
-                "batch", queries=len(queries), workers=pool.n_workers
-            )
-            if obs is not None
-            else None
-        )
         start = time.perf_counter()
-        if batch_span is not None:
-            batch_span.__enter__()
-        try:
+        with span_of(
+            obs, "batch", queries=len(queries), workers=pool.n_workers
+        ):
             prepared: list[_Prepared] = []
             tasks: list[ShardTask] = []
             task_slots: dict[int, tuple[int, ShardTaskResult | None]] = {}
@@ -373,28 +366,21 @@ class ShardedEngine(QueryEngine):
                     tasks.append(task)
                     task_slots[task.task_id] = (i, None)
 
-            scatter_span = (
-                obs.span(
-                    "shard:scatter",
-                    queries=len(queries),
-                    tasks=len(tasks),
-                    shards=len(shards),
-                )
-                if obs is not None
-                else None
-            )
-            if scatter_span is not None:
-                scatter_span.__enter__()
             report = PoolRunReport({})
-            try:
-                if tasks:
-                    report = pool.run(tasks)
-            finally:
-                if scatter_span is not None:
+            with span_of(
+                obs,
+                "shard:scatter",
+                queries=len(queries),
+                tasks=len(tasks),
+                shards=len(shards),
+            ) as scatter_span:
+                try:
+                    if tasks:
+                        report = pool.run(tasks)
+                finally:
                     scatter_span.annotate(
                         worker_failures=report.worker_failures
                     )
-                    scatter_span.__exit__(None, None, None)
 
             per_query: list[list[ShardTaskResult]] = [[] for _ in queries]
             for task_id, result in report.results.items():
@@ -403,9 +389,6 @@ class ShardedEngine(QueryEngine):
                 self._merge(i, prep, per_query[i], return_errors)
                 for i, prep in enumerate(prepared)
             ]
-        finally:
-            if batch_span is not None:
-                batch_span.__exit__(None, None, None)
         wall = time.perf_counter() - start
 
         batch = BatchStats(workers=pool.n_workers, wall_seconds=wall)
@@ -455,10 +438,9 @@ class ShardedEngine(QueryEngine):
                 return _Prepared(stats=result.stats, local=result)
             if self.planner is not None:
                 with stats.time_phase("plan"):
-                    strategies, integrator, decision = self._apply_plan(
-                        query, strategies, integrator, stats, seed
+                    strategies, _ = self._apply_plan(
+                        query, strategies, integrator, stats
                     )
-                    phase1 = decision.chosen.phase1
             if not integrator.composition_independent:
                 integrator = CandidateSeededIntegrator(integrator)
             # Kind adapters wrap *after* the composition-independence

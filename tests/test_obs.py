@@ -257,9 +257,8 @@ class TestEngineSpans:
         assert {"delta", "theta", "retrieved", "integrations", "results"} <= set(
             query.attributes
         )
-        assert spans["phase:plan"].attributes.keys() >= {
+        assert spans["phase:plan"].attributes.keys() == {
             "strategies",
-            "phase1",
             "cache_hit",
         }
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -85,7 +88,7 @@ class TestPlannedResults:
         stats = engine.execute(make_queries(db, count=1)[0]).stats
         assert stats.plan_strategies is not None
         assert all(isinstance(name, str) for name in stats.plan_strategies)
-        assert stats.plan_phase1 in ("intersect", "primary")
+        assert not hasattr(stats, "plan_phase1")
         assert stats.plan_cache_hit in (True, False)
         assert isinstance(stats.predicted_integrations, float)
         assert stats.predicted_seconds > 0.0
@@ -234,13 +237,46 @@ class TestPlannerConfig:
 
     def test_custom_combo_menu(self):
         db = make_database()
-        planner = db.planner(combos=("rr",), phase1_modes=("primary",))
+        planner = db.planner(combos=("rr", "rr+or"))
         decision = planner.plan(
             make_queries(db, count=1)[0], ExactIntegrator()
         )
-        assert decision.chosen.strategies == "rr"
-        assert decision.chosen.phase1 == "primary"
-        assert all(c.strategies == "rr" for c in decision.considered)
+        assert decision.chosen.strategies in ("rr", "rr+or")
+        assert [c.strategies for c in decision.considered] in (
+            ["rr", "rr+or"],
+            ["rr+or", "rr"],
+        )
+
+    def test_one_plan_scored_per_combo(self):
+        """Only the ``"intersect"`` plan of each combo can win, so it is
+        the only one scored: |considered| = |combos|, each combo once."""
+        db = make_database()
+        planner = db.planner()
+        for query in make_queries(db):
+            decision = planner.plan(query, ExactIntegrator())
+            assert len(decision.considered) == len(planner.combos)
+            assert sorted(c.strategies for c in decision.considered) == sorted(
+                planner.combos
+            )
+
+    def test_planned_engine_retrieves_what_intersect_retrieves(self):
+        """A planned engine runs the chosen combo over the intersected
+        Phase-1 rectangle — even when built with ``phase1="primary"``."""
+        db = make_database()
+        for phase1 in ("intersect", "primary"):
+            auto = db.engine(
+                strategies="auto", integrator=ExactIntegrator(), phase1=phase1
+            )
+            for query in make_queries(db):
+                planned = auto.execute(query)
+                combo = db.planner().plan(query, ExactIntegrator()).chosen
+                fixed = db.engine(
+                    strategies=combo.strategies,
+                    integrator=ExactIntegrator(),
+                    phase1="intersect",
+                ).execute(query)
+                assert planned.stats.retrieved == fixed.stats.retrieved
+                assert planned.ids == fixed.ids
 
     def test_default_combo_menu_is_the_papers(self):
         assert DEFAULT_COMBOS == ("rr", "bf", "rr+bf", "rr+or", "bf+or", "all")
@@ -252,15 +288,29 @@ class TestPlannerConfig:
         with pytest.raises(QueryError):
             QueryPlanner(total_points=10, data_bounds=bounds, combos=())
         with pytest.raises(QueryError):
-            QueryPlanner(
-                total_points=10, data_bounds=bounds, phase1_modes=("sideways",)
-            )
-        with pytest.raises(QueryError):
             QueryPlanner(total_points=10, data_bounds=bounds, cache_size=0)
-        with pytest.raises(QueryError):
-            QueryPlanner(total_points=10, data_bounds=bounds, bins_per_efold=0)
-        with pytest.raises(QueryError):
-            QueryPlanner(total_points=10, data_bounds=bounds, n_samples=10)
+        # One configuration: the removed knobs are not accepted at all.
+        for knob in (
+            {"phase1_modes": ("primary",)},
+            {"integrators": ()},
+            {"bins_per_efold": 4},
+            {"n_samples": 4_000},
+            {"rtheta_lookup": None},
+            {"bf_lookup": None},
+            {"fringe_filter": "exact"},
+        ):
+            with pytest.raises(TypeError):
+                QueryPlanner(total_points=10, data_bounds=bounds, **knob)
+        assert list(inspect.signature(QueryPlanner.__init__).parameters) == [
+            "self",
+            "total_points",
+            "data_bounds",
+            "estimator",
+            "combos",
+            "cost_model",
+            "cache_size",
+            "targets",
+        ]
 
     def test_uniform_fallback_without_estimator(self):
         """Above d=3 no histogram exists; plans still come out sane."""
@@ -274,6 +324,37 @@ class TestPlannerConfig:
         assert isinstance(decision.chosen, PlanChoice)
         assert decision.chosen.predicted_seconds > 0.0
 
+    def test_constant_column_plans_consistently(self):
+        """Zero-volume bounds (a constant column above d = 3): the one
+        uniform density ignores the flat axis in both of its queries, so
+        predictions stay ordered and a small query no longer reads as
+        "retrieves everything"."""
+        rng = np.random.default_rng(4)
+        points = rng.random((2_000, 4)) * 100.0
+        points[:, 2] = 7.0
+        db = SpatialDatabase(points)
+        total = len(db)
+        planner = db.planner()
+        for delta, theta in ((5.0, 0.05), (10.0, 0.01), (400.0, 0.01)):
+            query = ProbabilisticRangeQuery(
+                Gaussian(np.full(4, 50.0), 25.0 * np.eye(4)), delta, theta
+            )
+            decision = planner.plan(query, ExactIntegrator())
+            for choice in decision.considered:
+                assert (
+                    0.0
+                    <= choice.predicted_candidates
+                    <= choice.predicted_retrieved
+                    <= total
+                )
+        small = planner.plan(
+            ProbabilisticRangeQuery(
+                Gaussian(np.full(4, 50.0), 25.0 * np.eye(4)), 5.0, 0.05
+            ),
+            ExactIntegrator(),
+        )
+        assert 0.0 < small.chosen.predicted_retrieved < 0.5 * total
+
     def test_plan_choice_fields(self):
         db = make_database()
         decision = db.planner().plan(
@@ -281,8 +362,13 @@ class TestPlannerConfig:
         )
         chosen = decision.chosen
         assert chosen.strategies in DEFAULT_COMBOS
-        assert chosen.phase1 in ("intersect", "primary")
-        assert chosen.integrator == ExactIntegrator().name
+        assert [f.name for f in dataclasses.fields(chosen)] == [
+            "strategies",
+            "strategy_names",
+            "predicted_retrieved",
+            "predicted_candidates",
+            "predicted_seconds",
+        ]
         assert chosen.predicted_retrieved >= 0.0
         assert chosen.predicted_candidates >= 0.0
 
@@ -328,15 +414,22 @@ class TestPlanCacheThreadSafety:
         """The shared quantization helper is exactly the plan-cache key
         minus the integrator suffix (the serve result cache relies on
         this alignment)."""
-        from repro.core.planner import quantize_log, quantized_shape_key
+        from repro.core.planner import (
+            SHAPE_BINS_PER_EFOLD,
+            quantize_log,
+            quantized_shape_key,
+        )
 
         db = make_database()
         planner = db.planner()
         integrator = ExactIntegrator()
         for query in make_queries(db, count=4, seed=7):
             key = planner._cache_key(query, integrator)
-            assert key[:-1] == quantized_shape_key(query, planner._bins)
+            assert key[:-1] == quantized_shape_key(query)
             assert key[-1] == integrator.name
-        assert quantize_log(np.e, 1) == 1
-        assert quantize_log(1.0, 7) == 0
-        assert quantize_log(0.0, 4) == quantize_log(1e-300, 4)
+        # One shape-bin constant: a quarter e-fold per bin, shared by the
+        # plan key and the serve result-cache key.
+        assert SHAPE_BINS_PER_EFOLD == 4
+        assert quantize_log(np.e) == SHAPE_BINS_PER_EFOLD
+        assert quantize_log(1.0) == 0
+        assert quantize_log(0.0) == quantize_log(1e-300)

@@ -13,6 +13,9 @@ import pytest
 
 from repro import Gaussian, SelectivityEstimator
 from repro.core.query import ProbabilisticRangeQuery
+from repro.core.selectivity import UniformDensity, undecided_mass
+from repro.core.stages import phase1_rect
+from repro.core.stats import QueryStats
 from repro.core.strategies import UNKNOWN, make_strategies
 from repro.geometry.mbr import Rect
 
@@ -136,3 +139,95 @@ class TestDegenerateRects:
 
         with pytest.raises(QueryError):
             estimator.estimate_in_rect(Rect([0.0] * 3, [1.0] * 3))
+
+
+# ----------------------------------------------------------------------
+# The invariants the planner's pruning rests on
+# ----------------------------------------------------------------------
+
+
+def _densities():
+    points = clustered_points(6_000, 3, seed=8)
+    bounds = Rect(points.min(axis=0), points.max(axis=0))
+    return [
+        SelectivityEstimator(points),
+        UniformDensity(points.shape[0], bounds),
+    ]
+
+
+@pytest.mark.parametrize("density", _densities(), ids=["histogram", "uniform"])
+def test_estimate_in_rect_is_monotone_under_containment(density):
+    """inner ⊆ outer ⇒ estimate(inner) ≤ estimate(outer): why a plan over
+    the intersected Phase-1 rectangle is never predicted to retrieve more
+    than its ``"primary"`` twin, which the planner therefore never scores."""
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        a, b = np.sort(rng.uniform(-200.0, 1_200.0, (2, 3)), axis=0)
+        outer = Rect(a, b)
+        shrink = rng.random((2, 3)) * 0.5 * outer.extents
+        inner = Rect(a + shrink[0], b - shrink[1])
+        assert outer.contains_rect(inner)
+        small = density.estimate_in_rect(inner)
+        large = density.estimate_in_rect(outer)
+        assert 0.0 <= small <= large * (1.0 + 1e-12) + 1e-9
+        assert large <= density.total * (1.0 + 1e-9)
+
+
+def test_uniform_density_ignores_zero_extent_axes():
+    bounds = Rect([0.0, 5.0, 0.0], [10.0, 5.0, 20.0])
+    density = UniformDensity(400, bounds)
+    covering = Rect([0.0, 4.0, 0.0], [5.0, 6.0, 20.0])
+    assert density.estimate_in_rect(covering) == pytest.approx(200.0)
+    missing = Rect([0.0, 5.5, 0.0], [5.0, 6.0, 20.0])
+    assert density.estimate_in_rect(missing) == 0.0
+    on, off = density.density_at([[1.0, 5.0, 1.0], [1.0, 5.1, 1.0]])
+    assert on == pytest.approx(400 / 200.0)
+    assert off == 0.0
+    # A single point: every axis flat, all of the data or none of it.
+    point = UniformDensity(3, Rect([1.0, 2.0], [1.0, 2.0]))
+    assert point.estimate_in_rect(Rect([0.0, 0.0], [3.0, 3.0])) == 3.0
+    assert point.estimate_in_rect(Rect([2.0, 0.0], [3.0, 3.0])) == 0.0
+
+
+@pytest.mark.parametrize("spec", ["rr", "bf+or", "all"])
+def test_estimate_candidates_is_the_single_set_case_of_undecided_mass(spec):
+    """One Monte Carlo, two callers: ``estimate_candidates`` is the
+    planner's shared routine with one strategy set over its own Phase-1
+    rectangle, and sharing the samples with other sets changes nothing."""
+    points = clustered_points(10_000, 2, seed=6)
+    estimator = SelectivityEstimator(points)
+    query = query_for(2, points[0])
+    n_samples, seed = 4_000, 5
+
+    strategies = make_strategies(spec)
+    rect = phase1_rect(query, strategies, QueryStats(), dim=2)
+    alone = undecided_mass(
+        estimator, {spec: strategies}, rect, n_samples=n_samples, seed=seed
+    )
+    assert estimator.estimate_candidates(
+        query, spec, n_samples=n_samples, seed=seed
+    ) == pytest.approx(alone[spec], rel=1e-12, abs=1e-12)
+
+    other = make_strategies("rr+bf")
+    for strategy in other:
+        strategy.prepare(query)
+    shared = undecided_mass(
+        estimator,
+        {"other": other, spec: strategies},
+        rect,
+        n_samples=n_samples,
+        seed=seed,
+    )
+    assert shared[spec] == alone[spec]
+    # …and the rectangle mask the filters already imply is redundant: over
+    # a region padded well beyond the Phase-1 rectangle, every sample all
+    # members leave UNKNOWN already lies inside that rectangle.
+    padded = Rect(rect.lows - 50.0, rect.highs + 50.0)
+    samples = padded.lows + np.random.default_rng(seed).random(
+        (40_000, 2)
+    ) * padded.extents
+    unknown = np.ones(samples.shape[0], dtype=bool)
+    for strategy in strategies:
+        unknown &= strategy.classify_many(samples) == UNKNOWN
+    assert unknown.any() and not unknown.all()
+    assert rect.contains_points(samples[unknown]).all()

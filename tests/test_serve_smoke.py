@@ -126,3 +126,60 @@ def test_kinds_smoke_passes_and_each_guard_fires(store, capsys):
         assert problem == f"every {kind} response empty"
     response_file.write_text(json.dumps({**rows[0], "status": "failed"}) + "\n")
     assert serve_smoke.main(["check", "kinds", "--responses", str(response_file)]) == 1
+
+
+def test_shard_batch_generator_writes_the_ci_batch(tmp_path):
+    """``generate shard-batch`` writes, byte for byte, what the inline CI
+    script it replaced wrote (SHA-256 of that file recorded here)."""
+    import hashlib
+
+    batch_file = tmp_path / "shard-batch.json"
+    assert serve_smoke.main(["generate", "shard-batch", str(batch_file)]) == 0
+    assert hashlib.sha256(batch_file.read_bytes()).hexdigest() == (
+        "dd3b381cc0df6bf7b16966665e5767d726d8cbde5662f6f83efce60a79ded965"
+    )
+    specs = json.loads(batch_file.read_text())
+    assert specs == serve_smoke.shard_batch_specs()
+    assert len(specs) == 12
+    assert all(list(s) == ["center", "sigma_scale", "delta", "theta"] for s in specs)
+
+
+def test_load_smoke_passes_and_each_guard_fires(store, tmp_path, capsys):
+    """A shrunken ``repro load --sweep`` report passes ``check load``; canned
+    edits show each of the five-status and knee guards firing."""
+    report_file = tmp_path / "capacity.json"
+    code = main(["load", str(store), "--scenario", "uniform", "--sweep",
+                 "--duration", "1", "--cache-size", "0",
+                 "--out", str(report_file)])  # fmt: skip
+    assert code == 0
+    capsys.readouterr()
+    assert serve_smoke.main(["check", "load", "--report", str(report_file)]) == 0
+    assert "load smoke OK: {" in capsys.readouterr().out
+    report = json.loads(report_file.read_text())
+    assert serve_smoke.check_load(report) == []
+
+    def edited_step(**statuses):
+        first = report["steps"][0]
+        step = {**first, "statuses": {**first["statuses"], **statuses}}
+        return {**report, "steps": [step, *report["steps"][1:]]}
+
+    first = report["steps"][0]["statuses"]
+    assert "step 0: statuses are" in serve_smoke.check_load(edited_step(shed=0))[0]
+    (problem,) = serve_smoke.check_load(edited_step(ok=first["ok"] + 1))
+    assert "do not sum" in problem
+    moved = edited_step(ok=first["ok"] - 1, failed=first["failed"] + 1)
+    assert serve_smoke.check_load(moved) == ["step 0: 1 failed"]
+    unsaturated = {**report, "knee": {**report["knee"], "saturated": False}}
+    assert any("not saturated" in p for p in serve_smoke.check_load(unsaturated))
+    no_knee = {**report, "knee": {**report["knee"], "knee_qps": None}}
+    assert "no knee_qps" in serve_smoke.check_load(no_knee)
+    calm = {
+        **report,
+        "steps": [
+            {**s, "statuses": {**s["statuses"], "overloaded": 0}}
+            for s in report["steps"]
+        ],
+    }
+    assert "sweep never shed" in serve_smoke.check_load(calm)
+    report_file.write_text(json.dumps(unsaturated))
+    assert serve_smoke.main(["check", "load", "--report", str(report_file)]) == 1
