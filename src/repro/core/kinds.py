@@ -342,7 +342,11 @@ class ConvolvedTargetStrategy(Strategy):
             query.gaussian, query.delta, query.theta, self._table.max_eig
         )
         radii: list[tuple[float | None, float | None]] = []
+        self._rect = None
         if self._alpha is not None:
+            self._rect = Rect.from_center(
+                self._center, np.full(self._center.size, self._alpha)
+            )
             for group in range(self._table.n_groups):
                 convolved = Gaussian(
                     query.center,
@@ -365,14 +369,6 @@ class ConvolvedTargetStrategy(Strategy):
     @property
     def n_groups(self) -> int:
         return self._table.n_groups
-
-    def search_rect(self) -> Rect | None:
-        self._require_prepared("_radii")
-        if self._alpha is None:
-            return None
-        return Rect.from_center(
-            self._center, np.full(self._center.size, self._alpha)
-        )
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         # Without ids the covariance group is unknown; only the
@@ -537,6 +533,7 @@ class MixtureFilterStrategy(Strategy):
                 continue
             live.append((rect, strategies))
         self._live = live
+        self._rect = Rect.union_of(rect for rect, _ in live) if live else None
 
     @property
     def proves_empty(self) -> bool:
@@ -552,12 +549,6 @@ class MixtureFilterStrategy(Strategy):
     @property
     def n_components(self) -> int:
         return len(self._mixture)
-
-    def search_rect(self) -> Rect | None:
-        self._require_prepared("_live")
-        if not self._live:
-            return None
-        return Rect.union_of([rect for rect, _ in self._live])
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         self._require_prepared("_live")
@@ -659,12 +650,11 @@ class KNNCutStrategy(Strategy):
     def __init__(self, index, decider: "KNNDecider"):
         self._index = index
         self._decider = decider
-        self._rect: Rect | None = None
         self._cut_radius: float | None = None
 
     @property
     def cut_radius(self) -> float:
-        self._require_prepared("_rect")
+        self._require_prepared("_cut_radius")
         return self._cut_radius
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
@@ -684,10 +674,6 @@ class KNNCutStrategy(Strategy):
         self._rect = Rect.from_center(
             center, np.full(query.dim, cut_radius)
         )
-
-    def search_rect(self) -> Rect:
-        self._require_prepared("_rect")
-        return self._rect
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))

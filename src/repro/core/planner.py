@@ -145,8 +145,8 @@ class PlannerCostModel:
     #: Per retrieved candidate: index walk + point gather.
     search_per_object: float = 2.5e-7
     #: Per-strategy `prepare()` cost (BF's noncentral-χ² root finds
-    #: dominate; the preparation LRU caches amortize them across a
-    #: workload, so this is the *cold* figure scaled down).
+    #: dominate; the `repro.gaussian.radial` memos amortize them across
+    #: a workload, so this is the *cold* figure scaled down).
     prepare_seconds: Mapping[str, float] = field(
         default_factory=_default_prepare_seconds
     )

@@ -56,14 +56,21 @@ class Strategy(abc.ABC):
 
     #: Short name used in statistics and reports ("RR", "OR", "BF").
     name: str = "abstract"
+    #: The Phase-1 rectangle; exists only once :meth:`prepare` has run.
+    _rect: Rect | None
 
     @abc.abstractmethod
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        """Derive per-query state (regions, radii).  Must be called first."""
+        """Derive per-query state (regions, radii) and the Phase-1
+        rectangle ``self._rect``.  Must be called first."""
 
-    @abc.abstractmethod
     def search_rect(self) -> Rect | None:
-        """Phase-1 rectangle, or ``None`` if this strategy offers none."""
+        """The Phase-1 rectangle :meth:`prepare` built — the same object on
+        every call — or ``None`` if this strategy offers none."""
+        try:
+            return self._rect
+        except AttributeError:
+            raise QueryError(f"{self.name} strategy used before prepare()") from None
 
     @abc.abstractmethod
     def classify(self, points: np.ndarray) -> np.ndarray:
@@ -172,9 +179,7 @@ class RectilinearStrategy(Strategy):
         r_theta = _r_theta_for(self._lookup, query)
         core_box = query.gaussian.contour(r_theta).bounding_rect()
         self._region = MinkowskiRegion(core_box, query.delta)
-
-    def search_rect(self) -> Rect:
-        return self.region.bounding_rect()
+        self._rect = self._region.bounding_rect()
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         region = self.region
@@ -215,12 +220,13 @@ class ObliqueStrategy(Strategy):
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
         r_theta = _r_theta_for(self._lookup, query)
-        self._box = ObliqueBox.for_range_query(
-            query.center, query.gaussian.sigma, r_theta, query.delta
+        gaussian = query.gaussian
+        # Eq. 20 in the eigenbasis the query's Gaussian already holds.
+        self._box = ObliqueBox(
+            gaussian.whitening.eigen,
+            r_theta * np.sqrt(gaussian.eigenvalues) + query.delta,
         )
-
-    def search_rect(self) -> Rect:
-        return self.box.bounding_rect()
+        self._rect = self._box.bounding_rect()
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         box = self.box
@@ -254,7 +260,6 @@ class BoundingFunctionStrategy(Strategy):
 
     def __init__(self, lookup: BFLookup | None = None):
         self._lookup = lookup
-        self._prepared = False
         self._center: np.ndarray | None = None
         self.alpha_upper: float | None = None
         self.alpha_lower: float | None = None
@@ -267,26 +272,21 @@ class BoundingFunctionStrategy(Strategy):
         except CatalogError as exc:
             raise QueryError(str(exc)) from exc
         self._center = query.gaussian.mean
-        self._prepared = True
+        self._rect = (
+            None
+            if self.alpha_upper is None
+            else Rect.from_center(
+                self._center, np.full(self._center.size, self.alpha_upper)
+            )
+        )
 
     @property
     def proves_empty(self) -> bool:
-        if not self._prepared:
-            raise QueryError("BF strategy used before prepare()")
+        self._require_prepared("_center")
         return self.alpha_upper is None
 
-    def search_rect(self) -> Rect | None:
-        if not self._prepared:
-            raise QueryError("BF strategy used before prepare()")
-        if self.alpha_upper is None:
-            return None
-        return Rect.from_center(
-            self._center, np.full(self._center.size, self.alpha_upper)
-        )
-
     def classify(self, points: np.ndarray) -> np.ndarray:
-        if not self._prepared:
-            raise QueryError("BF strategy used before prepare()")
+        self._require_prepared("_center")
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.alpha_upper is None:
             return np.full(pts.shape[0], REJECT, dtype=np.int8)
@@ -328,9 +328,7 @@ class EllipsoidStrategy(Strategy):
         r_theta = _r_theta_for(self._lookup, query)
         self._ellipsoid = query.gaussian.contour(r_theta)
         self._delta = query.delta
-
-    def search_rect(self) -> Rect:
-        return self.ellipsoid.bounding_rect().expand(self._delta)
+        self._rect = self._ellipsoid.bounding_rect().expand(self._delta)
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         ellipsoid = self.ellipsoid

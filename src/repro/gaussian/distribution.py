@@ -1,7 +1,7 @@
 """The d-dimensional Gaussian query-object distribution (Definition 1).
 
-``Gaussian`` wraps a mean vector q and covariance Σ, caches the spectral
-decomposition, and exposes everything the strategies consume:
+``Gaussian`` wraps a mean vector q and covariance Σ, decomposes Σ exactly
+once, and exposes everything the strategies consume:
 
 - density evaluation (Eq. 1) and exact sampling;
 - the θ-region ellipsoid at a given Mahalanobis radius;
@@ -13,6 +13,7 @@ decomposition, and exposes everything the strategies consume:
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Sequence
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.errors import DimensionMismatchError, GeometryError
 from repro.geometry.ellipsoid import Ellipsoid
-from repro.geometry.transforms import WhiteningTransform, spectral_decomposition
+from repro.geometry.transforms import WhiteningTransform
 
 __all__ = ["Gaussian"]
 
@@ -41,32 +42,20 @@ class Gaussian:
         Symmetric positive-definite covariance matrix Σ.
     """
 
-    __slots__ = (
-        "_mean",
-        "_sigma",
-        "_eigenvalues",
-        "_basis",
-        "_whitening",
-        "_log_det",
-    )
+    __slots__ = ("_mean", "_sigma", "_whitening", "_log_det")
 
     def __init__(self, mean: _ArrayLike, sigma: np.ndarray):
-        mean_vec = np.asarray(mean, dtype=float)
+        mean_vec = np.array(mean, dtype=float)
         if mean_vec.ndim != 1 or mean_vec.size == 0:
             raise GeometryError(f"mean must be 1-D, got shape {mean_vec.shape}")
-        eigenvalues, basis = spectral_decomposition(sigma)
-        if mean_vec.size != eigenvalues.size:
-            raise DimensionMismatchError(eigenvalues.size, mean_vec.size, "mean")
         sigma_arr = np.asarray(sigma, dtype=float).copy()
-        mean_vec = mean_vec.copy()
-        mean_vec.setflags(write=False)
         sigma_arr.setflags(write=False)
-        self._mean = mean_vec
-        self._sigma = sigma_arr
-        self._eigenvalues = eigenvalues
-        self._basis = basis
+        # The one decomposition of Σ: eigenvalues, basis, every contour and
+        # the OR box read this transform (which also write-protects the mean).
         self._whitening = WhiteningTransform(mean_vec, sigma_arr)
-        self._log_det = float(np.sum(np.log(eigenvalues)))
+        self._mean = self._whitening.eigen.center
+        self._sigma = sigma_arr
+        self._log_det = float(np.sum(np.log(self.eigenvalues)))
 
     # ------------------------------------------------------------------
     # Constructors
@@ -125,12 +114,12 @@ class Gaussian:
     @property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of Σ, descending."""
-        return self._eigenvalues
+        return self._whitening.eigen.eigenvalues
 
     @property
     def basis(self) -> np.ndarray:
         """Eigenvector matrix E of Σ (columns, matching ``eigenvalues``)."""
-        return self._basis
+        return self._whitening.eigen.basis
 
     @property
     def whitening(self) -> WhiteningTransform:
@@ -152,17 +141,18 @@ class Gaussian:
     @property
     def lam_parallel(self) -> float:
         """λ∥ of Eq. 9: the smallest eigenvalue of Σ⁻¹ (flattest direction)."""
-        return 1.0 / float(self._eigenvalues[0])
+        return 1.0 / float(self.eigenvalues[0])
 
     @property
     def lam_perp(self) -> float:
         """λ⊥ of Eq. 10: the largest eigenvalue of Σ⁻¹ (steepest direction)."""
-        return 1.0 / float(self._eigenvalues[-1])
+        return 1.0 / float(self.eigenvalues[-1])
 
     @property
     def condition_number(self) -> float:
         """λ_max(Σ)/λ_min(Σ) — how far from spherical the distribution is."""
-        return float(self._eigenvalues[0] / self._eigenvalues[-1])
+        eigenvalues = self.eigenvalues
+        return float(eigenvalues[0] / eigenvalues[-1])
 
     # ------------------------------------------------------------------
     # Density and sampling
@@ -217,18 +207,29 @@ class Gaussian:
 
         With ``radius = r_θ`` this is exactly the θ-region of Definition 3.
         """
-        return Ellipsoid(self._mean, self._sigma, radius)
+        return Ellipsoid.from_transform(self._whitening.eigen, self._sigma, radius)
 
     # ------------------------------------------------------------------
     # Algebra
     # ------------------------------------------------------------------
+
+    def moved_to(self, mean: _ArrayLike) -> "Gaussian":
+        """The same Σ centred at ``mean``, sharing its one decomposition.
+
+        What a moving query object needs on every position update: nothing
+        that depends on Σ alone is recomputed.
+        """
+        moved = copy.copy(self)
+        moved._whitening = self._whitening.moved_to(np.array(mean, dtype=float))
+        moved._mean = moved._whitening.eigen.center
+        return moved
 
     def shifted(self, offset: _ArrayLike) -> "Gaussian":
         """Distribution of x + offset."""
         off = np.asarray(offset, dtype=float)
         if off.shape != self._mean.shape:
             raise DimensionMismatchError(self.dim, off.size, "offset")
-        return Gaussian(self._mean + off, self._sigma)
+        return self.moved_to(self._mean + off)
 
     def convolve(self, other: "Gaussian") -> "Gaussian":
         """Distribution of the sum of two independent Gaussians.
@@ -302,5 +303,5 @@ class Gaussian:
     def __repr__(self) -> str:
         return (
             f"Gaussian(dim={self.dim}, mean={np.round(self._mean, 4).tolist()}, "
-            f"eigenvalues={np.round(self._eigenvalues, 4).tolist()})"
+            f"eigenvalues={np.round(self.eigenvalues, 4).tolist()})"
         )

@@ -539,8 +539,9 @@ def qualification_probability_exact(
     precision and either can serve as the Phase-3 evaluator when exact
     answers are preferred over Monte Carlo.  Probabilities provably within
     1e−14 of 0 or 1 (by the noncentral-χ² sandwich bounds) are returned
-    directly, and Ruben falls back to Imhof when its leading weight
-    underflows for extreme noncentralities.
+    directly, Ruben falls back to Imhof when its leading weight
+    underflows for extreme noncentralities, and an Imhof result never
+    leaves those sandwich bounds.
     """
     if delta < 0:
         raise GeometryError(f"delta must be >= 0, got {delta}")
@@ -555,9 +556,12 @@ def qualification_probability_exact(
         return upper
     if lower > 1.0 - _TAIL_SHORTCUT:
         return lower
-    if method == "imhof":
-        return imhof_cdf(form, threshold)
-    try:
-        return ruben_cdf(form, threshold)
-    except IntegrationError:
-        return imhof_cdf(form, threshold)
+    if method == "ruben":
+        try:
+            return ruben_cdf(form, threshold)
+        except IntegrationError:
+            pass
+    # The sandwich is rigorous and the inversion is not: for cond(Σ) ≳ 1e6
+    # Imhof's oscillatory integral can settle far outside it, so its answer
+    # only ever counts inside [lower, upper] (a no-op wherever it is right).
+    return min(max(imhof_cdf(form, threshold), lower), upper)

@@ -38,21 +38,35 @@ class Ellipsoid:
         Mahalanobis radius r ≥ 0 (``r_θ`` when used as a θ-region).
     """
 
-    __slots__ = ("_transform", "_sigma", "_radius", "_sigma_inv")
+    __slots__ = ("_transform", "_sigma", "_radius")
 
     def __init__(self, center: _ArrayLike, sigma: np.ndarray, radius: float):
-        if not np.isfinite(radius) or radius < 0:
-            raise GeometryError(f"radius must be finite and >= 0, got {radius}")
-        self._transform = EigenTransform(center, sigma)
         sigma_arr = np.asarray(sigma, dtype=float).copy()
         sigma_arr.setflags(write=False)
-        self._sigma = sigma_arr
+        self._assemble(EigenTransform(center, sigma_arr), sigma_arr, radius)
+
+    @classmethod
+    def from_transform(
+        cls, transform: EigenTransform, sigma: np.ndarray, radius: float
+    ) -> "Ellipsoid":
+        """The ellipsoid of a Σ that is already decomposed.
+
+        ``transform`` and the read-only ``sigma`` it was decomposed from
+        are shared, not copied — how :meth:`repro.gaussian.Gaussian.contour`
+        and :meth:`scaled` build ellipsoids without touching ``eigh``.
+        """
+        ellipsoid = cls.__new__(cls)
+        ellipsoid._assemble(transform, sigma, radius)
+        return ellipsoid
+
+    def _assemble(
+        self, transform: EigenTransform, sigma: np.ndarray, radius: float
+    ) -> None:
+        if not np.isfinite(radius) or radius < 0:
+            raise GeometryError(f"radius must be finite and >= 0, got {radius}")
+        self._transform = transform
+        self._sigma = sigma
         self._radius = float(radius)
-        # Invert via the eigendecomposition already validated by EigenTransform.
-        basis = self._transform.basis
-        inv = (basis / self._transform.eigenvalues) @ basis.T
-        inv.setflags(write=False)
-        self._sigma_inv = inv
 
     @property
     def center(self) -> np.ndarray:
@@ -61,10 +75,6 @@ class Ellipsoid:
     @property
     def sigma(self) -> np.ndarray:
         return self._sigma
-
-    @property
-    def sigma_inv(self) -> np.ndarray:
-        return self._sigma_inv
 
     @property
     def radius(self) -> float:
@@ -99,9 +109,9 @@ class Ellipsoid:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.shape[1] != self.dim:
             raise DimensionMismatchError(self.dim, pts.shape[1], "points")
-        deltas = pts - self.center
-        quad = np.einsum("ij,jk,ik->i", deltas, self._sigma_inv, deltas)
-        return np.sqrt(np.maximum(quad, 0.0))
+        # In the eigenbasis Σ⁻¹ is diag(1/λ): no inverse is ever formed.
+        inv_sqrt = 1.0 / np.sqrt(self._transform.eigenvalues)
+        return np.linalg.norm(self._transform.to_eigen(pts) * inv_sqrt, axis=1)
 
     def contains_point(self, point: _ArrayLike) -> bool:
         return bool(self.mahalanobis(np.asarray(point, dtype=float))[0] <= self._radius)
@@ -171,7 +181,7 @@ class Ellipsoid:
 
     def scaled(self, radius: float) -> "Ellipsoid":
         """Same centre and shape at a different Mahalanobis radius."""
-        return Ellipsoid(self.center, self._sigma, radius)
+        return Ellipsoid.from_transform(self._transform, self._sigma, radius)
 
     def __repr__(self) -> str:
         return (

@@ -10,7 +10,7 @@ coordinate system in which the θ-region is a plain sphere of radius r_θ
 
 from __future__ import annotations
 
-import functools
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -24,35 +24,6 @@ _ArrayLike = Sequence[float] | np.ndarray
 #: Relative tolerance used when checking symmetry of covariance matrices.
 _SYMMETRY_RTOL = 1e-8
 
-#: Distinct covariance shapes memoized by :func:`spectral_decomposition`.
-#: Small on purpose: a workload usually cycles through a handful of
-#: uncertainty models (the paper's three γ values), not thousands.
-_DECOMPOSITION_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=_DECOMPOSITION_CACHE_SIZE)
-def _spectral_decomposition_cached(
-    payload: bytes, dim: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of the matrix serialized in ``payload``, write-protected.
-
-    ``functools.lru_cache`` is thread-safe, so concurrent batch workers
-    preparing the same covariance share one decomposition.  The returned
-    arrays are marked read-only because every cache hit aliases them.
-    """
-    mat = np.frombuffer(payload, dtype=float).reshape(dim, dim)
-    eigenvalues, eigenvectors = np.linalg.eigh(mat)
-    if eigenvalues[0] <= 0:
-        raise NotPositiveDefiniteError(
-            f"covariance matrix has non-positive eigenvalue {eigenvalues[0]:g}"
-        )
-    order = np.argsort(eigenvalues)[::-1]
-    eigenvalues = eigenvalues[order]
-    eigenvectors = np.ascontiguousarray(eigenvectors[:, order])
-    eigenvalues.setflags(write=False)
-    eigenvectors.setflags(write=False)
-    return eigenvalues, eigenvectors
-
 
 def spectral_decomposition(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and eigenvectors of a covariance matrix.
@@ -61,10 +32,8 @@ def spectral_decomposition(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     *descending* order and eigenvectors as columns, so
     ``sigma == eigenvectors @ diag(eigenvalues) @ eigenvectors.T``.
 
-    Results are memoized in a small LRU keyed on the matrix bytes, so
-    repeated query shapes (the common case in batched workloads) skip the
-    eigendecomposition entirely.  The returned arrays are read-only; copy
-    before mutating.
+    The returned arrays are read-only: a :class:`repro.gaussian.Gaussian`
+    decomposes its Σ once and every shape derived from it shares them.
 
     Raises
     ------
@@ -79,9 +48,17 @@ def spectral_decomposition(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = max(1.0, float(np.abs(mat).max()))
     if not np.allclose(mat, mat.T, atol=_SYMMETRY_RTOL * scale):
         raise NotPositiveDefiniteError("covariance matrix is not symmetric")
-    return _spectral_decomposition_cached(
-        np.ascontiguousarray(mat).tobytes(), mat.shape[0]
-    )
+    eigenvalues, eigenvectors = np.linalg.eigh(mat)
+    if eigenvalues[0] <= 0:
+        raise NotPositiveDefiniteError(
+            f"covariance matrix has non-positive eigenvalue {eigenvalues[0]:g}"
+        )
+    order = np.argsort(eigenvalues)[::-1]
+    eigenvalues = eigenvalues[order]
+    eigenvectors = np.ascontiguousarray(eigenvectors[:, order])
+    eigenvalues.setflags(write=False)
+    eigenvectors.setflags(write=False)
+    return eigenvalues, eigenvectors
 
 
 class EigenTransform:
@@ -96,16 +73,21 @@ class EigenTransform:
     __slots__ = ("_center", "_eigenvalues", "_basis")
 
     def __init__(self, center: _ArrayLike, sigma: np.ndarray):
+        self._eigenvalues, self._basis = spectral_decomposition(sigma)
+        self._place(center)
+
+    def _place(self, center: _ArrayLike) -> None:
         c = np.asarray(center, dtype=float)
-        eigenvalues, basis = spectral_decomposition(sigma)
-        if c.shape != (eigenvalues.size,):
-            raise DimensionMismatchError(eigenvalues.size, c.size, "center")
+        if c.shape != self._eigenvalues.shape:
+            raise DimensionMismatchError(self._eigenvalues.size, c.size, "center")
         c.setflags(write=False)
-        eigenvalues.setflags(write=False)
-        basis.setflags(write=False)
         self._center = c
-        self._eigenvalues = eigenvalues
-        self._basis = basis
+
+    def moved_to(self, center: _ArrayLike) -> "EigenTransform":
+        """The same eigenbasis about another centre; Σ is not decomposed again."""
+        moved = copy.copy(self)
+        moved._place(center)
+        return moved
 
     @property
     def center(self) -> np.ndarray:
@@ -154,6 +136,12 @@ class WhiteningTransform:
         self._eigen = EigenTransform(center, sigma)
         self._sqrt = np.sqrt(self._eigen.eigenvalues)
         self._inv_sqrt = 1.0 / self._sqrt
+
+    def moved_to(self, center: _ArrayLike) -> "WhiteningTransform":
+        """The same whitening about another centre, sharing the decomposition."""
+        moved = copy.copy(self)
+        moved._eigen = self._eigen.moved_to(center)
+        return moved
 
     @property
     def eigen(self) -> EigenTransform:

@@ -232,8 +232,13 @@ class CascadeIntegrator(ProbabilityIntegrator):
                         delta * delta,
                         tol=self.tol,
                     )
-                    lower[leftovers] = np.maximum(values - errors, 0.0)
-                    upper[leftovers] = np.minimum(values + errors, 1.0)
+                    # Like Ruben's, Imhof's interval only tightens the
+                    # sandwich: a scalar-fallback row can be far off at
+                    # cond(Σ) ≳ 1e6, so the value is held inside it first.
+                    lo1, hi1 = lower[leftovers], upper[leftovers]
+                    values = np.clip(values, lo1, hi1)
+                    lower[leftovers] = np.maximum(lo1, values - errors)
+                    upper[leftovers] = np.minimum(hi1, values + errors)
                     if obs is not None:
                         span.annotate(
                             candidates=int(leftovers.size),

@@ -799,11 +799,14 @@ class SubscriptionManager:
         if decision.kind == DECISION_REPLAN:
             # Structural breaks always execute fully, deadline or not: a
             # broken region cannot answer soundly at any fidelity.
-            new_sigma = (
-                sub.query.gaussian.sigma if sigma is None else sigma
+            # An unchanged Σ keeps the subscription's one decomposition.
+            gaussian = (
+                sub.query.gaussian.moved_to(mean)
+                if sigma is None
+                else Gaussian(mean, sigma)
             )
             query = ProbabilisticRangeQuery(
-                Gaussian(mean, new_sigma), sub.query.delta, sub.query.theta
+                gaussian, sub.query.delta, sub.query.theta
             )
             answer, region = self._anchor(query, reuse=sub.region)
             sub.query = query
@@ -857,7 +860,7 @@ class SubscriptionManager:
         which the sandwich intervals below enclose the truth.
         """
         query = sub.query
-        shifted = Gaussian(mean, query.gaussian.sigma)
+        shifted = query.gaussian.moved_to(mean)
         certain = sub.region.certain_accept_ids(decision)
         rows = decision.recheck
         assert rows is not None
@@ -943,7 +946,7 @@ class SubscriptionManager:
         region = sub.region
         query = sub.query
         shifted = ProbabilisticRangeQuery(
-            Gaussian(mean, query.gaussian.sigma), query.delta, query.theta
+            query.gaussian.moved_to(mean), query.delta, query.theta
         )
         strategies = [s.clone() for s in self.engine.strategies]
         stats = QueryStats()

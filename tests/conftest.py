@@ -25,6 +25,24 @@ def paper_gaussian(paper_sigma_10) -> Gaussian:
     return Gaussian([500.0, 500.0], paper_sigma_10)
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch) -> list[tuple[int, ...]]:
+    """The shape of every matrix handed to ``np.linalg.eigh`` from here on.
+
+    Σ is decomposed where a ``Gaussian`` is built from raw input and
+    nowhere else; tests pin that by the length of this list.
+    """
+    calls: list[tuple[int, ...]] = []
+    eigh = np.linalg.eigh
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(np.shape(matrix))
+        return eigh(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
 def random_spd(rng: np.random.Generator, dim: int, *, scale: float = 1.0) -> np.ndarray:
     """A random symmetric positive-definite matrix for property tests."""
     a = rng.standard_normal((dim, dim))

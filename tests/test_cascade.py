@@ -265,6 +265,29 @@ class TestTiering:
             assert 0.0 < result.stderr < 0.5 * integrator.tol
             assert abs(result.estimate - truth) <= result.stderr
 
+    @pytest.mark.parametrize("wild", [-0.25, 1.0])
+    def test_imhof_tier_only_tightens_the_sandwich(self, wild, monkeypatch):
+        """A scalar-fallback row can come back far outside the rigorous
+        Tier-1 interval (cond(Σ) ≳ 1e6); Tier 3 intersects with that
+        interval like Tier 2 does, it does not overwrite it."""
+        from repro.integrate import cascade
+
+        gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
+        points = np.array([[40.0, 0.0]])
+        ((lower, upper),) = chi2_sandwich_bounds_block(gaussian, points, 42.0)
+        assert 0.0 <= lower < upper < 0.98
+        monkeypatch.setattr(
+            cascade,
+            "imhof_cdf_block",
+            lambda *args, **kwargs: (np.array([wild]), np.zeros(1), 0, 1),
+        )
+        (result,) = CascadeIntegrator().qualification_probabilities(
+            gaussian, points, 42.0
+        )
+        assert result.method == "cascade-imhof"
+        assert result.estimate == (lower if wild < lower else upper)
+        assert result.stderr == 0.0
+
     def test_scalar_fallback_gives_the_same_decisions(self, monkeypatch):
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0], [39.0, 9.0], [38.5, 20.0], [44.0, 3.0]])

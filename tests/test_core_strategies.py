@@ -262,6 +262,70 @@ class TestBoundingFunctionStrategy:
             BoundingFunctionStrategy().search_rect()
 
 
+ALL_FOUR = (
+    RectilinearStrategy,
+    ObliqueStrategy,
+    BoundingFunctionStrategy,
+    EllipsoidStrategy,
+)
+
+
+def prepared_geometry(gaussian, delta, theta) -> list[np.ndarray]:
+    """Every array the four strategies derive from one query."""
+    query = ProbabilisticRangeQuery(gaussian, delta, theta)
+    rr, oblique, bf, em = strategies = [factory() for factory in ALL_FOUR]
+    for strategy in strategies:
+        strategy.prepare(query)
+    arrays = [
+        rr.region.core.lows,
+        rr.region.core.highs,
+        oblique.box.half_widths,
+        oblique.box.transform.basis,
+        np.array([bf.alpha_upper, bf.alpha_lower], dtype=float),
+    ]
+    for strategy in strategies:
+        rect = strategy.search_rect()
+        if rect is not None:
+            arrays += [rect.lows, rect.highs]
+    return arrays
+
+
+class TestPrepareOwnsTheGeometry:
+    """The query's Gaussian decomposes Σ, once; ``prepare`` derives every
+    shape and the Phase-1 rectangle from it, once."""
+
+    def test_query_and_all_strategies_decompose_once(self, eigh_calls):
+        sigma = random_spd(np.random.default_rng(3), 4)
+        query = ProbabilisticRangeQuery.create(np.zeros(4), sigma, 2.0, 0.05)
+        for strategy in [*make_strategies("all"), EllipsoidStrategy()]:
+            strategy.prepare(query)
+            strategy.search_rect()
+        assert eigh_calls == [(4, 4)]
+
+    @pytest.mark.parametrize("factory", ALL_FOUR)
+    def test_search_rect_is_the_rectangle_prepare_built(self, factory, query):
+        strategy = factory()
+        with pytest.raises(QueryError):
+            strategy.search_rect()
+        strategy.prepare(query)
+        assert strategy.search_rect() is strategy.search_rect()
+
+    @pytest.mark.parametrize("dim", [2, 9])
+    def test_moved_gaussian_prepares_bit_identical_geometry(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(200):
+            sigma = random_spd(rng, dim, scale=float(rng.uniform(0.1, 50.0)))
+            mean = rng.uniform(-100.0, 100.0, size=dim)
+            delta = float(rng.uniform(0.5, 30.0))
+            theta = float(rng.uniform(0.001, 0.6))
+            elsewhere = Gaussian(rng.uniform(-100.0, 100.0, size=dim), sigma)
+            direct = prepared_geometry(Gaussian(mean, sigma), delta, theta)
+            moved = prepared_geometry(elsewhere.moved_to(mean), delta, theta)
+            assert len(direct) == len(moved)
+            for built, shared in zip(direct, moved):
+                np.testing.assert_array_equal(built, shared)
+
+
 class TestMakeStrategies:
     @pytest.mark.parametrize(
         "spec,names",

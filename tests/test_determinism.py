@@ -1,7 +1,7 @@
 """Seeded reproducibility of the Monte-Carlo estimates.
 
-The batch path memoizes per-shape preparation (spectral decompositions,
-r_theta and alpha lookups) behind LRU caches.  Those caches are pure
+The batch path memoizes per-shape radius inversions (r_theta and alpha
+lookups) behind LRU caches.  Those caches are pure
 value caches: whether a call hits or misses must never change which
 random numbers a query's integrator consumes.  These tests pin that down
 by comparing fresh-engine runs against each other and against runs with
@@ -17,7 +17,6 @@ from repro.bench.workload import WorkloadGenerator
 from repro.core.database import SpatialDatabase
 from repro.core.engine import BatchResult
 from repro.gaussian import radial
-from repro.geometry.transforms import _spectral_decomposition_cached
 from repro.integrate.sequential import SequentialImportanceSampler
 
 
@@ -57,7 +56,6 @@ def fingerprint(batch: BatchResult):
 
 
 def clear_prep_caches() -> None:
-    _spectral_decomposition_cached.cache_clear()
     radial.r_theta.cache_clear()
     radial.alpha_for_mass.cache_clear()
 
@@ -77,7 +75,6 @@ def test_cold_and_warm_caches_agree(database, workload):
     """
     clear_prep_caches()
     cold = run_fresh(database, workload)
-    assert _spectral_decomposition_cached.cache_info().currsize > 0
     assert radial.r_theta.cache_info().currsize > 0
     warm = run_fresh(database, workload)
     assert fingerprint(cold) == fingerprint(warm)
@@ -88,7 +85,6 @@ def test_cache_hits_actually_happen(database, workload):
     clear_prep_caches()
     run_fresh(database, workload)
     assert radial.r_theta.cache_info().hits > 0
-    assert _spectral_decomposition_cached.cache_info().hits > 0
 
 
 def test_worker_count_does_not_change_estimates(database, workload):

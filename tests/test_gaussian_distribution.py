@@ -140,6 +140,39 @@ class TestAlgebra:
         with pytest.raises(DimensionMismatchError):
             paper_gaussian.shifted([1.0])
 
+    def test_moved_gaussian_shares_the_decomposition(self, rng, eigh_calls):
+        sigma = random_spd(rng, 3)
+        origin = Gaussian([1.0, 2.0, 3.0], sigma)
+        eigh_calls.clear()
+        target = np.array([4.0, -5.0, 6.0])
+        moved = origin.moved_to(target)
+        shifted = origin.shifted([3.0, -7.0, 3.0])
+        assert eigh_calls == []
+        direct = Gaussian(target, sigma)
+        points = rng.standard_normal((50, 3)) + target
+        for gaussian in (moved, shifted):
+            assert gaussian == direct and hash(gaussian) == hash(direct)
+            assert gaussian.sigma is origin.sigma
+            assert gaussian.eigenvalues is origin.eigenvalues
+            assert gaussian.basis is origin.basis
+            assert not gaussian.mean.flags.writeable
+            np.testing.assert_array_equal(
+                gaussian.log_pdf(points), direct.log_pdf(points)
+            )
+            np.testing.assert_array_equal(
+                gaussian.contour(2.0).bounding_rect().lows,
+                direct.contour(2.0).bounding_rect().lows,
+            )
+        np.testing.assert_array_equal(origin.mean, [1.0, 2.0, 3.0])
+        target[0] = 99.0  # the caller's array is copied, not adopted or frozen
+        assert moved.mean[0] == 4.0
+
+    def test_moved_to_rejects_wrong_dim(self, paper_gaussian):
+        with pytest.raises(DimensionMismatchError):
+            paper_gaussian.moved_to([1.0, 2.0, 3.0])
+        with pytest.raises(DimensionMismatchError):
+            paper_gaussian.moved_to([[1.0, 2.0]])
+
     def test_convolve_adds_covariances(self, rng):
         a = Gaussian([1.0, 2.0], random_spd(rng, 2))
         b = Gaussian([3.0, -1.0], random_spd(rng, 2))

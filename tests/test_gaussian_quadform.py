@@ -345,6 +345,24 @@ class TestQualificationProbability:
         assert p == pytest.approx(p_imhof, abs=1e-9)
         assert 0.5 < p < 1.0
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("method", ["imhof", "ruben"])
+    @pytest.mark.parametrize(
+        "variance, delta", [(1e6, 1e-3), (1e8, 1.0), (1e9, 1.0), (4.0, 1.0)]
+    )
+    def test_never_leaves_its_own_sandwich(self, variance, delta, method):
+        """At cond(Σ) ≥ 1e6 the raw inversion reads ≈ 0.5 against rigorous
+        bounds of [5e-13, 5e-7] and [5e-9, 0.393]; the oracle may not."""
+        g = Gaussian([0.0, 0.0], np.diag([variance, 1.0]))
+        form = GaussianQuadraticForm.squared_distance(g, np.zeros(2))
+        lower, upper = chi2_sandwich_bounds(form, delta * delta)
+        p = qualification_probability_exact(g, np.zeros(2), delta, method=method)
+        assert lower <= p <= upper
+        if variance == 4.0:  # well conditioned: the clamp must not act
+            raw = imhof_cdf(form, delta * delta)
+            assert lower < raw < upper
+            assert p == (raw if method == "imhof" else ruben_cdf(form, delta * delta))
+
     def test_zero_delta(self, paper_gaussian):
         assert (
             qualification_probability_exact(paper_gaussian, np.zeros(2), 0.0) == 0.0

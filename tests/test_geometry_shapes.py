@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GeometryError
+from repro.gaussian.distribution import Gaussian
 from repro.geometry.ellipsoid import Ellipsoid
 from repro.geometry.mbr import Rect
 from repro.geometry.minkowski import MinkowskiRegion
@@ -117,6 +118,21 @@ class TestEllipsoid:
             np.einsum("ij,jk,ik->i", pts - e.center, inv, pts - e.center)
         )
         np.testing.assert_allclose(e.mahalanobis(pts), expected, rtol=1e-9)
+
+    @pytest.mark.parametrize("condition", [9.0, 1e8])
+    def test_membership_is_the_gaussians_mahalanobis_ball(self, condition, rng):
+        # Same eigenbasis formula as WhiteningTransform.mahalanobis, so the
+        # two agree exactly — also where an explicit Σ⁻¹ loses digits.
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        sigma = (rotation * [condition, 2.0, 1.0]) @ rotation.T
+        gaussian = Gaussian([3.0, -1.0, 2.0], 0.5 * (sigma + sigma.T))
+        ellipsoid = gaussian.contour(1.7)
+        pts = gaussian.sample(10_000, rng)
+        inside = gaussian.mahalanobis(pts) <= 1.7
+        np.testing.assert_array_equal(ellipsoid.contains_points(pts), inside)
+        assert 0.1 < inside.mean() < 0.9
+        rebuilt = Ellipsoid(gaussian.mean, gaussian.sigma, 1.7)
+        np.testing.assert_array_equal(rebuilt.contains_points(pts), inside)
 
     def test_volume_spherical(self):
         e = Ellipsoid([0.0, 0.0], 4.0 * np.eye(2), 1.0)

@@ -279,10 +279,13 @@ class TestTrajectoryParity:
                 )
         assert survived > 0, "step size chosen to exercise the O(1) path"
 
-    def test_same_shape_reanchors_hit_the_radius_memo(self, database, engine):
+    def test_same_shape_reanchors_hit_the_radius_memo(
+        self, database, engine, eigh_calls
+    ):
         """Shell and BF radii depend on (Σ, δ, θ) alone, so a reintegrate
         re-anchor and a cache-overrun replan of an unchanged shape add
-        hits, never misses, to the one α memo."""
+        hits, never misses, to the one α memo — and the moved query keeps
+        the subscription's one decomposition of Σ."""
         rng = np.random.default_rng(5)
         sigma = random_spd(rng, 2, scale=4.0)
         manager = make_manager(database, engine)
@@ -295,9 +298,11 @@ class TestTrajectoryParity:
             jump = 150.0 if step % 10 == 9 else 0.0
             position = position + rng.normal(0.0, 2.5, size=2) + jump
             before = alpha_for_mass.cache_info()
+            eigh_calls.clear()
             update = manager.update("memo", position)
             after = alpha_for_mass.cache_info()
             assert after.misses == before.misses
+            assert eigh_calls == [], update.outcome
             if update.outcome != OUTCOME_SURVIVED:
                 assert after.hits > before.hits
                 reanchored.add(update.outcome)

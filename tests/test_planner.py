@@ -106,13 +106,18 @@ class TestPlannedResults:
 
 
 class TestPlanCache:
-    def test_repeat_shape_hits_cache(self):
+    def test_repeat_shape_hits_cache(self, eigh_calls):
         db = make_database()
         planner = db.planner()
         engine = db.engine(strategies="auto", integrator=ExactIntegrator())
+        eigh_calls.clear()
         query = make_queries(db, count=1)[0]
         first = engine.execute(query).stats
+        # A miss decomposes the query's Σ and the canonical query's; the
+        # what-if prepares and the real ones share those two.
+        assert len(eigh_calls) == 2
         second = engine.execute(query).stats
+        assert len(eigh_calls) == 2
         assert first.plan_cache_hit is False
         assert second.plan_cache_hit is True
         info = planner.cache_info()

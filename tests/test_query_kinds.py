@@ -96,6 +96,31 @@ class TestKindTags:
                 index=None, targets=None,
             )
 
+    def test_kind_strategies_hand_back_the_rectangle_prepare_built(self):
+        g = paper_like_gaussian(2)
+        mix = GaussianMixture([g, g.shifted([80.0, -40.0])])
+        table = make_target_table(range(30), 2)
+        for query in (
+            UncertainTargetQuery(g, 60.0, 0.05),
+            MixtureRangeQuery.create(mix, 60.0, 0.05),
+        ):
+            (strategy,), _ = adapt_pipeline(
+                query, make_strategies("all"), ExactIntegrator(),
+                index=None, targets=table,
+            )
+            with pytest.raises(QueryError, match="before prepare"):
+                strategy.search_rect()
+            strategy.prepare(query)
+            rect = strategy.search_rect()
+            assert rect is not None and strategy.search_rect() is rect
+        # Proven empty: the rectangle prepare stored is "none".
+        empty = UncertainTargetQuery(g, 1e-3, 0.999)
+        (strategy,), _ = adapt_pipeline(
+            empty, [], ExactIntegrator(), index=None, targets=table
+        )
+        strategy.prepare(empty)
+        assert strategy.proves_empty and strategy.search_rect() is None
+
     def test_uncertain_without_table_fails_in_engine(self):
         db = SpatialDatabase(make_points(50, 2))
         query = UncertainTargetQuery(paper_like_gaussian(2), 60.0, 0.05)
