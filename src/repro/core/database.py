@@ -200,13 +200,10 @@ class SpatialDatabase:
         *,
         strategies: str | list[Strategy] = "all",
         integrator: ProbabilityIntegrator | None = None,
-        phase1: str = "intersect",
         obs=None,
     ) -> QueryEngine:
         """A reusable engine (hold on to it when running many queries).
 
-        ``phase1="primary"`` reproduces the paper's Algorithms 1/2 exactly:
-        only the first strategy's rectangle drives the index search.
         ``strategies="auto"`` attaches the database's shared
         :class:`QueryPlanner` so every query runs the cheapest plan under
         the planner's cost model.  ``obs`` attaches a
@@ -218,7 +215,6 @@ class SpatialDatabase:
             self.index,
             strategy_list,
             integrator,
-            phase1=phase1,
             planner=planner,
             obs=obs,
             targets=self._target_table,

@@ -151,8 +151,6 @@ class QueryPlan:
     search_rect: Rect | None
     proves_empty: str | None
     predicted_candidates: float | None
-    #: Phase-1 policy the plan executes with.
-    phase1: str = "intersect"
     #: BF pruning radius α∥ (None = result proven empty or BF inactive).
     alpha_upper: float | None = None
     #: BF free-accept radius α⊥ (None = no inner hole or BF inactive).
@@ -166,16 +164,13 @@ class QueryPlan:
     planned: bool = False
 
     def summary(self) -> str:
-        """One-line digest: strategies, phase-1 mode, BF radii, predictions.
+        """One-line digest: strategies, BF radii, predictions.
 
         When BF is active the α∥/α⊥ radii are included so the output is
         directly actionable (they are the exact prune/free-accept
         distances the filter will apply).
         """
-        parts = [
-            f"strategies={'+'.join(self.strategies)}",
-            f"phase1={self.phase1}",
-        ]
+        parts = [f"strategies={'+'.join(self.strategies)}"]
         if "BF" in self.strategies:
             upper = "-" if self.alpha_upper is None else f"{self.alpha_upper:.3f}"
             lower = "-" if self.alpha_lower is None else f"{self.alpha_lower:.3f}"
@@ -238,8 +233,7 @@ class QueryEngine:
     planner:
         Optional :class:`repro.core.planner.QueryPlanner`.  When present,
         every executed query is planned individually — the planner picks
-        the cheapest strategy combo under its cost model, run with the
-        ``"intersect"`` Phase 1 whatever ``phase1`` says — and the
+        the cheapest strategy combo under its cost model — and the
         predictions are recorded in the query's :class:`QueryStats`.
     obs:
         Optional :class:`repro.obs.Observability`.  When present, every
@@ -260,35 +254,20 @@ class QueryEngine:
         strategies: list[Strategy],
         integrator: ProbabilityIntegrator | None = None,
         *,
-        phase1: str = "intersect",
         planner: "QueryPlanner | None" = None,
         obs: Observability | None = None,
         targets=None,
     ):
         self.index = index
-        self._configure(strategies, integrator, phase1, planner, obs, targets)
+        self._configure(strategies, integrator, planner, obs, targets)
 
-    def _configure(
-        self, strategies, integrator, phase1, planner, obs, targets
-    ) -> None:
+    def _configure(self, strategies, integrator, planner, obs, targets) -> None:
         """Validate and store everything but the index (the sharded
         subclass reaches its index through the shard database)."""
         if not strategies:
             raise QueryError("at least one strategy is required")
-        if phase1 not in ("intersect", "primary"):
-            raise QueryError(
-                f"phase1 must be 'intersect' or 'primary', got {phase1!r}"
-            )
         self.strategies = list(strategies)
         self.integrator = integrator or ImportanceSamplingIntegrator()
-        #: Phase-1 policy.  ``"intersect"`` (default) intersects every
-        #: strategy's rectangle; ``"primary"`` searches only the first
-        #: strategy's rectangle, exactly as the paper's Algorithms 1 and 2
-        #: do (the remaining strategies act purely as Phase-2 filters).
-        #: A planned engine always intersects: that is the only Phase 1
-        #: the planner scores, since "primary" retrieves a superset at the
-        #: same Phase-2/3 cost.
-        self.phase1 = phase1 if planner is None else "intersect"
         self.planner = planner
         self.obs = obs
         self.targets = targets
@@ -473,11 +452,7 @@ class QueryEngine:
                 ctx = StageContext(
                     query, strategies, integrator, stats, obs=obs
                 )
-                stages = [
-                    SearchStage(self.index, phase1=self.phase1),
-                    FilterStage(),
-                    IntegrateStage(),
-                ]
+                stages = [SearchStage(self.index), FilterStage(), IntegrateStage()]
                 ids = execute_pipeline(ctx, stages)
             finally:
                 query_span.annotate(
@@ -547,9 +522,7 @@ class QueryEngine:
             index=self.index,
             targets=self.targets,
         )
-        rect = phase1_rect(
-            query, strategies, stats, dim=self.index.dim, phase1=self.phase1
-        )
+        rect = phase1_rect(query, strategies, stats, dim=self.index.dim)
         descriptions: list[str] = []
         alpha_upper = alpha_lower = None
         for strategy in strategies:
@@ -607,7 +580,6 @@ class QueryEngine:
             search_rect=rect,
             proves_empty=stats.empty_by_strategy,
             predicted_candidates=predicted,
-            phase1=self.phase1,
             alpha_upper=alpha_upper,
             alpha_lower=alpha_lower,
             predicted_seconds=predicted_seconds,

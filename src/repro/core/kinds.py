@@ -37,6 +37,8 @@ import numpy as np
 
 from repro.catalog.bf import alpha_radii
 from repro.core.query import ProbabilisticRangeQuery
+from repro.core.stages import phase1_rect
+from repro.core.stats import QueryStats
 from repro.core.strategies import REJECT, UNKNOWN, ACCEPT, Strategy
 from repro.errors import QueryError
 from repro.gaussian.convolve import conservative_reach_alpha
@@ -384,9 +386,6 @@ class ConvolvedTargetStrategy(Strategy):
         codes[distances > self._alpha] = REJECT
         return codes
 
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
-
     def classify_candidates(
         self, ids: np.ndarray, points: np.ndarray
     ) -> np.ndarray:
@@ -513,25 +512,9 @@ class MixtureFilterStrategy(Strategy):
         for component in self._mixture.components:
             sub = ProbabilisticRangeQuery(component, query.delta, query.theta)
             strategies = [t.clone() for t in self._templates]
-            for strategy in strategies:
-                strategy.prepare(sub)
-            if any(s.proves_empty for s in strategies):
-                continue
-            rect: Rect | None = None
-            for strategy in strategies:
-                contribution = strategy.search_rect()
-                if contribution is None:
-                    continue
-                rect = (
-                    contribution
-                    if rect is None
-                    else rect.intersection(contribution)
-                )
-                if rect is None:
-                    break
-            if rect is None:
-                continue
-            live.append((rect, strategies))
+            rect = phase1_rect(sub, strategies, QueryStats(), dim=query.dim)
+            if rect is not None:
+                live.append((rect, strategies))
         self._live = live
         self._rect = Rect.union_of(rect for rect, _ in live) if live else None
 
@@ -562,14 +545,11 @@ class MixtureFilterStrategy(Strategy):
             for strategy in strategies:
                 if not np.any(undecided):
                     break
-                codes = strategy.classify_many(pts[undecided])
+                codes = strategy.classify(pts[undecided])
                 idx = np.nonzero(undecided)[0]
                 undecided[idx[codes == REJECT]] = False
             alive |= undecided
         return np.where(alive, UNKNOWN, REJECT).astype(np.int8)
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
 
 
 class MixtureDecider(ProbabilityIntegrator):
@@ -678,9 +658,6 @@ class KNNCutStrategy(Strategy):
     def classify(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
 
 
 class KNNDecider(ProbabilityIntegrator):

@@ -7,11 +7,8 @@ threshold (θ).  ``QueryPlanner`` picks the cheapest plan per query
 instead of trusting the caller:
 
 1. **Enumerate** one candidate plan per strategy combo of its menu.  Each
-   runs Phase 1 over the *intersection* of its strategies' rectangles:
-   the ``"primary"`` twin (first rectangle only, the paper's literal
-   Algorithms 1/2) retrieves a superset at the same Phase-2/3 cost, so
-   under non-negative cost coefficients it can tie but never win, and is
-   not scored.
+   runs Phase 1 over the *intersection* of its strategies' rectangles,
+   the engine's one Phase-1 policy.
 2. **Predict** each plan's workload: expected Phase-1 retrievals from a
    :class:`repro.core.selectivity.SelectivityEstimator`
    (:class:`~repro.core.selectivity.UniformDensity` above d = 3) and
@@ -150,7 +147,7 @@ class PlannerCostModel:
     prepare_seconds: Mapping[str, float] = field(
         default_factory=_default_prepare_seconds
     )
-    #: Per-strategy `classify_many()` cost per candidate row.
+    #: Per-strategy `classify()` cost per candidate row.
     classify_seconds: Mapping[str, float] = field(
         default_factory=_default_classify_seconds
     )

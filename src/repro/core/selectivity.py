@@ -46,7 +46,7 @@ def undecided_mass(
 ) -> dict:
     """Data mass each prepared strategy set leaves UNKNOWN inside ``region``.
 
-    One uniform sample set over ``region``, one ``classify_many`` pass per
+    One uniform sample set over ``region``, one ``classify`` pass per
     distinct strategy instance and one ``density.density_at`` lookup serve
     every set — common random numbers, so the ranking between sets is far
     more stable than independent estimates (and ~|sets|× cheaper).
@@ -67,7 +67,7 @@ def undecided_mass(
         mask = np.ones(n_samples, dtype=bool)
         for strategy in strategies:
             if id(strategy) not in unknown:
-                unknown[id(strategy)] = strategy.classify_many(samples) == UNKNOWN
+                unknown[id(strategy)] = strategy.classify(samples) == UNKNOWN
             mask &= unknown[id(strategy)]
         masses[key] = float(weights[mask].sum() * cell)
     return masses

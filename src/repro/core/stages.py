@@ -88,7 +88,6 @@ def phase1_rect(
     stats: QueryStats,
     *,
     dim: int,
-    phase1: str = "intersect",
 ) -> Rect | None:
     """Prepare every strategy and return the combined Phase-1 rectangle.
 
@@ -108,7 +107,7 @@ def phase1_rect(
         if strategy.proves_empty:
             stats.empty_by_strategy = strategy.name
             return None
-    rect = combined_search_rect(strategies, phase1=phase1)
+    rect = combined_search_rect(strategies)
     if rect is None:
         stats.empty_by_strategy = "intersection"
     return rect
@@ -140,32 +139,17 @@ def reject_only_candidates(
 
 
 class SearchStage(Stage):
-    """Phase 1: prepare the strategies and run one index range search.
-
-    ``phase1`` selects the paper-faithful ``"primary"`` mode (only the
-    first contributing strategy's rectangle drives the search, Algorithms
-    1/2) or the default ``"intersect"`` mode (every contributed rectangle
-    is intersected — never retrieves more, never loses answers).
+    """Phase 1: prepare the strategies and run one index range search
+    over the intersection of their rectangles (:func:`combined_search_rect`).
     """
 
     phase = "search"
 
-    def __init__(self, index: SpatialIndex, *, phase1: str = "intersect"):
-        if phase1 not in ("intersect", "primary"):
-            raise QueryError(
-                f"phase1 must be 'intersect' or 'primary', got {phase1!r}"
-            )
+    def __init__(self, index: SpatialIndex):
         self.index = index
-        self.phase1 = phase1
 
     def run(self, ctx: StageContext) -> None:
-        rect = phase1_rect(
-            ctx.query,
-            ctx.strategies,
-            ctx.stats,
-            dim=self.index.dim,
-            phase1=self.phase1,
-        )
+        rect = phase1_rect(ctx.query, ctx.strategies, ctx.stats, dim=self.index.dim)
         if rect is None:
             ctx.finished = True
             return
@@ -261,10 +245,14 @@ class IntegrateStage(Stage):
         ctx.accepted.extend(ids_arr[to_integrate[accept]].tolist())
 
 
-def combined_search_rect(
-    strategies: list[Strategy], *, phase1: str = "intersect"
-) -> Rect | None:
-    """The Phase-1 rectangle under the given policy; ``None`` if empty.
+def combined_search_rect(strategies: list[Strategy]) -> Rect | None:
+    """The intersection of every contributed rectangle; ``None`` if empty.
+
+    The paper's Algorithms 1/2 search with the first strategy's rectangle
+    only.  Intersecting sends the same rows to Phase 3: every built-in
+    filter REJECTs everything outside its own rectangle, so a row outside
+    the intersection never survives Phase 2 — only ``retrieved`` and
+    ``rejected_by_filter`` shrink.
 
     Raises :class:`QueryError` when no strategy contributes a rectangle.
     """
@@ -273,8 +261,6 @@ def combined_search_rect(
         contribution = strategy.search_rect()
         if contribution is None:
             continue
-        if phase1 == "primary":
-            return contribution  # the first contributing strategy wins
         rect = contribution if rect is None else rect.intersection(contribution)
         if rect is None:
             return None

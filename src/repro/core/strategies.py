@@ -74,24 +74,11 @@ class Strategy(abc.ABC):
 
     @abc.abstractmethod
     def classify(self, points: np.ndarray) -> np.ndarray:
-        """Phase-2 decision per candidate row: ACCEPT / REJECT / UNKNOWN."""
+        """Phase-2 decision for a whole ``(n, d)`` candidate block.
 
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        """Classify a whole (n, d) candidate array in one call.
-
-        The engine's batch path always goes through this method.  The base
-        implementation falls back to the scalar path — one
-        :meth:`classify` call per row — so a subclass only has to
-        implement per-point logic to be correct; the built-in strategies
-        all alias it to their :meth:`classify`, which is already one
-        vectorised pass over the block.
+        Returns one ``int8`` code per row — ACCEPT / REJECT / UNKNOWN — in
+        one call; this is the only block contract a strategy implements.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if pts.shape[0] == 0:
-            return np.empty(0, dtype=np.int8)
-        return np.concatenate(
-            [np.atleast_1d(self.classify(row)).astype(np.int8) for row in pts]
-        )
 
     def classify_candidates(
         self, ids: np.ndarray, points: np.ndarray
@@ -100,12 +87,12 @@ class Strategy(abc.ABC):
 
         The stage pipeline's Phase 2 always calls this entry point.  The
         paper's strategies are pure functions of the candidate *location*,
-        so the default ignores ``ids`` and delegates to
-        :meth:`classify_many`; kind adapters that keep per-object state
-        (e.g. the per-target covariance groups of
+        so the default ignores ``ids`` and delegates to :meth:`classify`;
+        kind adapters that keep per-object state (e.g. the per-target
+        covariance groups of
         :class:`repro.core.kinds.ConvolvedTargetStrategy`) override it.
         """
-        return self.classify_many(points)
+        return self.classify(points)
 
     def clone(self) -> "Strategy":
         """An unprepared copy sharing configuration (lookups) but no
@@ -153,8 +140,7 @@ class RectilinearStrategy(Strategy):
     fringe_filter:
         ``"exact"`` applies the exact rounded-region membership test in any
         dimension; ``"paper"`` restricts the fringe filter to d = 2 as the
-        paper does ("computation of fringe part is not easy for d >= 3");
-        ``"off"`` disables Phase-2 filtering entirely (search box only).
+        paper does ("computation of fringe part is not easy for d >= 3").
     """
 
     name = "RR"
@@ -162,9 +148,9 @@ class RectilinearStrategy(Strategy):
     def __init__(
         self, lookup: RThetaLookup | None = None, *, fringe_filter: str = "exact"
     ):
-        if fringe_filter not in ("exact", "paper", "off"):
+        if fringe_filter not in ("exact", "paper"):
             raise QueryError(
-                f"fringe_filter must be 'exact', 'paper' or 'off', got {fringe_filter!r}"
+                f"fringe_filter must be 'exact' or 'paper', got {fringe_filter!r}"
             )
         self._lookup = lookup
         self.fringe_filter = fringe_filter
@@ -185,8 +171,6 @@ class RectilinearStrategy(Strategy):
         region = self.region
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
-        if self.fringe_filter == "off":
-            return codes
         if self.fringe_filter == "paper" and region.dim != 2:
             return codes
         contains = kernels.minkowski_contains(
@@ -194,9 +178,6 @@ class RectilinearStrategy(Strategy):
         )
         codes[~contains] = REJECT
         return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
 
 
 class ObliqueStrategy(Strategy):
@@ -237,9 +218,6 @@ class ObliqueStrategy(Strategy):
         )
         codes[~contains] = REJECT
         return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
 
 
 class BoundingFunctionStrategy(Strategy):
@@ -294,9 +272,6 @@ class BoundingFunctionStrategy(Strategy):
             pts, self._center, self.alpha_upper, self.alpha_lower
         )
 
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)
-
 
 class EllipsoidStrategy(Strategy):
     """EM (ours): filter directly with the θ-region ⊕ δ-ball region.
@@ -336,9 +311,6 @@ class EllipsoidStrategy(Strategy):
         codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
         codes[ellipsoid.distance_to_surface(pts) > self._delta] = REJECT
         return codes
-
-    def classify_many(self, points: np.ndarray) -> np.ndarray:
-        return self.classify(points)  # already one vectorised pass
 
 
 #: The six configurations evaluated in the paper (Section V-A), plus the

@@ -43,6 +43,14 @@ __all__ = [
 #: hit ~0.1 µs — and every query shape needs two α and one r_θ.
 _MEMO_SIZE = 4096
 
+#: Below this θ, :func:`r_theta` inverts the upper tail Q(d/2, r²/2) = 2θ
+#: instead of the lower tail at 1 − 2θ: that difference rounds the tail
+#: away (r_θ comes out ~1e-3 relative *too small* near θ = 5e-17, which
+#: shrinks the θ-region and breaks no-false-dismissal, and 1 − 2θ is
+#: exactly 1.0 for θ < 2⁻⁵⁴).  At and above the cut the two forms agree to
+#: ~1e-12 and the lower-tail form is kept, so those radii stay bit-identical.
+_TAIL_THETA = 1e-6
+
 
 def _check_dim(dim: int) -> None:
     if not isinstance(dim, (int, np.integer)) or dim < 1:
@@ -82,6 +90,9 @@ def r_theta(dim: int, theta: float) -> float:
     """
     if not 0.0 < theta < 0.5:
         raise GeometryError(f"theta must satisfy 0 < theta < 1/2, got {theta}")
+    if theta < _TAIL_THETA:
+        _check_dim(dim)
+        return float(math.sqrt(2.0 * special.gammainccinv(dim / 2.0, 2.0 * theta)))
     return radial_ppf(dim, 1.0 - 2.0 * theta)
 
 

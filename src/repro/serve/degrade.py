@@ -90,6 +90,27 @@ class CostTracker:
         return remaining < self.predict() * safety
 
 
+def sandwich_triage(
+    gaussian, ids: np.ndarray, points: np.ndarray, delta: float, theta: float
+) -> tuple[list[int], list[tuple[int, float, float]]]:
+    """Decide what one sandwich pass over ``points`` can decide.
+
+    Returns ``(accepted, bounds)``: the ids with ``lower ≥ θ`` in row
+    order, and one ``(id, lower, upper)`` triple, sorted by id, per row
+    with ``lower < θ ≤ upper``.  Rows with ``upper < θ`` are dropped.
+    """
+    enclosure = chi2_sandwich_bounds_block(gaussian, points, delta)
+    lower, upper = enclosure[:, 0], enclosure[:, 1]
+    accept = lower >= theta
+    undecided = ~accept & (upper >= theta)
+    bounds = [
+        (int(obj_id), float(lo), float(hi))
+        for obj_id, lo, hi in zip(ids[undecided], lower[undecided], upper[undecided])
+    ]
+    bounds.sort(key=lambda triple: triple[0])
+    return [int(obj_id) for obj_id in ids[accept]], bounds
+
+
 def degraded_execute(
     engine, query: ProbabilisticRangeQuery
 ) -> tuple[tuple[int, ...], tuple[tuple[int, float, float], ...], QueryStats]:
@@ -105,9 +126,8 @@ def degraded_execute(
     stats = QueryStats()
     strategies = [s.clone() for s in engine.strategies]
     ctx = StageContext(query, strategies, engine.integrator, stats)
-    search = SearchStage(engine.index, phase1=engine.phase1)
     with stats.time_phase("search"):
-        search.run(ctx)
+        SearchStage(engine.index).run(ctx)
     bounds: list[tuple[int, float, float]] = []
     if not ctx.finished:
         with stats.time_phase("filter"):
@@ -117,23 +137,15 @@ def degraded_execute(
         stats.integrations = int(rows.size)
         if rows.size:
             with stats.time_phase("integrate"):
-                enclosure = chi2_sandwich_bounds_block(
-                    query.gaussian, ctx.points[rows], query.delta
+                accepted, bounds = sandwich_triage(
+                    query.gaussian,
+                    ctx.candidate_ids[rows],
+                    ctx.points[rows],
+                    query.delta,
+                    query.theta,
                 )
-                lower, upper = enclosure[:, 0], enclosure[:, 1]
-                certain_accept = lower >= query.theta
-                certain_reject = upper < query.theta
-                undecided = ~(certain_accept | certain_reject)
-                for slot in rows[certain_accept]:
-                    ctx.accepted.append(int(ctx.candidate_ids[slot]))
-                for slot, lo, hi in zip(
-                    ctx.candidate_ids[rows[undecided]],
-                    lower[undecided],
-                    upper[undecided],
-                ):
-                    bounds.append((int(slot), float(lo), float(hi)))
+                ctx.accepted.extend(accepted)
                 stats.note_decision(DEGRADED_TIER, int(rows.size))
     ids = tuple(sorted(int(i) for i in ctx.accepted))
     stats.results = len(ids)
-    bounds.sort(key=lambda triple: triple[0])
     return ids, tuple(bounds), stats

@@ -65,8 +65,8 @@ from repro.core.stages import FilterStage, IntegrateStage, StageContext, phase1_
 from repro.core.stats import QueryStats
 from repro.errors import QueryError, ReproError, ServiceError
 from repro.gaussian.distribution import Gaussian
-from repro.gaussian.quadform import chi2_sandwich_bounds_block
-from repro.serve.degrade import CostTracker
+from repro.obs import span_of
+from repro.serve.degrade import CostTracker, sandwich_triage
 from repro.serve.request import STATUS_DEGRADED, STATUS_FAILED, STATUS_OK
 
 __all__ = [
@@ -552,36 +552,28 @@ class SubscriptionManager:
                     ),
                     seconds=self._clock() - started,
                 )
-            span = (
-                self._obs.span("monitor:update", subscription=str(sub.key))
-                if self._obs is not None
-                else None
-            )
-            if span is not None:
-                span.__enter__()
-            try:
-                response = self._update_locked(
-                    sub, mean, sigma, deadline, request_id, started
-                )
-                if span is not None:
+            with span_of(
+                self._obs, "monitor:update", subscription=str(sub.key)
+            ) as span:
+                try:
+                    response = self._update_locked(
+                        sub, mean, sigma, deadline, request_id, started
+                    )
                     span.annotate(
                         outcome=response.outcome,
                         rechecked=response.rechecked,
                         shift=response.shift,
                     )
-            except ReproError as exc:
-                self._counters["failed"] += 1
-                response = MonitorResponse(
-                    request_id=request_id,
-                    type=REQUEST_UPDATE,
-                    status=STATUS_FAILED,
-                    subscription_id=sub.key,
-                    error=exc,
-                    seconds=self._clock() - started,
-                )
-            finally:
-                if span is not None:
-                    span.__exit__(None, None, None)
+                except ReproError as exc:
+                    self._counters["failed"] += 1
+                    response = MonitorResponse(
+                        request_id=request_id,
+                        type=REQUEST_UPDATE,
+                        status=STATUS_FAILED,
+                        subscription_id=sub.key,
+                        error=exc,
+                        seconds=self._clock() - started,
+                    )
             self._counters["updates"] += 1
             if self._metrics is not None and response.outcome:
                 self._metrics["updates"].inc(1, outcome=response.outcome)
@@ -860,24 +852,20 @@ class SubscriptionManager:
         which the sandwich intervals below enclose the truth.
         """
         query = sub.query
-        shifted = query.gaussian.moved_to(mean)
         certain = sub.region.certain_accept_ids(decision)
         rows = decision.recheck
         assert rows is not None
         bounds: list[tuple[int, float, float]] = []
         accepted: list[int] = list(certain)
         if rows.size:
-            enclosure = chi2_sandwich_bounds_block(
-                shifted, sub.region.points[rows], query.delta
+            sure, bounds = sandwich_triage(
+                query.gaussian.moved_to(mean),
+                sub.region.ids[rows],
+                sub.region.points[rows],
+                query.delta,
+                query.theta,
             )
-            lower, upper = enclosure[:, 0], enclosure[:, 1]
-            row_ids = sub.region.ids[rows]
-            for obj_id, lo, hi in zip(row_ids, lower, upper):
-                if lo >= query.theta:
-                    accepted.append(int(obj_id))
-                elif hi >= query.theta:
-                    bounds.append((int(obj_id), float(lo), float(hi)))
-        bounds.sort(key=lambda triple: triple[0])
+            accepted.extend(sure)
         sub.stale = True
         self._counters[OUTCOME_DEGRADED] += 1
         self._counters["rechecked_candidates"] += decision.n_recheck
@@ -916,13 +904,7 @@ class SubscriptionManager:
         )
         answer = batch.results[0].ids
         strategies = [s.clone() for s in self.engine.strategies]
-        rect = phase1_rect(
-            query,
-            strategies,
-            QueryStats(),
-            dim=self.database.dim,
-            phase1=self.engine.phase1,
-        )
+        rect = phase1_rect(query, strategies, QueryStats(), dim=self.database.dim)
         region = SafeRegion.build(
             query,
             answer,
@@ -950,13 +932,7 @@ class SubscriptionManager:
         )
         strategies = [s.clone() for s in self.engine.strategies]
         stats = QueryStats()
-        rect = phase1_rect(
-            shifted,
-            strategies,
-            stats,
-            dim=self.database.dim,
-            phase1=self.engine.phase1,
-        )
+        rect = phase1_rect(shifted, strategies, stats, dim=self.database.dim)
         if rect is None:
             # A strategy proved the shifted answer empty — which subsumes
             # every certain accept (both proofs are sound).

@@ -48,7 +48,7 @@ from repro.errors import (
 )
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.cascade import CascadeIntegrator
-from repro.obs import QUEUE_BUCKETS, TIME_BUCKETS, Observability
+from repro.obs import QUEUE_BUCKETS, TIME_BUCKETS, Observability, span_of
 from repro.serve.batching import AdmissionQueue
 from repro.serve.cache import ResultCache
 from repro.serve.degrade import CostTracker, degraded_execute
@@ -484,7 +484,6 @@ class QueryService:
                 )
 
     def _process(self, batch: list[_Pending]) -> None:
-        obs = self._obs
         now = self._clock()
         depth = len(batch) + len(self._queue)
         expired: list[_Pending] = []
@@ -506,29 +505,20 @@ class QueryService:
                 degrade.append(pending)
             else:
                 full.append(pending)
-        span = (
-            obs.span(
-                "serve:batch",
-                size=len(batch),
-                full=len(full),
-                degraded=len(degrade),
-                expired=len(expired),
-            )
-            if obs is not None
-            else None
-        )
-        if span is not None:
-            span.__enter__()
-        try:
+        with span_of(
+            self._obs,
+            "serve:batch",
+            size=len(batch),
+            full=len(full),
+            degraded=len(degrade),
+            expired=len(expired),
+        ):
             for pending in expired:
                 self._resolve_expired(pending, now)
             for pending in degrade:
                 self._resolve_degraded(pending)
             if full:
                 self._run_full(full)
-        finally:
-            if span is not None:
-                span.__exit__(None, None, None)
         self._count("batches")
         if len(full) > 1:
             self._count("coalesced_batches")

@@ -116,7 +116,6 @@ class ShardedDatabase:
         *,
         strategies: str | list[Strategy] = "all",
         integrator: ProbabilityIntegrator | None = None,
-        phase1: str = "intersect",
         obs=None,
     ) -> ShardedEngine:
         """A :class:`ShardedEngine` over the pool (drop-in engine)."""
@@ -125,7 +124,6 @@ class ShardedDatabase:
             self,
             strategy_list,
             integrator,
-            phase1=phase1,
             planner=planner,
             obs=obs,
             targets=self._database.targets,

@@ -276,7 +276,6 @@ class _Prepared:
 
     stats: QueryStats
     strategies: list[Strategy] = field(default_factory=list)
-    phase1: str = "intersect"
     integrator: ProbabilityIntegrator | None = None
     rect: Rect | None = None
     routed: list[ShardSpec] = field(default_factory=list)
@@ -304,13 +303,12 @@ class ShardedEngine(QueryEngine):
         strategies: list[Strategy],
         integrator: ProbabilityIntegrator | None = None,
         *,
-        phase1: str = "intersect",
         planner=None,
         obs: Observability | None = None,
         targets=None,
     ):
         self.database = database
-        self._configure(strategies, integrator, phase1, planner, obs, targets)
+        self._configure(strategies, integrator, planner, obs, targets)
 
     @property
     def index(self):
@@ -360,7 +358,6 @@ class ShardedEngine(QueryEngine):
                         shard_id=spec.shard_id,
                         query=query,
                         strategies=[s.clone() for s in prep.strategies],
-                        phase1=prep.phase1,
                         integrator=prep.integrator,
                     )
                     tasks.append(task)
@@ -412,7 +409,6 @@ class ShardedEngine(QueryEngine):
         stats = QueryStats()
         try:
             strategies = [s.clone() for s in self.strategies]
-            phase1 = self.phase1
             if integrator_factory is not None:
                 integrator = integrator_factory(query, seed)
             else:
@@ -428,7 +424,6 @@ class ShardedEngine(QueryEngine):
                     self.index,
                     strategies,
                     integrator,
-                    phase1=phase1,
                     planner=self.planner,
                     targets=self.targets,
                 )
@@ -460,11 +455,9 @@ class ShardedEngine(QueryEngine):
             # Phase-0 routing: prepare a throwaway strategy set and reuse
             # the engine's own Phase-1 rectangle as the routing volume.
             routing = [s.clone() for s in strategies]
-            rect = phase1_rect(
-                query, routing, stats, dim=self.database.dim, phase1=phase1
-            )
+            rect = phase1_rect(query, routing, stats, dim=self.database.dim)
             if rect is None:
-                return _Prepared(stats=stats, phase1=phase1)
+                return _Prepared(stats=stats)
             routed = [
                 spec
                 for spec in self.database.shards
@@ -473,7 +466,6 @@ class ShardedEngine(QueryEngine):
             return _Prepared(
                 stats=stats,
                 strategies=strategies,
-                phase1=phase1,
                 integrator=integrator,
                 rect=rect,
                 routed=routed,

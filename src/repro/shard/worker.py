@@ -48,7 +48,6 @@ class ShardTask:
     query: ProbabilisticRangeQuery
     #: Unprepared strategy clones; the worker prepares them itself.
     strategies: list[Strategy]
-    phase1: str
     #: Already forked/seeded for this query — identical entry state on
     #: every shard the query fans out to.
     integrator: ProbabilityIntegrator
@@ -71,14 +70,7 @@ def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
     """Run the three-phase pipeline for one task against a shard tree."""
     stats = QueryStats()
     ctx = StageContext(task.query, task.strategies, task.integrator, stats)
-    ids = execute_pipeline(
-        ctx,
-        [
-            SearchStage(tree, phase1=task.phase1),
-            FilterStage(),
-            IntegrateStage(),
-        ],
-    )
+    ids = execute_pipeline(ctx, [SearchStage(tree), FilterStage(), IntegrateStage()])
     return ShardTaskResult(
         task.task_id, task.query_index, task.shard_id, ids=ids, stats=stats
     )

@@ -120,10 +120,10 @@ class TestRectilinearStrategy:
         exact.prepare(query3)
         assert np.any(exact.classify(pts) == REJECT)
 
-    def test_off_mode_never_rejects(self, query, candidate_cloud):
-        strategy = RectilinearStrategy(fringe_filter="off")
-        strategy.prepare(query)
-        assert np.all(strategy.classify(candidate_cloud) == UNKNOWN)
+    def test_off_mode_never_rejects(self):
+        # There is no filter-less RR: "exact" and "paper" are the modes.
+        with pytest.raises(QueryError, match="'exact' or 'paper'"):
+            RectilinearStrategy(fringe_filter="off")
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(QueryError):
@@ -440,7 +440,9 @@ class TestClassifyMatchesGeometryOracle:
             codes, oracle_codes(strategy, query, points)
         )
         assert len(set(codes.tolist())) > 1  # the block straddles the filter
-        np.testing.assert_array_equal(strategy.classify_many(points), codes)
+        np.testing.assert_array_equal(
+            strategy.classify_candidates(np.arange(len(points)), points), codes
+        )
         assert strategy.classify(np.empty((0, dim))).shape == (0,)
         # A single candidate may arrive as a bare 1-D row.
         for row in points[:5]:
@@ -532,6 +534,13 @@ class TestClassifyMatchesGeometryOracle:
 
     @pytest.mark.parametrize("mode", ["off", "paper"])
     def test_rr_fringe_modes_skip_the_kernel_at_d3(self, mode, monkeypatch):
+        if mode == "off":
+            # No filter-less RR any more: "paper" is the one mode that
+            # skips the kernel, and only beyond d = 2.
+            with pytest.raises(QueryError):
+                RectilinearStrategy(fringe_filter=mode)
+            return
+
         def forbidden(*args):
             raise AssertionError("fringe filter is disabled at d = 3")
 

@@ -99,7 +99,7 @@ def test_filter_decisions_match_oracle(dim: int, name: str):
             # Empty proof == everything rejected; check below covers it.
             codes = np.full(points.shape[0], REJECT, dtype=np.int8)
         else:
-            codes = strategy.classify_many(points)
+            codes = strategy.classify(points)
 
         if name != "BF":
             assert not np.any(codes == ACCEPT), (
@@ -140,6 +140,6 @@ def test_oracle_sees_all_three_codes():
             bf = BoundingFunctionStrategy()
             bf.prepare(query)
             if not bf.proves_empty:
-                seen.update(np.unique(bf.classify_many(points)).tolist())
+                seen.update(np.unique(bf.classify(points)).tolist())
     assert REJECT in seen and 0 in seen
     assert ACCEPT in seen, "no BF acceptance hole exercised; widen the cases"

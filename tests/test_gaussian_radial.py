@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from repro.core.database import SpatialDatabase
 from repro.errors import GeometryError
+from repro.gaussian.distribution import Gaussian
+from repro.integrate.exact import ExactIntegrator
 from repro.gaussian.radial import (
     alpha_for_mass,
     offset_sphere_mass,
@@ -96,6 +99,36 @@ class TestRTheta:
     def test_rejects_theta_outside_open_half(self, theta):
         with pytest.raises(GeometryError):
             r_theta(2, theta)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 9, 15])
+    def test_tiny_theta_inverts_the_upper_tail(self, dim):
+        """1 − 2θ rounds to 1.0 below θ = 2⁻⁵⁴ (and loses the tail well
+        before), so small θ inverts Q(d/2, r²/2) = 2θ instead; from the cut
+        up the lower-tail form is kept bit for bit."""
+        for theta in [10.0**-k for k in range(1, 301)] + [5e-324]:
+            radius = r_theta(dim, theta)
+            assert np.isfinite(radius) and radius > 0
+            if theta < 1e-6:
+                tail = np.sqrt(2.0 * special.gammainccinv(dim / 2.0, 2.0 * theta))
+                assert radius == float(tail)
+            else:
+                assert radius == radial_ppf(dim, 1.0 - 2.0 * theta)
+
+    def test_tiny_theta_query_runs_every_strategy(self):
+        db = SpatialDatabase(np.random.default_rng(7).random((2000, 2)) * 1000)
+        root3 = np.sqrt(3.0)
+        sigma = 10.0 * np.array([[7.0, 2.0 * root3], [2.0 * root3, 3.0]])
+        answers = {}
+        for spec in ("all", "bf"):
+            result = db.probabilistic_range_query(
+                Gaussian([500.0, 500.0], sigma),
+                25.0,
+                1e-300,
+                strategies=spec,
+                integrator=ExactIntegrator(),
+            )
+            answers[spec] = result.ids
+        assert answers["all"] and answers["all"] == answers["bf"]
 
 
 class TestOffsetSphereMass:

@@ -144,13 +144,7 @@ class TestClassify:
         from repro.core.stats import QueryStats
 
         strategies = [s.clone() for s in engine.strategies]
-        rect = phase1_rect(
-            query,
-            strategies,
-            QueryStats(),
-            dim=database.dim,
-            phase1=engine.phase1,
-        )
+        rect = phase1_rect(query, strategies, QueryStats(), dim=database.dim)
         return SafeRegion.build(
             query,
             answer,

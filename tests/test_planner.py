@@ -266,22 +266,20 @@ class TestPlannerConfig:
 
     def test_planned_engine_retrieves_what_intersect_retrieves(self):
         """A planned engine runs the chosen combo over the intersected
-        Phase-1 rectangle — even when built with ``phase1="primary"``."""
+        Phase-1 rectangle, the same one a fixed engine of that combo
+        searches; there is no other Phase-1 policy to ask for."""
         db = make_database()
-        for phase1 in ("intersect", "primary"):
-            auto = db.engine(
-                strategies="auto", integrator=ExactIntegrator(), phase1=phase1
-            )
-            for query in make_queries(db):
-                planned = auto.execute(query)
-                combo = db.planner().plan(query, ExactIntegrator()).chosen
-                fixed = db.engine(
-                    strategies=combo.strategies,
-                    integrator=ExactIntegrator(),
-                    phase1="intersect",
-                ).execute(query)
-                assert planned.stats.retrieved == fixed.stats.retrieved
-                assert planned.ids == fixed.ids
+        auto = db.engine(strategies="auto", integrator=ExactIntegrator())
+        for query in make_queries(db):
+            planned = auto.execute(query)
+            combo = db.planner().plan(query, ExactIntegrator()).chosen
+            fixed = db.engine(
+                strategies=combo.strategies, integrator=ExactIntegrator()
+            ).execute(query)
+            assert planned.stats.retrieved == fixed.stats.retrieved
+            assert planned.ids == fixed.ids
+        with pytest.raises(TypeError):
+            db.engine(strategies="auto", phase1="primary")
 
     def test_default_combo_menu_is_the_papers(self):
         assert DEFAULT_COMBOS == ("rr", "bf", "rr+bf", "rr+or", "bf+or", "all")

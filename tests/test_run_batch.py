@@ -1,4 +1,4 @@
-"""Batched execution: parity, determinism, and the classify_many fallback.
+"""Batched execution: parity, determinism, and the block classify contract.
 
 ``run_batch`` seeds every query's integrator from its position in the
 batch, so the same workload must come out bit-identical whether it runs
@@ -14,8 +14,19 @@ from repro.bench.workload import WorkloadGenerator, run_workload
 from repro.core.database import SpatialDatabase
 from repro.core.engine import BatchResult, QueryResult
 from repro.core.query import ProbabilisticRangeQuery
+from repro.core.kinds import (
+    ConvolvedTargetStrategy,
+    KNNCutStrategy,
+    MixtureFilterStrategy,
+)
 from repro.core.stats import QueryStats
-from repro.core.strategies import RectilinearStrategy, Strategy
+from repro.core.strategies import (
+    BoundingFunctionStrategy,
+    EllipsoidStrategy,
+    ObliqueStrategy,
+    RectilinearStrategy,
+    Strategy,
+)
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.integrate.sequential import SequentialImportanceSampler
@@ -98,56 +109,72 @@ def test_batch_result_container_protocol(database, workload):
     assert batch.ids == tuple(r.ids for r in batch.results)
 
 
-class ScalarOnlyStrategy(Strategy):
-    """Implements only the per-point scalar path; classify_many must fall
-    back to it through the abstract base."""
+class BlockStrategy(Strategy):
+    """A third-party strategy written against the one block contract:
+    ``prepare`` stores the Phase-1 rectangle, ``classify`` takes the whole
+    ``(n, d)`` block and returns one int8 code per row."""
 
-    name = "RRscalar"
+    name = "RRblock"
 
     def __init__(self):
         self._inner = RectilinearStrategy()
+        self.blocks: list[int] = []
 
     def clone(self):
         # The base shallow copy would share the mutable ``_inner`` across
         # per-query clones — exactly the case the Strategy.clone docstring
         # says requires an override.
-        return ScalarOnlyStrategy()
+        return BlockStrategy()
 
     def prepare(self, query) -> None:
         self._inner.prepare(query)
-
-    def search_rect(self):
-        return self._inner.search_rect()
+        self._rect = self._inner.search_rect()
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        assert pts.shape[0] == 1, "scalar path must be fed row by row"
+        self.blocks.append(pts.shape[0])
         return self._inner.classify(pts)
 
 
 def test_classify_many_scalar_fallback(database):
+    """``classify`` is the one block entry: a custom strategy's block call
+    answers like the built-in, and no strategy carries a second name."""
     query = ProbabilisticRangeQuery(
         Gaussian([500.0, 500.0], 100.0 * np.eye(2)), 25.0, 0.05
     )
-    scalar = ScalarOnlyStrategy()
-    vectorised = RectilinearStrategy()
-    scalar.prepare(query)
-    vectorised.prepare(query)
+    custom = BlockStrategy()
+    builtin = RectilinearStrategy()
+    custom.prepare(query)
+    builtin.prepare(query)
     rng = np.random.default_rng(1)
     points = 400.0 + 200.0 * rng.random((50, 2))
-    np.testing.assert_array_equal(
-        scalar.classify_many(points), vectorised.classify_many(points)
-    )
-    assert scalar.classify_many(np.empty((0, 2))).size == 0
+    codes = custom.classify(points)
+    assert codes.dtype == np.int8 and custom.blocks == [50]
+    np.testing.assert_array_equal(codes, builtin.classify(points))
+    assert custom.classify(np.empty((0, 2))).size == 0
+    for cls in (
+        Strategy,
+        RectilinearStrategy,
+        ObliqueStrategy,
+        BoundingFunctionStrategy,
+        EllipsoidStrategy,
+        ConvolvedTargetStrategy,
+        MixtureFilterStrategy,
+        KNNCutStrategy,
+    ):
+        assert not hasattr(cls, "classify_many"), cls.__name__
 
 
 def test_engine_accepts_scalar_only_strategy(database):
-    """The batch path works end to end with a base-fallback strategy."""
+    """A custom block strategy runs end to end through ``run_batch`` with
+    the built-in strategy's answer."""
     queries = WorkloadGenerator(database, seed=8).batch(3)
     reference = database.engine(strategies="rr").run(queries, base_seed=5)
-    engine = database.engine(strategies=[ScalarOnlyStrategy()])
+    engine = database.engine(strategies=[BlockStrategy()])
     batch = engine.run_batch(queries, workers=2, base_seed=5)
     assert batch.ids == reference.ids
+    # Same counts; only the filter's name in ``rejected_by_filter`` differs.
+    assert batch_counts(batch)[:4] == batch_counts(reference)[:4]
 
 
 def test_query_result_contains_uses_cached_set():

@@ -48,7 +48,7 @@ def brute_force_candidates(
         return 0
     undecided = np.ones(points.shape[0], dtype=bool)
     for strategy in strategies:
-        undecided &= strategy.classify_many(points) == UNKNOWN
+        undecided &= strategy.classify(points) == UNKNOWN
     return int(np.count_nonzero(undecided))
 
 
@@ -159,7 +159,7 @@ def _densities():
 def test_estimate_in_rect_is_monotone_under_containment(density):
     """inner ⊆ outer ⇒ estimate(inner) ≤ estimate(outer): why a plan over
     the intersected Phase-1 rectangle is never predicted to retrieve more
-    than its ``"primary"`` twin, which the planner therefore never scores."""
+    than one over the paper's first-strategy rectangle."""
     rng = np.random.default_rng(17)
     for _ in range(200):
         a, b = np.sort(rng.uniform(-200.0, 1_200.0, (2, 3)), axis=0)
@@ -228,6 +228,6 @@ def test_estimate_candidates_is_the_single_set_case_of_undecided_mass(spec):
     ) * padded.extents
     unknown = np.ones(samples.shape[0], dtype=bool)
     for strategy in strategies:
-        unknown &= strategy.classify_many(samples) == UNKNOWN
+        unknown &= strategy.classify(samples) == UNKNOWN
     assert unknown.any() and not unknown.all()
     assert rect.contains_points(samples[unknown]).all()

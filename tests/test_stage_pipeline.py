@@ -103,17 +103,22 @@ def test_pipeline_composes_without_search_stage(db, query):
 
 
 def test_combined_search_rect_policies(db, query):
+    """One policy: the intersection of every contributed rectangle, inside
+    the paper's Phase-1 rectangle (the first strategy's)."""
     strategies = make_strategies("all")
     for strategy in strategies:
         strategy.prepare(query)
-    primary = combined_search_rect(strategies, phase1="primary")
-    intersect = combined_search_rect(strategies, phase1="intersect")
-    assert primary == strategies[0].search_rect()
-    for axis in range(2):
-        assert intersect.lows[axis] >= primary.lows[axis]
-        assert intersect.highs[axis] <= primary.highs[axis]
+    intersect = combined_search_rect(strategies)
+    expected = strategies[0].search_rect()
+    for strategy in strategies[1:]:
+        expected = expected.intersection(strategy.search_rect())
+    assert intersect == expected
+    for strategy in strategies:
+        assert strategy.search_rect().contains_rect(intersect)
+    with pytest.raises(TypeError):
+        combined_search_rect(strategies, phase1="primary")
 
 
 def test_combined_search_rect_requires_a_contributor():
     with pytest.raises(QueryError):
-        combined_search_rect([], phase1="intersect")
+        combined_search_rect([])
