@@ -1,9 +1,10 @@
 """Ablation — adaptive sequential Phase 3 vs the paper's fixed budget.
 
-The paper spends 100k samples on every candidate; the sequential sampler
-(`repro.integrate.sequential`) curtails each candidate's evaluation once
-the θ-decision is statistically settled, reserving the full budget for
-boundary cases.  Same answers, a fraction of the samples.
+The paper spends 100k samples on every candidate; the decision-aware
+``ImportanceSamplingIntegrator.decide`` settles candidates by sandwich
+bounds first and curtails each sampled candidate once the θ-decision is
+statistically settled, reserving the full budget for boundary cases.
+Same answers, a fraction of the samples.
 """
 
 from __future__ import annotations

@@ -11,7 +11,8 @@ exercised and that it runs as the block sweep, not as scalar
 row costs no more than a few Tier-1 rows, and on ``prq_cascade_9d``, where
 every candidate is decided inside a traced kernel, that Phase 3 spends
 little time outside them (within-run ratios, so the hardware does not
-matter).
+matter).  On ``prq_mc_2d`` it checks that the importance sampler still
+settles rows by sandwich bounds first and draws well under its budget.
 
     python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
 """
@@ -41,6 +42,12 @@ DECIDE_KERNELS = (
     "kernels.ruben_block_s",
     "kernels.squared_distance_noncentralities_s",
 )
+
+#: ``integrate.samples_per_candidate`` on ``prq_mc_2d``: 100 000 while every
+#: candidate drew the paper's full budget, about 23 000 with sandwich
+#: bounds first and the staged looks.
+MC_SAMPLES_LIMIT = 0.5 * 100_000
+MC_FULL_BUDGET = "the sampler draws the full budget for every candidate again"
 
 
 def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
@@ -92,6 +99,19 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
             found.append(
                 f"gaussian.imhof_calls = {metric('gaussian.imhof_calls')!r}, "
                 "expected 0: Tier 3 is back on the scalar imhof_cdf loop"
+            )
+    if workload == "prq_mc_2d":
+        samples = metric("integrate.samples_per_candidate")
+        if samples is None or samples > MC_SAMPLES_LIMIT:
+            found.append(
+                f"integrate.samples_per_candidate = {samples!r} is not within "
+                f"{MC_SAMPLES_LIMIT:.0f}: {MC_FULL_BUDGET}"
+            )
+        calls = metric("kernels.chi2_sandwich_block_calls")
+        if not (calls or 0) > 0:
+            found.append(
+                f"kernels.chi2_sandwich_block_calls = {calls!r}, expected "
+                f"> 0: {MC_FULL_BUDGET}"
             )
     return found
 

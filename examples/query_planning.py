@@ -6,8 +6,9 @@ A tour of the optimizer-flavoured machinery around the core engine:
 2. ``SelectivityEstimator`` predicts each combination's Phase-3 workload
    from a data histogram (no index access);
 3. the prediction picks a strategy combination;
-4. ``SequentialImportanceSampler`` then executes Phase 3 adaptively,
-   spending the full sampling budget only on borderline candidates.
+4. ``ImportanceSamplingIntegrator`` then executes Phase 3 adaptively:
+   sandwich bounds settle the clear candidates without a draw, and only
+   borderline ones spend the full sampling budget.
 
 Run:  python examples/query_planning.py
 """
@@ -18,8 +19,8 @@ import numpy as np
 
 from repro import (
     Gaussian,
+    ImportanceSamplingIntegrator,
     ProbabilisticRangeQuery,
-    SequentialImportanceSampler,
     SpatialDatabase,
 )
 from repro.core.selectivity import SelectivityEstimator
@@ -51,10 +52,8 @@ def main() -> None:
     chosen = min(predictions, key=predictions.get)
     print(f"chosen combination: {chosen}")
 
-    # 4. Execute with the adaptive sampler.
-    integrator = SequentialImportanceSampler(
-        theta=theta, max_samples=100_000, batch_size=2_000, seed=0
-    )
+    # 4. Execute with the decision-aware sampler.
+    integrator = ImportanceSamplingIntegrator(100_000, seed=0)
     result = db.engine(strategies=chosen, integrator=integrator).execute(query)
     spent = result.stats.integration_samples
     fixed = result.stats.integrations * 100_000

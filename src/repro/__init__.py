@@ -62,7 +62,6 @@ from repro.integrate import (
     AntitheticImportanceSampler,
     CascadeIntegrator,
     ExactIntegrator,
-    SequentialImportanceSampler,
     ImportanceSamplingIntegrator,
     MonteCarloIntegrator,
     QuasiMonteCarloIntegrator,
@@ -119,7 +118,6 @@ __all__ = [
     "QuasiMonteCarloIntegrator",
     "CascadeIntegrator",
     "ExactIntegrator",
-    "SequentialImportanceSampler",
     "AntitheticImportanceSampler",
     "BFCatalog",
     "RThetaCatalog",

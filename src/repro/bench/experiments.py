@@ -77,6 +77,14 @@ class _CountOnlyIntegrator(ProbabilityIntegrator):
         return IntegrationResult(0.0, 0.0, 0, self.name)
 
 
+class _FixedBudgetSampler(ImportanceSamplingIntegrator):
+    """The paper's Phase 3 as Table I times it: every candidate gets the
+    full ``n_samples`` budget — no sandwich bounds, no early looks — so a
+    strategy's time follows its candidate count alone."""
+
+    decide = ProbabilityIntegrator.decide
+
+
 # ----------------------------------------------------------------------
 # Tables I and II
 # ----------------------------------------------------------------------
@@ -148,9 +156,7 @@ def run_strategy_grid(
             for spec in SPEC_ORDER:
                 engine = db.engine(
                     strategies=spec,
-                    integrator=ImportanceSamplingIntegrator(
-                        n_samples, seed=seed + trial
-                    ),
+                    integrator=_FixedBudgetSampler(n_samples, seed=seed + trial),
                 )
                 start = time.perf_counter()
                 result = engine.execute(
@@ -674,7 +680,7 @@ def run_ablation_index_backends(
             gaussian = Gaussian(center, paper_sigma(gamma))
             engine = db.engine(
                 strategies="all",
-                integrator=ImportanceSamplingIntegrator(n_samples, seed=seed + trial),
+                integrator=_FixedBudgetSampler(n_samples, seed=seed + trial),
             )
             stats = engine.execute(
                 ProbabilisticRangeQuery(gaussian, delta, theta)
@@ -703,14 +709,13 @@ def run_ablation_sequential(
     max_samples: int = 100_000,
     seed: int = 0,
 ) -> ExperimentTable:
-    """Adaptive sequential sampling vs the paper's fixed budget.
+    """The sampler's decision-aware ``decide`` vs the paper's fixed budget.
 
-    Both evaluate the same candidates; the sequential sampler stops each
-    candidate as soon as the θ-decision is statistically clear, spending
-    the full budget only near the boundary.
+    Both evaluate the same candidates; ``ImportanceSamplingIntegrator``
+    settles rows by sandwich bounds first and stops each sampled row as
+    soon as the θ-decision is statistically clear, spending the full
+    budget only near the boundary.
     """
-    from repro.integrate.sequential import SequentialImportanceSampler
-
     db = load_road_database()
     centers = random_query_centers(db, n_trials, seed)
     table = ExperimentTable(
@@ -721,15 +726,11 @@ def run_ablation_sequential(
     for mode in ("fixed", "sequential"):
         total_candidates = total_samples = total_answers = 0.0
         total_seconds = 0.0
+        sampler = (
+            _FixedBudgetSampler if mode == "fixed" else ImportanceSamplingIntegrator
+        )
         for trial, center in enumerate(centers):
-            if mode == "fixed":
-                integrator = ImportanceSamplingIntegrator(
-                    max_samples, seed=seed + trial
-                )
-            else:
-                integrator = SequentialImportanceSampler(
-                    theta, max_samples=max_samples, seed=seed + trial
-                )
+            integrator = sampler(max_samples, seed=seed + trial)
             engine = db.engine(strategies="all", integrator=integrator)
             start = time.perf_counter()
             result = engine.execute(
@@ -746,8 +747,8 @@ def run_ablation_sequential(
             total_answers / n_trials,
             total_seconds / n_trials,
         )
-    table.note("identical candidates; sequential stops early once the "
-               "theta-decision is clear")
+    table.note("identical candidates; sequential settles rows by sandwich "
+               "bounds, then stops early once the theta-decision is clear")
     return table
 
 

@@ -28,7 +28,7 @@ from repro.core.query import ProbabilisticRangeQuery
 from repro.errors import ReproError
 from repro.gaussian.distribution import Gaussian
 from repro.integrate.base import ProbabilityIntegrator
-from repro.integrate.sequential import SequentialImportanceSampler
+from repro.integrate.importance import ImportanceSamplingIntegrator
 
 __all__ = ["WorkloadGenerator", "WorkloadReport", "run_workload"]
 
@@ -205,15 +205,15 @@ def run_workload(
 ) -> WorkloadReport:
     """Execute a query batch through one engine and aggregate statistics.
 
-    The default Phase-3 evaluator is the adaptive sequential sampler with
-    per-query θ — each query gets an integrator tuned to its own
-    threshold.
+    The default Phase-3 evaluator is the importance sampler with a
+    50,000-draw budget, which settles rows by sandwich bounds first and
+    samples the rest on a staged budget.
 
     With ``workers=None`` (default) queries run through the legacy
     per-query loop.  Any integer routes the batch through
     :meth:`QueryEngine.run_batch` with that many worker threads and the
-    *vectorised* shared-batch sequential sampler (or per-query forks of
-    ``integrator`` when one is supplied); per-query results are
+    *vectorised* shared-samples mode of that sampler (or per-query forks
+    of ``integrator`` when one is supplied); per-query results are
     bit-identical for every worker count.
 
     ``obs`` attaches a :class:`repro.obs.Observability` sink to the
@@ -222,18 +222,14 @@ def run_workload(
     """
     report = WorkloadReport()
     if workers is not None:
-        engine = database.engine(strategies=strategies, obs=obs)
-        if integrator is not None:
-            factory = lambda query, seed: integrator.fork(seed)  # noqa: E731
-        else:
-            factory = lambda query, seed: SequentialImportanceSampler(  # noqa: E731
-                query.theta, max_samples=50_000, seed=seed, share_batches=True
-            )
+        engine = database.engine(
+            strategies=strategies,
+            integrator=integrator
+            or ImportanceSamplingIntegrator(50_000, share_samples=True),
+            obs=obs,
+        )
         batch = engine.run_batch(
-            list(queries),
-            workers=workers,
-            base_seed=base_seed,
-            integrator_factory=factory,
+            list(queries), workers=workers, base_seed=base_seed
         )
         report.workers = workers
         report.wall_seconds = batch.stats.wall_seconds
@@ -249,8 +245,7 @@ def run_workload(
     for query in queries:
         engine = database.engine(
             strategies=strategies,
-            integrator=integrator
-            or SequentialImportanceSampler(query.theta, max_samples=50_000),
+            integrator=integrator or ImportanceSamplingIntegrator(50_000),
             obs=obs,
         )
         result = engine.execute(query)

@@ -129,12 +129,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="strategy spec (rr, bf, rr+bf, rr+or, bf+or, "
                        "all, em, em+bf) or 'auto' for cost-based planning")
     query.add_argument("--integrator", default=None,
-                       choices=["importance", "sequential", "exact", "cascade"],
-                       help="Phase-3 evaluator: the paper's fixed-budget "
-                       "importance sampler, the adaptive sequential sampler, "
-                       "the exact quadratic-form CDF, or the deterministic "
-                       "sandwich/Ruben/Imhof cascade (default: engine "
-                       "default, i.e. importance sampling)")
+                       choices=["importance", "exact", "cascade"],
+                       help="Phase-3 evaluator: the paper's importance "
+                       "sampler (sandwich bounds first, then a staged "
+                       "budget), the exact quadratic-form CDF, or the "
+                       "deterministic sandwich/Ruben/Imhof cascade "
+                       "(default: engine default, i.e. importance sampling)")
     query.add_argument("--exact", action="store_true",
                        help="shorthand for --integrator exact")
     query.add_argument("--batch", default=None, metavar="FILE",
@@ -169,8 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="strategy spec or 'auto' for the cost-based "
                          "planner (default: auto)")
     explain.add_argument("--integrator", default=None,
-                         choices=["importance", "sequential", "exact",
-                                  "cascade"],
+                         choices=["importance", "exact", "cascade"],
                          help="Phase-3 evaluator assumed by the cost model")
     explain.add_argument("--seed", type=int, default=0)
 
@@ -399,13 +398,12 @@ def _integrator_choice(args) -> str | None:
     return args.integrator or ("exact" if args.exact else None)
 
 
-def _make_integrator(choice: str | None, theta: float | None, seed: int):
-    """Build the Phase-3 evaluator for one query (None = engine default)."""
+def _make_integrator(choice: str | None, seed: int):
+    """Build the Phase-3 evaluator (None = engine default)."""
     from repro.integrate import (
         CascadeIntegrator,
         ExactIntegrator,
         ImportanceSamplingIntegrator,
-        SequentialImportanceSampler,
     )
 
     if choice is None:
@@ -414,9 +412,7 @@ def _make_integrator(choice: str | None, theta: float | None, seed: int):
         return ImportanceSamplingIntegrator(seed=seed)
     if choice == "exact":
         return ExactIntegrator()
-    if choice == "cascade":
-        return CascadeIntegrator()
-    return SequentialImportanceSampler(theta, seed=seed, share_batches=True)
+    return CascadeIntegrator()
 
 
 def _make_obs(args):
@@ -598,9 +594,7 @@ def _dispatch_query(db, args) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    integrator = _make_integrator(
-        _integrator_choice(args), args.theta, args.seed
-    )
+    integrator = _make_integrator(_integrator_choice(args), args.seed)
     obs = _make_obs(args)
     engine = db.engine(
         strategies=args.strategies, integrator=integrator, obs=obs
@@ -649,26 +643,13 @@ def _run_query_batch(db, args) -> int:
         except (KeyError, TypeError, ValueError, ReproError) as exc:
             print(f"error: bad query spec #{i}: {exc}", file=sys.stderr)
             return 2
-    choice = _integrator_choice(args)
     obs = _make_obs(args)
-    if choice == "sequential":
-        # The adaptive sampler is tuned to each query's own θ, so the
-        # batch path builds one integrator per query via the factory.
-        engine = db.engine(strategies=args.strategies, obs=obs)
-        factory = lambda query, seed: _make_integrator(  # noqa: E731
-            choice, query.theta, seed
-        )
-    else:
-        engine = db.engine(
-            strategies=args.strategies,
-            integrator=_make_integrator(choice, None, args.seed),
-            obs=obs,
-        )
-        factory = None
-    batch = engine.run_batch(
-        queries, workers=args.workers, base_seed=args.seed,
-        integrator_factory=factory,
+    engine = db.engine(
+        strategies=args.strategies,
+        integrator=_make_integrator(_integrator_choice(args), args.seed),
+        obs=obs,
     )
+    batch = engine.run_batch(queries, workers=args.workers, base_seed=args.seed)
     for i, result in enumerate(batch):
         print(f"query {i}: {len(result)} objects "
               f"[{' '.join(str(j) for j in result.ids)}]")
@@ -690,7 +671,7 @@ def _cmd_explain(args) -> int:
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    integrator = _make_integrator(args.integrator, args.theta, args.seed)
+    integrator = _make_integrator(args.integrator, args.seed)
     engine = db.engine(strategies=args.strategies, integrator=integrator)
     estimator = None
     if db.dim <= 3:
@@ -899,7 +880,7 @@ def _cmd_serve(args) -> int:
                   file=sys.stderr)
             return 2
     obs = _make_obs(args)
-    integrator = _make_integrator(args.integrator, None, args.seed)
+    integrator = _make_integrator(args.integrator, args.seed)
     service = db.serve(
         max_queue=args.queue_size,
         max_batch=args.max_batch,

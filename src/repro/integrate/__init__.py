@@ -5,7 +5,9 @@ from N(q, Σ) and counting the fraction of draws that land in the δ-ball
 (Section V-A).  This package implements that estimator plus alternatives
 sharing one interface:
 
-- :class:`ImportanceSamplingIntegrator` — the paper's method;
+- :class:`ImportanceSamplingIntegrator` — the paper's method; its
+  ``decide`` settles rows by χ² sandwich bounds first and samples the
+  rest on a staged budget;
 - :class:`MonteCarloIntegrator` — plain MC: uniform draws in the ball
   times the ball volume times the mean density;
 - :class:`QuasiMonteCarloIntegrator` — randomized-Halton QMC;
@@ -27,7 +29,6 @@ from repro.integrate.halton import halton_sequence, first_primes
 from repro.integrate.qmc import QuasiMonteCarloIntegrator
 from repro.integrate.exact import ExactIntegrator
 from repro.integrate.cascade import CascadeIntegrator
-from repro.integrate.sequential import SequentialImportanceSampler
 from repro.integrate.antithetic import AntitheticImportanceSampler
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "QuasiMonteCarloIntegrator",
     "ExactIntegrator",
     "CascadeIntegrator",
-    "SequentialImportanceSampler",
     "AntitheticImportanceSampler",
     "halton_sequence",
     "first_primes",

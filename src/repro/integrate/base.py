@@ -68,7 +68,7 @@ class ProbabilityIntegrator(abc.ABC):
 
         Phase 3 only needs the predicate ``p ≥ θ``, not the probability
         itself; this entry point lets decision-aware integrators (the
-        cascade, the sequential sampler) spend work only until each
+        cascade, the importance sampler) spend work only until each
         candidate's decision is certain.  Returns
         ``(accept, tally, samples)``: the boolean accept mask over the
         candidate rows, a ``method label → rows that method decided``
@@ -163,6 +163,24 @@ class ProbabilityIntegrator(abc.ABC):
             raise IntegrationError(
                 f"point shape {p.shape} does not match query dimension {gaussian.dim}"
             )
-        if not np.isfinite(delta) or delta < 0:
-            raise IntegrationError(f"delta must be finite and >= 0, got {delta}")
+        _check_delta(delta)
         return p
+
+    @staticmethod
+    def _validate_block(
+        gaussian: Gaussian, points: np.ndarray, delta: float
+    ) -> np.ndarray:
+        """:meth:`_validate` for a whole ``(m, d)`` block, checked once."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if pts.ndim != 2 or pts.shape[1] != gaussian.dim:
+            raise IntegrationError(
+                f"points shape {pts.shape} does not match query dimension "
+                f"{gaussian.dim}"
+            )
+        _check_delta(delta)
+        return pts
+
+
+def _check_delta(delta: float) -> None:
+    if not np.isfinite(delta) or delta < 0:
+        raise IntegrationError(f"delta must be finite and >= 0, got {delta}")

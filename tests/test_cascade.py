@@ -28,6 +28,7 @@ from repro.gaussian.quadform import (
 )
 from repro.index.rtree import RStarTree
 from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
+from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
 from repro.kernels import ruben_block
 from repro.obs import Observability
@@ -363,7 +364,11 @@ class TestDecideDefault:
         theta = 0.05
         a = ImportanceSamplingIntegrator(4_000, seed=3, share_samples=True)
         b = ImportanceSamplingIntegrator(4_000, seed=3, share_samples=True)
-        accept, tally, samples = a.decide(paper_gaussian, pts, 25.0, theta)
+        # The sampler's own decide settles rows by bounds first; the base
+        # class's is the fixed-budget estimate plus the threshold rule.
+        accept, tally, samples = ProbabilityIntegrator.decide(
+            a, paper_gaussian, pts, 25.0, theta
+        )
         reference = b.qualification_probabilities(paper_gaussian, pts, 25.0)
         np.testing.assert_array_equal(
             accept, [r.meets_threshold(theta) for r in reference]

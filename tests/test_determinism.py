@@ -17,7 +17,7 @@ from repro.bench.workload import WorkloadGenerator
 from repro.core.database import SpatialDatabase
 from repro.core.engine import BatchResult
 from repro.gaussian import radial
-from repro.integrate.sequential import SequentialImportanceSampler
+from repro.integrate.importance import ImportanceSamplingIntegrator
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,7 @@ def workload(database):
 
 
 def adaptive_factory(query, seed):
-    return SequentialImportanceSampler(
-        query.theta, max_samples=30_000, seed=seed, share_batches=True
-    )
+    return ImportanceSamplingIntegrator(30_000, seed=seed, share_samples=True)
 
 
 def run_fresh(database, workload, *, workers: int = 1) -> BatchResult:
@@ -96,8 +94,8 @@ def test_worker_count_does_not_change_estimates(database, workload):
 
 
 def test_different_seed_changes_sampling(database, workload):
-    """Sanity: the seed actually reaches the integrators (the adaptive
-    sampler draws different sample counts under a different base seed)."""
+    """Sanity: the seed actually reaches the integrators (the staged
+    budget stops rows at different looks under a different base seed)."""
     a = database.engine().run_batch(
         workload, base_seed=1, integrator_factory=adaptive_factory
     )

@@ -100,3 +100,36 @@ def test_tier2_share_guard_applies_to_both_cascade_workloads():
             assert "ruben_block_ns_per_row" in problem and "O(d)" in problem
     # serve_uniform also runs Tier 2, but carries no guard.
     assert e2e_smoke.problems(result_line(**slow), "serve_uniform") == []
+
+
+def test_sampler_budget_guard_applies_to_prq_mc_2d_only():
+    def found(**metrics):
+        return e2e_smoke.problems(result_line(**metrics), "prq_mc_2d")
+
+    # Traced prq_mc_2d: about 23 000 draws a candidate, one sandwich call
+    # an op.
+    healthy = {
+        "integrate.samples_per_candidate": 22_784.0,
+        "kernels.chi2_sandwich_block_calls": 31,
+    }
+    assert found(**healthy) == []
+    # Every candidate draws the full budget again, or the metric is gone.
+    for samples in (100_000.0, 50_001.0, None):
+        (problem,) = found(
+            **{**healthy, "integrate.samples_per_candidate": samples}
+        )
+        assert "samples_per_candidate" in problem
+        assert problem.endswith(e2e_smoke.MC_FULL_BUDGET)
+    # No sandwich call: bounds no longer come first.
+    for calls in (0, None):
+        (problem,) = found(
+            **{**healthy, "kernels.chi2_sandwich_block_calls": calls}
+        )
+        assert "chi2_sandwich_block_calls" in problem
+        assert problem.endswith(e2e_smoke.MC_FULL_BUDGET)
+    assert len(e2e_smoke.problems({}, "prq_mc_2d")) == 6
+    # The cascade workloads draw nothing and carry no such guard.
+    tier3 = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
+    full = {"integrate.samples_per_candidate": 100_000.0}
+    assert e2e_smoke.problems(result_line(**full), "prq_cascade_9d") == []
+    assert e2e_smoke.problems(result_line(**full, **tier3), "prq_cascade_2d") == []

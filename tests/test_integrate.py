@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import IntegrationError
+from repro.gaussian.distribution import Gaussian
 from repro.integrate import (
     ExactIntegrator,
     ImportanceSamplingIntegrator,
@@ -145,6 +146,27 @@ class TestImportanceSampling:
             ImportanceSamplingIntegrator(100).qualification_probability(
                 paper_gaussian, np.zeros(3), 1.0
             )
+
+    @pytest.mark.parametrize("share", [False, True])
+    @pytest.mark.parametrize(
+        "points, delta",
+        [
+            # δ = −1 once read as the answer for δ = 1 (0.393) in shared mode.
+            ([[0.0, 0.0]], -1.0),
+            # δ = NaN once read as 0.0 in shared mode.
+            ([[0.0, 0.0]], float("nan")),
+            # A 3-wide point once raised NumPy's matmul ValueError.
+            ([[0.0, 0.0, 0.0]], 1.0),
+        ],
+        ids=["negative-delta", "nan-delta", "wrong-width"],
+    )
+    def test_block_validated_in_both_modes(self, share, points, delta):
+        gaussian = Gaussian([0.0, 0.0], np.eye(2))
+        integ = ImportanceSamplingIntegrator(1_000, share_samples=share)
+        with pytest.raises(IntegrationError):
+            integ.qualification_probabilities(gaussian, np.array(points), delta)
+        with pytest.raises(IntegrationError):
+            integ.decide(gaussian, np.array(points), delta, 0.1)
 
 
 class TestMonteCarlo:

@@ -29,7 +29,7 @@ from repro.core.strategies import (
 )
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
-from repro.integrate.sequential import SequentialImportanceSampler
+from repro.integrate.importance import ImportanceSamplingIntegrator
 
 
 @pytest.fixture(scope="module")
@@ -67,8 +67,8 @@ def test_run_batch_matches_sequential_run(database, workload):
 
 def test_run_batch_with_adaptive_factory(database, workload):
     engine = database.engine()
-    factory = lambda q, seed: SequentialImportanceSampler(  # noqa: E731
-        q.theta, max_samples=20_000, seed=seed, share_batches=True
+    factory = lambda q, seed: ImportanceSamplingIntegrator(  # noqa: E731
+        20_000, seed=seed, share_samples=True
     )
     sequential = engine.run(workload, base_seed=3, integrator_factory=factory)
     for workers in (2, 4):
@@ -184,22 +184,22 @@ def test_query_result_contains_uses_cached_set():
     assert isinstance(result._id_set, frozenset)
 
 
-class FaultyIntegrator(SequentialImportanceSampler):
+class FaultyIntegrator(ImportanceSamplingIntegrator):
     """Raises on queries whose θ matches a poison value."""
 
     name = "faulty"
 
     def __init__(self, poison_theta: float, seed=None):
-        super().__init__(0.05, max_samples=5_000, seed=seed)
+        super().__init__(5_000, seed=seed)
         self.poison_theta = poison_theta
 
     def fork(self, seed):
         return FaultyIntegrator(self.poison_theta, seed=seed)
 
-    def qualification_probabilities(self, gaussian, points, delta):
+    def decide(self, gaussian, points, delta, theta):
         if getattr(self, "_armed", False):
             raise RuntimeError("integrator blew up")
-        return super().qualification_probabilities(gaussian, points, delta)
+        return super().decide(gaussian, points, delta, theta)
 
 
 class _ArmingFactory:
@@ -295,7 +295,7 @@ def test_run_batch_keeps_library_errors_untyped_wrapped(database):
             integrator = super().__call__(query, seed)
             if integrator._armed:
                 class Typed(FaultyIntegrator):
-                    def qualification_probabilities(self, g, p, d):
+                    def decide(self, g, p, d, t):
                         raise QueryError("already typed")
                 typed = Typed(self.poison_theta, seed=seed)
                 typed._armed = True

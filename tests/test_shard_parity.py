@@ -3,7 +3,7 @@
 Contract under test (see ``docs/sharding.md``):
 
 1. **Parity** — for composition-independent integrators (Exact, Cascade,
-   shared-draw importance/sequential) the merged sharded answer is
+   shared-draw importance) the merged sharded answer is
    bit-identical to the single-engine path: same ids, same candidate and
    integration counters, for every shard count and worker count.
 2. **Determinism** — for composition-dependent samplers (plain MC, QMC,
@@ -31,7 +31,6 @@ from repro.integrate import (
     ImportanceSamplingIntegrator,
     MonteCarloIntegrator,
     QuasiMonteCarloIntegrator,
-    SequentialImportanceSampler,
 )
 
 from tests.conftest import random_spd
@@ -49,8 +48,8 @@ INDEPENDENT = {
     "importance-shared": lambda: ImportanceSamplingIntegrator(
         4_000, share_samples=True
     ),
-    "sequential-shared": lambda: SequentialImportanceSampler(
-        0.2, max_samples=8_000, batch_size=1_000, share_batches=True
+    "sequential-shared": lambda: ImportanceSamplingIntegrator(
+        8_000, share_samples=True
     ),
 }
 DEPENDENT = {

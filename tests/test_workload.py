@@ -80,6 +80,10 @@ class TestRunWorkload:
         )
         report = run_workload(db, generator.batch(5))
         assert all(latency > 0 for latency in report.latencies)
+        # The default is the importance sampler: sandwich-settled rows and
+        # sampled rows, nothing else.
+        assert set(report.tier_decisions) <= {"importance-sandwich", "importance"}
+        assert sum(report.tier_decisions.values()) == sum(report.integrations)
 
     def test_empty_report_rejected(self):
         from repro.bench.workload import WorkloadReport
