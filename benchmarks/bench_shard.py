@@ -1,13 +1,16 @@
-"""Sharded scatter–gather throughput and parity gate.
+"""Sharded scatter–gather process curve, parity and throughput gate.
 
 The acceptance bar for `repro.shard` (see docs/sharding.md): on a
 >= 200k-point workload, batch throughput with 4 shard worker processes
 must be >= 2.5x the single-engine path, and the merged answers must be
 **bit-identical** query-for-query.
 
-Parity is asserted unconditionally.  The speedup gate only applies where
-4 processes can actually run in parallel (``os.cpu_count() >= 4`` — CI
-runners qualify); on smaller hosts the measured ratio is still reported.
+The bench times the single engine, then 1, 2 and 4 shard processes (one
+shard per process), and records the curve with ``os.cpu_count()`` in
+``BENCH_shard.json``.  Parity is asserted at every point of the curve.
+The speedup gate only applies where 4 processes can actually run in
+parallel (``os.cpu_count() >= 4`` — CI runners qualify); on smaller
+hosts the measured ratios are still reported.
 
 Environment knobs (CI smoke shrinks none of the defaults — the gate is
 specified at 200k points):
@@ -31,7 +34,8 @@ from repro.core.query import ProbabilisticRangeQuery
 from repro.gaussian.distribution import Gaussian
 from repro.integrate.cascade import CascadeIntegrator
 
-N_SHARDS = 4
+PROCESS_COUNTS = (1, 2, 4)
+GATED_PROCESSES = 4
 SPEEDUP_GATE = 2.5
 
 
@@ -71,65 +75,71 @@ def make_queries(k: int, seed: int = 9) -> list[ProbabilisticRangeQuery]:
     return queries
 
 
+def timed_batch(engine, queries):
+    start = time.perf_counter()
+    batch = engine.run_batch(queries, base_seed=11)
+    return batch, time.perf_counter() - start
+
+
 def test_shard_throughput_and_parity(benchmark):
     def run():
         points = make_dataset(shard_points())
         queries = make_queries(shard_queries())
         db = SpatialDatabase(points)
 
-        engine = db.engine(
-            strategies="all", integrator=CascadeIntegrator()
+        baseline, single_wall = timed_batch(
+            db.engine(strategies="all", integrator=CascadeIntegrator()),
+            queries,
         )
-        start = time.perf_counter()
-        baseline = engine.run_batch(queries, base_seed=11)
-        single_wall = time.perf_counter() - start
-
-        with db.shard(N_SHARDS, workers=N_SHARDS) as sharded:
-            sharded_engine = sharded.engine(
-                strategies="all", integrator=CascadeIntegrator()
+        walls = {}
+        for processes in PROCESS_COUNTS:
+            with db.shard(processes, workers=processes) as sharded:
+                batch, walls[processes] = timed_batch(
+                    sharded.engine(
+                        strategies="all", integrator=CascadeIntegrator()
+                    ),
+                    queries,
+                )
+            # The hard gate, unconditional: bit-identical merged answers
+            # at every point of the curve.
+            mismatches = sum(
+                got.ids != want.ids
+                for got, want in zip(batch.results, baseline.results)
             )
-            start = time.perf_counter()
-            batch = sharded_engine.run_batch(queries, base_seed=11)
-            sharded_wall = time.perf_counter() - start
-
-        # The hard gate, unconditional: bit-identical merged answers.
-        mismatches = sum(
-            got.ids != want.ids
-            for got, want in zip(batch.results, baseline.results)
-        )
-        assert mismatches == 0, f"{mismatches} queries lost parity"
-        assert sum(r.stats.retrieved for r in batch.results) == sum(
-            r.stats.retrieved for r in baseline.results
-        )
+            assert mismatches == 0, (
+                f"{processes} processes: {mismatches} queries lost parity"
+            )
+            assert sum(r.stats.retrieved for r in batch.results) == sum(
+                r.stats.retrieved for r in baseline.results
+            )
 
         table = ExperimentTable(
             f"Sharded scatter–gather — {len(points):,} points, "
             f"{len(queries)} queries, cascade Phase 3",
-            ["mode", "wall s", "qps", "mean candidates"],
+            ["mode", "wall s", "qps", "speedup"],
         )
-        mean_cands = sum(
-            r.stats.retrieved for r in baseline.results
-        ) / len(queries)
-        for label, wall in (
-            ("single engine", single_wall),
-            (f"{N_SHARDS} shard processes", sharded_wall),
-        ):
-            table.add_row(label, wall, len(queries) / wall, mean_cands)
-        return table, single_wall, sharded_wall
+        table.add_row("single engine", single_wall, len(queries) / single_wall, 1.0)
+        for processes, wall in walls.items():
+            table.add_row(
+                f"{processes} shard processes",
+                wall,
+                len(queries) / wall,
+                single_wall / wall,
+            )
+        return table, single_wall, walls
 
-    table, single_wall, sharded_wall = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
-    speedup = single_wall / sharded_wall
-    gated = os.cpu_count() is not None and os.cpu_count() >= N_SHARDS
+    table, single_wall, walls = benchmark.pedantic(run, rounds=1, iterations=1)
+    cpus = os.cpu_count()
+    speedup = single_wall / walls[GATED_PROCESSES]
+    gated = cpus is not None and cpus >= GATED_PROCESSES
     report(
         "shard_throughput",
         table.render()
-        + f"\nspeedup: {speedup:.2f}x "
+        + f"\n{GATED_PROCESSES}-process speedup: {speedup:.2f}x "
         + (
             f"(gate: >= {SPEEDUP_GATE}x)"
             if gated
-            else f"(gate skipped: {os.cpu_count()} CPUs < {N_SHARDS})"
+            else f"(gate skipped: {cpus} CPUs < {GATED_PROCESSES})"
         ),
     )
     report_json(
@@ -137,14 +147,21 @@ def test_shard_throughput_and_parity(benchmark):
         {
             "points": shard_points(),
             "queries": shard_queries(),
-            "n_shards": N_SHARDS,
+            "cpu_count": cpus,
             "single_wall_s": single_wall,
-            "sharded_wall_s": sharded_wall,
-            "speedup": speedup,
+            "curve": [
+                {
+                    "processes": processes,
+                    "wall_s": wall,
+                    "speedup": single_wall / wall,
+                }
+                for processes, wall in walls.items()
+            ],
             "speedup_gate_applied": gated,
         },
     )
     if gated:
         assert speedup >= SPEEDUP_GATE, (
-            f"4-shard speedup {speedup:.2f}x below the {SPEEDUP_GATE}x gate"
+            f"{GATED_PROCESSES}-shard speedup {speedup:.2f}x below the "
+            f"{SPEEDUP_GATE}x gate"
         )

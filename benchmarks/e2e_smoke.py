@@ -13,6 +13,9 @@ every candidate is decided inside a traced kernel, that Phase 3 spends
 little time outside them (within-run ratios, so the hardware does not
 matter).  On ``prq_mc_2d`` it checks that the importance sampler still
 settles rows by sandwich bounds first and draws well under its budget.
+On ``shard_batch_2d``, whose Phase 1 runs inside the shard workers, the
+Phase-1 check is replaced by one that the workers received tasks and
+spent time on them.
 
     python benchmarks/e2e_smoke.py [--workload NAME] [--seconds S]
 """
@@ -66,7 +69,16 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
             f"trace.unresolved_targets = {metric('trace.unresolved_targets')!r}, "
             "expected 0"
         )
-    if not (metric("index.range_search_calls") or 0) > 0:
+    if workload == "shard_batch_2d":
+        # Phase 1 runs inside the worker processes, out of the
+        # coordinator's traced index span: read the pool's side instead.
+        for name in ("shard.tasks_per_query", "shard.worker_busy_s"):
+            if not (metric(name) or 0) > 0:
+                found.append(
+                    f"{name} = {metric(name)!r} is not positive: the "
+                    "shard workers no longer execute the queries"
+                )
+    elif not (metric("index.range_search_calls") or 0) > 0:
         found.append(
             "index.range_search_calls is not positive: the Phase-1 span no "
             "longer sits on the search the pipeline uses"

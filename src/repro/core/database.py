@@ -319,38 +319,25 @@ class SpatialDatabase:
     # Sharding
     # ------------------------------------------------------------------
 
-    def shard(
-        self,
-        n_shards: int,
-        *,
-        method: str = "str",
-        workers: int | None = None,
-        start_method: str | None = None,
-    ):
+    def shard(self, n_shards: int, *, workers: int | None = None):
         """Partition this database across ``n_shards`` worker processes.
 
-        Returns a :class:`repro.shard.ShardedDatabase`: the points move
-        into shared memory, each shard gets its own R*-tree inside a
-        long-lived worker process, and every engine built from it
-        scatter-gathers queries across the shards whose MBR intersects
-        the query's Phase-1 rectangle (``docs/sharding.md``).  ``method``
-        picks the partitioning order (``"str"`` or ``"hilbert"``);
+        Returns a :class:`repro.shard.ShardedDatabase`: every worker
+        process maps this database's store file (an in-memory database
+        writes a temporary one first), each shard gets its own R*-tree
+        inside a long-lived worker process, and every engine built from
+        it scatter-gathers queries across the shards whose MBR
+        intersects the query's Phase-1 rectangle (``docs/sharding.md``).
         ``workers`` caps the process count (default: one per shard).
         Close the returned database (it is a context manager) to stop
-        the pool and release the shared memory::
+        the pool and delete a temporary store::
 
             with db.shard(4) as sharded:
                 batch = sharded.engine().run_batch(queries)
         """
         from repro.shard import ShardedDatabase
 
-        return ShardedDatabase(
-            self,
-            n_shards,
-            method=method,
-            workers=workers,
-            start_method=start_method,
-        )
+        return ShardedDatabase(self, n_shards, workers=workers)
 
     # ------------------------------------------------------------------
     # Serving

@@ -203,9 +203,11 @@ class IntegrateStage(Stage):
 
     Decision-aware: the integrator only has to settle p ≥ θ per
     candidate, so bound-based backends (the cascade) can decide most of
-    the block without ever computing a full probability.  The base-class
+    the block without ever computing a full probability, and
+    ``ImportanceSamplingIntegrator.decide`` settles rows by sandwich
+    bounds before drawing the rest on a staged budget.  The base-class
     ``decide()`` is ``qualification_probabilities`` + the ``estimate ≥ θ``
-    rule, so sampling integrators behave identically.
+    rule, which the other sampling integrators keep.
     """
 
     phase = "integrate"

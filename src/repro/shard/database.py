@@ -1,29 +1,37 @@
 """The sharded façade: ``db.shard(n)`` returns one of these.
 
 A :class:`ShardedDatabase` wraps an existing
-:class:`repro.core.database.SpatialDatabase`: it copies the points into
-a shared-memory store, partitions them spatially, starts the worker
-pool, and then mirrors the database/engine surface so everything built
-on top — ``run_batch`` callers, ``repro.serve``, the CLI — works
-unchanged.  The wrapped database's own index stays available (routing,
-``explain`` and deadline degradation read it), so sharding adds
-parallel execution without removing any single-process capability.
+:class:`repro.core.database.SpatialDatabase`: it hands its worker
+processes one structure-of-arrays store file (:mod:`repro.core.storage`)
+— the database's own file when it was loaded from one, otherwise a
+private temporary store written once — partitions the points spatially,
+starts the worker pool, and then mirrors the database/engine surface so
+everything built on top — ``run_batch`` callers, ``repro.serve``, the
+CLI — works unchanged.  The wrapped database's own index stays available
+(routing, ``explain`` and deadline degradation read it), so sharding
+adds parallel execution without removing any single-process capability.
 
-The pool holds OS resources (processes, queues, one shm segment); call
-:meth:`close` or use the database as a context manager.
+The pool holds OS resources (processes, queues, pipes and possibly the
+temporary store); call :meth:`close` or use the database as a context
+manager.
 """
 
 from __future__ import annotations
 
+import os
+import tempfile
+import weakref
+from pathlib import Path
+
 import numpy as np
 
 from repro.core.database import SpatialDatabase
+from repro.core.storage import write_soa
 from repro.core.strategies import Strategy
 from repro.errors import QueryError
 from repro.integrate.base import ProbabilityIntegrator
 from repro.shard.engine import ShardedEngine, ShardPool
 from repro.shard.partition import ShardSpec, partition_positions
-from repro.shard.shm import SharedPointStore
 
 __all__ = ["ShardedDatabase"]
 
@@ -36,39 +44,32 @@ class ShardedDatabase:
         database: SpatialDatabase,
         n_shards: int,
         *,
-        method: str = "str",
         workers: int | None = None,
-        max_entries: int = 50,
-        start_method: str | None = None,
     ):
         if n_shards < 1:
             raise QueryError(f"n_shards must be >= 1, got {n_shards}")
         self._database = database
-        backing = getattr(database, "_backing", None)
-        if backing is not None:
-            # The database is a mapped structure-of-arrays file: workers
-            # map the very same file instead of copying into fresh shm.
-            self._store = SharedPointStore.from_store_file(
-                backing.path,
-                backing.n,
-                backing.dim,
-                backing.ids_offset,
-                backing.points_offset,
-            )
-        else:
-            self._store = SharedPointStore.create(database.ids, database.points)
         self.shards: list[ShardSpec] = partition_positions(
-            np.asarray(database.points), n_shards, method=method
+            np.asarray(database.points), n_shards
         )
-        self.pool = ShardPool(
-            self._store,
-            self.shards,
-            workers,
-            max_entries=max_entries,
-            method=method,
-            start_method=start_method,
-        )
-        self._closed = False
+        self._remove_store = None
+        if database._backing is not None:
+            path = database._backing.path
+        else:
+            # Workers open a store file, so an in-memory database writes a
+            # private one: removed by close(), or when this object is
+            # collected if close() never runs.
+            fd, path = tempfile.mkstemp(prefix="repro-shard-", suffix=".soa")
+            os.close(fd)
+            self._remove_store = weakref.finalize(
+                self, Path(path).unlink, missing_ok=True
+            )
+            write_soa(path, database.ids, database.points)
+        try:
+            self.pool = ShardPool(path, self.shards, workers)
+        except BaseException:
+            self._delete_store()
+            raise
 
     # -- database surface ----------------------------------------------
 
@@ -147,13 +148,14 @@ class ShardedDatabase:
 
     # -- lifecycle ------------------------------------------------------
 
+    def _delete_store(self) -> None:
+        if self._remove_store is not None:
+            self._remove_store()
+
     def close(self) -> None:
-        """Stop the worker pool and release the shared-memory segment."""
-        if self._closed:
-            return
-        self._closed = True
+        """Stop the worker pool and delete a temporary store (idempotent)."""
         self.pool.close()
-        self._store.close()
+        self._delete_store()
 
     def __enter__(self) -> "ShardedDatabase":
         return self

@@ -4,7 +4,7 @@ The coordinator (this module) does everything that must be globally
 consistent — planning, per-query integrator forking, Phase-0 routing —
 and ships self-contained :class:`~repro.shard.worker.ShardTask` messages
 to a pool of long-lived worker processes, one R*-tree per shard, all
-reading the same shared-memory point array.  Results are merged
+mapping the same structure-of-arrays store file.  Results are merged
 deterministically in shard order.
 
 Routing is Phase 1 reused: the coordinator prepares the query's
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing as mp
-import os
 import queue as queue_mod
 import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -57,31 +57,25 @@ from repro.integrate.base import ProbabilityIntegrator
 from repro.obs import COUNT_BUCKETS, Observability, span_of
 from repro.shard.partition import ShardSpec
 from repro.shard.seeding import CandidateSeededIntegrator
-from repro.shard.shm import SharedPointStore
 from repro.shard.worker import ShardTask, ShardTaskResult, worker_main
 
 __all__ = ["ShardPool", "ShardedEngine"]
 
-#: Seconds between result polls; liveness is re-checked on every miss.
-_POLL_INTERVAL = 0.25
-
-
-def _start_method() -> str:
-    """Preferred multiprocessing start method (override via env)."""
-    forced = os.environ.get("REPRO_SHARD_START_METHOD")
-    if forced:
-        return forced
-    return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
+#: Fork where the platform has it (a worker starts without re-importing
+#: the package), spawn elsewhere.
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
 @dataclass
 class _Worker:
-    """One worker process plus its private task queue."""
+    """One worker process plus its private task queue and result pipe."""
 
     index: int
     owned: list[tuple[int, np.ndarray]]
     process: mp.Process
     task_queue: object
+    #: Read end of the pipe only this worker writes to.
+    results: object
 
 
 @dataclass(frozen=True)
@@ -96,74 +90,99 @@ class ShardPool:
     """Long-lived worker processes executing :class:`ShardTask` messages.
 
     Shard ``s`` is owned by worker ``s % n_workers``; each worker builds
-    the R*-trees for its shards once, at startup, over views into the
-    shared point store.  ``run`` is thread-safe (serialized), so several
+    the R*-trees for its shards once, at startup, over the store file at
+    ``store_path``.  ``run`` is thread-safe (serialized), so several
     engines — e.g. a user thread and the ``repro.serve`` scheduler — can
     share one pool.
 
     Fault handling: a worker that dies (crash, ``SIGKILL``) is detected
-    by a liveness check; its outstanding tasks are failed with a typed
-    error payload and the worker is respawned with a fresh queue, so the
-    next batch runs at full strength.
+    through its process sentinel or the end of its result pipe; its
+    outstanding tasks are failed with a typed error payload and the
+    worker is respawned with a fresh queue and pipe, so the next batch
+    runs at full strength.  A worker that dies before it has built its
+    trees fails the pool's start with a :class:`QueryError`.
     """
 
     def __init__(
         self,
-        store: SharedPointStore,
+        store_path,
         shards: list[ShardSpec],
         n_workers: int | None = None,
-        *,
-        max_entries: int = 50,
-        method: str = "str",
-        start_method: str | None = None,
     ):
         if not shards:
             raise QueryError("at least one shard is required")
-        self._store = store
-        self._shards = shards
-        self._ctx = mp.get_context(start_method or _start_method())
-        self._max_entries = max_entries
-        self._method = method
+        self._store_path = str(store_path)
+        self._ctx = mp.get_context(_START_METHOD)
         self.n_workers = min(n_workers or len(shards), len(shards))
         if self.n_workers < 1:
             raise QueryError(f"n_workers must be >= 1, got {self.n_workers}")
-        self._result_queue = self._ctx.Queue()
         self._lock = threading.Lock()
         self._task_ids = itertools.count()
         self._closed = False
-        #: Cumulative fault counters (read by the engine's metrics).
+        #: Cumulative count of workers found dead (read by the engine's
+        #: metrics).
         self.worker_failures = 0
-        self.respawns = 0
         self._workers: list[_Worker] = []
-        for widx in range(self.n_workers):
-            owned = [
-                (spec.shard_id, spec.positions)
-                for spec in shards
-                if spec.shard_id % self.n_workers == widx
-            ]
-            self._workers.append(self._spawn(widx, owned))
-        # Block until every worker has built its trees: keeps startup
-        # cost out of the first batch and surfaces build errors early.
-        ready = 0
-        while ready < self.n_workers:
-            kind, _ = self._result_queue.get()
-            if kind == "ready":
-                ready += 1
+        try:
+            for widx in range(self.n_workers):
+                owned = [
+                    (spec.shard_id, spec.positions)
+                    for spec in shards
+                    if spec.shard_id % self.n_workers == widx
+                ]
+                self._workers.append(self._spawn(widx, owned))
+            # Block until every worker has built its trees: keeps startup
+            # cost out of the first batch and surfaces build errors early.
+            waiting = set(range(self.n_workers))
+            while waiting:
+                for worker, message in self._receive():
+                    if message is None:
+                        raise QueryError(
+                            f"shard worker {worker.index} exited with code "
+                            f"{worker.process.exitcode} before it was ready"
+                        )
+                    waiting.discard(worker.index)
+        except BaseException:
+            self.close()
+            raise
 
     def _spawn(self, widx: int, owned) -> _Worker:
         task_queue = self._ctx.Queue()
+        results, sender = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=worker_main,
-            args=(self._store.descriptor, owned, task_queue, self._result_queue),
-            kwargs={
-                "max_entries": self._max_entries,
-                "method": self._method,
-                "untrack_shm": self._ctx.get_start_method() != "fork",
-            },
+            args=(self._store_path, owned, task_queue, sender),
             daemon=True,
         )
         process.start()
-        return _Worker(widx, owned, process, task_queue)
+        # The worker now holds the only write end, so its death reads as
+        # end of file here.
+        sender.close()
+        return _Worker(widx, owned, process, task_queue, results)
+
+    def _receive(self) -> list[tuple[_Worker, object]]:
+        """Block until some worker sends a message or dies.
+
+        Returns ``(worker, message)`` pairs; message ``None`` marks a
+        dead worker, already killed and joined so its exit code is set.
+        """
+        handles = {}
+        for worker in self._workers:
+            handles[worker.results] = worker
+            handles[worker.process.sentinel] = worker
+        events = []
+        for handle in wait(list(handles)):
+            worker = handles[handle]
+            if handle is worker.results:
+                try:
+                    events.append((worker, worker.results.recv()))
+                    continue
+                except (EOFError, OSError):
+                    pass
+            worker.process.kill()
+            worker.process.join()
+            events.append((worker, None))
+        return events
 
     def next_task_id(self) -> int:
         return next(self._task_ids)
@@ -187,57 +206,45 @@ class ShardPool:
             raise QueryError("shard pool is closed")
         with self._lock:
             outstanding: dict[int, ShardTask] = {}
-            owner: dict[int, int] = {}
             for task in tasks:
-                widx = self.worker_for(task.shard_id)
                 outstanding[task.task_id] = task
-                owner[task.task_id] = widx
-                self._workers[widx].task_queue.put(task)
+                self._workers[self.worker_for(task.shard_id)].task_queue.put(task)
             results: dict[int, ShardTaskResult] = {}
             failures = 0
             while outstanding:
-                try:
-                    kind, payload = self._result_queue.get(
-                        timeout=_POLL_INTERVAL
-                    )
-                except queue_mod.Empty:
-                    failures += self._reap_dead(outstanding, owner, results)
-                    continue
-                if kind != "result" or payload.task_id not in outstanding:
-                    continue  # late "ready" or a task already failed over
-                del outstanding[payload.task_id]
-                results[payload.task_id] = payload
+                for worker, message in self._receive():
+                    if self._workers[worker.index] is not worker:
+                        continue  # already failed over
+                    if message is None:
+                        failures += 1
+                        self._fail_over(worker, outstanding, results)
+                    elif (
+                        isinstance(message, ShardTaskResult)
+                        and message.task_id in outstanding
+                    ):
+                        del outstanding[message.task_id]
+                        results[message.task_id] = message
             self.worker_failures += failures
             return PoolRunReport(results, worker_failures=failures)
 
-    def _reap_dead(self, outstanding, owner, results) -> int:
-        """Fail over tasks owned by dead workers; respawn the workers."""
-        failures = 0
-        for widx, worker in enumerate(self._workers):
-            if worker.process.is_alive():
-                continue
-            failures += 1
-            exitcode = worker.process.exitcode
-            for task_id in [t for t, w in owner.items() if w == widx]:
-                if task_id not in outstanding:
-                    continue
-                task = outstanding.pop(task_id)
+    def _fail_over(self, worker: _Worker, outstanding, results) -> None:
+        """Fail a dead worker's outstanding tasks; respawn the worker."""
+        reason = (
+            f"worker process {worker.index} died "
+            f"(exitcode {worker.process.exitcode})"
+        )
+        for task_id, task in list(outstanding.items()):
+            if self.worker_for(task.shard_id) == worker.index:
+                del outstanding[task_id]
                 results[task_id] = ShardTaskResult(
-                    task.task_id,
-                    task.query_index,
-                    task.shard_id,
-                    error=(
-                        f"worker process {widx} died "
-                        f"(exitcode {exitcode})"
-                    ),
+                    task.task_id, task.query_index, task.shard_id, error=reason
                 )
-            # A fresh queue drops any tasks buffered for the dead worker
-            # — they were just failed above; the respawn must not rerun
-            # them and report duplicate (ignored) results.
-            self._drain_task_queue(worker)
-            self._workers[widx] = self._spawn(widx, worker.owned)
-            self.respawns += 1
-        return failures
+        # A fresh queue drops any tasks buffered for the dead worker
+        # — they were just failed above; the respawn must not rerun
+        # them and report duplicate (ignored) results.
+        self._drain_task_queue(worker)
+        worker.results.close()
+        self._workers[worker.index] = self._spawn(worker.index, worker.owned)
 
     @staticmethod
     def _drain_task_queue(worker: _Worker) -> None:
@@ -266,8 +273,7 @@ class ShardPool:
         for worker in self._workers:
             worker.task_queue.cancel_join_thread()
             worker.task_queue.close()
-        self._result_queue.cancel_join_thread()
-        self._result_queue.close()
+            worker.results.close()
 
 
 @dataclass
@@ -551,9 +557,6 @@ class ShardedEngine(QueryEngine):
             fanout.observe(len(prep.routed))
         reg.counter(
             "repro_shard_worker_failures_total",
-            "Worker processes found dead during scatter-gather",
-        ).inc(report.worker_failures)
-        reg.counter(
-            "repro_shard_respawns_total",
-            "Worker processes respawned after a failure",
+            "Worker processes found dead (and respawned) during "
+            "scatter-gather",
         ).inc(report.worker_failures)

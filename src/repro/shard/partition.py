@@ -1,16 +1,16 @@
 """Spatial partitioning of a point set into shards.
 
-Reuses the R*-tree bulk-load machinery: both packing orders
-(:func:`repro.index.bulk.tile_points` for STR, Hilbert-curve order for
-``"hilbert"``) produce a spatial *total order* over the points, which is
-then chopped into ``n_shards`` contiguous, near-equal runs.  Contiguous
-runs of a spatial order are exactly what a bulk loader would pack into
-neighbouring subtrees, so each shard covers a compact region and the
-shard MBRs overlap as little as the data allows — the property the
-router's MBR-vs-query-box intersection test cashes in on.
+Reuses the R*-tree bulk-load machinery: the Sort-Tile-Recursive tiling
+(:func:`repro.index.bulk.tile_points`) produces a spatial *total order*
+over the points, which is then chopped into ``n_shards`` contiguous,
+near-equal runs.  Contiguous runs of a spatial order are exactly what a
+bulk loader would pack into neighbouring subtrees, so each shard covers
+a compact region and the shard MBRs overlap as little as the data
+allows — the property the router's MBR-vs-query-box intersection test
+cashes in on.
 
-Partitioning is deterministic: same points, same method, same shard
-count → byte-identical shard membership, in the same shard order.
+Partitioning is deterministic: same points, same shard count →
+byte-identical shard membership, in the same shard order.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ from repro.index.bulk import tile_points
 
 __all__ = ["ShardSpec", "partition_positions"]
 
-#: Supported partitioning orders.
-_METHODS = ("str", "hilbert")
-
 
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard: its id, row positions into the point array, and MBR."""
 
     shard_id: int
-    #: Row indices into the shared point/ids arrays (not object ids).
+    #: Row indices into the stored point/ids arrays (not object ids).
     positions: np.ndarray
     #: Tight bounding box of the shard's points — the routing key.
     mbr: Rect
@@ -44,26 +41,7 @@ class ShardSpec:
         return int(self.positions.size)
 
 
-def spatial_order(points: np.ndarray, method: str = "str") -> np.ndarray:
-    """A spatial total order over the rows of ``points``.
-
-    ``"str"`` concatenates the Sort-Tile-Recursive tiling (capacity sized
-    so the tiles *are* the shard chunks); ``"hilbert"`` sorts by
-    Hilbert-curve index.  Either way the result is a permutation of
-    ``arange(len(points))``.
-    """
-    if method == "hilbert":
-        from repro.index.hilbert import hilbert_order
-
-        return np.asarray(hilbert_order(points), dtype=np.int64)
-    order = np.arange(points.shape[0], dtype=np.int64)
-    tiles = tile_points(order, points, max(1, points.shape[0] // 64), axis=0)
-    return np.concatenate(tiles)
-
-
-def partition_positions(
-    points: np.ndarray, n_shards: int, *, method: str = "str"
-) -> list[ShardSpec]:
+def partition_positions(points: np.ndarray, n_shards: int) -> list[ShardSpec]:
     """Split ``points`` into ``n_shards`` spatially compact shards.
 
     Returns the shards in a fixed, deterministic order (shard 0 first);
@@ -82,29 +60,15 @@ def partition_positions(
         raise QueryError(
             f"cannot split {pts.shape[0]} points into {n_shards} shards"
         )
-    if method not in _METHODS:
-        raise QueryError(
-            f"method must be one of {_METHODS}, got {method!r}"
-        )
-    if n_shards == 1:
-        order = np.arange(pts.shape[0], dtype=np.int64)
-        chunks = [order]
-    elif method == "str":
-        # Tile with capacity = ceil(n / shards): the STR recursion then
-        # yields tiles no larger than one shard's worth, and contiguous
-        # tiles in tiling order are spatial neighbours.
-        capacity = math.ceil(pts.shape[0] / n_shards)
-        order = np.concatenate(
-            tile_points(
-                np.arange(pts.shape[0], dtype=np.int64), pts, capacity, axis=0
-            )
-        )
-        chunks = np.array_split(order, n_shards)
-    else:
-        order = spatial_order(pts, method)
-        chunks = np.array_split(order, n_shards)
+    # Tile with capacity = ceil(n / shards): the STR recursion then yields
+    # tiles no larger than one shard's worth, and contiguous tiles in
+    # tiling order are spatial neighbours.
+    capacity = math.ceil(pts.shape[0] / n_shards)
+    order = np.concatenate(
+        tile_points(np.arange(pts.shape[0], dtype=np.int64), pts, capacity, axis=0)
+    )
     shards = []
-    for shard_id, chunk in enumerate(chunks):
+    for shard_id, chunk in enumerate(np.array_split(order, n_shards)):
         block = pts[chunk]
         shards.append(
             ShardSpec(

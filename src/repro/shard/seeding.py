@@ -13,9 +13,9 @@ is evaluated by a fresh fork of the wrapped integrator, seeded from
 then a pure function of (wrapped integrator's entry state, candidate
 coordinates) — independent of shard count, shard membership, worker
 count and evaluation order.  Integrators that already share one draw per
-call (``share_samples``/``share_batches``) or are deterministic don't
-need the wrapper; :attr:`ProbabilityIntegrator.composition_independent`
-reports which is which.
+call (``share_samples=True``) or are deterministic don't need the
+wrapper; :attr:`ProbabilityIntegrator.composition_independent` reports
+which is which.
 """
 
 from __future__ import annotations

@@ -1,18 +1,26 @@
-"""Shard worker process: attach, build local trees, execute tasks.
+"""Shard worker process: open the store, build local trees, execute tasks.
 
-Each worker process owns one or more shards.  At startup it attaches the
-shared-memory point store, bulk-loads one R*-tree per owned shard (views
-into shared pages — the only per-worker memory is the tree itself), then
-loops on its task queue running the standard three-phase pipeline
-(:func:`repro.core.stages.execute_pipeline`) against the shard-local
-tree.  Strategies arrive *unprepared* and the integrator arrives already
-forked/seeded by the coordinator, so a task's outcome is a pure function
-of the task message — independent of which worker runs it or when.
+Each worker process owns one or more shards.  At startup it maps the
+database's structure-of-arrays store file (:func:`repro.core.storage.open_soa`
+— every process maps the same file, so the OS page cache shares the
+points), bulk-loads one R*-tree per owned shard (the only per-worker
+memory is the tree itself), then loops on its task queue running the
+standard three-phase pipeline (:func:`repro.core.stages.execute_pipeline`)
+against the shard-local tree.  Strategies arrive *unprepared* and the
+integrator arrives already forked/seeded by the coordinator, so a task's
+outcome is a pure function of the task message — independent of which
+worker runs it or when.
+
+Every message back goes down the worker's own result pipe: first
+:data:`READY` once the trees are built, then one :class:`ShardTaskResult`
+per task.  No lock is shared with any other process, so a worker killed
+mid-send cannot stall its siblings.
 
 Failure semantics: any exception inside a task becomes an error payload
-on the result queue (the worker survives); a crashed/killed worker is
-detected by the coordinator via liveness checks and its outstanding
-tasks are failed with :class:`repro.errors.ShardError`.
+(the worker survives); a crashed/killed worker is detected by the
+coordinator (its process sentinel fires, or its pipe reaches end of
+file) and its outstanding tasks are failed with
+:class:`repro.errors.ShardError`.
 """
 
 from __future__ import annotations
@@ -30,12 +38,15 @@ from repro.core.stages import (
     execute_pipeline,
 )
 from repro.core.stats import QueryStats
+from repro.core.storage import SoaStore, open_soa
 from repro.core.strategies import Strategy
 from repro.index.rtree import RStarTree
 from repro.integrate.base import ProbabilityIntegrator
-from repro.shard.shm import ShmDescriptor, SharedPointStore
 
 __all__ = ["ShardTask", "ShardTaskResult", "worker_main"]
+
+#: The first message of every worker: its trees are built.
+READY = "ready"
 
 
 @dataclass(frozen=True)
@@ -76,53 +87,40 @@ def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
     )
 
 
-def build_shard_tree(
-    store: SharedPointStore,
-    positions: np.ndarray,
-    *,
-    max_entries: int = 50,
-    method: str = "str",
-) -> RStarTree:
-    """Bulk-load one shard's R*-tree over shared-memory views."""
-    tree = RStarTree(store.dim, max_entries=max_entries)
-    ids = store.ids[positions]
-    tree.bulk_load(ids.tolist(), store.points[positions], method=method)
+def build_shard_tree(store: SoaStore, positions: np.ndarray) -> RStarTree:
+    """Bulk-load one shard's R*-tree over rows of the mapped store."""
+    tree = RStarTree(store.dim)
+    tree.bulk_load(store.ids[positions].tolist(), store.points[positions])
     return tree
 
 
 def worker_main(
-    descriptor: ShmDescriptor,
+    store_path: str,
     owned_shards: list[tuple[int, np.ndarray]],
     task_queue,
-    result_queue,
-    *,
-    max_entries: int = 50,
-    method: str = "str",
-    untrack_shm: bool = False,
+    results,
 ) -> None:
-    """Process entry point: build trees, then drain tasks until ``None``."""
-    store = SharedPointStore.attach(descriptor, untrack=untrack_shm)
-    try:
-        trees = {
-            shard_id: build_shard_tree(
-                store, positions, max_entries=max_entries, method=method
+    """Process entry point: build trees, then drain tasks until ``None``.
+
+    ``results`` is the write end of this worker's own result pipe.
+    """
+    store = open_soa(store_path)
+    trees = {
+        shard_id: build_shard_tree(store, positions)
+        for shard_id, positions in owned_shards
+    }
+    results.send(READY)
+    while True:
+        task = task_queue.get()
+        if task is None:
+            break
+        try:
+            result = execute_task(trees[task.shard_id], task)
+        except BaseException as exc:  # noqa: BLE001 - reported, not raised
+            result = ShardTaskResult(
+                task.task_id,
+                task.query_index,
+                task.shard_id,
+                error=f"{type(exc).__name__}: {exc}",
             )
-            for shard_id, positions in owned_shards
-        }
-        result_queue.put(("ready", None))
-        while True:
-            task = task_queue.get()
-            if task is None:
-                break
-            try:
-                result = execute_task(trees[task.shard_id], task)
-            except BaseException as exc:  # noqa: BLE001 - reported, not raised
-                result = ShardTaskResult(
-                    task.task_id,
-                    task.query_index,
-                    task.shard_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            result_queue.put(("result", result))
-    finally:
-        store.close()
+        results.send(result)

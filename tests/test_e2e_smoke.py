@@ -133,3 +133,24 @@ def test_sampler_budget_guard_applies_to_prq_mc_2d_only():
     full = {"integrate.samples_per_candidate": 100_000.0}
     assert e2e_smoke.problems(result_line(**full), "prq_cascade_9d") == []
     assert e2e_smoke.problems(result_line(**full, **tier3), "prq_cascade_2d") == []
+
+
+def test_shard_guard_reads_the_workers_not_the_coordinator_index():
+    def found(**metrics):
+        return e2e_smoke.problems(result_line(**metrics), "shard_batch_2d")
+
+    # Traced shard_batch_2d: Phase 1 runs in the workers, so the
+    # coordinator's index span reads 0 calls on a healthy run.
+    healthy = {
+        "index.range_search_calls": 0,
+        "shard.tasks_per_query": 1.9,
+        "shard.worker_busy_s": 4.2,
+    }
+    assert found(**healthy) == []
+    for name in ("shard.tasks_per_query", "shard.worker_busy_s"):
+        for value in (0, None):
+            (problem,) = found(**{**healthy, name: value})
+            assert name in problem and "shard workers" in problem
+    assert len(e2e_smoke.problems({}, "shard_batch_2d")) == 5
+    # Every other workload keeps the Phase-1 guard.
+    assert e2e_smoke.problems(result_line(**healthy))

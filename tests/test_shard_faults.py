@@ -12,15 +12,19 @@ usual.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.database import SpatialDatabase
 from repro.core.query import ProbabilisticRangeQuery
-from repro.errors import ShardError
+from repro.core.storage import write_soa
+from repro.errors import QueryError, ShardError
 from repro.gaussian.distribution import Gaussian
 from repro.integrate import CascadeIntegrator, ExactIntegrator
 from repro.serve import PRQRequest, STATUS_FAILED, STATUS_OK
+from repro.shard import ShardPool, partition_positions
 
 #: Guard for the process-pool suites; no-op unless pytest-timeout is
 #: installed (it is in CI — see .github/workflows/ci.yml).
@@ -83,6 +87,7 @@ class TestWorkerDeath:
             strategies="all", integrator=ExactIntegrator()
         ).run_batch(queries, base_seed=0)
 
+        victim = sharded.pool.processes[0].pid
         kill_worker(sharded, 0)
         batch = engine.run_batch(queries, base_seed=0, return_errors=True)
 
@@ -107,7 +112,8 @@ class TestWorkerDeath:
             assert r.ids == baseline.results[i].ids
         assert batch.stats.failed == len(failed)
         assert sharded.pool.worker_failures >= 1
-        assert sharded.pool.respawns >= 1
+        respawned = sharded.pool.processes[0]
+        assert respawned.pid != victim and respawned.is_alive()
 
         # The respawned worker rebuilt its trees: next batch is full
         # parity, errors and all counters included.
@@ -141,7 +147,48 @@ class TestWorkerDeath:
             assert isinstance(batch.results[0].error, ShardError)
             healed = engine.run_batch([broad_query()], base_seed=1)
             assert healed.results[0].ids == reference.results[0].ids
-        assert sharded.pool.respawns >= 2
+        assert sharded.pool.worker_failures >= 2
+
+    @pytest.mark.timeout(120)
+    def test_kills_right_after_a_batch_never_stall_the_pool(self, database):
+        """Four workers on fewer cores, one killed the moment its batch
+        returns, i.e. possibly still finishing its last send.  While the
+        workers shared one result queue, a worker killed inside that
+        queue's cross-process write lock stalled every sibling's results
+        and the gather loop waited forever (2 hangs in about 500 such
+        kills on a 2-vCPU VM)."""
+        with database.shard(4, workers=4) as sharded:
+            engine = sharded.engine(
+                strategies="all", integrator=CascadeIntegrator()
+            )
+            reference = engine.run_batch([broad_query()], base_seed=1)
+            for round_no in range(100):
+                engine.run_batch([broad_query()], base_seed=1)
+                kill_worker(sharded, round_no % 4)
+                batch = engine.run_batch(
+                    [broad_query()], base_seed=1, return_errors=True
+                )
+                assert isinstance(batch.results[0].error, ShardError)
+            healed = engine.run_batch([broad_query()], base_seed=1)
+            assert healed.ids == reference.ids
+            assert sharded.pool.worker_failures == 100
+
+
+class TestPoolStart:
+    @pytest.mark.timeout(60)
+    def test_worker_dying_before_ready_fails_the_start(self, tmp_path):
+        """A worker that cannot open the store exits before it reports
+        ready: the start raises, naming the worker and its exit code,
+        instead of waiting forever."""
+        points = make_points()
+        path = tmp_path / "gone.soa"
+        write_soa(path, np.arange(len(points)), points)
+        shards = partition_positions(points, 4)
+        path.unlink()
+        began = time.monotonic()
+        with pytest.raises(QueryError, match=r"shard worker \d exited with code 1"):
+            ShardPool(path, shards, 2)
+        assert time.monotonic() - began < 30
 
 
 class TestServeRidesThrough:

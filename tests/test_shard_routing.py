@@ -7,7 +7,7 @@ pruning never loses an answer: the union of the routed shards' Phase-1
 candidate sets must equal the unsharded candidate set, and every skipped
 shard's tree must return zero candidates for the same rectangle.  These
 tests replay that contract over seeded random Gaussians, δ and θ in
-d ∈ {2, 3}, for both partitioning methods and several shard counts,
+d ∈ {2, 3}, for several shard counts of the STR partitioning,
 against the repo's own single-tree index as the oracle — the style of
 ``tests/test_filter_soundness.py``.
 """
@@ -21,11 +21,11 @@ from repro.core.database import SpatialDatabase
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import QueryStats
+from repro.core.storage import open_soa, write_soa
 from repro.core.strategies import make_strategies
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.shard.partition import partition_positions
-from repro.shard.shm import SharedPointStore
 from repro.shard.worker import build_shard_tree
 
 from tests.conftest import random_spd
@@ -60,62 +60,59 @@ def seeded_query(dim: int, seed: int) -> ProbabilisticRangeQuery:
     return ProbabilisticRangeQuery(Gaussian(center, sigma), delta, theta)
 
 
-@pytest.mark.parametrize("method", ["str", "hilbert"])
+#: STR is the one partitioning order; the ids keep naming it.
+STR = pytest.mark.parametrize("order", ["str"])
+
+
+@STR
 @pytest.mark.parametrize("n_shards", [2, 3, 5])
 @pytest.mark.parametrize("dim", [2, 3])
-def test_routed_union_equals_unsharded_candidates(dim, n_shards, method):
+def test_routed_union_equals_unsharded_candidates(dim, n_shards, order, tmp_path):
     points = point_cloud(dim, seed=101 * dim)
     db = SpatialDatabase(points)
-    specs = partition_positions(points, n_shards, method=method)
-    store = SharedPointStore.create(np.arange(len(points)), points)
-    try:
-        trees = {
-            spec.shard_id: build_shard_tree(
-                store, spec.positions, method=method
+    specs = partition_positions(points, n_shards)
+    write_soa(tmp_path / "points.soa", np.arange(len(points)), points)
+    store = open_soa(tmp_path / "points.soa")
+    trees = {
+        spec.shard_id: build_shard_tree(store, spec.positions) for spec in specs
+    }
+    routed_somewhere = 0
+    pruned_somewhere = 0
+    for qseed in range(N_QUERIES):
+        query = seeded_query(dim, 9_000 + 7 * qseed)
+        rect = phase1_rect(query, make_strategies("all"), QueryStats(), dim=dim)
+        if rect is None:
+            # Some strategy proved the result empty before Phase 1 —
+            # the engine dispatches nothing, trivially sound.
+            continue
+        oracle = set(db.index.range_search_rect(rect))
+        routed = [s for s in specs if s.mbr.intersects(rect)]
+        skipped = [s for s in specs if not s.mbr.intersects(rect)]
+        routed_somewhere += bool(routed)
+        pruned_somewhere += bool(skipped)
+        union: set[int] = set()
+        for spec in routed:
+            union |= set(trees[spec.shard_id].range_search_rect(rect))
+        assert union == oracle, (
+            f"dim={dim} shards={n_shards} qseed={qseed}: "
+            f"routed union lost {sorted(oracle - union)} / "
+            f"invented {sorted(union - oracle)}"
+        )
+        for spec in skipped:
+            extra = trees[spec.shard_id].range_search_rect(rect)
+            assert extra == [], (
+                f"skipped shard {spec.shard_id} held candidates {extra}"
             )
-            for spec in specs
-        }
-        routed_somewhere = 0
-        pruned_somewhere = 0
-        for qseed in range(N_QUERIES):
-            query = seeded_query(dim, 9_000 + 7 * qseed)
-            rect = phase1_rect(
-                query, make_strategies("all"), QueryStats(), dim=dim
-            )
-            if rect is None:
-                # Some strategy proved the result empty before Phase 1 —
-                # the engine dispatches nothing, trivially sound.
-                continue
-            oracle = set(db.index.range_search_rect(rect))
-            routed = [s for s in specs if s.mbr.intersects(rect)]
-            skipped = [s for s in specs if not s.mbr.intersects(rect)]
-            routed_somewhere += bool(routed)
-            pruned_somewhere += bool(skipped)
-            union: set[int] = set()
-            for spec in routed:
-                union |= set(trees[spec.shard_id].range_search_rect(rect))
-            assert union == oracle, (
-                f"dim={dim} shards={n_shards} method={method} qseed={qseed}: "
-                f"routed union lost {sorted(oracle - union)} / "
-                f"invented {sorted(union - oracle)}"
-            )
-            for spec in skipped:
-                extra = trees[spec.shard_id].range_search_rect(rect)
-                assert extra == [], (
-                    f"skipped shard {spec.shard_id} held candidates {extra}"
-                )
-        # The seeded workload must actually exercise both branches.
-        assert routed_somewhere > 0, "no query routed to any shard"
-        assert pruned_somewhere > 0, "no query ever pruned a shard"
-    finally:
-        store.close()
+    # The seeded workload must actually exercise both branches.
+    assert routed_somewhere > 0, "no query routed to any shard"
+    assert pruned_somewhere > 0, "no query ever pruned a shard"
 
 
-@pytest.mark.parametrize("method", ["str", "hilbert"])
-def test_partition_is_a_partition(method):
+@STR
+def test_partition_is_a_partition(order):
     """Shards cover every position exactly once and MBRs are tight."""
     points = point_cloud(2, seed=404)
-    specs = partition_positions(points, 5, method=method)
+    specs = partition_positions(points, 5)
     seen: list[int] = []
     for spec in specs:
         seen.extend(int(p) for p in spec.positions)
@@ -131,8 +128,13 @@ def test_partition_argument_validation():
         partition_positions(points, 0)
     with pytest.raises(QueryError):
         partition_positions(points, len(points) + 1)
-    with pytest.raises(QueryError):
-        partition_positions(points, 2, method="zorder")
+    # One partitioning order, one start method: neither is a knob.
+    with pytest.raises(TypeError):
+        partition_positions(points, 2, method="hilbert")
+    db = SpatialDatabase(points, defer_index=True)
+    for knob in ({"method": "hilbert"}, {"start_method": "spawn"}):
+        with pytest.raises(TypeError):
+            db.shard(2, **knob)
 
 
 def test_single_shard_routes_everything():

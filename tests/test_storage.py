@@ -8,6 +8,9 @@ mapped file.
 
 from __future__ import annotations
 
+import gc
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -148,7 +151,9 @@ def test_future_version_is_rejected(tmp_path, rng):
 # ----------------------------------------------------------------------
 
 
-def test_sharded_query_from_mapped_file_is_bit_identical(tmp_path, rng):
+def test_sharded_query_from_mapped_file_is_bit_identical(
+    tmp_path, scratch_tempdir, rng
+):
     points = np.vstack(
         [
             rng.normal((30.0, 30.0), 6.0, (400, 2)),
@@ -164,10 +169,51 @@ def test_sharded_query_from_mapped_file_is_bit_identical(tmp_path, rng):
 
     single = db.probabilistic_range_query(gaussian, delta=12.0, theta=0.2)
     with mapped.shard(3) as sharded:
-        from repro.shard.shm import MappedFileStore
-
-        assert isinstance(sharded._store, MappedFileStore)
+        # Workers open the loaded file itself; no temporary copy exists.
+        assert sharded.pool._store_path == str(path)
+        assert list(scratch_tempdir.iterdir()) == []
         scattered = sharded.probabilistic_range_query(
             gaussian, delta=12.0, theta=0.2
         )
     assert scattered.ids == single.ids
+    assert path.exists()
+
+
+@pytest.fixture
+def scratch_tempdir(tmp_path, monkeypatch):
+    """An empty directory standing in for the system temp directory."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    return scratch
+
+
+def test_in_memory_database_shards_from_one_temporary_store(
+    scratch_tempdir, rng
+):
+    db = SpatialDatabase(rng.random((300, 2)) * 100)
+    gaussian = Gaussian(np.array([50.0, 50.0]), 40.0 * np.eye(2))
+    sharded = db.shard(2)
+    (store,) = scratch_tempdir.iterdir()
+    assert sharded.pool._store_path == str(store)
+    assert np.array_equal(open_soa(store).points, db.points)
+    scattered = sharded.probabilistic_range_query(gaussian, 10.0, 0.2)
+    assert scattered.ids == db.probabilistic_range_query(gaussian, 10.0, 0.2).ids
+    sharded.close()
+    assert list(scratch_tempdir.iterdir()) == []
+    sharded.close()
+    assert list(scratch_tempdir.iterdir()) == []
+
+
+def test_unclosed_sharded_database_deletes_its_store_when_collected(
+    scratch_tempdir, rng
+):
+    sharded = SpatialDatabase(rng.random((300, 2)) * 100).shard(2)
+    pool = sharded.pool
+    assert len(list(scratch_tempdir.iterdir())) == 1
+    del sharded
+    gc.collect()
+    try:
+        assert list(scratch_tempdir.iterdir()) == []
+    finally:
+        pool.close()
