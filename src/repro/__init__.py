@@ -32,7 +32,6 @@ from repro.core import (
     TargetCovarianceTable,
     UncertainTargetQuery,
     query_kind,
-    PlannerCostModel,
     QueryPlan,
     QueryPlanner,
     threshold_sweep,
@@ -109,7 +108,6 @@ __all__ = [
     "threshold_sweep",
     "QueryPlan",
     "QueryPlanner",
-    "PlannerCostModel",
     "RStarTree",
     "GridIndex",
     "LinearScanIndex",

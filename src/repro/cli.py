@@ -864,7 +864,7 @@ def _cmd_serve(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.errors import ReproError
+    from repro.errors import ReproError, ServiceError
     from repro.serve import REQUEST_TYPES, STATUS_FAILED
 
     db = _load_database(args.database)
@@ -881,17 +881,21 @@ def _cmd_serve(args) -> int:
             return 2
     obs = _make_obs(args)
     integrator = _make_integrator(args.integrator, args.seed)
-    service = db.serve(
-        max_queue=args.queue_size,
-        max_batch=args.max_batch,
-        batch_window=args.window_ms / 1e3,
-        workers=args.workers,
-        strategies=args.strategies,
-        integrator=integrator,
-        cache_size=args.cache_size,
-        degrade=not args.no_degrade,
-        obs=obs,
-    )
+    try:
+        service = db.serve(
+            max_queue=args.queue_size,
+            max_batch=args.max_batch,
+            batch_window=args.window_ms / 1e3,
+            workers=args.workers,
+            strategies=args.strategies,
+            integrator=integrator,
+            cache_size=args.cache_size,
+            degrade=not args.no_degrade,
+            obs=obs,
+        )
+    except ServiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Each handle is either a response future or, for a malformed line,
     # the ready-made failure row — output stays one line per request, in
     # submission order, and a bad line never kills the service.  Monitor
@@ -1008,7 +1012,7 @@ def _cmd_load(args) -> int:
     from dataclasses import replace
     from pathlib import Path
 
-    from repro.errors import LoadError
+    from repro.errors import LoadError, ServiceError
     from repro.load import (
         SCENARIOS,
         CapacityReport,
@@ -1080,7 +1084,7 @@ def _cmd_load(args) -> int:
                 shed_threshold=args.shed_threshold,
             )
             report = sweep.run()
-        except LoadError as exc:
+        except (LoadError, ServiceError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(f"scenario {spec.name!r} "
@@ -1129,7 +1133,7 @@ def _cmd_load(args) -> int:
             shed_threshold=args.shed_threshold,
         )
         run = sweep.run_step(args.rate)
-    except LoadError as exc:
+    except (LoadError, ServiceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     payload = json.dumps(run.to_dict(), indent=2, sort_keys=True)

@@ -43,7 +43,6 @@ from repro.core.kinds import (
 from repro.core.planner import (
     PlanChoice,
     PlanDecision,
-    PlannerCostModel,
     QueryPlanner,
 )
 from repro.core.database import SpatialDatabase
@@ -76,7 +75,6 @@ __all__ = [
     "TargetCovarianceTable",
     "QueryPlan",
     "QueryPlanner",
-    "PlannerCostModel",
     "PlanChoice",
     "PlanDecision",
     "QueryResult",

@@ -23,10 +23,8 @@ from repro.core import storage
 from repro.core.engine import QueryEngine, QueryResult
 from repro.core.planner import QueryPlanner
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.selectivity import SelectivityEstimator
 from repro.core.stages import reject_only_candidates
 from repro.core.strategies import Strategy, make_strategies
-from repro.geometry.mbr import Rect
 from repro.errors import DatabaseLoadError, QueryError
 from repro.gaussian.distribution import Gaussian
 from repro.index.base import SpatialIndex
@@ -232,31 +230,17 @@ class SpatialDatabase:
             return None, make_strategies(strategies)
         return None, list(strategies)
 
-    def planner(self, **kwargs) -> QueryPlanner:
+    def planner(self) -> QueryPlanner:
         """The database's shared cost-based query planner.
 
-        Built lazily on first use (a d ≤ 3 database also gets a
-        :class:`SelectivityEstimator` over its points; higher dimensions
-        fall back to uniform-density predictions) and cached so the plan
-        cache warms across engines.  Keyword arguments are forwarded to
-        :class:`QueryPlanner` and force a fresh, *uncached* planner —
-        useful for custom cost models or strategy menus.
+        Built lazily on first use over the database's points and cached
+        so the plan cache warms across engines.
         """
-        if kwargs:
-            return self._build_planner(**kwargs)
         if self._default_planner is None:
-            self._default_planner = self._build_planner()
+            self._default_planner = QueryPlanner(
+                self._points, targets=self._target_table
+            )
         return self._default_planner
-
-    def _build_planner(self, **kwargs) -> QueryPlanner:
-        points = self._points
-        bounds = Rect(points.min(axis=0), points.max(axis=0))
-        if "estimator" not in kwargs and self.dim <= 3:
-            kwargs["estimator"] = SelectivityEstimator(points)
-        kwargs.setdefault("total_points", points.shape[0])
-        kwargs.setdefault("data_bounds", bounds)
-        kwargs.setdefault("targets", self._target_table)
-        return QueryPlanner(**kwargs)
 
     def top_k_by_probability(
         self,

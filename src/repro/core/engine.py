@@ -9,9 +9,9 @@ evaluates the remaining candidates with the configured integrator and
 keeps those with estimate >= θ.
 
 The phases themselves live in :mod:`repro.core.stages` as composable
-stage objects (`SearchStage`, `FilterStage`, `IntegrateStage`); every
-engine entry point — :meth:`QueryEngine.execute`, :meth:`QueryEngine.run`
-and :meth:`QueryEngine.run_batch` — builds a pipeline and hands it to the
+stage objects (`SearchStage`, `FilterStage`, `IntegrateStage`); both
+engine entry points — :meth:`QueryEngine.execute` and
+:meth:`QueryEngine.run_batch` — build a pipeline and hand it to the
 single shared driver :func:`repro.core.stages.execute_pipeline`, so the
 single-query and batch paths cannot drift apart.
 
@@ -24,15 +24,15 @@ model and the engine executes the cheapest (always over the intersected
 Phase-1 rectangle), recording predictions into :class:`QueryStats`.
 
 Beyond single-query :meth:`QueryEngine.execute`, the engine offers a
-batched path — :meth:`QueryEngine.run` (sequential) and
-:meth:`QueryEngine.run_batch` (thread-parallel) — in which every query
-gets its own strategy clones and a forked integrator seeded from one
-spawned :class:`numpy.random.SeedSequence`.  Results therefore depend
-only on (seed, query position), never on worker count or completion
-order: ``run_batch(queries, workers=k)`` is bit-identical to
-``run(queries)`` for every ``k`` — with or without a planner (plans are a
-pure function of the quantized query shape, so a cold plan cache and a
-warm one produce identical result sets).
+batched path — :meth:`QueryEngine.run_batch`, sequential at
+``workers=1`` and thread-parallel above — in which every query gets its
+own strategy clones and a forked integrator seeded from one spawned
+:class:`numpy.random.SeedSequence`.  Results therefore depend only on
+(seed, query position), never on worker count or completion order:
+``run_batch(queries, workers=k)`` is bit-identical to
+``run_batch(queries, workers=1)`` for every ``k`` — with or without a
+planner (plans are a pure function of the quantized query shape, so a
+cold plan cache and a warm one produce identical result sets).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["QueryEngine", "QueryResult", "BatchResult", "QueryPlan"]
 
 #: Signature of the optional per-query integrator factory accepted by
-#: ``run``/``run_batch``: (query, spawned seed sequence) -> integrator.
+#: ``run_batch``: (query, spawned seed sequence) -> integrator.
 IntegratorFactory = Callable[
     [ProbabilisticRangeQuery, np.random.SeedSequence], ProbabilityIntegrator
 ]
@@ -278,32 +278,6 @@ class QueryEngine:
             self.planner.publish_metrics(self.obs)
         return result
 
-    def run(
-        self,
-        queries: Sequence[ProbabilisticRangeQuery],
-        *,
-        base_seed: int = 0,
-        integrator_factory: IntegratorFactory | None = None,
-    ) -> BatchResult:
-        """Execute a query batch sequentially with per-query RNG streams.
-
-        This is the reference semantics for :meth:`run_batch`: each query
-        gets fresh strategy clones and an integrator forked from the
-        ``i``-th spawn of ``SeedSequence(base_seed)``, so the outcome of
-        query ``i`` is a pure function of (engine config, ``base_seed``,
-        ``i``) — independent of every other query in the batch.
-
-        ``integrator_factory(query, seed_seq)`` overrides the default
-        fork of the engine's integrator, e.g. to tune an adaptive sampler
-        to each query's own θ.
-        """
-        return self.run_batch(
-            queries,
-            workers=1,
-            base_seed=base_seed,
-            integrator_factory=integrator_factory,
-        )
-
     def run_batch(
         self,
         queries: Sequence[ProbabilisticRangeQuery],
@@ -318,7 +292,10 @@ class QueryEngine:
         Returns a :class:`BatchResult` whose ``results`` follow the input
         order.  Determinism contract: because every query owns its
         strategy clones and a seed spawned by position, the results are
-        bit-identical for every ``workers`` value (and to :meth:`run`).
+        bit-identical for every ``workers`` value.  ``workers=1`` is the
+        sequential reference.  ``integrator_factory(query, seed_seq)``
+        overrides the default fork of the engine's integrator, e.g. to
+        tune an adaptive sampler to each query's own θ.
         The engine instance itself is never mutated, so one engine can
         serve many concurrent ``run_batch`` calls.  With a planner, plan
         choices depend only on each query's own quantized shape — never on

@@ -15,7 +15,7 @@ instead of trusting the caller:
    expected Phase-3 candidates from the strategies' own prepared regions
    (BF's α∥/α⊥ radii, RR/OR boxes).
 3. **Score** with calibrated per-strategy and per-integrator cost
-   coefficients (:class:`PlannerCostModel`,
+   coefficients (the module's ``SEARCH_*``/``*_SECONDS`` constants and
    ``ProbabilityIntegrator.cost_per_candidate``) and pick the minimum.
 
 Determinism contract: plans are a *pure function of the quantized query
@@ -42,8 +42,8 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from repro.geometry.mbr import Rect
 from repro.integrate.base import ProbabilityIntegrator
 
 __all__ = [
-    "PlannerCostModel",
     "PlanChoice",
     "PlanDecision",
     "QueryPlanner",
@@ -105,8 +104,8 @@ def quantized_shape_key(query: ProbabilisticRangeQuery) -> tuple:
         quantize_log(query.theta),
     )
 
-#: Strategy combinations the planner enumerates by default — the paper's
-#: six configurations.  EM is excluded from the default menu: its
+#: The strategy combinations the planner enumerates — the paper's six
+#: configurations.  EM is excluded from the menu: its
 #: per-candidate root find makes the classify coefficient data-dependent.
 DEFAULT_COMBOS: tuple[str, ...] = (
     "rr",
@@ -118,53 +117,36 @@ DEFAULT_COMBOS: tuple[str, ...] = (
 )
 
 
-def _default_prepare_seconds() -> dict[str, float]:
-    return {"RR": 2e-5, "OR": 4e-5, "BF": 2e-4, "EM": 2e-5}
+#: Calibrated cost coefficients, all in seconds.  Measured on the 2-D
+#: road workload (50k points, R*-tree); they only need to be *relatively*
+#: right — the planner compares plans against each other, never against a
+#: wall clock.
+#:
+#: Fixed Phase-1 overhead (tree descent, result assembly).
+SEARCH_BASE = 5e-5
+#: Per retrieved candidate: index walk + point gather.
+SEARCH_PER_OBJECT = 2.5e-7
+#: Per-strategy `prepare()` cost (BF's noncentral-χ² root finds dominate;
+#: the `repro.gaussian.radial` memos amortize them across a workload, so
+#: this is the *cold* figure scaled down).
+PREPARE_SECONDS = {"RR": 2e-5, "OR": 4e-5, "BF": 2e-4, "EM": 2e-5}
+#: Per-strategy `classify()` cost per candidate row.
+CLASSIFY_SECONDS = {"RR": 1.5e-7, "OR": 2.5e-7, "BF": 1.2e-7, "EM": 2.0e-5}
+#: Fallbacks for strategies missing from the maps (the kind strategies).
+DEFAULT_PREPARE = 5e-5
+DEFAULT_CLASSIFY = 5e-7
+
+#: LRU plan-cache capacity (distinct quantized workload shapes).
+CACHE_SIZE = 256
 
 
-def _default_classify_seconds() -> dict[str, float]:
-    return {"RR": 1.5e-7, "OR": 2.5e-7, "BF": 1.2e-7, "EM": 2.0e-5}
-
-
-@dataclass(frozen=True)
-class PlannerCostModel:
-    """Calibrated cost coefficients, all in seconds.
-
-    The defaults were measured on the 2-D road workload (50k points,
-    R*-tree); they only need to be *relatively* right — the planner
-    compares plans against each other, never against a wall clock.  Pass
-    a replacement to :class:`QueryPlanner` to recalibrate, e.g. after
-    profiling on different hardware.
-    """
-
-    #: Fixed Phase-1 overhead (tree descent, result assembly).
-    search_base: float = 5e-5
-    #: Per retrieved candidate: index walk + point gather.
-    search_per_object: float = 2.5e-7
-    #: Per-strategy `prepare()` cost (BF's noncentral-χ² root finds
-    #: dominate; the `repro.gaussian.radial` memos amortize them across
-    #: a workload, so this is the *cold* figure scaled down).
-    prepare_seconds: Mapping[str, float] = field(
-        default_factory=_default_prepare_seconds
-    )
-    #: Per-strategy `classify()` cost per candidate row.
-    classify_seconds: Mapping[str, float] = field(
-        default_factory=_default_classify_seconds
-    )
-    #: Fallbacks for strategies missing from the maps.
-    default_prepare: float = 5e-5
-    default_classify: float = 5e-7
-
-    def strategy_cost(self, names: Sequence[str], retrieved: float) -> float:
-        """Prepare + classify cost of a strategy list over ``retrieved`` rows."""
-        cost = 0.0
-        for name in names:
-            cost += self.prepare_seconds.get(name, self.default_prepare)
-            cost += (
-                self.classify_seconds.get(name, self.default_classify)
-                * retrieved
-            )
-        return cost
+def _strategy_cost(names: Sequence[str], retrieved: float) -> float:
+    """Prepare + classify cost of a strategy list over ``retrieved`` rows."""
+    cost = 0.0
+    for name in names:
+        cost += PREPARE_SECONDS.get(name, DEFAULT_PREPARE)
+        cost += CLASSIFY_SECONDS.get(name, DEFAULT_CLASSIFY) * retrieved
+    return cost
 
 
 @dataclass(frozen=True)
@@ -202,20 +184,11 @@ class QueryPlanner:
 
     Parameters
     ----------
-    total_points:
-        Dataset size, for the uniform-density fallback predictions.
-    data_bounds:
-        Bounding rectangle of the dataset; its centre is the canonical
-        query location plans are computed at.
-    estimator:
-        Optional :class:`SelectivityEstimator` (d ≤ 3).  Without one the
-        planner assumes uniform density inside ``data_bounds``.
-    combos:
-        Strategy spec strings to enumerate.
-    cost_model:
-        Replacement :class:`PlannerCostModel` coefficients.
-    cache_size:
-        LRU plan-cache capacity (distinct quantized workload shapes).
+    points:
+        The (n, d) points it plans over.  Their count and bounding box
+        feed the uniform-density predictions, and the box's centre is the
+        canonical query location plans are computed at; a d ≤ 3 planner
+        also builds a :class:`SelectivityEstimator` over them.
     targets:
         Optional :class:`repro.core.kinds.TargetCovarianceTable`.  Lets
         uncertain-target plans predict the convolved Phase-1 reach from
@@ -223,33 +196,21 @@ class QueryPlanner:
         are planned as if the targets were exact points.
     """
 
-    def __init__(
-        self,
-        *,
-        total_points: int,
-        data_bounds: Rect,
-        estimator: SelectivityEstimator | None = None,
-        combos: Sequence[str] = DEFAULT_COMBOS,
-        cost_model: PlannerCostModel | None = None,
-        cache_size: int = 256,
-        targets=None,
-    ):
-        if total_points < 1:
-            raise QueryError(f"total_points must be >= 1, got {total_points}")
-        if not combos:
-            raise QueryError("at least one strategy combo is required")
-        if cache_size < 1:
-            raise QueryError(f"cache_size must be >= 1, got {cache_size}")
-        self._total = int(total_points)
-        self._bounds = data_bounds
-        if estimator is None:
-            estimator = UniformDensity(total_points, data_bounds)
-        self._estimator = estimator
-        self.combos = tuple(combos)
-        self.cost_model = cost_model or PlannerCostModel()
+    def __init__(self, points: np.ndarray, *, targets=None):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[0] == 0:
+            raise QueryError(
+                f"points must be a non-empty (n, d) array, got shape {points.shape}"
+            )
+        self._total = points.shape[0]
+        self._bounds = Rect(points.min(axis=0), points.max(axis=0))
+        self._estimator: SelectivityEstimator | UniformDensity = (
+            SelectivityEstimator(points)
+            if points.shape[1] <= 3
+            else UniformDensity(self._total, self._bounds)
+        )
         self._targets = targets
         self._cache: OrderedDict[tuple, PlanDecision] = OrderedDict()
-        self._cache_size = int(cache_size)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -282,7 +243,7 @@ class QueryPlanner:
             self._misses += 1
             self._cache[key] = decision
             self._cache.move_to_end(key)
-            while len(self._cache) > self._cache_size:
+            while len(self._cache) > CACHE_SIZE:
                 self._cache.popitem(last=False)
         return decision
 
@@ -293,7 +254,7 @@ class QueryPlanner:
                 "hits": self._hits,
                 "misses": self._misses,
                 "currsize": len(self._cache),
-                "maxsize": self._cache_size,
+                "maxsize": CACHE_SIZE,
             }
 
     def clear_cache(self) -> None:
@@ -449,9 +410,9 @@ class QueryPlanner:
             retrieved = float(self._total)
         candidates = retrieved
         cost = (
-            self.cost_model.search_base
-            + self.cost_model.search_per_object * retrieved
-            + self.cost_model.strategy_cost(names, retrieved)
+            SEARCH_BASE
+            + SEARCH_PER_OBJECT * retrieved
+            + _strategy_cost(names, retrieved)
             + integrator.cost_per_candidate * candidates
         )
         choice = PlanChoice(
@@ -484,7 +445,7 @@ class QueryPlanner:
         # once per combo.
         pool: dict[str, Strategy] = {}
         combo_strategies: dict[str, list[Strategy]] = {}
-        for combo in self.combos:
+        for combo in DEFAULT_COMBOS:
             combo_strategies[combo] = [
                 pool.setdefault(s.name, s) for s in make_strategies(combo)
             ]
@@ -506,7 +467,7 @@ class QueryPlanner:
             for combo, rect in combo_rects.items()
             if rect is not None
         }
-        candidate_counts = dict.fromkeys(self.combos, 0.0)
+        candidate_counts = dict.fromkeys(DEFAULT_COMBOS, 0.0)
         if live:
             union = Rect.union_of(combo_rects[combo] for combo in live)
             candidate_counts.update(
@@ -515,14 +476,14 @@ class QueryPlanner:
                 )
             )
         choices: list[PlanChoice] = []
-        for combo in self.combos:
+        for combo in DEFAULT_COMBOS:
             names = tuple(s.name for s in combo_strategies[combo])
             retrieved = self._estimate_in_rect(combo_rects[combo])
             candidates = candidate_counts[combo]
             cost = (
-                self.cost_model.search_base
-                + self.cost_model.search_per_object * retrieved
-                + components * self.cost_model.strategy_cost(names, retrieved)
+                SEARCH_BASE
+                + SEARCH_PER_OBJECT * retrieved
+                + components * _strategy_cost(names, retrieved)
                 + integrator.cost_per_candidate * candidates
             )
             choices.append(

@@ -88,6 +88,16 @@ DECISION_REINTEGRATE = "reintegrate"
 #: The region no longer covers the update — rebuild around the new anchor.
 DECISION_REPLAN = "replan"
 
+#: Scale of the cached candidate superset: the anchor's Phase-1
+#: rectangle 50 % wider per side, trading memory for how far the object
+#: can roam before a cache rebuild.
+MARGIN = 0.5
+#: An update may re-decide up to max(REPLAN_MIN, REPLAN_FRACTION × cached
+#: rows) slack-exhausted rows in place; beyond that a fresh anchor is
+#: considered cheaper than patching the old one.
+REPLAN_FRACTION = 0.35
+REPLAN_MIN = 8
+
 
 def alpha_shell_radii(
     gaussian: Gaussian, delta: float, theta: float
@@ -230,23 +240,18 @@ class SafeRegion:
         *,
         index,
         anchor_rect: Rect | None,
-        margin: float = 0.5,
         reuse: "SafeRegion | None" = None,
     ) -> "SafeRegion":
         """Anchor a safe region at ``query`` whose full answer is ``answer``.
 
         ``index`` comes from the database (``db.index``); ``anchor_rect``
         is the query's combined Phase-1 rectangle (``None`` when a
-        strategy proved the result empty).
-        ``margin`` scales the cached rectangle (0.5 = 50 % wider per
-        side), trading memory for how far the object can roam before a
-        cache rebuild.  ``reuse`` donates its cached superset when the
-        new anchor rectangle still fits inside it.  The shell radii
-        depend only on (Σ spectrum, δ, θ), so a re-anchor after pure
-        translation finds both in the inversion memo.
+        strategy proved the result empty); the cached superset is that
+        rectangle scaled by :data:`MARGIN`.  ``reuse`` donates its cached
+        superset when the new anchor rectangle still fits inside it.  The
+        shell radii depend only on (Σ spectrum, δ, θ), so a re-anchor
+        after pure translation finds both in the inversion memo.
         """
-        if margin < 0:
-            raise QueryError(f"margin must be >= 0, got {margin}")
         r_accept, r_reject = alpha_shell_radii(
             query.gaussian, query.delta, query.theta
         )
@@ -262,7 +267,7 @@ class SafeRegion:
         else:
             cached_rect = Rect.from_center(
                 anchor_rect.center,
-                (anchor_rect.extents / 2.0) * (1.0 + margin),
+                (anchor_rect.extents / 2.0) * (1.0 + MARGIN),
             )
             ids = np.asarray(
                 index.range_search_rect(cached_rect), dtype=np.int64
@@ -308,18 +313,14 @@ class SafeRegion:
         self,
         mean: np.ndarray,
         sigma: np.ndarray | None = None,
-        *,
-        replan_fraction: float = 0.35,
-        replan_min: int = 8,
     ) -> RegionDecision:
         """Decide what one location/covariance update requires.
 
         ``sigma=None`` means "covariance unchanged".  A changed
         covariance always replans: the shell radii, the whitening frame
         and the Phase-1 rectangle geometry all depend on Σ.
-        ``replan_fraction``/``replan_min`` bound how many cached rows
-        may be re-decided in place before a fresh anchor is considered
-        cheaper than patching the old one.
+        ``REPLAN_FRACTION``/``REPLAN_MIN`` bound how many cached rows
+        may be re-decided in place before a replan.
         """
         anchor = self.query.gaussian
         if sigma is not None and not np.array_equal(sigma, anchor.sigma):
@@ -355,7 +356,7 @@ class SafeRegion:
         # Border rows are rechecked under *any* anchor with this Σ —
         # re-anchoring cannot shrink the indeterminate shell — so only
         # the slack-exhausted rows beyond them argue for a replan.
-        if k - self.n_border > max(replan_min, int(replan_fraction * self.ids.size)):
+        if k - self.n_border > max(REPLAN_MIN, int(REPLAN_FRACTION * self.ids.size)):
             return RegionDecision(
                 DECISION_REPLAN, reason="slack-exhausted", shift=shift
             )

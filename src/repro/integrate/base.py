@@ -17,7 +17,7 @@ __all__ = ["ProbabilityIntegrator", "SECONDS_PER_SAMPLE"]
 #: Rough wall-clock cost of one Monte Carlo sample (draw + distance test),
 #: in seconds.  Anchors the sampling integrators' planner cost hints; the
 #: absolute scale only matters relative to the per-strategy classify
-#: coefficients in :class:`repro.core.planner.PlannerCostModel`.
+#: coefficients in :mod:`repro.core.planner` (``CLASSIFY_SECONDS``).
 SECONDS_PER_SAMPLE = 6e-8
 
 

@@ -51,6 +51,14 @@ from repro.obs import span_of
 
 __all__ = ["CascadeIntegrator"]
 
+#: Interval width at which a candidate counts as *evaluated* rather than
+#: merely decided: bounds tighter than this collapse to their midpoint.
+#: Also the Ruben truncation tolerance when no θ is in play, and the
+#: tolerance of the Imhof quadrature always.
+TOL = 1e-9
+#: Ruben series term cap per candidate before falling back to Imhof.
+MAX_TERMS = 10_000
+
 #: Tier labels as they appear in ``IntegrationResult.method`` and in the
 #: engine's per-tier decision statistics, indexed by the ``int8`` tier code
 #: the cascade keeps per candidate.
@@ -63,13 +71,6 @@ class CascadeIntegrator(ProbabilityIntegrator):
 
     Parameters
     ----------
-    tol:
-        Interval width at which a candidate counts as *evaluated* rather
-        than merely decided: bounds tighter than this are collapsed to
-        their midpoint.  Also the Ruben truncation tolerance when no θ is
-        in play, and the tolerance of the Imhof quadrature always.
-    max_terms:
-        Ruben series term cap per candidate before falling back to Imhof.
     fast_dtype:
         Precision of the tier-1 candidate rotation: ``"float64"``
         (default, exact) or ``"float32"`` — the compiled single-precision
@@ -82,23 +83,11 @@ class CascadeIntegrator(ProbabilityIntegrator):
 
     name = "cascade"
 
-    def __init__(
-        self,
-        *,
-        tol: float = 1e-9,
-        max_terms: int = 10_000,
-        fast_dtype: str = "float64",
-    ):
-        if not 0 < tol < 1:
-            raise IntegrationError(f"tol must lie in (0, 1), got {tol}")
-        if max_terms < 1:
-            raise IntegrationError(f"max_terms must be >= 1, got {max_terms}")
+    def __init__(self, *, fast_dtype: str = "float64"):
         if fast_dtype not in ("float64", "float32"):
             raise IntegrationError(
                 f"fast_dtype must be 'float64' or 'float32', got {fast_dtype!r}"
             )
-        self.tol = float(tol)
-        self.max_terms = int(max_terms)
         self.fast_dtype = fast_dtype
 
     @property
@@ -121,15 +110,15 @@ class CascadeIntegrator(ProbabilityIntegrator):
     def qualification_probabilities(
         self, gaussian: Gaussian, points: np.ndarray, delta: float
     ) -> list[IntegrationResult]:
-        """Every candidate evaluated to ``tol`` (no θ in play).
+        """Every candidate evaluated to ``TOL`` (no θ in play).
 
-        An interval narrower than ``tol`` is reported as its midpoint;
+        An interval narrower than ``TOL`` is reported as its midpoint;
         one that never collapsed as its lower bound, with the half-width
         as the standard error either way.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         lower, upper, tier = self._tiers(gaussian, pts, delta, theta=None)
-        converged = upper - lower < self.tol
+        converged = upper - lower < TOL
         estimate = np.where(converged, 0.5 * (lower + upper), lower)
         stderr = np.maximum(0.5 * (upper - lower), 0.0)
         return [
@@ -148,7 +137,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
         lower, upper, tier = self._tiers(gaussian, pts, delta, theta=theta)
         # A collapsed interval is decided at its midpoint, any other by
         # the bound that excluded θ (lower ≥ θ accepts, upper < θ rejects).
-        converged = upper - lower < self.tol
+        converged = upper - lower < TOL
         accept = np.where(converged, 0.5 * (lower + upper) >= theta, lower >= theta)
         counts = np.bincount(tier, minlength=len(TIER_LABELS)).tolist()
         return accept, dict(zip(TIER_LABELS, counts)), 0
@@ -169,7 +158,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
 
         ``tier`` indexes :data:`TIER_LABELS` with the tier that produced
         the row's final interval.  With ``theta=None`` every candidate is
-        evaluated to ``tol`` precision instead of merely θ-decided.
+        evaluated to ``TOL`` precision instead of merely θ-decided.
         """
         m = pts.shape[0]
         tier = np.full(m, _IMHOF, dtype=np.int8)
@@ -205,8 +194,8 @@ class CascadeIntegrator(ProbabilityIntegrator):
                     ncs,
                     delta * delta,
                     theta=theta,
-                    tol=self.tol,
-                    max_terms=self.max_terms,
+                    tol=TOL,
+                    max_terms=MAX_TERMS,
                 )
                 # Ruben bounds only ever tighten the sandwich interval.
                 take = np.nonzero(ok2)[0]
@@ -230,7 +219,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                         np.ones_like(weights),
                         ncs[~ok2],
                         delta * delta,
-                        tol=self.tol,
+                        tol=TOL,
                     )
                     # Like Ruben's, Imhof's interval only tightens the
                     # sandwich: a scalar-fallback row can be far off at
@@ -251,7 +240,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
     def _decided(
         self, lower: np.ndarray, upper: np.ndarray, theta: float | None
     ) -> np.ndarray:
-        converged = upper - lower < self.tol
+        converged = upper - lower < TOL
         if theta is None:
             return converged
         return converged | (lower >= theta) | (upper < theta)

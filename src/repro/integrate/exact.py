@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import IntegrationError
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import qualification_probability_exact
 from repro.integrate.base import ProbabilityIntegrator
@@ -21,16 +20,10 @@ __all__ = ["ExactIntegrator"]
 
 
 class ExactIntegrator(ProbabilityIntegrator):
-    """Computes qualification probabilities via Imhof or Ruben, exactly."""
+    """Computes qualification probabilities exactly: Ruben's series, with
+    Imhof's inversion as the fallback where the series underflows."""
 
     name = "exact"
-
-    def __init__(self, method: str = "ruben"):
-        if method not in ("imhof", "ruben"):
-            raise IntegrationError(
-                f"method must be 'imhof' or 'ruben', got {method!r}"
-            )
-        self.method = method
 
     @property
     def cost_per_candidate(self) -> float:
@@ -45,7 +38,7 @@ class ExactIntegrator(ProbabilityIntegrator):
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:
         p = self._validate(gaussian, point, delta)
-        value = qualification_probability_exact(gaussian, p, delta, method=self.method)
+        value = qualification_probability_exact(gaussian, p, delta, method="ruben")
         return IntegrationResult(
-            estimate=value, stderr=0.0, n_samples=0, method=f"{self.name}-{self.method}"
+            estimate=value, stderr=0.0, n_samples=0, method="exact-ruben"
         )

@@ -37,6 +37,12 @@ from repro.gaussian.quadform import chi2_sandwich_bounds_block
 
 __all__ = ["CostTracker", "degraded_execute", "DEGRADED_TIER"]
 
+#: Weight of the newest sample in :class:`CostTracker`'s moving average.
+COST_ALPHA = 0.2
+#: Factor on the predicted full-execution cost a deadline must cover:
+#: > 1 degrades borderline requests rather than gambling on them.
+DEGRADE_SAFETY = 2.0
+
 #: Phase-3 decision label degraded requests record in
 #: ``QueryStats.tier_decisions`` (mirrors the cascade's ``cascade-*``).
 DEGRADED_TIER = "degraded-sandwich"
@@ -47,19 +53,17 @@ class CostTracker:
 
     The scheduler feeds it each executed request's wall seconds; the
     degradation check asks :meth:`predict` whether a pending request's
-    remaining budget covers a full execution (with a safety factor, so a
-    borderline request degrades rather than gambles).  Before any sample
+    remaining budget covers a full execution (with the
+    :data:`DEGRADE_SAFETY` factor, so a borderline request degrades
+    rather than gambles).  Before any sample
     arrives the tracker predicts ``prior`` seconds — choose it generous
     so a cold service degrades conservatively only for genuinely tight
     deadlines.
     """
 
-    def __init__(self, *, alpha: float = 0.2, prior: float = 0.05):
-        if not 0 < alpha <= 1:
-            raise ServiceError(f"alpha must lie in (0, 1], got {alpha}")
+    def __init__(self, *, prior: float):
         if prior <= 0:
             raise ServiceError(f"prior must be > 0 seconds, got {prior}")
-        self._alpha = float(alpha)
         self._ema = float(prior)
         self._samples = 0
         self._lock = threading.Lock()
@@ -72,7 +76,7 @@ class CostTracker:
             if self._samples == 0:
                 self._ema = float(seconds)
             else:
-                self._ema += self._alpha * (float(seconds) - self._ema)
+                self._ema += COST_ALPHA * (float(seconds) - self._ema)
             self._samples += 1
 
     def predict(self) -> float:
@@ -85,9 +89,9 @@ class CostTracker:
         with self._lock:
             return self._samples
 
-    def would_exceed(self, remaining: float, *, safety: float) -> bool:
+    def would_exceed(self, remaining: float) -> bool:
         """True when ``remaining`` seconds cannot cover a full run."""
-        return remaining < self.predict() * safety
+        return remaining < self.predict() * DEGRADE_SAFETY
 
 
 def sandwich_triage(

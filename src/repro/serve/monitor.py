@@ -67,7 +67,12 @@ from repro.errors import QueryError, ReproError, ServiceError
 from repro.gaussian.distribution import Gaussian
 from repro.obs import span_of
 from repro.serve.degrade import CostTracker, sandwich_triage
-from repro.serve.request import STATUS_DEGRADED, STATUS_FAILED, STATUS_OK
+from repro.serve.request import (
+    STATUS_DEGRADED,
+    STATUS_FAILED,
+    STATUS_OK,
+    check_deadline,
+)
 
 __all__ = [
     "SubscriptionManager",
@@ -110,6 +115,11 @@ OUTCOME_REPLANNED = "replanned"
 #: The deadline bit: certain ids plus sound intervals, state untouched.
 OUTCOME_DEGRADED = "degraded"
 
+#: Cold-start reintegration-cost prediction, seconds: a reintegration
+#: re-decides a few cached rows, an order of magnitude cheaper than the
+#: full execution the request path's prior stands for.
+REINTEGRATE_COST_PRIOR = 0.005
+
 
 @dataclass(frozen=True)
 class MonitorRequest:
@@ -150,10 +160,7 @@ class MonitorRequest:
             raise ServiceError(f"{self.type} requires subscription_id")
         if self.type == REQUEST_UPDATE and self.mean is None:
             raise ServiceError("update requires mean")
-        if self.deadline is not None and not self.deadline >= 0:
-            raise ServiceError(
-                f"deadline must be >= 0 seconds, got {self.deadline}"
-            )
+        check_deadline(self.deadline)
 
     @classmethod
     def subscribe(
@@ -357,11 +364,9 @@ class SubscriptionManager:
     directly or reach the one a :class:`~repro.serve.QueryService` owns
     as ``service.monitor``.
 
-    ``margin`` scales each cached candidate superset (0.5 = 50 % wider
-    per side); ``replan_fraction``/``replan_min`` bound how many cached
-    rows an update may re-decide in place before re-anchoring is
-    considered cheaper; ``degrade``/``degrade_safety`` control
-    deadline-aware degradation exactly as on the request path.
+    ``degrade`` switches deadline-aware degradation exactly as on the
+    request path.  The safe-region tuning (cache margin, replan bounds)
+    is :mod:`repro.core.saferegion`'s.
     """
 
     def __init__(
@@ -369,38 +374,19 @@ class SubscriptionManager:
         database,
         engine,
         *,
-        margin: float = 0.5,
-        replan_fraction: float = 0.35,
-        replan_min: int = 8,
         degrade: bool = True,
-        degrade_safety: float = 2.0,
-        cost_prior: float = 0.005,
         obs=None,
         clock=None,
     ):
-        if margin < 0:
-            raise ServiceError(f"margin must be >= 0, got {margin}")
-        if not 0.0 <= replan_fraction <= 1.0:
-            raise ServiceError(
-                f"replan_fraction must lie in [0, 1], got {replan_fraction}"
-            )
-        if degrade_safety < 1.0:
-            raise ServiceError(
-                f"degrade_safety must be >= 1, got {degrade_safety}"
-            )
         self.database = database
         self.engine = engine
-        self.margin = float(margin)
-        self.replan_fraction = float(replan_fraction)
-        self.replan_min = int(replan_min)
         self.degrade = bool(degrade)
-        self.degrade_safety = float(degrade_safety)
         self._clock = clock if clock is not None else time.monotonic
         self._obs = obs
         self._lock = threading.Lock()
         self._subs: dict[int | str, _Subscription] = {}
         self._auto_key = 0
-        self._reintegrate_cost = CostTracker(prior=cost_prior)
+        self._reintegrate_cost = CostTracker(prior=REINTEGRATE_COST_PRIOR)
         self._counters: dict[str, int] = {
             "subscribed": 0,
             "unsubscribed": 0,
@@ -535,21 +521,26 @@ class SubscriptionManager:
         ``reintegrated`` (Phase 2/3 over ``rechecked`` cached rows),
         ``replanned`` (full engine run and a new region), or ``degraded``
         (the ``deadline`` bit — proven ids plus sound intervals,
-        committed state untouched).
+        committed state untouched).  An unknown subscription or a
+        negative/NaN ``deadline`` is a ``failed`` response.
         """
         started = self._clock()
         with self._lock:
             sub = self._subs.get(subscription_id)
-            if sub is None:
+            try:
+                check_deadline(deadline)
+                if sub is None:
+                    raise QueryError(
+                        f"unknown subscription {subscription_id!r}"
+                    )
+            except ReproError as exc:
                 self._counters["failed"] += 1
                 return MonitorResponse(
                     request_id=request_id,
                     type=REQUEST_UPDATE,
                     status=STATUS_FAILED,
                     subscription_id=subscription_id,
-                    error=QueryError(
-                        f"unknown subscription {subscription_id!r}"
-                    ),
+                    error=exc,
                     seconds=self._clock() - started,
                 )
             with span_of(
@@ -745,18 +736,13 @@ class SubscriptionManager:
     ) -> MonitorResponse:
         mean = np.asarray(mean, dtype=float)
         decision = sub.region.classify(
-            mean,
-            None if sigma is None else np.asarray(sigma, dtype=float),
-            replan_fraction=self.replan_fraction,
-            replan_min=self.replan_min,
+            mean, None if sigma is None else np.asarray(sigma, dtype=float)
         )
         if decision.kind == DECISION_REINTEGRATE:
             if (
                 self.degrade
                 and deadline is not None
-                and self._reintegrate_cost.would_exceed(
-                    deadline, safety=self.degrade_safety
-                )
+                and self._reintegrate_cost.would_exceed(deadline)
             ):
                 return self._degraded_update(
                     sub, mean, decision, request_id, started
@@ -910,7 +896,6 @@ class SubscriptionManager:
             answer,
             index=self.database.index,
             anchor_rect=rect,
-            margin=self.margin,
             reuse=reuse,
         )
         return answer, region
@@ -962,7 +947,6 @@ class SubscriptionManager:
             answer,
             index=self.database.index,
             anchor_rect=rect,
-            margin=self.margin,
             reuse=region,
         )
         return answer, shifted, new_region

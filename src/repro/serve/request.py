@@ -50,6 +50,12 @@ STATUS_DEADLINE_EXCEEDED = "deadline_exceeded"
 STATUS_FAILED = "failed"
 
 
+def check_deadline(deadline: float | None) -> None:
+    """Reject a deadline that is negative or NaN (``None`` means none)."""
+    if deadline is not None and not deadline >= 0:
+        raise ServiceError(f"deadline must be >= 0 seconds, got {deadline}")
+
+
 @dataclass(frozen=True)
 class PRQRequest:
     """One client request: a PRQ spec plus its service envelope.
@@ -88,10 +94,7 @@ class PRQRequest:
         # the scheduler thread.
         query = ProbabilisticRangeQuery(self.gaussian, self.delta, self.theta)
         object.__setattr__(self, "_query", query)
-        if self.deadline is not None and not self.deadline >= 0:
-            raise ServiceError(
-                f"deadline must be >= 0 seconds, got {self.deadline}"
-            )
+        check_deadline(self.deadline)
 
     @classmethod
     def from_query(

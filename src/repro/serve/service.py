@@ -32,6 +32,7 @@ Service guarantees (the contract ``docs/serving.md`` spells out):
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import Future
@@ -65,6 +66,10 @@ from repro.serve.request import (
 
 __all__ = ["ServiceConfig", "ServiceSnapshot", "QueryService"]
 
+#: Cold-start full-execution cost prediction, seconds, until the first
+#: executed request feeds the :class:`~repro.serve.degrade.CostTracker`.
+COST_PRIOR = 0.05
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -74,10 +79,8 @@ class ServiceConfig:
     coalesces at most ``max_batch`` requests and waits at most
     ``batch_window`` seconds after the first arrival for company.
     ``max_queue`` bounds admission; ``workers`` fans the coalesced
-    ``run_batch`` out over threads.  ``degrade_safety`` scales the
-    predicted full-execution cost when deciding whether a deadline
-    forces degradation (> 1 degrades borderline requests rather than
-    gambling).  ``cache_size=0`` disables the result cache.
+    ``run_batch`` out over threads.  ``cache_size=0`` disables the
+    result cache.
     """
 
     max_queue: int = 256
@@ -88,8 +91,6 @@ class ServiceConfig:
     integrator: ProbabilityIntegrator | None = None
     cache_size: int = 1024
     degrade: bool = True
-    degrade_safety: float = 2.0
-    cost_prior: float = 0.05
     obs: Observability | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
@@ -97,19 +98,16 @@ class ServiceConfig:
             raise ServiceError(f"max_queue must be >= 1, got {self.max_queue}")
         if self.max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.batch_window < 0:
+        if not 0 <= self.batch_window < math.inf:
             raise ServiceError(
-                f"batch_window must be >= 0 seconds, got {self.batch_window}"
+                f"batch_window must be finite and >= 0 seconds, "
+                f"got {self.batch_window}"
             )
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
         if self.cache_size < 0:
             raise ServiceError(
                 f"cache_size must be >= 0, got {self.cache_size}"
-            )
-        if self.degrade_safety < 1.0:
-            raise ServiceError(
-                f"degrade_safety must be >= 1, got {self.degrade_safety}"
             )
 
 
@@ -220,7 +218,7 @@ class QueryService:
             if self.config.cache_size > 0
             else None
         )
-        self._cost = CostTracker(prior=self.config.cost_prior)
+        self._cost = CostTracker(prior=COST_PRIOR)
         self._lock = threading.Lock()
         self._counters: dict[str, int] = {
             "submitted": 0,
@@ -246,7 +244,6 @@ class QueryService:
             database,
             self.engine,
             degrade=self.config.degrade,
-            degrade_safety=self.config.degrade_safety,
             obs=self._obs,
             clock=self._clock,
         )
@@ -498,9 +495,7 @@ class QueryService:
                 # Sandwich-bound degradation only exists for exact-target
                 # PRQs; kinded queries always run the full pipeline.
                 and query_kind(pending.request.query) == "prq"
-                and self._cost.would_exceed(
-                    remaining, safety=self.config.degrade_safety
-                )
+                and self._cost.would_exceed(remaining)
             ):
                 degrade.append(pending)
             else:

@@ -102,8 +102,8 @@ class ShardedDatabase:
     def knn(self, center, k: int):
         return self._database.knn(center, k)
 
-    def planner(self, **kwargs):
-        return self._database.planner(**kwargs)
+    def planner(self):
+        return self._database.planner()
 
     @property
     def targets(self):

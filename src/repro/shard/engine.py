@@ -295,7 +295,7 @@ class ShardedEngine(QueryEngine):
     """Drop-in :class:`~repro.core.engine.QueryEngine` over a shard pool.
 
     A :class:`QueryEngine` whose batches scatter across the pool: the
-    constructor contract, ``run``, ``explain``, plan application and
+    constructor contract, ``explain``, plan application and
     error typing are the base class's; ``execute`` and ``run_batch``
     route, scatter and merge.  ``repro.serve`` and every batch caller
     work unchanged.  The ``workers`` argument of ``run_batch`` is

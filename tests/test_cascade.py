@@ -28,6 +28,7 @@ from repro.gaussian.quadform import (
 )
 from repro.index.rtree import RStarTree
 from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
+from repro.integrate.cascade import TOL
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
 from repro.kernels import ruben_block
@@ -193,10 +194,6 @@ class TestCascadeAgreement:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(IntegrationError):
-            CascadeIntegrator(tol=0.0)
-        with pytest.raises(IntegrationError):
-            CascadeIntegrator(max_terms=0)
-        with pytest.raises(IntegrationError):
             CascadeIntegrator().decide(
                 Gaussian([0.0, 0.0], np.eye(2)),
                 np.zeros((1, 2)),
@@ -263,7 +260,7 @@ class TestTiering:
         for result, truth in zip(results, refined):
             # A collapsed interval: the half-width is the truncation bound
             # plus the last refinement gap, not the old flat 0.
-            assert 0.0 < result.stderr < 0.5 * integrator.tol
+            assert 0.0 < result.stderr < 0.5 * TOL
             assert abs(result.estimate - truth) <= result.stderr
 
     @pytest.mark.parametrize("wild", [-0.25, 1.0])

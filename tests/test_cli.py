@@ -274,3 +274,40 @@ class TestDatabaseLoadErrors:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert "does not exist" in err and str(absent) in err
+
+
+class TestServiceFlagErrors:
+    """Invalid service flags of ``repro serve`` / ``repro load`` are an
+    ``error: ...`` line and exit 2, not a ``ServiceError`` traceback."""
+
+    BAD_FLAGS = [
+        (["--window-ms", "-1"], "batch_window"),
+        (["--window-ms", "nan"], "batch_window"),
+        (["--workers", "0"], "workers"),
+    ]
+
+    @pytest.fixture()
+    def db_path(self, tmp_path):
+        path = str(tmp_path / "data.soa")
+        assert main(["dataset", "uniform", path, "--size", "200"]) == 0
+        return path
+
+    @pytest.mark.parametrize("flags, field", BAD_FLAGS)
+    def test_serve_rejects_bad_service_flags(
+        self, db_path, tmp_path, capsys, flags, field
+    ):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("")
+        capsys.readouterr()
+        assert main(["serve", db_path, "--requests", str(requests), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, field", BAD_FLAGS)
+    def test_load_rejects_bad_service_flags(self, db_path, capsys, flags, field):
+        capsys.readouterr()
+        assert main(["load", db_path, "--rate", "50", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err

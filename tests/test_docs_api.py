@@ -5,11 +5,17 @@ appear in ``docs/api.md`` — by name, anywhere in the page.  The check is
 deliberately a substring test, not a structural one: it cannot rot when
 the docs are reorganised, but it does fail the moment someone exports a
 new symbol without documenting it (or renames one without updating the
-docs).
+docs).  The knob tables of serving.md / monitoring.md and the
+constructor rows of the one-configuration classes are the exception:
+they are checked against the code, so a removed option cannot be
+advertised again.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -289,3 +295,55 @@ def test_kernels_and_storage_architecture_sections_exist():
     assert "REPRO_NO_JIT" in arch
     mapping = (DOCS / "paper_mapping.md").read_text()
     assert "compiled kernels" in mapping
+
+
+def _knob_table_names(page: str) -> list[str]:
+    """Option names in the first column of a page's ``| Knob |`` table."""
+    lines = (DOCS / page).read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Knob |"))
+    names: list[str] = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        names.extend(re.findall(r"`(\w+)`", line.split("|")[1]))
+    return names
+
+
+def test_serving_knob_table_matches_service_config():
+    """docs/serving.md documents exactly the ``ServiceConfig`` fields: a
+    removed knob cannot be advertised, a new one cannot go undocumented."""
+    from repro.serve import ServiceConfig
+
+    fields = {f.name for f in dataclasses.fields(ServiceConfig)}
+    documented = _knob_table_names("serving.md")
+    assert set(documented) <= fields, (
+        f"docs/serving.md advertises non-knobs {set(documented) - fields}"
+    )
+    assert fields <= set(documented), (
+        f"ServiceConfig fields missing from docs/serving.md: "
+        f"{fields - set(documented)}"
+    )
+
+
+def test_monitoring_knob_table_matches_manager_signature():
+    from repro.serve import SubscriptionManager
+
+    params = set(inspect.signature(SubscriptionManager.__init__).parameters)
+    documented = set(_knob_table_names("monitoring.md"))
+    assert documented, "docs/monitoring.md lost its knob table"
+    assert documented <= params, (
+        f"docs/monitoring.md advertises non-knobs {documented - params}"
+    )
+
+
+@pytest.mark.parametrize(
+    "cls", [repro.QueryPlanner, repro.CascadeIntegrator, repro.ExactIntegrator],
+    ids=lambda cls: cls.__name__,
+)
+def test_api_constructor_rows_match_signatures(api_doc, cls):
+    """The ``| `Name(…)` |`` row of api.md lists the constructor's
+    parameters, no more and no fewer."""
+    rows = re.findall(rf"^\| `{cls.__name__}\(([^)]*)\)`", api_doc, re.M)
+    assert len(rows) == 1, f"docs/api.md needs one `{cls.__name__}(…)` row"
+    documented = [p.split("=")[0].strip() for p in rows[0].split(",") if p.strip()]
+    assert documented == list(inspect.signature(cls).parameters)

@@ -88,3 +88,91 @@ class TestPublicApi:
         for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
             module = importlib.import_module(info.name)
             assert module.__doc__, f"{info.name} lacks a module docstring"
+
+
+def _tiny_database():
+    import numpy as np
+
+    return repro.SpatialDatabase(np.random.default_rng(0).random((50, 2)))
+
+
+def _manager(**knob):
+    from repro.serve import SubscriptionManager
+
+    database = _tiny_database()
+    return SubscriptionManager(database, database.engine(), **knob)
+
+
+def _removed_knob_calls():
+    """One call per option that became a module constant: each must be a
+    ``TypeError`` (unexpected keyword), never a silent no-op."""
+    import numpy as np
+
+    from repro.core.saferegion import SafeRegion
+    from repro.serve import CostTracker, ServiceConfig
+    from repro.shard import ShardedDatabase
+
+    points = np.random.default_rng(0).random((50, 2))
+    return {
+        "planner-combos": lambda: repro.QueryPlanner(points, combos=("rr",)),
+        "planner-cache_size": lambda: repro.QueryPlanner(points, cache_size=2),
+        "planner-cost_model": lambda: repro.QueryPlanner(points, cost_model=None),
+        "planner-total_points": lambda: repro.QueryPlanner(total_points=50),
+        "planner-data_bounds": lambda: repro.QueryPlanner(
+            points, data_bounds=None
+        ),
+        "planner-estimator": lambda: repro.QueryPlanner(points, estimator=None),
+        "db.planner-kwargs": lambda: _tiny_database().planner(cache_size=2),
+        "sharded.planner-kwargs": lambda: ShardedDatabase.planner(
+            None, cache_size=2
+        ),
+        "cascade-tol": lambda: repro.CascadeIntegrator(tol=1e-9),
+        "cascade-max_terms": lambda: repro.CascadeIntegrator(max_terms=10),
+        "exact-method": lambda: repro.ExactIntegrator(method="imhof"),
+        "exact-positional-method": lambda: repro.ExactIntegrator("ruben"),
+        "monitor-margin": lambda: _manager(margin=0.5),
+        "monitor-replan_fraction": lambda: _manager(replan_fraction=0.35),
+        "monitor-replan_min": lambda: _manager(replan_min=8),
+        "monitor-degrade_safety": lambda: _manager(degrade_safety=2.0),
+        "monitor-cost_prior": lambda: _manager(cost_prior=0.005),
+        "saferegion.build-margin": lambda: SafeRegion.build(
+            None, (), index=None, anchor_rect=None, margin=0.5
+        ),
+        "saferegion.classify-replan_fraction": lambda: SafeRegion.classify(
+            None, None, replan_fraction=0.35
+        ),
+        "saferegion.classify-replan_min": lambda: SafeRegion.classify(
+            None, None, replan_min=8
+        ),
+        "service-degrade_safety": lambda: ServiceConfig(degrade_safety=2.0),
+        "service-cost_prior": lambda: ServiceConfig(cost_prior=0.05),
+        "serve-knob-cost_prior": lambda: _tiny_database().serve(cost_prior=5.0),
+        "costtracker-alpha": lambda: CostTracker(alpha=0.2, prior=1.0),
+        "costtracker-safety": lambda: CostTracker(prior=1.0).would_exceed(
+            1.0, safety=2.0
+        ),
+    }
+
+
+class TestOneConfiguration:
+    @pytest.mark.parametrize("knob", sorted(_removed_knob_calls()))
+    def test_removed_knob_is_a_type_error(self, knob):
+        with pytest.raises(TypeError):
+            _removed_knob_calls()[knob]()
+
+    def test_engine_run_alias_is_gone(self):
+        from repro.core.engine import QueryEngine
+        from repro.shard import ShardedEngine
+
+        assert not hasattr(QueryEngine, "run")
+        assert not hasattr(ShardedEngine, "run")
+        engine = _tiny_database().engine()
+        with pytest.raises(AttributeError):
+            engine.run([])
+
+    def test_cost_model_class_is_gone(self):
+        import repro.core
+
+        assert "PlannerCostModel" not in repro.__all__
+        assert "PlannerCostModel" not in repro.core.__all__
+        assert not hasattr(repro.core.planner, "PlannerCostModel")

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import IntegrationError
+from repro.errors import GeometryError, IntegrationError
 from repro.gaussian.distribution import Gaussian
+from repro.gaussian.quadform import qualification_probability_exact
 from repro.integrate import (
     ExactIntegrator,
     ImportanceSamplingIntegrator,
@@ -60,17 +61,23 @@ class TestExactIntegrator:
         assert r.n_samples == 0
 
     def test_methods_agree(self, paper_gaussian, target_point):
-        a = ExactIntegrator("imhof").qualification_probability(
+        a = qualification_probability_exact(
+            paper_gaussian, target_point, 25.0, method="imhof"
+        )
+        b = ExactIntegrator().qualification_probability(
             paper_gaussian, target_point, 25.0
         )
-        b = ExactIntegrator("ruben").qualification_probability(
-            paper_gaussian, target_point, 25.0
+        assert b.method == "exact-ruben"
+        assert b.estimate == qualification_probability_exact(
+            paper_gaussian, target_point, 25.0, method="ruben"
         )
-        assert a.estimate == pytest.approx(b.estimate, abs=1e-7)
+        assert a == pytest.approx(b.estimate, abs=1e-7)
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(IntegrationError):
-            ExactIntegrator("simpson")
+    def test_rejects_unknown_method(self, paper_gaussian, target_point):
+        with pytest.raises(GeometryError):
+            qualification_probability_exact(
+                paper_gaussian, target_point, 25.0, method="simpson"
+            )
 
     def test_batch_api(self, paper_gaussian):
         pts = np.array([[500.0, 500.0], [510.0, 490.0]])

@@ -367,16 +367,17 @@ class TestDegradation:
     def test_deadline_pressure_degrades_soundly_and_recovers(
         self, database, engine
     ):
-        # A huge cost prior makes any finite deadline predictably
-        # insufficient, forcing degradation deterministically.
-        manager = make_manager(database, engine, cost_prior=10.0)
+        # Before any reintegration has been timed the manager predicts
+        # its cold 0.005 s prior (× the 2.0 safety factor), so a 1 ms
+        # deadline degrades deterministically, whatever the host speed.
+        manager = make_manager(database, engine)
         sigma = 4.0 * np.eye(2)
         position = np.array([500.0, 500.0])
         manager.subscribe(
             Gaussian(position, sigma), 25.0, 0.4, subscription_id="d"
         )
         moved = position + np.array([1.5, -1.0])
-        update = manager.update("d", moved, deadline=0.01)
+        update = manager.update("d", moved, deadline=0.001)
         assert update.status == STATUS_DEGRADED
         assert update.outcome == OUTCOME_DEGRADED
         assert update.stale
@@ -407,7 +408,7 @@ class TestDegradation:
     def test_replans_never_degrade(self, database, engine):
         """A structural break (covariance change) executes fully even
         under a deadline that would degrade a reintegration."""
-        manager = make_manager(database, engine, cost_prior=10.0)
+        manager = make_manager(database, engine)
         position = np.array([500.0, 500.0])
         manager.subscribe(
             Gaussian(position, np.eye(2)), 20.0, 0.5, subscription_id="r"
@@ -419,9 +420,7 @@ class TestDegradation:
         assert update.outcome == OUTCOME_REPLANNED
 
     def test_degrade_disabled_runs_fully(self, database, engine):
-        manager = make_manager(
-            database, engine, degrade=False, cost_prior=10.0
-        )
+        manager = make_manager(database, engine, degrade=False)
         position = np.array([500.0, 500.0])
         manager.subscribe(
             Gaussian(position, np.eye(2)), 20.0, 0.5, subscription_id="f"
@@ -477,6 +476,30 @@ class TestManagerContract:
         ):
             assert response.status == STATUS_FAILED
             assert "ghost" in str(response.error)
+
+    @pytest.mark.parametrize("deadline", [-1.0, float("nan")])
+    def test_bad_update_deadline_is_a_failed_response(
+        self, database, engine, deadline
+    ):
+        """A negative or NaN deadline fails like an unknown id, with the
+        message PRQRequest and MonitorRequest give; it neither degrades
+        the answer nor reads as "no deadline"."""
+        manager = make_manager(database, engine)
+        position = np.array([500.0, 500.0])
+        manager.subscribe(
+            Gaussian(position, 4.0 * np.eye(2)), 25.0, 0.4, subscription_id="a"
+        )
+        before = manager.stats()
+        response = manager.update("a", position + 1.0, deadline=deadline)
+        assert response.status == STATUS_FAILED
+        assert isinstance(response.error, ServiceError)
+        assert "deadline must be >= 0 seconds" in str(response.error)
+        after = manager.stats()
+        assert after["failed"] == before["failed"] + 1
+        assert after["updates"] == before["updates"]
+        assert not manager.notify("a").stale
+        with pytest.raises(ServiceError, match="deadline must be >= 0"):
+            MonitorRequest.update("a", position, deadline=deadline)
 
     def test_auto_assigned_keys_and_len(self, database, engine):
         manager = make_manager(database, engine)

@@ -233,7 +233,7 @@ class TestObservability:
         engine = database.engine(
             strategies="rr", integrator=CascadeIntegrator(), obs=obs
         )
-        engine.run(workload)
+        engine.run_batch(workload, workers=1)
         stats = hook.stats()
         assert stats is not None and stats.total_calls > 0
 

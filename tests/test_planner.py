@@ -12,14 +12,13 @@ from repro import (
     ExactIntegrator,
     Gaussian,
     ImportanceSamplingIntegrator,
-    PlannerCostModel,
     QueryPlanner,
     SpatialDatabase,
 )
+from repro.core import planner as planner_module
 from repro.core.planner import DEFAULT_COMBOS, PlanChoice
 from repro.core.query import ProbabilisticRangeQuery
 from repro.errors import QueryError
-from repro.geometry.mbr import Rect
 
 
 def make_database(n: int = 4_000, seed: int = 5) -> SpatialDatabase:
@@ -143,9 +142,10 @@ class TestPlanCache:
         assert b.cache_hit is True
         assert a.chosen == b.chosen
 
-    def test_lru_eviction_respects_cache_size(self):
+    def test_lru_eviction_respects_cache_size(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "CACHE_SIZE", 2)
         db = make_database()
-        planner = db.planner(cache_size=2)
+        planner = db.planner()
         integrator = ExactIntegrator()
         for delta in (10.0, 20.0, 40.0):
             planner.plan(
@@ -177,7 +177,7 @@ class TestPlanCache:
             strategies="auto",
             integrator=ImportanceSamplingIntegrator(4_000, seed=3),
         )
-        reference = engine.run(queries, base_seed=7)
+        reference = engine.run_batch(queries, workers=1, base_seed=7)
         for workers in (2, 4):
             batch = engine.run_batch(queries, workers=workers, base_seed=7)
             assert batch.ids == reference.ids
@@ -228,21 +228,20 @@ class TestExplain:
 
 
 class TestPlannerConfig:
-    def test_cost_model_drives_choice(self):
+    def test_cost_model_drives_choice(self, monkeypatch):
         """An absurd BF prepare cost must push the planner off BF plans."""
+        monkeypatch.setitem(planner_module.PREPARE_SECONDS, "BF", 1e6)
         db = make_database()
-        no_bf_model = PlannerCostModel(
-            prepare_seconds={"RR": 2e-5, "OR": 4e-5, "BF": 1e6, "EM": 2e-5}
-        )
-        planner = db.planner(cost_model=no_bf_model)
+        planner = db.planner()
         decision = planner.plan(
             make_queries(db, count=1)[0], ExactIntegrator()
         )
         assert "BF" not in decision.chosen.strategy_names
 
-    def test_custom_combo_menu(self):
+    def test_custom_combo_menu(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "DEFAULT_COMBOS", ("rr", "rr+or"))
         db = make_database()
-        planner = db.planner(combos=("rr", "rr+or"))
+        planner = db.planner()
         decision = planner.plan(
             make_queries(db, count=1)[0], ExactIntegrator()
         )
@@ -259,9 +258,9 @@ class TestPlannerConfig:
         planner = db.planner()
         for query in make_queries(db):
             decision = planner.plan(query, ExactIntegrator())
-            assert len(decision.considered) == len(planner.combos)
+            assert len(decision.considered) == len(DEFAULT_COMBOS)
             assert sorted(c.strategies for c in decision.considered) == sorted(
-                planner.combos
+                DEFAULT_COMBOS
             )
 
     def test_planned_engine_retrieves_what_intersect_retrieves(self):
@@ -285,13 +284,11 @@ class TestPlannerConfig:
         assert DEFAULT_COMBOS == ("rr", "bf", "rr+bf", "rr+or", "bf+or", "all")
 
     def test_validation_errors(self):
-        bounds = Rect([0.0, 0.0], [1.0, 1.0])
         with pytest.raises(QueryError):
-            QueryPlanner(total_points=0, data_bounds=bounds)
+            QueryPlanner(np.empty((0, 2)))
         with pytest.raises(QueryError):
-            QueryPlanner(total_points=10, data_bounds=bounds, combos=())
-        with pytest.raises(QueryError):
-            QueryPlanner(total_points=10, data_bounds=bounds, cache_size=0)
+            QueryPlanner(np.arange(4.0))
+        points = np.random.default_rng(0).random((10, 2))
         # One configuration: the removed knobs are not accepted at all.
         for knob in (
             {"phase1_modes": ("primary",)},
@@ -303,15 +300,10 @@ class TestPlannerConfig:
             {"fringe_filter": "exact"},
         ):
             with pytest.raises(TypeError):
-                QueryPlanner(total_points=10, data_bounds=bounds, **knob)
+                QueryPlanner(points, **knob)
         assert list(inspect.signature(QueryPlanner.__init__).parameters) == [
             "self",
-            "total_points",
-            "data_bounds",
-            "estimator",
-            "combos",
-            "cost_model",
-            "cache_size",
+            "points",
             "targets",
         ]
 
@@ -387,7 +379,7 @@ class TestPlanCacheThreadSafety:
         shapes = make_queries(db, count=8, seed=41)
         integrator = ExactIntegrator()
 
-        cold_planner = db.planner(cache_size=64)
+        cold_planner = QueryPlanner(db.points)
         cold = {
             id(q): cold_planner.plan(q, integrator).chosen for q in shapes
         }
@@ -395,7 +387,7 @@ class TestPlanCacheThreadSafety:
             cold_planner._cache_key(q, integrator) for q in shapes
         }
 
-        planner = db.planner(cache_size=64)
+        planner = QueryPlanner(db.points)
         workload = [shapes[i % len(shapes)] for i in range(160)]
 
         with ThreadPoolExecutor(max_workers=8) as pool:

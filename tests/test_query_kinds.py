@@ -341,12 +341,12 @@ class TestMixedKindExecution:
         queries = mixed_kind_queries()
         single = db.engine(
             strategies="all", integrator=CascadeIntegrator()
-        ).run(queries)
+        ).run_batch(queries, workers=1)
         with db.shard(2) as sharded:
             engine = sharded.engine(
                 strategies="all", integrator=CascadeIntegrator()
             )
-            scattered = engine.run(queries)
+            scattered = engine.run_batch(queries, workers=1)
         for a, b in zip(single, scattered):
             assert list(a.ids) == list(b.ids)
 
@@ -357,7 +357,7 @@ class TestMixedKindExecution:
         queries = mixed_kind_queries()
         direct = db.engine(
             strategies="all", integrator=CascadeIntegrator()
-        ).run(queries)
+        ).run_batch(queries, workers=1)
         with db.serve(integrator=CascadeIntegrator()) as service:
             futures = [
                 service.submit(PRQRequest.from_query(q)) for q in queries

@@ -56,7 +56,7 @@ def batch_counts(batch: BatchResult) -> tuple:
 
 def test_run_batch_matches_sequential_run(database, workload):
     engine = database.engine()
-    sequential = engine.run(workload, base_seed=17)
+    sequential = engine.run_batch(workload, workers=1, base_seed=17)
     for workers in (1, 2, 4):
         batch = engine.run_batch(workload, workers=workers, base_seed=17)
         assert batch.ids == sequential.ids, f"ids diverged at workers={workers}"
@@ -70,7 +70,9 @@ def test_run_batch_with_adaptive_factory(database, workload):
     factory = lambda q, seed: ImportanceSamplingIntegrator(  # noqa: E731
         20_000, seed=seed, share_samples=True
     )
-    sequential = engine.run(workload, base_seed=3, integrator_factory=factory)
+    sequential = engine.run_batch(
+        workload, workers=1, base_seed=3, integrator_factory=factory
+    )
     for workers in (2, 4):
         batch = engine.run_batch(
             workload, workers=workers, base_seed=3, integrator_factory=factory
@@ -169,7 +171,9 @@ def test_engine_accepts_scalar_only_strategy(database):
     """A custom block strategy runs end to end through ``run_batch`` with
     the built-in strategy's answer."""
     queries = WorkloadGenerator(database, seed=8).batch(3)
-    reference = database.engine(strategies="rr").run(queries, base_seed=5)
+    reference = database.engine(strategies="rr").run_batch(
+        queries, workers=1, base_seed=5
+    )
     engine = database.engine(strategies=[BlockStrategy()])
     batch = engine.run_batch(queries, workers=2, base_seed=5)
     assert batch.ids == reference.ids

@@ -264,16 +264,17 @@ class TestDeadlines:
             [612.59, 857.49], np.array([[60.0, 25.0], [25.0, 20.0]])
         )
         theta = 0.123456789
-        request = PRQRequest(gaussian, 10.0, theta, deadline=0.2)
+        request = PRQRequest(gaussian, 10.0, theta, deadline=0.05)
         exact = ExactIntegrator()
         full = database.probabilistic_range_query(
             gaussian, 10.0, theta, integrator=exact
         )
         # Frozen fake clock: the request reaches the drain with its full
-        # 0.2s budget intact no matter how slow the host is, so the 5s
-        # cost prior forces degradation — never spurious expiry.
+        # 0.05s budget intact no matter how slow the host is, so the
+        # cold 0.05s cost prior (× the 2.0 safety factor) forces
+        # degradation — never spurious expiry.
         with database.serve(
-            integrator=CascadeIntegrator(), cost_prior=5.0, clock=FakeClock()
+            integrator=CascadeIntegrator(), clock=FakeClock()
         ) as service:
             response = service.query(request, timeout=30)
         assert response.status == STATUS_DEGRADED
@@ -293,27 +294,24 @@ class TestDeadlines:
     def test_degradation_can_be_disabled(self, database):
         # Frozen clock: the deadline cannot expire, so the only question
         # is whether degrade=False really forces full execution despite
-        # a cost prior far above the budget.
-        request = make_requests(1, deadline=30.0)[0]
+        # a cold cost prediction above the budget.
+        request = make_requests(1, deadline=0.05)[0]
         with database.serve(
-            integrator=CascadeIntegrator(), degrade=False, cost_prior=100.0,
-            clock=FakeClock(),
+            integrator=CascadeIntegrator(), degrade=False, clock=FakeClock()
         ) as service:
             response = service.query(request, timeout=30)
         assert response.status == STATUS_OK
 
     def test_cost_tracker_ema(self):
-        tracker = CostTracker(alpha=0.5, prior=1.0)
+        tracker = CostTracker(prior=1.0)
         assert tracker.predict() == 1.0
-        assert tracker.would_exceed(1.5, safety=2.0)
+        assert tracker.would_exceed(1.5)  # 1.5 s < 1.0 s × DEGRADE_SAFETY
         tracker.observe(0.1)  # first sample replaces the prior
         assert tracker.predict() == pytest.approx(0.1)
-        tracker.observe(0.3)
-        assert tracker.predict() == pytest.approx(0.2)
+        tracker.observe(0.3)  # α = 0.2: 0.1 + 0.2 × (0.3 − 0.1)
+        assert tracker.predict() == pytest.approx(0.14)
         assert tracker.samples == 2
-        assert not tracker.would_exceed(1.0, safety=2.0)
-        with pytest.raises(ServiceError):
-            CostTracker(alpha=0.0)
+        assert not tracker.would_exceed(1.0)
         with pytest.raises(ServiceError):
             CostTracker(prior=0.0)
 
@@ -357,7 +355,7 @@ class TestResultCache:
     def test_degraded_responses_are_not_cached(self, database):
         request = PRQRequest(
             Gaussian([500.0, 500.0], 15.0 * np.eye(2)), 10.0, 0.3,
-            deadline=0.2,
+            deadline=0.05,
         )
         retry = PRQRequest(
             Gaussian([500.0, 500.0], 15.0 * np.eye(2)), 10.0, 0.3
@@ -365,7 +363,7 @@ class TestResultCache:
         # Frozen clock: deterministic degrade-vs-expire split (see
         # TestDeadlines for the policy rationale).
         with database.serve(
-            integrator=CascadeIntegrator(), cost_prior=5.0, clock=FakeClock()
+            integrator=CascadeIntegrator(), clock=FakeClock()
         ) as service:
             degraded = service.query(request, timeout=30)
             full = service.query(retry, timeout=30)
@@ -445,12 +443,20 @@ class TestTelemetryAndConfig:
             {"batch_window": -0.1},
             {"workers": 0},
             {"cache_size": -1},
-            {"degrade_safety": 0.5},
         ):
             with pytest.raises(ServiceError):
                 ServiceConfig(**bad)
         with pytest.raises(ServiceError):
             database.serve(ServiceConfig(), max_batch=4)
+
+    @pytest.mark.timeout(30)
+    @pytest.mark.parametrize("window", [float("nan"), float("inf")])
+    def test_non_finite_batch_window_is_rejected(self, database, window):
+        """A non-finite window would never close a drain (a NaN remaining
+        wait never compares <= 0), so no request would resolve and
+        close() would time out: it is a config error instead."""
+        with pytest.raises(ServiceError, match="batch_window"):
+            database.serve(batch_window=window, workers=1)
 
     def test_request_validation(self):
         gaussian = Gaussian([0.0, 0.0], np.eye(2))

@@ -42,7 +42,7 @@ def test_execute_and_run_produce_identical_stats_structure(db, query):
     """Same query, same engine config → same phase keys and counters."""
     engine = db.engine(strategies="all", integrator=ExactIntegrator())
     single = engine.execute(query)
-    batched = engine.run([query]).results[0]
+    batched = engine.run_batch([query], workers=1).results[0]
 
     assert single.ids == batched.ids
     a, b = single.stats, batched.stats
