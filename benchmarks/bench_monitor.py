@@ -94,11 +94,11 @@ def test_monitor_update_storm_speedup(benchmark):
                 resp = manager.update(sid, positions[step, sid])
                 manager_ids[step, sid] = resp.ids
         manager_wall = time.perf_counter() - start
-        stats = manager.stats()
+        stats = manager.snapshot()
         table.add_row(
             "safe-region", n_updates, manager_wall * 1e3,
-            n_updates / manager_wall, stats["survived"],
-            stats["reintegrated"], stats["replanned"],
+            n_updates / manager_wall, stats.survived,
+            stats.reintegrated, stats.replanned,
         )
 
         # Baseline: a cold three-phase query at every update.
@@ -143,11 +143,11 @@ def test_monitor_update_storm_speedup(benchmark):
         "safe_region": {
             "wall_seconds": result["manager_wall"],
             "updates_per_second": n_updates / result["manager_wall"],
-            "survived": stats["survived"],
-            "reintegrated": stats["reintegrated"],
-            "replanned": stats["replanned"],
-            "degraded": stats["degraded"],
-            "failed": stats["failed"],
+            "survived": stats.survived,
+            "reintegrated": stats.reintegrated,
+            "replanned": stats.replanned,
+            "degraded": stats.degraded,
+            "failed": stats.failed,
         },
         "re_evaluate": {
             "wall_seconds": result["baseline_wall"],
@@ -159,7 +159,7 @@ def test_monitor_update_storm_speedup(benchmark):
 
     # Soundness before speed: every update of every trajectory must be
     # bit-identical to the cold re-evaluation baseline.
-    assert stats["failed"] == 0 and stats["degraded"] == 0
+    assert stats.failed == 0 and stats.degraded == 0
     mismatches = [
         key for key in result["baseline_ids"]
         if result["manager_ids"][key] != result["baseline_ids"][key]
@@ -170,7 +170,7 @@ def test_monitor_update_storm_speedup(benchmark):
     )
     # The storm must actually exercise the O(1) fast path — a benchmark
     # where every update replans measures nothing.
-    assert stats["survived"] > 0, stats
+    assert stats.survived > 0, stats
 
     assert speedup >= SPEEDUP_GATE, (
         f"safe-region updates only {speedup:.2f}x re-evaluation "

@@ -76,7 +76,7 @@ def drive(db, requests, *, max_batch: int, cache_size: int):
         futures = [service.submit(r) for r in requests]
         responses = [f.result() for f in futures]
         wall = time.perf_counter() - start
-        stats = service.stats()
+        stats = service.snapshot()
     return wall, responses, stats
 
 
@@ -112,9 +112,9 @@ def test_serve_microbatching_speedup(benchmark):
                 n / wall,
                 latencies[int(0.50 * (n - 1))] * 1e3,
                 latencies[int(0.99 * (n - 1))] * 1e3,
-                stats["executed"],
-                stats["deduplicated"],
-                stats["cache_hits"],
+                stats.executed,
+                stats.deduplicated,
+                stats.cache_hits,
             )
         return table
 
@@ -124,11 +124,11 @@ def test_serve_microbatching_speedup(benchmark):
         label: {
             "wall_seconds": wall,
             "qps": n / wall,
-            "executed": stats["executed"],
-            "deduplicated": stats["deduplicated"],
-            "cache_hits": stats["cache_hits"],
-            "batches": stats["batches"],
-            "coalesced_batches": stats["coalesced_batches"],
+            "executed": stats.executed,
+            "deduplicated": stats.deduplicated,
+            "cache_hits": stats.cache_hits,
+            "batches": stats.batches,
+            "coalesced_batches": stats.coalesced_batches,
         }
         for label, (wall, _, stats) in modes.items()
     })
@@ -140,7 +140,7 @@ def test_serve_microbatching_speedup(benchmark):
         assert tuple(r.ids for r in responses) == direct.ids, (
             f"{label} responses diverged from direct run_batch"
         )
-        assert stats["failed"] == 0 and stats["overloaded"] == 0
+        assert stats.failed == 0 and stats.overloaded == 0
 
     # Micro-batching must actually coalesce, and pay off.
     assert modes["batched"][2]["coalesced_batches"] >= 1

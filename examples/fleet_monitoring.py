@@ -67,15 +67,15 @@ def main() -> None:
             for vid in range(N_VEHICLES):
                 monitor.update(vid, positions[vid])
         storm_wall = time.perf_counter() - start
-        stats = monitor.stats()
+        stats = monitor.snapshot()
         n_updates = N_TICKS * N_VEHICLES
         print(f"  {n_updates} updates in {storm_wall:.2f}s "
               f"({n_updates / storm_wall:,.0f} updates/s)")
-        print(f"  survived     {stats['survived']:>6}   (O(1): answer "
+        print(f"  survived     {stats.survived:>6}   (O(1): answer "
               "provably unchanged, nothing executed)")
-        print(f"  reintegrated {stats['reintegrated']:>6}   (Phase 2/3 "
+        print(f"  reintegrated {stats.reintegrated:>6}   (Phase 2/3 "
               "over border assets only)")
-        print(f"  replanned    {stats['replanned']:>6}   (full engine "
+        print(f"  replanned    {stats.replanned:>6}   (full engine "
               "run, fresh safe region)\n")
 
         # A structural change always replans: vehicle 0 enters a tunnel

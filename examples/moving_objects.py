@@ -72,11 +72,11 @@ def main() -> None:
     sub = manager.subscribe(beliefs[0], 12.0, 0.3).subscription_id
     for belief in beliefs[1:]:
         manager.update(sub, belief.mean)
-    stats = manager.stats()
+    stats = manager.snapshot()
     print(
-        f"standing subscription: {stats['survived']} of {stats['updates']} "
-        f"updates survived in O(1), {stats['reintegrated']} re-decided only "
-        f"border objects, {stats['replanned']} re-ran the query."
+        f"standing subscription: {stats.survived} of {stats.updates} "
+        f"updates survived in O(1), {stats.reintegrated} re-decided only "
+        f"border objects, {stats.replanned} re-ran the query."
     )
 
 if __name__ == "__main__":

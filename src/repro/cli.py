@@ -821,43 +821,72 @@ def _parse_serve_request(spec: dict, dim: int, line_no: int, seed: int = 0):
     )
 
 
-def _parse_monitor_request(spec: dict, dim: int, line_no: int):
-    """Build one MonitorRequest from a JSON-lines spec (raises on misuse).
+def _monitor_row(monitor, spec: dict, dim: int, line_no: int) -> dict:
+    """Run one monitor line's verb and return its response row.
 
     Monitor lines carry ``"type"`` (subscribe/update/unsubscribe/notify)
     and address their subscription through ``"sub"``; subscribe lines
     additionally take the usual query fields (center/sigma/sigma_scale/
-    delta/theta).
+    delta/theta).  A malformed line raises before any verb runs; a
+    ``ReproError`` raised by the verb itself (a duplicate ``sub``, a
+    wrong dimension) becomes a ``failed`` row addressed like the line.
     """
-    from repro.serve import MonitorRequest, REQUEST_SUBSCRIBE, REQUEST_UPDATE
+    from functools import partial
+
+    from repro.core.query import ProbabilisticRangeQuery
+    from repro.errors import ReproError
+    from repro.serve import (
+        REQUEST_SUBSCRIBE,
+        REQUEST_TYPES,
+        REQUEST_UNSUBSCRIBE,
+        REQUEST_UPDATE,
+        STATUS_FAILED,
+        MonitorResponse,
+    )
+    from repro.serve.request import check_deadline
 
     request_type = spec["type"]
+    if request_type not in REQUEST_TYPES:
+        raise ValueError(
+            f"unknown request type {request_type!r}; "
+            f"expected one of {REQUEST_TYPES}"
+        )
     request_id = spec.get("id", line_no)
     sub = spec.get("sub")
     deadline = spec.get("deadline_ms")
     deadline = None if deadline is None else float(deadline) / 1e3
     if request_type == REQUEST_SUBSCRIBE:
-        return MonitorRequest.subscribe(
+        query = ProbabilisticRangeQuery(
             _gaussian_from_spec(spec, dim),
             float(spec["delta"]),
             float(spec["theta"]),
+        )
+        verb = partial(
+            monitor.subscribe, query.gaussian, query.delta, query.theta,
             subscription_id=sub,
-            request_id=request_id,
         )
-    if sub is None:
+    elif sub is None:
         raise ValueError(f'"{request_type}" line needs "sub"')
-    if request_type == REQUEST_UPDATE:
+    elif request_type == REQUEST_UPDATE:
+        mean = np.asarray(spec["center"], dtype=float)
         sigma = spec.get("sigma")
-        return MonitorRequest.update(
-            sub,
-            np.asarray(spec["center"], dtype=float),
-            None if sigma is None else np.asarray(sigma, dtype=float),
-            deadline=deadline,
+        sigma = None if sigma is None else np.asarray(sigma, dtype=float)
+        check_deadline(deadline)
+        verb = partial(monitor.update, sub, mean, sigma, deadline=deadline)
+    elif request_type == REQUEST_UNSUBSCRIBE:
+        verb = partial(monitor.unsubscribe, sub)
+    else:
+        verb = partial(monitor.notify, sub)
+    try:
+        return verb(request_id=request_id).to_dict()
+    except ReproError as exc:
+        return MonitorResponse(
             request_id=request_id,
-        )
-    return MonitorRequest(
-        request_type, subscription_id=sub, request_id=request_id
-    )
+            type=request_type,
+            status=STATUS_FAILED,
+            subscription_id=sub,
+            error=exc,
+        ).to_dict()
 
 
 def _cmd_serve(args) -> int:
@@ -865,7 +894,7 @@ def _cmd_serve(args) -> int:
     from pathlib import Path
 
     from repro.errors import ReproError, ServiceError
-    from repro.serve import REQUEST_TYPES, STATUS_FAILED
+    from repro.serve import STATUS_FAILED
 
     db = _load_database(args.database)
     if args.target_sigma_scale is not None:
@@ -911,13 +940,9 @@ def _cmd_serve(args) -> int:
             try:
                 spec = json.loads(line)
                 if "type" in spec:
-                    if spec["type"] not in REQUEST_TYPES:
-                        raise ValueError(
-                            f"unknown request type {spec['type']!r}; "
-                            f"expected one of {REQUEST_TYPES}"
-                        )
-                    request = _parse_monitor_request(spec, db.dim, line_no)
-                    handles.append(service.monitor.handle(request).to_dict())
+                    handles.append(
+                        _monitor_row(service.monitor, spec, db.dim, line_no)
+                    )
                     continue
                 request = _parse_serve_request(spec, db.dim, line_no, args.seed)
             except (KeyError, TypeError, ValueError, ReproError) as exc:
@@ -930,10 +955,10 @@ def _cmd_serve(args) -> int:
                 handle.result().to_dict()
             )
             print(json.dumps(row), flush=True)
-    print("summary:", json.dumps(service.stats()), file=sys.stderr)
-    monitor_stats = service.monitor.stats()
-    if monitor_stats["subscribed"] or monitor_stats["updates"]:
-        print("monitor:", json.dumps(monitor_stats), file=sys.stderr)
+    print("summary:", json.dumps(service.snapshot().to_dict()), file=sys.stderr)
+    monitor_stats = service.monitor.snapshot()
+    if monitor_stats.subscribed or monitor_stats.updates:
+        print("monitor:", json.dumps(monitor_stats.to_dict()), file=sys.stderr)
     _export_obs(obs, args, sys.stderr)
     return 0
 
@@ -992,7 +1017,7 @@ def _cmd_monitor(args) -> int:
             monitor.update(key, positions[key], deadline=deadline)
             updates += 1
     update_seconds = time.perf_counter() - started
-    stats = monitor.stats()
+    stats = monitor.snapshot().to_dict()
     print(f"\nsubscribed {args.subscriptions} queries in "
           f"{subscribe_seconds:.2f}s; "
           f"ran {updates} updates in {update_seconds:.2f}s "

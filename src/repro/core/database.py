@@ -327,7 +327,7 @@ class SpatialDatabase:
     # Serving
     # ------------------------------------------------------------------
 
-    def serve(self, config=None, **knobs):
+    def serve(self, **knobs):
         """Start an embedded :class:`repro.serve.QueryService` over this
         database.
 
@@ -335,16 +335,17 @@ class SpatialDatabase:
         coalesces concurrent :class:`repro.serve.PRQRequest` submissions
         into micro-batches, with admission control, deadline-aware
         degradation and a keyed result cache (see ``docs/serving.md``).
-        Pass a :class:`repro.serve.ServiceConfig` or its keyword knobs::
+        The keyword knobs are :class:`repro.serve.ServiceConfig`'s::
 
             with db.serve(max_batch=16, batch_window=0.005) as service:
-                response = service.query(PRQRequest(gaussian, 10.0, 0.5))
+                future = service.submit(PRQRequest(gaussian, 10.0, 0.5))
+                response = future.result()
 
         Close it (or use it as a context manager) to drain and stop.
         """
         from repro.serve import QueryService
 
-        return QueryService(self, config, **knobs)
+        return QueryService(self, **knobs)
 
     # ------------------------------------------------------------------
     # Persistence

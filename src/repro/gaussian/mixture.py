@@ -115,7 +115,7 @@ class GaussianMixture:
         p = np.asarray(point, dtype=float)
         return float(
             sum(
-                w * qualification_probability_exact(c, p, delta, method="ruben")
+                w * qualification_probability_exact(c, p, delta)
                 for w, c in zip(self._weights, self._components)
             )
         )

@@ -399,9 +399,11 @@ def ruben_cdf(
     """P(Q ≤ x) by Ruben's (1962) mixture-of-central-χ² series.
 
     With expansion parameter β = min λⱼ every mixture weight aₖ is
-    non-negative and they sum to 1, so the truncation error after K terms
-    is bounded by 1 − Σ_{k≤K} aₖ — the loop stops once that bound (times
-    the largest possible CDF value) is below ``tol``.
+    non-negative and they sum to 1, and the central-χ² CDFs Gₖ decrease
+    in k, so the truncation error after K terms is at most
+    (1 − Σ_{k≤K} aₖ)·G_K — the bound :func:`repro.kernels.ruben_block`
+    uses.  The loop stops once it is below ``tol``; at cond(Σ) ≈ 1e8 the
+    remaining mass alone never gets there, while G_K falls within terms.
     """
     if x < 0:
         return 0.0
@@ -445,8 +447,9 @@ def ruben_cdf(
         a_k = float(np.dot(g[:k], a[k - 1 :: -1])) / (2.0 * k)
         a[k] = a_k
         weight_sum += a_k
-        cdf += a_k * float(special.gammainc((rho + 2 * k) / 2.0, scaled_x / 2.0))
-        if 1.0 - weight_sum < tol:
+        gamma_k = float(special.gammainc((rho + 2 * k) / 2.0, scaled_x / 2.0))
+        cdf += a_k * gamma_k
+        if (1.0 - weight_sum) * gamma_k < tol:
             break
     else:
         raise IntegrationError(
@@ -531,17 +534,17 @@ def qualification_probability_exact(
     point: np.ndarray,
     delta: float,
     *,
-    method: str = "imhof",
+    method: str = "ruben",
 ) -> float:
     """Exact P(‖x − point‖ ≤ delta) for x ~ ``gaussian``.
 
-    ``method`` selects ``"imhof"`` or ``"ruben"``; both agree to high
-    precision and either can serve as the Phase-3 evaluator when exact
-    answers are preferred over Monte Carlo.  Probabilities provably within
-    1e−14 of 0 or 1 (by the noncentral-χ² sandwich bounds) are returned
-    directly, Ruben falls back to Imhof when its leading weight
-    underflows for extreme noncentralities, and an Imhof result never
-    leaves those sandwich bounds.
+    ``method="ruben"`` (the default) runs scalar Ruben to within 1e−12 of
+    the sandwich's lower bound — relative accuracy, so probabilities far
+    below 1e−12 resolve too — and falls back to Imhof when the series
+    cannot (its leading weight underflows for extreme noncentralities);
+    ``"imhof"`` is Imhof alone, the independent cross-check.  Probabilities
+    provably within 1e−14 of 0 or 1 (by the noncentral-χ² sandwich bounds)
+    are returned directly, and an Imhof result never leaves those bounds.
     """
     if delta < 0:
         raise GeometryError(f"delta must be >= 0, got {delta}")
@@ -558,7 +561,9 @@ def qualification_probability_exact(
         return lower
     if method == "ruben":
         try:
-            return ruben_cdf(form, threshold)
+            return ruben_cdf(
+                form, threshold, tol=1e-12 * max(lower, _TAIL_SHORTCUT)
+            )
         except IntegrationError:
             pass
     # The sandwich is rigorous and the inversion is not: for cond(Σ) ≳ 1e6

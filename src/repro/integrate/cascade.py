@@ -56,6 +56,10 @@ __all__ = ["CascadeIntegrator"]
 #: Also the Ruben truncation tolerance when no θ is in play, and the
 #: tolerance of the Imhof quadrature always.
 TOL = 1e-9
+#: With θ in play the collapse width is ``min(TOL, THETA_TOL * θ)``: a
+#: midpoint within TOL of a θ below ≈ 1e-9 says nothing about which side
+#: of θ the probability lies.  Every θ ≥ 1e-3 keeps ``TOL`` itself.
+THETA_TOL = 1e-6
 #: Ruben series term cap per candidate before falling back to Imhof.
 MAX_TERMS = 10_000
 
@@ -117,7 +121,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
         as the standard error either way.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=None)
+        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=None, tol=TOL)
         converged = upper - lower < TOL
         estimate = np.where(converged, 0.5 * (lower + upper), lower)
         stderr = np.maximum(0.5 * (upper - lower), 0.0)
@@ -134,10 +138,11 @@ class CascadeIntegrator(ProbabilityIntegrator):
         theta: float,
     ) -> tuple[np.ndarray, dict[str, int], int]:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=theta)
+        tol = min(TOL, THETA_TOL * theta)
+        lower, upper, tier = self._tiers(gaussian, pts, delta, theta=theta, tol=tol)
         # A collapsed interval is decided at its midpoint, any other by
         # the bound that excluded θ (lower ≥ θ accepts, upper < θ rejects).
-        converged = upper - lower < TOL
+        converged = upper - lower < tol
         accept = np.where(converged, 0.5 * (lower + upper) >= theta, lower >= theta)
         counts = np.bincount(tier, minlength=len(TIER_LABELS)).tolist()
         return accept, dict(zip(TIER_LABELS, counts)), 0
@@ -153,12 +158,14 @@ class CascadeIntegrator(ProbabilityIntegrator):
         delta: float,
         *,
         theta: float | None,
+        tol: float,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run the tiers; returns ``(lower, upper, tier)`` per candidate.
 
         ``tier`` indexes :data:`TIER_LABELS` with the tier that produced
-        the row's final interval.  With ``theta=None`` every candidate is
-        evaluated to ``TOL`` precision instead of merely θ-decided.
+        the row's final interval.  A row stops once its interval excludes
+        ``theta`` or is narrower than ``tol``; with ``theta=None`` every
+        candidate is evaluated to ``tol`` precision.
         """
         m = pts.shape[0]
         tier = np.full(m, _IMHOF, dtype=np.int8)
@@ -174,7 +181,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                 gaussian, pts, delta, dtype=self.fast_dtype
             )
             lower, upper = bounds[:, 0].copy(), bounds[:, 1].copy()
-            decided = self._decided(lower, upper, theta)
+            decided = self._decided(lower, upper, theta, tol)
             tier[decided] = _SANDWICH
             if obs is not None:
                 span.annotate(
@@ -194,7 +201,7 @@ class CascadeIntegrator(ProbabilityIntegrator):
                     ncs,
                     delta * delta,
                     theta=theta,
-                    tol=TOL,
+                    tol=tol,
                     max_terms=MAX_TERMS,
                 )
                 # Ruben bounds only ever tighten the sandwich interval.
@@ -238,9 +245,9 @@ class CascadeIntegrator(ProbabilityIntegrator):
         return lower, upper, tier
 
     def _decided(
-        self, lower: np.ndarray, upper: np.ndarray, theta: float | None
+        self, lower: np.ndarray, upper: np.ndarray, theta: float | None, tol: float
     ) -> np.ndarray:
-        converged = upper - lower < TOL
+        converged = upper - lower < tol
         if theta is None:
             return converged
         return converged | (lower >= theta) | (upper < theta)

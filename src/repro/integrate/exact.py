@@ -38,7 +38,7 @@ class ExactIntegrator(ProbabilityIntegrator):
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:
         p = self._validate(gaussian, point, delta)
-        value = qualification_probability_exact(gaussian, p, delta, method="ruben")
+        value = qualification_probability_exact(gaussian, p, delta)
         return IntegrationResult(
             estimate=value, stderr=0.0, n_samples=0, method="exact-ruben"
         )

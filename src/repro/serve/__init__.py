@@ -12,9 +12,8 @@ repeated requests from a keyed LRU result cache.
 
 Entry points::
 
-    service = db.serve(max_batch=32, batch_window=0.002)   # or
-    service = QueryService(db, ServiceConfig(...))
-    response = service.query(PRQRequest(gaussian, delta, theta))
+    service = db.serve(max_batch=32, batch_window=0.002)   # or QueryService(db, ...)
+    response = service.submit(PRQRequest(gaussian, delta, theta)).result()
 
 ``repro serve`` exposes the same loop over JSON-lines on the command
 line.  The full lifecycle, batching knobs, degradation semantics and
@@ -32,7 +31,6 @@ from repro.serve.batching import AdmissionQueue
 from repro.serve.cache import ResultCache
 from repro.serve.degrade import DEGRADED_TIER, CostTracker, degraded_execute
 from repro.serve.monitor import (
-    MonitorRequest,
     MonitorResponse,
     MonitorSnapshot,
     OUTCOME_DEGRADED,
@@ -65,7 +63,6 @@ __all__ = [
     "PRQResponse",
     "SubscriptionManager",
     "MonitorSnapshot",
-    "MonitorRequest",
     "MonitorResponse",
     "AdmissionQueue",
     "ResultCache",

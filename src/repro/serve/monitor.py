@@ -77,7 +77,6 @@ from repro.serve.request import (
 __all__ = [
     "SubscriptionManager",
     "MonitorSnapshot",
-    "MonitorRequest",
     "MonitorResponse",
     "REQUEST_SUBSCRIBE",
     "REQUEST_UPDATE",
@@ -122,114 +121,8 @@ REINTEGRATE_COST_PRIOR = 0.005
 
 
 @dataclass(frozen=True)
-class MonitorRequest:
-    """One monitoring request line (see ``docs/monitoring.md``).
-
-    ``type`` selects the verb; which other fields are required depends on
-    it and is validated eagerly: ``subscribe`` needs ``gaussian``,
-    ``delta`` and ``theta``; ``update`` needs ``subscription_id`` and
-    ``mean`` (``sigma`` only when the covariance changed, ``deadline``
-    optionally bounds this update's seconds); ``unsubscribe``/``notify``
-    need ``subscription_id`` alone.
-    """
-
-    type: str
-    subscription_id: int | str | None = None
-    gaussian: Gaussian | None = None
-    delta: float | None = None
-    theta: float | None = None
-    mean: np.ndarray | None = None
-    sigma: np.ndarray | None = None
-    deadline: float | None = None
-    request_id: int | str | None = None
-
-    def __post_init__(self) -> None:
-        if self.type not in REQUEST_TYPES:
-            raise ServiceError(
-                f"unknown monitor request type {self.type!r}; "
-                f"expected one of {REQUEST_TYPES}"
-            )
-        if self.type == REQUEST_SUBSCRIBE:
-            if self.gaussian is None or self.delta is None or self.theta is None:
-                raise ServiceError(
-                    "subscribe requires gaussian, delta and theta"
-                )
-            # Validate δ/θ exactly as a query would, eagerly.
-            ProbabilisticRangeQuery(self.gaussian, self.delta, self.theta)
-        elif self.subscription_id is None:
-            raise ServiceError(f"{self.type} requires subscription_id")
-        if self.type == REQUEST_UPDATE and self.mean is None:
-            raise ServiceError("update requires mean")
-        check_deadline(self.deadline)
-
-    @classmethod
-    def subscribe(
-        cls,
-        gaussian: Gaussian,
-        delta: float,
-        theta: float,
-        *,
-        subscription_id: int | str | None = None,
-        request_id: int | str | None = None,
-    ) -> "MonitorRequest":
-        return cls(
-            REQUEST_SUBSCRIBE,
-            subscription_id=subscription_id,
-            gaussian=gaussian,
-            delta=delta,
-            theta=theta,
-            request_id=request_id,
-        )
-
-    @classmethod
-    def update(
-        cls,
-        subscription_id: int | str,
-        mean,
-        sigma=None,
-        *,
-        deadline: float | None = None,
-        request_id: int | str | None = None,
-    ) -> "MonitorRequest":
-        return cls(
-            REQUEST_UPDATE,
-            subscription_id=subscription_id,
-            mean=np.asarray(mean, dtype=float),
-            sigma=None if sigma is None else np.asarray(sigma, dtype=float),
-            deadline=deadline,
-            request_id=request_id,
-        )
-
-    @classmethod
-    def unsubscribe(
-        cls,
-        subscription_id: int | str,
-        *,
-        request_id: int | str | None = None,
-    ) -> "MonitorRequest":
-        return cls(
-            REQUEST_UNSUBSCRIBE,
-            subscription_id=subscription_id,
-            request_id=request_id,
-        )
-
-    @classmethod
-    def notify(
-        cls,
-        subscription_id: int | str,
-        *,
-        request_id: int | str | None = None,
-    ) -> "MonitorRequest":
-        return cls(
-            REQUEST_NOTIFY,
-            subscription_id=subscription_id,
-            request_id=request_id,
-        )
-
-
-@dataclass(frozen=True)
 class MonitorResponse:
-    """The manager's answer to one :class:`MonitorRequest`.
+    """The manager's answer to one verb call.
 
     ``status`` reuses the service vocabulary (``ok``/``degraded``/
     ``failed``); ``outcome`` is one of the ``OUTCOME_*`` constants for
@@ -297,10 +190,9 @@ class MonitorResponse:
 class MonitorSnapshot:
     """Structured monitoring state, mirroring `QueryService.snapshot`.
 
-    The typed sibling of :meth:`SubscriptionManager.stats`: cumulative
-    verb/outcome counters plus the instantaneous subscription count, so
-    harnesses read monitoring pressure (update-storm survival mix,
-    degraded share) without scraping the metrics exposition.
+    Cumulative verb/outcome counters plus the instantaneous subscription
+    count, so harnesses read monitoring pressure (update-storm survival
+    mix, degraded share) without scraping the metrics exposition.
     """
 
     #: Subscriptions currently registered.
@@ -645,55 +537,9 @@ class SubscriptionManager:
                 seconds=self._clock() - started,
             )
 
-    def handle(self, request: MonitorRequest) -> MonitorResponse:
-        """Dispatch one request line; misuse becomes a ``failed`` response."""
-        try:
-            if request.type == REQUEST_SUBSCRIBE:
-                assert request.gaussian is not None
-                return self.subscribe(
-                    request.gaussian,
-                    float(request.delta),  # type: ignore[arg-type]
-                    float(request.theta),  # type: ignore[arg-type]
-                    subscription_id=request.subscription_id,
-                    request_id=request.request_id,
-                )
-            assert request.subscription_id is not None
-            if request.type == REQUEST_UPDATE:
-                return self.update(
-                    request.subscription_id,
-                    request.mean,
-                    request.sigma,
-                    deadline=request.deadline,
-                    request_id=request.request_id,
-                )
-            if request.type == REQUEST_UNSUBSCRIBE:
-                return self.unsubscribe(
-                    request.subscription_id, request_id=request.request_id
-                )
-            return self.notify(
-                request.subscription_id, request_id=request.request_id
-            )
-        except ReproError as exc:
-            with self._lock:
-                self._counters["failed"] += 1
-            return MonitorResponse(
-                request_id=request.request_id,
-                type=request.type,
-                status=STATUS_FAILED,
-                subscription_id=request.subscription_id,
-                error=exc,
-            )
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Counter snapshot plus the active-subscription count."""
-        with self._lock:
-            snapshot = dict(self._counters)
-            snapshot["active_subscriptions"] = len(self._subs)
-        return snapshot
 
     def snapshot(self) -> MonitorSnapshot:
         """Structured monitoring state (see :class:`MonitorSnapshot`)."""
@@ -702,17 +548,8 @@ class SubscriptionManager:
             active = len(self._subs)
         return MonitorSnapshot(
             active_subscriptions=active,
-            subscribed=c["subscribed"],
-            unsubscribed=c["unsubscribed"],
-            updates=c["updates"],
-            survived=c["survived"],
-            reintegrated=c["reintegrated"],
-            replanned=c["replanned"],
-            degraded=c["degraded"],
-            notified=c["notified"],
-            failed=c["failed"],
-            rechecked_candidates=c["rechecked_candidates"],
             survival_rate=c["survived"] / c["updates"] if c["updates"] else 0.0,
+            **c,
         )
 
     def __len__(self) -> int:

@@ -183,27 +183,25 @@ class QueryService:
     scheduler thread starts immediately and runs until :meth:`close`
     (also a context manager).  :meth:`submit` returns a
     :class:`concurrent.futures.Future` resolving to a
-    :class:`PRQResponse`; :meth:`query` is the blocking shorthand.
+    :class:`PRQResponse`.  The keyword knobs are :class:`ServiceConfig`'s
+    fields, validated into ``service.config``.
     """
 
-    def __init__(self, database, config: ServiceConfig | None = None, **knobs):
+    def __init__(self, database, **knobs):
         # ``clock`` is injectable for tests: every deadline/degradation
         # decision and every latency figure reads it instead of the wall
         # clock, so deadline behaviour can be driven deterministically.
-        # It rides alongside either a ServiceConfig or the plain knobs,
-        # as do the two load-harness knobs: ``manual=True`` skips the
-        # scheduler thread so a single-threaded driver drains via
-        # :meth:`pump`, and ``cost_model`` replaces wall-clock execution
-        # cost with a deterministic model (see ``docs/load.md``) —
-        # advancing an advanceable clock by the modelled service time so
-        # virtual-time runs are bit-reproducible.
+        # It rides alongside the knobs, as do the two load-harness knobs:
+        # ``manual=True`` skips the scheduler thread so a single-threaded
+        # driver drains via :meth:`pump`, and ``cost_model`` replaces
+        # wall-clock execution cost with a deterministic model (see
+        # ``docs/load.md``) — advancing an advanceable clock by the
+        # modelled service time so virtual-time runs are bit-reproducible.
         clock = knobs.pop("clock", None)
         self._clock = clock if clock is not None else time.monotonic
         self._manual = bool(knobs.pop("manual", False))
         self._cost_model = knobs.pop("cost_model", None)
-        if config is not None and knobs:
-            raise ServiceError("pass either a ServiceConfig or knobs, not both")
-        self.config = config or ServiceConfig(**knobs)
+        self.config = ServiceConfig(**knobs)
         self.database = database
         integrator = self.config.integrator or CascadeIntegrator()
         self._obs = self.config.obs
@@ -309,30 +307,13 @@ class QueryService:
             )
         return future
 
-    def query(
-        self, request: PRQRequest, *, timeout: float | None = None
-    ) -> PRQResponse:
-        """Blocking shorthand: submit and wait for the response."""
-        return self.submit(request).result(timeout=timeout)
-
-    def stats(self) -> dict[str, int]:
-        """A snapshot of the service counters (see ``docs/serving.md``)."""
-        with self._lock:
-            snapshot = dict(self._counters)
-        snapshot["queue_depth"] = len(self._queue)
-        if self._cache is not None:
-            info = self._cache.info()
-            snapshot["cache_entries"] = info["currsize"]
-            snapshot["cache_misses"] = info["misses"]
-        return snapshot
-
     def snapshot(self) -> ServiceSnapshot:
         """Structured service state for harnesses and dashboards.
 
-        The typed sibling of :meth:`stats`: queue depth, in-flight count,
-        cache hit rate and the shed/coalesced counters as one frozen
-        :class:`ServiceSnapshot`, so callers never scrape the Prometheus
-        text exposition for state they can read directly.
+        Queue depth, in-flight count, cache hit rate and the shed/coalesced
+        counters as one frozen :class:`ServiceSnapshot`, so callers never
+        scrape the Prometheus text exposition for state they can read
+        directly.
         """
         with self._lock:
             c = dict(self._counters)
@@ -351,23 +332,12 @@ class QueryService:
             queue_depth=len(self._queue),
             queue_capacity=self.config.max_queue,
             in_flight=max(c["submitted"] - resolved, 0),
-            submitted=c["submitted"],
-            executed=c["executed"],
-            ok=c["ok"],
-            degraded=c["degraded"],
-            overloaded=c["overloaded"],
-            deadline_exceeded=c["deadline_exceeded"],
-            failed=c["failed"],
-            cache_hits=hits,
             cache_misses=misses,
             cache_entries=(
                 cache_info["currsize"] if cache_info is not None else 0
             ),
             cache_hit_rate=hits / lookups if lookups else 0.0,
-            deduplicated=c["deduplicated"],
-            batches=c["batches"],
-            coalesced_batches=c["coalesced_batches"],
-            max_batch_size=c["max_batch_size"],
+            **c,
         )
 
     @property

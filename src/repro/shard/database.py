@@ -134,17 +134,10 @@ class ShardedDatabase:
     #: :meth:`engine`, so here the query scatters across the shards.
     probabilistic_range_query = SpatialDatabase.probabilistic_range_query
 
-    def serve(self, config=None, **knobs):
-        """An embedded :class:`repro.serve.QueryService` over the shards.
-
-        The service builds its engine through :meth:`engine`, so every
-        micro-batch scatters across the worker processes while the
-        scheduler thread, admission control and deadline degradation
-        behave exactly as on a single-process database.
-        """
-        from repro.serve import QueryService
-
-        return QueryService(self, config, **knobs)
+    #: The service builds its engine through :meth:`engine`, so every
+    #: micro-batch scatters across the worker processes while the
+    #: scheduler, admission control and degradation behave as unsharded.
+    serve = SpatialDatabase.serve
 
     # -- lifecycle ------------------------------------------------------
 

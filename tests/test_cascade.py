@@ -408,3 +408,61 @@ class TestBatchDeterminism:
         # RNG-free end to end.
         reseeded = engine.run_batch(queries, workers=3, base_seed=999)
         assert reseeded.ids == reference.ids
+
+
+class TestTinyTheta:
+    """Far below ``TOL`` a θ-decision collapses at ``THETA_TOL · θ``."""
+
+    def test_sandwich_narrower_than_tol_is_not_a_midpoint_accept(self):
+        """The sandwich [7.98e-12, 3.50e-10] is narrower than TOL, and
+        its midpoint sits above θ = 9.83e-11; the truth, 1.76e-11, does
+        not."""
+        g = Gaussian([0.0, 0.0], np.diag([4.0, 1.0]))
+        point = np.array([[14.0, 0.0]])
+        lower, upper = chi2_sandwich_bounds_block(g, point, 1.0)[0]
+        assert upper - lower < TOL and 0.5 * (lower + upper) >= 9.83e-11
+        truth = qualification_probability_exact(g, point[0], 1.0)
+        assert truth == pytest.approx(1.759e-11, rel=1e-3)
+        accept, _, _ = CascadeIntegrator().decide(g, point, 1.0, 9.83e-11)
+        assert not accept[0]
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-10, 1e-8])
+    def test_decisions_match_the_oracle(self, theta):
+        """Rows a relative 1e-5..1e-2 off the radius where the exact
+        probability equals θ: each is decided on its true side, and the
+        Ruben tier's interval, compiled or not, encloses the truth."""
+        from repro.kernels import fallback
+
+        rng = np.random.default_rng(round(-np.log10(theta)))
+        for _ in range(6):
+            dim = int(rng.integers(2, 4))
+            g = Gaussian(np.zeros(dim), random_spd(rng, dim))
+            delta = float(rng.uniform(0.5, 3.0))
+            direction = rng.standard_normal(dim)
+            direction /= np.linalg.norm(direction)
+
+            def exact(radius):
+                return qualification_probability_exact(
+                    g, radius * direction, delta
+                )
+
+            near, far = 0.0, 200.0
+            for _ in range(50):
+                mid = 0.5 * (near + far)
+                near, far = (mid, far) if exact(mid) >= theta else (near, mid)
+            offsets = rng.choice([-1.0, 1.0], 8) * 10 ** rng.uniform(-5, -2, 8)
+            points = (near * (1.0 + offsets))[:, None] * direction
+            truth = np.array([exact(np.linalg.norm(p)) for p in points])
+            assert np.all(np.abs(truth - theta) > 1e-6 * theta)
+            accept, _, _ = CascadeIntegrator().decide(g, points, delta, theta)
+            np.testing.assert_array_equal(accept, truth >= theta)
+            weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+                g, points
+            )
+            for block in (ruben_block, fallback.ruben_block):
+                lo, hi, ok = block(
+                    weights, np.ones(dim), ncs, delta * delta,
+                    theta=theta, tol=1e-6 * theta,
+                )
+                slack = 1e-12 * truth
+                assert np.all(~ok | ((lo <= truth + slack) & (truth - slack <= hi)))

@@ -311,3 +311,54 @@ class TestServiceFlagErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
+
+
+class TestServeMonitorLines:
+    """Monitor lines of ``repro serve`` call the verbs directly."""
+
+    def test_rejected_verb_is_an_in_order_failed_row(self, tmp_path, capsys):
+        """A line the verb rejects (duplicate ``sub``, wrong dimension)
+        answers a ``failed`` row in its place, carrying the verb's error;
+        the monitor's ``failed`` counter counts only what the monitor
+        itself answered, as the service's counters do."""
+        import json
+
+        db_path = str(tmp_path / "data.soa")
+        assert main(["dataset", "uniform", db_path, "--size", "200"]) == 0
+        subscribe = {"type": "subscribe", "sub": "a", "center": [500.0, 500.0],
+                     "delta": 50.0, "theta": 0.3}  # fmt: skip
+        lines = [
+            {**subscribe, "id": "first"},
+            {**subscribe, "id": "again"},
+            {**subscribe, "sub": "b", "center": [1.0, 2.0, 3.0],
+             "sigma": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]], "id": "3d"},
+            {"type": "notify", "sub": "a", "id": "note"},
+            {"type": "notify", "sub": "ghost", "id": "ghost"},
+        ]
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        capsys.readouterr()
+        assert main(["serve", db_path, "--requests", str(requests)]) == 0
+        captured = capsys.readouterr()
+        rows = [json.loads(line) for line in captured.out.splitlines()]
+        assert [row["id"] for row in rows] == [line["id"] for line in lines]
+        assert [row["status"] for row in rows] == [
+            "ok", "failed", "failed", "ok", "failed"
+        ]
+        failed = {"type": "subscribe", "status": "failed", "ids": [],
+                  "stale": False, "service_ms": 0.0}  # fmt: skip
+        assert rows[1] == {**failed, "id": "again", "subscription_id": "a",
+                           "error": "subscription 'a' already exists"}  # fmt: skip
+        assert rows[2] == {
+            **failed, "id": "3d", "subscription_id": "b",
+            "error": "subscription dimension 3 does not match database "
+                     "dimension 2",
+        }  # fmt: skip
+        assert rows[4]["error"] == "unknown subscription 'ghost'"
+        monitor = next(
+            json.loads(line.split("monitor:", 1)[1])
+            for line in captured.err.splitlines()
+            if line.startswith("monitor:")
+        )
+        assert monitor["subscribed"] == 1 and monitor["notified"] == 1
+        assert monitor["failed"] == 1  # the unknown sub; not the two rejects

@@ -347,3 +347,38 @@ def test_api_constructor_rows_match_signatures(api_doc, cls):
     assert len(rows) == 1, f"docs/api.md needs one `{cls.__name__}(…)` row"
     documented = [p.split("=")[0].strip() for p in rows[0].split(",") if p.strip()]
     assert documented == list(inspect.signature(cls).parameters)
+
+
+#: ``QueryService.name`` / ``SubscriptionManager.name`` and the call forms
+#: ``service.name(`` / ``service.monitor.name(`` the serving pages use.
+_SERVING_REFERENCE = re.compile(
+    r"\b(QueryService|SubscriptionManager)\.(\w+)"
+    r"|\bservice\.(monitor\.)?(\w+)\("
+)
+
+
+def _serving_references() -> list[tuple[str, str, str]]:
+    """``(page, class name, member)`` for every serving reference."""
+    found = []
+    for path in sorted([*DOCS.glob("*.md"), DOCS.parent / "README.md"]):
+        for match in _SERVING_REFERENCE.finditer(path.read_text()):
+            cls, member, monitor, called = match.groups()
+            if cls is None:
+                cls = "SubscriptionManager" if monitor else "QueryService"
+                member = called
+            found.append((path.name, cls, member))
+    return found
+
+
+def test_serving_references_resolve():
+    """A doc page cannot call a service or monitor method that is gone."""
+    import repro.serve
+
+    references = _serving_references()
+    assert references, "the serving pages lost every method reference"
+    missing = [
+        f"{page}: {cls}.{member}"
+        for page, cls, member in references
+        if not hasattr(getattr(repro.serve, cls), member)
+    ]
+    assert not missing, f"docs name methods that do not exist: {missing}"

@@ -176,3 +176,45 @@ class TestOneConfiguration:
         assert "PlannerCostModel" not in repro.__all__
         assert "PlannerCostModel" not in repro.core.__all__
         assert not hasattr(repro.core.planner, "PlannerCostModel")
+
+
+def _removed_entry_calls():
+    """One call per second way into (or report out of) the service and
+    the monitor: each must fail loudly, never fall back silently."""
+    from repro.serve import QueryService, ServiceConfig, SubscriptionManager
+    from repro.shard import ShardedDatabase
+
+    def import_monitor_request():
+        from repro.serve import MonitorRequest  # noqa: F401
+
+    return {
+        "MonitorRequest": import_monitor_request,
+        "monitor-MonitorRequest": lambda: repro.serve.monitor.MonitorRequest,
+        "handle": lambda: SubscriptionManager.handle,
+        "monitor-stats": lambda: SubscriptionManager.stats,
+        "service-stats": lambda: QueryService.stats,
+        "query": lambda: QueryService.query,
+        "serve-config": lambda: _tiny_database().serve(ServiceConfig()),
+        "serve-config-keyword": lambda: _tiny_database().serve(
+            config=ServiceConfig()
+        ),
+        "sharded.serve-config": lambda: ShardedDatabase.serve(
+            None, ServiceConfig()
+        ),
+        "QueryService-config": lambda: QueryService(
+            _tiny_database(), ServiceConfig()
+        ),
+    }
+
+
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("name", sorted(_removed_entry_calls()))
+    def test_removed_entry_point_fails(self, name):
+        with pytest.raises((AttributeError, ImportError, TypeError)):
+            _removed_entry_calls()[name]()
+
+    def test_monitor_request_left_the_exports(self):
+        import repro.serve
+
+        assert "MonitorRequest" not in repro.serve.__all__
+        assert "MonitorRequest" not in repro.serve.monitor.__all__

@@ -361,7 +361,8 @@ class TestQualificationProbability:
         if variance == 4.0:  # well conditioned: the clamp must not act
             raw = imhof_cdf(form, delta * delta)
             assert lower < raw < upper
-            assert p == (raw if method == "imhof" else ruben_cdf(form, delta * delta))
+            series = ruben_cdf(form, delta * delta, tol=1e-12 * lower)
+            assert p == (raw if method == "imhof" else series)
 
     def test_zero_delta(self, paper_gaussian):
         assert (
@@ -394,3 +395,36 @@ class TestQualificationProbability:
             for d in (0.0, 20.0, 40.0, 80.0)
         ]
         assert all(a > b for a, b in zip(probs, probs[1:]))
+
+
+class TestIllConditionedOracle:
+    def test_ruben_resolves_cond_1e8(self):
+        """At cond(Σ) = 1e8 Ruben's remaining mass never drops below
+        ``tol``, but its tail bound does within terms: the oracle and
+        ``ExactIntegrator`` read the truth, not the clamped Imhof value
+        0.3935 (the sandwich's upper bound)."""
+        from scipy import integrate
+
+        from repro.integrate import CascadeIntegrator, ExactIntegrator
+
+        g = Gaussian([0.0, 0.0], np.diag([1e8, 1.0]))
+        origin = np.zeros(2)
+        # Independent truth: P(x1² + x2² ≤ 1) with x1 ~ N(0, 1e8),
+        # integrated over x2 ~ N(0, 1).
+        truth = integrate.quad(
+            lambda x2: stats.norm.pdf(x2)
+            * (2.0 * stats.norm.cdf(np.sqrt(1.0 - x2 * x2) / 1e4) - 1.0),
+            -1.0,
+            1.0,
+            epsabs=1e-14,
+        )[0]
+        assert truth == pytest.approx(4.44565e-5, rel=1e-5)
+        form = GaussianQuadraticForm.squared_distance(g, origin)
+        assert ruben_cdf(form, 1.0) == pytest.approx(truth, rel=1e-7)
+        assert qualification_probability_exact(g, origin, 1.0) == pytest.approx(
+            truth, rel=1e-9
+        )
+        exact = ExactIntegrator().qualification_probability(g, origin, 1.0)
+        assert exact.estimate == pytest.approx(truth, rel=1e-9)
+        cascade = CascadeIntegrator().qualification_probability(g, origin, 1.0)
+        assert cascade.estimate == pytest.approx(truth, abs=1e-9)

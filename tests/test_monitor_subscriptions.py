@@ -36,7 +36,6 @@ from repro.integrate.cascade import CascadeIntegrator
 from repro.integrate.exact import ExactIntegrator
 from repro.obs import Observability
 from repro.serve import (
-    MonitorRequest,
     OUTCOME_DEGRADED,
     OUTCOME_REINTEGRATED,
     OUTCOME_REPLANNED,
@@ -482,24 +481,22 @@ class TestManagerContract:
         self, database, engine, deadline
     ):
         """A negative or NaN deadline fails like an unknown id, with the
-        message PRQRequest and MonitorRequest give; it neither degrades
-        the answer nor reads as "no deadline"."""
+        message PRQRequest gives; it neither degrades the answer nor reads
+        as "no deadline"."""
         manager = make_manager(database, engine)
         position = np.array([500.0, 500.0])
         manager.subscribe(
             Gaussian(position, 4.0 * np.eye(2)), 25.0, 0.4, subscription_id="a"
         )
-        before = manager.stats()
+        before = manager.snapshot()
         response = manager.update("a", position + 1.0, deadline=deadline)
         assert response.status == STATUS_FAILED
         assert isinstance(response.error, ServiceError)
         assert "deadline must be >= 0 seconds" in str(response.error)
-        after = manager.stats()
-        assert after["failed"] == before["failed"] + 1
-        assert after["updates"] == before["updates"]
+        after = manager.snapshot()
+        assert after.failed == before.failed + 1
+        assert after.updates == before.updates
         assert not manager.notify("a").stale
-        with pytest.raises(ServiceError, match="deadline must be >= 0"):
-            MonitorRequest.update("a", position, deadline=deadline)
 
     def test_auto_assigned_keys_and_len(self, database, engine):
         manager = make_manager(database, engine)
@@ -512,38 +509,46 @@ class TestManagerContract:
         assert len(manager) == 1
 
     def test_handle_dispatches_and_wraps_misuse(self, database, engine):
+        """Each verb threads its request id; an unknown id is a failed
+        answer the monitor counts, while misuse raises a typed error
+        before the monitor answers (``repro serve`` turns it into a
+        failed row) and leaves the counters alone."""
         manager = make_manager(database, engine)
         gaussian = Gaussian([500.0, 500.0], np.eye(2))
-        response = manager.handle(
-            MonitorRequest.subscribe(
-                gaussian, 10.0, 0.5, subscription_id="h", request_id="r1"
-            )
+        response = manager.subscribe(
+            gaussian, 10.0, 0.5, subscription_id="h", request_id="r1"
         )
         assert response.status == STATUS_OK and response.request_id == "r1"
-        update = manager.handle(MonitorRequest.update("h", [500.5, 500.0]))
-        assert update.status == STATUS_OK
-        assert manager.handle(MonitorRequest.notify("h")).ids == update.ids
-        assert (
-            manager.handle(MonitorRequest.unsubscribe("h")).status
-            == STATUS_OK
-        )
-        # Misuse through handle() becomes a typed failed response.
-        wrong_dim = manager.handle(
-            MonitorRequest.subscribe(
-                Gaussian([0.0, 0.0, 0.0], np.eye(3)), 5.0, 0.5
-            )
-        )
-        assert wrong_dim.status == STATUS_FAILED
+        update = manager.update("h", [500.5, 500.0], request_id="r2")
+        assert update.status == STATUS_OK and update.request_id == "r2"
+        assert manager.notify("h", request_id="r3").ids == update.ids
+        assert manager.unsubscribe("h", request_id="r4").status == STATUS_OK
+        assert manager.notify("h").status == STATUS_FAILED
+        assert manager.snapshot().failed == 1
+        with pytest.raises(QueryError, match="dimension"):
+            manager.subscribe(Gaussian([0.0, 0.0, 0.0], np.eye(3)), 5.0, 0.5)
+        manager.subscribe(gaussian, 10.0, 0.5, subscription_id="h")
+        with pytest.raises(ServiceError, match="already exists"):
+            manager.subscribe(gaussian, 10.0, 0.5, subscription_id="h")
+        assert manager.snapshot().failed == 1
 
-    def test_request_validation(self):
-        with pytest.raises(ServiceError, match="unknown monitor request"):
-            MonitorRequest("bogus", subscription_id="x")
-        with pytest.raises(ServiceError, match="requires gaussian"):
-            MonitorRequest("subscribe")
-        with pytest.raises(ServiceError, match="requires subscription_id"):
-            MonitorRequest("update", mean=np.zeros(2))
-        with pytest.raises(ServiceError, match="requires mean"):
-            MonitorRequest("update", subscription_id="x")
+    def test_request_validation(self, database, engine):
+        """``repro serve`` rejects a malformed monitor line before any
+        verb runs."""
+        from repro.cli import _monitor_row
+
+        manager = make_manager(database, engine)
+        for spec, error in (
+            ({"type": "bogus", "sub": "x"}, "unknown request type"),
+            ({"type": "subscribe", "center": [0.0, 0.0]}, "delta"),
+            ({"type": "update", "center": [0.0, 0.0]}, "needs \"sub\""),
+            ({"type": "update", "sub": "x"}, "center"),
+            ({"type": "update", "sub": "x", "center": [0.0, 0.0],
+              "deadline_ms": -1}, "deadline must be >= 0"),
+        ):  # fmt: skip
+            with pytest.raises((KeyError, ValueError, ServiceError), match=error):
+                _monitor_row(manager, spec, 2, 0)
+        assert manager.snapshot() == make_manager(database, engine).snapshot()
         assert len(REQUEST_TYPES) == 4
 
     def test_response_to_dict_round_trips_json(self, database, engine):
@@ -573,13 +578,12 @@ class TestManagerContract:
             sub = service.monitor.subscribe(
                 gaussian, 20.0, 0.5, subscription_id="svc"
             )
-            direct = service.query(
-                PRQRequest(gaussian, 20.0, 0.5), timeout=30
-            )
+            direct = service.submit(PRQRequest(gaussian, 20.0, 0.5))
+            direct = direct.result(timeout=30)
             assert sub.ids == direct.ids
             update = service.monitor.update("svc", [421.0, 579.5])
             assert update.status == STATUS_OK
-            assert service.monitor.stats()["updates"] == 1
+            assert service.monitor.snapshot().updates == 1
 
     def test_stats_counters_accumulate(self, database, engine):
         manager = make_manager(database, engine)
@@ -590,14 +594,11 @@ class TestManagerContract:
         for _ in range(10):
             position = position + rng.normal(0.0, 0.3, size=2)
             manager.update("c", position)
-        stats = manager.stats()
-        assert stats["subscribed"] == 1
-        assert stats["updates"] == 10
-        assert (
-            stats["survived"] + stats["reintegrated"] + stats["replanned"]
-            == 10
-        )
-        assert stats["active_subscriptions"] == 1
+        stats = manager.snapshot()
+        assert stats.subscribed == 1
+        assert stats.updates == 10
+        assert stats.survived + stats.reintegrated + stats.replanned == 10
+        assert stats.active_subscriptions == 1
 
 
 # ----------------------------------------------------------------------
@@ -712,18 +713,15 @@ class TestUpdateStorm:
                         engine, Gaussian(positions[key], sigma), delta, theta
                     )
         assert checked >= 8
-        stats = manager.stats()
-        assert stats["updates"] == fleet * 8
+        stats = manager.snapshot()
+        assert stats.updates == fleet * 8
         assert (
-            stats["survived"]
-            + stats["reintegrated"]
-            + stats["replanned"]
-            + stats["degraded"]
+            stats.survived + stats.reintegrated + stats.replanned + stats.degraded
             == fleet * 8
         )
-        assert stats["survived"] > 0, "storm tuned to exercise the O(1) path"
-        assert stats["reintegrated"] > 0
-        assert stats["active_subscriptions"] == fleet
+        assert stats.survived > 0, "storm tuned to exercise the O(1) path"
+        assert stats.reintegrated > 0
+        assert stats.active_subscriptions == fleet
         for key in range(fleet):
             assert manager.unsubscribe(key).status == STATUS_OK
         assert len(manager) == 0

@@ -139,11 +139,11 @@ class TestParity:
         ) as service:
             futures = [service.submit(r) for r in copies]
             responses = [f.result(timeout=30) for f in futures]
-            stats = service.stats()
+            stats = service.snapshot()
         assert len({r.ids for r in responses}) == 1
         assert [r.request_id for r in responses] == list(range(10))
-        assert stats["executed"] + stats["deduplicated"] == 10
-        assert stats["deduplicated"] >= 1
+        assert stats.executed + stats.deduplicated == 10
+        assert stats.deduplicated >= 1
 
 
 class TestAdmissionControl:
@@ -228,9 +228,8 @@ class TestAdmissionControl:
 class TestDeadlines:
     def test_expired_deadline_returns_typed_response(self, database):
         with database.serve(integrator=CascadeIntegrator()) as service:
-            response = service.query(
-                make_requests(1, deadline=0.0)[0], timeout=30
-            )
+            future = service.submit(make_requests(1, deadline=0.0)[0])
+            response = future.result(timeout=30)
         assert response.status == STATUS_DEADLINE_EXCEEDED
         assert isinstance(response.error, DeadlineExceededError)
         assert not response.ok
@@ -243,9 +242,8 @@ class TestDeadlines:
         with database.serve(
             integrator=CascadeIntegrator(), clock=clock
         ) as service:
-            response = service.query(
-                make_requests(1, deadline=0.2)[0], timeout=30
-            )
+            future = service.submit(make_requests(1, deadline=0.2)[0])
+            response = future.result(timeout=30)
         assert response.status == STATUS_DEADLINE_EXCEEDED
         assert isinstance(response.error, DeadlineExceededError)
         # Three clock reads separate submission from the expiry decision
@@ -276,7 +274,7 @@ class TestDeadlines:
         with database.serve(
             integrator=CascadeIntegrator(), clock=FakeClock()
         ) as service:
-            response = service.query(request, timeout=30)
+            response = service.submit(request).result(timeout=30)
         assert response.status == STATUS_DEGRADED
         assert response.degraded and response.ok
         certain = set(response.ids)
@@ -299,7 +297,7 @@ class TestDeadlines:
         with database.serve(
             integrator=CascadeIntegrator(), degrade=False, clock=FakeClock()
         ) as service:
-            response = service.query(request, timeout=30)
+            response = service.submit(request).result(timeout=30)
         assert response.status == STATUS_OK
 
     def test_cost_tracker_ema(self):
@@ -320,12 +318,12 @@ class TestResultCache:
     def test_cache_hit_skips_execution_and_matches(self, database):
         request = make_requests(1, seed=5)[0]
         with database.serve(integrator=CascadeIntegrator()) as service:
-            first = service.query(request, timeout=30)
-            second = service.query(request, timeout=30)
-            stats = service.stats()
+            first = service.submit(request).result(timeout=30)
+            second = service.submit(request).result(timeout=30)
+            stats = service.snapshot()
         assert not first.cache_hit and second.cache_hit
         assert second.ids == first.ids
-        assert stats["cache_hits"] == 1 and stats["executed"] == 1
+        assert stats.cache_hits == 1 and stats.executed == 1
 
     def test_cache_requires_exact_parameters(self, database):
         """Quantized-similar but not bit-identical requests never share a
@@ -365,8 +363,8 @@ class TestResultCache:
         with database.serve(
             integrator=CascadeIntegrator(), clock=FakeClock()
         ) as service:
-            degraded = service.query(request, timeout=30)
-            full = service.query(retry, timeout=30)
+            degraded = service.submit(request).result(timeout=30)
+            full = service.submit(retry).result(timeout=30)
         assert degraded.status == STATUS_DEGRADED
         assert full.status == STATUS_OK and not full.cache_hit
 
@@ -398,7 +396,7 @@ class TestFaultIsolation:
         ) as service:
             futures = [service.submit(r) for r in healthy + [poisoned]]
             responses = [f.result(timeout=30) for f in futures]
-            follow_up = service.query(healthy[0], timeout=30)
+            follow_up = service.submit(healthy[0]).result(timeout=30)
         assert responses[-1].status == "failed"
         assert isinstance(responses[-1].error, QueryError)
         assert all(r.status == STATUS_OK for r in responses[:-1])
@@ -414,7 +412,7 @@ class TestTelemetryAndConfig:
         ) as service:
             futures = [service.submit(r) for r in make_requests(10, seed=11)]
             [f.result(timeout=30) for f in futures]
-            service.query(make_requests(1, seed=11)[0], timeout=30)
+            service.submit(make_requests(1, seed=11)[0]).result(timeout=30)
         rendered = obs.render_metrics()
         for name in (
             "repro_serve_queue_depth",
@@ -446,8 +444,6 @@ class TestTelemetryAndConfig:
         ):
             with pytest.raises(ServiceError):
                 ServiceConfig(**bad)
-        with pytest.raises(ServiceError):
-            database.serve(ServiceConfig(), max_batch=4)
 
     @pytest.mark.timeout(30)
     @pytest.mark.parametrize("window", [float("nan"), float("inf")])
@@ -473,7 +469,8 @@ class TestTelemetryAndConfig:
 
     def test_response_to_dict_digest(self, database):
         with database.serve(integrator=CascadeIntegrator()) as service:
-            response = service.query(make_requests(1, seed=12)[0], timeout=30)
+            future = service.submit(make_requests(1, seed=12)[0])
+            response = future.result(timeout=30)
         row = response.to_dict()
         assert row["status"] == STATUS_OK
         assert row["ids"] == list(response.ids)

@@ -195,35 +195,32 @@ class TestServeRidesThrough:
     def test_scheduler_survives_worker_death(self, sharded, database):
         gaussian = Gaussian([500.0, 500.0], 90_000.0 * np.eye(2))
         with sharded.serve(integrator=CascadeIntegrator()) as service:
-            before = service.query(
-                PRQRequest(gaussian, 400.0, 0.01), timeout=30
-            )
+            before = service.submit(PRQRequest(gaussian, 400.0, 0.01))
+            before = before.result(timeout=30)
             assert before.status == STATUS_OK
 
             kill_worker(sharded, 0)
             # Distinct Gaussian so the response cache cannot mask the
             # failure path.
-            hurt = service.query(
+            hurt = service.submit(
                 PRQRequest(
                     Gaussian([501.0, 500.0], 90_000.0 * np.eye(2)),
                     400.0,
                     0.01,
-                ),
-                timeout=30,
-            )
+                )
+            ).result(timeout=30)
             assert hurt.status == STATUS_FAILED
             assert isinstance(hurt.error, ShardError)
 
             # Scheduler thread is alive and the pool has respawned:
             # the next request over the same region is served in full.
-            after = service.query(
+            after = service.submit(
                 PRQRequest(
                     Gaussian([502.0, 500.0], 90_000.0 * np.eye(2)),
                     400.0,
                     0.01,
-                ),
-                timeout=30,
-            )
+                )
+            ).result(timeout=30)
             assert after.status == STATUS_OK
         expected = database.probabilistic_range_query(
             Gaussian([502.0, 500.0], 90_000.0 * np.eye(2)),
