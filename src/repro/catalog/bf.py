@@ -61,7 +61,8 @@ class ExactBFLookup(BFLookup):
     """Closed-form lookup via the noncentral-χ² CDF (no table).
 
     Both bounds are the root of Eq. 21 itself, memoized process-wide by
-    :func:`repro.gaussian.radial.alpha_for_mass`.
+    :func:`repro.gaussian.radial.alpha_for_mass` (the pruning side with
+    ``prune=True``, which stays sound where ``chndtr`` underflows).
     """
 
     def __init__(self, dim: int):
@@ -76,9 +77,14 @@ class ExactBFLookup(BFLookup):
     def alpha_upper(self, delta: float, theta: float) -> float | None:
         if theta >= 1.0:
             return None
-        return radial.alpha_for_mass(self._dim, float(delta), float(theta))
+        return radial.alpha_for_mass(
+            self._dim, float(delta), float(theta), prune=True
+        )
 
-    alpha_lower = alpha_upper
+    def alpha_lower(self, delta: float, theta: float) -> float | None:
+        if theta >= 1.0:
+            return None
+        return radial.alpha_for_mass(self._dim, float(delta), float(theta))
 
 
 class BFCatalog(BFLookup):

@@ -125,7 +125,9 @@ def alpha_shell_radii(
     lam_max = float(gaussian.eigenvalues[0])
     lam_min = float(gaussian.eigenvalues[-1])
     r_accept = alpha_for_mass(gaussian.dim, delta / math.sqrt(lam_max), theta)
-    r_reject = alpha_for_mass(gaussian.dim, delta / math.sqrt(lam_min), theta)
+    r_reject = alpha_for_mass(
+        gaussian.dim, delta / math.sqrt(lam_min), theta, prune=True
+    )
     return r_accept, r_reject
 
 
@@ -285,21 +287,6 @@ class SafeRegion:
         )
 
     # -- update classification ------------------------------------------
-
-    @property
-    def safe_radius(self) -> float:
-        """Largest Mahalanobis shift under which the answer survives as-is.
-
-        ``0.0`` whenever border objects exist (any motion reopens them);
-        ``inf`` for provably-empty-everywhere shapes.
-        """
-        if self.always_empty:
-            return float("inf")
-        if self.n_border:
-            return 0.0
-        if self._sorted_slack.size == 0:
-            return float("inf")
-        return float(self._sorted_slack[0])
 
     def shift_of(self, mean: np.ndarray) -> float:
         """Mahalanobis length of ``mean``'s offset from the anchor mean."""

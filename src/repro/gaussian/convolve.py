@@ -23,9 +23,11 @@ scaled threshold built from det(Σ_q) alone is smaller — hence safer
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
-from repro.gaussian.radial import rescaled_alpha
+from repro.gaussian.radial import alpha_for_mass, rescaled_alpha
 
 __all__ = ["conservative_reach_alpha"]
 
@@ -65,4 +67,7 @@ def conservative_reach_alpha(
     # det(Sigma_q + Sigma_o) >= det(Sigma_q); the scaled theta of Eq. 29
     # shrinks with a smaller determinant, and a smaller theta gives a
     # larger (safer) alpha, so rescale with the query's own det(Sigma_q).
-    return rescaled_alpha(gaussian, lam_par, delta, theta)
+    return rescaled_alpha(
+        gaussian, lam_par, delta, theta,
+        partial(alpha_for_mass, gaussian.dim, prune=True),
+    )

@@ -134,11 +134,6 @@ class Gaussian:
         return self._log_det
 
     @property
-    def marginal_stds(self) -> np.ndarray:
-        """σᵢ = √(Σ)ᵢᵢ — the box half-width scale of Property 2."""
-        return np.sqrt(np.diag(self._sigma))
-
-    @property
     def lam_parallel(self) -> float:
         """λ∥ of Eq. 9: the smallest eigenvalue of Σ⁻¹ (flattest direction)."""
         return 1.0 / float(self.eigenvalues[0])

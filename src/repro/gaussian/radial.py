@@ -121,8 +121,25 @@ def offset_sphere_mass(dim: int, delta: float, alpha: float) -> float:
     return value
 
 
+def _log_mass_bound(dim: int, delta: float, alpha: float) -> float:
+    """Chernoff upper bound on log P(χ²_d(α²) ≤ δ²), never -inf.
+
+    For every t ≥ 0, P(X ≤ x) ≤ e^{tx}·E[e^{-tX}] with E[e^{-tX}] =
+    (1 + 2t)^{-d/2}·exp(-α²t/(1 + 2t)); u = 1 + 2t* is the positive root
+    of x·u² − d·u − α² = 0, which is ≥ 1 exactly when x is below the mean.
+    """
+    x, nc = delta * delta, alpha * alpha
+    if x >= dim + nc:
+        return 0.0
+    u = (dim + math.sqrt(dim * dim + 4.0 * x * nc)) / (2.0 * x)
+    t = 0.5 * (u - 1.0)
+    return t * x - 0.5 * dim * math.log(u) - nc * t / u
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def alpha_for_mass(dim: int, delta: float, theta: float) -> float | None:
+def alpha_for_mass(
+    dim: int, delta: float, theta: float, prune: bool = False
+) -> float | None:
     """Solve Eq. 21 for α: the centre offset at which the δ-ball holds mass θ.
 
     The mass is strictly decreasing in α, from ``radial_cdf(dim, delta)`` at
@@ -130,6 +147,15 @@ def alpha_for_mass(dim: int, delta: float, theta: float) -> float | None:
     holds less than θ — the situation Section VI describes for ill-shaped
     high-dimensional Gaussians where no inner "hole" exists (for the α⊥
     lookup) or no object can qualify (for the α∥ lookup).
+
+    ``special.chndtr`` flushes to 0 well before the mass does (near 1e-79
+    for the paper's δ′ ≈ 2.6, near 1e-45 for a small δ′), so for a θ below
+    that level the root lands where the flush starts — too small.  That
+    errs to the safe side for an acceptance radius.  ``prune=True`` asks
+    for a pruning radius, which must not fall short of the true root:
+    where the mass has flushed to 0 at the root, it inverts
+    :func:`_log_mass_bound` instead.  Every other root is the same float
+    either way.
     """
     _check_dim(dim)
     if delta <= 0:
@@ -157,17 +183,29 @@ def alpha_for_mass(dim: int, delta: float, theta: float) -> float | None:
         raise IntegrationError(
             f"could not bracket alpha for dim={dim}, delta={delta}, theta={theta}"
         )
-    return float(optimize.brentq(deficit, 0.0, hi, xtol=1e-12, rtol=1e-12))
+    alpha = float(optimize.brentq(deficit, 0.0, hi, xtol=1e-12, rtol=1e-12))
+    # The probe sits well past brentq's final bracket (~4e-12·α wide), so
+    # a zero there means the flush starts at or just beyond the root.
+    if not prune or offset_sphere_mass(dim, delta, alpha * (1.0 + 1e-9)) > 0.0:
+        return alpha
+    log_theta = math.log(theta)
+
+    def log_excess(a: float) -> float:
+        return _log_mass_bound(dim, delta, a) - log_theta
+
+    while log_excess(hi) >= 0.0:
+        hi *= 2.0
+    return float(optimize.brentq(log_excess, 0.0, hi, xtol=1e-12, rtol=1e-12))
 
 
-def rescaled_alpha(gaussian, lam: float, delta: float, theta: float, invert=None):
+def rescaled_alpha(gaussian, lam: float, delta: float, theta: float, invert):
     """Eqs. 29–31: the world-unit offset radius under one bounding function.
 
     The spherical bounding function with precision eigenvalue ``lam``
     (λ∥ for pruning, λ⊥ for acceptance) turns PRQ(gaussian, δ, θ) into
     the normalized problem (√λ·δ, λ^{d/2}·√|Σ|·θ), whose offset scales
     back by 1/√λ.  ``invert(δ′, θ′)`` answers the normalized problem: a
-    catalog's conservative lookup, by default :func:`alpha_for_mass`.
+    catalog's conservative lookup, or :func:`alpha_for_mass` for that side.
     ``None`` when no offset qualifies — in particular a scaled θ ≥ 1 no
     probability can reach: for the upper bound the result is provably
     empty, for the lower bound no inner hole exists (Eq. 37 > 1).
@@ -178,8 +216,5 @@ def rescaled_alpha(gaussian, lam: float, delta: float, theta: float, invert=None
     if scaled_theta >= 1.0:
         return None
     root = math.sqrt(lam)
-    if invert is None:
-        beta = alpha_for_mass(dim, root * delta, scaled_theta)
-    else:
-        beta = invert(root * delta, scaled_theta)
+    beta = invert(root * delta, scaled_theta)
     return None if beta is None else beta / root

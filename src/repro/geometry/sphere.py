@@ -82,9 +82,6 @@ class Sphere:
         gap = np.linalg.norm(self._center - other._center)
         return bool(gap <= self._radius + other._radius)
 
-    def intersects_rect(self, rect: Rect) -> bool:
-        return rect.intersects_sphere(self._center, self._radius)
-
     def contains_rect(self, rect: Rect) -> bool:
         """True when every corner of ``rect`` lies inside the ball."""
         if rect.dim != self.dim:

@@ -87,10 +87,6 @@ class RobotSimulator:
         )
         self._filter.initialize(self._true, 0.01 * identity)
 
-    @property
-    def step_count(self) -> int:
-        return self._step
-
     def advance(self, commanded_velocity) -> PoseEstimate:
         """Execute one motion step and return the updated estimate."""
         v = np.asarray(commanded_velocity, dtype=float)

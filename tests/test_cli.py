@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def subcommands() -> list[str]:
+    """Every verb ``build_parser()`` registers."""
+    parser = build_parser()
+    action = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sorted(action.choices)
 
 
 class TestParser:
@@ -20,6 +31,54 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    @pytest.mark.parametrize("command", subcommands())
+    def test_every_verb_has_help(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+
+class TestBadInput:
+    """Every bad input is one ``error:`` line and exit status 2 — returned
+    by ``main`` or raised as argparse's ``SystemExit`` — never a traceback."""
+
+    @pytest.fixture(scope="class")
+    def db_path(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("bad-input") / "data.soa")
+        assert main(["dataset", "uniform", path, "--size", "200"]) == 0
+        return path
+
+    @pytest.mark.parametrize("argv", [
+        ["monitor", "{db}", "--theta", "1.5"],
+        ["monitor", "{db}", "--delta", "-1"],
+        ["monitor", "{db}", "--subscriptions", "-1"],
+        ["catalog", "rtheta", "{out}/cat.json", "--dim", "0"],
+        ["catalog", "rtheta", "{out}/cat.json", "--dim", "2", "--resolution", "0"],
+        ["dataset", "uniform", "{out}/x.soa", "--size", "-3"],
+        ["dataset", "uniform", "{out}/x.soa", "--size", "0"],
+        ["experiment", "table1", "--trials", "0"],
+        ["monitor", "{db}", "--steps", "0"],
+        ["query", "{db}", "--center", "1", "1", "--delta", "5", "--shards", "0"],
+        ["query", "{db}", "--center", "1", "1", "--delta", "5"],
+        ["explain", "{db}", "--center", "1", "1", "--theta", "0.1"],
+        ["query", "{db}", "--batch", "{out}/absent.json"],
+        ["load", "{db}", "--sweep", "--rates", "fast"],
+        ["load", "{db}", "--scenario", "{out}/absent.json"],
+        ["load", "{db}"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_error_line_and_exit_2(self, argv, db_path, tmp_path, capsys):
+        argv = [a.format(db=db_path, out=tmp_path) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error:" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.soa").exists()
 
 
 class TestDemo:
@@ -135,6 +194,30 @@ class TestCatalog:
         from repro.catalog import load_catalog, BFCatalog
 
         assert isinstance(load_catalog(out_path), BFCatalog)
+
+
+class TestMonitorAndFigures:
+    def test_monitor_outcomes_sum_to_the_updates(self, tmp_path, capsys):
+        db_path = str(tmp_path / "data.soa")
+        assert main(["dataset", "uniform", db_path, "--size", "500"]) == 0
+        capsys.readouterr()
+        assert main(["monitor", db_path, "--subscriptions", "20", "--steps", "2",
+                     "--deadline-ms", "0"]) == 0
+        outcomes = ("survived", "reintegrated", "replanned", "degraded")
+        rows = {
+            words[0]: int(words[1])
+            for words in map(str.split, capsys.readouterr().out.splitlines())
+            if words and words[0] in outcomes
+        }
+        assert set(rows) == set(outcomes)
+        assert sum(rows.values()) == 20 * 2
+
+    def test_figures_writes_five_svgs(self, tmp_path, capsys):
+        assert main(["figures", str(tmp_path)]) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.svg"))
+        assert written == ["fig13_14.svg", "fig15.svg", "fig16.svg",
+                           "fig17.svg", "road_network.svg"]
+        assert all("<svg" in p.read_text() for p in tmp_path.glob("*.svg"))
 
 
 class TestExperiment:

@@ -382,3 +382,12 @@ def test_serving_references_resolve():
         if not hasattr(getattr(repro.serve, cls), member)
     ]
     assert not missing, f"docs name methods that do not exist: {missing}"
+
+
+def test_command_line_block_names_every_verb(api_doc):
+    """The ``## Command line`` block of api.md lists every CLI verb."""
+    from tests.test_cli import subcommands
+
+    block = api_doc.split("## Command line", 1)[1].split("```")[1]
+    listed = set(re.findall(r"^python -m repro (\S+)", block, re.M))
+    assert listed == set(subcommands())

@@ -218,6 +218,43 @@ class TestAlphaForMass:
                 pytest.approx(theta, abs=1e-12 * alpha)
             )
 
+    def test_pruning_radius_survives_the_chndtr_flush(self):
+        """``chndtr`` flushes to 0 near 1e-79 here, so below that the plain
+        root stalls at α∥ = 203.25 whatever θ is, and BF would prune a
+        point 208.25 out along the major axis whose Pr (≈ 1.5e-83 by
+        quadrature) is far above θ = 1e-100.  The pruning side inverts a
+        Chernoff bound there instead; the acceptance side keeps the early
+        (smaller, still sound) root."""
+        from repro.bench.harness import paper_sigma
+        from repro.core.query import ProbabilisticRangeQuery
+        from repro.core.strategies import REJECT, BoundingFunctionStrategy
+
+        gaussian = Gaussian([0.0, 0.0], paper_sigma(10.0))
+        offset = 208.25
+        point = offset * gaussian.basis[:, 0]
+        # Pr is at least the mass of the square inscribed in the δ-ball.
+        half = 25.0 / np.sqrt(2.0)
+        major, minor = np.sqrt(gaussian.eigenvalues)
+        square = (
+            special.ndtr(-(offset - half) / major)
+            - special.ndtr(-(offset + half) / major)
+        ) * (special.ndtr(half / minor) - special.ndtr(-half / minor))
+        assert square > 1e-100
+        uppers = []
+        for theta in (1e-100, 1e-300):
+            strategy = BoundingFunctionStrategy()
+            strategy.prepare(ProbabilisticRangeQuery(gaussian, 25.0, theta))
+            assert strategy.classify(point[None, :])[0] != REJECT
+            uppers.append(alpha_for_mass(2, 2.5, theta, prune=True))
+            assert alpha_for_mass(2, 2.5, theta) < uppers[-1]
+        assert uppers[0] < uppers[1]
+
+    def test_pruning_radius_is_the_plain_root_above_the_flush(self):
+        for dim, delta, theta in ((2, 2.6, 1e-70), (9, 4.0, 1e-6), (3, 0.5, 0.2)):
+            assert alpha_for_mass(dim, delta, theta, prune=True) == (
+                alpha_for_mass(dim, delta, theta)
+            )
+
     def test_none_when_unreachable(self):
         # In 9-D a sphere of radius 1 holds ~0.04% of the mass: theta = 0.5
         # is unreachable at any offset.
