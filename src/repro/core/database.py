@@ -89,11 +89,13 @@ class SpatialDatabase:
                     f"index dimension {index.dim} does not match points "
                     f"dimension {pts.shape[1]}"
                 )
-        if target_table is not None and target_table.dim != pts.shape[1]:
-            raise QueryError(
-                f"target covariance dimension {target_table.dim} does not "
-                f"match points dimension {pts.shape[1]}"
-            )
+        if target_table is not None:
+            if target_table.dim != pts.shape[1]:
+                raise QueryError(
+                    f"target covariance dimension {target_table.dim} does "
+                    f"not match points dimension {pts.shape[1]}"
+                )
+            target_table.groups_for(id_arr)  # every object needs a group
         self._points = pts
         self._ids = id_arr
         self._target_table = target_table
@@ -237,9 +239,7 @@ class SpatialDatabase:
         so the plan cache warms across engines.
         """
         if self._default_planner is None:
-            self._default_planner = QueryPlanner(
-                self._points, targets=self._target_table
-            )
+            self._default_planner = QueryPlanner(self._points)
         return self._default_planner
 
     def top_k_by_probability(

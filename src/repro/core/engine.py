@@ -38,6 +38,7 @@ cold plan cache and a warm one produce identical result sets).
 from __future__ import annotations
 
 import functools
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.kinds import adapt_pipeline
+from repro.core.kinds import adapt_pipeline, query_legs
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import (
     FilterStage,
@@ -244,8 +245,8 @@ class QueryEngine:
     targets:
         Optional :class:`repro.core.kinds.TargetCovarianceTable` holding
         per-object target covariances.  Required to execute
-        :class:`repro.core.kinds.UncertainTargetQuery` — the kind
-        adapters look up each candidate's covariance group here.
+        :class:`repro.core.kinds.UncertainTargetQuery`, which runs as one
+        PRQ per covariance group (:func:`repro.core.kinds.query_legs`).
     """
 
     def __init__(
@@ -398,40 +399,20 @@ class QueryEngine:
         obs: Observability | None = None,
     ) -> QueryResult:
         obs = obs if obs is not None else self.obs
-        stats = QueryStats()
+        parts: list[QueryStats] = []
+        answers: list[tuple[int, ...]] = []
         with span_of(
             obs, "query", delta=query.delta, theta=query.theta
         ) as query_span:
             try:
-                if self.planner is not None:
-                    with stats.time_phase("plan"), span_of(
-                        obs, "phase:plan"
-                    ) as plan_span:
-                        try:
-                            strategies, _ = self._apply_plan(
-                                query, strategies, integrator, stats
-                            )
-                        finally:
-                            plan_span.annotate(
-                                strategies="+".join(
-                                    stats.plan_strategies or ()
-                                ),
-                                cache_hit=bool(stats.plan_cache_hit),
-                            )
-                strategies, integrator = adapt_pipeline(
-                    query,
-                    strategies,
-                    integrator,
-                    index=self.index,
-                    targets=self.targets,
-                    seed=seed,
-                )
-                ctx = StageContext(
-                    query, strategies, integrator, stats, obs=obs
-                )
-                stages = [SearchStage(self.index), FilterStage(), IntegrateStage()]
-                ids = execute_pipeline(ctx, stages)
+                for leg, restrict in query_legs(query, self.targets):
+                    parts.append(QueryStats())
+                    answers.append(self._run_leg(
+                        leg, restrict, strategies, integrator, parts[-1],
+                        seed=seed, obs=obs,
+                    ))
             finally:
+                stats = QueryStats.combine(parts) if parts else QueryStats()
                 query_span.annotate(
                     retrieved=stats.retrieved,
                     integrations=stats.integrations,
@@ -439,7 +420,43 @@ class QueryEngine:
                 )
         if obs is not None:
             obs.record_query(stats)
+        ids = tuple(sorted(itertools.chain.from_iterable(answers)))
         return QueryResult(ids, stats)
+
+    def _run_leg(
+        self,
+        leg: ProbabilisticRangeQuery,
+        restrict: list[Strategy],
+        strategies: list[Strategy],
+        integrator: ProbabilityIntegrator,
+        stats: QueryStats,
+        *,
+        seed: np.random.SeedSequence | None,
+        obs: Observability | None,
+    ) -> tuple[int, ...]:
+        """Plan one leg (:func:`query_legs`), swap in its kind adapters
+        and run the three stages, ``restrict`` ahead of the strategies."""
+        if self.planner is not None:
+            with stats.time_phase("plan"), span_of(
+                obs, "phase:plan"
+            ) as plan_span:
+                try:
+                    strategies, _ = self._apply_plan(
+                        leg, strategies, integrator, stats
+                    )
+                finally:
+                    plan_span.annotate(
+                        strategies="+".join(stats.plan_strategies or ()),
+                        cache_hit=bool(stats.plan_cache_hit),
+                    )
+        strategies, integrator = adapt_pipeline(
+            leg, strategies, integrator, index=self.index, seed=seed
+        )
+        ctx = StageContext(
+            leg, [*restrict, *strategies], integrator, stats, obs=obs
+        )
+        stages = [SearchStage(self.index), FilterStage(), IntegrateStage()]
+        return execute_pipeline(ctx, stages)
 
     def _apply_plan(
         self,
@@ -476,8 +493,47 @@ class QueryEngine:
         when a :class:`repro.core.selectivity.SelectivityEstimator` is
         supplied or a planner is attached — the predicted Phase-3
         candidate count.  A planned engine additionally attaches the full
-        plan comparison table (every scored candidate plan).
+        plan comparison table (every scored candidate plan).  An
+        uncertain-target query is described by the plan of each of its
+        legs (:func:`repro.core.kinds.query_legs`); with several target
+        covariance groups, every description line names its group and the
+        Phase-1 rectangle is the union of the legs'.
         """
+        plans = [
+            self._explain_leg(leg, restrict, estimator)
+            for leg, restrict in query_legs(query, self.targets)
+        ]
+        if len(plans) == 1:
+            return plans[0]
+        rects = [p.search_rect for p in plans if p.search_rect is not None]
+        return QueryPlan(
+            strategies=tuple(
+                dict.fromkeys(name for p in plans for name in p.strategies)
+            ),
+            descriptions=tuple(
+                f"group {group}: {text}"
+                for group, plan in enumerate(plans)
+                for text in (plan.summary(), *plan.descriptions)
+            ),
+            search_rect=Rect.union_of(rects) if rects else None,
+            proves_empty=(
+                plans[0].proves_empty
+                if all(p.proves_empty for p in plans)
+                else None
+            ),
+            predicted_candidates=_sum_known(
+                p.predicted_candidates for p in plans
+            ),
+            predicted_seconds=_sum_known(p.predicted_seconds for p in plans),
+            planned=plans[0].planned,
+        )
+
+    def _explain_leg(
+        self,
+        query: ProbabilisticRangeQuery,
+        restrict: list[Strategy],
+        estimator,
+    ) -> "QueryPlan":
         stats = QueryStats()
         strategies = self.strategies
         predicted = None
@@ -493,12 +549,9 @@ class QueryEngine:
             comparison = decision.considered
             planned = True
         strategies, _ = adapt_pipeline(
-            query,
-            strategies,
-            self.integrator,
-            index=self.index,
-            targets=self.targets,
+            query, strategies, self.integrator, index=self.index
         )
+        strategies = [*restrict, *strategies]
         rect = phase1_rect(query, strategies, stats, dim=self.index.dim)
         descriptions: list[str] = []
         alpha_upper = alpha_lower = None
@@ -530,15 +583,6 @@ class QueryEngine:
                         else "— (no hole)"
                     )
                 )
-            elif strategy.name == "UT":
-                alpha = strategy.alpha  # type: ignore[attr-defined]
-                descriptions.append(
-                    "UT: convolved conservative reach "
-                    + (
-                        f"{alpha:.3f}" if alpha is not None else "— (empty)"
-                    )
-                    + f" over {strategy.n_groups} target covariance group(s)"  # type: ignore[attr-defined]
-                )
             elif strategy.name == "MIX":
                 descriptions.append(
                     f"MIX: {strategy.n_live} of {strategy.n_components} "  # type: ignore[attr-defined]
@@ -563,3 +607,9 @@ class QueryEngine:
             comparison=comparison,
             planned=planned,
         )
+
+
+def _sum_known(values) -> float | None:
+    """The sum of the values that are not ``None`` (``None`` if none is)."""
+    known = [v for v in values if v is not None]
+    return sum(known) if known else None

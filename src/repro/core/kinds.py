@@ -1,26 +1,29 @@
 """Query kinds: every query type behind the one stage pipeline.
 
 The paper's engine processes PRQ(q, δ, θ) with exact target locations.
-This module folds the repository's other query types — uncertain targets
-(:class:`UncertainTargetQuery`), Gaussian-mixture query objects
-(:class:`MixtureRangeQuery`) and probabilistic k-NN (:class:`KNNQuery`) —
-into the same Search → Filter → Integrate pipeline.  Each kind is a
-frozen subclass of :class:`ProbabilisticRangeQuery` plus a pair of
-adapters built by :func:`adapt_pipeline`:
+This module folds the repository's other query types into the same
+Search → Filter → Integrate pipeline.  Each kind is a frozen subclass of
+:class:`ProbabilisticRangeQuery`:
 
-- a kind-specific :class:`~repro.core.strategies.Strategy` contributing
-  the Phase-1 search rectangle and the Phase-2 pruning bounds
-  (convolved-covariance padding for uncertain targets, per-component
-  union for mixtures, the sample-driven candidate cut for k-NN);
-- a kind-specific :class:`~repro.integrate.base.ProbabilityIntegrator`
-  wrapper supplying the Phase-3 integrand (per-target convolved
-  qualification, the weighted mixture sum, per-sample win counting).
+- uncertain targets (:class:`UncertainTargetQuery`) need no adapter:
+  :func:`query_legs` reduces one to ordinary exact-target PRQs, one per
+  target covariance group, which the engines plan and run like any other;
+- Gaussian-mixture query objects (:class:`MixtureRangeQuery`) and
+  probabilistic k-NN (:class:`KNNQuery`) get a pair of adapters from
+  :func:`adapt_pipeline` — a kind-specific
+  :class:`~repro.core.strategies.Strategy` contributing the Phase-1
+  search rectangle and the Phase-2 pruning bounds (per-component union
+  for mixtures, the sample-driven candidate cut for k-NN) and a
+  kind-specific :class:`~repro.integrate.base.ProbabilityIntegrator`
+  supplying the Phase-3 integrand (the weighted mixture sum, per-sample
+  win counting).
 
 ``SearchStage``/``FilterStage``/``IntegrateStage`` stay kind-agnostic:
-they talk to the adapters through the ``classify_candidates`` /
-``decide_candidates`` protocol extensions, which add candidate *ids* to
-the classify/decide calls so per-target state (which covariance group an
-object belongs to) never leaks into the stage bodies.  Like ``decide``,
+they talk to strategies and integrators through the
+``classify_candidates`` / ``decide_candidates`` protocol extensions,
+which add candidate *ids* to the classify/decide calls so per-object
+state (which covariance group an object belongs to, which competitors a
+k-NN sample sees) never leaks into the stage bodies.  Like ``decide``,
 ``decide_candidates`` hands Phase 3 a block, not objects:
 ``(accept, tally, samples)`` — the accept mask over the rows, the rows
 each method label decided, and the Monte Carlo samples spent.
@@ -29,22 +32,20 @@ each method label decided, and the Monte Carlo samples spent.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.catalog.bf import alpha_radii
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import QueryStats
-from repro.core.strategies import REJECT, UNKNOWN, ACCEPT, Strategy
+from repro.core.strategies import REJECT, UNKNOWN, Strategy
 from repro.errors import QueryError
-from repro.gaussian.convolve import conservative_reach_alpha
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.mixture import GaussianMixture
 from repro.geometry.mbr import Rect
+from repro.geometry.transforms import SYMMETRY_RTOL
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
 
@@ -52,13 +53,13 @@ __all__ = [
     "QUERY_KINDS",
     "query_kind",
     "adapt_pipeline",
+    "query_legs",
     "UncertainTargetQuery",
     "MixtureRangeQuery",
     "KNNQuery",
     "UncertainObject",
     "TargetCovarianceTable",
-    "ConvolvedTargetStrategy",
-    "UncertainTargetDecider",
+    "TargetGroupStrategy",
     "MixtureFilterStrategy",
     "MixtureDecider",
     "KNNCutStrategy",
@@ -85,9 +86,9 @@ class UncertainTargetQuery(ProbabilisticRangeQuery):
 
     Identical specification to the base PRQ — the target covariances live
     in the database's :class:`TargetCovarianceTable`, not in the query —
-    but the kind tag routes execution through the convolved-covariance
-    adapters: Σ_q + Σ_o padding in Phase 1, per-target convolved BF
-    bounds in Phase 2, and the convolved integrand in Phase 3.
+    but the kind tag makes the engines run it as one PRQ over the
+    convolved Gaussian N(q, Σ_q + Σ_g) per covariance group g
+    (:func:`query_legs`).
     """
 
     kind = "uncertain"
@@ -212,9 +213,9 @@ class TargetCovarianceTable:
 
     Most uncertain databases share a handful of sensor models across many
     objects, so the table stores each distinct Σ_o once (a *group*) and
-    maps object ids to groups.  The convolved-target adapters look up
-    per-candidate groups in O(1); the planner hashes the (sorted,
-    quantized) group spectra into its plan-cache key.
+    maps object ids to groups.  Every Σ_o must be finite, symmetric and
+    positive semi-definite (zero is an exact target).  An uncertain-target
+    query runs as one exact-target PRQ per group (:func:`query_legs`).
     """
 
     def __init__(
@@ -233,15 +234,21 @@ class TargetCovarianceTable:
             raise QueryError(
                 f"target covariances must be square, got {mats[0].shape}"
             )
-        self._group_of = {int(i): int(g) for i, g in group_of.items()}
-        for obj_id, g in self._group_of.items():
-            if not 0 <= g < len(mats):
-                raise QueryError(
-                    f"object {obj_id} maps to unknown covariance group {g}"
-                )
+        self._max_eig = max(_checked_max_eig(g, m) for g, m in enumerate(mats))
+        ids = np.fromiter(group_of, dtype=np.int64, count=len(group_of))
+        groups = np.fromiter(
+            group_of.values(), dtype=np.int64, count=len(group_of)
+        )
+        unknown = np.nonzero((groups < 0) | (groups >= len(mats)))[0]
+        if unknown.size:
+            raise QueryError(
+                f"object {ids[unknown[0]]} maps to unknown covariance group "
+                f"{groups[unknown[0]]}"
+            )
+        order = np.argsort(ids)
+        self._ids = ids[order]
+        self._groups = groups[order]
         self._sigmas = mats
-        self._eigs = [np.linalg.eigvalsh(m) for m in mats]  # ascending
-        self._max_eig = max(float(e[-1]) for e in self._eigs)
 
     @classmethod
     def from_objects(cls, objects: Iterable) -> "TargetCovarianceTable":
@@ -278,203 +285,113 @@ class TargetCovarianceTable:
 
     @property
     def max_eig(self) -> float:
-        """Largest eigenvalue over every target covariance (the
-        conservative-reach padding scale)."""
+        """Largest eigenvalue over every target covariance."""
         return self._max_eig
 
     def __len__(self) -> int:
-        return len(self._group_of)
+        return self._ids.size
 
     def sigma(self, group: int) -> np.ndarray:
         return self._sigmas[group]
 
     def groups_for(self, ids: Iterable[int]) -> np.ndarray:
-        """Group index per object id (vector lookup)."""
-        id_list = [int(i) for i in ids]
-        try:
-            return np.fromiter(
-                (self._group_of[i] for i in id_list),
-                dtype=np.int64,
-                count=len(id_list),
-            )
-        except KeyError as exc:
+        """Group index per object id; names the first unregistered id."""
+        keys = np.asarray(
+            ids if isinstance(ids, np.ndarray) else list(ids), dtype=np.int64
+        )
+        pos = np.searchsorted(self._ids, keys)
+        found = pos < self._ids.size
+        found[found] = self._ids[pos[found]] == keys[found]
+        if not found.all():
             raise QueryError(
                 f"no target covariance registered for object id "
-                f"{exc.args[0]!r}"
-            ) from None
+                f"{keys[~found][0]}"
+            )
+        return self._groups[pos]
 
-    def spectra(self) -> tuple[tuple[float, ...], ...]:
-        """Sorted per-group eigenvalue tuples (planner cache-key input)."""
-        return tuple(
-            sorted(tuple(float(v) for v in eigs) for eigs in self._eigs)
+
+def _checked_max_eig(group: int, sigma: np.ndarray) -> float:
+    """Largest eigenvalue of target covariance ``group``, once it is
+    checked finite, symmetric and positive semi-definite to the
+    tolerance :class:`Gaussian` applies."""
+    if not np.isfinite(sigma).all():
+        raise QueryError(f"target covariance {group} is not finite")
+    atol = SYMMETRY_RTOL * max(1.0, float(np.abs(sigma).max()))
+    if not np.allclose(sigma, sigma.T, atol=atol):
+        raise QueryError(f"target covariance {group} is not symmetric")
+    eigs = np.linalg.eigvalsh(sigma)
+    if eigs[0] < -atol:
+        raise QueryError(
+            f"target covariance {group} is not positive semi-definite "
+            f"(eigenvalue {eigs[0]:g})"
         )
+    return float(eigs[-1])
 
 
-class ConvolvedTargetStrategy(Strategy):
-    """Uncertain-target Phase-1/2 adapter (replaces RR/OR/BF).
+class TargetGroupStrategy(Strategy):
+    """Membership filter of one leg of a multi-group uncertain query.
 
-    The exact-target filters are *unsound* when targets are Gaussian — a
-    target mean outside the exact θ-region ⊕ δ-ball can still qualify via
-    its own spread — so this strategy replaces them with the convolved
-    machinery:
-
-    - Phase 1: the conservative reach α of
-      :func:`repro.gaussian.convolve.conservative_reach_alpha` under the
-      worst-case target covariance (``None`` proves the result empty);
-    - Phase 2: per-covariance-group BF radii (α∥, α⊥) of the convolved
-      Gaussian N(q, Σ_q + Σ_o) — REJECT beyond α∥, free-ACCEPT within α⊥.
+    REJECTs every candidate whose target covariance is not group
+    ``group``, so each leg answers for its own objects only.  It offers no
+    Phase-1 rectangle, and without ids (:meth:`classify`) it decides
+    nothing.
     """
 
-    name = "UT"
+    name = "GROUP"
 
-    def __init__(self, table: TargetCovarianceTable):
+    def __init__(self, table: TargetCovarianceTable, group: int):
         self._table = table
-        self._center: np.ndarray | None = None
-        self._alpha: float | None = None
-        self._radii: list[tuple[float | None, float | None]] | None = None
+        self.group = group
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        if query.dim != self._table.dim:
-            raise QueryError(
-                f"query dimension {query.dim} does not match target "
-                f"covariance dimension {self._table.dim}"
-            )
-        self._center = query.center
-        self._alpha = conservative_reach_alpha(
-            query.gaussian, query.delta, query.theta, self._table.max_eig
-        )
-        radii: list[tuple[float | None, float | None]] = []
         self._rect = None
-        if self._alpha is not None:
-            self._rect = Rect.from_center(
-                self._center, np.full(self._center.size, self._alpha)
-            )
-            for group in range(self._table.n_groups):
-                convolved = Gaussian(
-                    query.center,
-                    query.gaussian.sigma + self._table.sigma(group),
-                )
-                radii.append(alpha_radii(convolved, query.delta, query.theta))
-        self._radii = radii
-
-    @property
-    def proves_empty(self) -> bool:
-        self._require_prepared("_radii")
-        return self._alpha is None
-
-    @property
-    def alpha(self) -> float | None:
-        """Conservative reach radius (None = result proven empty)."""
-        self._require_prepared("_radii")
-        return self._alpha
-
-    @property
-    def n_groups(self) -> int:
-        return self._table.n_groups
 
     def classify(self, points: np.ndarray) -> np.ndarray:
-        # Without ids the covariance group is unknown; only the
-        # group-independent conservative reach is a sound filter.
-        self._require_prepared("_radii")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
-        if self._alpha is None:
-            codes[:] = REJECT
-            return codes
-        deltas = pts - self._center
-        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        codes[distances > self._alpha] = REJECT
-        return codes
+        return np.full(len(np.atleast_2d(points)), UNKNOWN, dtype=np.int8)
 
     def classify_candidates(
         self, ids: np.ndarray, points: np.ndarray
     ) -> np.ndarray:
-        self._require_prepared("_radii")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        codes = np.full(pts.shape[0], UNKNOWN, dtype=np.int8)
-        if pts.shape[0] == 0:
-            return codes
-        if self._alpha is None:
-            codes[:] = REJECT
-            return codes
-        groups = self._table.groups_for(ids)
-        deltas = pts - self._center
-        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        for group in np.unique(groups):
-            upper, lower = self._radii[int(group)]
-            mask = groups == group
-            if upper is None:
-                codes[mask] = REJECT
-                continue
-            codes[mask & (distances > upper)] = REJECT
-            if lower is not None:
-                codes[mask & (distances <= lower)] = ACCEPT
-        return codes
+        member = self._table.groups_for(ids) == self.group
+        return np.where(member, UNKNOWN, REJECT).astype(np.int8)
 
 
-class UncertainTargetDecider(ProbabilityIntegrator):
-    """Phase-3 adapter: integrate each candidate under N(q, Σ_q + Σ_o).
+def query_legs(
+    query: ProbabilisticRangeQuery, targets: TargetCovarianceTable | None
+) -> list[tuple[ProbabilisticRangeQuery, list[Strategy]]]:
+    """The legs a query runs as: ``(leg query, strategies that go ahead
+    of the leg's own)`` pairs, the answer being the union of the legs'.
 
-    Wraps any base integrator; candidates are grouped by target
-    covariance and each group decided with the base integrator against
-    its convolved Gaussian, so per-candidate decisions are exactly what
-    the base integrator produces for the reduced one-sided problem; the
-    per-group tallies and sample counts are summed.
+    Every kind but ``"uncertain"`` is its own single leg.  For x ~ N(q,
+    Σ_q) and a target o ~ N(μ_o, Σ_o), Pr(‖x − o‖ ≤ δ) is the
+    exact-target probability of μ_o under N(q, Σ_q + Σ_o); so an
+    uncertain-target query is one ordinary PRQ(N(q, Σ_q + Σ_g), δ, θ) per
+    covariance group g of ``targets``, restricted to that group's objects
+    by a :class:`TargetGroupStrategy` when there is more than one group.
     """
-
-    def __init__(self, base: ProbabilityIntegrator, table: TargetCovarianceTable):
-        self._base = base
-        self._table = table
-        self.name = f"uncertain({base.name})"
-
-    def qualification_probability(
-        self, gaussian: Gaussian, point: np.ndarray, delta: float
-    ) -> IntegrationResult:
+    if query_kind(query) != "uncertain":
+        return [(query, [])]
+    if targets is None:
         raise QueryError(
-            "uncertain-target integration needs candidate ids (the target "
-            "covariance group); use decide_candidates"
+            "uncertain-target queries need a database built with a "
+            "TargetCovarianceTable (SpatialDatabase(..., target_table=...))"
         )
-
-    def decide_candidates(
-        self,
-        gaussian: Gaussian,
-        ids: np.ndarray,
-        points: np.ndarray,
-        delta: float,
-        theta: float,
-    ) -> tuple[np.ndarray, dict[str, int], int]:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        accept = np.zeros(pts.shape[0], dtype=bool)
-        tally: Counter[str] = Counter()
-        samples = 0
-        groups = self._table.groups_for(ids)
-        self._base.obs = self.obs
-        try:
-            for group in np.unique(groups):
-                convolved = Gaussian(
-                    gaussian.mean,
-                    gaussian.sigma + self._table.sigma(int(group)),
-                )
-                idx = np.nonzero(groups == group)[0]
-                accept[idx], got_tally, got_samples = self._base.decide(
-                    convolved, pts[idx], delta, theta
-                )
-                tally.update(got_tally)
-                samples += got_samples
-        finally:
-            self._base.obs = None
-        return accept, dict(tally), samples
-
-    @property
-    def composition_independent(self) -> bool:
-        return self._base.composition_independent
-
-    @property
-    def cost_per_candidate(self) -> float:
-        return self._base.cost_per_candidate
-
-    def fork(self, seed) -> "UncertainTargetDecider":
-        return UncertainTargetDecider(self._base.fork(seed), self._table)
+    if query.dim != targets.dim:
+        raise QueryError(
+            f"query dimension {query.dim} does not match target "
+            f"covariance dimension {targets.dim}"
+        )
+    legs = []
+    for group in range(targets.n_groups):
+        convolved = Gaussian(
+            query.center, query.gaussian.sigma + targets.sigma(group)
+        )
+        leg = ProbabilisticRangeQuery(convolved, query.delta, query.theta)
+        restrict = (
+            [TargetGroupStrategy(targets, group)] if targets.n_groups > 1 else []
+        )
+        legs.append((leg, restrict))
+    return legs
 
 
 # ----------------------------------------------------------------------
@@ -761,18 +678,15 @@ def adapt_pipeline(
     integrator: ProbabilityIntegrator,
     *,
     index,
-    targets: TargetCovarianceTable | None = None,
     seed=None,
 ) -> tuple[list[Strategy], ProbabilityIntegrator]:
     """Swap in the kind-specific strategy list and integrator wrapper.
 
-    Exact-target PRQs pass through untouched (the hot path).  For the
-    other kinds the returned pair plugs straight into the kind-agnostic
-    stage pipeline:
+    Exact-target PRQs — the legs of an uncertain-target query among them
+    (:func:`query_legs`) — pass through untouched (the hot path).  For
+    the other kinds the returned pair plugs straight into the
+    kind-agnostic stage pipeline:
 
-    - ``"uncertain"`` — :class:`ConvolvedTargetStrategy` *replaces* the
-      exact-target strategies (which are unsound for Gaussian targets)
-      and the integrator is wrapped in :class:`UncertainTargetDecider`;
     - ``"mixture"`` — the base strategies become per-component templates
       of a :class:`MixtureFilterStrategy` and the integrator evaluates
       components inside a :class:`MixtureDecider`;
@@ -783,16 +697,6 @@ def adapt_pipeline(
     kind = query_kind(query)
     if kind == "prq":
         return strategies, integrator
-    if kind == "uncertain":
-        if targets is None:
-            raise QueryError(
-                "uncertain-target queries need a database built with a "
-                "TargetCovarianceTable (SpatialDatabase(..., target_table=...))"
-            )
-        return (
-            [ConvolvedTargetStrategy(targets)],
-            UncertainTargetDecider(integrator, targets),
-        )
     if kind == "mixture":
         return (
             [MixtureFilterStrategy(strategies, query.mixture)],
@@ -804,6 +708,4 @@ def adapt_pipeline(
             query.k, query.n_samples, np.random.default_rng(rng_seed)
         )
         return [KNNCutStrategy(index, decider)], decider
-    raise QueryError(
-        f"unknown query kind {kind!r}; expected one of {QUERY_KINDS}"
-    )
+    raise QueryError(f"no pipeline adapters for query kind {kind!r}")

@@ -27,14 +27,15 @@ batch order or cache warmth, ``run_batch`` stays bit-identical across
 worker counts and across cold/warm caches — repeated workload shapes
 simply reuse their plan.
 
-Kinded queries (:mod:`repro.core.kinds`) plan through the same cache:
-mixtures are planned on their moment-matched envelope over the normal
-combo menu, while uncertain-target and k-NN queries get a single fixed
-kind plan whose spec is the kind name — the engine recognizes that the
-spec is not a strategy combo and lets ``adapt_pipeline`` install the
-kind's dedicated stages.  The cache key gains a kind tag plus the kind
-parameters that change the plan (target-covariance spectra, component
-count, ``k``).
+Kinded queries (:mod:`repro.core.kinds`) plan through the same cache.
+An uncertain-target query never reaches the planner as such: the engines
+plan each of its legs, exact-target PRQs over convolved Gaussians.
+Mixtures are planned on their moment-matched envelope over the normal
+combo menu, while k-NN queries get a single fixed plan whose spec is the
+kind name — the engine recognizes that the spec is not a strategy combo
+and lets ``adapt_pipeline`` install the kind's dedicated stages.  The
+cache key gains a kind tag plus the kind parameters that change the plan
+(component count, ``k``).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from repro.core.selectivity import (
 from repro.core.stages import combined_search_rect
 from repro.core.strategies import Strategy, make_strategies
 from repro.errors import QueryError
-from repro.gaussian.convolve import conservative_reach_alpha
 from repro.gaussian.distribution import Gaussian
 from repro.geometry.mbr import Rect
 from repro.integrate.base import ProbabilityIntegrator
@@ -189,14 +189,9 @@ class QueryPlanner:
         feed the uniform-density predictions, and the box's centre is the
         canonical query location plans are computed at; a d ≤ 3 planner
         also builds a :class:`SelectivityEstimator` over them.
-    targets:
-        Optional :class:`repro.core.kinds.TargetCovarianceTable`.  Lets
-        uncertain-target plans predict the convolved Phase-1 reach from
-        the registered target spectra; without one, uncertain queries
-        are planned as if the targets were exact points.
     """
 
-    def __init__(self, points: np.ndarray, *, targets=None):
+    def __init__(self, points: np.ndarray):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[0] == 0:
             raise QueryError(
@@ -209,7 +204,6 @@ class QueryPlanner:
             if points.shape[1] <= 3
             else UniformDensity(self._total, self._bounds)
         )
-        self._targets = targets
         self._cache: OrderedDict[tuple, PlanDecision] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -305,22 +299,13 @@ class QueryPlanner:
 
         Exact-target PRQ keys keep their historical 5-tuple layout.  A
         kinded query appends ``(kind, *extras)`` where the extras are the
-        kind parameters that change the plan: the quantized target
-        covariance spectra (uncertain), the component count (mixture), or
-        ``(k, n_samples)`` (k-NN).
+        kind parameters that change the plan: the component count
+        (mixture) or ``(k, n_samples)`` (k-NN).
         """
         base = quantized_shape_key(query) + (integrator.name,)
         kind = query_kind(query)
         if kind == "prq":
             return base
-        if kind == "uncertain":
-            spectra: tuple = ()
-            if self._targets is not None:
-                spectra = tuple(
-                    tuple(quantize_log(ev) for ev in spectrum)
-                    for spectrum in self._targets.spectra()
-                )
-            return base + (kind, spectra)
         if kind == "mixture":
             return base + (kind, len(query.mixture.components))
         if kind == "knn":
@@ -375,51 +360,31 @@ class QueryPlanner:
     def _estimate_in_rect(self, rect: Rect | None) -> float:
         return 0.0 if rect is None else self._estimator.estimate_in_rect(rect)
 
-    def _fixed_kind_plan(
-        self,
-        key: tuple,
-        kind: str,
-        names: tuple[str, ...],
-        integrator: ProbabilityIntegrator,
+    def _knn_plan(
+        self, key: tuple, integrator: ProbabilityIntegrator
     ) -> PlanDecision:
-        """The single fixed plan for kinds with no strategy menu.
+        """The single fixed plan of a k-NN query.
 
-        Uncertain-target and k-NN queries run a dedicated kind strategy
-        (convolved-reach filter, sample-driven cut) that has no exact-
-        target substitute, so the planner's job reduces to predicting the
-        workload.  The spec string is the *kind name* — deliberately not a
+        The sample-driven cut has no exact-target substitute, so the
+        planner's job reduces to predicting the workload — a full pass,
+        since the cut radius is only known once the samples are drawn.
+        The spec string is the *kind name* — deliberately not a
         ``STRATEGY_COMBINATIONS`` member, which tells the engine to pass
         its base strategies through to :func:`repro.core.kinds.adapt_pipeline`
         untouched.
         """
-        canonical = self._canonical_query(key)
-        if kind == "uncertain":
-            max_eig = self._targets.max_eig if self._targets is not None else 0.0
-            alpha = conservative_reach_alpha(
-                canonical.gaussian, canonical.delta, canonical.theta, max_eig
-            )
-            rect = (
-                None
-                if alpha is None
-                else Rect.from_center(
-                    canonical.center, np.full(canonical.dim, alpha)
-                )
-            )
-            retrieved = self._estimate_in_rect(rect)
-        else:  # k-NN: the cut radius is sample-driven; budget a full pass.
-            retrieved = float(self._total)
-        candidates = retrieved
+        retrieved = float(self._total)
         cost = (
             SEARCH_BASE
             + SEARCH_PER_OBJECT * retrieved
-            + _strategy_cost(names, retrieved)
-            + integrator.cost_per_candidate * candidates
+            + _strategy_cost(("KNN",), retrieved)
+            + integrator.cost_per_candidate * retrieved
         )
         choice = PlanChoice(
-            strategies=kind,
-            strategy_names=names,
+            strategies="knn",
+            strategy_names=("KNN",),
             predicted_retrieved=retrieved,
-            predicted_candidates=candidates,
+            predicted_candidates=retrieved,
             predicted_seconds=cost,
         )
         return PlanDecision(chosen=choice, considered=(choice,), key=key)
@@ -428,10 +393,8 @@ class QueryPlanner:
         self, key: tuple, integrator: ProbabilityIntegrator
     ) -> PlanDecision:
         kind = key[5] if len(key) > 5 else "prq"
-        if kind == "uncertain":
-            return self._fixed_kind_plan(key, kind, ("UT",), integrator)
         if kind == "knn":
-            return self._fixed_kind_plan(key, kind, ("KNN",), integrator)
+            return self._knn_plan(key, integrator)
         # Exact-target PRQs and mixtures share the combo menu: a mixture
         # is planned on its moment-matched envelope, and the chosen combo
         # becomes the per-component filter template inside

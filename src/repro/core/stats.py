@@ -10,6 +10,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Sequence
 
 __all__ = ["QueryStats", "BatchStats"]
 
@@ -68,6 +69,52 @@ class QueryStats:
         finally:
             elapsed = time.perf_counter() - start
             self.phase_seconds[phase] = self.phase_seconds.get(phase, 0.0) + elapsed
+
+    @classmethod
+    def combine(cls, parts: Sequence["QueryStats"]) -> "QueryStats":
+        """One query's stats from those of its disjoint parts — the legs
+        of an uncertain-target query, or a shard coordinator and its tasks.
+
+        Counters, timings and plan predictions add up, the planned
+        strategy names are the parts' ordered union, the plan counts as
+        cached only if every planned part's was, and the query is proven
+        empty only if every part was.  A single part is returned as is.
+        """
+        if len(parts) == 1:
+            return parts[0]
+        total = cls()
+        for part in parts:
+            total.retrieved += part.retrieved
+            for name, count in part.rejected_by_filter.items():
+                total.note_rejections(name, count)
+            total.accepted_without_integration += (
+                part.accepted_without_integration
+            )
+            total.integrations += part.integrations
+            total.integration_samples += part.integration_samples
+            for method, count in part.tier_decisions.items():
+                total.note_decision(method, count)
+            total.results += part.results
+            for phase, seconds in part.phase_seconds.items():
+                total.phase_seconds[phase] = (
+                    total.phase_seconds.get(phase, 0.0) + seconds
+                )
+            if part.plan_strategies is not None:
+                total.plan_strategies = tuple(dict.fromkeys(
+                    (*(total.plan_strategies or ()), *part.plan_strategies)
+                ))
+                total.plan_cache_hit = (
+                    total.plan_cache_hit is not False and part.plan_cache_hit
+                )
+                total.predicted_integrations = (
+                    total.predicted_integrations or 0.0
+                ) + part.predicted_integrations
+                total.predicted_seconds = (
+                    total.predicted_seconds or 0.0
+                ) + part.predicted_seconds
+        if all(part.empty_by_strategy for part in parts):
+            total.empty_by_strategy = parts[0].empty_by_strategy
+        return total
 
     @property
     def total_seconds(self) -> float:

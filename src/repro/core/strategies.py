@@ -88,9 +88,9 @@ class Strategy(abc.ABC):
         The stage pipeline's Phase 2 always calls this entry point.  The
         paper's strategies are pure functions of the candidate *location*,
         so the default ignores ``ids`` and delegates to :meth:`classify`;
-        kind adapters that keep per-object state (e.g. the per-target
-        covariance groups of
-        :class:`repro.core.kinds.ConvolvedTargetStrategy`) override it.
+        a strategy that keeps per-object state (the target covariance
+        groups of :class:`repro.core.kinds.TargetGroupStrategy`) overrides
+        it.
         """
         return self.classify(points)
 

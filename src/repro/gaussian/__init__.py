@@ -14,7 +14,6 @@ relies on:
   probabilities to validate the Monte Carlo integrators against.
 """
 
-from repro.gaussian.convolve import conservative_reach_alpha
 from repro.gaussian.distribution import Gaussian
 from repro.gaussian.mixture import GaussianMixture
 from repro.gaussian.radial import (
@@ -39,7 +38,6 @@ __all__ = [
     "r_theta",
     "offset_sphere_mass",
     "alpha_for_mass",
-    "conservative_reach_alpha",
     "GaussianQuadraticForm",
     "imhof_cdf",
     "ruben_cdf",

@@ -22,7 +22,7 @@ __all__ = ["EigenTransform", "WhiteningTransform", "spectral_decomposition"]
 _ArrayLike = Sequence[float] | np.ndarray
 
 #: Relative tolerance used when checking symmetry of covariance matrices.
-_SYMMETRY_RTOL = 1e-8
+SYMMETRY_RTOL = 1e-8
 
 
 def spectral_decomposition(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,7 +46,7 @@ def spectral_decomposition(sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"covariance must be a square matrix, got shape {mat.shape}"
         )
     scale = max(1.0, float(np.abs(mat).max()))
-    if not np.allclose(mat, mat.T, atol=_SYMMETRY_RTOL * scale):
+    if not np.allclose(mat, mat.T, atol=SYMMETRY_RTOL * scale):
         raise NotPositiveDefiniteError("covariance matrix is not symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh(mat)
     if eigenvalues[0] <= 0:

@@ -103,9 +103,8 @@ class ProbabilityIntegrator(abc.ABC):
         The stage pipeline's Phase 3 always calls this entry point.  The
         paper's integrand is a pure function of the candidate location,
         so the default ignores ``ids`` and delegates to :meth:`decide`;
-        kind adapters whose integrand depends on *which* object a row is
-        (the convolved uncertain-target decider, the k-NN win counter)
-        override it.
+        an adapter whose decision depends on *which* objects the rows are
+        (the k-NN win counter) overrides it.
         """
         return self.decide(gaussian, points, delta, theta)
 

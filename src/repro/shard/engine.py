@@ -46,13 +46,12 @@ from repro.core.engine import (
     QueryEngine,
     QueryResult,
 )
-from repro.core.kinds import adapt_pipeline, query_kind
+from repro.core.kinds import adapt_pipeline, query_kind, query_legs
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import BatchStats, QueryStats
 from repro.core.strategies import Strategy
 from repro.errors import QueryError, ReproError, ShardError
-from repro.geometry.mbr import Rect
 from repro.integrate.base import ProbabilityIntegrator
 from repro.obs import COUNT_BUCKETS, Observability, span_of
 from repro.shard.partition import ShardSpec
@@ -281,10 +280,10 @@ class _Prepared:
     """Coordinator-side state for one query of a batch."""
 
     stats: QueryStats
-    strategies: list[Strategy] = field(default_factory=list)
-    integrator: ProbabilityIntegrator | None = None
-    rect: Rect | None = None
-    routed: list[ShardSpec] = field(default_factory=list)
+    #: One task per (leg, routed shard) pair.
+    tasks: list[ShardTask] = field(default_factory=list)
+    #: (leg, shard) pairs pruned by MBR routing.
+    skipped: int = 0
     error: ReproError | None = None
     #: Result of a query executed coordinator-side (k-NN kind, whose win
     #: counting needs every competitor in one candidate set).
@@ -349,25 +348,11 @@ class ShardedEngine(QueryEngine):
         with span_of(
             obs, "batch", queries=len(queries), workers=pool.n_workers
         ):
-            prepared: list[_Prepared] = []
-            tasks: list[ShardTask] = []
-            task_slots: dict[int, tuple[int, ShardTaskResult | None]] = {}
-            for i, (query, seed) in enumerate(zip(queries, seeds)):
-                prep = self._prepare(
-                    i, query, seed, integrator_factory, return_errors
-                )
-                prepared.append(prep)
-                for spec in prep.routed:
-                    task = ShardTask(
-                        task_id=pool.next_task_id(),
-                        query_index=i,
-                        shard_id=spec.shard_id,
-                        query=query,
-                        strategies=[s.clone() for s in prep.strategies],
-                        integrator=prep.integrator,
-                    )
-                    tasks.append(task)
-                    task_slots[task.task_id] = (i, None)
+            prepared = [
+                self._prepare(i, query, seed, integrator_factory, return_errors)
+                for i, (query, seed) in enumerate(zip(queries, seeds))
+            ]
+            tasks = [task for prep in prepared for task in prep.tasks]
 
             report = PoolRunReport({})
             with span_of(
@@ -386,8 +371,8 @@ class ShardedEngine(QueryEngine):
                     )
 
             per_query: list[list[ShardTaskResult]] = [[] for _ in queries]
-            for task_id, result in report.results.items():
-                per_query[task_slots[task_id][0]].append(result)
+            for result in report.results.values():
+                per_query[result.query_index].append(result)
             results = [
                 self._merge(i, prep, per_query[i], return_errors)
                 for i, prep in enumerate(prepared)
@@ -412,15 +397,13 @@ class ShardedEngine(QueryEngine):
     def _prepare(
         self, i, query, seed, integrator_factory, return_errors
     ) -> _Prepared:
-        stats = QueryStats()
         try:
             strategies = [s.clone() for s in self.strategies]
             if integrator_factory is not None:
                 integrator = integrator_factory(query, seed)
             else:
                 integrator = self.integrator.fork(seed)
-            kind = query_kind(query)
-            if kind == "knn":
+            if query_kind(query) == "knn":
                 # The win count compares every competitor against every
                 # other, so the candidate set cannot be partitioned;
                 # execute against the coordinator's full index with the
@@ -437,45 +420,57 @@ class ShardedEngine(QueryEngine):
                     query, strategies, integrator, seed=seed
                 )
                 return _Prepared(stats=result.stats, local=result)
-            if self.planner is not None:
-                with stats.time_phase("plan"):
-                    strategies, _ = self._apply_plan(
-                        query, strategies, integrator, stats
+            # Plans are keyed on the caller's integrator; the
+            # composition-independence fix-up comes after, and the kind
+            # adapters wrap last so a kind decider stays outermost.
+            decider = (
+                integrator
+                if integrator.composition_independent
+                else CandidateSeededIntegrator(integrator)
+            )
+            shards = self.database.shards
+            parts: list[QueryStats] = []
+            tasks: list[ShardTask] = []
+            skipped = 0
+            for leg, restrict in query_legs(query, self.targets):
+                parts.append(QueryStats())
+                leg_strategies = strategies
+                if self.planner is not None:
+                    with parts[-1].time_phase("plan"):
+                        leg_strategies, _ = self._apply_plan(
+                            leg, strategies, integrator, parts[-1]
+                        )
+                # Only the k-NN adapter probes an index, and k-NN
+                # returned above.
+                leg_strategies, leg_decider = adapt_pipeline(
+                    leg, leg_strategies, decider, index=None, seed=seed
+                )
+                leg_strategies = [*restrict, *leg_strategies]
+                # Phase-0 routing: prepare a throwaway strategy set and
+                # reuse the engine's own Phase-1 rectangle as the routing
+                # volume.
+                rect = phase1_rect(
+                    leg,
+                    [s.clone() for s in leg_strategies],
+                    parts[-1],
+                    dim=self.database.dim,
+                )
+                routed = [] if rect is None else [
+                    spec for spec in shards if spec.mbr.intersects(rect)
+                ]
+                skipped += len(shards) - len(routed)
+                tasks += [
+                    ShardTask(
+                        task_id=self.database.pool.next_task_id(),
+                        query_index=i,
+                        shard_id=spec.shard_id,
+                        query=leg,
+                        strategies=[s.clone() for s in leg_strategies],
+                        integrator=leg_decider,
                     )
-            if not integrator.composition_independent:
-                integrator = CandidateSeededIntegrator(integrator)
-            # Kind adapters wrap *after* the composition-independence
-            # fix-up so a kind decider stays outermost and the routing
-            # rectangle below already carries the kind's Phase-1 geometry
-            # (convolved reach padding, per-component union).
-            # Only the k-NN adapter probes an index, and k-NN returned above.
-            assert kind != "knn"
-            strategies, integrator = adapt_pipeline(
-                query,
-                strategies,
-                integrator,
-                index=None,
-                targets=self.targets,
-                seed=seed,
-            )
-            # Phase-0 routing: prepare a throwaway strategy set and reuse
-            # the engine's own Phase-1 rectangle as the routing volume.
-            routing = [s.clone() for s in strategies]
-            rect = phase1_rect(query, routing, stats, dim=self.database.dim)
-            if rect is None:
-                return _Prepared(stats=stats)
-            routed = [
-                spec
-                for spec in self.database.shards
-                if spec.mbr.intersects(rect)
-            ]
-            return _Prepared(
-                stats=stats,
-                strategies=strategies,
-                integrator=integrator,
-                rect=rect,
-                routed=routed,
-            )
+                    for spec in routed
+                ]
+            return _Prepared(QueryStats.combine(parts), tasks, skipped)
         except BaseException as exc:  # noqa: BLE001 - re-typed below
             error = self._typed_failure(i, exc, return_errors)
             return _Prepared(stats=QueryStats(), error=error)
@@ -491,38 +486,23 @@ class ShardedEngine(QueryEngine):
             return QueryResult((), QueryStats(), error=prep.error)
         if prep.local is not None:
             return prep.local
-        stats = prep.stats
-        merged: set[int] = set()
+        parts = [prep.stats]
         errors: list[ShardError] = []
         # Shard order, not arrival order: merged stats dict insertion
         # (rejections, tier decisions) must not depend on scheduling.
         for result in sorted(shard_results, key=lambda r: r.shard_id):
             if result.error is not None:
                 errors.append(ShardError(result.shard_id, i, result.error))
-                continue
-            merged.update(result.ids)
-            s = result.stats
-            stats.retrieved += s.retrieved
-            for name, count in s.rejected_by_filter.items():
-                stats.note_rejections(name, count)
-            stats.accepted_without_integration += (
-                s.accepted_without_integration
-            )
-            stats.integrations += s.integrations
-            stats.integration_samples += s.integration_samples
-            for method, count in s.tier_decisions.items():
-                stats.note_decision(method, count)
-            for phase, seconds in s.phase_seconds.items():
-                stats.phase_seconds[phase] = (
-                    stats.phase_seconds.get(phase, 0.0) + seconds
-                )
+            else:
+                parts.append(result.stats)
         if errors:
             if not return_errors:
                 raise errors[0]
             return QueryResult((), QueryStats(), error=errors[0])
-        ids = tuple(sorted(int(obj) for obj in merged))
-        stats.results = len(ids)
-        return QueryResult(ids, stats)
+        ids = tuple(sorted(
+            int(obj) for result in shard_results for obj in result.ids
+        ))
+        return QueryResult(ids, QueryStats.combine(parts))
 
     def _publish(
         self, obs, prepared, tasks, report, n_shards: int
@@ -552,9 +532,9 @@ class ShardedEngine(QueryEngine):
         for prep in prepared:
             if prep.error is not None:
                 continue
-            routed.inc(len(prep.routed))
-            skipped.inc(n_shards - len(prep.routed))
-            fanout.observe(len(prep.routed))
+            routed.inc(len(prep.tasks))
+            skipped.inc(prep.skipped)
+            fanout.observe(len(prep.tasks))
         reg.counter(
             "repro_shard_worker_failures_total",
             "Worker processes found dead (and respawned) during "

@@ -108,6 +108,7 @@ def _removed_knob_calls():
     ``TypeError`` (unexpected keyword), never a silent no-op."""
     import numpy as np
 
+    from repro.core.kinds import adapt_pipeline
     from repro.core.saferegion import SafeRegion
     from repro.serve import CostTracker, ServiceConfig
     from repro.shard import ShardedDatabase
@@ -122,6 +123,10 @@ def _removed_knob_calls():
             points, data_bounds=None
         ),
         "planner-estimator": lambda: repro.QueryPlanner(points, estimator=None),
+        "planner-targets": lambda: repro.QueryPlanner(points, targets=None),
+        "adapt_pipeline-targets": lambda: adapt_pipeline(
+            None, [], None, index=None, targets=None
+        ),
         "db.planner-kwargs": lambda: _tiny_database().planner(cache_size=2),
         "sharded.planner-kwargs": lambda: ShardedDatabase.planner(
             None, cache_size=2
@@ -187,7 +192,16 @@ def _removed_entry_calls():
     def import_monitor_request():
         from repro.serve import MonitorRequest  # noqa: F401
 
+    def import_convolve():
+        import repro.gaussian.convolve  # noqa: F401
+
     return {
+        # Uncertain targets run as ordinary PRQ legs; the second pipeline
+        # that used to run them is gone.
+        "ConvolvedTargetStrategy": lambda: repro.core.kinds.ConvolvedTargetStrategy,
+        "UncertainTargetDecider": lambda: repro.core.kinds.UncertainTargetDecider,
+        "conservative_reach_alpha": lambda: repro.gaussian.conservative_reach_alpha,
+        "gaussian.convolve": import_convolve,
         "MonitorRequest": import_monitor_request,
         "monitor-MonitorRequest": lambda: repro.serve.monitor.MonitorRequest,
         "handle": lambda: SubscriptionManager.handle,

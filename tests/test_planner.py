@@ -298,13 +298,13 @@ class TestPlannerConfig:
             {"rtheta_lookup": None},
             {"bf_lookup": None},
             {"fringe_filter": "exact"},
+            {"targets": None},
         ):
             with pytest.raises(TypeError):
                 QueryPlanner(points, **knob)
         assert list(inspect.signature(QueryPlanner.__init__).parameters) == [
             "self",
             "points",
-            "targets",
         ]
 
     def test_uniform_fallback_without_estimator(self):

@@ -31,7 +31,8 @@ from repro import (
     probabilistic_nearest_neighbors,
     query_kind,
 )
-from repro.core.kinds import QUERY_KINDS, adapt_pipeline
+from repro.catalog.bf import alpha_radii
+from repro.core.kinds import QUERY_KINDS, adapt_pipeline, query_legs
 from repro.core.strategies import STRATEGY_COMBINATIONS, make_strategies
 from repro.errors import QueryError
 from repro.gaussian.quadform import qualification_probability_exact
@@ -87,39 +88,41 @@ class TestKindTags:
         with pytest.raises(QueryError, match="GaussianMixture"):
             MixtureRangeQuery(g, 1.0, 0.1)
 
-    def test_adapt_pipeline_requires_targets(self):
+    def test_query_legs_require_targets(self):
         g = Gaussian([0.0, 0.0], np.eye(2))
         query = UncertainTargetQuery(g, 1.0, 0.1)
         with pytest.raises(QueryError, match="target"):
-            adapt_pipeline(
-                query, make_strategies("all"), ExactIntegrator(),
-                index=None, targets=None,
-            )
+            query_legs(query, None)
+        table = TargetCovarianceTable.shared(np.eye(3), range(5))
+        with pytest.raises(QueryError, match="dimension"):
+            query_legs(query, table)
 
     def test_kind_strategies_hand_back_the_rectangle_prepare_built(self):
         g = paper_like_gaussian(2)
         mix = GaussianMixture([g, g.shifted([80.0, -40.0])])
-        table = make_target_table(range(30), 2)
-        for query in (
-            UncertainTargetQuery(g, 60.0, 0.05),
-            MixtureRangeQuery.create(mix, 60.0, 0.05),
-        ):
-            (strategy,), _ = adapt_pipeline(
-                query, make_strategies("all"), ExactIntegrator(),
-                index=None, targets=table,
-            )
-            with pytest.raises(QueryError, match="before prepare"):
-                strategy.search_rect()
-            strategy.prepare(query)
-            rect = strategy.search_rect()
-            assert rect is not None and strategy.search_rect() is rect
-        # Proven empty: the rectangle prepare stored is "none".
-        empty = UncertainTargetQuery(g, 1e-3, 0.999)
+        query = MixtureRangeQuery.create(mix, 60.0, 0.05)
         (strategy,), _ = adapt_pipeline(
-            empty, [], ExactIntegrator(), index=None, targets=table
+            query, make_strategies("all"), ExactIntegrator(), index=None
+        )
+        with pytest.raises(QueryError, match="before prepare"):
+            strategy.search_rect()
+        strategy.prepare(query)
+        rect = strategy.search_rect()
+        assert rect is not None and strategy.search_rect() is rect
+        # Proven empty: the rectangle prepare stored is "none".
+        empty = MixtureRangeQuery.create(mix, 1e-3, 0.999)
+        (strategy,), _ = adapt_pipeline(
+            empty, make_strategies("all"), ExactIntegrator(), index=None
         )
         strategy.prepare(empty)
         assert strategy.proves_empty and strategy.search_rect() is None
+        # The group filter of an uncertain leg offers no rectangle at all.
+        table = make_target_table(range(30), 2)
+        (_, (group,)), *_ = query_legs(UncertainTargetQuery(g, 60.0, 0.05), table)
+        with pytest.raises(QueryError, match="before prepare"):
+            group.search_rect()
+        group.prepare(query)
+        assert group.search_rect() is None and not group.proves_empty
 
     def test_uncertain_without_table_fails_in_engine(self):
         db = SpatialDatabase(make_points(50, 2))
@@ -161,6 +164,44 @@ class TestTargetCovarianceTable:
         with pytest.raises(QueryError, match="dimension"):
             SpatialDatabase(make_points(10, 2), target_table=table)
 
+    @pytest.mark.parametrize(
+        "sigma, problem",
+        [
+            (-np.eye(2), "positive semi-definite"),
+            (np.diag([4.0, -1e-3]), "positive semi-definite"),
+            (np.array([[4.0, 1.0], [0.0, 4.0]]), "symmetric"),
+            (np.full((2, 2), np.nan), "finite"),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), "finite"),
+        ],
+        ids=["minus-identity", "negative-eigenvalue", "asymmetric", "nan", "inf"],
+    )
+    def test_rejects_invalid_covariances(self, sigma, problem):
+        with pytest.raises(QueryError, match=problem):
+            TargetCovarianceTable({0: 0, 1: 1}, [np.eye(2), sigma])
+        with pytest.raises(QueryError, match=problem):
+            TargetCovarianceTable.shared(sigma, range(4))
+
+    def test_zero_covariance_is_an_exact_target(self):
+        points = make_points(200, 2, seed=6)
+        ids = np.arange(200)
+        db = SpatialDatabase(
+            points, ids=ids,
+            target_table=TargetCovarianceTable.shared(np.zeros((2, 2)), ids),
+        )
+        gaussian = paper_like_gaussian(2)
+        engine = db.engine(strategies="all", integrator=ExactIntegrator())
+        uncertain = engine.execute(UncertainTargetQuery(gaussian, 60.0, 0.05))
+        exact = engine.execute(ProbabilisticRangeQuery(gaussian, 60.0, 0.05))
+        assert uncertain.ids == exact.ids and exact.ids
+
+    def test_database_needs_a_group_for_every_id(self):
+        table = TargetCovarianceTable.shared(40.0 * np.eye(2), range(50))
+        with pytest.raises(QueryError, match="object id 50"):
+            SpatialDatabase(make_points(100, 2), target_table=table)
+        ids = np.arange(100, 200)
+        with pytest.raises(QueryError, match="object id 100"):
+            SpatialDatabase(make_points(100, 2), ids=ids, target_table=table)
+
 
 # ----------------------------------------------------------------------
 # Oracle parity + filter soundness, per kind
@@ -193,11 +234,13 @@ class TestUncertainOracleParity:
                 expected.append(int(i))
         assert expected, "oracle answer set must be non-empty to be a test"
 
-        for spec in ("all", "auto"):
+        for spec in ("all", "bf", "rr", "em", "auto"):
             result = db.engine(
                 strategies=spec, integrator=integrator
             ).execute(query)
-            assert list(result.ids) == expected
+            assert list(result.ids) == expected, spec
+            # One leg per covariance group, each behind its group filter.
+            assert result.stats.rejected_by_filter.get("GROUP", 0) > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -387,10 +430,11 @@ class TestPlannerKindPlans:
         ).stats
         assert prq_stats.plan_strategies in STRATEGY_COMBINATIONS.values()
 
+        # A single-group table: one leg, planned like any PRQ.
         ut_stats = engine.execute(
             UncertainTargetQuery(gaussian, 60.0, 0.05)
         ).stats
-        assert ut_stats.plan_strategies == ("UT",)
+        assert ut_stats.plan_strategies in STRATEGY_COMBINATIONS.values()
 
         knn_stats = engine.execute(
             KNNQuery.create(gaussian, k=1, theta=0.2, n_samples=200)
@@ -398,7 +442,8 @@ class TestPlannerKindPlans:
         assert knn_stats.plan_strategies == ("KNN",)
 
     def test_cache_key_separates_target_tables(self):
-        """Same query shape, different target spectra: no plan sharing."""
+        """Same query shape, different target spectra: the legs are
+        different convolved PRQs, so they never share a plan."""
         points = make_points(100, 2, seed=2)
         ids = np.arange(100)
         gaussian = paper_like_gaussian(2)
@@ -411,23 +456,46 @@ class TestPlannerKindPlans:
                     scale * np.eye(2), ids
                 ),
             )
-            planner = db.planner()
-            decision = planner.plan(query, ExactIntegrator())
+            ((leg, restrict),) = query_legs(query, db.targets)
+            assert restrict == []
+            decision = db.planner().plan(leg, ExactIntegrator())
             keys.append(decision.key)
         assert keys[0] != keys[1]
 
     def test_explain_renders_kind_plans(self):
         db = kinded_db()
-        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
         gaussian = paper_like_gaussian(2)
-        ut = engine.explain(
+        # An uncertain explain is the explain of its convolved leg: BF's
+        # radii are those of N(q, Σ_q + Σ_o).
+        ut = db.engine(strategies="all", integrator=ExactIntegrator()).explain(
             UncertainTargetQuery(gaussian, 60.0, 0.05)
         ).render()
-        assert "UT" in ut
+        convolved = Gaussian(gaussian.mean, gaussian.sigma + 50.0 * np.eye(2))
+        upper, lower = alpha_radii(convolved, 60.0, 0.05)
+        assert f"BF: prune beyond {upper:.3f}, accept within {lower:.3f}" in ut
+        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
         knn = engine.explain(
             KNNQuery.create(gaussian, k=1, theta=0.2, n_samples=200)
         ).render()
         assert "KNN" in knn
+
+    def test_explain_describes_every_group_leg(self):
+        points = make_points(250, 2, seed=2)
+        ids = np.arange(250)
+        table = make_target_table(ids, 2, seed=3)
+        db = SpatialDatabase(points, ids=ids, target_table=table)
+        query = UncertainTargetQuery(paper_like_gaussian(2), 90.0, 0.03)
+        plan = db.engine(strategies="all", integrator=ExactIntegrator()).explain(
+            query
+        )
+        assert plan.strategies == ("GROUP", "RR", "BF", "OR")
+        text = plan.render()
+        for group, (leg, _) in enumerate(query_legs(query, table)):
+            upper, lower = alpha_radii(leg.gaussian, 90.0, 0.03)
+            assert (
+                f"group {group}: BF: prune beyond {upper:.3f}, "
+                f"accept within {lower:.3f}"
+            ) in text
 
 
 class TestNoRegressionForPrq:

@@ -15,7 +15,7 @@ from repro.core.database import SpatialDatabase
 from repro.core.engine import BatchResult, QueryResult
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.kinds import (
-    ConvolvedTargetStrategy,
+    TargetGroupStrategy,
     KNNCutStrategy,
     MixtureFilterStrategy,
 )
@@ -160,7 +160,7 @@ def test_classify_many_scalar_fallback(database):
         ObliqueStrategy,
         BoundingFunctionStrategy,
         EllipsoidStrategy,
-        ConvolvedTargetStrategy,
+        TargetGroupStrategy,
         MixtureFilterStrategy,
         KNNCutStrategy,
     ):

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.core.database import SpatialDatabase
+from repro.core.kinds import TargetCovarianceTable, UncertainTargetQuery
 from repro.core.query import ProbabilisticRangeQuery
 from repro.gaussian.distribution import Gaussian
 from repro.integrate import (
@@ -237,3 +238,41 @@ def test_integrator_factory_is_evaluated_at_the_coordinator(
     assert len(calls) == len(queries)
     for got, want in zip(batch.results, baseline.results):
         assert got.ids == want.ids
+
+
+@pytest.mark.parametrize("name", ["exact", "cascade"])
+def test_uncertain_group_legs_match_unsharded(name):
+    """An uncertain-target query over a 2-group table scatters one leg
+    per group; the merged answer and counters equal the unsharded run."""
+    points = make_points()
+    ids = np.arange(len(points))
+    table = TargetCovarianceTable(
+        {int(i): int(i) % 2 for i in ids},
+        [30.0 * np.eye(2), np.diag([150.0, 10.0])],
+    )
+    database = SpatialDatabase(points, target_table=table)
+    rng = np.random.default_rng(41)
+    queries = [
+        UncertainTargetQuery(
+            Gaussian(rng.uniform(150.0, 850.0, 2), random_spd(rng, 2, scale=80.0)),
+            float(rng.uniform(15.0, 40.0)),
+            float(rng.uniform(0.05, 0.3)),
+        )
+        for _ in range(8)
+    ]
+    baseline = database.engine(
+        strategies="all", integrator=INDEPENDENT[name]()
+    ).run_batch(queries, base_seed=8)
+    assert any(r.ids for r in baseline.results)
+    with database.shard(2) as sdb:
+        batch = sdb.engine(
+            strategies="all", integrator=INDEPENDENT[name]()
+        ).run_batch(queries, base_seed=8)
+    for got, want in zip(batch.results, baseline.results):
+        assert got.ids == want.ids
+        assert got.stats.retrieved == want.stats.retrieved
+        assert got.stats.integrations == want.stats.integrations
+        assert got.stats.results == want.stats.results
+        assert dict(got.stats.rejected_by_filter) == dict(
+            want.stats.rejected_by_filter
+        )
