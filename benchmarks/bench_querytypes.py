@@ -3,7 +3,8 @@
 The acceptance bar for the unified query-kind pipeline (see
 docs/query_types.md): for every kind — exact-target PRQ,
 uncertain-target PRQ, Gaussian-mixture, probabilistic k-NN — the
-auto-planned engine must run a mixed workload within 1.1x of the best
+``auto`` engine (the paper's ALL for range-shaped kinds, the kind plan
+for k-NN) must run a mixed workload within 1.1x of the best
 *fixed* plan for that kind (the "fixed oracle": rerun the workload under
 each fixed strategy spec and keep the cheapest).  Answers must be
 bit-identical across every plan, fixed or auto — strategies only change
@@ -150,7 +151,7 @@ def test_query_kind_auto_plan(benchmark):
                 spec: db.engine(strategies=spec, integrator=CascadeIntegrator())
                 for spec in (*FIXED_SPECS, "auto")
             }
-            # Warm-up pass: plan caches, r_theta/BF lookups — and the
+            # Warm-up pass: r_theta/BF lookups — and the
             # soundness check. Every plan must return the same answer.
             answers = {
                 label: run_workload(engine, queries)

@@ -172,28 +172,26 @@ def test_cascade_speedup(benchmark):
 
 
 def test_planner_vs_fixed(benchmark):
-    """Cost-based planner ('auto') vs every fixed strategy combination.
+    """``auto`` (the paper's ALL, RR+BF+OR) vs every fixed combination.
 
     The acceptance bar for ``strategy="auto"`` on a mixed road workload:
 
     - total time within 1.1x of the *per-query best* fixed strategy — an
       oracle that picks the fastest fixed combination for every query
-      individually, so it pays no planning cost at all;
+      individually;
     - at least 1.5x faster than the *worst* fixed strategy — the cost a
       user pays for hard-coding the wrong combination.
 
-    The workload uses a quantized delta/theta menu (the production shape),
-    so the LRU plan cache absorbs most planning work after the first
-    occurrence of each query shape.
+    ``auto`` runs ALL on every query, so this measures how close the
+    paper's one configuration comes to the per-query oracle.
     """
 
     def run():
         db = load_road_database()
         generator = WorkloadGenerator(db, seed=13, quantize=4)
         queries = generator.batch(40)
-        # The full budget per candidate: the premise of both bars, and of
-        # the planner's cost model, is that Phase 3 costs what the chosen
-        # strategies leave it.
+        # The full budget per candidate: the premise of both bars is that
+        # Phase 3 costs what the chosen strategies leave it.
         integrator = _FixedBudgetSampler(bench_samples(), seed=1)
 
         fixed = {}
@@ -213,7 +211,7 @@ def test_planner_vs_fixed(benchmark):
 
         table = ExperimentTable(
             f"Workload — {len(queries)} mixed queries, fixed strategies vs "
-            "cost-based planner",
+            "auto (the paper's ALL)",
             ["strategies", "total s", "p95 ms", "mean integrations"],
         )
         for spec, rep in list(fixed.items()) + [("auto", auto)]:
@@ -223,11 +221,7 @@ def test_planner_vs_fixed(benchmark):
                 rep.percentile(95) * 1e3,
                 float(sum(rep.integrations)) / len(rep.integrations),
             )
-        cache_hits = sum(p["cache_hit"] for p in auto.plans)
-        table.note(
-            f"per-query-best oracle: {per_query_best:.3f}s; "
-            f"plan cache hits: {cache_hits}/{len(auto.plans)}"
-        )
+        table.note(f"per-query-best oracle: {per_query_best:.3f}s")
         return table, fixed, auto, per_query_best, worst_spec
 
     table, fixed, auto, per_query_best, worst_spec = benchmark.pedantic(
@@ -248,7 +242,6 @@ def test_planner_vs_fixed(benchmark):
             | {"auto": auto.total_seconds},
             "per_query_best_seconds": per_query_best,
             "worst_fixed": worst_spec,
-            "plan_cache_hits": sum(p["cache_hit"] for p in auto.plans),
             "plans_chosen": chosen_counts,
             "plans": auto.plans,
         },

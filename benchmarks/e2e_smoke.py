@@ -11,7 +11,11 @@ exercised and that it runs as the block sweep, not as scalar
 row costs no more than a few Tier-1 rows, and on ``prq_cascade_9d``, where
 every candidate is decided inside a traced kernel, that Phase 3 spends
 little time outside them (within-run ratios, so the hardware does not
-matter).  On ``prq_mc_2d`` it checks that the importance sampler still
+matter).  On both cascade workloads, whose engines say ``strategies="auto"``,
+it also checks that planning stays off the hot path: ``planner.plan_s`` is at
+most 2 % of ``engine.run_batch_s`` in the same traced run (about 30 % while
+``auto`` sampled a cost model per query; the rule that runs ALL reads about
+0.1 %).  On ``prq_mc_2d`` it checks that the importance sampler still
 settles rows by sandwich bounds first and draws well under its budget.
 On ``shard_batch_2d``, whose Phase 1 runs inside the shard workers, the
 Phase-1 check is replaced by one that the workers received tasks and
@@ -45,6 +49,11 @@ DECIDE_KERNELS = (
     "kernels.ruben_block_s",
     "kernels.squared_distance_noncentralities_s",
 )
+
+#: ``planner.plan_s`` over ``engine.run_batch_s`` on the two ``auto``
+#: workloads: about 0.26-0.34 while every query sampled a cost model over
+#: six strategy combos, about 0.001 with the constant-time rule.
+PLAN_SHARE_LIMIT = 0.02
 
 #: ``integrate.samples_per_candidate`` on ``prq_mc_2d``: 100 000 while every
 #: candidate drew the paper's full budget, about 23 000 with sandwich
@@ -84,6 +93,14 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
             "longer sits on the search the pipeline uses"
         )
     if workload in ("prq_cascade_2d", "prq_cascade_9d"):
+        plan = metric("planner.plan_s") or 0
+        batch = metric("engine.run_batch_s") or 0
+        if plan > PLAN_SHARE_LIMIT * batch:
+            found.append(
+                f"planner.plan_s = {plan!r} is not within {PLAN_SHARE_LIMIT} x "
+                f"engine.run_batch_s = {batch!r}: planning is back on the "
+                "hot path"
+            )
         ruben = metric("kernels.ruben_block_ns_per_row") or 0
         sandwich = metric("kernels.chi2_sandwich_block_ns_per_row") or 0
         if not 0 < ruben <= RUBEN_ROW_COST_LIMIT * sandwich:

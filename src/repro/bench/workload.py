@@ -130,9 +130,9 @@ class WorkloadReport:
     #: per-tier breakdown), summed over the batch.
     tier_decisions: dict[str, int] = field(default_factory=dict)
     phase_totals: dict[str, float] = field(default_factory=dict)
-    #: Per-query planner decisions (input order): strategy combo chosen,
-    #: plan-cache hit, and predicted vs actual Phase-3
-    #: candidate counts.  Empty when the engine has no planner attached.
+    #: Per-query planner decisions (input order): strategy combo chosen
+    #: and actual Phase-3 candidate count.  Empty when the engine has no
+    #: planner attached.
     plans: list[dict] = field(default_factory=list)
     #: End-to-end batch wall time; None on the legacy per-query path,
     #: where per-query latencies are the only timing available.
@@ -185,10 +185,7 @@ def _record_plan(report: WorkloadReport, stats) -> None:
     report.plans.append(
         {
             "strategies": "+".join(stats.plan_strategies),
-            "cache_hit": bool(stats.plan_cache_hit),
-            "predicted_phase3": stats.predicted_integrations,
             "actual_phase3": stats.integrations,
-            "predicted_seconds": stats.predicted_seconds,
         }
     )
 

@@ -250,7 +250,7 @@ def alpha_radii(
       ill-shaped high-dimensional case of Section VI).
 
     Shared by :class:`repro.core.strategies.BoundingFunctionStrategy`
-    and the query planner's plan explanations, so the radii reported by
+    and the engine's plan explanations, so the radii reported by
     ``repro explain`` are exactly the radii the filter executes with.
     """
     lookup = lookup or ExactBFLookup(gaussian.dim)

@@ -8,8 +8,7 @@ Commands, one module per family (each declares its flags next to its body):
     against a saved database (a ``.soa`` store or a legacy ``.npz``) in
     any kind (``--kind prq|uncertain|mixture|knn``, ``docs/query_types.md``),
     optionally ``--shards N`` ways; ``explain`` prints the plan — strategy
-    regions, BF radii, predicted Phase-3 candidates and, with
-    ``--strategies auto``, the planner's plan comparison — without Phase 3.
+    regions, BF radii and predicted Phase-3 candidates — without Phase 3.
 :mod:`repro.cli.serve`
     ``serve`` answers a JSON-lines request stream through the embedded
     service, one response line per request (``docs/serving.md``);

@@ -178,7 +178,8 @@ def _batch_queries(db, args):
     "query", "query a saved database",
     arg("--strategies", default="all",
         help="strategy spec (rr, bf, rr+bf, rr+or, bf+or, all, em, em+bf) "
-        "or 'auto' for cost-based planning"),
+        "or 'auto': the paper's ALL for range-shaped legs, the kind plan "
+        "for k-NN"),
     arg("--exact", action="store_true", help="shorthand for --integrator exact"),
     arg("--batch", default=None, metavar="FILE",
         help='JSON file with a list of query specs [{"center": [...], '
@@ -236,7 +237,8 @@ def _run_query(db, args) -> int:
 @verb(
     "explain", "show the query plan without integrating",
     arg("--strategies", default="auto",
-        help="strategy spec or 'auto' for the cost-based planner (default: auto)"),
+        help="strategy spec or 'auto': the paper's ALL for range-shaped "
+        "legs, the kind plan for k-NN (default: auto)"),
     parents=(DATABASE, SHAPE),
 )
 def explain(args) -> int:

@@ -105,7 +105,8 @@ def _monitor_row(monitor, spec: dict, dim: int, line_no: int) -> dict:
         'are described in docs/serving.md, lines with a "type" key in '
         "docs/monitoring.md"),
     arg("--strategies", default="all",
-        help="strategy spec or 'auto' for cost-based planning"),
+        help="strategy spec or 'auto': the paper's ALL for range-shaped "
+        "legs, the kind plan for k-NN"),
     arg("--target-sigma-scale", type=float, default=None, metavar="SCALE",
         help="give every database object a Gaussian location N(point, "
         'SCALE*I) so requests with "kind": "uncertain" can be served'),

@@ -40,11 +40,7 @@ from repro.core.kinds import (
     UncertainTargetQuery,
     query_kind,
 )
-from repro.core.planner import (
-    PlanChoice,
-    PlanDecision,
-    QueryPlanner,
-)
+from repro.core.planner import PlanChoice, QueryPlanner
 from repro.core.database import SpatialDatabase
 from repro.core.sweep import ThresholdSweepResult, threshold_sweep
 from repro.core.selectivity import SelectivityEstimator
@@ -76,7 +72,6 @@ __all__ = [
     "QueryPlan",
     "QueryPlanner",
     "PlanChoice",
-    "PlanDecision",
     "QueryResult",
     "SpatialDatabase",
     "ThresholdSweepResult",

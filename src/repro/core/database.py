@@ -102,7 +102,6 @@ class SpatialDatabase:
         self._backing = _backing  # keeps a memory-mapped store file alive
         self._pending_index = index
         self._built_index: SpatialIndex | None = None
-        self._default_planner: QueryPlanner | None = None
         if not defer_index:
             self._ensure_index()
 
@@ -179,8 +178,8 @@ class SpatialDatabase:
 
         Either pass a ready :class:`Gaussian` or ``center=``/``sigma=``.
         ``strategies`` is a spec string (``"rr"``, ``"bf"``, ``"rr+bf"``,
-        ``"rr+or"``, ``"bf+or"``, ``"all"``), the adaptive ``"auto"``
-        (cost-based planning per query), or an explicit strategy list.
+        ``"rr+or"``, ``"bf+or"``, ``"all"``), ``"auto"`` (ALL for range-shaped
+        legs, the kind plan for k-NN), or an explicit strategy list.
         ``obs`` is an optional :class:`repro.obs.Observability` sink.
         """
         if gaussian is None:
@@ -204,9 +203,9 @@ class SpatialDatabase:
     ) -> QueryEngine:
         """A reusable engine (hold on to it when running many queries).
 
-        ``strategies="auto"`` attaches the database's shared
-        :class:`QueryPlanner` so every query runs the cheapest plan under
-        the planner's cost model.  ``obs`` attaches a
+        ``strategies="auto"`` attaches the database's
+        :class:`QueryPlanner`: the paper's ALL (RR+BF+OR) for range-shaped
+        legs, and the kind plan for k-NN.  ``obs`` attaches a
         :class:`repro.obs.Observability` sink: spans and metrics for every
         query the engine runs, with no effect on results.
         """
@@ -233,14 +232,9 @@ class SpatialDatabase:
         return None, list(strategies)
 
     def planner(self) -> QueryPlanner:
-        """The database's shared cost-based query planner.
-
-        Built lazily on first use over the database's points and cached
-        so the plan cache warms across engines.
-        """
-        if self._default_planner is None:
-            self._default_planner = QueryPlanner(self._points)
-        return self._default_planner
+        """The database's ``"auto"`` planner: the paper's ALL (RR+BF+OR)
+        for range-shaped legs, and the kind plan for k-NN."""
+        return QueryPlanner()
 
     def top_k_by_probability(
         self,

@@ -18,10 +18,8 @@ single-query and batch paths cannot drift apart.
 The engine is strategy-agnostic: the paper's six configurations are just
 different strategy lists (see :func:`repro.core.strategies.make_strategies`).
 With a :class:`repro.core.planner.QueryPlanner` attached (the
-``strategy="auto"`` path), the engine instead plans each query
-individually: the planner scores one plan per strategy combo on its cost
-model and the engine executes the cheapest (always over the intersected
-Phase-1 rectangle), recording predictions into :class:`QueryStats`.
+``strategy="auto"`` path), each leg runs the planner's rule: the paper's
+ALL (RR+BF+OR) for range-shaped legs, and the kind plan for k-NN.
 
 Beyond single-query :meth:`QueryEngine.execute`, the engine offers a
 batched path — :meth:`QueryEngine.run_batch`, sequential at
@@ -30,9 +28,8 @@ own strategy clones and a forked integrator seeded from one spawned
 :class:`numpy.random.SeedSequence`.  Results therefore depend only on
 (seed, query position), never on worker count or completion order:
 ``run_batch(queries, workers=k)`` is bit-identical to
-``run_batch(queries, workers=1)`` for every ``k`` — with or without a
-planner (plans are a pure function of the quantized query shape, so a
-cold plan cache and a warm one produce identical result sets).
+``run_batch(queries, workers=1)`` for every ``k``, with or without a
+planner.
 """
 
 from __future__ import annotations
@@ -70,7 +67,7 @@ from repro.integrate.importance import ImportanceSamplingIntegrator
 from repro.obs import Observability, span_of
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.planner import PlanChoice, PlanDecision, QueryPlanner
+    from repro.core.planner import QueryPlanner
 
 __all__ = ["QueryEngine", "QueryResult", "BatchResult", "QueryPlan"]
 
@@ -139,13 +136,9 @@ class BatchResult:
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """The output of :meth:`QueryEngine.explain` — an explainable plan.
-
-    Beyond the strategy descriptions and Phase-1 rectangle, a planned
-    (``strategy="auto"``) engine attaches the full cost-model comparison:
-    every candidate plan the planner scored, with predicted candidate
-    counts and predicted cost, cheapest first.
-    """
+    """The output of :meth:`QueryEngine.explain` — an explainable plan:
+    the strategy descriptions, the Phase-1 rectangle and, given a
+    selectivity estimator, the predicted Phase-3 candidate count."""
 
     strategies: tuple[str, ...]
     descriptions: tuple[str, ...]
@@ -156,13 +149,6 @@ class QueryPlan:
     alpha_upper: float | None = None
     #: BF free-accept radius α⊥ (None = no inner hole or BF inactive).
     alpha_lower: float | None = None
-    #: Cost-model prediction for the whole query, seconds.
-    predicted_seconds: float | None = None
-    #: Every plan the planner considered, cheapest first (empty when the
-    #: engine runs a fixed strategy list).
-    comparison: tuple["PlanChoice", ...] = ()
-    #: True when a cost-based planner chose this plan.
-    planned: bool = False
 
     def summary(self) -> str:
         """One-line digest: strategies, BF radii, predictions.
@@ -181,14 +167,10 @@ class QueryPlan:
             parts.append(f"empty_by={self.proves_empty}")
         if self.predicted_candidates is not None:
             parts.append(f"predicted_phase3={self.predicted_candidates:.1f}")
-        if self.predicted_seconds is not None:
-            parts.append(f"predicted_ms={self.predicted_seconds * 1e3:.2f}")
         return " ".join(parts)
 
     def render(self) -> str:
         lines = [f"strategies: {' + '.join(self.strategies)}"]
-        if self.planned:
-            lines[0] += "  (chosen by cost-based planner)"
         lines.extend(f"  {text}" for text in self.descriptions)
         if self.proves_empty:
             lines.append(f"result proven empty by {self.proves_empty}")
@@ -199,20 +181,6 @@ class QueryPlan:
             lines.append(
                 f"predicted phase-3 candidates: {self.predicted_candidates:.1f}"
             )
-        if self.comparison:
-            lines.append("plans considered (cost model, cheapest first):")
-            lines.append(
-                f"    {'strategies':<12} "
-                f"{'retrieved':>9} {'phase3':>7} {'cost ms':>8}"
-            )
-            for choice in self.comparison:
-                marker = "  * " if choice is self.comparison[0] else "    "
-                lines.append(
-                    f"{marker}{choice.strategies:<12} "
-                    f"{choice.predicted_retrieved:>9.1f} "
-                    f"{choice.predicted_candidates:>7.1f} "
-                    f"{choice.predicted_seconds * 1e3:>8.2f}"
-                )
         return "\n".join(lines)
 
 
@@ -225,17 +193,18 @@ class QueryEngine:
         Any :class:`repro.index.SpatialIndex` holding the target objects.
     strategies:
         Filtering strategies to combine; must be non-empty (the strategies
-        also supply the Phase-1 search region).  With a ``planner`` the
-        chosen plan's combination replaces them; kind-specific plans keep
-        them as the base list the kind adapters wrap.
+        also supply the Phase-1 search region).  With a ``planner`` each
+        leg runs its plan's combination, reusing these strategies when
+        they already are that combination; kind-specific plans keep them
+        as the base list the kind adapters wrap.
     integrator:
         Phase-3 probability evaluator; defaults to the paper's importance
         sampling with 100,000 samples.
     planner:
-        Optional :class:`repro.core.planner.QueryPlanner`.  When present,
-        every executed query is planned individually — the planner picks
-        the cheapest strategy combo under its cost model — and the
-        predictions are recorded in the query's :class:`QueryStats`.
+        Optional :class:`repro.core.planner.QueryPlanner` (``"auto"``):
+        the paper's ALL (RR+BF+OR) for range-shaped legs, and the kind
+        plan for k-NN.  The plan's strategy names are recorded in the
+        query's :class:`QueryStats`.
     obs:
         Optional :class:`repro.obs.Observability`.  When present, every
         execution emits hierarchical spans (query → phase → integrator
@@ -274,10 +243,7 @@ class QueryEngine:
         self.targets = targets
 
     def execute(self, query: ProbabilisticRangeQuery) -> QueryResult:
-        result = self._execute_with(query, self.strategies, self.integrator)
-        if self.obs is not None and self.planner is not None:
-            self.planner.publish_metrics(self.obs)
-        return result
+        return self._execute_with(query, self.strategies, self.integrator)
 
     def run_batch(
         self,
@@ -298,9 +264,7 @@ class QueryEngine:
         overrides the default fork of the engine's integrator, e.g. to
         tune an adaptive sampler to each query's own θ.
         The engine instance itself is never mutated, so one engine can
-        serve many concurrent ``run_batch`` calls.  With a planner, plan
-        choices depend only on each query's own quantized shape — never on
-        batch order or cache warmth — so the contract still holds.
+        serve many concurrent ``run_batch`` calls.
 
         Fault isolation: with ``return_errors=True`` a query whose
         execution raises fails *alone* — its slot in the batch becomes an
@@ -362,8 +326,6 @@ class QueryEngine:
             for child in children:
                 obs.absorb(child, parent=batch_span.span)
             obs.record_batch(batch)
-            if self.planner is not None:
-                self.planner.publish_metrics(obs)
         return BatchResult(tuple(results), batch)
 
     @staticmethod
@@ -441,13 +403,12 @@ class QueryEngine:
                 obs, "phase:plan"
             ) as plan_span:
                 try:
-                    strategies, _ = self._apply_plan(
+                    strategies = self._apply_plan(
                         leg, strategies, integrator, stats
                     )
                 finally:
                     plan_span.annotate(
-                        strategies="+".join(stats.plan_strategies or ()),
-                        cache_hit=bool(stats.plan_cache_hit),
+                        strategies="+".join(stats.plan_strategies or ())
                     )
         strategies, integrator = adapt_pipeline(
             leg, strategies, integrator, index=self.index, seed=seed
@@ -464,23 +425,21 @@ class QueryEngine:
         strategies: list[Strategy],
         integrator: ProbabilityIntegrator,
         stats: QueryStats,
-    ) -> tuple[list[Strategy], "PlanDecision"]:
-        """Plan ``query`` and materialize the chosen strategies; the
-        decision is returned for ``explain``'s comparison table.
+    ) -> list[Strategy]:
+        """Plan ``query`` and return the strategies its plan runs.
 
-        Kind-specific plans carry the kind name (not a strategy combo) as
-        their spec; the base strategies pass through untouched and
-        :func:`adapt_pipeline` swaps in the kind adapters afterwards.
+        A combo plan reuses ``strategies`` when they already are that
+        combo, as they are on an ``"auto"`` engine, whose base list is
+        ALL.  Kind-specific plans carry the kind name (not a strategy
+        combo) as their spec; the base strategies pass through untouched
+        and :func:`adapt_pipeline` swaps in the kind adapters afterwards.
         """
-        decision = self.planner.plan(query, integrator)
-        chosen = decision.chosen
-        if chosen.strategies in STRATEGY_COMBINATIONS:
+        chosen = self.planner.plan(query, integrator)
+        names = tuple(s.name for s in strategies)
+        if chosen.strategies in STRATEGY_COMBINATIONS and names != chosen.strategy_names:
             strategies = make_strategies(chosen.strategies)
         stats.plan_strategies = chosen.strategy_names
-        stats.plan_cache_hit = decision.cache_hit
-        stats.predicted_integrations = chosen.predicted_candidates
-        stats.predicted_seconds = chosen.predicted_seconds
-        return strategies, decision
+        return strategies
 
     def explain(
         self, query: ProbabilisticRangeQuery, *, estimator=None
@@ -491,9 +450,7 @@ class QueryEngine:
         Returns a :class:`QueryPlan` with each strategy's derived geometry
         (region radii/half-widths), the combined Phase-1 rectangle, and —
         when a :class:`repro.core.selectivity.SelectivityEstimator` is
-        supplied or a planner is attached — the predicted Phase-3
-        candidate count.  A planned engine additionally attaches the full
-        plan comparison table (every scored candidate plan).  An
+        supplied — the predicted Phase-3 candidate count.  An
         uncertain-target query is described by the plan of each of its
         legs (:func:`repro.core.kinds.query_legs`); with several target
         covariance groups, every description line names its group and the
@@ -524,8 +481,6 @@ class QueryEngine:
             predicted_candidates=_sum_known(
                 p.predicted_candidates for p in plans
             ),
-            predicted_seconds=_sum_known(p.predicted_seconds for p in plans),
-            planned=plans[0].planned,
         )
 
     def _explain_leg(
@@ -536,18 +491,10 @@ class QueryEngine:
     ) -> "QueryPlan":
         stats = QueryStats()
         strategies = self.strategies
-        predicted = None
-        predicted_seconds = None
-        comparison: tuple = ()
-        planned = False
         if self.planner is not None:
-            strategies, decision = self._apply_plan(
+            strategies = self._apply_plan(
                 query, strategies, self.integrator, stats
             )
-            predicted = decision.chosen.predicted_candidates
-            predicted_seconds = decision.chosen.predicted_seconds
-            comparison = decision.considered
-            planned = True
         strategies, _ = adapt_pipeline(
             query, strategies, self.integrator, index=self.index
         )
@@ -593,7 +540,8 @@ class QueryEngine:
                     f"KNN: sample-driven candidate cut radius "
                     f"{strategy.cut_radius:.3f}"  # type: ignore[attr-defined]
                 )
-        if predicted is None and estimator is not None and rect is not None:
+        predicted = None
+        if estimator is not None and rect is not None:
             predicted = estimator.estimate_candidates(query, list(strategies))
         return QueryPlan(
             strategies=tuple(s.name for s in strategies),
@@ -603,9 +551,6 @@ class QueryEngine:
             predicted_candidates=predicted,
             alpha_upper=alpha_upper,
             alpha_lower=alpha_lower,
-            predicted_seconds=predicted_seconds,
-            comparison=comparison,
-            planned=planned,
         )
 
 

@@ -106,7 +106,7 @@ class MixtureRangeQuery(ProbabilisticRangeQuery):
     """PRQ whose query object is a :class:`GaussianMixture`.
 
     ``gaussian`` holds the moment-matched *envelope* N(μ_mix, Σ_mix) used
-    only for planner canonicalization and dimension checks; the actual
+    only for dimension checks; the actual
     search/filter/integrate work runs against the components.  Build via
     :meth:`create` to get the envelope right.
     """
@@ -515,11 +515,6 @@ class MixtureDecider(ProbabilityIntegrator):
         if self._base is None:
             return True
         return self._base.composition_independent
-
-    @property
-    def cost_per_candidate(self) -> float:
-        per = 1.5e-4 if self._base is None else self._base.cost_per_candidate
-        return per * len(self._mixture)
 
     def fork(self, seed) -> "MixtureDecider":
         base = None if self._base is None else self._base.fork(seed)

@@ -13,8 +13,7 @@ membership) and summing histogram densities.  Practical for d ≤ 3 where a
 dense histogram fits in memory; the constructor refuses larger d, and
 :class:`UniformDensity` stands in there with the same two density queries
 (``estimate_in_rect``, ``density_at``).  :func:`undecided_mass` is the one
-sampled region-mass routine; the planner and ``estimate_candidates`` are
-both callers of it.
+sampled region-mass routine behind ``estimate_candidates``.
 """
 
 from __future__ import annotations
@@ -51,8 +50,8 @@ def undecided_mass(
     every set — common random numbers, so the ranking between sets is far
     more stable than independent estimates (and ~|sets|× cheaper).
 
-    ``region`` must contain every set's Phase-1 rectangle (the planner
-    passes their union).  No per-set rectangle mask is needed: a filter
+    ``region`` must contain every set's Phase-1 rectangle (e.g. their
+    union).  No per-set rectangle mask is needed: a filter
     rejects everything outside its own region, which lies inside its own
     search rectangle, so a sample every member leaves UNKNOWN is already
     inside every member's rectangle.

@@ -2,7 +2,7 @@
 
 The paper's query processor is one fixed Search → Filter → Integrate
 sequence; this module turns each phase into a stage object so the engine
-(and anything else — the planner's what-if machinery) can compose,
+(and anything else, such as ``explain``) can compose,
 reorder or skip phases without duplicating the phase bodies.  A stage
 consumes and mutates one :class:`StageContext`;
 :func:`execute_pipeline` is the single shared driver that

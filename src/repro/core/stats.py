@@ -30,7 +30,7 @@ class QueryStats:
     integrations: int = 0
     results: int = 0
     #: Wall time per pipeline stage, keyed by the stage's phase label.
-    #: A planned (``strategies="auto"``) engine adds ``"plan"`` ahead of
+    #: A ``strategies="auto"`` engine adds ``"plan"`` ahead of
     #: the pipeline's own ``"search"``/``"filter"``/``"integrate"``;
     #: other callers of :meth:`time_phase` may introduce further keys.
     #: ``Observability.record_query`` folds each entry into the
@@ -42,23 +42,17 @@ class QueryStats:
     #: ("cascade-sandwich"/"cascade-ruben"/"cascade-imhof").
     tier_decisions: dict[str, int] = field(default_factory=dict)
     empty_by_strategy: str | None = None
-    #: Strategy names the cost-based planner chose (None = fixed engine).
+    #: Strategy names of the ``"auto"`` plan (None = fixed engine).
     plan_strategies: tuple[str, ...] | None = None
-    #: True when the plan came from the planner's LRU cache (None = no
-    #: planner ran for this query).
+    #: Always None: the planner keeps no plan cache.
     plan_cache_hit: bool | None = None
-    #: Planner's predicted Phase-3 candidate count — compare against
-    #: ``integrations`` to audit cost-model calibration.
-    predicted_integrations: float | None = None
-    #: Planner's predicted total cost in seconds.
-    predicted_seconds: float | None = None
 
     @contextmanager
     def time_phase(self, phase: str):
         """Accumulate wall time into ``phase_seconds[phase]``.
 
         The engine uses the stage labels ``'search'``/``'filter'``/
-        ``'integrate'`` plus ``'plan'`` when a cost-based planner runs;
+        ``'integrate'`` plus ``'plan'`` when a planner runs;
         the label set is open — whatever key is passed becomes a
         ``phase_seconds`` entry (and a ``phase`` label value in the
         exported metrics).
@@ -75,10 +69,9 @@ class QueryStats:
         """One query's stats from those of its disjoint parts — the legs
         of an uncertain-target query, or a shard coordinator and its tasks.
 
-        Counters, timings and plan predictions add up, the planned
-        strategy names are the parts' ordered union, the plan counts as
-        cached only if every planned part's was, and the query is proven
-        empty only if every part was.  A single part is returned as is.
+        Counters and timings add up, the planned strategy names are the
+        parts' ordered union, and the query is proven empty only if
+        every part was.  A single part is returned as is.
         """
         if len(parts) == 1:
             return parts[0]
@@ -103,15 +96,6 @@ class QueryStats:
                 total.plan_strategies = tuple(dict.fromkeys(
                     (*(total.plan_strategies or ()), *part.plan_strategies)
                 ))
-                total.plan_cache_hit = (
-                    total.plan_cache_hit is not False and part.plan_cache_hit
-                )
-                total.predicted_integrations = (
-                    total.predicted_integrations or 0.0
-                ) + part.predicted_integrations
-                total.predicted_seconds = (
-                    total.predicted_seconds or 0.0
-                ) + part.predicted_seconds
         if all(part.empty_by_strategy for part in parts):
             total.empty_by_strategy = parts[0].empty_by_strategy
         return total
@@ -177,13 +161,8 @@ class BatchStats:
     results: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
     latencies: list[float] = field(default_factory=list)
-    #: Queries that went through the cost-based planner, and how many of
-    #: those plans were served from the planner's LRU cache.
+    #: Queries that went through the ``"auto"`` planner.
     planned_queries: int = 0
-    plan_cache_hits: int = 0
-    #: Sum of the planner's predicted Phase-3 candidate counts — compare
-    #: against ``integrations`` to audit cost-model calibration.
-    predicted_integrations: float = 0.0
 
     def merge(self, stats: QueryStats) -> None:
         """Fold one query's counters into the batch totals."""
@@ -203,8 +182,6 @@ class BatchStats:
         self.results += stats.results
         if stats.plan_strategies is not None:
             self.planned_queries += 1
-            self.plan_cache_hits += bool(stats.plan_cache_hit)
-            self.predicted_integrations += stats.predicted_integrations or 0.0
         for phase, seconds in stats.phase_seconds.items():
             self.phase_seconds[phase] = (
                 self.phase_seconds.get(phase, 0.0) + seconds

@@ -45,14 +45,6 @@ class AntitheticImportanceSampler(ProbabilityIntegrator):
         self.n_samples = int(n_samples) + (int(n_samples) % 2)
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def cost_per_candidate(self) -> float:
-        """Planner cost hint: half the draws of a plain sampler (each
-        draw yields a mirrored pair), distance tests unchanged."""
-        from repro.integrate.base import SECONDS_PER_SAMPLE
-
-        return self.n_samples * SECONDS_PER_SAMPLE * 0.75
-
     def qualification_probability(
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:

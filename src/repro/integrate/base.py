@@ -12,13 +12,7 @@ from repro.errors import IntegrationError
 from repro.gaussian.distribution import Gaussian
 from repro.integrate.result import IntegrationResult
 
-__all__ = ["ProbabilityIntegrator", "SECONDS_PER_SAMPLE"]
-
-#: Rough wall-clock cost of one Monte Carlo sample (draw + distance test),
-#: in seconds.  Anchors the sampling integrators' planner cost hints; the
-#: absolute scale only matters relative to the per-strategy classify
-#: coefficients in :mod:`repro.core.planner` (``CLASSIFY_SECONDS``).
-SECONDS_PER_SAMPLE = 6e-8
+__all__ = ["ProbabilityIntegrator"]
 
 
 class ProbabilityIntegrator(abc.ABC):
@@ -124,21 +118,6 @@ class ProbabilityIntegrator(abc.ABC):
         is detected the same way :meth:`fork` detects reseedability.
         """
         return not hasattr(self, "_rng")
-
-    @property
-    def cost_per_candidate(self) -> float:
-        """Predicted seconds to θ-decide one Phase-3 candidate.
-
-        The cost hint the :class:`repro.core.planner.QueryPlanner` charges
-        per predicted Phase-3 candidate when scoring plans.  Subclasses
-        override with a calibrated figure; the default assumes a full
-        fixed-budget sampling pass when the instance exposes
-        ``n_samples``, else a generic mid-range estimate.
-        """
-        n = getattr(self, "n_samples", None)
-        if n:
-            return float(n) * SECONDS_PER_SAMPLE
-        return 1e-4
 
     def fork(self, seed) -> "ProbabilityIntegrator":
         """A same-configuration copy with a fresh, independent RNG stream.

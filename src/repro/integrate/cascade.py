@@ -94,13 +94,6 @@ class CascadeIntegrator(ProbabilityIntegrator):
             )
         self.fast_dtype = fast_dtype
 
-    @property
-    def cost_per_candidate(self) -> float:
-        """Planner cost hint: vectorised sandwich bounds decide most
-        candidates, so the amortized per-candidate cost is far below one
-        scalar exact evaluation."""
-        return 2.5e-5
-
     # ------------------------------------------------------------------
     # ProbabilityIntegrator interface
     # ------------------------------------------------------------------

@@ -25,15 +25,6 @@ class ExactIntegrator(ProbabilityIntegrator):
 
     name = "exact"
 
-    @property
-    def cost_per_candidate(self) -> float:
-        """Planner cost hint: one scalar Ruben/Imhof evaluation.
-
-        Measured at roughly the cost of ~2k Monte Carlo samples on the
-        2-D paper workloads.
-        """
-        return 1.5e-4
-
     def qualification_probability(
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:

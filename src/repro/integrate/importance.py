@@ -126,19 +126,6 @@ class ImportanceSamplingIntegrator(ProbabilityIntegrator):
         """
         return self.share_samples
 
-    @property
-    def cost_per_candidate(self) -> float:
-        """Planner cost hint: a full fixed-budget pass per candidate.
-
-        With ``share_samples`` the draw is amortized over the block, so
-        each extra candidate only pays the distance tests (roughly half
-        the per-sample work).
-        """
-        from repro.integrate.base import SECONDS_PER_SAMPLE
-
-        scale = 0.5 if self.share_samples else 1.0
-        return self.n_samples * SECONDS_PER_SAMPLE * scale
-
     def qualification_probability(
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:

@@ -55,14 +55,6 @@ class QuasiMonteCarloIntegrator(ProbabilityIntegrator):
         self.n_replicates = int(n_replicates)
         self._rng = np.random.default_rng(seed)
 
-    @property
-    def cost_per_candidate(self) -> float:
-        """Planner cost hint: Halton generation plus the inverse-normal
-        transform cost noticeably more per point than a PRNG draw."""
-        from repro.integrate.base import SECONDS_PER_SAMPLE
-
-        return self.n_samples * SECONDS_PER_SAMPLE * 2.5
-
     def qualification_probability(
         self, gaussian: Gaussian, point: np.ndarray, delta: float
     ) -> IntegrationResult:

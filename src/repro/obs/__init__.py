@@ -248,18 +248,6 @@ class Observability:
             "Candidates reaching Phase 3 per query",
             buckets=COUNT_BUCKETS,
         ).observe(stats.integrations)
-        if stats.plan_cache_hit is not None:
-            registry.counter(
-                "repro_planner_plans_total",
-                "Planned queries by plan-cache outcome",
-                labelnames=("cache",),
-            ).inc(cache="hit" if stats.plan_cache_hit else "miss")
-        if stats.predicted_integrations is not None:
-            registry.histogram(
-                "repro_planner_prediction_error",
-                "Planner predicted minus actual Phase-3 candidates",
-                buckets=ERROR_BUCKETS,
-            ).observe(stats.predicted_integrations - stats.integrations)
 
     def record_batch(self, batch_stats) -> None:
         """Fold one :class:`repro.core.stats.BatchStats` into the registry."""

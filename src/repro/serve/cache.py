@@ -1,8 +1,7 @@
 """Keyed result LRU cache for the query service.
 
-Keys reuse the planner's quantization scheme
-(:func:`repro.core.planner.quantized_shape_key`: log-grid bins over the
-Σ-spectrum, δ and θ) to *group* entries by workload shape, but every key
+Keys group entries by workload shape (:func:`quantized_shape_key`:
+log-grid bins over the Σ-spectrum, δ and θ), but every key
 additionally carries the request's exact SHA-256 fingerprint (center, Σ,
 δ, θ) — a hit therefore only ever returns the result of a bit-identical
 request, never of a merely similar one, so cached responses are exactly
@@ -17,14 +16,44 @@ gauges (see ``docs/serving.md``).
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 
-from repro.core.planner import quantized_shape_key
+import numpy as np
+
+from repro.core.query import ProbabilisticRangeQuery
 from repro.errors import ServiceError
 from repro.serve.request import PRQRequest
 
 __all__ = ["ResultCache"]
+
+#: Resolution of the shape key: each of log λᵢ, log δ and log θ is rounded
+#: to 1/4 e-fold.
+SHAPE_BINS_PER_EFOLD = 4
+
+
+def quantize_log(value: float) -> int:
+    """Quantize a positive scalar onto the shape key's log grid."""
+    return round(math.log(max(value, 1e-300)) * SHAPE_BINS_PER_EFOLD)
+
+
+def quantized_shape_key(query: ProbabilisticRangeQuery) -> tuple:
+    """The quantized (dim, Σ-spectrum, δ, θ) shape of a query.
+
+    Two queries share a shape key iff their covariance spectra, ranges
+    and thresholds land in the same log-grid bins — the bucketing the
+    result cache groups entries by.
+    """
+    spectrum = tuple(
+        quantize_log(ev) for ev in np.sort(query.gaussian.eigenvalues)
+    )
+    return (
+        query.dim,
+        spectrum,
+        quantize_log(query.delta),
+        quantize_log(query.theta),
+    )
 
 
 class ResultCache:

@@ -20,7 +20,7 @@ true probability always lies inside the reported interval, so a client
 can still act safely on it (treat undecided as "maybe", or re-submit
 without a deadline).  :class:`CostTracker` supplies the full-cost
 prediction — an exponential moving average over recently executed
-requests, seeded by the planner's own prediction when one is available.
+requests, seeded by a fixed prior.
 """
 
 from __future__ import annotations

@@ -1,10 +1,7 @@
 """The embedded query service: one resident process, many clients.
 
 :class:`QueryService` owns a :class:`~repro.core.database.SpatialDatabase`
-plus one warm :class:`~repro.core.engine.QueryEngine` (and, with
-``strategies="auto"``, the database's shared
-:class:`~repro.core.planner.QueryPlanner`, so plan-cache warm-up is paid
-once across all clients).  Incoming :class:`~repro.serve.request.PRQRequest`
+plus one warm :class:`~repro.core.engine.QueryEngine`.  Incoming :class:`~repro.serve.request.PRQRequest`
 objects land in a bounded :class:`~repro.serve.batching.AdmissionQueue`;
 a single scheduler thread drains them under the batch-window/max-batch
 policy and coalesces each drain into one
@@ -687,8 +684,6 @@ class QueryService:
         for pending in batch:
             wait_hist.observe(max(now - pending.enqueued_at, 0.0))
         self._publish_counters(registry)
-        if self.engine.planner is not None:
-            self.engine.planner.publish_metrics(obs)
 
     def _flush_metrics(self) -> None:
         """Publish counter increments that landed after the last drain.

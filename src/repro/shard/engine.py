@@ -21,7 +21,7 @@ every query's integrator is forked from the ``i``-th spawn of
 *same entry state*, so for composition-independent integrators (see
 :attr:`~repro.integrate.base.ProbabilityIntegrator.composition_independent`)
 the merged results are bit-identical to the single-engine path for every
-shard count, worker count and plan-cache state.  Composition-dependent
+shard count and worker count.  Composition-dependent
 samplers are automatically wrapped in
 :class:`~repro.shard.seeding.CandidateSeededIntegrator`, which keeps the
 cross-shard-count guarantee (at the price of differing from the
@@ -388,8 +388,6 @@ class ShardedEngine(QueryEngine):
             for result in results:
                 obs.record_query(result.stats)
             obs.record_batch(batch)
-            if self.planner is not None:
-                self.planner.publish_metrics(obs)
         return BatchResult(tuple(results), batch)
 
     # -- coordinator internals -----------------------------------------
@@ -420,7 +418,7 @@ class ShardedEngine(QueryEngine):
                     query, strategies, integrator, seed=seed
                 )
                 return _Prepared(stats=result.stats, local=result)
-            # Plans are keyed on the caller's integrator; the
+            # The plan sees the caller's integrator; the
             # composition-independence fix-up comes after, and the kind
             # adapters wrap last so a kind decider stays outermost.
             decider = (
@@ -437,7 +435,7 @@ class ShardedEngine(QueryEngine):
                 leg_strategies = strategies
                 if self.planner is not None:
                     with parts[-1].time_phase("plan"):
-                        leg_strategies, _ = self._apply_plan(
+                        leg_strategies = self._apply_plan(
                             leg, strategies, integrator, parts[-1]
                         )
                 # Only the k-NN adapter probes an index, and k-NN

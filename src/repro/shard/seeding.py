@@ -75,10 +75,6 @@ class CandidateSeededIntegrator(ProbabilityIntegrator):
     def composition_independent(self) -> bool:
         return True
 
-    @property
-    def cost_per_candidate(self) -> float:
-        return self.base.cost_per_candidate
-
     def fork(self, seed) -> "CandidateSeededIntegrator":
         """Re-derive the wrapper around a reseeded base fork."""
         return CandidateSeededIntegrator(self.base.fork(seed))

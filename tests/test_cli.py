@@ -119,18 +119,23 @@ class TestDatasetAndQuery:
         assert "objects qualify" in capsys.readouterr().out
 
     def test_explain_renders_plan(self, tmp_path, capsys):
+        """The default ``auto`` explain is the ``all`` explain, byte for
+        byte: the rule runs the paper's ALL for a PRQ."""
         db_path = str(tmp_path / "data.soa")
         assert main(["dataset", "uniform", db_path, "--size", "400"]) == 0
-        assert main([
-            "explain", db_path,
+        capsys.readouterr()
+        shape = [
             "--center", "500", "500",
             "--sigma-scale", "900",
             "--delta", "60", "--theta", "0.05",
-        ]) == 0
+        ]
+        assert main(["explain", db_path, *shape]) == 0
         out = capsys.readouterr().out
-        assert "chosen by cost-based planner" in out
-        assert "plans considered" in out
-        assert "plan: strategies=" in out
+        assert "strategies: RR + BF + OR" in out
+        assert "plan: strategies=RR+BF+OR" in out
+        assert "predicted phase-3 candidates:" in out
+        assert main(["explain", db_path, *shape, "--strategies", "all"]) == 0
+        assert capsys.readouterr().out == out
 
     def test_explain_fixed_strategies(self, tmp_path, capsys):
         db_path = str(tmp_path / "data.soa")
@@ -263,8 +268,7 @@ class TestObservabilityCLI:
 
         text = metrics.read_text()
         assert "repro_queries_total 1" in text
-        assert "repro_planner_cache_misses 1" in text
-        assert 'repro_planner_plans_total{cache="miss"} 1' in text
+        assert "repro_planner_" not in text
         assert 'repro_phase_seconds_count{phase="plan"} 1' in text
 
     def test_query_cascade_tier_metrics(self, db_path, tmp_path):

@@ -154,3 +154,24 @@ def test_shard_guard_reads_the_workers_not_the_coordinator_index():
     assert len(e2e_smoke.problems({}, "shard_batch_2d")) == 5
     # Every other workload keeps the Phase-1 guard.
     assert e2e_smoke.problems(result_line(**healthy))
+
+
+def test_planning_share_guard_applies_to_the_auto_workloads():
+    """``planner.plan_s`` within 2 % of ``engine.run_batch_s``: a sampled
+    per-query cost model read about 30 %, the rule about 0.1 %."""
+    sampled = {"planner.plan_s": 3.0, "engine.run_batch_s": 10.0}
+    rule = {"planner.plan_s": 0.01, "engine.run_batch_s": 10.0}
+    for workload in ("prq_cascade_2d", "prq_cascade_9d"):
+        extra = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
+        (problem,) = e2e_smoke.problems(result_line(**sampled, **extra), workload)
+        assert "planning is back on the hot path" in problem
+        assert e2e_smoke.problems(result_line(**rule, **extra), workload) == []
+    # The fixed-plan workloads never plan: the guard stays off.
+    line = result_line(
+        **sampled,
+        **{
+            "integrate.samples_per_candidate": 23_000,
+            "kernels.chi2_sandwich_block_calls": 9,
+        },
+    )
+    assert e2e_smoke.problems(line, "prq_mc_2d") == []

@@ -217,6 +217,11 @@ class TestExplain:
             .stats.integrations
         )
         assert plan.predicted_candidates == pytest.approx(actual, rel=0.4)
+        # ``auto`` plans ALL, so it explains with the estimator's same
+        # prediction; without an estimator there is none.
+        auto = db.engine(strategies="auto")
+        assert auto.explain(query, estimator=estimator).render() == plan.render()
+        assert auto.explain(query).predicted_candidates is None
 
     def test_plan_reports_empty_proof(self, world):
         _, db = world

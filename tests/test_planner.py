@@ -1,24 +1,40 @@
-"""Cost-based query planner: correctness, caching, determinism, explain."""
+"""The ``auto`` rule: ALL for range-shaped legs, the kind plan for k-NN."""
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro import (
+    CascadeIntegrator,
     ExactIntegrator,
     Gaussian,
+    GaussianMixture,
     ImportanceSamplingIntegrator,
+    KNNQuery,
+    MixtureRangeQuery,
     QueryPlanner,
+    QuasiMonteCarloIntegrator,
     SpatialDatabase,
+    TargetCovarianceTable,
+    UncertainTargetQuery,
 )
 from repro.core import planner as planner_module
-from repro.core.planner import DEFAULT_COMBOS, PlanChoice
+from repro.core.engine import QueryEngine, QueryPlan
+from repro.core.kinds import query_legs
+from repro.core.planner import ALL_PLAN, KNN_PLAN, PlanChoice
 from repro.core.query import ProbabilisticRangeQuery
-from repro.errors import QueryError
+from repro.core.strategies import (
+    BoundingFunctionStrategy,
+    ObliqueStrategy,
+    RectilinearStrategy,
+    make_strategies,
+)
+
+EVERYTHING = ("RR", "BF", "OR")
 
 
 def make_database(n: int = 4_000, seed: int = 5) -> SpatialDatabase:
@@ -42,24 +58,33 @@ def make_queries(db: SpatialDatabase, count: int = 6, seed: int = 9):
         center = db.point(int(rng.integers(len(db))))
         delta = float(rng.choice([15.0, 30.0]))
         theta = float(rng.choice([0.01, 0.1]))
-        queries.append(
-            ProbabilisticRangeQuery(Gaussian(center, sigma), delta, theta)
-        )
+        queries.append(ProbabilisticRangeQuery(Gaussian(center, sigma), delta, theta))
     return queries
+
+
+def counters(stats) -> tuple:
+    """The work counters of one query's stats (timings excluded)."""
+    return (
+        stats.retrieved,
+        stats.rejected_by_filter,
+        stats.accepted_without_integration,
+        stats.integrations,
+        stats.tier_decisions,
+        stats.results,
+    )
 
 
 class TestPlannedResults:
     def test_auto_matches_fixed_results_exactly(self):
-        """Planning changes *which* sound filters run, never the answer.
-
-        With the exact integrator the result set is integrator-noise-free,
-        so auto must agree bit-for-bit with every fixed combination.
-        """
+        """``auto`` is ALL: same answers and same work as a fixed ``all``
+        engine, query by query."""
         db = make_database()
         auto = db.engine(strategies="auto", integrator=ExactIntegrator())
         fixed = db.engine(strategies="all", integrator=ExactIntegrator())
         for query in make_queries(db):
-            assert auto.execute(query).ids == fixed.execute(query).ids
+            planned, reference = auto.execute(query), fixed.execute(query)
+            assert planned.ids == reference.ids
+            assert counters(planned.stats) == counters(reference.stats)
 
     def test_probabilistic_range_query_accepts_auto(self):
         db = make_database()
@@ -79,18 +104,16 @@ class TestPlannedResults:
             integrator=ExactIntegrator(),
         )
         assert result.ids == reference.ids
-        assert result.stats.plan_strategies is not None
+        assert result.stats.plan_strategies == EVERYTHING
 
     def test_stats_record_plan_fields(self):
         db = make_database()
         engine = db.engine(strategies="auto", integrator=ExactIntegrator())
         stats = engine.execute(make_queries(db, count=1)[0]).stats
-        assert stats.plan_strategies is not None
-        assert all(isinstance(name, str) for name in stats.plan_strategies)
-        assert not hasattr(stats, "plan_phase1")
-        assert stats.plan_cache_hit in (True, False)
-        assert isinstance(stats.predicted_integrations, float)
-        assert stats.predicted_seconds > 0.0
+        assert stats.plan_strategies == EVERYTHING
+        assert stats.plan_cache_hit is None
+        for gone in ("plan_phase1", "predicted_integrations", "predicted_seconds"):
+            assert not hasattr(stats, gone)
         assert "plan" in stats.phase_seconds
 
     def test_batch_stats_roll_up_planner_counters(self):
@@ -99,67 +122,57 @@ class TestPlannedResults:
         queries = make_queries(db, count=4)
         batch = engine.run_batch(queries + queries, workers=1)
         assert batch.stats.planned_queries == 8
-        # The second copy of each query shape must hit the plan cache.
-        assert batch.stats.plan_cache_hits >= 4
-        assert batch.stats.predicted_integrations >= 0.0
+        assert not hasattr(batch.stats, "plan_cache_hits")
+        assert not hasattr(batch.stats, "predicted_integrations")
 
 
 class TestPlanCache:
     def test_repeat_shape_hits_cache(self, eigh_calls):
+        """Planning decomposes nothing: an ``auto`` query costs the Σ
+        decompositions of a fixed ``all`` one, first time and every time."""
         db = make_database()
-        planner = db.planner()
-        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
-        eigh_calls.clear()
-        query = make_queries(db, count=1)[0]
-        first = engine.execute(query).stats
-        # A miss decomposes the query's Σ and the canonical query's; the
-        # what-if prepares and the real ones share those two.
-        assert len(eigh_calls) == 2
-        second = engine.execute(query).stats
-        assert len(eigh_calls) == 2
-        assert first.plan_cache_hit is False
-        assert second.plan_cache_hit is True
-        info = planner.cache_info()
-        assert info["hits"] >= 1
-        assert info["misses"] >= 1
-        assert 0 < info["currsize"] <= info["maxsize"]
+        sigma = 10.0 * np.array([[7.0, 3.4], [3.4, 3.0]])
+        counts = {}
+        for spec in ("all", "auto", "auto"):
+            engine = db.engine(strategies=spec, integrator=ExactIntegrator())
+            eigh_calls.clear()
+            query = ProbabilisticRangeQuery(Gaussian([500.0, 500.0], sigma), 25.0, 0.01)
+            stats = engine.execute(query).stats
+            counts.setdefault(spec, []).append(len(eigh_calls))
+            assert stats.plan_cache_hit is None
+        assert counts["auto"] == 2 * counts["all"]
 
     def test_same_shape_different_center_shares_plan(self):
-        """Plans depend only on the quantized (Σ-spectrum, δ, θ) shape."""
-        db = make_database()
-        planner = db.planner()
-        sigma = 10.0 * np.array([[7.0, 3.4], [3.4, 3.0]])
+        """Every range-shaped query shares the one plan, whatever its
+        centre or shape."""
+        planner = make_database().planner()
         integrator = ExactIntegrator()
-        a = planner.plan(
-            ProbabilisticRangeQuery(Gaussian([100.0, 900.0], sigma), 25.0, 0.01),
-            integrator,
-        )
-        b = planner.plan(
-            ProbabilisticRangeQuery(Gaussian([800.0, 50.0], sigma), 25.0, 0.01),
-            integrator,
-        )
-        assert a.key == b.key
-        assert b.cache_hit is True
-        assert a.chosen == b.chosen
+        for center in ([100.0, 900.0], [800.0, 50.0]):
+            for scale, delta, theta in ((1.0, 5.0, 0.9), (900.0, 400.0, 1e-6)):
+                gaussian = Gaussian(center, scale * np.eye(2))
+                query = ProbabilisticRangeQuery(gaussian, delta, theta)
+                assert planner.plan(query, integrator) is ALL_PLAN
 
-    def test_lru_eviction_respects_cache_size(self, monkeypatch):
-        monkeypatch.setattr(planner_module, "CACHE_SIZE", 2)
+    def test_lru_eviction_respects_cache_size(self):
+        """Planning 1 000 distinct shapes leaves the planner's state
+        unchanged: there is no cache to grow or evict."""
         db = make_database()
         planner = db.planner()
+        before = dict(vars(planner))
         integrator = ExactIntegrator()
-        for delta in (10.0, 20.0, 40.0):
-            planner.plan(
-                ProbabilisticRangeQuery(
-                    Gaussian([500.0, 500.0], 50.0 * np.eye(2)), delta, 0.05
-                ),
-                integrator,
+        for i in range(1_000):
+            query = ProbabilisticRangeQuery(
+                Gaussian([500.0, 500.0], (1.0 + i) * np.eye(2)),
+                1.0 + i,
+                0.5 / (1.0 + i),
             )
-        assert planner.cache_info()["currsize"] == 2
-        planner.clear_cache()
-        assert planner.cache_info()["currsize"] == 0
+            assert planner.plan(query, integrator) is ALL_PLAN
+        assert vars(planner) == before == {}
+        for gone in ("cache_info", "clear_cache", "publish_metrics"):
+            assert not hasattr(planner, gone)
 
     def test_cold_and_warm_cache_identical_results(self):
-        """A warm plan cache may be faster, never different."""
+        """A repeated batch is never different."""
         db = make_database()
         queries = make_queries(db, count=5)
         engine = db.engine(
@@ -185,25 +198,31 @@ class TestPlanCache:
 
 class TestExplain:
     def test_planned_explain_renders_comparison_table(self):
+        """An ``auto`` explain renders exactly the ``all`` explain: there
+        is no plan comparison to show."""
         db = make_database()
-        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
-        plan = engine.explain(make_queries(db, count=1)[0])
-        assert plan.planned is True
-        assert plan.comparison, "planner must attach the scored plans"
-        costs = [choice.predicted_seconds for choice in plan.comparison]
-        assert costs == sorted(costs)
-        assert plan.predicted_seconds == costs[0]
-        text = plan.render()
-        assert "chosen by cost-based planner" in text
-        assert "plans considered" in text
-        assert "plan: strategies=" in text
+        query = make_queries(db, count=1)[0]
+        auto = db.engine(strategies="auto", integrator=ExactIntegrator())
+        fixed = db.engine(strategies="all", integrator=ExactIntegrator())
+        plan = auto.explain(query)
+        assert plan.strategies == EVERYTHING
+        assert plan.render() == fixed.explain(query).render()
+        assert "plan: strategies=RR+BF+OR" in plan.render()
 
     def test_fixed_explain_has_no_comparison(self):
         db = make_database()
         engine = db.engine(strategies="rr+or", integrator=ExactIntegrator())
         plan = engine.explain(make_queries(db, count=1)[0])
-        assert plan.planned is False
-        assert plan.comparison == ()
+        assert plan.strategies == ("RR", "OR")
+        assert [f.name for f in dataclasses.fields(QueryPlan)] == [
+            "strategies",
+            "descriptions",
+            "search_rect",
+            "proves_empty",
+            "predicted_candidates",
+            "alpha_upper",
+            "alpha_lower",
+        ]
 
     def test_summary_includes_bf_radii_when_bf_active(self):
         """Satellite: QueryPlan.summary() must expose BF's α∥/α⊥ radii."""
@@ -228,50 +247,68 @@ class TestExplain:
 
 
 class TestPlannerConfig:
-    def test_cost_model_drives_choice(self, monkeypatch):
-        """An absurd BF prepare cost must push the planner off BF plans."""
-        monkeypatch.setitem(planner_module.PREPARE_SECONDS, "BF", 1e6)
-        db = make_database()
-        planner = db.planner()
-        decision = planner.plan(
-            make_queries(db, count=1)[0], ExactIntegrator()
-        )
-        assert "BF" not in decision.chosen.strategy_names
+    def test_cost_model_drives_choice(self):
+        """No cost model: no integrator changes the plan, and neither the
+        planner nor the integrators carry cost figures."""
+        planner = QueryPlanner()
+        query = make_queries(make_database(), count=1)[0]
+        for integrator in (
+            ExactIntegrator(),
+            CascadeIntegrator(),
+            ImportanceSamplingIntegrator(100_000, seed=0),
+            QuasiMonteCarloIntegrator(4_096, seed=0),
+        ):
+            assert planner.plan(query, integrator) is ALL_PLAN
+            assert not hasattr(integrator, "cost_per_candidate")
+        for gone in (
+            "PLAN_SAMPLES",
+            "SEARCH_BASE",
+            "SEARCH_PER_OBJECT",
+            "PREPARE_SECONDS",
+            "CLASSIFY_SECONDS",
+            "CACHE_SIZE",
+            "DEFAULT_COMBOS",
+            "PlanDecision",
+        ):
+            assert not hasattr(planner_module, gone)
 
-    def test_custom_combo_menu(self, monkeypatch):
-        monkeypatch.setattr(planner_module, "DEFAULT_COMBOS", ("rr", "rr+or"))
+    def test_custom_combo_menu(self):
+        """An ``auto`` engine over another base list still runs ALL: the
+        plan, not the base list, names the strategies."""
         db = make_database()
-        planner = db.planner()
-        decision = planner.plan(
-            make_queries(db, count=1)[0], ExactIntegrator()
+        engine = QueryEngine(
+            db.index,
+            make_strategies("rr"),
+            ExactIntegrator(),
+            planner=QueryPlanner(),
         )
-        assert decision.chosen.strategies in ("rr", "rr+or")
-        assert [c.strategies for c in decision.considered] in (
-            ["rr", "rr+or"],
-            ["rr+or", "rr"],
-        )
+        fixed = db.engine(strategies="all", integrator=ExactIntegrator())
+        for query in make_queries(db, count=3):
+            planned, reference = engine.execute(query), fixed.execute(query)
+            assert planned.stats.plan_strategies == EVERYTHING
+            assert planned.ids == reference.ids
+            assert counters(planned.stats) == counters(reference.stats)
 
-    def test_one_plan_scored_per_combo(self):
-        """Only the ``"intersect"`` plan of each combo can win, so it is
-        the only one scored: |considered| = |combos|, each combo once."""
+    def test_one_plan_scored_per_combo(self, monkeypatch):
+        """Planning prepares no strategy: it is a constant-time rule."""
+        prepared = []
+        for cls in (RectilinearStrategy, ObliqueStrategy, BoundingFunctionStrategy):
+            monkeypatch.setattr(cls, "prepare", lambda s, q: prepared.append(s))
         db = make_database()
         planner = db.planner()
         for query in make_queries(db):
-            decision = planner.plan(query, ExactIntegrator())
-            assert len(decision.considered) == len(DEFAULT_COMBOS)
-            assert sorted(c.strategies for c in decision.considered) == sorted(
-                DEFAULT_COMBOS
-            )
+            assert planner.plan(query, ExactIntegrator()) is ALL_PLAN
+        assert prepared == []
 
     def test_planned_engine_retrieves_what_intersect_retrieves(self):
-        """A planned engine runs the chosen combo over the intersected
+        """A planned engine runs the plan's combo over the intersected
         Phase-1 rectangle, the same one a fixed engine of that combo
         searches; there is no other Phase-1 policy to ask for."""
         db = make_database()
         auto = db.engine(strategies="auto", integrator=ExactIntegrator())
         for query in make_queries(db):
             planned = auto.execute(query)
-            combo = db.planner().plan(query, ExactIntegrator()).chosen
+            combo = db.planner().plan(query, ExactIntegrator())
             fixed = db.engine(
                 strategies=combo.strategies, integrator=ExactIntegrator()
             ).execute(query)
@@ -281,150 +318,180 @@ class TestPlannerConfig:
             db.engine(strategies="auto", phase1="primary")
 
     def test_default_combo_menu_is_the_papers(self):
-        assert DEFAULT_COMBOS == ("rr", "bf", "rr+bf", "rr+or", "bf+or", "all")
+        """The ``auto`` plan is the paper's ALL (RR+BF+OR)."""
+        assert ALL_PLAN == PlanChoice("all", EVERYTHING)
+        assert tuple(s.name for s in make_strategies("all")) == EVERYTHING
+        assert KNN_PLAN == PlanChoice("knn", ("KNN",))
 
     def test_validation_errors(self):
-        with pytest.raises(QueryError):
-            QueryPlanner(np.empty((0, 2)))
-        with pytest.raises(QueryError):
-            QueryPlanner(np.arange(4.0))
+        """The planner takes no arguments: nothing is left to build."""
         points = np.random.default_rng(0).random((10, 2))
-        # One configuration: the removed knobs are not accepted at all.
+        with pytest.raises(TypeError):
+            QueryPlanner(points)
         for knob in (
             {"phase1_modes": ("primary",)},
-            {"integrators": ()},
             {"bins_per_efold": 4},
             {"n_samples": 4_000},
-            {"rtheta_lookup": None},
-            {"bf_lookup": None},
-            {"fringe_filter": "exact"},
+            {"cache_size": 2},
             {"targets": None},
         ):
             with pytest.raises(TypeError):
-                QueryPlanner(points, **knob)
-        assert list(inspect.signature(QueryPlanner.__init__).parameters) == [
-            "self",
-            "points",
-        ]
+                QueryPlanner(**knob)
 
     def test_uniform_fallback_without_estimator(self):
-        """Above d=3 no histogram exists; plans still come out sane."""
+        """Above d = 3 the plan is ALL too, and runs as a fixed ``all``."""
         rng = np.random.default_rng(2)
         db = SpatialDatabase(rng.random((2_000, 4)) * 100.0)
-        planner = db.planner()
         query = ProbabilisticRangeQuery(
             Gaussian(np.full(4, 50.0), 25.0 * np.eye(4)), 10.0, 0.01
         )
-        decision = planner.plan(query, ExactIntegrator())
-        assert isinstance(decision.chosen, PlanChoice)
-        assert decision.chosen.predicted_seconds > 0.0
+        assert db.planner().plan(query, ExactIntegrator()) is ALL_PLAN
+        planned = db.engine(strategies="auto", integrator=ExactIntegrator())
+        fixed = db.engine(strategies="all", integrator=ExactIntegrator())
+        a, b = planned.execute(query), fixed.execute(query)
+        assert a.ids == b.ids
+        assert counters(a.stats) == counters(b.stats)
 
     def test_constant_column_plans_consistently(self):
-        """Zero-volume bounds (a constant column above d = 3): the one
-        uniform density ignores the flat axis in both of its queries, so
-        predictions stay ordered and a small query no longer reads as
-        "retrieves everything"."""
+        """Zero-volume bounds (a constant column above d = 3) need no
+        special case: the rule reads no data, and the answers are a fixed
+        ``all`` engine's."""
         rng = np.random.default_rng(4)
         points = rng.random((2_000, 4)) * 100.0
         points[:, 2] = 7.0
         db = SpatialDatabase(points)
-        total = len(db)
-        planner = db.planner()
+        planned = db.engine(strategies="auto", integrator=ExactIntegrator())
+        fixed = db.engine(strategies="all", integrator=ExactIntegrator())
         for delta, theta in ((5.0, 0.05), (10.0, 0.01), (400.0, 0.01)):
             query = ProbabilisticRangeQuery(
                 Gaussian(np.full(4, 50.0), 25.0 * np.eye(4)), delta, theta
             )
-            decision = planner.plan(query, ExactIntegrator())
-            for choice in decision.considered:
-                assert (
-                    0.0
-                    <= choice.predicted_candidates
-                    <= choice.predicted_retrieved
-                    <= total
-                )
-        small = planner.plan(
-            ProbabilisticRangeQuery(
-                Gaussian(np.full(4, 50.0), 25.0 * np.eye(4)), 5.0, 0.05
-            ),
-            ExactIntegrator(),
-        )
-        assert 0.0 < small.chosen.predicted_retrieved < 0.5 * total
+            a, b = planned.execute(query), fixed.execute(query)
+            assert a.stats.plan_strategies == EVERYTHING
+            assert a.ids == b.ids
+            assert counters(a.stats) == counters(b.stats)
 
     def test_plan_choice_fields(self):
         db = make_database()
-        decision = db.planner().plan(
-            make_queries(db, count=1)[0], ExactIntegrator()
-        )
-        chosen = decision.chosen
-        assert chosen.strategies in DEFAULT_COMBOS
+        chosen = db.planner().plan(make_queries(db, count=1)[0], ExactIntegrator())
+        assert chosen.strategies == "all"
         assert [f.name for f in dataclasses.fields(chosen)] == [
             "strategies",
             "strategy_names",
-            "predicted_retrieved",
-            "predicted_candidates",
-            "predicted_seconds",
         ]
-        assert chosen.predicted_retrieved >= 0.0
-        assert chosen.predicted_candidates >= 0.0
 
 
 class TestPlanCacheThreadSafety:
     def test_concurrent_planning_no_duplicates_and_warm_parity(self):
-        """Hammer one planner from many threads: the LRU must end up with
-        exactly one entry per distinct shape, and every plan must be
-        bit-identical to the cold single-threaded decision."""
-        from concurrent.futures import ThreadPoolExecutor
-
+        """Hammer one planner from many threads: every plan is the one
+        constant, and the planner still holds no state."""
         db = make_database()
         shapes = make_queries(db, count=8, seed=41)
         integrator = ExactIntegrator()
-
-        cold_planner = QueryPlanner(db.points)
-        cold = {
-            id(q): cold_planner.plan(q, integrator).chosen for q in shapes
-        }
-        distinct_keys = {
-            cold_planner._cache_key(q, integrator) for q in shapes
-        }
-
-        planner = QueryPlanner(db.points)
+        planner = QueryPlanner()
         workload = [shapes[i % len(shapes)] for i in range(160)]
-
         with ThreadPoolExecutor(max_workers=8) as pool:
-            decisions = list(
-                pool.map(lambda q: (q, planner.plan(q, integrator)), workload)
-            )
-
-        info = planner.cache_info()
-        assert info["currsize"] == len(distinct_keys), "duplicate cache entries"
-        assert info["hits"] + info["misses"] == len(workload)
-        assert info["hits"] >= len(workload) - 8 * len(distinct_keys)
-        for query, decision in decisions:
-            assert decision.chosen == cold[id(query)], (
-                "warm/concurrent plan diverged from cold plan"
-            )
-            assert decision.key in distinct_keys
+            plans = list(pool.map(lambda q: planner.plan(q, integrator), workload))
+        assert all(plan is ALL_PLAN for plan in plans)
+        assert vars(planner) == {}
 
     def test_quantized_shape_key_helper_matches_cache_key(self):
-        """The shared quantization helper is exactly the plan-cache key
-        minus the integrator suffix (the serve result cache relies on
-        this alignment)."""
-        from repro.core.planner import (
+        """The shape key is the serving result cache's alone: it groups
+        the cache's entries, which the exact fingerprint then separates."""
+        from repro.serve.cache import (
             SHAPE_BINS_PER_EFOLD,
+            ResultCache,
             quantize_log,
             quantized_shape_key,
         )
+        from repro.serve.request import PRQRequest
 
         db = make_database()
-        planner = db.planner()
-        integrator = ExactIntegrator()
+        cache = ResultCache(4)
         for query in make_queries(db, count=4, seed=7):
-            key = planner._cache_key(query, integrator)
-            assert key[:-1] == quantized_shape_key(query)
-            assert key[-1] == integrator.name
-        # One shape-bin constant: a quarter e-fold per bin, shared by the
-        # plan key and the serve result-cache key.
+            request = PRQRequest.from_query(query)
+            assert cache._key(request) == (
+                quantized_shape_key(query),
+                request.fingerprint,
+            )
+        assert not hasattr(planner_module, "quantized_shape_key")
+        # A quarter e-fold per bin.
         assert SHAPE_BINS_PER_EFOLD == 4
         assert quantize_log(np.e) == SHAPE_BINS_PER_EFOLD
         assert quantize_log(1.0) == 0
         assert quantize_log(0.0) == quantize_log(1e-300)
+
+
+def two_group_database(n: int = 600) -> SpatialDatabase:
+    """2-D points whose objects split over two target covariances."""
+    points = make_database(n, seed=8).points
+    ids = np.arange(n)
+    table = TargetCovarianceTable(
+        {int(i): int(i) % 2 for i in ids},
+        [40.0 * np.eye(2), np.array([[300.0, 80.0], [80.0, 120.0]])],
+    )
+    return SpatialDatabase(points, ids=ids, target_table=table)
+
+
+def kinded_queries(db: SpatialDatabase) -> list:
+    """Exact PRQs, two-group uncertain queries and mixtures."""
+    queries = []
+    for query in make_queries(db, count=4, seed=3):
+        gaussian = Gaussian(query.gaussian.mean, query.gaussian.sigma * 20.0)
+        queries.append(query)
+        queries.append(UncertainTargetQuery(gaussian, 40.0, query.theta))
+        mixture = GaussianMixture(
+            [gaussian, Gaussian(gaussian.mean + 60.0, gaussian.sigma)],
+            weights=[0.7, 0.3],
+        )
+        queries.append(MixtureRangeQuery.create(mixture, 40.0, query.theta))
+    return queries
+
+
+class TestAutoIsAll:
+    """``auto`` and ``all`` engines agree on ids and on every counter."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_run_batch_matches_all(self, workers):
+        db = two_group_database()
+        queries = kinded_queries(db)
+        batches = {}
+        for spec in ("auto", "all"):
+            engine = db.engine(strategies=spec, integrator=CascadeIntegrator())
+            batches[spec] = engine.run_batch(queries, workers=workers, base_seed=4)
+        assert len(query_legs(queries[1], db.targets)) == 2
+        for auto, fixed in zip(batches["auto"], batches["all"]):
+            assert auto.ids == fixed.ids
+            assert counters(auto.stats) == counters(fixed.stats)
+            assert auto.stats.plan_strategies == EVERYTHING
+            assert fixed.stats.plan_strategies is None
+        assert sum(r.stats.integrations for r in batches["all"]) > 0
+
+    def test_sharded_engine_matches_all(self):
+        db = two_group_database()
+        queries = kinded_queries(db)
+        batches = {}
+        with db.shard(2) as sdb:
+            for spec in ("auto", "all"):
+                engine = sdb.engine(strategies=spec, integrator=CascadeIntegrator())
+                batches[spec] = engine.run_batch(queries, base_seed=4)
+        for a, b in zip(batches["auto"], batches["all"]):
+            assert a.ids == b.ids
+            assert counters(a.stats) == counters(b.stats)
+            assert a.stats.plan_strategies == EVERYTHING
+
+    def test_knn_keeps_its_kind_plan(self):
+        db = make_database(n=400)
+        query = KNNQuery.create(
+            Gaussian([500.0, 500.0], 900.0 * np.eye(2)),
+            k=2,
+            theta=0.1,
+            n_samples=300,
+            seed=1,
+        )
+        assert db.planner().plan(query, ExactIntegrator()) is KNN_PLAN
+        auto = db.engine(strategies="auto", integrator=ExactIntegrator())
+        fixed = db.engine(strategies="all", integrator=ExactIntegrator())
+        result = auto.execute(query)
+        assert result.stats.plan_strategies == ("KNN",)
+        assert result.ids == fixed.execute(query).ids

@@ -421,20 +421,31 @@ class TestMixedKindExecution:
 
 class TestPlannerKindPlans:
     def test_kind_plans_are_distinct(self):
+        """``auto`` is ALL for every range-shaped kind and the kind plan
+        for k-NN."""
         db = kinded_db()
         engine = db.engine(strategies="auto", integrator=ExactIntegrator())
         gaussian = paper_like_gaussian(2)
+        everything = STRATEGY_COMBINATIONS["all"]
 
         prq_stats = engine.execute(
             ProbabilisticRangeQuery(gaussian, 60.0, 0.05)
         ).stats
-        assert prq_stats.plan_strategies in STRATEGY_COMBINATIONS.values()
+        assert prq_stats.plan_strategies == everything
 
         # A single-group table: one leg, planned like any PRQ.
         ut_stats = engine.execute(
             UncertainTargetQuery(gaussian, 60.0, 0.05)
         ).stats
-        assert ut_stats.plan_strategies in STRATEGY_COMBINATIONS.values()
+        assert ut_stats.plan_strategies == everything
+
+        mixture = GaussianMixture(
+            [gaussian, Gaussian(gaussian.mean + 40.0, gaussian.sigma)]
+        )
+        mix_stats = engine.execute(
+            MixtureRangeQuery.create(mixture, 60.0, 0.05)
+        ).stats
+        assert mix_stats.plan_strategies == everything
 
         knn_stats = engine.execute(
             KNNQuery.create(gaussian, k=1, theta=0.2, n_samples=200)
@@ -443,12 +454,13 @@ class TestPlannerKindPlans:
 
     def test_cache_key_separates_target_tables(self):
         """Same query shape, different target spectra: the legs are
-        different convolved PRQs, so they never share a plan."""
+        different convolved PRQs, and the plan of each is still ALL —
+        no plan depends on a leg's shape."""
         points = make_points(100, 2, seed=2)
         ids = np.arange(100)
         gaussian = paper_like_gaussian(2)
         query = UncertainTargetQuery(gaussian, 60.0, 0.05)
-        keys = []
+        legs, plans = [], []
         for scale in (10.0, 400.0):
             db = SpatialDatabase(
                 points, ids=ids,
@@ -458,22 +470,27 @@ class TestPlannerKindPlans:
             )
             ((leg, restrict),) = query_legs(query, db.targets)
             assert restrict == []
-            decision = db.planner().plan(leg, ExactIntegrator())
-            keys.append(decision.key)
-        assert keys[0] != keys[1]
+            legs.append(leg)
+            plans.append(db.planner().plan(leg, ExactIntegrator()))
+        assert not np.allclose(legs[0].gaussian.sigma, legs[1].gaussian.sigma)
+        assert plans[0] == plans[1]
+        assert plans[0].strategies == "all"
 
     def test_explain_renders_kind_plans(self):
         db = kinded_db()
         gaussian = paper_like_gaussian(2)
         # An uncertain explain is the explain of its convolved leg: BF's
         # radii are those of N(q, Σ_q + Σ_o).
+        query = UncertainTargetQuery(gaussian, 60.0, 0.05)
         ut = db.engine(strategies="all", integrator=ExactIntegrator()).explain(
-            UncertainTargetQuery(gaussian, 60.0, 0.05)
+            query
         ).render()
         convolved = Gaussian(gaussian.mean, gaussian.sigma + 50.0 * np.eye(2))
         upper, lower = alpha_radii(convolved, 60.0, 0.05)
         assert f"BF: prune beyond {upper:.3f}, accept within {lower:.3f}" in ut
         engine = db.engine(strategies="auto", integrator=ExactIntegrator())
+        # ``auto`` explains an uncertain query exactly as ALL does.
+        assert engine.explain(query).render() == ut
         knn = engine.explain(
             KNNQuery.create(gaussian, k=1, theta=0.2, n_samples=200)
         ).render()
