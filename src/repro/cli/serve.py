@@ -302,6 +302,12 @@ def rates(text: str) -> list[float]:
     return [float(token) for token in text.split(",")]
 
 
+#: The default ``--sweep`` ladder, req/s: one doubling ladder wide enough
+#: to cross the knee of a small database on a fast machine and still
+#: start below the knee of a large one.
+SWEEP_RATES = (250.0, 500.0, 1000.0, 2000.0, 4000.0, 8000.0)
+
+
 @verb(
     "load",
     "open-loop load harness: scenario runs and capacity sweeps against the "
@@ -315,48 +321,31 @@ def rates(text: str) -> list[float]:
     arg("--sweep", action="store_true",
         help="step offered load up a rate ladder, locate the shedding knee "
         "and write the capacity report"),
-    arg("--rates", type=rates, default=None, metavar="R1,R2,...",
-        help="ascending offered rates for --sweep (default: a geometric "
-        "ladder around the modelled capacity)"),
+    arg("--rates", type=rates, default=SWEEP_RATES, metavar="R1,R2,...",
+        help="ascending offered rates for --sweep (default: "
+        "250,500,...,8000)"),
     arg("--duration", type=float, default=2.0,
         help="seconds of offered traffic per step"),
-    arg("--real", action="store_true",
-        help="drive a real threaded service on the wall clock (default: "
-        "deterministic virtual time on the modelled cost of "
-        "VirtualCostModel(); see docs/load.md)"),
     arg("--seed", type=int, default=None, help="override the scenario's seed"),
     arg("--out", default=None, metavar="FILE",
         help="write the report JSON here (default for --sweep: "
         "BENCH_capacity.json)"),
-    arg("--check-against", default=None, metavar="FILE",
-        help="trend-gate the sweep against a baseline capacity report "
-        "(±20%%); exits 1 on regression"),
     parents=(DATABASE, SERVICE),
 )
 def load(args) -> int:
     from dataclasses import replace
 
-    from repro.load import CapacityReport, SaturationSweep, VirtualCostModel
+    from repro.load import SaturationSweep
 
     spec = _scenario(args.scenario)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    if not args.sweep:
-        if args.rate is None:
-            raise UsageError("pass --rate R for a single run or --sweep for "
-                             "a saturation sweep")
-        ladder = [args.rate]
-    elif args.rates is not None:
-        ladder = args.rates
-    else:
-        # A geometric ladder around the modelled (or guessed)
-        # single-instance capacity, crossing the knee on both sides.
-        model = VirtualCostModel()
-        base = 500.0 if args.real else model.parallelism / model.seconds_per_query
-        ladder = [base * factor for factor in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0)]
+    if not args.sweep and args.rate is None:
+        raise UsageError("pass --rate R for a single run or --sweep for "
+                         "a saturation sweep")
     sweep = SaturationSweep(
-        args.db, spec, rates=ladder, duration=args.duration,
-        virtual=not args.real, service_knobs=service_knobs(args),
+        args.db, spec, rates=args.rates if args.sweep else [args.rate],
+        duration=args.duration, service_knobs=service_knobs(args),
     )
     if not args.sweep:
         payload = json.dumps(sweep.run_step(args.rate).to_dict(), indent=2,
@@ -369,8 +358,7 @@ def load(args) -> int:
             print(f"wrote run report to {args.out}", file=sys.stderr)
         return 0
     report = sweep.run()
-    print(f"scenario {spec.name!r} ({'real' if args.real else 'virtual'} mode, "
-          f"{args.duration:g}s per step)")
+    print(f"scenario {spec.name!r} ({args.duration:g}s per step)")
     print(f"{'offered':>9} {'goodput':>9} {'shed':>7} {'degr':>7} "
           f"{'expired':>7} {'p50ms':>9} {'p99ms':>9}")
     for step in report.steps:
@@ -390,8 +378,4 @@ def load(args) -> int:
     out = args.out if args.out is not None else "BENCH_capacity.json"
     report.write(out)
     print(f"wrote capacity report to {out}")
-    if args.check_against is None:
-        return 0
-    gate = report.compare(CapacityReport.load(args.check_against))
-    print(gate.summary())
-    return 0 if gate.passed else 1
+    return 0

@@ -1,4 +1,4 @@
-"""repro.load — open-loop load harness and capacity model for the service.
+"""repro.load — open-loop load harness and capacity sweeps for the service.
 
 The load subsystem answers the operational question the serving layer
 raises: *how much traffic can one service instance absorb before its
@@ -12,17 +12,12 @@ point?*  Three pieces fit together (full contract in ``docs/load.md``):
   Poisson arrival schedules.  Schedules are drawn *before* the run —
   the open-loop discipline that keeps coordinated omission out of the
   latency numbers.
-- :class:`LoadRunner` — replays a schedule against one
-  :class:`~repro.serve.QueryService`, either in real time (wall-clock
-  open loop against the threaded service) or in *virtual time* (a
-  single-threaded discrete-event loop over ``manual=True`` +
-  :class:`VirtualClock` + :class:`VirtualCostModel`, bit-reproducible
-  across runs and machines).
+- :class:`LoadRunner` — replays a schedule against one threaded
+  :class:`~repro.serve.QueryService` on the wall clock.
 - :class:`SaturationSweep` / :class:`CapacityReport` — step offered
   load up a rate ladder, find the knee where shedding begins, fit the
-  ``min(rate, capacity)`` goodput model, and emit the canonical
-  ``BENCH_capacity.json``; :meth:`CapacityReport.compare` is the CI
-  trend gate against a committed baseline.
+  ``min(rate, capacity)`` goodput model, and emit
+  ``BENCH_capacity.json``.
 
 Entry points::
 
@@ -30,15 +25,14 @@ Entry points::
     sweep = SaturationSweep(db, spec, rates=[200, 400, 800], duration=2.0)
     report = sweep.run()
     report.write("BENCH_capacity.json")
-    gate = report.compare(CapacityReport.load("BENCH_capacity.json"))
 
 ``repro load`` exposes the same flow on the command line.
 """
 
 from __future__ import annotations
 
-from repro.load.report import CapacityReport, TrendGate
-from repro.load.runner import LoadRunner, RunReport, VirtualClock, VirtualCostModel
+from repro.load.report import CapacityReport
+from repro.load.runner import LoadRunner, RunReport
 from repro.load.scenario import (
     Arrival,
     OP_QUERY,
@@ -56,12 +50,9 @@ __all__ = [
     "SCENARIOS",
     "OP_QUERY",
     "OP_UPDATE",
-    "VirtualClock",
-    "VirtualCostModel",
     "LoadRunner",
     "RunReport",
     "SaturationSweep",
     "detect_knee",
     "CapacityReport",
-    "TrendGate",
 ]

@@ -1,80 +1,21 @@
-"""Capacity reports and the CI trend gate.
+"""Capacity reports: the artifact one saturation sweep writes.
 
-A :class:`CapacityReport` is the machine-readable artifact of one
+A :class:`CapacityReport` is the machine-readable result of one
 saturation sweep (``BENCH_capacity.json`` at the repo root): the
-scenario, the per-step rows, and the knee/capacity analysis.  Reports
-from *virtual* sweeps are bit-reproducible — same spec, same rates,
-same cost model ⇒ byte-identical JSON — so a committed baseline is a
-meaningful regression anchor across machines.
-
-:meth:`CapacityReport.compare` is the trend gate: it checks the current
-report's ``capacity_qps`` (and ``knee_qps``, when both sweeps
-saturated, plus per-rate goodput on rates both sweeps ran) against a
-baseline with a relative tolerance band.  A drop beyond the band on any
-metric fails the gate; improvements beyond the band are surfaced as a
-hint to re-baseline.  CI runs the gate on every push
-(``.github/workflows/ci.yml``, job ``load-smoke``).
+scenario, the database and service it ran against, the per-step rows,
+and the knee/capacity analysis.  Every step ran on the wall clock, so
+the figures belong to the engine and the machine that produced them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.errors import LoadError
+__all__ = ["CapacityReport"]
 
-__all__ = ["CapacityReport", "TrendGate"]
-
-_SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TrendGate:
-    """The outcome of one baseline comparison (see :meth:`compare`).
-
-    ``checks`` holds one row per compared metric with the current and
-    baseline values and the current/baseline ratio; ``regressions`` and
-    ``improvements`` list the metrics that moved beyond the tolerance
-    band in either direction.  The gate ``passed`` iff nothing
-    regressed.
-    """
-
-    passed: bool
-    tolerance: float
-    checks: list[dict] = field(default_factory=list)
-    regressions: list[str] = field(default_factory=list)
-    improvements: list[str] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "checks": [dict(check) for check in self.checks],
-            "regressions": list(self.regressions),
-            "improvements": list(self.improvements),
-        }
-
-    def summary(self) -> str:
-        """Human-readable one-paragraph verdict for CLI/CI logs."""
-        lines = []
-        for check in self.checks:
-            marker = "ok" if check["passed"] else "REGRESSED"
-            lines.append(
-                f"  {check['metric']}: {check['current']:.3f} vs baseline "
-                f"{check['baseline']:.3f} (x{check['ratio']:.3f}) [{marker}]"
-            )
-        verdict = "PASS" if self.passed else "FAIL"
-        head = (
-            f"trend gate {verdict} "
-            f"(tolerance ±{self.tolerance:.0%} on {len(self.checks)} checks)"
-        )
-        if self.improvements:
-            lines.append(
-                "  improved beyond tolerance (consider re-baselining): "
-                + ", ".join(self.improvements)
-            )
-        return "\n".join([head, *lines])
+_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -87,45 +28,26 @@ class CapacityReport:
     """
 
     scenario: dict
-    mode: str
     duration_seconds: float
     database: dict
     service: dict
-    cost_model: dict | None
     steps: list[dict]
     knee: dict
     schema_version: int = _SCHEMA_VERSION
-
-    @property
-    def capacity_qps(self) -> float:
-        return float(self.knee["capacity_qps"])
-
-    @property
-    def knee_qps(self) -> float | None:
-        value = self.knee.get("knee_qps")
-        return None if value is None else float(value)
 
     def to_dict(self) -> dict:
         return {
             "schema_version": self.schema_version,
             "scenario": dict(self.scenario),
-            "mode": self.mode,
             "duration_seconds": self.duration_seconds,
             "database": dict(self.database),
             "service": dict(self.service),
-            "cost_model": (
-                None if self.cost_model is None else dict(self.cost_model)
-            ),
             "steps": [dict(step) for step in self.steps],
             "knee": dict(self.knee),
         }
 
     def to_json(self) -> str:
-        """Canonical JSON: sorted keys, 2-space indent, trailing newline.
-
-        Canonical so that two bit-reproducible virtual sweeps serialize
-        byte-identically — CI diffs the files directly.
-        """
+        """Canonical JSON: sorted keys, 2-space indent, trailing newline."""
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def write(self, path) -> Path:
@@ -133,105 +55,3 @@ class CapacityReport:
         target = Path(path)
         target.write_text(self.to_json())
         return target
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CapacityReport":
-        if not isinstance(payload, dict):
-            raise LoadError(
-                f"capacity report must be a JSON object, "
-                f"got {type(payload).__name__}"
-            )
-        version = payload.get("schema_version")
-        if version != _SCHEMA_VERSION:
-            raise LoadError(
-                f"unsupported capacity-report schema_version {version!r} "
-                f"(this build reads {_SCHEMA_VERSION})"
-            )
-        missing = [
-            key
-            for key in ("scenario", "mode", "duration_seconds", "steps", "knee")
-            if key not in payload
-        ]
-        if missing:
-            raise LoadError(f"capacity report is missing fields {missing}")
-        return cls(
-            scenario=payload["scenario"],
-            mode=payload["mode"],
-            duration_seconds=payload["duration_seconds"],
-            database=payload.get("database", {}),
-            service=payload.get("service", {}),
-            cost_model=payload.get("cost_model"),
-            steps=payload["steps"],
-            knee=payload["knee"],
-            schema_version=version,
-        )
-
-    @classmethod
-    def load(cls, path) -> "CapacityReport":
-        """Read a report previously written with :meth:`write`."""
-        source = Path(path)
-        try:
-            payload = json.loads(source.read_text())
-        except FileNotFoundError:
-            raise LoadError(f"no capacity report at {source}") from None
-        except json.JSONDecodeError as exc:
-            raise LoadError(f"capacity report {source} is not JSON: {exc}") from None
-        return cls.from_dict(payload)
-
-    def compare(
-        self, baseline: "CapacityReport", *, tolerance: float = 0.2
-    ) -> TrendGate:
-        """Gate this report against a committed ``baseline``.
-
-        A metric regresses when ``current < baseline * (1 - tolerance)``.
-        Compared: ``capacity_qps`` always; ``knee_qps`` when both sweeps
-        saturated; per-rate ``goodput_qps`` for every offered rate both
-        sweeps ran.  Comparing across modes (virtual vs real) is a usage
-        error — their numbers live on different scales.
-        """
-        if not 0 < tolerance < 1:
-            raise LoadError(f"tolerance must be in (0, 1), got {tolerance}")
-        if self.mode != baseline.mode:
-            raise LoadError(
-                f"cannot compare a {self.mode!r} sweep against a "
-                f"{baseline.mode!r} baseline"
-            )
-        checks: list[dict] = []
-
-        def check(metric: str, current: float, base: float) -> None:
-            ratio = current / base if base > 0 else float("inf")
-            checks.append(
-                {
-                    "metric": metric,
-                    "current": round(float(current), 6),
-                    "baseline": round(float(base), 6),
-                    "ratio": round(ratio, 6),
-                    "passed": current >= base * (1.0 - tolerance),
-                    "improved": current > base * (1.0 + tolerance),
-                }
-            )
-
-        check("capacity_qps", self.capacity_qps, baseline.capacity_qps)
-        if self.knee_qps is not None and baseline.knee_qps is not None:
-            check("knee_qps", self.knee_qps, baseline.knee_qps)
-        baseline_goodput = {
-            step["offered_qps"]: step["goodput_qps"]
-            for step in baseline.steps
-        }
-        for step in self.steps:
-            rate = step["offered_qps"]
-            if rate in baseline_goodput:
-                check(
-                    f"goodput_qps@{rate:g}",
-                    step["goodput_qps"],
-                    baseline_goodput[rate],
-                )
-        regressions = [c["metric"] for c in checks if not c["passed"]]
-        improvements = [c["metric"] for c in checks if c["improved"]]
-        return TrendGate(
-            passed=not regressions,
-            tolerance=tolerance,
-            checks=checks,
-            regressions=regressions,
-            improvements=improvements,
-        )

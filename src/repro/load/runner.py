@@ -1,27 +1,13 @@
 """The open-loop load driver: inject on schedule, never wait for answers.
 
 :class:`LoadRunner` replays a :meth:`ScenarioWorkload.schedule` against
-one :class:`~repro.serve.QueryService` in either of two modes:
-
-**Real mode** (a normal threaded service): the runner sleeps until each
-arrival's wall-clock slot and submits without ever blocking on an
+one threaded :class:`~repro.serve.QueryService` on the wall clock: it
+sleeps until each arrival's slot and submits without ever blocking on an
 earlier response — the *open-loop* discipline.  Latency is measured from
 the arrival's **scheduled** time, not from when ``submit`` returned, so
 a service that stalls the injector cannot hide queueing delay
 (coordinated omission).  Completion timestamps come from future
 done-callbacks on the service's own clock.
-
-**Virtual mode** (a ``manual=True`` service on a :class:`VirtualClock`
-with a :class:`VirtualCostModel`): no thread ever sleeps.  The runner is
-a single-threaded discrete-event loop that owns the batch-window policy
-on the virtual timeline — it advances the clock to each arrival, opens a
-window when a request lands in an empty queue, pumps the service when
-the window elapses or ``max_batch`` requests are waiting, and lets the
-service advance the clock by *modelled* execution cost.  Every latency,
-deadline decision and degradation is then a pure function of the
-schedule: two runs of the same spec produce bit-identical
-:class:`RunReport` JSON, which is what lets CI trend-gate capacity
-without machine noise (``docs/load.md``).
 """
 
 from __future__ import annotations
@@ -31,13 +17,7 @@ import time
 from dataclasses import dataclass
 
 from repro.errors import LoadError
-from repro.load.scenario import OP_QUERY, OP_UPDATE, Arrival
-from repro.serve.monitor import (
-    OUTCOME_DEGRADED,
-    OUTCOME_REINTEGRATED,
-    OUTCOME_REPLANNED,
-    OUTCOME_SURVIVED,
-)
+from repro.load.scenario import OP_UPDATE, Arrival
 from repro.serve.request import (
     STATUS_DEADLINE_EXCEEDED,
     STATUS_DEGRADED,
@@ -46,7 +26,7 @@ from repro.serve.request import (
     STATUS_OVERLOADED,
 )
 
-__all__ = ["VirtualClock", "VirtualCostModel", "LoadRunner", "RunReport"]
+__all__ = ["LoadRunner", "RunReport"]
 
 _STATUSES = (
     STATUS_OK,
@@ -55,103 +35,6 @@ _STATUSES = (
     STATUS_DEADLINE_EXCEEDED,
     STATUS_FAILED,
 )
-
-
-class VirtualClock:
-    """A manually advanced monotonic clock for discrete-event runs.
-
-    Callable like ``time.monotonic`` (so it plugs into the service's
-    ``clock`` knob) and advanced explicitly by the runner — or by the
-    service itself, which moves it by modelled execution cost via the
-    ``advance`` hook (:meth:`QueryService._advance_clock`).
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, seconds: float) -> None:
-        """Move time forward by ``seconds`` (must be >= 0)."""
-        if seconds < 0:
-            raise LoadError(f"cannot advance time by {seconds} seconds")
-        self._now += float(seconds)
-
-    def advance_to(self, timestamp: float) -> None:
-        """Move time forward to ``timestamp`` (no-op if already past)."""
-        if timestamp > self._now:
-            self._now = float(timestamp)
-
-
-@dataclass(frozen=True)
-class VirtualCostModel:
-    """Deterministic execution costs for virtual-time runs.
-
-    Implements the service's cost-model protocol (``query_seconds`` /
-    ``degraded_seconds`` / ``batch_seconds``) plus the runner-side
-    ``update_seconds`` for monitor traffic.  The batch law is the
-    classic fixed-overhead + parallel-work model: a coalesced batch of
-    per-request costs ``c_i`` takes ``batch_overhead + Σc_i /
-    parallelism`` seconds, so batching amortizes overhead exactly the
-    way the real micro-batcher does.  Monitor updates scale with their
-    outcome: a survival is O(1) cheap, a reintegration mid-priced, a
-    replan a full execution.
-    """
-
-    seconds_per_query: float = 0.004
-    degraded_ratio: float = 0.25
-    batch_overhead: float = 0.0005
-    parallelism: float = 4.0
-    seconds_per_update: float = 0.0005
-
-    def __post_init__(self) -> None:
-        if self.seconds_per_query <= 0:
-            raise LoadError(
-                f"seconds_per_query must be > 0, got {self.seconds_per_query}"
-            )
-        if not 0 < self.degraded_ratio <= 1:
-            raise LoadError(
-                f"degraded_ratio must be in (0, 1], got {self.degraded_ratio}"
-            )
-        if self.batch_overhead < 0:
-            raise LoadError(
-                f"batch_overhead must be >= 0, got {self.batch_overhead}"
-            )
-        if self.parallelism < 1:
-            raise LoadError(
-                f"parallelism must be >= 1, got {self.parallelism}"
-            )
-        if self.seconds_per_update < 0:
-            raise LoadError(
-                f"seconds_per_update must be >= 0, got {self.seconds_per_update}"
-            )
-
-    def query_seconds(self, request) -> float:
-        """Modelled full-fidelity cost of one request."""
-        return self.seconds_per_query
-
-    def degraded_seconds(self, request) -> float:
-        """Modelled cost of the sandwich-bound degraded path."""
-        return self.seconds_per_query * self.degraded_ratio
-
-    def batch_seconds(self, costs: list) -> float:
-        """Modelled wall time of one coalesced batch of ``costs``."""
-        if not costs:
-            return 0.0
-        return self.batch_overhead + sum(costs) / self.parallelism
-
-    def update_seconds(self, outcome: str | None) -> float:
-        """Modelled cost of one monitor update, by its outcome."""
-        scale = {
-            OUTCOME_SURVIVED: 1.0,
-            OUTCOME_DEGRADED: 2.0,
-            OUTCOME_REINTEGRATED: 4.0,
-            OUTCOME_REPLANNED: 20.0,
-        }.get(outcome, 1.0)
-        return self.seconds_per_update * scale
 
 
 def _percentile(sorted_values: list, fraction: float) -> float:
@@ -176,7 +59,6 @@ class RunReport:
     saturated step cannot inflate goodput by leaving work unfinished).
     """
 
-    mode: str
     offered_qps: float
     duration_seconds: float
     elapsed_seconds: float
@@ -200,7 +82,6 @@ class RunReport:
     def to_dict(self) -> dict:
         """A JSON-serializable step row for ``BENCH_capacity.json``."""
         return {
-            "mode": self.mode,
             "offered_qps": self.offered_qps,
             "duration_seconds": self.duration_seconds,
             "elapsed_seconds": round(self.elapsed_seconds, 9),
@@ -223,29 +104,10 @@ class RunReport:
 
 
 class LoadRunner:
-    """Drives one service through one schedule (see module docstring).
+    """Drives one threaded service through one schedule (module docstring)."""
 
-    The mode is inferred from the service: a ``manual=True`` service
-    must carry an advanceable clock and runs virtually; a threaded
-    service runs in real time.  ``cost_model`` is only consulted in
-    virtual mode (for monitor-update costs); the service's own
-    ``cost_model`` knob governs query-side accounting.
-    """
-
-    def __init__(self, service, *, cost_model: VirtualCostModel | None = None):
+    def __init__(self, service):
         self.service = service
-        self.virtual = bool(service.manual)
-        self._cost_model = cost_model
-        if self.virtual and not hasattr(service.clock, "advance"):
-            raise LoadError(
-                "virtual runs need an advanceable clock — build the service "
-                "with QueryService(db, manual=True, clock=VirtualClock(), "
-                "cost_model=VirtualCostModel())"
-            )
-
-    # ------------------------------------------------------------------
-    # Entry point
-    # ------------------------------------------------------------------
 
     def run(
         self,
@@ -254,130 +116,18 @@ class LoadRunner:
         duration: float,
         offered_qps: float,
     ) -> RunReport:
-        """Replay ``schedule`` and aggregate one :class:`RunReport`."""
+        """Replay ``schedule`` on the wall clock and aggregate one report."""
         if duration <= 0:
             raise LoadError(f"duration must be > 0 seconds, got {duration}")
-        if self.virtual:
-            return self._run_virtual(schedule, duration, offered_qps)
-        return self._run_real(schedule, duration, offered_qps)
-
-    # ------------------------------------------------------------------
-    # Virtual mode: single-threaded discrete-event loop
-    # ------------------------------------------------------------------
-
-    def _run_virtual(
-        self, schedule: list[Arrival], duration: float, offered_qps: float
-    ) -> RunReport:
         service = self.service
         clock = service.clock
-        window = service.config.batch_window
-        max_batch = service.config.max_batch
-        start = clock()
+        # Guards ``latencies``; notified per answer.  A future's result
+        # is readable before its done-callbacks have run, so the end of
+        # the run waits for the callbacks, not for the futures.
+        answered = threading.Condition()
         latencies: list[tuple[str, float]] = []
         monitor_outcomes: dict[str, int] = {}
         monitor_latencies: list[float] = []
-        injected = 0
-        updates = 0
-        # Virtual time the scheduler first saw the current non-empty
-        # queue while idle (the batch window opens there), or None.
-        window_open: float | None = None
-
-        def depth() -> int:
-            return service.snapshot().queue_depth
-
-        def track(scheduled: float, future) -> None:
-            def _done(f):
-                response = f.result()
-                latencies.append((response.status, clock() - scheduled))
-
-            future.add_done_callback(_done)
-
-        def inject(arrival: Arrival) -> None:
-            nonlocal injected, updates
-            if arrival.op == OP_UPDATE:
-                updates += 1
-                response = service.monitor.update(
-                    arrival.subscription_id,
-                    arrival.mean,
-                    deadline=arrival.deadline,
-                )
-                outcome = response.outcome or response.status
-                monitor_outcomes[outcome] = monitor_outcomes.get(outcome, 0) + 1
-                if self._cost_model is not None:
-                    clock.advance(self._cost_model.update_seconds(outcome))
-                monitor_latencies.append(clock() - arrival.at)
-            else:
-                injected += 1
-                track(arrival.at, service.submit(arrival.request))
-
-        # The event loop mirrors the real scheduler's life exactly: a
-        # pump marks it busy (the clock jumps by the modelled batch
-        # cost), and every arrival falling inside that busy interval
-        # must land in the queue *before* the next drain — that is how
-        # a bounded queue actually fills and sheds under overload.
-        index = 0
-        while index < len(schedule):
-            arrival = schedule[index]
-            now = clock()
-            if arrival.at <= now:
-                # Past due: arrived while the service was busy; queue it
-                # (or shed it) before the scheduler gets to run again.
-                inject(arrival)
-                index += 1
-                continue
-            if depth() >= max_batch:
-                # A full batch is waiting: the drain loop stops waiting
-                # for company the moment this happens.
-                service.pump()
-                window_open = None
-                continue
-            if depth() > 0:
-                if window_open is None:
-                    window_open = now
-                due = window_open + window
-                if due <= arrival.at:
-                    clock.advance_to(due)
-                    service.pump()
-                    window_open = None
-                    continue
-            # Idle (or mid-window) until the next arrival.
-            clock.advance_to(arrival.at)
-            inject(arrival)
-            index += 1
-        while depth() > 0:
-            if depth() < max_batch:
-                if window_open is None:
-                    window_open = clock()
-                clock.advance_to(window_open + window)
-            service.pump()
-            window_open = None
-        elapsed = max(clock() - start, duration)
-        return self._build_report(
-            mode="virtual",
-            offered_qps=offered_qps,
-            duration=duration,
-            elapsed=elapsed,
-            injected=injected,
-            updates=updates,
-            latencies=latencies,
-            monitor_outcomes=monitor_outcomes,
-            monitor_latencies=monitor_latencies,
-        )
-
-    # ------------------------------------------------------------------
-    # Real mode: wall-clock open loop
-    # ------------------------------------------------------------------
-
-    def _run_real(
-        self, schedule: list[Arrival], duration: float, offered_qps: float
-    ) -> RunReport:
-        service = self.service
-        clock = service.clock
-        lock = threading.Lock()
-        latencies: list[tuple[str, float]] = []
-        monitor_outcomes: dict[str, int] = {}
-        monitor_latencies: list[float] = []
-        outstanding = []
         injected = 0
         updates = 0
         start = clock()
@@ -385,8 +135,9 @@ class LoadRunner:
         def track(scheduled: float, future) -> None:
             def _done(f):
                 response = f.result()
-                with lock:
+                with answered:
                     latencies.append((response.status, clock() - scheduled))
+                    answered.notify()
 
             future.add_done_callback(_done)
 
@@ -407,16 +158,18 @@ class LoadRunner:
                 monitor_latencies.append(clock() - target)
                 continue
             injected += 1
-            future = service.submit(arrival.request)
-            track(target, future)
-            outstanding.append(future)
-        for future in outstanding:
-            future.result(timeout=60.0)
-        elapsed = max(clock() - start, duration)
-        with lock:
+            track(target, service.submit(arrival.request))
+        with answered:
+            if not answered.wait_for(
+                lambda: len(latencies) == injected, timeout=60.0
+            ):
+                raise LoadError(
+                    f"{injected - len(latencies)} of {injected} requests "
+                    "unanswered 60 s after the last arrival"
+                )
             collected = list(latencies)
+        elapsed = max(clock() - start, duration)
         return self._build_report(
-            mode="real",
             offered_qps=offered_qps,
             duration=duration,
             elapsed=elapsed,
@@ -434,7 +187,6 @@ class LoadRunner:
     def _build_report(
         self,
         *,
-        mode: str,
         offered_qps: float,
         duration: float,
         elapsed: float,
@@ -476,7 +228,6 @@ class LoadRunner:
             ),
         }
         return RunReport(
-            mode=mode,
             offered_qps=offered_qps,
             duration_seconds=duration,
             elapsed_seconds=elapsed,

@@ -23,8 +23,8 @@ and hide queueing delay (coordinated omission).
 Everything here is deterministic: materialization derives from
 ``spec.seed`` alone, a schedule from ``(spec.seed, rate, duration,
 salt)`` alone.  Two calls with equal inputs yield bit-identical request
-streams, the foundation of the virtual-time reproducibility contract in
-``docs/load.md``.
+streams, so two sweeps offer the same traffic and differ only in how
+the service answered it (``docs/load.md``).
 """
 
 from __future__ import annotations
@@ -219,10 +219,10 @@ SCENARIOS: dict[str, ScenarioSpec] = {
 class Arrival:
     """One scheduled injection: a query submission or a monitor update.
 
-    ``at`` is seconds from the start of the run on the run's timeline
-    (virtual or wall).  Query arrivals carry a ready-built
-    :class:`PRQRequest`; update arrivals carry the subscription id and
-    its new location (plus an optional per-update deadline).
+    ``at`` is seconds from the start of the run on the wall clock.
+    Query arrivals carry a ready-built :class:`PRQRequest`; update
+    arrivals carry the subscription id and its new location (plus an
+    optional per-update deadline).
     """
 
     at: float

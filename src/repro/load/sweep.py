@@ -17,18 +17,15 @@ the per-step :class:`~repro.load.runner.RunReport` rows into a
   residual, so reports can sanity-check that the service actually
   behaves like a bounded server rather than degrading open-endedly.
 
-Virtual sweeps (the default) run the whole ladder in milliseconds of
-wall time on a :class:`VirtualClock` + :class:`VirtualCostModel` and are
-bit-reproducible — CI compares their JSON byte-for-byte and trend-gates
-capacity against a committed baseline.  Real sweeps exercise the actual
-engine on the actual machine for perf-trajectory numbers.
+Every step runs the real threaded service on the wall clock, so both
+figures move with the database, the engine and the machine.
 """
 
 from __future__ import annotations
 
 from repro.errors import LoadError
 from repro.load.report import CapacityReport
-from repro.load.runner import LoadRunner, RunReport, VirtualClock, VirtualCostModel
+from repro.load.runner import LoadRunner, RunReport
 from repro.load.scenario import ScenarioSpec, ScenarioWorkload
 from repro.serve.service import QueryService, ServiceConfig
 
@@ -90,10 +87,7 @@ class SaturationSweep:
 
     ``service_knobs`` are forwarded to every per-step
     :class:`~repro.serve.QueryService` (``max_batch``, ``batch_window``,
-    ``max_queue``, ``workers``, ``cache_size``, …).  In virtual mode
-    (default) each step gets a fresh :class:`VirtualClock` and shares
-    the given :class:`VirtualCostModel`; in real mode the services run
-    their normal scheduler thread and wall clock.
+    ``max_queue``, ``workers``, ``cache_size``, …).
     """
 
     def __init__(
@@ -103,8 +97,6 @@ class SaturationSweep:
         *,
         rates,
         duration: float = 2.0,
-        virtual: bool = True,
-        cost_model: VirtualCostModel | None = None,
         service_knobs: dict | None = None,
         shed_threshold: float = 0.01,
     ):
@@ -118,36 +110,21 @@ class SaturationSweep:
         self.spec = spec
         self.rates = rates
         self.duration = float(duration)
-        self.virtual = bool(virtual)
-        self.cost_model = (
-            cost_model
-            if cost_model is not None
-            else (VirtualCostModel() if virtual else None)
-        )
         self.service_knobs = dict(service_knobs or {})
         self.shed_threshold = float(shed_threshold)
         self.database = ScenarioWorkload.prepare_database(spec, database)
         self.workload = ScenarioWorkload(spec, self.database)
 
-    def _make_service(self) -> QueryService:
-        knobs = dict(self.service_knobs)
-        if self.virtual:
-            knobs["clock"] = VirtualClock()
-            knobs["manual"] = True
-            knobs["cost_model"] = self.cost_model
-        return QueryService(self.database, **knobs)
-
     def run_step(self, rate: float, *, salt: int = 0) -> RunReport:
         """Run one rate step against a fresh service and close it."""
         schedule = self.workload.schedule(rate, self.duration, salt=salt)
-        service = self._make_service()
+        service = QueryService(self.database, **self.service_knobs)
         try:
             for sub_id, gaussian, delta, theta in self.workload.subscriptions():
                 service.monitor.subscribe(
                     gaussian, delta, theta, subscription_id=sub_id
                 )
-            runner = LoadRunner(service, cost_model=self.cost_model)
-            return runner.run(
+            return LoadRunner(service).run(
                 schedule, duration=self.duration, offered_qps=rate
             )
         finally:
@@ -169,25 +146,14 @@ class SaturationSweep:
             "cache_size": config.cache_size,
             "degrade": config.degrade,
         }
-        cost_block = None
-        if self.cost_model is not None:
-            cost_block = {
-                "seconds_per_query": self.cost_model.seconds_per_query,
-                "degraded_ratio": self.cost_model.degraded_ratio,
-                "batch_overhead": self.cost_model.batch_overhead,
-                "parallelism": self.cost_model.parallelism,
-                "seconds_per_update": self.cost_model.seconds_per_update,
-            }
         return CapacityReport(
             scenario=self.spec.to_dict(),
-            mode="virtual" if self.virtual else "real",
             duration_seconds=self.duration,
             database={
                 "points": len(self.database),
                 "dim": int(self.database.dim),
             },
             service=service_block,
-            cost_model=cost_block,
             steps=steps,
             knee=knee,
         )

@@ -49,7 +49,6 @@ from __future__ import annotations
 from repro.obs.hooks import CProfileHook, ProfilingHook
 from repro.obs.metrics import (
     COUNT_BUCKETS,
-    ERROR_BUCKETS,
     QUEUE_BUCKETS,
     TIME_BUCKETS,
     Counter,
@@ -71,7 +70,6 @@ __all__ = [
     "CProfileHook",
     "TIME_BUCKETS",
     "COUNT_BUCKETS",
-    "ERROR_BUCKETS",
     "QUEUE_BUCKETS",
     "NULL_SPAN",
     "span_of",

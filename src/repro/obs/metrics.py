@@ -69,7 +69,6 @@ __all__ = [
     "MetricsRegistry",
     "TIME_BUCKETS",
     "COUNT_BUCKETS",
-    "ERROR_BUCKETS",
     "QUEUE_BUCKETS",
 ]
 
@@ -84,13 +83,6 @@ TIME_BUCKETS: tuple[float, ...] = (
 COUNT_BUCKETS: tuple[float, ...] = (
     0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0,
     200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
-)
-
-#: Fixed bucket edges for signed prediction errors (predicted − actual
-#: Phase-3 candidates): symmetric around zero so under- and
-#: over-prediction are distinguishable from the exposition alone.
-ERROR_BUCKETS: tuple[float, ...] = (
-    -1000.0, -100.0, -10.0, -1.0, 0.0, 1.0, 10.0, 100.0, 1000.0,
 )
 
 #: Fixed bucket edges for the serving layer's small-cardinality

@@ -15,10 +15,10 @@ by descending ``priority`` (FIFO within a level).
 
 The queue reads time through an injectable ``clock`` (default
 ``time.monotonic``): the batch-window deadline is computed against it, so
-a service under a virtual/fake clock keeps every timing decision —
-deadline expiry *and* window elapse — on the same timeline.  Condition
-waits still sleep in real time (a thread cannot block on virtual time),
-so a clock that fails to advance across a timed-out wait is treated as an
+a service under a fake clock keeps every timing decision — deadline
+expiry *and* window elapse — on the same timeline.  Condition waits
+still sleep in real time (a thread cannot block on a fake clock), so a
+clock that fails to advance across a timed-out wait is treated as an
 elapsed window rather than looping forever.
 """
 
@@ -102,27 +102,14 @@ class AdmissionQueue:
                 previous, now = now, self._clock()
                 if not notified and now <= previous:
                     # The injected clock did not move across a real timed
-                    # wait: it is frozen (or fully virtual), so the window
-                    # can never elapse on its own.  Treat it as elapsed.
+                    # wait: it is frozen, so the window can never elapse
+                    # on its own.  Treat it as elapsed.
                     break
-            return self._pop_locked(max_batch)
-
-    def drain(self, max_batch: int) -> list:
-        """Pop up to ``max_batch`` items immediately, without waiting.
-
-        The manual-scheduling path (:meth:`QueryService.pump`): a
-        virtual-time driver decides *when* the window has elapsed on its
-        own timeline and then drains synchronously.
-        """
-        with self._lock:
-            return self._pop_locked(max_batch)
-
-    def _pop_locked(self, max_batch: int) -> list:
-        # Stable sort on -priority keeps FIFO order within a level.
-        self._items.sort(key=lambda pair: (-pair[0].priority, pair[1]))
-        taken = self._items[:max_batch]
-        del self._items[: len(taken)]
-        return [item for item, _ in taken]
+            # Stable sort on -priority keeps FIFO order within a level.
+            self._items.sort(key=lambda pair: (-pair[0].priority, pair[1]))
+            taken = self._items[:max_batch]
+            del self._items[: len(taken)]
+            return [item for item, _ in taken]
 
     def close(self) -> None:
         """Refuse further offers and wake any blocked drain."""

@@ -188,16 +188,8 @@ class QueryService:
         # ``clock`` is injectable for tests: every deadline/degradation
         # decision and every latency figure reads it instead of the wall
         # clock, so deadline behaviour can be driven deterministically.
-        # It rides alongside the knobs, as do the two load-harness knobs:
-        # ``manual=True`` skips the scheduler thread so a single-threaded
-        # driver drains via :meth:`pump`, and ``cost_model`` replaces
-        # wall-clock execution cost with a deterministic model (see
-        # ``docs/load.md``) — advancing an advanceable clock by the
-        # modelled service time so virtual-time runs are bit-reproducible.
         clock = knobs.pop("clock", None)
         self._clock = clock if clock is not None else time.monotonic
-        self._manual = bool(knobs.pop("manual", False))
-        self._cost_model = knobs.pop("cost_model", None)
         self.config = ServiceConfig(**knobs)
         self.database = database
         integrator = self.config.integrator or CascadeIntegrator()
@@ -243,12 +235,10 @@ class QueryService:
             clock=self._clock,
         )
         self._closing = threading.Event()
-        self._scheduler: threading.Thread | None = None
-        if not self._manual:
-            self._scheduler = threading.Thread(
-                target=self._loop, name="repro-serve-scheduler", daemon=True
-            )
-            self._scheduler.start()
+        self._scheduler = threading.Thread(
+            target=self._loop, name="repro-serve-scheduler", daemon=True
+        )
+        self._scheduler.start()
 
     # ------------------------------------------------------------------
     # Client surface
@@ -342,52 +332,12 @@ class QueryService:
         """The service's time source (injected, or ``time.monotonic``)."""
         return self._clock
 
-    @property
-    def manual(self) -> bool:
-        """True when the service has no scheduler thread (``manual=True``)."""
-        return self._manual
-
-    def pump(self) -> int:
-        """Drain and process one micro-batch synchronously (manual mode).
-
-        Only meaningful on a service built with ``manual=True`` (no
-        scheduler thread): the caller owns the batch-window policy — it
-        decides *when* a drain is due on its own (possibly virtual)
-        timeline and then calls ``pump`` to execute up to ``max_batch``
-        queued requests on the calling thread.  Returns the number of
-        requests drained (0 when the queue was empty).
-        """
-        if not self._manual:
-            raise ServiceError(
-                "pump() requires a manual-scheduling service "
-                "(QueryService(..., manual=True))"
-            )
-        batch = self._queue.drain(self.config.max_batch)
-        if not batch:
-            return 0
-        try:
-            self._process(batch)
-        except BaseException as exc:  # pragma: no cover - last resort
-            self._fail_batch(batch, exc)
-        return len(batch)
-
     def close(self, *, timeout: float = 30.0) -> None:
         """Stop accepting requests, drain the queue, join the scheduler.
 
         Every request admitted before ``close`` still gets its response.
-        Idempotent; also invoked by the context-manager exit.  On a
-        manual-scheduling service there is no scheduler thread to join;
-        the remaining queue is pumped dry on the calling thread instead.
+        Idempotent; also invoked by the context-manager exit.
         """
-        if self._manual:
-            already_closed = self._closing.is_set()
-            self._closing.set()
-            if not already_closed:
-                while self.pump():
-                    pass
-                self._queue.close()
-                self._flush_metrics()
-            return
         if self._closing.is_set():
             self._scheduler.join(timeout=timeout)
             return
@@ -505,16 +455,6 @@ class QueryService:
             )
         )
 
-    def _advance_clock(self, seconds: float) -> None:
-        """Move an advanceable (virtual) clock by modelled service time.
-
-        A real ``time.monotonic`` clock has no ``advance`` — the call is
-        then a no-op and wall time keeps flowing on its own.
-        """
-        advance = getattr(self._clock, "advance", None)
-        if advance is not None and seconds > 0:
-            advance(seconds)
-
     def _resolve_degraded(self, pending: _Pending) -> None:
         started = self._clock()
         try:
@@ -524,10 +464,6 @@ class QueryService:
         except Exception as exc:
             self._resolve_failed(pending, exc, started)
             return
-        if self._cost_model is not None:
-            self._advance_clock(
-                self._cost_model.degraded_seconds(pending.request)
-            )
         self._count("degraded")
         if self._obs is not None:
             self._obs.record_query(stats)
@@ -594,14 +530,6 @@ class QueryService:
             integrator_factory=factory,
             return_errors=True,
         )
-        if self._cost_model is not None:
-            # Deterministic virtual accounting: the batch costs what the
-            # model says, not what this machine's wall clock measured.
-            self._advance_clock(
-                self._cost_model.batch_seconds(
-                    [self._cost_model.query_seconds(p.request) for p in leaders]
-                )
-            )
         finished = self._clock()
         self._count("executed", len(leaders))
         per_query = (finished - started) / len(leaders)
@@ -609,14 +537,7 @@ class QueryService:
             for pending in groups[leader.request.fingerprint]:
                 self._resolve_executed(pending, result, started, len(full))
             if not result.failed:
-                if self._cost_model is not None:
-                    self._cost.observe(
-                        self._cost_model.query_seconds(leader.request)
-                    )
-                else:
-                    self._cost.observe(
-                        max(result.stats.total_seconds, per_query)
-                    )
+                self._cost.observe(max(result.stats.total_seconds, per_query))
 
     def _resolve_executed(
         self,

@@ -117,7 +117,9 @@ def _removed_knob_calls():
     return {
         "planner-combos": lambda: repro.QueryPlanner(points, combos=("rr",)),
         "planner-cache_size": lambda: repro.QueryPlanner(points, cache_size=2),
-        "planner-cost_model": lambda: repro.QueryPlanner(points, cost_model=None),
+        "planner-cost_model": lambda: repro.QueryPlanner(
+            points, **{"cost_model": None}
+        ),
         "planner-total_points": lambda: repro.QueryPlanner(total_points=50),
         "planner-data_bounds": lambda: repro.QueryPlanner(
             points, data_bounds=None

@@ -19,7 +19,6 @@ from repro.errors import ReproError
 from repro.integrate.cascade import CascadeIntegrator
 from repro.obs import (
     COUNT_BUCKETS,
-    ERROR_BUCKETS,
     NULL_SPAN,
     TIME_BUCKETS,
     CProfileHook,
@@ -161,8 +160,7 @@ class TestMetrics:
     def test_documented_bucket_edges(self):
         assert TIME_BUCKETS[0] == 1e-4 and TIME_BUCKETS[-1] == 10.0
         assert COUNT_BUCKETS[0] == 0 and COUNT_BUCKETS[-1] == 10_000
-        assert ERROR_BUCKETS[0] == -1000 and ERROR_BUCKETS[-1] == 1000
-        for edges in (TIME_BUCKETS, COUNT_BUCKETS, ERROR_BUCKETS):
+        for edges in (TIME_BUCKETS, COUNT_BUCKETS):
             assert list(edges) == sorted(edges)
 
     def test_merge_adds_counters_and_buckets_keeps_gauge_max(self):

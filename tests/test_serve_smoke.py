@@ -146,9 +146,11 @@ def test_shard_batch_generator_writes_the_ci_batch(tmp_path):
 
 def test_load_smoke_passes_and_each_guard_fires(store, tmp_path, capsys):
     """A shrunken ``repro load --sweep`` report passes ``check load``; canned
-    edits show each of the five-status and knee guards firing."""
+    edits show each of the five-status and knee guards firing.  A 16-slot
+    queue at 4000 req/s sheds on any machine."""
     report_file = tmp_path / "capacity.json"
     code = main(["load", str(store), "--scenario", "uniform", "--sweep",
+                 "--rates", "250,4000", "--queue-size", "16",
                  "--duration", "1", "--cache-size", "0",
                  "--out", str(report_file)])  # fmt: skip
     assert code == 0
