@@ -75,8 +75,8 @@ def main() -> None:
               "provably unchanged, nothing executed)")
         print(f"  reintegrated {stats.reintegrated:>6}   (Phase 2/3 "
               "over border assets only)")
-        print(f"  replanned    {stats.replanned:>6}   (full engine "
-              "run, fresh safe region)\n")
+        print(f"  replanned    {stats.replanned:>6}   (fresh anchor: "
+              "Phase 2/3 over the new rectangle's rows)\n")
 
         # A structural change always replans: vehicle 0 enters a tunnel
         # and its GPS covariance quadruples.

@@ -243,7 +243,9 @@ class QueryEngine:
         self.targets = targets
 
     def execute(self, query: ProbabilisticRangeQuery) -> QueryResult:
-        return self._execute_with(query, self.strategies, self.integrator)
+        return self._execute_with(
+            query, self.strategies, self.integrator, obs=self.obs
+        )
 
     def run_batch(
         self,
@@ -318,10 +320,7 @@ class QueryEngine:
                     results = list(pool.map(task, pairs))
         wall = time.perf_counter() - start
 
-        batch = BatchStats(workers=workers, wall_seconds=wall)
-        for result in results:
-            batch.merge(result.stats)
-            batch.failed += result.failed
+        batch = BatchStats.of(results, workers=workers, wall_seconds=wall)
         if obs is not None:
             for child in children:
                 obs.absorb(child, parent=batch_span.span)
@@ -358,9 +357,8 @@ class QueryEngine:
         integrator: ProbabilityIntegrator,
         *,
         seed: np.random.SeedSequence | None = None,
-        obs: Observability | None = None,
+        obs: Observability | None,
     ) -> QueryResult:
-        obs = obs if obs is not None else self.obs
         parts: list[QueryStats] = []
         answers: list[tuple[int, ...]] = []
         with span_of(

@@ -155,7 +155,8 @@ class RegionDecision:
 class SafeRegion:
     """One standing query's pre-approximation, anchored at build time.
 
-    Build with :meth:`build`; interrogate updates with :meth:`classify`;
+    Draw the candidate cache with :meth:`superset`, build with
+    :meth:`build`; interrogate updates with :meth:`classify`;
     assemble the surviving part of the answer with
     :meth:`certain_accept_ids`.  Instances are immutable after
     construction and safe to share across reader threads.
@@ -234,47 +235,53 @@ class SafeRegion:
 
     # -- construction ---------------------------------------------------
 
+    @staticmethod
+    def superset(
+        anchor_rect: Rect | None, *, index, reuse: "SafeRegion | None" = None
+    ) -> tuple[Rect | None, np.ndarray, np.ndarray]:
+        """The cached candidate superset ``(cached_rect, ids, points)``.
+
+        ``anchor_rect`` is the query's combined Phase-1 rectangle
+        (``None`` when a strategy proved the result empty).  ``reuse``
+        donates its superset when it still covers ``anchor_rect``;
+        otherwise ``index`` (``db.index``) is searched once over
+        ``anchor_rect`` scaled by :data:`MARGIN`.  Every row a cold run
+        retrieves is a row of the superset inside ``anchor_rect``.
+        """
+        if (
+            reuse is not None
+            and reuse.cached_rect is not None
+            and (anchor_rect is None or reuse.cached_rect.contains_rect(anchor_rect))
+        ):
+            return reuse.cached_rect, reuse.ids, reuse.points
+        if anchor_rect is None:
+            return None, np.empty(0, dtype=np.int64), np.empty((0, index.dim))
+        cached_rect = Rect.from_center(
+            anchor_rect.center, (anchor_rect.extents / 2.0) * (1.0 + MARGIN)
+        )
+        ids = np.asarray(index.range_search_rect(cached_rect), dtype=np.int64)
+        return cached_rect, ids, index.points_of(ids)
+
     @classmethod
     def build(
         cls,
         query: ProbabilisticRangeQuery,
         answer: tuple[int, ...],
         *,
-        index,
         anchor_rect: Rect | None,
-        reuse: "SafeRegion | None" = None,
+        superset: tuple[Rect | None, np.ndarray, np.ndarray],
     ) -> "SafeRegion":
         """Anchor a safe region at ``query`` whose full answer is ``answer``.
 
-        ``index`` comes from the database (``db.index``); ``anchor_rect``
-        is the query's combined Phase-1 rectangle (``None`` when a
-        strategy proved the result empty); the cached superset is that
-        rectangle scaled by :data:`MARGIN`.  ``reuse`` donates its cached
-        superset when the new anchor rectangle still fits inside it.  The
-        shell radii depend only on (Σ spectrum, δ, θ), so a re-anchor
-        after pure translation finds both in the inversion memo.
+        ``anchor_rect`` is the query's combined Phase-1 rectangle and
+        ``superset`` the :meth:`superset` drawn around it.  The shell
+        radii depend only on (Σ spectrum, δ, θ), so a re-anchor after
+        pure translation finds both in the inversion memo.
         """
         r_accept, r_reject = alpha_shell_radii(
             query.gaussian, query.delta, query.theta
         )
-        reusable = reuse is not None and reuse.cached_rect is not None
-        if reusable and (
-            anchor_rect is None or reuse.cached_rect.contains_rect(anchor_rect)
-        ):
-            cached_rect, ids, points = reuse.cached_rect, reuse.ids, reuse.points
-        elif anchor_rect is None:
-            cached_rect = None
-            ids = np.empty(0, dtype=np.int64)
-            points = np.empty((0, query.dim))
-        else:
-            cached_rect = Rect.from_center(
-                anchor_rect.center,
-                (anchor_rect.extents / 2.0) * (1.0 + MARGIN),
-            )
-            ids = np.asarray(
-                index.range_search_rect(cached_rect), dtype=np.int64
-            )
-            points = index.points_of(ids)
+        cached_rect, ids, points = superset
         return cls(
             query,
             r_accept=r_accept,

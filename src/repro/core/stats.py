@@ -77,21 +77,7 @@ class QueryStats:
             return parts[0]
         total = cls()
         for part in parts:
-            total.retrieved += part.retrieved
-            for name, count in part.rejected_by_filter.items():
-                total.note_rejections(name, count)
-            total.accepted_without_integration += (
-                part.accepted_without_integration
-            )
-            total.integrations += part.integrations
-            total.integration_samples += part.integration_samples
-            for method, count in part.tier_decisions.items():
-                total.note_decision(method, count)
-            total.results += part.results
-            for phase, seconds in part.phase_seconds.items():
-                total.phase_seconds[phase] = (
-                    total.phase_seconds.get(phase, 0.0) + seconds
-                )
+            _add_counters(total, part)
             if part.plan_strategies is not None:
                 total.plan_strategies = tuple(dict.fromkeys(
                     (*(total.plan_strategies or ()), *part.plan_strategies)
@@ -164,28 +150,21 @@ class BatchStats:
     #: Queries that went through the ``"auto"`` planner.
     planned_queries: int = 0
 
+    @classmethod
+    def of(cls, results, *, workers: int, wall_seconds: float) -> "BatchStats":
+        """Roll one batch's ``QueryResult`` list up into its totals."""
+        batch = cls(workers=workers, wall_seconds=wall_seconds)
+        for result in results:
+            batch.merge(result.stats)
+            batch.failed += result.failed
+        return batch
+
     def merge(self, stats: QueryStats) -> None:
         """Fold one query's counters into the batch totals."""
         self.n_queries += 1
-        self.retrieved += stats.retrieved
-        for name, count in stats.rejected_by_filter.items():
-            self.rejected_by_filter[name] = (
-                self.rejected_by_filter.get(name, 0) + count
-            )
-        self.accepted_without_integration += stats.accepted_without_integration
-        self.integrations += stats.integrations
-        self.integration_samples += stats.integration_samples
-        for method, count in stats.tier_decisions.items():
-            self.tier_decisions[method] = (
-                self.tier_decisions.get(method, 0) + count
-            )
-        self.results += stats.results
+        _add_counters(self, stats)
         if stats.plan_strategies is not None:
             self.planned_queries += 1
-        for phase, seconds in stats.phase_seconds.items():
-            self.phase_seconds[phase] = (
-                self.phase_seconds.get(phase, 0.0) + seconds
-            )
         self.latencies.append(stats.total_seconds)
 
     @property
@@ -213,3 +192,21 @@ class BatchStats:
             f"integrated={self.integrations} results={self.results}"
             f"{failures}"
         )
+
+
+def _add_counters(total: QueryStats | BatchStats, part: QueryStats) -> None:
+    """Add ``part``'s additive counters and phase timings into ``total``:
+    the one fold behind :meth:`QueryStats.combine` and
+    :meth:`BatchStats.merge`."""
+    total.retrieved += part.retrieved
+    total.accepted_without_integration += part.accepted_without_integration
+    total.integrations += part.integrations
+    total.integration_samples += part.integration_samples
+    total.results += part.results
+    for into, counts in (
+        (total.rejected_by_filter, part.rejected_by_filter),
+        (total.tier_decisions, part.tier_decisions),
+        (total.phase_seconds, part.phase_seconds),
+    ):
+        for key, value in counts.items():
+            into[key] = into.get(key, 0) + value

@@ -1,13 +1,11 @@
-"""Keyed result LRU cache for the query service.
+"""Exact-fingerprint result LRU cache for the query service.
 
-Keys group entries by workload shape (:func:`quantized_shape_key`:
-log-grid bins over the Σ-spectrum, δ and θ), but every key
-additionally carries the request's exact SHA-256 fingerprint (center, Σ,
-δ, θ) — a hit therefore only ever returns the result of a bit-identical
-request, never of a merely similar one, so cached responses are exactly
-what re-execution would produce.  This is the serving-time reuse the
-pre-approximation literature argues for (per-(Σ, δ, θ) structure shared
-across requests), applied at the level of whole results.
+Every entry is keyed on the request's SHA-256 fingerprint (center, Σ, δ,
+θ; :func:`repro.serve.request.query_fingerprint`) — a hit therefore only
+ever returns the result of a bit-identical request, never of a merely
+similar one, so cached responses are exactly what re-execution would
+produce.  This is the serving-time reuse the pre-approximation
+literature argues for, applied at the level of whole results.
 
 Thread-safe; hit/miss counters are published to the metrics registry as
 ``repro_serve_cache_requests_total{outcome=...}`` plus entry/capacity
@@ -16,44 +14,13 @@ gauges (see ``docs/serving.md``).
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 
-import numpy as np
-
-from repro.core.query import ProbabilisticRangeQuery
 from repro.errors import ServiceError
 from repro.serve.request import PRQRequest
 
 __all__ = ["ResultCache"]
-
-#: Resolution of the shape key: each of log λᵢ, log δ and log θ is rounded
-#: to 1/4 e-fold.
-SHAPE_BINS_PER_EFOLD = 4
-
-
-def quantize_log(value: float) -> int:
-    """Quantize a positive scalar onto the shape key's log grid."""
-    return round(math.log(max(value, 1e-300)) * SHAPE_BINS_PER_EFOLD)
-
-
-def quantized_shape_key(query: ProbabilisticRangeQuery) -> tuple:
-    """The quantized (dim, Σ-spectrum, δ, θ) shape of a query.
-
-    Two queries share a shape key iff their covariance spectra, ranges
-    and thresholds land in the same log-grid bins — the bucketing the
-    result cache groups entries by.
-    """
-    spectrum = tuple(
-        quantize_log(ev) for ev in np.sort(query.gaussian.eigenvalues)
-    )
-    return (
-        query.dim,
-        spectrum,
-        quantize_log(query.delta),
-        quantize_log(query.theta),
-    )
 
 
 class ResultCache:
@@ -69,17 +36,14 @@ class ResultCache:
         if max_entries < 1:
             raise ServiceError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
-        self._entries: OrderedDict[tuple, tuple[int, ...]] = OrderedDict()
+        self._entries: OrderedDict[bytes, tuple[int, ...]] = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
 
-    def _key(self, request: PRQRequest) -> tuple:
-        return (quantized_shape_key(request.query), request.fingerprint)
-
     def get(self, request: PRQRequest) -> tuple[int, ...] | None:
         """The cached result ids for an identical past request, or None."""
-        key = self._key(request)
+        key = request.fingerprint
         with self._lock:
             ids = self._entries.get(key)
             if ids is None:
@@ -91,7 +55,7 @@ class ResultCache:
 
     def put(self, request: PRQRequest, ids: tuple[int, ...]) -> None:
         """Remember a *non-degraded* result for ``request``."""
-        key = self._key(request)
+        key = request.fingerprint
         with self._lock:
             self._entries[key] = tuple(ids)
             self._entries.move_to_end(key)
@@ -111,11 +75,6 @@ class ResultCache:
                 "currsize": len(self._entries),
                 "maxsize": self.max_entries,
             }
-
-    def distinct_shapes(self) -> int:
-        """How many quantized workload shapes the entries span."""
-        with self._lock:
-            return len({key[0] for key in self._entries})
 
     def publish_metrics(self, registry) -> None:
         """Snapshot cache state into a metrics registry (gauges)."""

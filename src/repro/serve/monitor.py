@@ -15,9 +15,14 @@ answers every update by classifying it against the region:
   decision is proven to stand.
 - **replanned** — the covariance changed, the translated Phase-1
   rectangle escaped the cached candidate superset, or too many slacks
-  broke: the subscription re-anchors with a full engine run (scattered
-  across shards when the engine is a
-  :class:`~repro.shard.engine.ShardedEngine`).
+  broke: the subscription re-anchors exactly as it subscribed.
+
+Anchoring and reintegration are one path (``_anchor``): the strategies
+are prepared once, and Phase 2/3 decide the cached superset's rows
+inside the prepared Phase-1 rectangle — the very rows a cold run
+retrieves — on the database's full index (the coordinator's, for a
+:class:`~repro.shard.engine.ShardedEngine`).  An anchor searches the
+index at most once, for a new superset; no engine batch path runs.
 
 Every non-degraded answer is **bit-identical** to a cold full
 evaluation of the same query at the updated location — the contract
@@ -45,10 +50,9 @@ as tabulated in ``docs/monitoring.md``.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,7 +65,13 @@ from repro.core.saferegion import (
     RegionDecision,
     SafeRegion,
 )
-from repro.core.stages import FilterStage, IntegrateStage, StageContext, phase1_rect
+from repro.core.stages import (
+    FilterStage,
+    IntegrateStage,
+    StageContext,
+    execute_pipeline,
+    phase1_rect,
+)
 from repro.core.stats import QueryStats
 from repro.errors import QueryError, ReproError, ServiceError
 from repro.gaussian.distribution import Gaussian
@@ -72,6 +82,7 @@ from repro.serve.request import (
     STATUS_FAILED,
     STATUS_OK,
     check_deadline,
+    query_seed,
 )
 
 __all__ = [
@@ -109,7 +120,7 @@ REQUEST_TYPES = (
 OUTCOME_SURVIVED = DECISION_SURVIVED
 #: Border rows were re-decided; the rest of the answer was proven stable.
 OUTCOME_REINTEGRATED = "reintegrated"
-#: The subscription re-anchored with a full engine run.
+#: The subscription re-anchored around the new location.
 OUTCOME_REPLANNED = "replanned"
 #: The deadline bit: certain ids plus sound intervals, state untouched.
 OUTCOME_DEGRADED = "degraded"
@@ -221,30 +232,12 @@ class _Subscription:
     """Mutable per-subscription state (guarded by the manager lock)."""
 
     key: int | str
-    query: ProbabilisticRangeQuery
+    #: The current anchor: its query, exact answer and candidate cache.
     region: SafeRegion
     #: The last committed (full-fidelity) answer.
     reported: tuple[int, ...]
     #: True when a degraded update has been seen since ``reported``.
     stale: bool = False
-    updates: int = 0
-    extra: dict = field(default_factory=dict)
-
-
-def _anchor_seed(query: ProbabilisticRangeQuery) -> np.random.SeedSequence:
-    """The fingerprint-derived seed stream for one anchor's executions.
-
-    Mirrors :meth:`repro.serve.request.PRQRequest.seed_sequence`: a pure
-    function of (mean, Σ, δ, θ), so every execution a subscription ever
-    performs — anchor, replan, reintegration — forks its integrator from
-    the same entry state a direct service request for that anchor would.
-    """
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(query.gaussian.mean, float).tobytes())
-    digest.update(np.ascontiguousarray(query.gaussian.sigma, float).tobytes())
-    digest.update(np.float64(query.delta).tobytes())
-    digest.update(np.float64(query.theta).tobytes())
-    return np.random.SeedSequence(int.from_bytes(digest.digest()[:16], "big"))
 
 
 class SubscriptionManager:
@@ -370,7 +363,7 @@ class SubscriptionManager:
             if key in self._subs:
                 raise ServiceError(f"subscription {key!r} already exists")
             try:
-                answer, region = self._anchor(query, reuse=None)
+                region = self._anchor(query, reuse=None)
             except ReproError as exc:
                 self._counters["failed"] += 1
                 return MonitorResponse(
@@ -382,7 +375,7 @@ class SubscriptionManager:
                     seconds=self._clock() - started,
                 )
             self._subs[key] = _Subscription(
-                key=key, query=query, region=region, reported=answer
+                key=key, region=region, reported=region.answer
             )
             self._counters["subscribed"] += 1
             if self._metrics is not None:
@@ -392,8 +385,8 @@ class SubscriptionManager:
             type=REQUEST_SUBSCRIBE,
             status=STATUS_OK,
             subscription_id=key,
-            ids=answer,
-            added=answer,
+            ids=region.answer,
+            added=region.answer,
             seconds=self._clock() - started,
         )
 
@@ -411,7 +404,7 @@ class SubscriptionManager:
         The safe region classifies the shift in O(1); the response's
         ``outcome`` says what that cost: ``survived`` (nothing executed),
         ``reintegrated`` (Phase 2/3 over ``rechecked`` cached rows),
-        ``replanned`` (full engine run and a new region), or ``degraded``
+        ``replanned`` (a fresh anchor and region), or ``degraded``
         (the ``deadline`` bit — proven ids plus sound intervals,
         committed state untouched).  An unknown subscription or a
         negative/NaN ``deadline`` is a ``failed`` response.
@@ -572,6 +565,7 @@ class SubscriptionManager:
         self, sub, mean, sigma, deadline, request_id, started
     ) -> MonitorResponse:
         mean = np.asarray(mean, dtype=float)
+        query = sub.region.query
         decision = sub.region.classify(
             mean, None if sigma is None else np.asarray(sigma, dtype=float)
         )
@@ -584,71 +578,55 @@ class SubscriptionManager:
                 return self._degraded_update(
                     sub, mean, decision, request_id, started
                 )
-            reintegrated = self._reintegrate(sub, mean, decision)
-            if reintegrated is None:
-                # The shifted rectangle escaped the cached superset after
-                # all (classify's O(d) check uses translation
-                # equivariance; the prepared strategies are definitive).
-                decision = RegionDecision(
-                    DECISION_REPLAN, reason="cache-overrun", shift=decision.shift
-                )
-            else:
-                # Re-anchor at the new position: the answer is exact, the
-                # rectangle is already prepared, the candidate cache
-                # carries over and the shell radii are memo hits — only
-                # the per-row slacks need recomputing.  This keeps the measured shift
-                # per-update instead of cumulative, so slow motion keeps
-                # hitting the O(1) survived path.
-                answer, query, region = reintegrated
-                sub.query = query
-                sub.region = region
+            # Re-anchor at the new position: the rectangle is prepared
+            # anew, the candidate cache carries over and the shell radii
+            # are memo hits.  This keeps the measured shift per-update
+            # instead of cumulative, so slow motion keeps hitting the
+            # O(1) survived path.
+            shifted = ProbabilisticRangeQuery(
+                query.gaussian.moved_to(mean), query.delta, query.theta
+            )
+            region = self._anchor(shifted, reuse=sub.region, decision=decision)
+            if region is not None:
                 self._reintegrate_cost.observe(self._clock() - started)
                 return self._commit(
-                    sub,
-                    answer,
-                    OUTCOME_REINTEGRATED,
-                    decision,
-                    request_id,
-                    started,
+                    sub, region, OUTCOME_REINTEGRATED, decision, request_id, started
                 )
+            decision = RegionDecision(
+                DECISION_REPLAN, reason="cache-overrun", shift=decision.shift
+            )
         if decision.kind == DECISION_REPLAN:
             # Structural breaks always execute fully, deadline or not: a
             # broken region cannot answer soundly at any fidelity.
             # An unchanged Σ keeps the subscription's one decomposition.
             gaussian = (
-                sub.query.gaussian.moved_to(mean)
+                query.gaussian.moved_to(mean)
                 if sigma is None
                 else Gaussian(mean, sigma)
             )
-            query = ProbabilisticRangeQuery(
-                gaussian, sub.query.delta, sub.query.theta
+            region = self._anchor(
+                ProbabilisticRangeQuery(gaussian, query.delta, query.theta),
+                reuse=sub.region,
             )
-            answer, region = self._anchor(query, reuse=sub.region)
-            sub.query = query
-            sub.region = region
             return self._commit(
-                sub, answer, OUTCOME_REPLANNED, decision, request_id, started
+                sub, region, OUTCOME_REPLANNED, decision, request_id, started
             )
         # Survived: the anchor answer is provably exact at the new mean.
         return self._commit(
-            sub,
-            sub.region.answer,
-            OUTCOME_SURVIVED,
-            decision,
-            request_id,
-            started,
+            sub, sub.region, OUTCOME_SURVIVED, decision, request_id, started
         )
 
     def _commit(
-        self, sub, answer, outcome, decision, request_id, started
+        self, sub, region, outcome, decision, request_id, started
     ) -> MonitorResponse:
+        answer = region.answer
         previous = frozenset(sub.reported)
         current = frozenset(answer)
         added = tuple(sorted(current - previous))
         removed = tuple(sorted(previous - current))
-        sub.reported = tuple(answer)
+        sub.region = region
+        sub.reported = answer
         sub.stale = False
-        sub.updates += 1
         self._counters[outcome] += 1
         self._counters["rechecked_candidates"] += decision.n_recheck
         return MonitorResponse(
@@ -657,7 +635,7 @@ class SubscriptionManager:
             status=STATUS_OK,
             subscription_id=sub.key,
             outcome=outcome,
-            ids=tuple(answer),
+            ids=answer,
             added=added,
             removed=removed,
             rechecked=decision.n_recheck,
@@ -674,7 +652,7 @@ class SubscriptionManager:
         the translated rectangle fits the cache — the preconditions under
         which the sandwich intervals below enclose the truth.
         """
-        query = sub.query
+        query = sub.region.query
         certain = sub.region.certain_accept_ids(decision)
         rows = decision.recheck
         assert rows is not None
@@ -707,83 +685,62 @@ class SubscriptionManager:
         )
 
     def _anchor(
-        self, query: ProbabilisticRangeQuery, *, reuse: SafeRegion | None
-    ) -> tuple[tuple[int, ...], SafeRegion]:
-        """Full answer + fresh safe region for ``query`` (anchor/replan).
+        self,
+        query: ProbabilisticRangeQuery,
+        *,
+        reuse: SafeRegion | None,
+        decision: RegionDecision | None = None,
+    ) -> SafeRegion | None:
+        """The exact answer to ``query`` anchored in a fresh safe region.
 
-        The answer comes from ``engine.run_batch`` — a
-        :class:`~repro.shard.engine.ShardedEngine` scatters it across the
-        worker processes exactly like any other query.  The Phase-1
-        rectangle is prepared on fresh strategy clones so a concurrent
-        scheduler batch on the same engine is never perturbed.
+        Subscribe, replan and reintegration all run here.  Fresh strategy
+        clones are prepared once (a concurrent scheduler batch on the
+        same engine is never perturbed), and Filter/Integrate decide the
+        candidate rows that fall inside the prepared Phase-1 rectangle
+        with an integrator forked from ``query``'s fingerprint seed —
+        the rows, strategies and integrator entry state of a cold run,
+        so the answer is bit-identical to one (composition independence
+        makes the regrouping invisible).
+
+        An anchor (``decision is None``) decides its candidate
+        superset's rows: ``reuse``'s superset when it still covers the
+        rectangle, else one index search.  A reintegration decides the
+        ``decision.recheck`` rows of ``reuse`` and keeps its proven
+        accepts; it returns ``None`` when the prepared rectangle escapes
+        the cached superset (classify's O(d) check relies on translation
+        equivariance, the prepared strategies are definitive).
         """
-        seed = _anchor_seed(query)
-        batch = self.engine.run_batch(
-            [query],
-            workers=1,
-            integrator_factory=lambda _q, _s: self.engine.integrator.fork(
-                seed
-            ),
-        )
-        answer = batch.results[0].ids
         strategies = [s.clone() for s in self.engine.strategies]
         rect = phase1_rect(query, strategies, QueryStats(), dim=self.database.dim)
-        region = SafeRegion.build(
-            query,
-            answer,
-            index=self.database.index,
-            anchor_rect=rect,
-            reuse=reuse,
-        )
-        return answer, region
-
-    def _reintegrate(self, sub, mean, decision):
-        """Phases 2/3 over the recheck rows only; ``None`` forces a replan.
-
-        Uses fresh strategy clones prepared for the *shifted* query and a
-        fresh integrator fork from the anchor's seed, so per-candidate
-        decisions match what a cold full evaluation would produce
-        (composition independence makes the restriction to a subset of
-        candidates invisible).  On success returns
-        ``(answer, shifted_query, re-anchored_region)``.
-        """
-        region = sub.region
-        query = sub.query
-        shifted = ProbabilisticRangeQuery(
-            query.gaussian.moved_to(mean), query.delta, query.theta
-        )
-        strategies = [s.clone() for s in self.engine.strategies]
-        stats = QueryStats()
-        rect = phase1_rect(shifted, strategies, stats, dim=self.database.dim)
-        if rect is None:
-            # A strategy proved the shifted answer empty — which subsumes
-            # every certain accept (both proofs are sound).
-            answer: tuple[int, ...] = ()
+        if decision is None:
+            superset = SafeRegion.superset(
+                rect, index=self.database.index, reuse=reuse
+            )
+            _, ids, points = superset
+            kept: list[int] = []
         else:
-            assert region.cached_rect is not None
-            if not region.cached_rect.contains_rect(rect):
+            assert reuse is not None and reuse.cached_rect is not None
+            if rect is not None and not reuse.cached_rect.contains_rect(rect):
                 return None
-            rows = decision.recheck
-            assert rows is not None
+            superset = (reuse.cached_rect, reuse.ids, reuse.points)
+            ids, points = reuse.ids[decision.recheck], reuse.points[decision.recheck]
+            kept = reuse.certain_accept_ids(decision)
+        answer: tuple[int, ...] = ()
+        if rect is not None:
+            # A strategy proving the answer empty (rect None) subsumes
+            # every kept accept: both proofs are sound.
+            inside = rect.contains_points(points)
             ctx = StageContext(
-                shifted,
+                query,
                 strategies,
-                self.engine.integrator.fork(_anchor_seed(query)),
-                stats,
-                candidate_ids=region.ids[rows],
-                points=region.points[rows],
+                self.engine.integrator.fork(query_seed(query)),
+                candidate_ids=ids[inside],
+                points=points[inside],
+                finished=not inside.any(),
+                obs=self._obs,
             )
-            FilterStage().run(ctx)
-            IntegrateStage().run(ctx)
-            certain = region.certain_accept_ids(decision)
-            answer = tuple(
-                sorted(set(certain) | {int(i) for i in ctx.accepted})
-            )
-        new_region = SafeRegion.build(
-            shifted,
-            answer,
-            index=self.database.index,
-            anchor_rect=rect,
-            reuse=region,
+            decided = execute_pipeline(ctx, [FilterStage(), IntegrateStage()])
+            answer = tuple(sorted({*kept, *decided}))
+        return SafeRegion.build(
+            query, answer, anchor_rect=rect, superset=superset
         )
-        return answer, shifted, new_region

@@ -9,9 +9,10 @@ exceptions thrown at the submitting thread.
 
 Determinism contract: a request's :meth:`PRQRequest.seed_sequence` is
 derived from a SHA-256 fingerprint of its exact parameters (center,
-covariance, δ, θ), so any sampling integrator the service forks for it
-draws the same stream no matter which micro-batch the request lands in —
-responses are a pure function of the request, independent of coalescing.
+covariance, δ, θ; :func:`query_fingerprint`), so any sampling
+integrator the service forks for it draws the same stream no matter
+which micro-batch the request lands in — responses are a pure function
+of the request, independent of coalescing.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ __all__ = [
     "STATUS_OVERLOADED",
     "STATUS_DEADLINE_EXCEEDED",
     "STATUS_FAILED",
+    "query_fingerprint",
+    "query_seed",
 ]
 
 #: The request completed fully; ``ids`` is the exact PRQ answer.
@@ -130,50 +133,57 @@ class PRQRequest:
 
     @functools.cached_property
     def fingerprint(self) -> bytes:
-        """SHA-256 over the exact query parameters (center, Σ, δ, θ).
-
-        Two requests share a fingerprint iff their query parameters are
-        bit-identical — the exactness guarantee behind both the result
-        cache and the per-request RNG stream.  Kinded queries
-        (:meth:`from_query`) additionally hash their kind tag and the
-        kind parameters (mixture components and weights; k-NN's ``k``,
-        sample budget and seed), so a mixture never collides with a plain
-        PRQ on its envelope.
-        """
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.gaussian.mean, float).tobytes())
-        digest.update(np.ascontiguousarray(self.gaussian.sigma, float).tobytes())
-        digest.update(np.float64(self.delta).tobytes())
-        digest.update(np.float64(self.theta).tobytes())
-        query = self.query
-        kind = getattr(query, "kind", "prq")
-        if kind != "prq":
-            digest.update(kind.encode())
-        if kind == "mixture":
-            mixture = query.mixture  # type: ignore[attr-defined]
-            for component, weight in zip(mixture.components, mixture.weights):
-                digest.update(
-                    np.ascontiguousarray(component.mean, float).tobytes()
-                )
-                digest.update(
-                    np.ascontiguousarray(component.sigma, float).tobytes()
-                )
-                digest.update(np.float64(weight).tobytes())
-        elif kind == "knn":
-            digest.update(np.int64(query.k).tobytes())  # type: ignore[attr-defined]
-            digest.update(np.int64(query.n_samples).tobytes())  # type: ignore[attr-defined]
-            digest.update(repr(query.seed).encode())  # type: ignore[attr-defined]
-        return digest.digest()
+        """:func:`query_fingerprint` of this request's query."""
+        return query_fingerprint(self.query)
 
     def seed_sequence(self) -> np.random.SeedSequence:
-        """A seed stream that is a pure function of the query parameters.
+        """:func:`query_seed` of this request's query."""
+        return query_seed(self.query)
 
-        The service forks sampling integrators from this, so estimates
-        never depend on which micro-batch (or queue position) the
-        request rode in.
-        """
-        entropy = int.from_bytes(self.fingerprint[:16], "big")
-        return np.random.SeedSequence(entropy)
+
+def query_fingerprint(query: ProbabilisticRangeQuery) -> bytes:
+    """SHA-256 over the exact query parameters (center, Σ, δ, θ).
+
+    Two queries share a fingerprint iff their parameters are
+    bit-identical — the exactness guarantee behind the result cache, the
+    service's in-flight coalescing and every fingerprint-seeded
+    integrator.  Kinded queries additionally hash their kind tag and the
+    kind parameters (mixture components and weights; k-NN's ``k``,
+    sample budget and seed), so a mixture never collides with a plain
+    PRQ on its envelope.
+    """
+    digest = hashlib.sha256()
+    digest.update(np.ascontiguousarray(query.gaussian.mean, float).tobytes())
+    digest.update(np.ascontiguousarray(query.gaussian.sigma, float).tobytes())
+    digest.update(np.float64(query.delta).tobytes())
+    digest.update(np.float64(query.theta).tobytes())
+    kind = getattr(query, "kind", "prq")
+    if kind != "prq":
+        digest.update(kind.encode())
+    if kind == "mixture":
+        mixture = query.mixture  # type: ignore[attr-defined]
+        for component, weight in zip(mixture.components, mixture.weights):
+            digest.update(np.ascontiguousarray(component.mean, float).tobytes())
+            digest.update(np.ascontiguousarray(component.sigma, float).tobytes())
+            digest.update(np.float64(weight).tobytes())
+    elif kind == "knn":
+        digest.update(np.int64(query.k).tobytes())  # type: ignore[attr-defined]
+        digest.update(np.int64(query.n_samples).tobytes())  # type: ignore[attr-defined]
+        digest.update(repr(query.seed).encode())  # type: ignore[attr-defined]
+    return digest.digest()
+
+
+def query_seed(query: ProbabilisticRangeQuery) -> np.random.SeedSequence:
+    """A seed stream that is a pure function of the query parameters.
+
+    The service forks sampling integrators from this, so estimates never
+    depend on which micro-batch (or queue position) a request rode in;
+    the subscription manager forks every anchor and reintegration from
+    it, so a subscription decides exactly as a direct request would.
+    """
+    return np.random.SeedSequence(
+        int.from_bytes(query_fingerprint(query)[:16], "big")
+    )
 
 
 @dataclass(frozen=True)

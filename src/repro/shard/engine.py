@@ -379,10 +379,7 @@ class ShardedEngine(QueryEngine):
             ]
         wall = time.perf_counter() - start
 
-        batch = BatchStats(workers=pool.n_workers, wall_seconds=wall)
-        for result in results:
-            batch.merge(result.stats)
-            batch.failed += result.failed
+        batch = BatchStats.of(results, workers=pool.n_workers, wall_seconds=wall)
         if obs is not None:
             self._publish(obs, prepared, tasks, report, len(shards))
             for result in results:
@@ -406,16 +403,10 @@ class ShardedEngine(QueryEngine):
                 # other, so the candidate set cannot be partitioned;
                 # execute against the coordinator's full index with the
                 # exact same (strategies, integrator, seed) the unsharded
-                # engine would use — bit-identical by construction.
-                engine = QueryEngine(
-                    self.index,
-                    strategies,
-                    integrator,
-                    planner=self.planner,
-                    targets=self.targets,
-                )
-                result = engine._execute_with(
-                    query, strategies, integrator, seed=seed
+                # engine would use — bit-identical by construction.  No
+                # sink: run_batch records every result itself.
+                result = self._execute_with(
+                    query, strategies, integrator, seed=seed, obs=None
                 )
                 return _Prepared(stats=result.stats, local=result)
             # The plan sees the caller's integrator; the

@@ -143,7 +143,7 @@ def _removed_knob_calls():
         "monitor-degrade_safety": lambda: _manager(degrade_safety=2.0),
         "monitor-cost_prior": lambda: _manager(cost_prior=0.005),
         "saferegion.build-margin": lambda: SafeRegion.build(
-            None, (), index=None, anchor_rect=None, margin=0.5
+            None, (), anchor_rect=None, superset=None, margin=0.5
         ),
         "saferegion.classify-replan_fraction": lambda: SafeRegion.classify(
             None, None, replan_fraction=0.35

@@ -147,8 +147,8 @@ class TestClassify:
         return SafeRegion.build(
             query,
             answer,
-            index=database.index,
             anchor_rect=rect,
+            superset=SafeRegion.superset(rect, index=database.index),
         )
 
     def test_zero_shift_survives(self, database, engine):
@@ -212,6 +212,10 @@ class TestClassify:
 
 
 class TestTrajectoryParity:
+    # Each spec prepares a different Phase-1 rectangle (EM's is the
+    # ellipsoid's box), which the anchors cut their cached superset to;
+    # every spec's answers must still be a cold run's.
+    @pytest.mark.parametrize("spec", ["all", "rr", "bf", "em+bf"])
     @pytest.mark.parametrize(
         "sigma_scale,delta,theta,step_sd",
         [
@@ -221,8 +225,9 @@ class TestTrajectoryParity:
         ],
     )
     def test_every_step_matches_cold_evaluation(
-        self, database, engine, sigma_scale, delta, theta, step_sd
+        self, database, spec, sigma_scale, delta, theta, step_sd
     ):
+        engine = database.engine(strategies=spec, integrator=CascadeIntegrator())
         rng = np.random.default_rng(int(sigma_scale * 10) + int(step_sd))
         sigma = random_spd(rng, 2, scale=sigma_scale)
         manager = make_manager(database, engine)
@@ -675,6 +680,106 @@ class TestSharded:
             assert outcomes  # at least one outcome exercised end-to-end
         finally:
             sharded.close()
+
+
+# ----------------------------------------------------------------------
+# One path: anchors decide their own rows, never through an engine batch
+# ----------------------------------------------------------------------
+
+
+class TestOnePath:
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_anchors_prepare_once_and_never_run_an_engine_batch(
+        self, database, shards, monkeypatch
+    ):
+        """Subscribe, reintegrate and replan (a covariance change and a
+        cache overrun) with every engine batch path raising: each anchor
+        prepares each strategy once and searches the index at most once,
+        and every answer equals a cold, unpatched ``run_batch``."""
+        from repro.core.engine import QueryEngine
+        from repro.shard.engine import ShardedEngine, ShardPool
+
+        sharded = database.shard(shards) if shards else None
+        try:
+            engine = (sharded or database).engine(integrator=CascadeIntegrator())
+            manager = make_manager(sharded or database, engine)
+            prepared: list[str] = []
+            searches: list[int] = []
+
+            def boom(*args, **kwargs):
+                raise AssertionError("the monitor ran an engine batch path")
+
+            for owner in (QueryEngine, ShardedEngine):
+                monkeypatch.setattr(owner, "run_batch", boom)
+            monkeypatch.setattr(ShardPool, "run", boom)
+            for cls in {type(s) for s in engine.strategies}:
+                def counted(self, query, _prepare=cls.prepare):
+                    prepared.append(self.name)
+                    return _prepare(self, query)
+
+                monkeypatch.setattr(cls, "prepare", counted)
+            search = database.index.range_search_rect
+            monkeypatch.setattr(
+                database.index,
+                "range_search_rect",
+                lambda rect: searches.append(1) or search(rect),
+            )
+
+            names = sorted(s.name for s in engine.strategies)
+            sigma = random_spd(np.random.default_rng(21), 2, scale=2.0)
+            position = np.array([520.0, 480.0])
+            steps = [(position, sigma, "subscribe")]
+            for move, new_sigma in [
+                ((0.0, 0.0), None),
+                ((0.3, -0.2), None),
+                ((0.4, 0.3), None),
+                ((0.5, 0.1), 3.0 * np.eye(2)),  # covariance change
+                ((0.2, 0.2), None),
+                ((150.0, -90.0), None),  # cache overrun
+                ((0.3, 0.1), None),
+            ]:
+                position = position + np.array(move)
+                sigma = sigma if new_sigma is None else new_sigma
+                steps.append((position, new_sigma, "update"))
+            answers, outcomes = [], []
+            for mean, new_sigma, verb in steps:
+                prepared.clear()
+                searches.clear()
+                if verb == "subscribe":
+                    response = manager.subscribe(
+                        Gaussian(mean, new_sigma), 20.0, 0.4, subscription_id="p"
+                    )
+                    assert len(searches) == 1
+                else:
+                    response = manager.update("p", mean, new_sigma)
+                    assert len(searches) <= 1
+                assert response.status == STATUS_OK, response.error
+                answers.append(response.ids)
+                outcomes.append(response.outcome)
+                if response.outcome == OUTCOME_SURVIVED:
+                    assert prepared == [] and searches == []
+                else:
+                    assert sorted(prepared) == names, response.outcome
+                if response.outcome == OUTCOME_REINTEGRATED:
+                    assert searches == []
+            assert outcomes == [
+                "",
+                OUTCOME_SURVIVED,
+                OUTCOME_REINTEGRATED,
+                OUTCOME_REINTEGRATED,
+                OUTCOME_REPLANNED,
+                OUTCOME_REINTEGRATED,
+                OUTCOME_REPLANNED,
+                OUTCOME_REINTEGRATED,
+            ]
+            monkeypatch.undo()
+            sigma = steps[0][1]
+            for (mean, new_sigma, _), answer in zip(steps, answers):
+                sigma = sigma if new_sigma is None else new_sigma
+                assert answer == cold_answer(engine, Gaussian(mean, sigma), 20.0, 0.4)
+        finally:
+            if sharded is not None:
+                sharded.close()
 
 
 # ----------------------------------------------------------------------

@@ -396,30 +396,26 @@ class TestPlanCacheThreadSafety:
         assert vars(planner) == {}
 
     def test_quantized_shape_key_helper_matches_cache_key(self):
-        """The shape key is the serving result cache's alone: it groups
-        the cache's entries, which the exact fingerprint then separates."""
-        from repro.serve.cache import (
-            SHAPE_BINS_PER_EFOLD,
-            ResultCache,
-            quantize_log,
-            quantized_shape_key,
-        )
+        """The serving result cache keys on the request fingerprint alone:
+        no quantized shape key is left, in the cache or the planner."""
+        import repro.serve.cache as cache_module
         from repro.serve.request import PRQRequest
 
         db = make_database()
-        cache = ResultCache(4)
-        for query in make_queries(db, count=4, seed=7):
-            request = PRQRequest.from_query(query)
-            assert cache._key(request) == (
-                quantized_shape_key(query),
-                request.fingerprint,
-            )
-        assert not hasattr(planner_module, "quantized_shape_key")
-        # A quarter e-fold per bin.
-        assert SHAPE_BINS_PER_EFOLD == 4
-        assert quantize_log(np.e) == SHAPE_BINS_PER_EFOLD
-        assert quantize_log(1.0) == 0
-        assert quantize_log(0.0) == quantize_log(1e-300)
+        cache = cache_module.ResultCache(4)
+        requests = [
+            PRQRequest.from_query(query)
+            for query in make_queries(db, count=4, seed=7)
+        ]
+        for slot, request in enumerate(requests):
+            cache.put(request, (slot,))
+        assert list(cache._entries) == list(
+            dict.fromkeys(request.fingerprint for request in requests)
+        )
+        for name in ("quantized_shape_key", "quantize_log", "SHAPE_BINS_PER_EFOLD"):
+            assert not hasattr(cache_module, name)
+            assert not hasattr(planner_module, name)
+        assert not hasattr(cache, "distinct_shapes")
 
 
 def two_group_database(n: int = 600) -> SpatialDatabase:

@@ -326,8 +326,8 @@ class TestResultCache:
         assert stats.cache_hits == 1 and stats.executed == 1
 
     def test_cache_requires_exact_parameters(self, database):
-        """Quantized-similar but not bit-identical requests never share a
-        cache entry (the fingerprint half of the key)."""
+        """Nearly equal but not bit-identical requests never share a
+        cache entry (the key is the exact fingerprint)."""
         base = make_requests(1, seed=6)[0]
         near = PRQRequest(
             base.gaussian, base.delta * (1.0 + 1e-12), base.theta
@@ -336,9 +336,9 @@ class TestResultCache:
         cache.put(base, (1, 2, 3))
         assert cache.get(base) == (1, 2, 3)
         assert cache.get(near) is None
-        # Same quantized shape bucket, distinct entries.
         cache.put(near, (4,))
-        assert cache.distinct_shapes() == 1
+        assert cache.get(base) == (1, 2, 3)
+        assert cache.get(near) == (4,)
         assert cache.info()["currsize"] == 2
 
     def test_cache_lru_eviction(self):
