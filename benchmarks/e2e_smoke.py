@@ -4,14 +4,14 @@ Runs one short traced pass of a workload exactly as ``BENCHMARK.json``
 names it and checks the last stdout line: answers verified, nothing
 failed, every traced callable still resolves, and the Phase-1 span —
 ``RStarTree.range_search_rect`` — was actually hit, i.e. it still sits on
-the search the pipeline uses.  On ``prq_cascade_2d``, the one workload
-that reaches the cascade's Tier 3, it also checks that the tier is still
-exercised and that it runs as the block sweep, not as scalar
-``imhof_cdf`` calls.  On both cascade workloads it checks that a Tier-2
-row costs no more than a few Tier-1 rows, and on ``prq_cascade_9d``, where
-every candidate is decided inside a traced kernel, that Phase 3 spends
-little time outside them (within-run ratios, so the hardware does not
-matter).  On both cascade workloads, whose engines say ``strategies="auto"``,
+the search the pipeline uses.  On ``prq_cascade_2d``, the workload whose
+queries weight the rows with an underflowing leading Ruben weight, it also
+checks that Ruben still decides those rows (nearly every Phase-3 row) and
+that no scalar ``imhof_cdf`` call is made.  On both cascade workloads it
+checks that the Ruben kernel costs no more than a few times the filter
+stage, and on ``prq_cascade_9d``, where every candidate is decided inside a
+traced kernel, that Phase 3 spends little time outside them (within-run
+ratios, so the hardware does not matter).  On both cascade workloads, whose engines say ``strategies="auto"``,
 it also checks that planning stays off the hot path: ``planner.plan_s`` is at
 most 2 % of ``engine.run_batch_s`` in the same traced run (about 30 % while
 ``auto`` sampled a cost model per query; the rule that runs ALL reads about
@@ -34,11 +34,18 @@ from pathlib import Path
 
 RUN = Path(__file__).parent / "e2e" / "run.py"
 
-#: ``kernels.ruben_block_ns_per_row`` over
-#: ``kernels.chi2_sandwich_block_ns_per_row`` read 11.4 / 6.3 (2-D / 9-D)
-#: while every term re-ran the convolution and reads about 1.4 / 2.0 with
-#: the running sums.
-RUBEN_ROW_COST_LIMIT = 4.0
+#: ``kernels.ruben_block_s`` over ``stages.filter_s`` in one traced run:
+#: about 1.4 (2-D) and 8.1 (9-D) with Ruben on every Phase-3 row and O(d)
+#: running sums per term.  While every term re-ran the O(K²) convolution a
+#: Ruben row cost 8.1x (2-D) and 3.2x (9-D) as much, which reads about
+#: 11.5 and 26.
+RUBEN_FILTER_LIMIT = {"prq_cascade_2d": 4.0, "prq_cascade_9d": 16.0}
+
+#: ``integrate.ruben_share`` on ``prq_cascade_2d``: 1.0 with Ruben first
+#: and no underflow exit, 0.995 if the 0.5 % of rows whose leading weight
+#: exp(-Σnc/2) underflows went to other tiers again, 0.66 while the χ²
+#: sandwich ran first.
+RUBEN_SHARE_LIMIT = 0.999
 
 #: Share of ``integrate.decide_s`` outside the three kernel spans on
 #: ``prq_cascade_9d``: 0.40 while ``decide`` built one ``IntegrationResult``
@@ -101,13 +108,14 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
                 f"engine.run_batch_s = {batch!r}: planning is back on the "
                 "hot path"
             )
-        ruben = metric("kernels.ruben_block_ns_per_row") or 0
-        sandwich = metric("kernels.chi2_sandwich_block_ns_per_row") or 0
-        if not 0 < ruben <= RUBEN_ROW_COST_LIMIT * sandwich:
+        ruben = metric("kernels.ruben_block_s") or 0
+        filtering = metric("stages.filter_s") or 0
+        limit = RUBEN_FILTER_LIMIT[workload]
+        if not 0 < ruben <= limit * filtering:
             found.append(
-                f"kernels.ruben_block_ns_per_row = {ruben!r} is not within "
-                f"{RUBEN_ROW_COST_LIMIT} x kernels.chi2_sandwich_block_ns_per_row "
-                f"= {sandwich!r}: a Tier-2 term no longer costs O(d)"
+                f"kernels.ruben_block_s = {ruben!r} is not within {limit} x "
+                f"stages.filter_s = {filtering!r}: a Ruben term no longer "
+                "costs O(d)"
             )
     if workload == "prq_cascade_9d":
         decide = metric("integrate.decide_s") or 0
@@ -119,15 +127,17 @@ def problems(result: dict, workload: str = "prq_cascade_9d") -> list[str]:
                 "Phase 3 builds per-candidate objects again"
             )
     if workload == "prq_cascade_2d":
-        if not (metric("integrate.imhof_share") or 0) > 0:
+        share = metric("integrate.ruben_share")
+        if not (share or 0) >= RUBEN_SHARE_LIMIT:
             found.append(
-                "integrate.imhof_share is not positive: no candidate reached "
-                "the cascade's Tier 3, so the smoke no longer exercises it"
+                f"integrate.ruben_share = {share!r} is below "
+                f"{RUBEN_SHARE_LIMIT}: Ruben no longer decides the rows whose "
+                "leading weight underflows, or no longer runs first"
             )
         if metric("gaussian.imhof_calls") != 0:
             found.append(
                 f"gaussian.imhof_calls = {metric('gaussian.imhof_calls')!r}, "
-                "expected 0: Tier 3 is back on the scalar imhof_cdf loop"
+                "expected 0: Phase 3 is back on the scalar imhof_cdf loop"
             )
     if workload == "prq_mc_2d":
         samples = metric("integrate.samples_per_candidate")

@@ -147,7 +147,13 @@ def imhof_cdf(form: GaussianQuadraticForm, x: float, *, tol: float = 1e-10) -> f
     """
     if x <= 0:
         return 0.0  # Q is a.s. positive, and w = x/2 must be > 0 for QAWF
-    lam = form.weights
+    # P(Q ≤ x) = P(Q/s ≤ x/s): invert in units of the largest weight.
+    # QUADPACK's Fourier integrator counts cycles in a 32-bit integer and
+    # samples u < 0 once its frequency w = x/2 passes about 1e9, which a
+    # raw x (a squared distance) can reach at cond(Σ) ≈ 1e8.
+    scale = float(np.max(form.weights))
+    lam = form.weights / scale
+    x = x / scale
     h = form.dofs
     nc = form.noncentralities
 

@@ -13,9 +13,10 @@ sharing one interface:
 - :class:`QuasiMonteCarloIntegrator` — randomized-Halton QMC;
 - :class:`ExactIntegrator` — the closed-form quadratic-form CDF
   (:mod:`repro.gaussian.quadform`), zero variance, used as ground truth;
-- :class:`CascadeIntegrator` — tiered deterministic θ-decisions: vectorised
-  χ² sandwich pruning, batched Ruben series with decision-aware
-  truncation, one block Imhof quadrature for the Ruben underflows.
+- :class:`CascadeIntegrator` — tiered deterministic θ-decisions: a batched
+  Ruben series with decision-aware truncation on every row, then χ²
+  sandwich bounds and one block Imhof quadrature for the rare rows it
+  leaves undecided.
 
 All of them return an :class:`IntegrationResult` carrying the estimate,
 its standard error and the sample count.

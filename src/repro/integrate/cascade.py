@@ -1,29 +1,29 @@
-"""Deterministic tiered Phase-3 backend: prune cheap, evaluate rarely.
+"""Deterministic tiered Phase-3 backend: decide by series, bound the rest.
 
 The paper reports Monte Carlo integration dominating query cost; the
 repo's exact quadratic-form CDF (:mod:`repro.gaussian.quadform`) removes
 the sampling noise but was scalar-only and always paid full price.  The
 cascade makes the exact machinery *decision-aware*, in the spirit of
-probabilistic pruning (Bernecker et al.) — most candidates can be decided
-from bounds that cost next to nothing, and only the borderline few ever
-reach an expensive evaluator:
+probabilistic pruning (Bernecker et al.): a bound earns its place only if
+it is cheaper than the evaluation it avoids.  The filters upstream have
+already settled the rows a cheap bound could, so the series that decides
+the rest runs first and the bounds wait for the rows it cannot settle:
 
-- **Tier 1 — χ² sandwich bounds.**  All candidates of a query share the
-  covariance spectrum, so one vectorised noncentral-χ² CDF call yields a
-  rigorous [lower, upper] interval per candidate; any interval excluding
-  θ decides its candidate with zero further work.
-- **Tier 2 — batched Ruben series.**  The survivors run Ruben's
-  mixture-of-central-χ² expansion as NumPy array operations over the
-  whole block: eigenvalues, the expansion parameter β, the ratio powers
-  and the incomplete-gamma table are shared, and each candidate stops as
-  soon as its partial-sum ± remaining-mass interval excludes θ
-  (decision-aware truncation).
-- **Tier 3 — block Imhof.**  Only candidates whose Ruben expansion
-  underflows (extreme noncentralities) fall back to characteristic-
-  function inversion: one truncated Gauss–Legendre sweep per query over
-  all of them at once (:func:`repro.gaussian.quadform.imhof_cdf_block`),
-  reported as value ± quadrature error.
+- **Ruben, on every row.**  One batched Ruben mixture-of-central-χ²
+  series over the whole block: eigenvalues, the expansion parameter β and
+  the incomplete-gamma table are shared, and each candidate stops as soon
+  as its partial-sum ± remaining-mass interval excludes θ
+  (decision-aware truncation).  Each row carries its weights on its own
+  power-of-two scale, so no noncentrality is too large for it.
+- **χ² sandwich, on what Ruben leaves.**  Rows still undecided after
+  :data:`MAX_TERMS` terms get the noncentral-χ² sandwich, which only
+  tightens Ruben's (sound, but wide) interval.
+- **Block Imhof, on what the sandwich leaves.**  Characteristic-function
+  inversion, one truncated Gauss–Legendre sweep over all of them at once
+  (:func:`repro.gaussian.quadform.imhof_cdf_block`), reported as value ±
+  quadrature error and held inside the interval so far.
 
+On the benchmark's cascade workloads Ruben decides every row by itself.
 The cascade draws no random numbers at all, so engine results are exact,
 bit-identical across runs and worker counts, and — unlike every sampling
 integrator — `integration_samples` stays at zero.  This goes beyond the
@@ -60,7 +60,8 @@ TOL = 1e-9
 #: midpoint within TOL of a θ below ≈ 1e-9 says nothing about which side
 #: of θ the probability lies.  Every θ ≥ 1e-3 keeps ``TOL`` itself.
 THETA_TOL = 1e-6
-#: Ruben series term cap per candidate before falling back to Imhof.
+#: Ruben series term cap per candidate; a row still undecided after it
+#: falls back to the χ² sandwich and then Imhof.
 MAX_TERMS = 10_000
 
 #: Tier labels as they appear in ``IntegrationResult.method`` and in the
@@ -71,28 +72,9 @@ _SANDWICH, _RUBEN, _IMHOF = range(len(TIER_LABELS))
 
 
 class CascadeIntegrator(ProbabilityIntegrator):
-    """Tiered deterministic Phase-3 evaluator (sandwich → Ruben → Imhof).
-
-    Parameters
-    ----------
-    fast_dtype:
-        Precision of the tier-1 candidate rotation: ``"float64"``
-        (default, exact) or ``"float32"`` — the compiled single-precision
-        fast path whose rotation error is absorbed into conservatively
-        widened bounds, so decisions stay sound either way (see
-        :func:`repro.gaussian.quadform.chi2_sandwich_bounds_block`).
-        Borderline candidates the wider float32 interval cannot decide
-        simply continue to tier 2.
-    """
+    """Tiered deterministic Phase-3 evaluator (Ruben → sandwich → Imhof)."""
 
     name = "cascade"
-
-    def __init__(self, *, fast_dtype: str = "float64"):
-        if fast_dtype not in ("float64", "float32"):
-            raise IntegrationError(
-                f"fast_dtype must be 'float64' or 'float32', got {fast_dtype!r}"
-            )
-        self.fast_dtype = fast_dtype
 
     # ------------------------------------------------------------------
     # ProbabilityIntegrator interface
@@ -161,79 +143,73 @@ class CascadeIntegrator(ProbabilityIntegrator):
         candidate is evaluated to ``tol`` precision.
         """
         m = pts.shape[0]
-        tier = np.full(m, _IMHOF, dtype=np.int8)
+        tier = np.full(m, _RUBEN, dtype=np.int8)
         if m == 0:
             return np.zeros(0), np.ones(0), tier
         if not np.isfinite(delta) or delta < 0:
             raise IntegrationError(f"delta must be finite and >= 0, got {delta}")
         obs = self.obs
 
-        # Tier 1: one vectorised noncentral-χ² call for the whole block.
-        with span_of(obs, "tier:sandwich") as span:
-            bounds = chi2_sandwich_bounds_block(
-                gaussian, pts, delta, dtype=self.fast_dtype
+        # Ruben on every row: one batched series, shared tables.
+        with span_of(obs, "tier:ruben") as span:
+            weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+                gaussian, pts
             )
-            lower, upper = bounds[:, 0].copy(), bounds[:, 1].copy()
-            decided = self._decided(lower, upper, theta, tol)
-            tier[decided] = _SANDWICH
+            lower, upper, ok = kernels.ruben_block(
+                weights,
+                np.ones_like(weights),
+                ncs,
+                delta * delta,
+                theta=theta,
+                tol=tol,
+                max_terms=MAX_TERMS,
+            )
+            if obs is not None:
+                span.annotate(candidates=m, decided=int(np.count_nonzero(ok)))
+        leftovers = np.nonzero(~ok)[0]
+        if leftovers.size == 0:
+            return lower, upper, tier
+
+        # The sandwich only tightens the interval Ruben stopped at.
+        with span_of(obs, "tier:sandwich") as span:
+            bounds = chi2_sandwich_bounds_block(gaussian, pts[leftovers], delta)
+            lower[leftovers] = np.maximum(lower[leftovers], bounds[:, 0])
+            upper[leftovers] = np.minimum(upper[leftovers], bounds[:, 1])
+            decided = self._decided(
+                lower[leftovers], upper[leftovers], theta, tol
+            )
+            tier[leftovers] = np.where(decided, _SANDWICH, _IMHOF)
             if obs is not None:
                 span.annotate(
-                    candidates=m, decided=int(np.count_nonzero(decided))
+                    candidates=int(leftovers.size),
+                    decided=int(np.count_nonzero(decided)),
                 )
 
-        # Tier 2: batched Ruben over the survivors, shared tables.
-        undecided = np.nonzero(~decided)[0]
-        if undecided.size:
-            with span_of(obs, "tier:ruben") as span:
-                weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
-                    gaussian, pts[undecided]
-                )
-                lo2, hi2, ok2 = kernels.ruben_block(
+        # One Imhof sweep over what neither bound settled, on the
+        # noncentralities Ruben already holds.
+        rest = leftovers[~decided]
+        if rest.size:
+            with span_of(obs, "tier:imhof") as span:
+                values, errors, nodes, fallbacks = imhof_cdf_block(
                     weights,
                     np.ones_like(weights),
-                    ncs,
+                    ncs[rest],
                     delta * delta,
-                    theta=theta,
-                    tol=tol,
-                    max_terms=MAX_TERMS,
+                    tol=TOL,
                 )
-                # Ruben bounds only ever tighten the sandwich interval.
-                take = np.nonzero(ok2)[0]
-                rows = undecided[take]
-                lower[rows] = np.maximum(lower[rows], lo2[take])
-                upper[rows] = np.minimum(upper[rows], hi2[take])
-                tier[rows] = _RUBEN
+                # Imhof's interval only tightens the bounds so far: a
+                # scalar-fallback row can be far off at cond(Σ) ≳ 1e6, so
+                # the value is held inside them first.
+                lo1, hi1 = lower[rest], upper[rest]
+                values = np.clip(values, lo1, hi1)
+                lower[rest] = np.maximum(lo1, values - errors)
+                upper[rest] = np.minimum(hi1, values + errors)
                 if obs is not None:
                     span.annotate(
-                        candidates=int(undecided.size),
-                        decided=int(take.size),
+                        candidates=int(rest.size),
+                        nodes=nodes,
+                        scalar_fallbacks=fallbacks,
                     )
-
-            # Tier 3: one Imhof sweep over the underflow/non-convergence
-            # leftovers, on the noncentralities tier 2 already holds.
-            leftovers = undecided[~ok2]
-            if leftovers.size:
-                with span_of(obs, "tier:imhof") as span:
-                    values, errors, nodes, fallbacks = imhof_cdf_block(
-                        weights,
-                        np.ones_like(weights),
-                        ncs[~ok2],
-                        delta * delta,
-                        tol=TOL,
-                    )
-                    # Like Ruben's, Imhof's interval only tightens the
-                    # sandwich: a scalar-fallback row can be far off at
-                    # cond(Σ) ≳ 1e6, so the value is held inside it first.
-                    lo1, hi1 = lower[leftovers], upper[leftovers]
-                    values = np.clip(values, lo1, hi1)
-                    lower[leftovers] = np.maximum(lo1, values - errors)
-                    upper[leftovers] = np.minimum(hi1, values + errors)
-                    if obs is not None:
-                        span.annotate(
-                            candidates=int(leftovers.size),
-                            nodes=nodes,
-                            scalar_fallbacks=fallbacks,
-                        )
 
         return lower, upper, tier
 

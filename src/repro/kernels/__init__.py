@@ -203,9 +203,12 @@ def ruben_block(
 
     Returns ``(lower, upper, ok)``: rigorous per-candidate bounds
     [partial sum, partial sum + remaining-mass bound] on P(Q ≤ x) at each
-    candidate's stopping point, and ``ok=False`` where the expansion is
-    unusable (leading weight underflow, or no decision within
-    ``max_terms`` terms) and the caller must fall back to Imhof.
+    candidate's stopping point, and ``ok=False`` where ``max_terms`` terms
+    did not decide the row; its bounds are then sound but wide, and the
+    caller falls back to other bounds.  No leading weight is too small:
+    each row carries its weights on its own power-of-two scale (argued
+    above ``repro_ruben_block`` in ``_kernels.c``), so a row far outside
+    the ball runs its series like any other.
 
     Truncation is decision-aware: with ``theta`` given, a candidate stops
     as soon as its [lower, upper] interval excludes θ; without it (or for

@@ -28,6 +28,7 @@
 #define BIG 4.503599627370496e15
 #define BIGINV 2.22044604925031308085e-16
 #define MAXLOG 709.782712893383996843
+#define LN2 0.693147180559945309417
 
 static double igamc_(double a, double x);
 
@@ -321,6 +322,21 @@ void repro_sqdist_spectrum(long m, long d, const double *mean,
  * sum above is of non-negative terms: nothing cancels, and the rounding
  * error of a_k stays a few ulps per term.
  *
+ * No row gives up on a small leading weight: a_0 = exp(la0) underflows
+ * once la0 < -708 (total noncentrality past ~1400), yet the series still
+ * converges.  Each row carries a, S_j, T_j, wsum = sum a_k and
+ * cdf = sum a_k G_k as scaled * 2^e with one integer e.  The recurrence is
+ * linear and homogeneous in (a, S, T), and wsum, cdf are linear in the a_k,
+ * so multiplying all five by one power of two is exact: it leaves the
+ * recurrence unchanged and does not round (only a value below 2^-1022 of
+ * wsum can turn subnormal, and its rounding is then far below the sums'
+ * own, 2^-53 of wsum).
+ * A row whose a_0 is a normal double starts at e = 0, so its bits are
+ * those of the unscaled recurrence; any other starts at e = floor(la0/ln 2)
+ * with scaled a_0 = exp(la0 - e ln 2) in [1, 2).  Once wsum passes 2^900
+ * all five shift down by 2^-900 and e grows by 900, and the bounds read
+ * ldexp(cdf, e) and ldexp(wsum, e).
+ *
  * Each row runs until [partial sum, partial sum + remaining-mass * G_k]
  * decides it (theta excluded, or width < tol); theta < 0 means "no theta".
  * The G_k table is filled lazily and shared by every row (it depends on k
@@ -364,9 +380,15 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
         double nc_sum = 0.0;
         for (long j = 0; j < d; j++) nc_sum += row[j];
         double la0 = -0.5 * nc_sum + log_shared;
-        if (la0 < -700.0) {
-            ok[i] = 0; /* leading weight underflows: caller falls back */
-            continue;
+        int e = 0; /* a, S_j, T_j, wsum and cdf are scaled by 2^-e */
+        double a;  /* a_k, the latest weight */
+        if (la0 >= -700.0) {
+            a = exp(la0);
+        } else {
+            double fe = floor(la0 / LN2);
+            if (!(fe > -1e9)) fe = -1e9; /* a = 0 then: still sound */
+            e = (int)fe;
+            a = exp(la0 - fe * LN2);
         }
         for (long j = 0; j < d; j++) {
             bnu[j] = beta * (row[j] / lam[j]);
@@ -376,7 +398,6 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
             gam[0] = igam_(rho / 2.0, sx);
             gam_len = 1;
         }
-        double a = exp(la0); /* a_k, the latest weight */
         double wsum = a;
         double cdf = a * gam[0];
         double gamma_k = gam[0];
@@ -384,10 +405,11 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
         int decided = 0;
         long k = 0;
         for (;;) {
-            double rem = 1.0 - wsum;
+            double rem = 1.0 - (e ? ldexp(wsum, e) : wsum);
             if (rem < 0.0) rem = 0.0;
-            lo = clamp01_(cdf);
-            hi = clamp01_(cdf + rem * gamma_k);
+            double p = e ? ldexp(cdf, e) : cdf;
+            lo = clamp01_(p);
+            hi = clamp01_(p + rem * gamma_k);
             lo -= widen;
             if (lo < 0.0) lo = 0.0;
             hi += widen;
@@ -411,6 +433,16 @@ int repro_ruben_block(long d, long m, const double *lam, const double *h,
             }
             gamma_k = gam[k];
             cdf += a * gamma_k;
+            if (wsum > 0x1p900) {
+                a = ldexp(a, -900);
+                wsum = ldexp(wsum, -900);
+                cdf = ldexp(cdf, -900);
+                for (long j = 0; j < d; j++) {
+                    S[j] = ldexp(S[j], -900);
+                    T[j] = ldexp(T[j], -900);
+                }
+                e += 900;
+            }
         }
         if (!decided) ok[i] = 0; /* undecided at max_terms */
         lower[i] = lo;

@@ -112,7 +112,8 @@ def ruben_block(
     """Batched Ruben series (see :func:`repro.kernels.ruben_block` for the
     full contract).  The weights a_k come from the running sums S_j, T_j
     derived above ``repro_ruben_block`` in ``_kernels.c``, held here as
-    ``(rows, d)`` arrays over the rows still undecided."""
+    ``(rows, d)`` arrays over the rows still undecided, and carried as
+    ``scaled · 2**exponent`` with one exponent per row, as argued there."""
     lam = np.asarray(weights, dtype=float)
     h = np.asarray(dofs, dtype=float)
     ncs = np.atleast_2d(np.asarray(noncentralities, dtype=float))
@@ -129,17 +130,17 @@ def ruben_block(
     ratios = 1.0 - beta / lam  # gamma_j in [0, 1)
     rho = float(h.sum())
     log_a0 = -0.5 * ncs.sum(axis=1) + 0.5 * float(np.sum(h * np.log(beta / lam)))
-    ok &= log_a0 >= -700.0
-    live = np.nonzero(ok)[0]  # output slots of the rows still running
-    if live.size == 0:
-        return lower, upper, ok
-
-    a = np.exp(log_a0[live])  # a_k, the latest weight of each live row
+    live = np.arange(m)  # output slots of the rows still running
+    # A representable a_0 keeps exponent 0; a smaller one starts in [1, 2).
+    exponent = np.where(
+        log_a0 >= -700.0, 0.0, np.fmax(np.floor(log_a0 / np.log(2.0)), -1e9)
+    ).astype(np.int64)
+    a = np.exp(log_a0 - exponent * np.log(2.0))  # a_k of each live row
     weight_sum = a.copy()
     scaled_half_x = x / (2.0 * beta)
     gamma_k = float(special.gammainc(rho / 2.0, scaled_half_x))
     cdf = a * gamma_k
-    beta_nu = beta * (ncs[live] / lam)
+    beta_nu = beta * (ncs / lam)
     s_run = np.zeros_like(beta_nu)
     t_run = np.zeros_like(beta_nu)
     for k in range(max_terms + 1):
@@ -154,11 +155,17 @@ def ruben_block(
             weight_sum += a
             gamma_k = float(special.gammainc((rho + 2 * k) / 2.0, scaled_half_x))
             cdf += a * gamma_k
+            big = weight_sum > 2.0**900
+            if big.any():
+                for run in (a, weight_sum, cdf, s_run, t_run):
+                    run[big] = np.ldexp(run[big], -900)
+                exponent[big] += 900
         # The tail sum_{k>K} a_k G_k lies between 0 and the remaining mass
         # times G_K (G_k decreases in k), so [lo, hi] contains the CDF.
-        rem = np.maximum(1.0 - weight_sum, 0.0)
-        lo = np.clip(cdf, 0.0, 1.0)
-        hi = np.clip(cdf + rem * gamma_k, 0.0, 1.0)
+        rem = np.maximum(1.0 - np.ldexp(weight_sum, exponent), 0.0)
+        p = np.ldexp(cdf, exponent)
+        lo = np.clip(p, 0.0, 1.0)
+        hi = np.clip(p + rem * gamma_k, 0.0, 1.0)
         done = hi - lo < tol
         if theta is not None:
             done |= (lo >= theta) | (hi < theta)
@@ -171,6 +178,7 @@ def ruben_block(
             keep = ~done
             live, a, weight_sum, cdf = live[keep], a[keep], weight_sum[keep], cdf[keep]
             beta_nu, s_run, t_run = beta_nu[keep], s_run[keep], t_run[keep]
+            exponent = exponent[keep]
             if live.size == 0:
                 break
     return lower, upper, ok

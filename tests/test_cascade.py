@@ -22,12 +22,13 @@ from repro.gaussian.quadform import (
     GaussianQuadraticForm,
     chi2_sandwich_bounds,
     chi2_sandwich_bounds_block,
+    imhof_cdf,
     imhof_cdf_block,
     qualification_probability_exact,
     ruben_cdf,
 )
 from repro.index.rtree import RStarTree
-from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator
+from repro.integrate import CascadeIntegrator, ImportanceSamplingIntegrator, cascade
 from repro.integrate.cascade import TOL
 from repro.integrate.base import ProbabilityIntegrator
 from repro.integrate.result import IntegrationResult
@@ -82,30 +83,37 @@ class TestVectorisedQuadform:
         lower, upper, ok = ruben_block(
             weights, np.ones_like(weights), ncs, delta * delta, tol=1e-12
         )
+        assert ok.all()
         for i, point in enumerate(points):
-            if not ok[i]:
-                continue
             form = GaussianQuadraticForm.squared_distance(gaussian, point)
             try:
                 expected = ruben_cdf(form, delta * delta)
             except IntegrationError:
-                pytest.fail("scalar Ruben failed where the block path ran")
+                # Scalar Ruben's leading weight underflows; the block's
+                # does not, so Imhof is the reference for the row.
+                expected = imhof_cdf(form, delta * delta)
             assert upper[i] - lower[i] < 1e-10
             assert lower[i] - 1e-10 <= expected <= upper[i] + 1e-10
 
     def test_ruben_block_flags_underflow(self):
-        # Extreme noncentrality: scalar Ruben raises, the block path must
-        # flag the row instead of dying.
+        """Extreme noncentrality: scalar Ruben raises on a leading weight
+        exp(-3200), the block path decides the row on its power-of-two
+        scale, inside Imhof's value, at P ≈ 0 and at P ≈ 1/2 alike."""
         gaussian = Gaussian([0.0, 0.0], np.eye(2))
         points = np.array([[0.5, 0.0], [80.0, 0.0]])
         weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
             gaussian, points
         )
-        lower, upper, ok = ruben_block(
-            weights, np.ones(2), ncs, 4.0
-        )
-        assert ok[0] and not ok[1]
-        assert lower[1] == 0.0 and upper[1] == 1.0  # untouched bounds
+        form = GaussianQuadraticForm.squared_distance(gaussian, points[1])
+        for x in (4.0, 6400.0):
+            with pytest.raises(IntegrationError):
+                ruben_cdf(form, x)
+            expected = imhof_cdf(form, x)
+            lower, upper, ok = ruben_block(weights, np.ones(2), ncs, x)
+            assert ok.all()
+            assert upper[1] - lower[1] < 1e-11
+            assert lower[1] - 1e-10 <= expected <= upper[1] + 1e-10
+        assert 0.4 < expected < 0.6
 
     def test_decision_aware_truncation_agrees_with_converged(self):
         gaussian, points, delta = anisotropic_case(2, seed=9)
@@ -202,49 +210,77 @@ class TestCascadeAgreement:
             )
 
 
+def short_ruben(monkeypatch, terms: int = 1) -> None:
+    """Cap Ruben at ``terms`` terms, so rows reach the fallback tiers."""
+    monkeypatch.setattr(cascade, "MAX_TERMS", terms)
+
+
 class TestTiering:
-    def test_tier_labels_partition_the_block(self):
+    def test_tier_labels_partition_the_block(self, monkeypatch):
         gaussian, points, delta = anisotropic_case(2, seed=33, n_points=120)
-        _, counts, _ = CascadeIntegrator().decide(
+        accept, counts, _ = CascadeIntegrator().decide(
             gaussian, points, delta, 0.05
         )
-        assert set(counts) <= {
-            "cascade-sandwich", "cascade-ruben", "cascade-imhof"
+        # Ruben runs first and decides the whole cloud, deep-inside to
+        # far-outside, by itself.
+        assert counts == {
+            "cascade-sandwich": 0,
+            "cascade-ruben": points.shape[0],
+            "cascade-imhof": 0,
         }
+        # Capped at one term it cannot: the fallback tiers take the rest,
+        # the labels still partition the block, and no decision moves.
+        short_ruben(monkeypatch)
+        capped, counts, _ = CascadeIntegrator().decide(
+            gaussian, points, delta, 0.05
+        )
         assert sum(counts.values()) == points.shape[0]
-        # The cloud spans deep-inside to far-outside candidates, so the
-        # cheap sandwich tier must decide a non-trivial share.
-        assert counts.get("cascade-sandwich", 0) > 0
+        assert counts["cascade-ruben"] > 0 and counts["cascade-sandwich"] > 0
+        np.testing.assert_array_equal(capped, accept)
 
     def test_far_candidates_decided_by_sandwich_alone(self, paper_gaussian):
+        """Far candidates no longer need the sandwich: Ruben's upper bound
+        (remaining mass times G_k) drops below θ within a few terms."""
         far = paper_gaussian.mean + np.array([[5000.0, 0.0], [0.0, 7000.0]])
         accept, tally, _ = CascadeIntegrator().decide(
             paper_gaussian, far, 25.0, 0.01
         )
         assert not np.any(accept)
-        assert tally["cascade-sandwich"] == len(far) == sum(tally.values())
+        assert tally["cascade-ruben"] == len(far) == sum(tally.values())
+        weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+            paper_gaussian, far
+        )
+        _, upper, ok = ruben_block(
+            weights, np.ones(2), ncs, 625.0, theta=0.01, max_terms=50
+        )
+        assert ok.all() and np.all(upper < 0.01)
 
-    def test_underflow_candidates_reach_imhof(self):
-        # Anisotropic covariance (isotropic ones make the sandwich bounds
-        # exact) with huge noncentrality and a ball past the mean: the
-        # sandwich stays wide, Ruben underflows, only Imhof can settle it.
+    def test_underflow_candidates_reach_imhof(self, monkeypatch):
+        """Anisotropic covariance (isotropic ones make the sandwich bounds
+        exact) with huge noncentrality and a ball past the mean: Ruben
+        decides it on its power-of-two scale, and when it cannot finish,
+        the sandwich stays wide and only Imhof can settle it."""
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0]])
-        accept, tally, _ = CascadeIntegrator().decide(
-            gaussian, points, 42.0, 0.5
-        )
-        assert tally["cascade-imhof"] == 1 == sum(tally.values())
-        assert accept[0]  # exact probability is > 0.5 here
         expected = qualification_probability_exact(
             gaussian, points[0], 42.0, method="imhof"
         )
-        (result,) = CascadeIntegrator().qualification_probabilities(
-            gaussian, points, 42.0
-        )
-        assert result.method == "cascade-imhof"
-        assert result.estimate == pytest.approx(expected, abs=1e-9)
+        for tier in ("cascade-ruben", "cascade-imhof"):
+            if tier == "cascade-imhof":
+                short_ruben(monkeypatch)
+            accept, tally, _ = CascadeIntegrator().decide(
+                gaussian, points, 42.0, 0.5
+            )
+            assert tally[tier] == 1 == sum(tally.values())
+            assert accept[0]  # exact probability is > 0.5 here
+            (result,) = CascadeIntegrator().qualification_probabilities(
+                gaussian, points, 42.0
+            )
+            assert result.method == tier
+            assert result.estimate == pytest.approx(expected, abs=1e-9)
 
-    def test_imhof_tier_reports_its_quadrature_error(self):
+    def test_imhof_tier_reports_its_quadrature_error(self, monkeypatch):
+        short_ruben(monkeypatch)
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0], [39.0, 9.0], [38.5, 20.0]])
         delta = 42.0
@@ -266,14 +302,19 @@ class TestTiering:
     @pytest.mark.parametrize("wild", [-0.25, 1.0])
     def test_imhof_tier_only_tightens_the_sandwich(self, wild, monkeypatch):
         """A scalar-fallback row can come back far outside the rigorous
-        Tier-1 interval (cond(Σ) ≳ 1e6); Tier 3 intersects with that
-        interval like Tier 2 does, it does not overwrite it."""
-        from repro.integrate import cascade
-
+        interval the earlier tiers left (cond(Σ) ≳ 1e6); Tier 3 intersects
+        with that interval, it does not overwrite it."""
+        short_ruben(monkeypatch)
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0]])
         ((lower, upper),) = chi2_sandwich_bounds_block(gaussian, points, 42.0)
         assert 0.0 <= lower < upper < 0.98
+        # One Ruben term leaves [0, ~1]: the sandwich is the interval.
+        weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+            gaussian, points
+        )
+        lo1, hi1, ok1 = ruben_block(weights, np.ones(2), ncs, 42.0**2, max_terms=1)
+        assert not ok1[0] and lo1[0] <= lower and upper <= hi1[0]
         monkeypatch.setattr(
             cascade,
             "imhof_cdf_block",
@@ -287,6 +328,7 @@ class TestTiering:
         assert result.stderr == 0.0
 
     def test_scalar_fallback_gives_the_same_decisions(self, monkeypatch):
+        short_ruben(monkeypatch)
         gaussian = Gaussian([0.0, 0.0], np.diag([1.0, 4.0]))
         points = np.array([[40.0, 0.0], [39.0, 9.0], [38.5, 20.0], [44.0, 3.0]])
 

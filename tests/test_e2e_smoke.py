@@ -12,14 +12,22 @@ e2e_smoke = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(e2e_smoke)
 
 
-#: Traced readings of the cascade spans (prq_cascade_9d, seed 0, 10 s).
+#: Traced readings of the cascade spans (prq_cascade_9d, seed 0, 10 s):
+#: Ruben decides every Phase-3 row, the sandwich kernel is never called.
 CASCADE = {
-    "integrate.decide_s": 3.50,
-    "kernels.chi2_sandwich_block_s": 1.34,
-    "kernels.ruben_block_s": 1.76,
-    "kernels.squared_distance_noncentralities_s": 0.13,
-    "kernels.chi2_sandwich_block_ns_per_row": 1394.0,
-    "kernels.ruben_block_ns_per_row": 2755.0,
+    "integrate.decide_s": 6.45,
+    "kernels.chi2_sandwich_block_s": 0.0,
+    "kernels.ruben_block_s": 6.17,
+    "kernels.squared_distance_noncentralities_s": 0.14,
+    "stages.filter_s": 0.76,
+}
+
+#: The same workload's prq_cascade_2d readings of the Phase-3 guards.
+CASCADE_2D = {
+    "integrate.ruben_share": 1.0,
+    "gaussian.imhof_calls": 0,
+    "kernels.ruben_block_s": 2.14,
+    "stages.filter_s": 1.51,
 }
 
 
@@ -52,9 +60,9 @@ def test_each_guard_fires():
         found = e2e_smoke.problems(result_line(**{"index.range_search_calls": calls}))
         assert len(found) == 1 and "Phase-1 span" in found[0]
     # The stage walks one object per candidate again: 0.40 of decide_s
-    # lies outside the 3.23 s of kernels (as before the block hand-over),
+    # lies outside the 6.31 s of kernels (as before the block hand-over),
     # or the span is gone and the share has no base.
-    for decide in (5.40, None):
+    for decide in (10.5, None):
         (problem,) = e2e_smoke.problems(
             result_line(**{"integrate.decide_s": decide})
         )
@@ -63,42 +71,50 @@ def test_each_guard_fires():
 
 
 def test_tier3_guards_apply_to_prq_cascade_2d_only():
+    """Ruben decides the rows whose leading weight used to underflow (the
+    old Tier 3), and no scalar Imhof call is made."""
+
     def found(**metrics):
         return e2e_smoke.problems(result_line(**metrics), "prq_cascade_2d")
 
-    healthy = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
-    assert found(**healthy) == []
-    # The contract line prints 0 for a metric that resolved to nothing.
-    for share in (0, 0.0, None):
-        (problem,) = found(**{**healthy, "integrate.imhof_share": share})
-        assert "imhof_share" in problem
-    (problem,) = found(**{**healthy, "gaussian.imhof_calls": 893})
+    assert found(**CASCADE_2D) == []
+    # The sandwich runs first again (a sandwich-first cascade read 0.66), the
+    # underflow rows leave Ruben again (0.995), or the metric is gone;
+    # the contract line prints 0 for a metric that resolved to nothing.
+    for share in (0.6645, 0.995, 0, None):
+        (problem,) = found(**{**CASCADE_2D, "integrate.ruben_share": share})
+        assert "ruben_share" in problem
+    (problem,) = found(**{**CASCADE_2D, "gaussian.imhof_calls": 893})
     assert "scalar imhof_cdf loop" in problem
     assert len(e2e_smoke.problems({}, "prq_cascade_2d")) == 7
-    # prq_cascade_9d never reaches Tier 3: the guards stay off.
-    assert e2e_smoke.problems(result_line(**{"gaussian.imhof_calls": 7})) == []
+    # prq_cascade_9d has no underflow rows: the guards stay off.
+    assert e2e_smoke.problems(
+        result_line(**{"gaussian.imhof_calls": 7, "integrate.ruben_share": 0.70})
+    ) == []
 
 
 def test_tier2_share_guard_applies_to_both_cascade_workloads():
-    ruben, sandwich = (
-        "kernels.ruben_block_ns_per_row",
-        "kernels.chi2_sandwich_block_ns_per_row",
-    )
-    # Per row, with and without the O(K^2) convolution (9-D, then 2-D).
-    slow = {ruben: 9000.0, sandwich: 1440.0}
-    fast = {ruben: 966.0, sandwich: 700.0}
-    tier3 = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
-    for workload, extra in (("prq_cascade_9d", {}), ("prq_cascade_2d", tier3)):
-        assert e2e_smoke.problems(result_line(**fast, **extra), workload) == []
-        (problem,) = e2e_smoke.problems(result_line(**slow, **extra), workload)
-        assert "ruben_block_ns_per_row" in problem and "O(d)" in problem
-        # Either kernel span gone: the ratio has no base.
-        for missing in (ruben, sandwich):
-            (problem,) = e2e_smoke.problems(
-                result_line(**{missing: None}, **extra), workload
+    """Ruben's kernel time within a few times the filter stage's; with
+    every term re-running the O(K²) convolution a Ruben row cost 3.2x
+    (9-D) and 8.1x (2-D) as much."""
+    ruben, filtering = "kernels.ruben_block_s", "stages.filter_s"
+    for workload, healthy, slowdown in (
+        ("prq_cascade_9d", CASCADE, 3.2),
+        ("prq_cascade_2d", CASCADE_2D, 8.1),
+    ):
+        slow = {**healthy, ruben: slowdown * healthy[ruben]}
+        assert e2e_smoke.problems(result_line(**healthy), workload) == []
+        (problem,) = e2e_smoke.problems(result_line(**slow), workload)
+        assert ruben in problem and "O(d)" in problem
+        # Either span gone: the ratio has no base (on 9-D a missing Ruben
+        # span also empties the decide-overhead guard's kernel sum).
+        for missing in (ruben, filtering):
+            found = e2e_smoke.problems(
+                result_line(**{**healthy, missing: None}), workload
             )
-            assert "ruben_block_ns_per_row" in problem and "O(d)" in problem
-    # serve_uniform also runs Tier 2, but carries no guard.
+            assert any(ruben in problem and "O(d)" in problem for problem in found)
+    # serve_uniform also runs Ruben, but carries no guard.
+    slow = {ruben: 3.2 * CASCADE[ruben]}
     assert e2e_smoke.problems(result_line(**slow), "serve_uniform") == []
 
 
@@ -129,10 +145,9 @@ def test_sampler_budget_guard_applies_to_prq_mc_2d_only():
         assert problem.endswith(e2e_smoke.MC_FULL_BUDGET)
     assert len(e2e_smoke.problems({}, "prq_mc_2d")) == 6
     # The cascade workloads draw nothing and carry no such guard.
-    tier3 = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
     full = {"integrate.samples_per_candidate": 100_000.0}
     assert e2e_smoke.problems(result_line(**full), "prq_cascade_9d") == []
-    assert e2e_smoke.problems(result_line(**full, **tier3), "prq_cascade_2d") == []
+    assert e2e_smoke.problems(result_line(**full, **CASCADE_2D), "prq_cascade_2d") == []
 
 
 def test_shard_guard_reads_the_workers_not_the_coordinator_index():
@@ -161,11 +176,10 @@ def test_planning_share_guard_applies_to_the_auto_workloads():
     per-query cost model read about 30 %, the rule about 0.1 %."""
     sampled = {"planner.plan_s": 3.0, "engine.run_batch_s": 10.0}
     rule = {"planner.plan_s": 0.01, "engine.run_batch_s": 10.0}
-    for workload in ("prq_cascade_2d", "prq_cascade_9d"):
-        extra = {"integrate.imhof_share": 0.0049, "gaussian.imhof_calls": 0}
-        (problem,) = e2e_smoke.problems(result_line(**sampled, **extra), workload)
+    for workload, extra in (("prq_cascade_2d", CASCADE_2D), ("prq_cascade_9d", {})):
+        (problem,) = e2e_smoke.problems(result_line(**extra, **sampled), workload)
         assert "planning is back on the hot path" in problem
-        assert e2e_smoke.problems(result_line(**rule, **extra), workload) == []
+        assert e2e_smoke.problems(result_line(**extra, **rule), workload) == []
     # The fixed-plan workloads never plan: the guard stays off.
     line = result_line(
         **sampled,

@@ -135,6 +135,7 @@ def _removed_knob_calls():
         ),
         "cascade-tol": lambda: repro.CascadeIntegrator(tol=1e-9),
         "cascade-max_terms": lambda: repro.CascadeIntegrator(max_terms=10),
+        "cascade-fast_dtype": lambda: repro.CascadeIntegrator(fast_dtype="float32"),
         "exact-method": lambda: repro.ExactIntegrator(method="imhof"),
         "exact-positional-method": lambda: repro.ExactIntegrator("ruben"),
         "monitor-margin": lambda: _manager(margin=0.5),

@@ -296,21 +296,28 @@ def test_ruben_block_long_series_keeps_its_digits():
 @pytest.mark.parametrize("d", [2, 3, 9])
 def test_ruben_block_rows_do_not_see_their_block(d):
     """(lower, upper, ok) of a row depend on that row alone: permuted,
-    subset and singled-out rows give the very same bits on both backends."""
+    subset and singled-out rows give the very same bits on both backends,
+    also for a row on its own power-of-two scale (log a0 < -700) and at an
+    x where that row's series runs long enough to rescale."""
     rng = np.random.default_rng(d)
     lam, dofs = ruben_spectrum(d, 9.0, mixed_dofs=False)
     totals = np.exp(rng.uniform(np.log(0.1), np.log(400.0), 40))
     ncs = rng.dirichlet(np.ones(d), size=totals.size) * totals[:, None]
-    ncs[7] = 2000.0 / d  # underflows: log a0 < -700
-    x = GaussianQuadraticForm(lam, dofs, np.full(d, 20.0 / d)).mean()
+    ncs[7] = 2000.0 / d  # log a0 < -700: a0 underflows unscaled
+    near = GaussianQuadraticForm(lam, dofs, np.full(d, 20.0 / d)).mean()
+    far = GaussianQuadraticForm(lam, dofs, ncs[7]).mean()
     for block in RUBEN_BACKENDS:
         # theta-decided with rows stopped at the cap, then all run to tol.
-        for theta, max_terms in ((0.3, 30), (None, 10_000)):
+        for x, theta, max_terms in (
+            (near, 0.3, 30), (near, None, 10_000), (far, None, 10_000)
+        ):
             kwargs = dict(theta=theta, tol=1e-12, max_terms=max_terms)
             lower, upper, ok = block(lam, dofs, ncs, x, **kwargs)
             at_cap = ~ok & (upper - lower < 1.0)
-            assert not ok[7] and (lower[7], upper[7]) == (0.0, 1.0)
             assert at_cap.any() == (theta is not None) and ok.any()
+            assert ok[7] == (theta is None)
+            if x == far:  # a value near 1/2, not an underflowed 0
+                assert 0.1 < lower[7] <= upper[7] < 0.9
 
             def same(rows, got):
                 return (

@@ -268,9 +268,10 @@ class TestEngineSpans:
         spans = {s.name: s for s in obs.tracer.spans}
         if result.stats.integrations == 0:
             pytest.skip("query decided without Phase 3")
-        assert "tier:sandwich" in spans
-        assert spans["tier:sandwich"].parent_id == spans["phase:integrate"].span_id
-        assert spans["tier:sandwich"].attributes["candidates"] > 0
+        # Ruben runs first, on every Phase-3 row.
+        assert "tier:ruben" in spans
+        assert spans["tier:ruben"].parent_id == spans["phase:integrate"].span_id
+        assert spans["tier:ruben"].attributes["candidates"] > 0
 
     def test_integrator_obs_is_cleared_after_query(self, database, workload):
         obs = Observability()

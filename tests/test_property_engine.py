@@ -3,20 +3,37 @@
 Hypothesis generates random small databases, covariances and thresholds;
 for every generated world and every strategy combination the engine (with
 the exact integrator) must return exactly the set of objects whose true
-qualification probability reaches θ.
+qualification probability reaches θ.  A second property holds the
+cascade's Ruben tier to the same oracle on both kernel backends.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.database import SpatialDatabase
 from repro.core.strategies import STRATEGY_COMBINATIONS
 from repro.gaussian.distribution import Gaussian
-from repro.gaussian.quadform import qualification_probability_exact
+from repro.gaussian.quadform import (
+    GaussianQuadraticForm,
+    qualification_probability_exact,
+)
+from repro.integrate import CascadeIntegrator
+from repro.integrate.cascade import MAX_TERMS, THETA_TOL, TOL
 from repro.integrate.exact import ExactIntegrator
+
+_VERIFY = importlib.util.spec_from_file_location(
+    "verify", Path(__file__).parent.parent / "benchmarks" / "e2e" / "verify.py"
+)
+verify = importlib.util.module_from_spec(_VERIFY)
+_VERIFY.loader.exec_module(verify)
 
 
 @st.composite
@@ -134,3 +151,84 @@ class TestOneDimensionalCrossValidation:
             strategies="all", integrator=ExactIntegrator(),
         )
         assert list(engine_result.ids) == closed_form
+
+
+@st.composite
+def ruben_blocks(draw):
+    """A Gaussian with cond(Σ) up to 1e8, a δ, a θ down to 5e-324, and
+    candidate rows whose total noncentrality Σnc reaches 5000, past the
+    1400 where Ruben's leading weight exp(-Σnc/2) underflows unscaled."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    spectrum = np.geomspace(1.0, 10.0 ** draw(st.floats(0.0, 8.0)), dim)
+    spectrum *= draw(st.floats(0.01, 100.0))
+    gaussian = Gaussian(np.zeros(dim), (basis * spectrum) @ basis.T)
+    n_rows = draw(st.integers(1, 6))
+    totals = np.array(
+        [draw(st.floats(0.0, 5000.0)) for _ in range(n_rows)]
+        + [draw(st.floats(1400.0, 5000.0))]
+    )
+    directions = rng.standard_normal((totals.size, dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    # Mahalanobis radius sqrt(Σnc) along each direction.
+    points = (directions * np.sqrt(totals)[:, None]) @ (
+        basis * np.sqrt(spectrum)
+    ).T
+    # δ near a far row's distance puts its probability anywhere in (0, 1).
+    reach = float(np.linalg.norm(points[-1]))
+    delta = draw(
+        st.one_of(
+            st.floats(0.8, 1.2).map(lambda f: f * reach),
+            st.floats(0.1, 5.0).map(lambda f: f * float(np.sqrt(spectrum.max()))),
+        )
+    )
+    theta = draw(
+        st.one_of(
+            st.sampled_from([5e-324, 1e-300, 1e-100, 1e-12]),
+            st.floats(1e-9, 0.999),
+        )
+    )
+    return gaussian, points, delta, theta
+
+
+class TestCascadeMatchesOracle:
+    """Every Ruben interval contains the oracle's probability, on both
+    kernel backends, and ``CascadeIntegrator.decide`` takes the oracle's
+    side of θ wherever the two are farther apart than the benchmark's
+    verification tie band."""
+
+    @given(ruben_blocks())
+    @settings(
+        max_examples=30,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    def test_ruben_intervals_contain_the_oracle(self, block):
+        gaussian, points, delta, theta = block
+        truth = np.array(
+            [qualification_probability_exact(gaussian, p, delta) for p in points]
+        )
+        weights, ncs = GaussianQuadraticForm.squared_distance_spectrum(
+            gaussian, points
+        )
+        clear = np.abs(truth - theta) > verify.TIE
+        # Compiled (when built), then NumPy.
+        for lib in dict.fromkeys((kernels._LIB, None)):
+            with mock.patch.object(kernels, "_LIB", lib):
+                lower, upper, _ = kernels.ruben_block(
+                    weights,
+                    np.ones_like(weights),
+                    ncs,
+                    delta * delta,
+                    theta=theta,
+                    tol=min(TOL, THETA_TOL * theta),
+                    max_terms=MAX_TERMS,
+                )
+                accept, _, _ = CascadeIntegrator().decide(
+                    gaussian, points, delta, theta
+                )
+            # The oracle resolves to 1e-10 (its Imhof path) at worst.
+            assert np.all(lower <= truth + 1e-10)
+            assert np.all(truth - 1e-10 <= upper)
+            np.testing.assert_array_equal(accept[clear], (truth >= theta)[clear])
