@@ -473,14 +473,9 @@ def chi2_sandwich_bounds(
 
     Since λ_min·χ²_d(Σδ²) ≤ Q ≤ λ_max·χ²_d(Σδ²) pointwise (with the same
     underlying normals), the noncentral-χ² CDF evaluated at x/λ_max and
-    x/λ_min sandwiches the true CDF.  The scalar path always uses the
-    exact SciPy evaluation — it feeds the 1e−14 tail shortcut in
-    :func:`qualification_probability_exact`, where the compiled backend's
-    widening epsilon would defeat the comparison.
+    x/λ_min sandwiches the true CDF.
     """
-    from repro.kernels import fallback as _fallback
-
-    bounds = _fallback.chi2_sandwich_block(
+    bounds = kernels.chi2_sandwich_block(
         float(x),
         float(form.dofs.sum()),
         np.array([form.noncentralities.sum()]),
@@ -491,24 +486,14 @@ def chi2_sandwich_bounds(
 
 
 def chi2_sandwich_bounds_block(
-    gaussian: Gaussian, points: np.ndarray, delta: float, *,
-    dtype: str = "float64",
+    gaussian: Gaussian, points: np.ndarray, delta: float
 ) -> np.ndarray:
     """Sandwich bounds on P(‖x − pointsᵢ‖ ≤ delta) for an (m, d) block.
 
     The degrees of freedom and the weight extrema are shared per query,
     only the total noncentralities vary by row; returns an ``(m, 2)``
     array of [lower, upper] bounds, sound on every backend.
-
-    ``dtype="float32"`` selects the compiled fast path that rotates the
-    candidates in single precision: a rigorous rotation error bound is
-    converted into a noncentrality interval and the CDF is evaluated at
-    its pessimal end, so the bounds stay conservative (slightly wider,
-    never unsound).  Without the compiled backend it silently evaluates
-    the exact float64 pipeline.
     """
-    if dtype not in ("float64", "float32"):
-        raise GeometryError(f"unknown dtype {dtype!r}; use 'float64' or 'float32'")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.ndim != 2 or pts.shape[1] != gaussian.dim:
         raise GeometryError(
@@ -517,11 +502,6 @@ def chi2_sandwich_bounds_block(
     threshold = float(delta) ** 2
     lam_min = float(gaussian.eigenvalues.min())
     lam_max = float(gaussian.eigenvalues.max())
-    if dtype == "float32":
-        return kernels.chi2_sandwich_block_f32(
-            gaussian.mean, gaussian.basis, gaussian.eigenvalues, pts,
-            threshold, float(gaussian.dim), lam_min, lam_max,
-        )
     ncs = kernels.squared_distance_noncentralities(
         gaussian.mean, gaussian.basis, gaussian.eigenvalues, pts
     )

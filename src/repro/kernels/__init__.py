@@ -10,18 +10,21 @@ provides two interchangeable backends for them:
 - ``numpy`` — :mod:`repro.kernels.fallback`, pure NumPy/SciPy (the
   geometry kernels reuse scratch arenas), always available.
 
+The χ² sandwich (``chi2_sandwich_block`` and ``chi2_sandwich_block_f32``)
+has one body on both backends, SciPy's noncentral-χ² CDF: a compiled
+twin of it was not faster.
+
 Selection happens once at import: the C backend is used when it compiles
 and loads, unless ``REPRO_NO_JIT=1`` (or any value other than ``0``) is
 set, which pins the NumPy fallback for the whole process.  ``backend()``
 and ``kernel_table()`` report what was chosen.
 
 Soundness contract: the probability kernels return ``[lower, upper]``
-bounds that must *contain* the true probability.  The compiled backend
-widens its bounds by a computed numerical-error allowance plus a fixed
-epsilon, so its bounds can be marginally looser than the fallback's but
-never unsound; the float32 sandwich fast path additionally converts a
-rigorous rotation error bound into a noncentrality interval before
-evaluating the CDF (monotone decreasing in the noncentrality).
+bounds that must *contain* the true probability.  The compiled Ruben
+kernel widens its bounds by a computed numerical-error allowance plus a
+fixed epsilon, so its bounds can be marginally looser than the
+fallback's but never unsound; the sandwich replaces a NaN from SciPy by
+the trivial bound (0 below, 1 above).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy import special
 
 from repro.kernels import fallback
 from repro.kernels.build import load_library
@@ -50,9 +54,6 @@ __all__ = [
 #: the per-value error estimate (covers incomplete-gamma evaluation error).
 _WIDEN = 1e-12
 
-#: The float32 sandwich path holds query vectors in fixed stack buffers.
-_F32_MAX_DIM = 64
-
 _NO_JIT = os.environ.get("REPRO_NO_JIT", "").strip().lower() not in {
     "", "0", "false",
 }
@@ -69,11 +70,10 @@ def backend() -> str:
 
 def kernel_table() -> list[dict[str, str]]:
     """Per-kernel backend report (for ``repro kernels`` and tests)."""
-    f32 = BACKEND if BACKEND == "c" else "numpy (float64 exact)"
     return [
         {"kernel": "squared_distance_noncentralities", "backend": BACKEND},
-        {"kernel": "chi2_sandwich_block", "backend": BACKEND},
-        {"kernel": "chi2_sandwich_block_f32", "backend": f32},
+        {"kernel": "chi2_sandwich_block", "backend": "scipy"},
+        {"kernel": "chi2_sandwich_block_f32", "backend": "scipy"},
         {"kernel": "ruben_block", "backend": BACKEND},
         {"kernel": "minkowski_contains", "backend": BACKEND},
         {"kernel": "oblique_contains", "backend": BACKEND},
@@ -125,17 +125,29 @@ def chi2_sandwich_block(
     lam_min: float,
     lam_max: float,
 ) -> np.ndarray:
-    """(m, 2) sandwich bounds λ_min·χ² ≤ Q ≤ λ_max·χ² per candidate."""
-    if _LIB is None:
-        return fallback.chi2_sandwich_block(x, df, nc_totals, lam_min, lam_max)
-    nc = _c64(np.atleast_1d(nc_totals))
-    out = np.empty((nc.size, 2))
-    if nc.size:
-        _LIB.repro_chi2_sandwich_block(
-            nc.size, float(x), float(df), _ptr(nc),
-            float(lam_min), float(lam_max), _WIDEN, _ptr(out),
-        )
-    return out
+    """(m, 2) sandwich bounds λ_min·χ² ≤ Q ≤ λ_max·χ² per candidate.
+
+    Row i is [P(χ²_df(ncᵢ) ≤ x/λ_max), P(χ²_df(ncᵢ) ≤ x/λ_min)] from
+    SciPy's ``chndtr`` (``chdtr`` where ncᵢ = 0).  ``chndtr`` returns NaN
+    for some huge arguments (x/λ and nc near 1e11); such a bound reads 0
+    below and 1 above, which is trivially sound.
+    """
+    nc_totals = np.asarray(nc_totals, dtype=float)
+    bounds = np.zeros((nc_totals.size, 2))
+    if x <= 0:
+        return bounds
+    noncentral = nc_totals > 0
+    if np.any(noncentral):
+        nc = nc_totals[noncentral]
+        bounds[noncentral, 0] = special.chndtr(x / lam_max, df, nc)
+        bounds[noncentral, 1] = special.chndtr(x / lam_min, df, nc)
+    if not np.all(noncentral):
+        central = ~noncentral
+        bounds[central, 0] = special.chdtr(df, x / lam_max)
+        bounds[central, 1] = special.chdtr(df, x / lam_min)
+    bounds[np.isnan(bounds[:, 0]), 0] = 0.0
+    bounds[np.isnan(bounds[:, 1]), 1] = 1.0
+    return bounds
 
 
 def chi2_sandwich_block_f32(
@@ -148,34 +160,20 @@ def chi2_sandwich_block_f32(
     lam_min: float,
     lam_max: float,
 ) -> np.ndarray:
-    """Sandwich bounds with a float32 rotation fast path.
+    """Sandwich bounds straight from an ``(m, d)`` block of points.
 
-    Sound by construction: the compiled path brackets each rotated
-    coordinate in a rigorous interval and evaluates the CDF at the
-    pessimal end of the induced noncentrality interval.  Without the C
-    backend (or above 64 dimensions) it degrades to the exact float64
-    pipeline, which is trivially sound.
+    The float64 pipeline: the NumPy noncentralities summed per row, then
+    :func:`chi2_sandwich_block` — the rows
+    :func:`repro.gaussian.quadform.chi2_sandwich_bounds_block` returns, up
+    to the rounding of the compiled noncentralities.  The name is
+    historical; it stays exported because ``benchmarks/e2e/trace.py``
+    traces it, and ``benchmarks/e2e/selftest.py`` and
+    ``benchmarks/e2e_smoke.py`` require every traced kernel to resolve.
     """
-    pts = _c64(np.atleast_2d(points))
-    m, d = pts.shape
-    if _LIB is None or d > _F32_MAX_DIM:
-        ncs = fallback.squared_distance_noncentralities(
-            _c64(mean), _c64(basis), _c64(eigenvalues), pts
-        )
-        return fallback.chi2_sandwich_block(
-            x, df, ncs.sum(axis=1), lam_min, lam_max
-        )
-    out = np.empty((m, 2))
-    if m:
-        mean = _c64(mean)
-        basis = _c64(basis)
-        eig = _c64(eigenvalues)
-        _LIB.repro_chi2_sandwich_block_f32(
-            m, d, _ptr(mean), _ptr(basis), _ptr(eig), _ptr(pts),
-            float(x), float(df), float(lam_min), float(lam_max),
-            _WIDEN, _ptr(out),
-        )
-    return out
+    ncs = fallback.squared_distance_noncentralities(
+        _c64(mean), _c64(basis), _c64(eigenvalues), _c64(np.atleast_2d(points))
+    )
+    return chi2_sandwich_block(x, df, ncs.sum(axis=1), lam_min, lam_max)
 
 
 def ruben_block(

@@ -3,17 +3,13 @@
  * Every function here mirrors a NumPy implementation in
  * repro/kernels/fallback.py; the dispatch layer (repro/kernels/__init__.py)
  * picks this library when it compiles and `REPRO_NO_JIT` is unset.  The
- * probability kernels keep the cascade's soundness contract: computed
- * [lower, upper] bounds are *widened* by a small epsilon covering the
- * numerical error of the incomplete-gamma evaluations, so a bound can be
- * looser than the NumPy path's but never unsound.
+ * Ruben kernel keeps the cascade's soundness contract: its [lower, upper]
+ * bounds are *widened* by a small epsilon covering the numerical error of
+ * the incomplete-gamma evaluations, so a bound can be looser than the
+ * NumPy path's but never unsound.
  *
- * Numerical building blocks:
- *   - igam/igamc: regularized incomplete gamma (series + continued
- *     fraction, the classical Cephes construction);
- *   - pnchisq: noncentral chi-square CDF as a Poisson mixture of central
- *     chi-square CDFs, summed outward from the modal Poisson index with
- *     log-space term recurrences, returning a conservative error bound.
+ * Numerical building block: igam/igamc, the regularized incomplete gamma
+ * (series + continued fraction, the classical Cephes construction).
  *
  * Compile with -ffp-contract=off: fused multiply-adds would change results
  * relative to strict IEEE evaluation and complicate parity testing.
@@ -22,7 +18,6 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
-#include <string.h>
 
 #define MACHEP 1.11022302462515654042e-16
 #define BIG 4.503599627370496e15
@@ -92,197 +87,9 @@ static double clamp01_(double v) {
     return v;
 }
 
-/* Noncentral chi-square CDF P(Q <= x) for Q ~ chi2(df, nc).
- *
- * Poisson-mixture form: sum_j  Pois(j; nc/2) * P(df/2 + j, x/2).
- * Summation starts at the modal index j0 = floor(nc/2) and expands
- * outward while the enumerated Poisson mass grows toward 1, with
- * log-space recurrences for the Poisson weights and the incomplete-gamma
- * step terms t(a) = (x/2)^a e^{-x/2} / Gamma(a+1):
- *     P(a+1, x2) = P(a, x2) - t(a),   P(a-1, x2) = P(a, x2) + t(a-1).
- *
- * *err receives a conservative absolute error bound: the un-enumerated
- * Poisson mass (each missing term's gamma factor is in [0, 1]) plus an
- * allowance for the recurrence's floating-point drift.
- *
- * This log-space variant is the robust slow path; pnchisq_ below runs
- * the same recurrences in linear space (one mul per update instead of
- * log/exp) whenever the modal-index seed values cannot underflow. */
-static double pnchisq_log_(double x, double df, double nc, double *err) {
-    if (x <= 0.0) {
-        *err = 0.0;
-        return 0.0;
-    }
-    double x2 = 0.5 * x, hnc = 0.5 * nc;
-    if (hnc < 1e-300) {
-        *err = 4e-15;
-        return igam_(0.5 * df, x2);
-    }
-    long j0 = (long)floor(hnc);
-    double lw0 = -hnc + (double)j0 * log(hnc) - lgamma((double)j0 + 1.0);
-    double g0 = igam_(0.5 * df + (double)j0, x2);
-    double lx2 = log(x2);
-    /* lt_* track log t(a) at the current edge of each direction. */
-    double lt_up = (0.5 * df + (double)j0) * lx2 - x2 -
-                   lgamma(0.5 * df + (double)j0 + 1.0);
-    double lt_dn = lt_up;
-    double lw_up = lw0, lw_dn = lw0;
-    double g_up = g0, g_dn = g0;
-    long j_up = j0, j_dn = j0;
-    double w0 = exp(lw0);
-    double sum = w0 * g0, wsum = w0;
-    long steps = 0;
-    int up_alive = 1, dn_alive = (j_dn > 0);
-    while ((up_alive || dn_alive) && wsum < 1.0 - 1e-14 && steps < 4000000) {
-        if (up_alive) {
-            /* move j_up -> j_up + 1 */
-            g_up -= (lt_up > -MAXLOG) ? exp(lt_up) : 0.0;
-            if (g_up < 0.0) g_up = 0.0;
-            lt_up += lx2 - log(0.5 * df + (double)j_up + 1.0);
-            lw_up += log(hnc) - log((double)j_up + 1.0);
-            j_up += 1;
-            double w = exp(lw_up);
-            sum += w * g_up;
-            wsum += w;
-            if (lw_up < -746.0 || w < 1e-18) up_alive = 0;
-            steps++;
-        }
-        if (dn_alive) {
-            /* move j_dn -> j_dn - 1 */
-            lt_dn += log(0.5 * df + (double)j_dn) - lx2;
-            g_dn += (lt_dn > -MAXLOG) ? exp(lt_dn) : 0.0;
-            if (g_dn > 1.0) g_dn = 1.0;
-            lw_dn += log((double)j_dn) - log(hnc);
-            j_dn -= 1;
-            double w = exp(lw_dn);
-            sum += w * g_dn;
-            wsum += w;
-            if (j_dn == 0 || lw_dn < -746.0 || w < 1e-18) dn_alive = 0;
-            steps++;
-        }
-    }
-    double rem = 1.0 - wsum;
-    if (rem < 0.0) rem = 0.0;
-    *err = rem + 1e-13 + (double)steps * 4e-15;
-    return clamp01_(sum);
-}
-
-/* Fast path: identical outward summation, but the Poisson weights and
- * gamma step terms advance by one multiply per step (w *= hnc/(j+1),
- * t *= x2/(a+1)) instead of log-space adds plus exp().  Valid whenever
- * the modal-index seeds w0, t0 are comfortably above the subnormal
- * range: both sequences are then unimodal with their peaks inside the
- * enumerated window, so no intermediate value ever needs magnitudes the
- * seeds could not reach.  Seeds near underflow fall back to
- * pnchisq_log_. */
-static double pnchisq_(double x, double df, double nc, double *err) {
-    if (x <= 0.0) {
-        *err = 0.0;
-        return 0.0;
-    }
-    double x2 = 0.5 * x, hnc = 0.5 * nc;
-    if (hnc < 1e-300) {
-        *err = 4e-15;
-        return igam_(0.5 * df, x2);
-    }
-    if (hnc > 100.0) {
-        /* O(1) pins for the saturated regimes.  With J ~ Pois(hnc) and
-         * g(j) = P(df/2 + j, x2) decreasing in j, splitting the mixture
-         * at any j_k gives
-         *     CDF <= Pr[J < j_k] + g(j_k)        (upper pin at ~0)
-         *     CDF >= g(j_k) - Pr[J > j_k]        (lower pin at ~1)
-         * and the Chernoff bound Pr[J <= j] (j < hnc), Pr[J >= j]
-         * (j > hnc) <= exp(-hnc + j + j log(hnc/j)) makes both tails
-         * rigorous without enumerating any Poisson mass.  9 sigma puts
-         * the tail below 3e-18. */
-        double s = 9.0 * sqrt(hnc);
-        double jk = floor(hnc - s);
-        if (jk > 0.0) {
-            double tail = exp(-hnc + jk + jk * log(hnc / jk));
-            double ub = tail + igam_(0.5 * df + jk, x2);
-            if (ub < 1e-14) {
-                *err = ub + 1e-15; /* true value lies in [0, ub] */
-                return 0.0;
-            }
-        }
-        double jk2 = ceil(hnc + s);
-        double tail2 = exp(-hnc + jk2 + jk2 * log(hnc / jk2));
-        double lb = igam_(0.5 * df + jk2, x2) - tail2;
-        if (lb > 1.0 - 1e-14) {
-            *err = 1.0 - lb + 1e-15; /* true value lies in [lb, 1] */
-            return lb;
-        }
-    }
-    long j0 = (long)floor(hnc);
-    double a0 = 0.5 * df + (double)j0;
-    double lt0 = a0 * log(x2) - x2 - lgamma(a0 + 1.0);
-    double lw0 = -hnc + (double)j0 * log(hnc) - lgamma((double)j0 + 1.0);
-    if (lt0 < -700.0 || lw0 < -700.0) return pnchisq_log_(x, df, nc, err);
-    double g0 = igam_(a0, x2);
-    double t_up = exp(lt0), t_dn = t_up;
-    double w_up = exp(lw0), w_dn = w_up;
-    double a_up = a0, a_dn = a0;
-    double j_up = (double)j0, j_dn = (double)j0;
-    double g_up = g0, g_dn = g0;
-    double sum = w_up * g0, wsum = w_up;
-    long steps = 0;
-    int up_alive = 1, dn_alive = (j0 > 0);
-    while ((up_alive || dn_alive) && wsum < 1.0 - 1e-14 && steps < 4000000) {
-        if (up_alive) {
-            /* move j_up -> j_up + 1 */
-            g_up -= t_up;
-            if (g_up < 0.0) g_up = 0.0;
-            t_up *= x2 / (a_up + 1.0);
-            w_up *= hnc / (j_up + 1.0);
-            a_up += 1.0;
-            j_up += 1.0;
-            sum += w_up * g_up;
-            wsum += w_up;
-            if (w_up < 1e-18) up_alive = 0;
-            steps++;
-        }
-        if (dn_alive) {
-            /* move j_dn -> j_dn - 1 */
-            t_dn *= a_dn / x2;
-            g_dn += t_dn;
-            if (g_dn > 1.0) g_dn = 1.0;
-            w_dn *= j_dn / hnc;
-            a_dn -= 1.0;
-            j_dn -= 1.0;
-            sum += w_dn * g_dn;
-            wsum += w_dn;
-            if (j_dn <= 0.5 || w_dn < 1e-18) dn_alive = 0;
-            steps++;
-        }
-    }
-    double rem = 1.0 - wsum;
-    if (rem < 0.0) rem = 0.0;
-    *err = rem + 1e-13 + (double)steps * 4e-15;
-    return clamp01_(sum);
-}
-
 /* ------------------------------------------------------------------ */
 /* Exported kernels                                                    */
 /* ------------------------------------------------------------------ */
-
-/* Sandwich bounds: out[i] = [P(x/lam_max; df, nc_i) - eps,
- *                            P(x/lam_min; df, nc_i) + eps], clamped.   */
-void repro_chi2_sandwich_block(long m, double x, double df,
-                               const double *nc_totals, double lam_min,
-                               double lam_max, double widen, double *out) {
-    if (x <= 0.0) {
-        memset(out, 0, sizeof(double) * 2 * (size_t)m);
-        return;
-    }
-    double xlo = x / lam_max, xhi = x / lam_min;
-    for (long i = 0; i < m; i++) {
-        double e1, e2;
-        double lo = pnchisq_(xlo, df, nc_totals[i], &e1);
-        double hi = pnchisq_(xhi, df, nc_totals[i], &e2);
-        out[2 * i] = clamp01_(lo - e1 - widen);
-        out[2 * i + 1] = clamp01_(hi + e2 + widen);
-    }
-}
 
 /* Shared-spectrum noncentralities: out[i][j] = ((mean - p_i)^T B)_j^2 / lam_j.
  * basis is row-major d x d with column eigenvectors (B[k][j] = basis[k*d+j]). */
@@ -514,62 +321,5 @@ void repro_classify_bf(long m, long d, const double *pts, const double *center,
         } else {
             codes[i] = 0;
         }
-    }
-}
-
-/* Float32 fast path for the sandwich bounds.
- *
- * The rotated coordinates are computed in float32; a per-coordinate error
- * bound (cast + accumulation, via absolute-value sums) turns the float32
- * value into a rigorous interval [r_lo, r_hi] around the true rotation,
- * which propagates to a noncentrality interval [nc_lo, nc_hi].  The CDF is
- * monotone *decreasing* in the noncentrality, so evaluating the lower
- * bound at nc_hi and the upper bound at nc_lo keeps the sandwich sound.
- * Requires d <= 64 (enforced by the Python wrapper).                     */
-void repro_chi2_sandwich_block_f32(long m, long d, const double *mean,
-                                   const double *basis, const double *eigvals,
-                                   const double *pts, double x, double df,
-                                   double lam_min, double lam_max,
-                                   double widen, double *out) {
-    if (x <= 0.0) {
-        memset(out, 0, sizeof(double) * 2 * (size_t)m);
-        return;
-    }
-    float mf[64], bf[64 * 64];
-    for (long k = 0; k < d; k++) mf[k] = (float)mean[k];
-    for (long k = 0; k < d * d; k++) bf[k] = (float)basis[k];
-    const double u32 = 5.9604644775390625e-08; /* 2^-24 */
-    double xlo = x / lam_max, xhi = x / lam_min;
-    for (long i = 0; i < m; i++) {
-        const double *p = pts + i * d;
-        float pf[64];
-        for (long k = 0; k < d; k++) pf[k] = (float)p[k];
-        double nc_lo = 0.0, nc_hi = 0.0;
-        for (long j = 0; j < d; j++) {
-            float s = 0.0f, asum = 0.0f, cerr = 0.0f;
-            for (long k = 0; k < d; k++) {
-                float diff = mf[k] - pf[k];
-                float bkj = bf[k * d + j];
-                s += diff * bkj;
-                asum += fabsf(diff * bkj);
-                cerr += (fabsf(mf[k]) + fabsf(pf[k])) * fabsf(bkj);
-            }
-            /* |s - true rotation| <= e: accumulation error on the float32
-             * dot product plus the float64 -> float32 cast error of the
-             * inputs, with a 2x safety factor. */
-            double e = u32 * (2.0 * (double)(d + 4) * (double)asum +
-                              4.0 * (double)cerr);
-            double r = (double)fabsf(s);
-            double rl = r - e;
-            if (rl < 0.0) rl = 0.0;
-            double rh = r + e;
-            nc_lo += rl * rl / eigvals[j];
-            nc_hi += rh * rh / eigvals[j];
-        }
-        double e1, e2;
-        double lo = pnchisq_(xlo, df, nc_hi, &e1);
-        double hi = pnchisq_(xhi, df, nc_lo, &e2);
-        out[2 * i] = clamp01_(lo - e1 - widen);
-        out[2 * i + 1] = clamp01_(hi + e2 + widen);
     }
 }

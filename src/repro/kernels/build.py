@@ -39,15 +39,6 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 #: the dispatch wrappers pass ``ndarray.ctypes.data`` of C-contiguous
 #: float64/int8/uint8 arrays.
 _SIGNATURES: dict[str, list] = {
-    "repro_chi2_sandwich_block": [
-        ctypes.c_long, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-    ],
-    "repro_chi2_sandwich_block_f32": [
-        ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-    ],
     "repro_sqdist_spectrum": [
         ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
         ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,

@@ -1,9 +1,11 @@
 """Pure-NumPy kernel implementations — the always-available backend.
 
-These functions are the reference semantics for every compiled kernel in
-``_kernels.c``: same signatures, same results (the compiled probability
-kernels may widen their [lower, upper] bounds by a soundness epsilon; the
-fallback bounds are the unwidened NumPy/SciPy values).
+These functions are the NumPy twins of the compiled kernels in
+``_kernels.c`` and nothing else: same signatures, same results (the
+compiled Ruben kernel may widen its [lower, upper] bounds by a soundness
+epsilon; the fallback bounds are the unwidened NumPy/SciPy values).  A
+kernel with no compiled twin, such as the SciPy χ² sandwich, lives in
+:mod:`repro.kernels` itself.
 
 The geometry kernels draw their *scratch* arrays (each written before it
 is read) from a per-thread arena keyed on block shape, so a steady stream
@@ -23,7 +25,6 @@ from scipy import special
 
 __all__ = [
     "bf_classify",
-    "chi2_sandwich_block",
     "minkowski_contains",
     "oblique_contains",
     "ruben_block",
@@ -73,30 +74,6 @@ def squared_distance_noncentralities(
     np.square(rotated, out=rotated)
     rotated /= eigenvalues
     return rotated
-
-
-def chi2_sandwich_block(
-    x: float,
-    df: float,
-    nc_totals: np.ndarray,
-    lam_min: float,
-    lam_max: float,
-) -> np.ndarray:
-    """(m, 2) noncentral-χ² sandwich bounds over total noncentralities."""
-    nc_totals = np.asarray(nc_totals, dtype=float)
-    bounds = np.zeros((nc_totals.size, 2))
-    if x <= 0:
-        return bounds
-    noncentral = nc_totals > 0
-    if np.any(noncentral):
-        nc = nc_totals[noncentral]
-        bounds[noncentral, 0] = special.chndtr(x / lam_max, df, nc)
-        bounds[noncentral, 1] = special.chndtr(x / lam_min, df, nc)
-    if not np.all(noncentral):
-        central = ~noncentral
-        bounds[central, 0] = special.chdtr(df, x / lam_max)
-        bounds[central, 1] = special.chdtr(df, x / lam_min)
-    return bounds
 
 
 def ruben_block(

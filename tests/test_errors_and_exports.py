@@ -110,6 +110,7 @@ def _removed_knob_calls():
 
     from repro.core.kinds import adapt_pipeline
     from repro.core.saferegion import SafeRegion
+    from repro.gaussian.quadform import chi2_sandwich_bounds_block
     from repro.serve import CostTracker, ServiceConfig
     from repro.shard import ShardedDatabase
 
@@ -136,6 +137,9 @@ def _removed_knob_calls():
         "cascade-tol": lambda: repro.CascadeIntegrator(tol=1e-9),
         "cascade-max_terms": lambda: repro.CascadeIntegrator(max_terms=10),
         "cascade-fast_dtype": lambda: repro.CascadeIntegrator(fast_dtype="float32"),
+        "sandwich-dtype": lambda: chi2_sandwich_bounds_block(
+            repro.Gaussian(np.zeros(2), np.eye(2)), points, 0.5, dtype="float32"
+        ),
         "exact-method": lambda: repro.ExactIntegrator(method="imhof"),
         "exact-positional-method": lambda: repro.ExactIntegrator("ruben"),
         "monitor-margin": lambda: _manager(margin=0.5),

@@ -1,11 +1,12 @@
 """The ``repro.kernels`` dispatch layer: backend selection, parity, soundness.
 
 The contract (docs/architecture.md): classify kernels are bit-identical
-across backends; probability kernels return [lower, upper] bounds that
-always contain the value SciPy computes, at most marginally wider on the
-compiled backend (never tighter than sound).  ``REPRO_NO_JIT=1`` must pin
-the NumPy fallback for a whole process regardless of compiler
-availability.
+across backends; the Ruben kernel returns [lower, upper] bounds that
+always contain the fallback's, at most marginally wider on the compiled
+backend (never tighter than sound); the χ² sandwich is SciPy's on both
+backends, with the trivial bound where SciPy returns NaN.
+``REPRO_NO_JIT=1`` must pin the NumPy fallback for a whole process
+regardless of compiler availability.
 """
 
 from __future__ import annotations
@@ -20,12 +21,16 @@ from scipy import stats
 
 from repro import kernels
 from repro.errors import IntegrationError
+from repro.gaussian.distribution import Gaussian
 from repro.gaussian.quadform import (
     GaussianQuadraticForm,
     chi2_sandwich_bounds,
     chi2_sandwich_bounds_block,
+    qualification_probability_exact,
     ruben_cdf,
 )
+from repro.integrate.cascade import CascadeIntegrator
+from repro.integrate.importance import ImportanceSamplingIntegrator
 from repro.kernels import fallback
 
 RNG = np.random.default_rng(20260808)
@@ -57,7 +62,8 @@ def test_backend_is_reported_consistently():
         "bf_classify",
     ]
     for row in table:
-        assert row["backend"].startswith(kernels.BACKEND)
+        sandwich = row["kernel"].startswith("chi2_sandwich_block")
+        assert row["backend"] == ("scipy" if sandwich else kernels.BACKEND)
 
 
 def test_no_jit_env_pins_numpy_backend():
@@ -91,6 +97,14 @@ def test_squared_distance_noncentralities_matches_fallback(d):
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
+#: Σ = diag(1e8, 1) centred at 0, and (point, δ) rows where SciPy's
+#: ``chndtr`` returns NaN for the upper sandwich bound; the oracle reads
+#: 0.2605 and 0.4725.
+NAN_HOLE_GAUSSIAN = Gaussian(np.zeros(2), np.diag([1e8, 1.0]))
+NAN_HOLE_ROWS = (((0.0, 3.16e5), 3.16e5), ((0.0, 1e6), 1e6))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 def test_chi2_sandwich_block_sound_and_tight_vs_scipy():
     rng = np.random.default_rng(5)
     for _ in range(40):
@@ -104,9 +118,21 @@ def test_chi2_sandwich_block_sound_and_tight_vs_scipy():
         # Sound: never tighter than the SciPy truth...
         assert np.all(out[:, 0] <= ref_lo + 1e-15)
         assert np.all(out[:, 1] >= ref_hi - 1e-15)
-        # ...and tight: widened by at most the documented allowance.
+        # ...and tight: within 1e-10 of it.
         assert np.all(ref_lo - out[:, 0] <= 1e-10)
         assert np.all(out[:, 1] - ref_hi <= 1e-10)
+    # Where SciPy has no value the bounds stay finite and sound.
+    g = NAN_HOLE_GAUSSIAN
+    for point, delta in NAN_HOLE_ROWS:
+        ncs = fallback.squared_distance_noncentralities(
+            g.mean, g.basis, g.eigenvalues, np.array([point])
+        )
+        ((lower, upper),) = kernels.chi2_sandwich_block(
+            delta * delta, 2.0, ncs.sum(axis=1), 1.0, 1e8
+        )
+        truth = qualification_probability_exact(g, np.array(point), delta)
+        assert np.isfinite(lower) and np.isfinite(upper)
+        assert lower <= truth <= upper
 
 
 def test_chi2_sandwich_block_f32_sound_and_close():
@@ -133,18 +159,35 @@ def test_chi2_sandwich_block_f32_sound_and_close():
 
 
 def test_chi2_sandwich_block_f32_dispatch_via_quadform():
-    """quadform's dtype knob routes to the f32 kernel and stays sound."""
-    from repro.gaussian.distribution import Gaussian
-
+    """The float64 pipeline behind the f32 name is quadform's block, up to
+    the rounding of the compiled noncentralities."""
     rng = np.random.default_rng(11)
     a = rng.standard_normal((2, 2))
     gaussian = Gaussian(rng.uniform(-5, 5, 2), a @ a.T + 2 * np.eye(2))
     points = np.asarray(gaussian.mean) + 12.0 * rng.standard_normal((128, 2))
-    exact = chi2_sandwich_bounds_block(gaussian, points, 9.0)
-    fast = chi2_sandwich_bounds_block(gaussian, points, 9.0, dtype="float32")
-    assert np.all(fast[:, 0] <= exact[:, 0] + 1e-12)
-    assert np.all(fast[:, 1] >= exact[:, 1] - 1e-12)
-    assert np.max(np.abs(fast - exact)) < 1e-3
+    lam = gaussian.eigenvalues
+    named = kernels.chi2_sandwich_block_f32(
+        gaussian.mean, gaussian.basis, lam, points,
+        81.0, 2.0, float(lam.min()), float(lam.max()),
+    )
+    np.testing.assert_allclose(
+        named, chi2_sandwich_bounds_block(gaussian, points, 9.0),
+        rtol=1e-12, atol=1e-15,
+    )
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_sandwich_nan_hole_does_not_reject_qualifying_objects():
+    """Both sandwich-first integrators accept the rows SciPy cannot bound
+    (their probabilities 0.26 and 0.47 clear θ = 0.01)."""
+    for point, delta in NAN_HOLE_ROWS:
+        pts = np.array([point])
+        for integrator in (
+            ImportanceSamplingIntegrator(n_samples=20_000),
+            CascadeIntegrator(),
+        ):
+            accept, _, _ = integrator.decide(NAN_HOLE_GAUSSIAN, pts, delta, 0.01)
+            assert accept.tolist() == [True], type(integrator).__name__
 
 
 def test_ruben_block_interval_contains_fallback_interval():
