@@ -111,7 +111,7 @@ class SpatialDatabase:
             index = self._pending_index
             if index is None:
                 index = RStarTree(self._points.shape[1])
-            index.bulk_load(self._ids.tolist(), self._points)
+            index.bulk_load(self._ids, self._points)
             self._built_index = index
             self._pending_index = None
         return self._built_index

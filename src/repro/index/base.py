@@ -92,6 +92,7 @@ class SpatialIndex(abc.ABC):
     def bulk_load(self, ids: Iterable[int], points: np.ndarray) -> None:
         """Default bulk load: repeated insertion.  Subclasses may override."""
         pts = np.asarray(points, dtype=float)
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else ids
         for obj_id, point in zip(ids, pts):
             self.insert(obj_id, point)
 

@@ -1,23 +1,27 @@
-"""Sort-Tile-Recursive (STR) bulk loading for the R*-tree.
+"""Bulk-loading orders for the R*-tree: STR and Hilbert packing.
 
-Leutenegger, Lopez, Edgington (1997): sort the points along the first
-dimension into vertical slabs of ≈ √(n/M) · … pages, recurse on the
-remaining dimensions inside each slab, pack leaves at capacity, then pack
-the leaves themselves the same way level by level.  Produces a tree with
-near-100 % fill and far better node locality than repeated insertion —
-it is how the benchmark datasets are loaded.
+A packer builds no node.  It returns one grouping ``(order, sizes)`` per
+level, bottom-up, which :class:`~repro.index.flat.FlatSnapshot` turns
+into the search arrays.
+
+- **STR** (Sort-Tile-Recursive; Leutenegger, Lopez, Edgington 1997) tiles
+  the points into slabs of ≈ √(n/M) · … pages, sorting on one dimension
+  and recursing on the next, packs leaves at capacity, then tiles the
+  node centres the same way level by level.  Near-100 % fill and good
+  locality; it is how the benchmark datasets are loaded.
+- **Hilbert** (Kamel & Faloutsos 1993) chops the points, sorted by
+  Hilbert index, into full leaves and chunks each upper level in order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from repro.errors import IndexError_
+from repro.index.flat import node_boxes
 
-__all__ = ["str_pack", "tile_points"]
+__all__ = ["hilbert_levels", "str_levels", "tile_points"]
 
 
 def tile_points(
@@ -48,73 +52,33 @@ def tile_points(
     return tiles
 
 
-def str_pack(entries: Sequence, points: np.ndarray, capacity: int, *, node_cls, entry_cls):
-    """Build a packed tree over ``entries`` and return its root node.
-
-    ``entries[i]`` is the leaf entry of ``points[i]``.  ``node_cls`` /
-    ``entry_cls`` are the R*-tree's private node and entry types — passed
-    in to keep this module free of circular imports.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
-        return node_cls(level=0)
-    if capacity < 2:
-        raise IndexError_(f"capacity must be >= 2, got {capacity}")
-
-    tiles = tile_points(np.arange(n), pts, capacity, axis=0)
-    nodes = [node_cls(0, [entries[i] for i in tile.tolist()]) for tile in tiles]
-    level = 0
-    while len(nodes) > 1:
-        level += 1
-        centers = np.array([node.mbr().center for node in nodes])
-        groups = tile_points(np.arange(len(nodes)), centers, capacity, axis=0)
-        nodes = [
-            node_cls(level, [entry_cls.for_child(nodes[i]) for i in group])
-            for group in groups
-        ]
-    return nodes[0]
+def str_levels(points: np.ndarray, capacity: int) -> list[tuple]:
+    """STR groupings of the ``(n, d)`` float ``points``, bottom-up."""
+    lows = highs = units = points
+    levels = []
+    while True:
+        tiles = tile_points(np.arange(units.shape[0]), units, capacity, axis=0)
+        order, sizes = np.concatenate(tiles), [tile.size for tile in tiles]
+        levels.append((order, sizes))
+        if len(tiles) == 1:
+            return levels
+        lo = lows[order]  # one gather at the leaves, where lows is highs
+        lows, highs = node_boxes(lo, lo if highs is lows else highs[order], sizes)
+        units = (lows + highs) / 2.0  # the nodes' centres
 
 
-def hilbert_pack(
-    entries: Sequence,
-    points: np.ndarray,
-    capacity: int,
-    *,
-    node_cls,
-    entry_cls,
-    bits: int = 10,
-):
-    """Hilbert-curve bulk loading (Kamel & Faloutsos 1993).
-
-    Points are sorted by their Hilbert index and chopped into full leaves;
-    upper levels chunk their children in the same order.  Compared to STR,
-    the space-filling curve keeps leaf pages compact on strongly skewed
-    data — the ablation benchmark measures the difference in node accesses
-    on the road network.  Same arguments and result as :func:`str_pack`.
-    """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    if n == 0:
-        return node_cls(level=0)
-    if capacity < 2:
-        raise IndexError_(f"capacity must be >= 2, got {capacity}")
+def hilbert_levels(points: np.ndarray, capacity: int, bits: int = 10) -> list[tuple]:
+    """Hilbert-curve groupings of ``points``, bottom-up."""
     from repro.index.hilbert import hilbert_order
 
+    n, dim = points.shape
     # The curve index must fit an int64: cap the resolution in high d.
-    order = hilbert_order(pts, bits=min(bits, 62 // pts.shape[1])).tolist()
-    nodes = [
-        node_cls(0, [entries[i] for i in order[start : start + capacity]])
-        for start in range(0, n, capacity)
-    ]
-    level = 0
-    while len(nodes) > 1:
-        level += 1
-        nodes = [
-            node_cls(
-                level,
-                [entry_cls.for_child(child) for child in nodes[start : start + capacity]],
-            )
-            for start in range(0, len(nodes), capacity)
-        ]
-    return nodes[0]
+    order = hilbert_order(points, bits=min(bits, 62 // dim)) if n else np.arange(0)
+    levels = []
+    while True:
+        # An empty order is one empty node: the root of an empty tree.
+        sizes = np.minimum(capacity, n - np.arange(0, max(n, 1), capacity))
+        levels.append((order, sizes))
+        if sizes.size == 1:
+            return levels
+        order, n = np.arange(sizes.size), sizes.size

@@ -1,37 +1,28 @@
-"""A flat, level-ordered snapshot of an R*-tree for array-sweep searches.
+"""The array form of an R*-tree that every range search sweeps.
 
-The pointer tree (:mod:`repro.index.rtree`) stays the source of truth for
-insertion, deletion, distance browsing and invariant checking.  Range
-searches never walk it: they run over this derived, read-only copy, in
-which every level is a handful of contiguous arrays.
+A bulk-loaded tree *is* this snapshot: :class:`FlatSnapshot` assembles
+the search arrays from the packers' per-level index arrays
+(:mod:`repro.index.bulk`) without building a node, entry or rectangle
+per object.  A walk of a pointer tree that insertion or deletion changed
+(:mod:`repro.index.rtree`) feeds the same assembly; there is one search
+path.
 
-Layout
-------
-Nodes of one level are numbered left to right (the order a breadth-first
-walk meets them), so the children of level ``L`` *are* the nodes of level
-``L − 1`` in the same numbering.  For every internal level, top-down:
+Layout: nodes of a level are numbered breadth-first, so the children of
+level ``L`` *are* the nodes of level ``L − 1`` in the same numbering.
+Each internal level (top-down) holds ``starts`` — CSR offsets, node
+``i`` owns child slots ``starts[i]:starts[i + 1]`` — and the child
+rectangles ``lows`` / ``highs``.  ``leaf_starts`` does the same over
+``ids`` / ``points``, the objects in leaf order (the tree's one,
+read-only copy of the coordinates).
 
-- ``starts`` — ``(nodes + 1,)`` CSR offsets: node ``i`` owns child slots
-  ``starts[i]:starts[i + 1]``;
-- ``lows`` / ``highs`` — ``(children, d)`` child rectangles, slot ``j``
-  describing node ``j`` of the level below.
-
-At leaf level ``leaf_starts`` is the same offset array over ``ids`` /
-``points``, the objects in leaf order.
-
-A search is level-synchronous: expand the frontier's child ranges, run
-one vectorised test over them, keep the survivors as the next frontier,
-and finish with one containment test over the rows of the touched
-leaves.
-
-Order and counter contract
---------------------------
-Ids come back exactly as the depth-first stack traversal this replaced
-produced them: touched leaves right to left, entries forward within a
-leaf.  ``IndexStats`` advances by the same amounts, added once per level:
-``node_accesses`` by every frontier size (root and leaves included),
-``leaf_accesses`` by the leaf frontier, ``entries_examined`` by every
-expanded slot.
+A search is level-synchronous: expand the frontier's child ranges, test
+them in one vectorised pass, keep the survivors, and finish with one
+containment test over the touched leaves' rows.  Ids come back as the
+depth-first stack traversal of the pointer tree produces them (touched
+leaves right to left, entries forward within a leaf), and ``IndexStats``
+advances by the same amounts, once per level: ``node_accesses`` by every
+frontier size (root and leaves included), ``leaf_accesses`` by the leaf
+frontier, ``entries_examined`` by every expanded slot.
 """
 
 from __future__ import annotations
@@ -44,7 +35,7 @@ from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
 from repro.index.base import IndexStats
 
-__all__ = ["FlatSnapshot", "int_ids"]
+__all__ = ["FlatSnapshot", "int_ids", "node_boxes"]
 
 
 class _Level(NamedTuple):
@@ -53,10 +44,20 @@ class _Level(NamedTuple):
     highs: np.ndarray
 
 
-def _offsets(nodes) -> np.ndarray:
-    starts = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum([len(node.entries) for node in nodes], out=starts[1:])
+def _starts(sizes) -> np.ndarray:
+    """CSR offsets of consecutive runs of ``sizes``."""
+    starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=starts[1:])
     return starts
+
+
+def node_boxes(lows: np.ndarray, highs: np.ndarray, sizes):
+    """Boxes of consecutive runs of ``sizes`` unit boxes; no run is empty."""
+    firsts = _starts(sizes)[:-1]
+    return (
+        np.minimum.reduceat(lows, firsts, axis=0),
+        np.maximum.reduceat(highs, firsts, axis=0),
+    )
 
 
 def int_ids(ids) -> np.ndarray | None:
@@ -90,40 +91,48 @@ def _expand(starts: np.ndarray, frontier: np.ndarray) -> np.ndarray:
 
 
 class FlatSnapshot:
-    """Read-only array form of the tree rooted at ``root``."""
+    """Read-only array form of the tree over ``ids`` / ``points`` that
+    ``groupings`` describe.
 
-    def __init__(self, root, dim: int):
+    ``groupings`` lists the levels bottom-up, the last one the root alone.
+    A grouping ``(order, sizes)`` says that node ``i`` of its level holds
+    ``sizes[i]`` consecutive units of ``order`` — indexes of objects at the
+    leaf level, of the level below's nodes above it — in the order they
+    were made.  Node boxes are the exact bounds of what each node holds;
+    the nodes are renumbered top-down into breadth-first order.
+    """
+
+    def __init__(self, ids, points: np.ndarray, groupings: list[tuple]):
+        # Top-down, each level's nodes in breadth-first order and their offsets.
+        offsets, frontier = [], np.zeros(1, dtype=np.intp)  # the root
+        for order, sizes in groupings[::-1]:
+            sizes = np.asarray(sizes)
+            offsets.append(_starts(sizes[frontier]))
+            frontier = order[_expand(_starts(sizes), frontier)]
+        rows, self.leaf_starts = frontier, offsets[-1]
+        self.points = points[rows]
+        self.points.setflags(write=False)
+        # Bottom-up, each node's box from its children's, all in final order.
         self.levels: list[_Level] = []
-        nodes = [root]
-        while nodes[0].level > 0:
-            entries = [entry for node in nodes for entry in node.entries]
-            self.levels.append(
-                _Level(
-                    _offsets(nodes),
-                    np.array([entry.rect.lows for entry in entries]),
-                    np.array([entry.rect.highs for entry in entries]),
-                )
-            )
-            nodes = [entry.child for entry in entries]
-        self.leaf_starts = _offsets(nodes)
-        entries = [entry for node in nodes for entry in node.entries]
-        ids = [entry.obj_id for entry in entries]
+        lows = highs = self.points
+        for starts, below in zip(offsets[-2::-1], offsets[:0:-1]):
+            lows, highs = node_boxes(lows, highs, np.diff(below))
+            self.levels.insert(0, _Level(starts, lows, highs))
         as_ints = int_ids(ids)
-        #: Whether every id is an integer; only then can ``points_of`` answer.
+        #: Whether every id is an integer; then ids are ``int64`` and found
+        #: by binary search, otherwise objects found through a table.
         self.integral = as_ints is not None
-        #: Integer ids as ``int64``, anything else as the objects they are.
-        self.ids = (
-            as_ints
-            if self.integral
-            else np.fromiter(ids, dtype=object, count=len(ids))
-        )
-        self.points = np.array([entry.point for entry in entries]).reshape(
-            len(entries), dim
-        )
         if self.integral:
-            # id → row lookup for points_of: binary search over sorted ids.
+            self.ids = as_ints[rows]
             self._by_id = np.argsort(self.ids, kind="stable")
             self._sorted_ids = self.ids[self._by_id]
+            repeated = self._sorted_ids[1:] == self._sorted_ids[:-1]
+        else:
+            self.ids = np.fromiter(ids, dtype=object, count=len(ids))[rows]
+            repeated = [len(set(ids)) != len(ids)]
+        if np.any(repeated):
+            raise IndexError_("duplicate object ids")
+        self._row_of: dict | None = None  # non-integer id → row, on first use
 
     # ------------------------------------------------------------------
     # Searches
@@ -164,8 +173,7 @@ class FlatSnapshot:
         Rows (and the matching points) are in answer order.
         """
         frontier = np.zeros(1, dtype=np.intp)  # the root
-        nodes = 1
-        entries = 0
+        nodes, entries = 1, 0
         for starts, lows, highs in self.levels:
             children = _expand(starts, frontier)
             entries += children.size
@@ -178,17 +186,25 @@ class FlatSnapshot:
         return rows, self.points[rows]
 
     # ------------------------------------------------------------------
-    # Materialisation
+    # Lookups
     # ------------------------------------------------------------------
 
-    def points_of(self, wanted: np.ndarray) -> np.ndarray:
-        """``(k, d)`` points of the integer ids ``wanted``, in that order.
-
-        Only an ``integral`` snapshot can answer; the caller converts with
-        :func:`int_ids` first.
-        """
-        if wanted.size == 0:
-            return np.empty((0, self.points.shape[1]))
+    def rows_of(self, ids) -> np.ndarray:
+        """Rows of ``ids`` in ``self.ids`` / ``self.points``, in order."""
+        ids = ids if isinstance(ids, (list, tuple, np.ndarray)) else list(ids)
+        if len(ids) == 0:
+            return np.zeros(0, dtype=np.intp)
+        if not self.integral:
+            if self._row_of is None:
+                self._row_of = {key: row for row, key in enumerate(self.ids.tolist())}
+            try:
+                return np.fromiter(map(self._row_of.__getitem__, ids), dtype=np.intp)
+            except KeyError as missing:
+                raise IndexError_(f"unknown object id {missing.args[0]!r}") from None
+        wanted = int_ids(ids)
+        if wanted is None:
+            bad = next(obj_id for obj_id in ids if int_ids([obj_id]) is None)
+            raise IndexError_(f"unknown object id {bad!r}")
         if self.ids.size == 0:
             raise IndexError_(f"unknown object id {wanted.tolist()[0]!r}")
         slots = np.searchsorted(self._sorted_ids, wanted)
@@ -196,7 +212,5 @@ class FlatSnapshot:
         rows = self._by_id[slots]
         unknown = self.ids[rows] != wanted
         if unknown.any():
-            raise IndexError_(
-                f"unknown object id {wanted[unknown].tolist()[0]!r}"
-            )
-        return self.points[rows]
+            raise IndexError_(f"unknown object id {wanted[unknown].tolist()[0]!r}")
+        return rows

@@ -11,9 +11,14 @@ R*-tree the paper used.  It implements the full dynamic algorithm:
 - **Split** — margin-driven axis choice + least-overlap distribution
   (:func:`repro.index.split.rstar_split`);
 - **Delete** with tree condensation and orphan reinsertion;
-- **STR bulk loading** (:mod:`repro.index.bulk`);
+- **STR / Hilbert bulk loading** (:mod:`repro.index.bulk`);
 - rectangle and sphere range search as array sweeps over a flat snapshot
   of the tree (:mod:`repro.index.flat`), plus best-first k-NN.
+
+A bulk-loaded tree *is* its snapshot: range searches, ``get``,
+``points_of``, ``ids`` and ``len`` read its arrays, and the pointer tree
+is built from it, in its entry order, only when insertion, deletion,
+k-NN or a structure check first needs one.
 
 Statistics (node accesses, splits, reinsertions) accumulate in
 ``self.stats`` for the benchmark harness.
@@ -31,7 +36,7 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
 from repro.index.base import SpatialIndex
-from repro.index.flat import FlatSnapshot, int_ids
+from repro.index.flat import FlatSnapshot
 from repro.index.split import rstar_split
 
 __all__ = ["RStarTree"]
@@ -47,13 +52,7 @@ class _Entry:
 
     __slots__ = ("rect", "child", "obj_id", "point")
 
-    def __init__(
-        self,
-        rect: Rect,
-        child: "_Node | None" = None,
-        obj_id: int | None = None,
-        point: np.ndarray | None = None,
-    ):
+    def __init__(self, rect: Rect, child=None, obj_id=None, point=None):
         self.rect = rect
         self.child = child
         self.obj_id = obj_id
@@ -114,10 +113,10 @@ class RStarTree(SpatialIndex):
             )
         self.max_entries = int(max_entries)
         self.min_entries = int(resolved_min)
-        self._root = _Node(level=0)
-        self._points: dict[int, np.ndarray] = {}
-        # Derived array form of the tree that the range searches sweep;
-        # dropped by every mutation and rebuilt by the next search.
+        # Pointer tree + id table (None until ``_root`` builds them from the
+        # snapshot) and the snapshot (None from a mutation to the next search).
+        self._tree: _Node | None = _Node(level=0)
+        self._table: dict[int, np.ndarray] | None = {}
         self._flat: FlatSnapshot | None = None
         self._reinserted_levels: set[int] = set()
         # STR packing may legally leave trailing nodes under min fill; the
@@ -129,17 +128,23 @@ class RStarTree(SpatialIndex):
     # ------------------------------------------------------------------
 
     def ids(self) -> list[int]:
-        return sorted(self._points)
+        flat = self._flat
+        return sorted(flat.ids.tolist() if flat is not None else self._points)
 
     def __len__(self) -> int:
-        return len(self._points)
+        flat = self._flat
+        return flat.ids.size if flat is not None else len(self._points)
 
     @property
     def height(self) -> int:
         """Number of levels (1 for a single leaf root)."""
-        return self._root.level + 1
+        flat = self._flat
+        return len(flat.levels) + 1 if flat is not None else self._root.level + 1
 
     def get(self, obj_id: int) -> np.ndarray:
+        flat = self._flat
+        if flat is not None:
+            return flat.points[flat.rows_of([obj_id])[0]]
         try:
             return self._points[obj_id]
         except KeyError:
@@ -147,30 +152,48 @@ class RStarTree(SpatialIndex):
 
     def points_of(self, ids) -> np.ndarray:
         flat = self._flat
-        wanted = int_ids(ids) if flat is not None and flat.integral else None
-        if wanted is None:
-            # Stale snapshot or non-integer ids: stack the table's rows; a
-            # gather is never worth a rebuild.
+        if flat is None:
+            # Stale snapshot: a gather is never worth a rebuild.
             return super().points_of(ids)
-        return flat.points_of(wanted)
+        return flat.points[flat.rows_of(ids)]
 
     def _snapshot(self) -> FlatSnapshot:
         flat = self._flat
         if flat is None:
             # Concurrent first searches may each build one; they are
             # identical and the last assignment wins.
-            flat = self._flat = FlatSnapshot(self._root, self._dim)
+            flat = self._flat = _walk(self._root, self._dim)
         return flat
 
+    @property
+    def _root(self) -> _Node:
+        if self._tree is None:
+            # Leaf entries hold the snapshot's rows; node rects are the
+            # children's unions, as the tree's own maintenance keeps them.
+            flat = self._flat
+            entries = [
+                _Entry.for_object(obj_id, point)
+                for obj_id, point in zip(flat.ids.tolist(), flat.points)
+            ]
+            nodes = _cut(entries, flat.leaf_starts, 0)
+            for level, (starts, _, _) in enumerate(flat.levels[::-1], start=1):
+                nodes = _cut([_Entry.for_child(node) for node in nodes], starts, level)
+            self._table = {entry.obj_id: entry.point for entry in entries}
+            self._tree = nodes[0]
+        return self._tree
+
+    @_root.setter
+    def _root(self, node: _Node) -> None:
+        self._tree = node
+
+    @property
+    def _points(self) -> dict[int, np.ndarray]:
+        self._root  # noqa: B018 - builds the table along with the tree
+        return self._table
+
     def node_count(self) -> int:
-        total = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            total += 1
-            if not node.is_leaf:
-                stack.extend(e.child for e in node.entries)  # type: ignore[misc]
-        return total
+        # The root, plus one node per child slot of every internal level.
+        return 1 + sum(level.lows.shape[0] for level in self._snapshot().levels)
 
     def quality_metrics(self) -> dict[str, float]:
         """Structure-quality numbers used by the bulk-loading ablation.
@@ -267,8 +290,10 @@ class RStarTree(SpatialIndex):
 
         ``method`` selects the packing order: ``"str"`` (Sort-Tile-
         Recursive, the default) or ``"hilbert"`` (Hilbert-curve order).
+        ``ids`` may be a 1-D integer array, which is never copied into a
+        list.  The tree keeps one leaf-ordered copy of ``points``.
         """
-        from repro.index.bulk import hilbert_pack, str_pack
+        from repro.index.bulk import hilbert_levels, str_levels
 
         if method not in ("str", "hilbert"):
             raise IndexError_(
@@ -276,33 +301,23 @@ class RStarTree(SpatialIndex):
             )
         if len(self) != 0:
             raise IndexError_("bulk_load requires an empty tree")
-        # One owned copy: leaf entries and the id table share its rows and
-        # never alias the caller's array.
-        pts = np.array(points, dtype=float)
-        id_list = list(ids)
+        pts = np.asarray(points, dtype=float)
+        ids = ids if isinstance(ids, np.ndarray) else list(ids)
         if pts.ndim != 2 or pts.shape[1] != self._dim:
             raise IndexError_(
                 f"points must have shape (n, {self._dim}), got {pts.shape}"
             )
-        if len(id_list) != pts.shape[0]:
-            raise IndexError_(
-                f"got {len(id_list)} ids for {pts.shape[0]} points"
-            )
-        if len(set(id_list)) != len(id_list):
-            raise IndexError_("duplicate ids in bulk load")
+        if len(ids) != pts.shape[0]:
+            raise IndexError_(f"got {len(ids)} ids for {pts.shape[0]} points")
         finite = np.isfinite(pts).all(axis=1)
         if not finite.all():
-            raise IndexError_(
-                f"point for id {id_list[int(np.argmin(finite))]!r} is not finite"
-            )
-        entries = [_Entry.for_object(i, row) for i, row in zip(id_list, pts)]
-        self._points = {entry.obj_id: entry.point for entry in entries}
-        pack = str_pack if method == "str" else hilbert_pack
-        self._root = pack(
-            entries, pts, self.max_entries, node_cls=_Node, entry_cls=_Entry
-        )
+            first = int(np.argmin(finite))
+            bad = ids.tolist()[first] if isinstance(ids, np.ndarray) else ids[first]
+            raise IndexError_(f"point for id {bad!r} is not finite")
+        pack = str_levels if method == "str" else hilbert_levels
+        self._flat = FlatSnapshot(ids, pts, pack(pts, self.max_entries))
+        self._tree = self._table = None
         self._packed = True
-        self._flat = FlatSnapshot(self._root, self._dim)
 
     def _insert_entry(self, entry: _Entry, target_level: int) -> None:
         # Descend to the target level, remembering (parent, parent_entry).
@@ -518,24 +533,30 @@ class RStarTree(SpatialIndex):
                 yield (entry.obj_id, distance)  # type: ignore[union-attr]
                 continue
             self.stats.node_accesses += 1
-            if node.is_leaf:
-                self.stats.leaf_accesses += 1
-                for leaf_entry in node.entries:
-                    self.stats.entries_examined += 1
-                    gap = leaf_entry.point - p
-                    heapq.heappush(
-                        heap,
-                        (float(np.linalg.norm(gap)), next(counter), None, leaf_entry),
-                    )
-            else:
-                for child_entry in node.entries:
-                    self.stats.entries_examined += 1
-                    heapq.heappush(
-                        heap,
-                        (
-                            child_entry.rect.min_distance(p),
-                            next(counter),
-                            child_entry.child,
-                            None,
-                        ),
-                    )
+            self.stats.leaf_accesses += node.is_leaf
+            for child in node.entries:
+                self.stats.entries_examined += 1
+                if node.is_leaf:
+                    gap = float(np.linalg.norm(child.point - p))
+                    heapq.heappush(heap, (gap, next(counter), None, child))
+                else:
+                    gap = child.rect.min_distance(p)
+                    heapq.heappush(heap, (gap, next(counter), child.child, None))
+
+
+def _cut(entries: list[_Entry], starts: np.ndarray, level: int) -> list[_Node]:
+    bounds = starts.tolist()
+    return [_Node(level, entries[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _walk(root: _Node, dim: int) -> FlatSnapshot:
+    """The snapshot of a pointer tree, its nodes taken as they stand."""
+    groupings, nodes = [], [root]
+    while True:
+        entries = [entry for node in nodes for entry in node.entries]
+        groupings.insert(0, (np.arange(len(entries)), [len(n.entries) for n in nodes]))
+        if nodes[0].is_leaf:
+            break
+        nodes = [entry.child for entry in entries]
+    points = np.array([entry.point for entry in entries]).reshape(len(entries), dim)
+    return FlatSnapshot([entry.obj_id for entry in entries], points, groupings)

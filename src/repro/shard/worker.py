@@ -90,7 +90,7 @@ def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
 def build_shard_tree(store: SoaStore, positions: np.ndarray) -> RStarTree:
     """Bulk-load one shard's R*-tree over rows of the mapped store."""
     tree = RStarTree(store.dim)
-    tree.bulk_load(store.ids[positions].tolist(), store.points[positions])
+    tree.bulk_load(store.ids[positions], store.points[positions])
     return tree
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import numpy as np
@@ -492,8 +493,12 @@ class TestSnapshotLifecycle:
         np.testing.assert_array_equal(
             tree.points_of(wanted), [pts[ids.index(i)] for i in wanted]
         )
+        for obj_id in wanted:
+            np.testing.assert_array_equal(tree.get(obj_id), pts[ids.index(obj_id)])
         with pytest.raises(IndexError_):
             tree.points_of(["missing"])
+        with pytest.raises(IndexError_, match="'missing'"):
+            tree.get("missing")
 
     def test_integer_tree_rejects_non_integer_gather(self, rng):
         tree = RStarTree(2, max_entries=8)
@@ -544,6 +549,244 @@ class TestSnapshotLifecycle:
         settled = engine.run_batch(workload, workers=1, base_seed=4)
         assert racing.ids == settled.ids
         assert racing.stats.retrieved == settled.stats.retrieved
+
+
+# ----------------------------------------------------------------------
+# A bulk-loaded tree is its snapshot: tile identity, lazy pointer tree
+# ----------------------------------------------------------------------
+
+
+def snapshot_arrays(flat) -> list[np.ndarray]:
+    arrays = [array for level in flat.levels for array in level]
+    return arrays + [flat.leaf_starts, flat.ids, flat.points]
+
+
+def assert_same_snapshot(got, expected) -> None:
+    assert len(got.levels) == len(expected.levels)
+    for a, b in zip(snapshot_arrays(got), snapshot_arrays(expected)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def reference_pack(ids, pts: np.ndarray, capacity: int, method: str):
+    """The pointer tree that bulk loading built node by node before it
+    assembled the snapshot from index arrays: leaf entries in packing
+    order, every upper level STR-tiled on its nodes' MBR centres (or
+    chunked in order, for Hilbert)."""
+    from repro.index.bulk import tile_points
+    from repro.index.hilbert import hilbert_order
+    from repro.index.rtree import _Entry, _Node
+
+    entries = [_Entry.for_object(i, row) for i, row in zip(ids, pts)]
+    n = len(entries)
+    if method == "str":
+        tiles = tile_points(np.arange(n), pts, capacity, axis=0)
+    else:
+        order = hilbert_order(pts, bits=min(10, 62 // pts.shape[1]))
+        tiles = [order[start : start + capacity] for start in range(0, n, capacity)]
+    nodes = [_Node(0, [entries[i] for i in tile.tolist()]) for tile in tiles]
+    level = 0
+    while len(nodes) > 1:
+        level += 1
+        if method == "str":
+            centers = np.array([node.mbr().center for node in nodes])
+            groups = tile_points(np.arange(len(nodes)), centers, capacity, axis=0)
+        else:
+            groups = [
+                range(start, min(start + capacity, len(nodes)))
+                for start in range(0, len(nodes), capacity)
+            ]
+        nodes = [_Node(level, [_Entry.for_child(nodes[i]) for i in g]) for g in groups]
+    tree = RStarTree(pts.shape[1], max_entries=capacity)
+    tree._root = nodes[0]
+    tree._table = {entry.obj_id: entry.point for entry in entries}
+    tree._packed = True
+    return tree
+
+
+def load_e2e_dataset(name: str) -> np.ndarray:
+    """A benchmark corpus exactly as ``benchmarks/e2e`` stores it."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "benchmarks" / "e2e" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("_e2e_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(inputs)
+        return np.round(getattr(inputs, name)(), 6)
+    finally:
+        del sys.modules[spec.name]
+
+
+class TestBulkSnapshot:
+    @pytest.mark.parametrize("n", [1, 50, 51, 2_500, 10_007])
+    @pytest.mark.parametrize("dim", [2, 9])
+    @pytest.mark.parametrize("method", ["str", "hilbert"])
+    def test_tiles_equal_the_materialised_trees(self, method, dim, n):
+        from repro.index.rtree import _walk
+
+        rng = np.random.default_rng(n * 10 + dim)
+        pts = rng.standard_normal((n, dim)) * 100.0
+        ids = rng.permutation(3 * n)[:n]  # unordered, gapped integer ids
+        tree = RStarTree(dim)
+        tree.bulk_load(ids, pts, method=method)
+        bulk = tree._flat
+        assert tree._tree is None
+        assert_same_snapshot(bulk, _walk(tree._root, dim))
+        reference = reference_pack(ids.tolist(), pts, tree.max_entries, method)
+        assert_same_snapshot(bulk, _walk(reference._root, dim))
+        tree.check_invariants()
+
+    @pytest.mark.parametrize("method", ["str", "hilbert"])
+    def test_non_integer_ids_tile_alike(self, method, rng):
+        from repro.index.rtree import _walk
+
+        ids = [f"p{i}" for i in range(700)] + [(1, 2), 2**70, 3]
+        pts = rng.random((len(ids), 2))
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(ids, pts, method=method)
+        assert not tree._flat.integral
+        assert_same_snapshot(tree._flat, _walk(tree._root, 2))
+        reference = reference_pack(ids, pts, 8, method)
+        assert_same_snapshot(tree._flat, _walk(reference._root, 2))
+
+    #: SHA-256 of every snapshot array (levels top-down, then leaf offsets,
+    #: ids and points) of the benchmark corpora loaded with ids 0..n−1 and
+    #: the default capacity, as the node-by-node bulk load produced them.
+    PINNED = {
+        ("road50k", "str"): (
+            "53fa8d60f4fcd9ebcffa5d3a8c58f6688536fd343ea3d4eeabd2aa2cbe816834"
+        ),
+        ("road50k", "hilbert"): (
+            "7ed851455c8ace37bef76980fad91eb56bf8227c7315e2a42302b3d710f44a4a"
+        ),
+        ("corel68k", "str"): (
+            "4dfd2f847bc3c8458b05f6676cb6b5ed24533de55a33f93067c69afcae868cc7"
+        ),
+        ("corel68k", "hilbert"): (
+            "aece0d2f17defd768c7cc753493a1a2ea019cb1a2396c4ed2809a046653d0e41"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", ["road50k", "corel68k"])
+    def test_benchmark_corpora_tile_as_pinned(self, name):
+        import hashlib
+
+        pts = load_e2e_dataset(name)
+        for method in ("str", "hilbert"):
+            tree = RStarTree(pts.shape[1])
+            tree.bulk_load(np.arange(pts.shape[0]), pts, method=method)
+            digest = hashlib.sha256()
+            for array in snapshot_arrays(tree._flat):
+                digest.update(np.ascontiguousarray(array).tobytes())
+            assert digest.hexdigest() == self.PINNED[name, method], method
+
+    def test_walk_boxes_are_the_entry_rects(self, rng):
+        """A dynamic tree keeps every entry rect the exact MBR of its child,
+        so the snapshot that recomputes boxes sweeps the same rectangles."""
+        tree = RStarTree(2, max_entries=8)
+        pts = rng.random((600, 2)) * 50
+        for i, p in enumerate(pts):
+            tree.insert(i, p)
+        for i in rng.permutation(600)[:250].tolist():
+            tree.delete(i)
+        flat = tree._snapshot()
+        nodes = [tree._root]
+        for level in flat.levels:
+            entries = [entry for node in nodes for entry in node.entries]
+            np.testing.assert_array_equal(level.lows, [e.rect.lows for e in entries])
+            np.testing.assert_array_equal(level.highs, [e.rect.highs for e in entries])
+            nodes = [entry.child for entry in entries]
+        assert all(node.is_leaf for node in nodes)
+
+
+class TestLazyPointerTree:
+    @pytest.fixture
+    def built_nodes(self, monkeypatch):
+        from repro.index import rtree
+
+        built = []
+        init = rtree._Node.__init__
+
+        def counting(node, *args, **kwargs):
+            built.append(node)
+            init(node, *args, **kwargs)
+
+        monkeypatch.setattr(rtree._Node, "__init__", counting)
+        return built
+
+    def test_reads_build_no_node(self, built_nodes, rng):
+        pts = rng.random((3000, 2)) * 100
+        ids = np.arange(5, 3005)
+        tree = RStarTree(2, max_entries=16)
+        built_nodes.clear()  # the empty root of a new tree
+        tree.bulk_load(ids, pts)
+        assert tree.range_search_rect(Rect([10.0, 10.0], [30.0, 40.0]))
+        assert tree.range_search_sphere([50.0, 50.0], 7.5)
+        np.testing.assert_array_equal(tree.get(17), pts[12])
+        np.testing.assert_array_equal(tree.points_of([9, 3004]), pts[[4, 2999]])
+        with pytest.raises(IndexError_):
+            tree.get(3005)
+        with pytest.raises(IndexError_):
+            tree.get("x")
+        assert tree.ids() == ids.tolist()
+        assert len(tree) == 3000
+        assert tree.height == 3
+        assert built_nodes == []
+        nodes = tree.node_count()
+        assert built_nodes == []
+        assert tree._tree is None and tree._table is None
+        tree.check_invariants()
+        assert len(built_nodes) == nodes  # the whole pointer tree, once
+
+    @pytest.mark.parametrize("method", ["str", "hilbert"])
+    def test_tree_operations_match_the_node_by_node_load(self, method, rng):
+        pts = rng.random((1500, 2)) * 100
+        ids = list(range(1500))
+        lazy = RStarTree(2, max_entries=12)
+        lazy.bulk_load(ids, pts, method=method)
+        eager = reference_pack(ids, pts, 12, method)
+
+        def same(call):
+            before = [vars(t.stats).copy() for t in (lazy, eager)]
+            got, expected = call(lazy), call(eager)
+            assert got == expected
+            deltas = [
+                {k: vars(t.stats)[k] - b[k] for k in b if k != "_extra"}
+                for t, b in zip((lazy, eager), before)
+            ]
+            assert deltas[0] == deltas[1]
+            return got
+
+        same(lambda t: t.knn([40.0, 60.0], 25))
+        same(lambda t: list(itertools.islice(t.nearest_iter([3.0, 97.0]), 80)))
+        same(lambda t: (t.check_invariants(), t.quality_metrics(), t.node_count()))
+        rect = Rect([20.0, 20.0], [45.0, 70.0])
+        for i, p in enumerate(rng.random((200, 2)) * 100):
+            same(lambda t, i=i, p=p: t.insert(10_000 + i, p))
+        same(lambda t: t.range_search_rect(rect))
+        for victim in rng.permutation(1500)[:300].tolist():
+            same(lambda t, v=victim: t.delete(v))
+        same(lambda t: t.range_search_sphere([50.0, 50.0], 20.0))
+        same(lambda t: (t.check_invariants(), t.quality_metrics(), t.height, t.ids()))
+
+
+def test_database_load_adds_no_per_point_objects():
+    """Loading a 50 000-point database and building its index used to add
+    ≈ 105 000 GC-tracked objects (one entry and one rect per point), and
+    every full collection then walked them."""
+    import gc
+
+    from repro.core.database import SpatialDatabase
+
+    pts = np.random.default_rng(3).random((50_000, 2)) * 1000.0
+    gc.collect()
+    before = len(gc.get_objects())
+    database = SpatialDatabase(pts, defer_index=True)
+    assert database.index.range_search_rect(Rect([0.0, 0.0], [50.0, 50.0]))
+    assert len(gc.get_objects()) - before < 1_000
 
 
 @pytest.mark.parametrize("backend", ["rtree-bulk", "rtree-dynamic", "grid", "linear"])
