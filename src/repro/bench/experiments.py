@@ -402,12 +402,10 @@ def run_table3(
         # Candidates inside the OR filter region alone (paper: 2,620).
         oblique = ObliqueStrategy()
         oblique.prepare(query)
-        box_ids = database.index.range_search_rect(oblique.box.bounding_rect())
-        if box_ids:
-            box_points = np.vstack([database.point(i) for i in box_ids])
-            or_region_total += float(
-                np.count_nonzero(oblique.box.contains_points(box_points))
-            )
+        box = database.index.range_search_rect(oblique.box.bounding_rect())
+        or_region_total += float(
+            np.count_nonzero(oblique.box.contains_points(box.points))
+        )
 
         # Answer count (paper: 3.9 on average) via the tightest combo with
         # one shared 100k-sample importance-sampling pass (exact Imhof on

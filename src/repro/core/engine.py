@@ -380,7 +380,12 @@ class QueryEngine:
                 )
         if obs is not None:
             obs.record_query(stats)
-        ids = tuple(sorted(itertools.chain.from_iterable(answers)))
+        # Each leg's answer is sorted already; only a union needs sorting.
+        ids = (
+            answers[0]
+            if len(answers) == 1
+            else tuple(sorted(itertools.chain.from_iterable(answers)))
+        )
         return QueryResult(ids, stats)
 
     def _run_leg(

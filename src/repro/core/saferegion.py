@@ -259,8 +259,8 @@ class SafeRegion:
         cached_rect = Rect.from_center(
             anchor_rect.center, (anchor_rect.extents / 2.0) * (1.0 + MARGIN)
         )
-        ids = np.asarray(index.range_search_rect(cached_rect), dtype=np.int64)
-        return cached_rect, ids, index.points_of(ids)
+        hits = index.range_search_rect(cached_rect)
+        return cached_rect, hits.ids, hits.points
 
     @classmethod
     def build(

@@ -12,6 +12,13 @@ which is what guarantees the two paths can never drift apart.
 Every stage times itself under its ``phase`` label, so the
 ``QueryStats.phase_seconds`` structure is identical no matter which entry
 point built the pipeline.
+
+The stages hand over rows, not ids.  :class:`SearchStage` stores the one
+index search's :class:`~repro.index.base.SearchHits` as the candidate
+``ids`` / ``points`` arrays; :class:`FilterStage` and
+:class:`IntegrateStage` set rows of one boolean ``accepted`` mask over
+them; :meth:`StageContext.answer` sorts the accepted ids as one array and
+makes them Python ints only for the returned tuple.
 """
 
 from __future__ import annotations
@@ -46,11 +53,11 @@ __all__ = [
 class StageContext:
     """Mutable per-execution state handed from stage to stage.
 
-    ``candidate_ids``/``points`` may be pre-populated (the subscription
-    manager re-decides cached rows instead of running a
-    :class:`SearchStage`); ``finished`` short-circuits the remaining
-    stages (set when a strategy proves the result empty or Phase 1
-    retrieves nothing).
+    ``candidate_ids``/``points`` are the candidate rows, row-aligned;
+    they may be pre-populated (the subscription manager re-decides cached
+    rows instead of running a :class:`SearchStage`).  ``finished``
+    short-circuits the remaining stages (set when a strategy proves the
+    result empty or Phase 1 retrieves nothing).
     """
 
     query: ProbabilisticRangeQuery
@@ -59,16 +66,28 @@ class StageContext:
     stats: QueryStats = field(default_factory=QueryStats)
     candidate_ids: np.ndarray | None = None
     points: np.ndarray | None = None
-    #: Object ids already accepted into the result (BF free accepts plus
-    #: Phase-3 accepts accumulate here).
-    accepted: list[int] = field(default_factory=list)
-    #: Boolean mask over ``candidate_ids`` of rows still undecided.
+    #: Boolean mask over the candidate rows accepted into the result (BF
+    #: free accepts, then Phase-3 accepts); ``None`` before Phase 2.
+    accepted: np.ndarray | None = None
+    #: Boolean mask over the candidate rows still undecided.
     undecided: np.ndarray | None = None
     finished: bool = False
     #: Optional observability sink: when set, :func:`execute_pipeline`
     #: wraps every stage in a ``phase:<name>`` span and the integrator
     #: may emit tier spans beneath it.  Never affects results.
     obs: Observability | None = None
+
+    def accept_mask(self) -> np.ndarray:
+        """:attr:`accepted`, made all-False on first use."""
+        if self.accepted is None:
+            self.accepted = np.zeros(self.candidate_ids.size, dtype=bool)
+        return self.accepted
+
+    def answer(self) -> tuple[int, ...]:
+        """The accepted ids, sorted; Python ints only from here on."""
+        if self.accepted is None:
+            return ()
+        return tuple(np.sort(self.candidate_ids[self.accepted]).tolist())
 
 
 class Stage(abc.ABC):
@@ -127,8 +146,10 @@ def reject_only_candidates(
     out.
     """
     rect = phase1_rect(query, strategies, QueryStats(), dim=index.dim)
-    ids = np.asarray(index.range_search_rect(rect) if rect is not None else [])
-    points = index.points_of(ids)
+    if rect is None:
+        return np.empty(0, dtype=np.int64), np.empty((0, index.dim))
+    hits = index.range_search_rect(rect)
+    ids, points = hits.ids, hits.points
     keep = np.ones(ids.size, dtype=bool)
     for strategy in strategies:
         if not keep.any():
@@ -141,6 +162,9 @@ def reject_only_candidates(
 class SearchStage(Stage):
     """Phase 1: prepare the strategies and run one index range search
     over the intersection of their rectangles (:func:`combined_search_rect`).
+
+    The search's :class:`~repro.index.base.SearchHits` become the
+    candidate rows as they are: ids and points, gathered once.
     """
 
     phase = "search"
@@ -153,49 +177,45 @@ class SearchStage(Stage):
         if rect is None:
             ctx.finished = True
             return
-        candidate_ids = self.index.range_search_rect(rect)
-        ctx.stats.retrieved = len(candidate_ids)
-        if not candidate_ids:
+        hits = self.index.range_search_rect(rect)
+        ctx.stats.retrieved = len(hits)
+        if not ctx.stats.retrieved:
             ctx.finished = True
             return
-        ctx.candidate_ids = np.asarray(candidate_ids)
-        ctx.points = self.index.points_of(ctx.candidate_ids)
+        ctx.candidate_ids, ctx.points = hits.ids, hits.points
 
 
 class FilterStage(Stage):
     """Phase 2: classify candidates with every strategy.
 
     A single REJECT drops a candidate; a single ACCEPT (only BF issues
-    these) adds it to the result without integration; survivors stay in
-    ``ctx.undecided`` for Phase 3.
+    these) sets its row in ``ctx.accepted`` without integration;
+    survivors stay in ``ctx.undecided`` for Phase 3.
     """
 
     phase = "filter"
 
     def run(self, ctx: StageContext) -> None:
-        ids_arr = ctx.candidate_ids
-        assert ids_arr is not None and ctx.points is not None
-        undecided = np.ones(ids_arr.size, dtype=bool)
-        accept_mask = np.zeros(ids_arr.size, dtype=bool)
+        ids, points = ctx.candidate_ids, ctx.points
+        assert ids is not None and points is not None
+        accepted = np.zeros(ids.size, dtype=bool)
+        live = np.arange(ids.size)  # the undecided rows, ascending
         for strategy in ctx.strategies:
-            if not np.any(undecided):
+            if not live.size:
                 break
-            codes = strategy.classify_candidates(
-                ids_arr[undecided], ctx.points[undecided]
-            )
+            if live.size == ids.size:  # nothing decided yet: no gather
+                codes = strategy.classify_candidates(ids, points)
+            else:
+                codes = strategy.classify_candidates(ids[live], points[live])
             rejected = codes == REJECT
-            ctx.stats.note_rejections(
-                strategy.name, int(np.count_nonzero(rejected))
-            )
-            idx = np.nonzero(undecided)[0]
-            accept_mask[idx[codes == ACCEPT]] = True
-            undecided[idx[rejected]] = False
-            undecided[idx[codes == ACCEPT]] = False
-        ctx.accepted.extend(ids_arr[accept_mask].tolist())
-        ctx.stats.accepted_without_integration = int(
-            np.count_nonzero(accept_mask)
-        )
-        ctx.undecided = undecided
+            accept = codes == ACCEPT
+            ctx.stats.note_rejections(strategy.name, int(np.count_nonzero(rejected)))
+            accepted[live[accept]] = True
+            live = live[~(rejected | accept)]
+        ctx.accepted = accepted
+        ctx.stats.accepted_without_integration = int(np.count_nonzero(accepted))
+        ctx.undecided = np.zeros(ids.size, dtype=bool)
+        ctx.undecided[live] = True
 
 
 class IntegrateStage(Stage):
@@ -244,7 +264,7 @@ class IntegrateStage(Stage):
         ctx.stats.integration_samples += samples
         for method, count in tally.items():
             ctx.stats.note_decision(method, count)
-        ctx.accepted.extend(ids_arr[to_integrate[accept]].tolist())
+        ctx.accept_mask()[to_integrate[accept]] = True
 
 
 def combined_search_rect(strategies: list[Strategy]) -> Rect | None:
@@ -286,7 +306,8 @@ _SPAN_COUNTERS = {
 def execute_pipeline(
     ctx: StageContext, stages: list[Stage]
 ) -> tuple[int, ...]:
-    """Run ``stages`` in order over ``ctx`` and return the sorted result ids.
+    """Run ``stages`` in order over ``ctx`` and return the sorted result ids
+    (:meth:`StageContext.answer`).
 
     Each stage's wall time accumulates under its ``phase`` label; a stage
     setting ``ctx.finished`` short-circuits the rest.  This is the single
@@ -310,6 +331,6 @@ def execute_pipeline(
                             for name in _SPAN_COUNTERS.get(stage.phase, ())
                         }
                     )
-    ids = tuple(int(i) for i in sorted(ctx.accepted))
+    ids = ctx.answer()
     ctx.stats.results = len(ids)
     return ids

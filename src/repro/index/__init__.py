@@ -11,13 +11,22 @@ pure-Python equivalent plus two baselines behind one protocol:
   baseline;
 - :class:`~repro.index.linear.LinearScanIndex` — the no-index baseline.
 
-All searches return object ids; the point payloads live in the index and
-can be fetched back via ``get``/``points_of``.
+A rectangle search returns :class:`~repro.index.base.SearchHits`: the
+ids it found and their points, row-aligned, so Phase 2 reads the points
+without a second lookup.  Sphere searches and k-NN return ids; any
+stored point can be fetched back via ``get``/``points_of``.
 """
 
-from repro.index.base import IndexStats, SpatialIndex
+from repro.index.base import IndexStats, SearchHits, SpatialIndex
 from repro.index.rtree import RStarTree
 from repro.index.grid import GridIndex
 from repro.index.linear import LinearScanIndex
 
-__all__ = ["SpatialIndex", "IndexStats", "RStarTree", "GridIndex", "LinearScanIndex"]
+__all__ = [
+    "SpatialIndex",
+    "IndexStats",
+    "SearchHits",
+    "RStarTree",
+    "GridIndex",
+    "LinearScanIndex",
+]

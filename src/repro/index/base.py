@@ -11,9 +11,61 @@ import numpy as np
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
 
-__all__ = ["SpatialIndex", "IndexStats"]
+__all__ = ["SpatialIndex", "IndexStats", "SearchHits"]
 
 _ArrayLike = Sequence[float] | np.ndarray
+
+
+def int_ids(ids) -> np.ndarray | None:
+    """``ids`` as a 1-D ``int64`` array, or ``None`` if any is not a plain integer.
+
+    An index accepts any hashable id; only integer ids (what every
+    database hands it) are worth an array, so a ``str`` or ``tuple`` id is
+    never coerced into something it was not.
+    """
+    if isinstance(ids, np.ndarray):
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            return None
+        return ids.astype(np.int64, copy=False)
+    ids = ids if isinstance(ids, (list, tuple)) else list(ids)
+    for kind in set(map(type, ids)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            return None
+    try:
+        return np.asarray(ids, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+class SearchHits:
+    """What a rectangle search found: ids and points, row-aligned.
+
+    ``ids[i]`` is the id of ``points[i]``, a ``(len, d)`` float array, and
+    rows come in the index's answer order.  ``ids`` is ``int64`` when every
+    id is an integer, else an ``object`` array holding the ids as given.
+    ``len`` is the number of hits and iteration yields the ids as Python
+    objects (``int`` for integer ids), so ``list(hits)`` is the id list;
+    ``np.asarray(hits)`` is ``ids``.  Phase 1 hands both arrays to
+    Phases 2 and 3 without looking the points up again.
+    """
+
+    __slots__ = ("ids", "points")
+
+    def __init__(self, ids: np.ndarray, points: np.ndarray):
+        self.ids = ids
+        self.points = points
+
+    def __len__(self) -> int:
+        return self.ids.shape[0]
+
+    def __iter__(self):
+        return iter(self.ids.tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.ids, dtype=dtype, copy=copy)
+
+    def __repr__(self) -> str:
+        return f"SearchHits({self.ids.tolist()!r})"
 
 
 @dataclass
@@ -101,8 +153,15 @@ class SpatialIndex(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def range_search_rect(self, rect: Rect) -> list[int]:
-        """Ids of points inside the (closed) rectangle."""
+    def range_search_rect(self, rect: Rect) -> SearchHits:
+        """The points inside the (closed) rectangle, with their ids."""
+
+    def _hits(self, ids: list) -> SearchHits:
+        """``ids`` with their stored points: the default search result."""
+        as_ints = int_ids(ids)
+        if as_ints is None:
+            as_ints = np.fromiter(ids, dtype=object, count=len(ids))
+        return SearchHits(as_ints, self.points_of(ids))
 
     def range_search_sphere(self, center: _ArrayLike, radius: float) -> list[int]:
         """Ids of points within ``radius`` of ``center``.
@@ -112,10 +171,10 @@ class SpatialIndex(abc.ABC):
         """
         c = np.asarray(center, dtype=float)
         box = Rect.from_center(c, np.full(self._dim, radius))
-        candidate_ids = self.range_search_rect(box)
-        gaps = self.points_of(candidate_ids) - c
+        hits = self.range_search_rect(box)
+        gaps = hits.points - c
         inside = np.einsum("ij,ij->i", gaps, gaps) <= radius * radius
-        return [obj_id for obj_id, hit in zip(candidate_ids, inside.tolist()) if hit]
+        return hits.ids[inside].tolist()
 
     @abc.abstractmethod
     def knn(self, point: _ArrayLike, k: int) -> list[tuple[int, float]]:

@@ -17,12 +17,17 @@ read-only copy of the coordinates).
 
 A search is level-synchronous: expand the frontier's child ranges, test
 them in one vectorised pass, keep the survivors, and finish with one
-containment test over the touched leaves' rows.  Ids come back as the
-depth-first stack traversal of the pointer tree produces them (touched
-leaves right to left, entries forward within a leaf), and ``IndexStats``
-advances by the same amounts, once per level: ``node_accesses`` by every
-frontier size (root and leaves included), ``leaf_accesses`` by the leaf
-frontier, ``entries_examined`` by every expanded slot.
+containment test over the touched leaves' rows.  A rectangle search
+returns its hits as :class:`~repro.index.base.SearchHits` — the ids and
+points of the surviving rows, gathered once — which Phase 2 reads as
+they are; nothing on the query path looks an id up again
+(:meth:`FlatSnapshot.rows_of` serves ``get`` / ``points_of``).  Hits
+come back as the depth-first stack traversal of the pointer tree
+produces them (touched leaves right to left, entries forward within a
+leaf), and ``IndexStats`` advances by the same amounts, once per level:
+``node_accesses`` by every frontier size (root and leaves included),
+``leaf_accesses`` by the leaf frontier, ``entries_examined`` by every
+expanded slot.
 """
 
 from __future__ import annotations
@@ -32,10 +37,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.errors import IndexError_
-from repro.geometry.mbr import Rect
-from repro.index.base import IndexStats
+from repro.geometry.mbr import Rect, rows_between
+from repro.index.base import IndexStats, SearchHits, int_ids
 
-__all__ = ["FlatSnapshot", "int_ids", "node_boxes"]
+__all__ = ["FlatSnapshot", "node_boxes"]
 
 
 class _Level(NamedTuple):
@@ -58,27 +63,6 @@ def node_boxes(lows: np.ndarray, highs: np.ndarray, sizes):
         np.minimum.reduceat(lows, firsts, axis=0),
         np.maximum.reduceat(highs, firsts, axis=0),
     )
-
-
-def int_ids(ids) -> np.ndarray | None:
-    """``ids`` as a 1-D ``int64`` array, or ``None`` if any is not a plain integer.
-
-    The tree accepts any hashable id; only integer ids (what every
-    database hands it) are worth an array, so a ``str`` or ``tuple`` id is
-    never coerced into something it was not.
-    """
-    if isinstance(ids, np.ndarray):
-        if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            return None
-        return ids.astype(np.int64, copy=False)
-    ids = ids if isinstance(ids, (list, tuple)) else list(ids)
-    for kind in set(map(type, ids)):
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            return None
-    try:
-        return np.asarray(ids, dtype=np.int64)
-    except OverflowError:
-        return None
 
 
 def _expand(starts: np.ndarray, frontier: np.ndarray) -> np.ndarray:
@@ -138,13 +122,14 @@ class FlatSnapshot:
     # Searches
     # ------------------------------------------------------------------
 
-    def search_rect(self, rect: Rect, stats: IndexStats) -> list[int]:
-        """Ids of the points inside the closed rectangle."""
+    def search_rect(self, rect: Rect, stats: IndexStats) -> SearchHits:
+        """The points inside the closed rectangle, with their ids."""
         lows, highs = rect.lows, rect.highs
         rows, points = self._descend(
-            lambda lo, hi: np.all((lo <= highs) & (lows <= hi), axis=1), stats
+            lambda lo, hi: rows_between(hi, lo, lows, highs), stats
         )
-        return self.ids[rows[rect.contains_points(points)]].tolist()
+        inside = rows_between(points, points, lows, highs)
+        return SearchHits(self.ids[rows[inside]], points[inside])
 
     def search_sphere(
         self, center: np.ndarray, radius: float, stats: IndexStats

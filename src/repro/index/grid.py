@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
-from repro.index.base import SpatialIndex
+from repro.index.base import SearchHits, SpatialIndex
 
 __all__ = ["GridIndex"]
 
@@ -108,7 +108,7 @@ class GridIndex(SpatialIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def range_search_rect(self, rect: Rect) -> list[int]:
+    def range_search_rect(self, rect: Rect) -> SearchHits:
         self._validate_rect(rect)
         self.stats.queries += 1
         hits: list[int] = []
@@ -121,7 +121,7 @@ class GridIndex(SpatialIndex):
                 self.stats.entries_examined += 1
                 if rect.contains_point(p):
                     hits.append(obj_id)
-        return hits
+        return self._hits(hits)
 
     def knn(self, point: _ArrayLike, k: int) -> list[tuple[int, float]]:
         """Best-first over cells by MINDIST, identical contract to the R*-tree."""

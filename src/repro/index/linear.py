@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
-from repro.index.base import SpatialIndex
+from repro.index.base import SearchHits, SpatialIndex
 
 __all__ = ["LinearScanIndex"]
 
@@ -79,14 +79,14 @@ class LinearScanIndex(SpatialIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def range_search_rect(self, rect: Rect) -> list[int]:
+    def range_search_rect(self, rect: Rect) -> SearchHits:
         self._validate_rect(rect)
         self.stats.queries += 1
         pts = self._points_matrix()
         self.stats.node_accesses += 1
         self.stats.entries_examined += len(self._ids)
         mask = rect.contains_points(pts) if len(self._ids) else np.array([], bool)
-        return [self._ids[i] for i in np.nonzero(mask)[0]]
+        return self._hits([self._ids[i] for i in np.nonzero(mask)[0]])
 
     def range_search_sphere(self, center: _ArrayLike, radius: float) -> list[int]:
         c = self._validate_point(center)

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
-from repro.index.base import SpatialIndex
+from repro.index.base import SearchHits, SpatialIndex
 from repro.index.flat import FlatSnapshot
 from repro.index.split import rstar_split
 
@@ -491,7 +491,7 @@ class RStarTree(SpatialIndex):
     # Queries
     # ------------------------------------------------------------------
 
-    def range_search_rect(self, rect: Rect) -> list[int]:
+    def range_search_rect(self, rect: Rect) -> SearchHits:
         self._validate_rect(rect)
         self.stats.queries += 1
         return self._snapshot().search_rect(rect, self.stats)

@@ -96,12 +96,13 @@ class CostTracker:
 
 def sandwich_triage(
     gaussian, ids: np.ndarray, points: np.ndarray, delta: float, theta: float
-) -> tuple[list[int], list[tuple[int, float, float]]]:
+) -> tuple[np.ndarray, list[tuple[int, float, float]]]:
     """Decide what one sandwich pass over ``points`` can decide.
 
-    Returns ``(accepted, bounds)``: the ids with ``lower ≥ θ`` in row
-    order, and one ``(id, lower, upper)`` triple, sorted by id, per row
-    with ``lower < θ ≤ upper``.  Rows with ``upper < θ`` are dropped.
+    Returns ``(accept, bounds)``: the boolean mask of rows with
+    ``lower ≥ θ``, and one ``(id, lower, upper)`` triple, sorted by id,
+    per row with ``lower < θ ≤ upper``.  Rows with ``upper < θ`` are
+    dropped.
     """
     enclosure = chi2_sandwich_bounds_block(gaussian, points, delta)
     lower, upper = enclosure[:, 0], enclosure[:, 1]
@@ -112,7 +113,7 @@ def sandwich_triage(
         for obj_id, lo, hi in zip(ids[undecided], lower[undecided], upper[undecided])
     ]
     bounds.sort(key=lambda triple: triple[0])
-    return [int(obj_id) for obj_id in ids[accept]], bounds
+    return accept, bounds
 
 
 def degraded_execute(
@@ -141,15 +142,15 @@ def degraded_execute(
         stats.integrations = int(rows.size)
         if rows.size:
             with stats.time_phase("integrate"):
-                accepted, bounds = sandwich_triage(
+                accept, bounds = sandwich_triage(
                     query.gaussian,
                     ctx.candidate_ids[rows],
                     ctx.points[rows],
                     query.delta,
                     query.theta,
                 )
-                ctx.accepted.extend(accepted)
+                ctx.accept_mask()[rows[accept]] = True
                 stats.note_decision(DEGRADED_TIER, int(rows.size))
-    ids = tuple(sorted(int(i) for i in ctx.accepted))
+    ids = ctx.answer()
     stats.results = len(ids)
     return ids, tuple(bounds), stats

@@ -659,14 +659,15 @@ class SubscriptionManager:
         bounds: list[tuple[int, float, float]] = []
         accepted: list[int] = list(certain)
         if rows.size:
+            ids = sub.region.ids[rows]
             sure, bounds = sandwich_triage(
                 query.gaussian.moved_to(mean),
-                sub.region.ids[rows],
+                ids,
                 sub.region.points[rows],
                 query.delta,
                 query.theta,
             )
-            accepted.extend(sure)
+            accepted.extend(ids[sure].tolist())
         sub.stale = True
         self._counters[OUTCOME_DEGRADED] += 1
         self._counters["rechecked_candidates"] += decision.n_recheck

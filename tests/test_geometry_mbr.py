@@ -77,6 +77,70 @@ class TestConstruction:
             Rect.union_of([])
 
 
+NAN, INF = float("nan"), float("inf")
+
+#: Every public constructor with every kind of invalid input it can be
+#: handed.  ``union_of`` combines validated rectangles, so an empty input
+#: is the only invalid one; ``expand`` takes one float.
+INVALID_CONSTRUCTIONS = {
+    "Rect nan low": lambda: Rect([NAN, 0.0], [1.0, 1.0]),
+    "Rect nan high": lambda: Rect([0.0, 0.0], [1.0, NAN]),
+    "Rect +inf high": lambda: Rect([0.0, 0.0], [INF, 1.0]),
+    "Rect -inf low": lambda: Rect([-INF, 0.0], [1.0, 1.0]),
+    "Rect inverted": lambda: Rect([0.0, 2.0], [1.0, 1.0]),
+    "Rect empty": lambda: Rect([], []),
+    "Rect 2-D": lambda: Rect([[0.0, 0.0]], [[1.0, 1.0]]),
+    "Rect shapes differ": lambda: Rect([0.0, 0.0], [1.0]),
+    "from_point nan": lambda: Rect.from_point([NAN, 0.0]),
+    "from_point +inf": lambda: Rect.from_point([INF, 0.0]),
+    "from_point -inf": lambda: Rect.from_point([0.0, -INF]),
+    "from_point empty": lambda: Rect.from_point([]),
+    "from_point 2-D": lambda: Rect.from_point([[0.0, 0.0]]),
+    "from_center nan center": lambda: Rect.from_center([NAN, 0.0], [1.0, 1.0]),
+    "from_center nan half width": lambda: Rect.from_center([0.0, 0.0], [NAN, 1.0]),
+    "from_center +inf center": lambda: Rect.from_center([INF, 0.0], [1.0, 1.0]),
+    "from_center -inf center": lambda: Rect.from_center([-INF, 0.0], [1.0, 1.0]),
+    "from_center +inf half width": lambda: Rect.from_center([0.0, 0.0], [1.0, INF]),
+    "from_center overflow": lambda: Rect.from_center([1e308, 0.0], [1e308, 1.0]),
+    "from_center inverted": lambda: Rect.from_center([0.0, 0.0], [1.0, -1e-300]),
+    "from_center empty": lambda: Rect.from_center([], []),
+    "from_center 2-D": lambda: Rect.from_center([[0.0, 0.0]], [[1.0, 1.0]]),
+    "from_center shapes differ": lambda: Rect.from_center([0.0, 0.0], [1.0]),
+    "union_of empty": lambda: Rect.union_of([]),
+    "union_of empty generator": lambda: Rect.union_of(r for r in ()),
+    "bounding_points nan": lambda: Rect.bounding_points([[0.0, 0.0], [NAN, 1.0]]),
+    "bounding_points +inf": lambda: Rect.bounding_points([[0.0, INF]]),
+    "bounding_points -inf": lambda: Rect.bounding_points([[-INF, 0.0]]),
+    "bounding_points empty": lambda: Rect.bounding_points(np.empty((0, 2))),
+    "bounding_points 1-D": lambda: Rect.bounding_points([0.0, 1.0]),
+    "bounding_points 3-D": lambda: Rect.bounding_points(np.zeros((1, 1, 2))),
+    "expand nan": lambda: Rect([0.0, 0.0], [1.0, 1.0]).expand(NAN),
+    "expand +inf": lambda: Rect([0.0, 0.0], [1.0, 1.0]).expand(INF),
+    "expand -inf": lambda: Rect([0.0, 0.0], [1.0, 1.0]).expand(-INF),
+    "expand inverted": lambda: Rect([0.0, 0.0], [1.0, 1.0]).expand(-0.75),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("case", list(INVALID_CONSTRUCTIONS))
+def test_every_constructor_rejects_invalid_bounds(case):
+    """A NaN rectangle would make Phase 1 find nothing and so silently
+    dismiss every object: no constructor may build one."""
+    with pytest.raises(GeometryError):
+        INVALID_CONSTRUCTIONS[case]()
+
+
+def test_combinations_of_valid_rectangles_stay_valid():
+    a = Rect([0.0, -1e308], [1.0, 0.0])
+    b = Rect([0.5, -1.0], [2.0, 1e308])
+    for rect in (a.union(b), Rect.union_of([a, b]), a.intersection(b)):
+        assert np.isfinite(rect.lows).all() and np.isfinite(rect.highs).all()
+        assert (rect.lows <= rect.highs).all()
+        with pytest.raises(ValueError):
+            rect.lows[0] = 5.0
+    assert a.intersection(Rect([3.0, 0.0], [4.0, 1.0])) is None
+
+
 class TestPredicates:
     def test_contains_point_boundary_inclusive(self):
         r = Rect([0.0, 0.0], [1.0, 1.0])

@@ -9,6 +9,7 @@ from repro.errors import IndexError_
 from repro.geometry.mbr import Rect
 from repro.index.grid import GridIndex
 from repro.index.linear import LinearScanIndex
+from tests.test_index_rtree import check_hits
 
 
 @pytest.fixture
@@ -34,7 +35,7 @@ class TestGridIndex:
     def test_points_outside_bounds_clamped_but_found(self, bounds):
         grid = GridIndex(bounds, cells_per_dim=4)
         grid.insert(1, [150.0, -20.0])  # outside the declared bounds
-        assert grid.range_search_rect(Rect([100.0, -30.0], [200.0, 0.0])) == [1]
+        assert list(grid.range_search_rect(Rect([100.0, -30.0], [200.0, 0.0]))) == [1]
         found = grid.range_search_sphere([150.0, -20.0], 1.0)
         assert found == [1]
 
@@ -64,6 +65,23 @@ class TestGridIndex:
             got = grid.knn(q, 7)
             expected = oracle.knn(q, 7)
             assert [i for i, _ in got] == [i for i, _ in expected]
+
+    def test_search_hits_keep_cell_order_and_counts(self):
+        grid = GridIndex(Rect([0.0, 0.0], [10.0, 10.0]), cells_per_dim=2)
+        for obj_id, p in [(5, [1, 1]), (3, [6, 1]), (9, [2, 2]), (1, [7, 7]), (4, [1, 8])]:
+            grid.insert(obj_id, p)
+        rect = Rect([0.0, 0.0], [8.0, 3.0])
+        # Cells (0, 0) then (1, 0); a cell's points in insertion order.
+        counted = {"node_accesses": 2, "entries_examined": 3, "queries": 1}
+        counted.update(leaf_accesses=0, splits=0, reinsertions=0)
+        hits = check_hits(grid, rect, [5, 9, 3], counted)
+        assert hits.ids.dtype == np.int64
+        grid.delete(9)
+        counted["entries_examined"] = 2
+        check_hits(grid, rect, [5, 3], counted)
+        # Cell (0, 1) holds id 4, examined and outside the rectangle.
+        counted.update(node_accesses=1, entries_examined=1)
+        check_hits(grid, Rect([0.0, 5.5], [4.0, 6.0]), [], counted)
 
     def test_high_dim_cell_blowup_rejected(self):
         with pytest.raises(IndexError_):
@@ -98,9 +116,26 @@ class TestLinearScanIndex:
             0, 1, 2, 4, 5, 6, 7, 8, 9,
         ]
 
+    def test_search_hits_keep_slot_order_and_counts(self):
+        idx = LinearScanIndex(2)
+        for obj_id in (5, 3, 9, 1):
+            idx.insert(obj_id, [float(obj_id), 0.0])
+        idx.delete(3)  # the last slot (id 1) moves into its place
+        counted = {"node_accesses": 1, "entries_examined": 3, "queries": 1}
+        counted.update(leaf_accesses=0, splits=0, reinsertions=0)
+        hits = check_hits(idx, Rect([0.0, 0.0], [9.0, 0.0]), [5, 1, 9], counted)
+        assert {type(i) for i in hits} == {int}
+        check_hits(idx, Rect([6.0, 0.0], [8.0, 1.0]), [], counted)
+        names = LinearScanIndex(1)
+        names.insert("b", [2.0])
+        names.insert(("a",), [1.0])
+        counted["entries_examined"] = 2
+        hits = check_hits(names, Rect([0.0], [3.0]), ["b", ("a",)], counted)
+        assert hits.ids.dtype == object
+
     def test_empty_queries(self):
         idx = LinearScanIndex(2)
-        assert idx.range_search_rect(Rect([0, 0], [1, 1])) == []
+        assert list(idx.range_search_rect(Rect([0, 0], [1, 1]))) == []
         assert idx.range_search_sphere([0.0, 0.0], 1.0) == []
         assert idx.knn([0.0, 0.0], 5) == []
 

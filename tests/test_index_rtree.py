@@ -47,7 +47,7 @@ class TestConstruction:
         tree = RStarTree(2)
         assert len(tree) == 0
         assert tree.height == 1
-        assert tree.range_search_rect(Rect([0, 0], [1, 1])) == []
+        assert list(tree.range_search_rect(Rect([0, 0], [1, 1]))) == []
         assert tree.knn([0.0, 0.0], 3) == []
 
 
@@ -387,7 +387,7 @@ class TestFlatSearchBattery:
                 expected, counted = reference_search(
                     tree, rect.intersects, rect.contains_point
                 )
-                assert got == expected, label  # same ids, same order
+                assert list(got) == expected, label  # same ids, same order
                 assert delta == counted, label
                 assert sorted(got) == sorted(oracle.range_search_rect(rect)), label
         if len(pts):
@@ -422,6 +422,73 @@ class TestFlatSearchBattery:
                     assert 1000 in got  # the anchor sits exactly on the sphere
 
 
+def stat_counters(index) -> dict[str, int]:
+    return {k: v for k, v in vars(index.stats).items() if k != "_extra"}
+
+
+def check_hits(index, rect, expected, counted):
+    """``range_search_rect`` answers ``expected`` in order, row-aligned
+    with the stored points, and advances the counters by ``counted``."""
+    before = stat_counters(index)
+    hits = index.range_search_rect(rect)
+    after = stat_counters(index)
+    assert list(hits) == expected
+    assert len(hits) == len(expected) == hits.ids.shape[0]
+    assert hits.points.shape == (len(expected), index.dim)
+    np.testing.assert_array_equal(hits.points, index.points_of(list(hits)))
+    np.testing.assert_array_equal(np.asarray(hits), hits.ids)
+    assert {k: after[k] - before[k] for k in after} == counted
+    return hits
+
+
+class TestSearchHits:
+    """``range_search_rect`` hands back ids and points together: the ids
+    and their order, and every counter, are the per-entry traversal's."""
+
+    @pytest.mark.parametrize("case", ["bulk", "mutated", "non-integer"])
+    def test_rows_match_the_traversal(self, case, rng):
+        pts = rng.random((600, 2)) * 100
+        ids = list(range(5, 605))
+        if case == "non-integer":
+            ids = [f"p{i}" if i % 3 else (i, "t") for i in ids]
+        tree = RStarTree(2, max_entries=8)
+        tree.bulk_load(ids, pts)
+        if case == "mutated":
+            for i, p in enumerate(rng.random((40, 2)) * 100):
+                tree.insert(10_000 + i, p)
+            for victim in ids[:30]:
+                tree.delete(victim)
+            assert tree._flat is None  # the search rebuilds the snapshot
+        for _ in range(6):
+            low = rng.random(2) * 80
+            rect = Rect(low, low + rng.random(2) * 40)
+            expected, (nodes, leaves, entries) = reference_search(
+                tree, rect.intersects, rect.contains_point
+            )
+            counted = {
+                "node_accesses": nodes,
+                "leaf_accesses": leaves,
+                "entries_examined": entries,
+                "queries": 1,
+                "splits": 0,
+                "reinsertions": 0,
+            }
+            hits = check_hits(tree, rect, expected, counted)
+            if case == "non-integer":
+                assert hits.ids.dtype == object
+                assert {type(i) for i in hits} <= {str, tuple}
+            else:
+                assert hits.ids.dtype == np.int64
+                assert {type(i) for i in hits} <= {int}
+        empty = check_hits(
+            tree, Rect([500.0, 500.0], [501.0, 501.0]), [],
+            {"node_accesses": 1, "leaf_accesses": 0,
+             "entries_examined": len(tree._snapshot().levels[0].lows),
+             "queries": 1, "splits": 0, "reinsertions": 0},
+        )
+        assert not empty
+
+
 class TestSnapshotLifecycle:
     def test_order_is_leaves_right_to_left_entries_forward(self, rng):
         pts = rng.random((200, 2))
@@ -434,7 +501,7 @@ class TestSnapshotLifecycle:
         documented = [
             e.obj_id for leaf in reversed(leaves) for e in leaf.entries
         ]
-        assert tree.range_search_rect(Rect([0.0, 0.0], [1.0, 1.0])) == documented
+        assert list(tree.range_search_rect(Rect([0.0, 0.0], [1.0, 1.0]))) == documented
 
     def test_insert_and_delete_drop_the_snapshot(self, rng):
         pts = rng.random((400, 2)) * 10
@@ -766,7 +833,7 @@ class TestLazyPointerTree:
         rect = Rect([20.0, 20.0], [45.0, 70.0])
         for i, p in enumerate(rng.random((200, 2)) * 100):
             same(lambda t, i=i, p=p: t.insert(10_000 + i, p))
-        same(lambda t: t.range_search_rect(rect))
+        same(lambda t: list(t.range_search_rect(rect)))
         for victim in rng.permutation(1500)[:300].tolist():
             same(lambda t, v=victim: t.delete(v))
         same(lambda t: t.range_search_sphere([50.0, 50.0], 20.0))

@@ -58,10 +58,12 @@ def _phases_2_and_3(db, query, strategies, ids):
         points=db.index.points_of(ids),
     )
     FilterStage().run(ctx)
+    # ``ctx.accepted`` is a mask over the rows of ``ids``; Phase 3 sets
+    # more of its rows in place, so the free accepts are read first.
     integrated = sorted(ids[ctx.undecided].tolist())
-    free = sorted(ctx.accepted)
+    free = sorted(ids[ctx.accepted].tolist())
     IntegrateStage().run(ctx)
-    return integrated, free, sorted(ctx.accepted)
+    return integrated, free, sorted(ids[ctx.accepted].tolist())
 
 
 class TestPhase1Modes:

@@ -99,7 +99,7 @@ def test_routed_union_equals_unsharded_candidates(dim, n_shards, order, tmp_path
             f"invented {sorted(union - oracle)}"
         )
         for spec in skipped:
-            extra = trees[spec.shard_id].range_search_rect(rect)
+            extra = list(trees[spec.shard_id].range_search_rect(rect))
             assert extra == [], (
                 f"skipped shard {spec.shard_id} held candidates {extra}"
             )

@@ -122,3 +122,36 @@ def test_combined_search_rect_policies(db, query):
 def test_combined_search_rect_requires_a_contributor():
     with pytest.raises(QueryError):
         combined_search_rect([])
+
+
+def test_phase1_hands_its_rows_to_phase2(db, monkeypatch):
+    """One ``run_batch`` of 2-D cascade PRQs on an ``auto`` engine: one
+    index search per query, no id → row lookup after it, and answers of
+    plain sorted ``int``s."""
+    from repro.bench.workload import WorkloadGenerator
+    from repro.index.flat import FlatSnapshot
+    from repro.index.rtree import RStarTree
+    from repro.integrate.cascade import CascadeIntegrator
+
+    # The generator centres queries on stored points (one lookup each).
+    queries = WorkloadGenerator(db, seed=5).batch(24)
+    engine = db.engine(strategies="auto", integrator=CascadeIntegrator())
+    calls = {"rows_of": 0, "range_search_rect": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in ((FlatSnapshot, "rows_of"), (RStarTree, "range_search_rect")):
+        monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    batch = engine.run_batch(queries, workers=1, base_seed=3)
+
+    assert calls == {"rows_of": 0, "range_search_rect": len(queries)}
+    assert sum(len(r.ids) for r in batch.results) > 0
+    for result in batch.results:
+        assert list(result.ids) == sorted(result.ids)
+        assert all(type(i) is int for i in result.ids)
+        assert result.stats.results == len(result.ids)
