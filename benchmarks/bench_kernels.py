@@ -6,7 +6,8 @@ least as fast as its NumPy twin on a realistic candidate block (a fast
 path that is not faster has no place here), at least two of them >= 3x
 faster, and answers must stay within the documented parity contract
 (classify kernels bit-identical, bound kernels sound).  The χ² sandwich
-has no compiled twin and no row here.  The storage bar: loading a
+and the shared-spectrum noncentralities have no compiled twin and no
+row here.  The storage bar: loading a
 1,000,000-point structure-of-arrays store must be O(1) — under 50 ms
 wall, independent of n.  The index bar: the first ``database.index`` on
 that store (an STR bulk load straight into the search arrays) must take
@@ -102,15 +103,6 @@ def test_kernel_speedups(benchmark):
     alpha_lower = alpha_upper / 3.0
 
     cases = {
-        "squared_distance_noncentralities": (
-            lambda: fallback.squared_distance_noncentralities(
-                mean, basis, eigvals, points
-            ),
-            lambda: kernels.squared_distance_noncentralities(
-                mean, basis, eigvals, points
-            ),
-            m,
-        ),
         "ruben_block": (
             lambda: fallback.ruben_block(lam, dofs, ncs_ruben, x, tol=1e-10),
             lambda: kernels.ruben_block(lam, dofs, ncs_ruben, x, tol=1e-10),

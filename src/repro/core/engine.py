@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.kinds import adapt_pipeline, query_legs
+from repro.core.kinds import adapt_pipeline, query_kind, query_legs
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import (
     FilterStage,
@@ -243,9 +243,7 @@ class QueryEngine:
         self.targets = targets
 
     def execute(self, query: ProbabilisticRangeQuery) -> QueryResult:
-        return self._execute_with(
-            query, self.strategies, self.integrator, obs=self.obs
-        )
+        return self._execute_with(query, self.integrator, obs=self.obs)
 
     def run_batch(
         self,
@@ -295,14 +293,13 @@ class QueryEngine:
         def task(pair) -> QueryResult:
             i, query, seed = pair
             try:
-                strategies = [s.clone() for s in self.strategies]
                 if integrator_factory is not None:
                     integrator = integrator_factory(query, seed)
                 else:
                     integrator = self.integrator.fork(seed)
                 child = children[i] if children is not None else None
                 return self._execute_with(
-                    query, strategies, integrator, seed=seed, obs=child
+                    query, integrator, seed=seed, obs=child
                 )
             except BaseException as exc:  # noqa: BLE001 - re-typed below
                 error = self._typed_failure(i, exc, return_errors)
@@ -344,16 +341,72 @@ class QueryEngine:
         return error
 
     # ------------------------------------------------------------------
-    # The shared execution path: every entry point funnels through here,
-    # parameterized by (strategies, integrator) so the batch path can run
-    # with per-query clones while the single-query path keeps using the
-    # engine's own instances.
+    # The shared execution path: every entry point turns its query into
+    # legs here and runs them through the one stage driver.
     # ------------------------------------------------------------------
+
+    def legs(
+        self,
+        query: ProbabilisticRangeQuery,
+        integrator: ProbabilityIntegrator,
+        *,
+        seed: np.random.SeedSequence | None = None,
+        obs: Observability | None = None,
+    ) -> Iterator[
+        tuple[
+            ProbabilisticRangeQuery,
+            list[Strategy],
+            ProbabilityIntegrator,
+            QueryStats,
+        ]
+    ]:
+        """The legs ``query`` runs as, each ready for the stages.
+
+        Yields one ``(leg, strategies, decider, stats)`` per leg of
+        :func:`query_legs`: the leg's query; fresh clones of the
+        strategies its plan runs, kind-adapted by :func:`adapt_pipeline`
+        and behind the leg's group restriction; the integrator that
+        decides its Phase 3 (``integrator``, or the kind's wrapper of
+        it); and its :class:`QueryStats`, holding the planning time and
+        the plan's strategy names.  ``seed`` seeds a k-NN leg that
+        leaves its own seed ``None``.
+
+        This is the one place that clones the engine's strategies, so no
+        entry point ever prepares them, and every entry point — batches,
+        :meth:`execute`, :meth:`explain`, the shard coordinator, the
+        subscription monitor and the degraded serve path — runs the same
+        plan.  Legs are planned one at a time as they are drawn, so a
+        leg's ``phase:plan`` span sits just ahead of its phases.
+        """
+        for leg, restrict in query_legs(query, self.targets):
+            stats = QueryStats()
+            strategies = self.strategies
+            if self.planner is not None:
+                with stats.time_phase("plan"), span_of(
+                    obs, "phase:plan"
+                ) as plan_span:
+                    try:
+                        strategies = self._apply_plan(
+                            leg, strategies, integrator, stats
+                        )
+                    finally:
+                        plan_span.annotate(
+                            strategies="+".join(stats.plan_strategies or ())
+                        )
+            # Only the k-NN adapter probes an index; a sharded engine
+            # builds its full coordinator index on first access.
+            strategies, decider = adapt_pipeline(
+                leg,
+                [s.clone() for s in strategies],
+                integrator,
+                index=self.index if query_kind(leg) == "knn" else None,
+                seed=seed,
+            )
+            yield leg, [*restrict, *strategies], decider, stats
 
     def _execute_with(
         self,
         query: ProbabilisticRangeQuery,
-        strategies: list[Strategy],
         integrator: ProbabilityIntegrator,
         *,
         seed: np.random.SeedSequence | None = None,
@@ -365,12 +418,15 @@ class QueryEngine:
             obs, "query", delta=query.delta, theta=query.theta
         ) as query_span:
             try:
-                for leg, restrict in query_legs(query, self.targets):
-                    parts.append(QueryStats())
-                    answers.append(self._run_leg(
-                        leg, restrict, strategies, integrator, parts[-1],
-                        seed=seed, obs=obs,
-                    ))
+                for leg, strategies, decider, part in self.legs(
+                    query, integrator, seed=seed, obs=obs
+                ):
+                    parts.append(part)
+                    ctx = StageContext(leg, strategies, decider, part, obs=obs)
+                    stages = [
+                        SearchStage(self.index), FilterStage(), IntegrateStage()
+                    ]
+                    answers.append(execute_pipeline(ctx, stages))
             finally:
                 stats = QueryStats.combine(parts) if parts else QueryStats()
                 query_span.annotate(
@@ -387,40 +443,6 @@ class QueryEngine:
             else tuple(sorted(itertools.chain.from_iterable(answers)))
         )
         return QueryResult(ids, stats)
-
-    def _run_leg(
-        self,
-        leg: ProbabilisticRangeQuery,
-        restrict: list[Strategy],
-        strategies: list[Strategy],
-        integrator: ProbabilityIntegrator,
-        stats: QueryStats,
-        *,
-        seed: np.random.SeedSequence | None,
-        obs: Observability | None,
-    ) -> tuple[int, ...]:
-        """Plan one leg (:func:`query_legs`), swap in its kind adapters
-        and run the three stages, ``restrict`` ahead of the strategies."""
-        if self.planner is not None:
-            with stats.time_phase("plan"), span_of(
-                obs, "phase:plan"
-            ) as plan_span:
-                try:
-                    strategies = self._apply_plan(
-                        leg, strategies, integrator, stats
-                    )
-                finally:
-                    plan_span.annotate(
-                        strategies="+".join(stats.plan_strategies or ())
-                    )
-        strategies, integrator = adapt_pipeline(
-            leg, strategies, integrator, index=self.index, seed=seed
-        )
-        ctx = StageContext(
-            leg, [*restrict, *strategies], integrator, stats, obs=obs
-        )
-        stages = [SearchStage(self.index), FilterStage(), IntegrateStage()]
-        return execute_pipeline(ctx, stages)
 
     def _apply_plan(
         self,
@@ -460,8 +482,8 @@ class QueryEngine:
         Phase-1 rectangle is the union of the legs'.
         """
         plans = [
-            self._explain_leg(leg, restrict, estimator)
-            for leg, restrict in query_legs(query, self.targets)
+            self._explain_leg(leg, strategies, stats, estimator)
+            for leg, strategies, _, stats in self.legs(query, self.integrator)
         ]
         if len(plans) == 1:
             return plans[0]
@@ -489,19 +511,10 @@ class QueryEngine:
     def _explain_leg(
         self,
         query: ProbabilisticRangeQuery,
-        restrict: list[Strategy],
+        strategies: list[Strategy],
+        stats: QueryStats,
         estimator,
     ) -> "QueryPlan":
-        stats = QueryStats()
-        strategies = self.strategies
-        if self.planner is not None:
-            strategies = self._apply_plan(
-                query, strategies, self.integrator, stats
-            )
-        strategies, _ = adapt_pipeline(
-            query, strategies, self.integrator, index=self.index
-        )
-        strategies = [*restrict, *strategies]
         rect = phase1_rect(query, strategies, stats, dim=self.index.dim)
         descriptions: list[str] = []
         alpha_upper = alpha_lower = None

@@ -11,8 +11,9 @@ provides two interchangeable backends for them:
   geometry kernels reuse scratch arenas), always available.
 
 The χ² sandwich (``chi2_sandwich_block`` and ``chi2_sandwich_block_f32``)
-has one body on both backends, SciPy's noncentral-χ² CDF: a compiled
-twin of it was not faster.
+has one body on both backends, SciPy's noncentral-χ² CDF, and
+``squared_distance_noncentralities`` runs the NumPy body on both: a
+compiled twin of either was not faster.
 
 Selection happens once at import: the C backend is used when it compiles
 and loads, unless ``REPRO_NO_JIT=1`` (or any value other than ``0``) is
@@ -71,7 +72,7 @@ def backend() -> str:
 def kernel_table() -> list[dict[str, str]]:
     """Per-kernel backend report (for ``repro kernels`` and tests)."""
     return [
-        {"kernel": "squared_distance_noncentralities", "backend": BACKEND},
+        {"kernel": "squared_distance_noncentralities", "backend": "numpy"},
         {"kernel": "chi2_sandwich_block", "backend": "scipy"},
         {"kernel": "chi2_sandwich_block_f32", "backend": "scipy"},
         {"kernel": "ruben_block", "backend": BACKEND},
@@ -94,28 +95,10 @@ def _ptr(a: np.ndarray) -> int:
 # ----------------------------------------------------------------------
 
 
-def squared_distance_noncentralities(
-    mean: np.ndarray,
-    basis: np.ndarray,
-    eigenvalues: np.ndarray,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Per-eigendirection noncentralities ((mean − pᵢ)ᵀE)ⱼ² / λⱼ."""
-    if _LIB is None:
-        return fallback.squared_distance_noncentralities(
-            mean, basis, eigenvalues, points
-        )
-    pts = _c64(np.atleast_2d(points))
-    m, d = pts.shape
-    out = np.empty((m, d))
-    if m:
-        mean = _c64(mean)
-        basis = _c64(basis)
-        eig = _c64(eigenvalues)
-        _LIB.repro_sqdist_spectrum(
-            m, d, _ptr(mean), _ptr(basis), _ptr(eig), _ptr(pts), _ptr(out)
-        )
-    return out
+#: The shared-spectrum noncentralities run the NumPy body on both
+#: backends: a compiled twin of it cost more per call than it saved on
+#: the candidate blocks queries send (hundreds of rows).
+squared_distance_noncentralities = fallback.squared_distance_noncentralities
 
 
 def chi2_sandwich_block(

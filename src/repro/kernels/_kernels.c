@@ -91,24 +91,6 @@ static double clamp01_(double v) {
 /* Exported kernels                                                    */
 /* ------------------------------------------------------------------ */
 
-/* Shared-spectrum noncentralities: out[i][j] = ((mean - p_i)^T B)_j^2 / lam_j.
- * basis is row-major d x d with column eigenvectors (B[k][j] = basis[k*d+j]). */
-void repro_sqdist_spectrum(long m, long d, const double *mean,
-                           const double *basis, const double *eigvals,
-                           const double *pts, double *out) {
-    for (long i = 0; i < m; i++) {
-        const double *p = pts + i * d;
-        double *o = out + i * d;
-        for (long j = 0; j < d; j++) {
-            double s = 0.0;
-            for (long k = 0; k < d; k++) {
-                s += (mean[k] - p[k]) * basis[k * d + j];
-            }
-            o[j] = s * s / eigvals[j];
-        }
-    }
-}
-
 /* Batched Ruben series over a block sharing one spectrum.
  *
  * P(Q <= x) = sum_k a_k G_k with G_k = P((rho + 2k)/2, x/(2 beta)) and

@@ -30,7 +30,13 @@ import threading
 import numpy as np
 
 from repro.core.query import ProbabilisticRangeQuery
-from repro.core.stages import FilterStage, SearchStage, StageContext
+from repro.core.stages import (
+    FilterStage,
+    SearchStage,
+    Stage,
+    StageContext,
+    execute_pipeline,
+)
 from repro.core.stats import QueryStats
 from repro.errors import ServiceError
 from repro.gaussian.quadform import chi2_sandwich_bounds_block
@@ -116,6 +122,33 @@ def sandwich_triage(
     return accept, bounds
 
 
+class _SandwichStage(Stage):
+    """Phase 3 capped at one sandwich pass (:func:`sandwich_triage`):
+    provable accepts join the answer, the undecided rows' intervals
+    land in :attr:`bounds`."""
+
+    phase = "integrate"
+
+    def __init__(self):
+        self.bounds: list[tuple[int, float, float]] = []
+
+    def run(self, ctx: StageContext) -> None:
+        rows = np.nonzero(ctx.undecided)[0]
+        ctx.stats.integrations = int(rows.size)
+        if not rows.size:
+            return
+        query = ctx.query
+        accept, self.bounds = sandwich_triage(
+            query.gaussian,
+            ctx.candidate_ids[rows],
+            ctx.points[rows],
+            query.delta,
+            query.theta,
+        )
+        ctx.accept_mask()[rows[accept]] = True
+        ctx.stats.note_decision(DEGRADED_TIER, int(rows.size))
+
+
 def degraded_execute(
     engine, query: ProbabilisticRangeQuery
 ) -> tuple[tuple[int, ...], tuple[tuple[int, float, float], ...], QueryStats]:
@@ -125,32 +158,13 @@ def degraded_execute(
     qualify (filter free-accepts plus sandwich ``lower ≥ θ``), one
     ``(object_id, lower, upper)`` triple per undecided candidate, and the
     usual per-phase statistics (Phase-3 decisions recorded under
-    ``degraded-sandwich``).  Uses fresh strategy clones, so the engine —
-    and any concurrent full batch on it — is never mutated.
+    ``degraded-sandwich``).  Runs the engine's one leg of the
+    exact-target ``query`` (:meth:`~repro.core.engine.QueryEngine.legs`:
+    its plan, on fresh strategies), so the engine — and any concurrent
+    full batch on it — is never mutated.
     """
-    stats = QueryStats()
-    strategies = [s.clone() for s in engine.strategies]
-    ctx = StageContext(query, strategies, engine.integrator, stats)
-    with stats.time_phase("search"):
-        SearchStage(engine.index).run(ctx)
-    bounds: list[tuple[int, float, float]] = []
-    if not ctx.finished:
-        with stats.time_phase("filter"):
-            FilterStage().run(ctx)
-        assert ctx.undecided is not None and ctx.candidate_ids is not None
-        rows = np.nonzero(ctx.undecided)[0]
-        stats.integrations = int(rows.size)
-        if rows.size:
-            with stats.time_phase("integrate"):
-                accept, bounds = sandwich_triage(
-                    query.gaussian,
-                    ctx.candidate_ids[rows],
-                    ctx.points[rows],
-                    query.delta,
-                    query.theta,
-                )
-                ctx.accept_mask()[rows[accept]] = True
-                stats.note_decision(DEGRADED_TIER, int(rows.size))
-    ids = ctx.answer()
-    stats.results = len(ids)
-    return ids, tuple(bounds), stats
+    ((leg, strategies, decider, stats),) = engine.legs(query, engine.integrator)
+    triage = _SandwichStage()
+    ctx = StageContext(leg, strategies, decider, stats)
+    ids = execute_pipeline(ctx, [SearchStage(engine.index), FilterStage(), triage])
+    return ids, tuple(triage.bounds), stats

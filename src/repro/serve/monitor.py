@@ -72,7 +72,6 @@ from repro.core.stages import (
     execute_pipeline,
     phase1_rect,
 )
-from repro.core.stats import QueryStats
 from repro.errors import QueryError, ReproError, ServiceError
 from repro.gaussian.distribution import Gaussian
 from repro.obs import span_of
@@ -694,14 +693,16 @@ class SubscriptionManager:
     ) -> SafeRegion | None:
         """The exact answer to ``query`` anchored in a fresh safe region.
 
-        Subscribe, replan and reintegration all run here.  Fresh strategy
-        clones are prepared once (a concurrent scheduler batch on the
-        same engine is never perturbed), and Filter/Integrate decide the
-        candidate rows that fall inside the prepared Phase-1 rectangle
-        with an integrator forked from ``query``'s fingerprint seed —
-        the rows, strategies and integrator entry state of a cold run,
-        so the answer is bit-identical to one (composition independence
-        makes the regrouping invisible).
+        Subscribe, replan and reintegration all run here.  The engine's
+        one leg of ``query`` (:meth:`~repro.core.engine.QueryEngine.legs`:
+        its plan's fresh strategies, so a concurrent scheduler batch on
+        the same engine is never perturbed) is prepared once, and
+        Filter/Integrate decide the candidate rows that fall inside the
+        prepared Phase-1 rectangle with an integrator forked from
+        ``query``'s fingerprint seed — the rows, strategies and
+        integrator entry state of a cold run, so the answer is
+        bit-identical to one (composition independence makes the
+        regrouping invisible).
 
         An anchor (``decision is None``) decides its candidate
         superset's rows: ``reuse``'s superset when it still covers the
@@ -711,8 +712,11 @@ class SubscriptionManager:
         the cached superset (classify's O(d) check relies on translation
         equivariance, the prepared strategies are definitive).
         """
-        strategies = [s.clone() for s in self.engine.strategies]
-        rect = phase1_rect(query, strategies, QueryStats(), dim=self.database.dim)
+        # One leg: subscriptions cover exact-target PRQs only.
+        ((_, strategies, decider, stats),) = self.engine.legs(
+            query, self.engine.integrator.fork(query_seed(query))
+        )
+        rect = phase1_rect(query, strategies, stats, dim=self.database.dim)
         if decision is None:
             superset = SafeRegion.superset(
                 rect, index=self.database.index, reuse=reuse
@@ -734,7 +738,8 @@ class SubscriptionManager:
             ctx = StageContext(
                 query,
                 strategies,
-                self.engine.integrator.fork(query_seed(query)),
+                decider,
+                stats,
                 candidate_ids=ids[inside],
                 points=points[inside],
                 finished=not inside.any(),

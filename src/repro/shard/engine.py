@@ -46,7 +46,7 @@ from repro.core.engine import (
     QueryEngine,
     QueryResult,
 )
-from repro.core.kinds import adapt_pipeline, query_kind, query_legs
+from repro.core.kinds import query_kind
 from repro.core.query import ProbabilisticRangeQuery
 from repro.core.stages import phase1_rect
 from repro.core.stats import BatchStats, QueryStats
@@ -393,7 +393,6 @@ class ShardedEngine(QueryEngine):
         self, i, query, seed, integrator_factory, return_errors
     ) -> _Prepared:
         try:
-            strategies = [s.clone() for s in self.strategies]
             if integrator_factory is not None:
                 integrator = integrator_factory(query, seed)
             else:
@@ -402,48 +401,27 @@ class ShardedEngine(QueryEngine):
                 # The win count compares every competitor against every
                 # other, so the candidate set cannot be partitioned;
                 # execute against the coordinator's full index with the
-                # exact same (strategies, integrator, seed) the unsharded
-                # engine would use — bit-identical by construction.  No
-                # sink: run_batch records every result itself.
-                result = self._execute_with(
-                    query, strategies, integrator, seed=seed, obs=None
-                )
+                # exact same (legs, integrator, seed) the unsharded engine
+                # would use — bit-identical by construction.  No sink:
+                # run_batch records every result itself.
+                result = self._execute_with(query, integrator, seed=seed, obs=None)
                 return _Prepared(stats=result.stats, local=result)
-            # The plan sees the caller's integrator; the
-            # composition-independence fix-up comes after, and the kind
-            # adapters wrap last so a kind decider stays outermost.
-            decider = (
-                integrator
-                if integrator.composition_independent
-                else CandidateSeededIntegrator(integrator)
-            )
+            # The composition-independence fix-up goes under the kind
+            # adapters, so a kind decider stays outermost.
+            if not integrator.composition_independent:
+                integrator = CandidateSeededIntegrator(integrator)
             shards = self.database.shards
             parts: list[QueryStats] = []
             tasks: list[ShardTask] = []
             skipped = 0
-            for leg, restrict in query_legs(query, self.targets):
-                parts.append(QueryStats())
-                leg_strategies = strategies
-                if self.planner is not None:
-                    with parts[-1].time_phase("plan"):
-                        leg_strategies = self._apply_plan(
-                            leg, strategies, integrator, parts[-1]
-                        )
-                # Only the k-NN adapter probes an index, and k-NN
-                # returned above.
-                leg_strategies, leg_decider = adapt_pipeline(
-                    leg, leg_strategies, decider, index=None, seed=seed
-                )
-                leg_strategies = [*restrict, *leg_strategies]
-                # Phase-0 routing: prepare a throwaway strategy set and
-                # reuse the engine's own Phase-1 rectangle as the routing
-                # volume.
-                rect = phase1_rect(
-                    leg,
-                    [s.clone() for s in leg_strategies],
-                    parts[-1],
-                    dim=self.database.dim,
-                )
+            for leg, strategies, decider, stats in self.legs(
+                query, integrator, seed=seed
+            ):
+                parts.append(stats)
+                # Phase-0 routing: the leg's own Phase-1 rectangle is the
+                # routing volume.  Every shard prepares the strategies
+                # anew, so one list serves them all.
+                rect = phase1_rect(leg, strategies, stats, dim=self.database.dim)
                 routed = [] if rect is None else [
                     spec for spec in shards if spec.mbr.intersects(rect)
                 ]
@@ -454,8 +432,8 @@ class ShardedEngine(QueryEngine):
                         query_index=i,
                         shard_id=spec.shard_id,
                         query=leg,
-                        strategies=[s.clone() for s in leg_strategies],
-                        integrator=leg_decider,
+                        strategies=strategies,
+                        integrator=decider,
                     )
                     for spec in routed
                 ]

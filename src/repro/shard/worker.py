@@ -6,10 +6,12 @@ database's structure-of-arrays store file (:func:`repro.core.storage.open_soa`
 points), bulk-loads one R*-tree per owned shard (the only per-worker
 memory is the tree itself), then loops on its task queue running the
 standard three-phase pipeline (:func:`repro.core.stages.execute_pipeline`)
-against the shard-local tree.  Strategies arrive *unprepared* and the
-integrator arrives already forked/seeded by the coordinator, so a task's
-outcome is a pure function of the task message — independent of which
-worker runs it or when.
+against the shard-local tree.  The worker prepares the task's
+strategies itself (the coordinator's routing prepared them against the
+same leg, so this reproduces that state) and the integrator arrives
+already forked/seeded by the coordinator, so a task's outcome is a pure
+function of the task message — independent of which worker runs it or
+when.
 
 Every message back goes down the worker's own result pipe: first
 :data:`READY` once the trees are built, then one :class:`ShardTaskResult`
@@ -57,7 +59,8 @@ class ShardTask:
     query_index: int
     shard_id: int
     query: ProbabilisticRangeQuery
-    #: Unprepared strategy clones; the worker prepares them itself.
+    #: The leg's planned, kind-adapted strategies; the worker prepares
+    #: them itself against ``query``.
     strategies: list[Strategy]
     #: Already forked/seeded for this query — identical entry state on
     #: every shard the query fans out to.

@@ -508,3 +508,47 @@ class TestTinyTheta:
                 )
                 slack = 1e-12 * truth
                 assert np.all(~ok | ((lo <= truth + slack) & (truth - slack <= hi)))
+
+
+class TestIllConditionedFalseDismissal:
+    """At cond(Σ) ≥ 1e6 the scalar Imhof tail is wrong, and the cascade
+    drops objects that qualify.
+
+    Both rows end in the ``cascade-imhof`` tier, where SciPy warns that
+    QAWF hit its maximum number of cycles.  The first row's truth is
+    ≈ 0.0556 (4e6-draw MC 0.05570; ``qualification_probability_exact``
+    reads 0.046398); the second's rigorous interval is [0.016404,
+    0.016417] (MC 0.01632).  Both qualify, so the cascade must accept
+    them.  Strict xfail: the day a sound tier lands these turn into
+    failures and the mark comes off.
+    """
+
+    ROWS = {
+        "cond1e8": ((1.0, 1e8), (-7965.49, -3520.62), 8000.0, 0.05),
+        "cond1e6": ((1.0, 1e6), (-795.12, -1704.85), 800.0, 0.0163),
+    }
+
+    @pytest.fixture(params=["c", "numpy"])
+    def backend(self, request, monkeypatch):
+        from repro import kernels
+
+        if request.param == "numpy":
+            monkeypatch.setattr(kernels, "_LIB", None)
+        elif kernels.BACKEND != "c":
+            pytest.skip("no compiled kernel backend on this machine")
+        return request.param
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="scalar Imhof past Ruben's reach is wrong at cond(Σ) ≥ 1e6",
+    )
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_qualifying_row_is_accepted(self, backend, row):
+        eigenvalues, point, delta, theta = self.ROWS[row]
+        g = Gaussian(np.zeros(2), np.diag(eigenvalues))
+        accept, tally, _ = CascadeIntegrator().decide(
+            g, np.array([point]), delta, theta
+        )
+        assert tally["cascade-imhof"] == 1
+        assert accept[0]

@@ -33,6 +33,7 @@ from repro.core.strategies import (
     RectilinearStrategy,
     make_strategies,
 )
+from repro.errors import QueryError
 
 EVERYTHING = ("RR", "BF", "OR")
 
@@ -491,3 +492,87 @@ class TestAutoIsAll:
         result = auto.execute(query)
         assert result.stats.plan_strategies == ("KNN",)
         assert result.ids == fixed.execute(query).ids
+
+
+class TestEveryEntryRunsThePlan:
+    """``QueryEngine.legs`` is the one place a query becomes runnable
+    legs: every entry point prepares fresh clones of the plan's
+    strategies, never the engine's own objects and never its base list
+    when the plan differs."""
+
+    BF_ONLY = PlanChoice("bf", ("BF",))
+
+    @pytest.fixture
+    def prepared(self, monkeypatch):
+        """Plan every leg as BF alone; record each in-process prepare."""
+        names: list[str] = []
+
+        def counting(prepare):
+            def counted(strategy, query):
+                names.append(strategy.name)
+                return prepare(strategy, query)
+
+            return counted
+
+        for cls in (RectilinearStrategy, ObliqueStrategy, BoundingFunctionStrategy):
+            monkeypatch.setattr(cls, "prepare", counting(cls.prepare))
+        monkeypatch.setattr(
+            QueryPlanner, "plan", lambda planner, query, integrator: self.BF_ONLY
+        )
+        return names
+
+    @staticmethod
+    def query(db) -> ProbabilisticRangeQuery:
+        return make_queries(db, count=1)[0]
+
+    def test_execute_and_explain_leave_the_engine_unprepared(self):
+        db = make_database(n=800)
+        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
+        query = self.query(db)
+        engine.execute(query)
+        engine.explain(query)
+        for strategy in engine.strategies:
+            with pytest.raises(QueryError, match="used before prepare"):
+                strategy.search_rect()
+
+    @pytest.mark.parametrize("entry", ["run_batch", "execute", "explain"])
+    def test_engine_entries_prepare_the_plan(self, prepared, entry):
+        db = make_database(n=800)
+        engine = db.engine(strategies="auto", integrator=ExactIntegrator())
+        query = self.query(db)
+        if entry == "run_batch":
+            result = engine.run_batch([query]).results[0]
+            assert result.stats.plan_strategies == ("BF",)
+        else:
+            getattr(engine, entry)(query)
+        assert prepared == ["BF"]
+
+    def test_sharded_coordinator_prepares_the_plan(self, prepared):
+        db = make_database(n=800)
+        query = self.query(db)
+        with db.shard(2) as sdb:
+            engine = sdb.engine(strategies="auto", integrator=CascadeIntegrator())
+            result = engine.run_batch([query]).results[0]
+        assert result.stats.plan_strategies == ("BF",)
+        assert prepared == ["BF"]
+
+    def test_subscription_anchor_prepares_the_plan(self, prepared):
+        from repro.serve.monitor import SubscriptionManager
+
+        db = make_database(n=800)
+        engine = db.engine(strategies="auto", integrator=CascadeIntegrator())
+        query = self.query(db)
+        response = SubscriptionManager(db, engine).subscribe(
+            query.gaussian, query.delta, query.theta
+        )
+        assert response.ok
+        assert prepared == ["BF"]
+
+    def test_degraded_path_prepares_the_plan(self, prepared):
+        from repro.serve.degrade import degraded_execute
+
+        db = make_database(n=800)
+        engine = db.engine(strategies="auto", integrator=CascadeIntegrator())
+        _, _, stats = degraded_execute(engine, self.query(db))
+        assert stats.plan_strategies == ("BF",)
+        assert prepared == ["BF"]
