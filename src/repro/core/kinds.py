@@ -529,18 +529,17 @@ class MixtureDecider(ProbabilityIntegrator):
 class KNNCutStrategy(Strategy):
     """k-NN Phase-1 adapter: the sample-driven candidate cut.
 
-    Preparation materializes the decider's Monte Carlo sample set, bounds
-    the k-th neighbour distance with one index probe at the farthest
-    sample, and hands the resulting cut radius back to the decider — only
-    objects inside the cut sphere can be a k-NN of any sample, so they
-    (and only they) compete in Phase 3.  Phase 2 never decides anything:
-    every candidate must stay in the competition.
+    Preparation cuts the decider's samples at ``2·R + kth(q)`` (R the
+    largest sample distance from the centre q, kth(q) the k-th
+    neighbour distance at q).  It is sound: the k objects nearest q lie
+    within ``R + kth(q)`` of any sample, so each of a sample's k nearest
+    does too and lies within ``2·R + kth(q)`` of q.  Only objects inside
+    the cut sphere compete in Phase 3; Phase 2 decides nothing.
     """
 
     name = "KNN"
 
-    def __init__(self, index, decider: "KNNDecider"):
-        self._index = index
+    def __init__(self, decider: "KNNDecider"):
         self._decider = decider
         self._cut_radius: float | None = None
 
@@ -550,22 +549,14 @@ class KNNCutStrategy(Strategy):
         return self._cut_radius
 
     def prepare(self, query: ProbabilisticRangeQuery) -> None:
-        k = int(query.k)
-        if k > len(self._index):
-            raise QueryError(
-                f"k={k} exceeds database size {len(self._index)}"
-            )
-        samples = self._decider.materialize_samples(query)
+        decider, k = self._decider, int(query.k)
+        if k > len(decider.index):
+            raise QueryError(f"k={k} exceeds database size {len(decider.index)}")
         center = query.center
-        radii = np.linalg.norm(samples - center, axis=1)
-        farthest = samples[int(np.argmax(radii))]
-        kth_distance = self._index.knn(farthest, k)[-1][1]
-        cut_radius = float(radii.max() + kth_distance + radii.max())
-        self._decider.set_cut(center, cut_radius)
-        self._cut_radius = cut_radius
-        self._rect = Rect.from_center(
-            center, np.full(query.dim, cut_radius)
-        )
+        reach = float(np.linalg.norm(decider.samples - center, axis=1).max())
+        self._cut_radius = 2.0 * reach + decider.index.knn(center, k)[-1][1]
+        decider.cut = (center, self._cut_radius)
+        self._rect = Rect.from_center(center, np.full(query.dim, self._cut_radius))
 
     def classify(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -575,35 +566,25 @@ class KNNCutStrategy(Strategy):
 class KNNDecider(ProbabilityIntegrator):
     """Phase-3 adapter: per-sample win counting over the candidate block.
 
-    Estimates P(o is among the k nearest objects) by counting, over the
-    materialized query-location samples, how often each candidate is one
-    of the sample's k nearest *competitors* (the candidates inside the
-    cut sphere — the Phase-1 rectangle is a superset of the sphere, and
-    rectangle-only extras provably never win, so they are excluded from
-    the competition exactly as the legacy path excludes them).  For k = 1
-    the exact bisector upper bounds restrict the *reporting* set without
-    removing anyone from the competition.
+    Estimates P(o is among the k nearest objects) as the share of samples
+    whose k nearest *competitors* (the candidates inside the cut sphere)
+    include o — by the cut's soundness, the share over the whole
+    database.  For k = 1 a winner's bisector upper bound against its four
+    nearest other objects in ``index`` must reach θ too.
+    :meth:`win_fractions` serves :meth:`decide_candidates` and
+    :func:`repro.core.nn.probabilistic_nearest_neighbors` alike.
     """
 
     name = "knn-mc"
 
-    def __init__(self, k: int, n_samples: int, rng: np.random.Generator):
-        self.k = int(k)
-        self.n_samples = int(n_samples)
-        self._rng = rng
-        self._samples: np.ndarray | None = None
-        self._center: np.ndarray | None = None
-        self._cut_radius: float | None = None
-
-    def materialize_samples(self, query: ProbabilisticRangeQuery) -> np.ndarray:
-        """Draw (once) and cache the Monte Carlo query-location samples."""
-        if self._samples is None:
-            self._samples = query.gaussian.sample(self.n_samples, self._rng)
-        return self._samples
-
-    def set_cut(self, center: np.ndarray, radius: float) -> None:
-        self._center = np.asarray(center, dtype=float)
-        self._cut_radius = float(radius)
+    def __init__(self, index, query: KNNQuery, rng: np.random.Generator):
+        self.index = index
+        self.k = int(query.k)
+        self.n_samples = int(query.n_samples)
+        #: The Monte Carlo query locations, drawn once.
+        self.samples = query.gaussian.sample(self.n_samples, rng)
+        #: ``(centre, radius)`` of the cut sphere, set by the cut strategy.
+        self.cut: tuple[np.ndarray, float] | None = None
 
     def qualification_probability(
         self, gaussian: Gaussian, point: np.ndarray, delta: float
@@ -613,39 +594,28 @@ class KNNDecider(ProbabilityIntegrator):
             "decide_candidates"
         )
 
-    def decide_candidates(
-        self,
-        gaussian: Gaussian,
-        ids: np.ndarray,
-        points: np.ndarray,
-        delta: float,
-        theta: float,
-    ) -> tuple[np.ndarray, dict[str, int], int]:
-        if self._samples is None or self._cut_radius is None:
+    def win_fractions(
+        self, gaussian: Gaussian, ids: np.ndarray, points: np.ndarray, theta: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, fractions, qualify)`` over the candidate rows.
+
+        ``rows`` are the competitors (the rows inside the cut sphere), in
+        row order; ``fractions`` the share of samples each one is among
+        the k nearest competitors of; ``qualify`` marks the competitors
+        whose fraction reaches θ and, for k = 1, whose bisector upper
+        bound does too.
+        """
+        if self.cut is None:
             raise QueryError("KNN decider used before its cut strategy prepared")
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        accept = np.zeros(n, dtype=bool)
-        deltas = pts - self._center
-        distances = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        compete = np.nonzero(distances <= self._cut_radius)[0]
-        tally = {"knn-cut": n - compete.size, "knn-mc": compete.size}
-        if not compete.size:
-            return accept, tally, 0
-        candidates = pts[compete]
-
-        if self.k == 1 and compete.size > 2:
-            from repro.core.nn import bisector_upper_bounds
-
-            upper = bisector_upper_bounds(gaussian, candidates)
-            reportable = upper >= theta
-        else:
-            reportable = np.ones(compete.size, dtype=bool)
-
-        wins = np.zeros(compete.size, dtype=np.int64)
-        chunk = max(1, 2_000_000 // max(1, compete.size))
-        for start in range(0, self.n_samples, chunk):
-            block = self._samples[start : start + chunk]
+        center, radius = self.cut
+        deltas = points - center
+        rows = np.nonzero(np.sqrt(np.einsum("ij,ij->i", deltas, deltas)) <= radius)[0]
+        candidates = points[rows]
+        wins = np.zeros(rows.size, dtype=np.int64)
+        chunk = max(1, 2_000_000 // max(1, rows.size))
+        # With no competitor there is nothing to rank.
+        for start in range(0, self.n_samples if rows.size else 0, chunk):
+            block = self.samples[start : start + chunk]
             d2 = (
                 np.einsum("ij,ij->i", block, block)[:, None]
                 - 2.0 * block @ candidates.T
@@ -657,9 +627,42 @@ class KNNDecider(ProbabilityIntegrator):
             else:
                 nearest = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
                 np.add.at(wins, nearest.ravel(), 1)
+        fractions = wins / self.n_samples
+        qualify = fractions >= theta
+        if self.k == 1 and qualify.any():
+            winners = rows[qualify]
+            qualify[qualify] = (
+                self._bisector_bounds(gaussian, ids[winners], points[winners]) >= theta
+            )
+        return rows, fractions, qualify
 
-        accept[compete] = (wins / self.n_samples >= theta) & reportable
-        return accept, tally, self.n_samples * compete.size
+    def _bisector_bounds(
+        self, gaussian: Gaussian, ids: np.ndarray, points: np.ndarray
+    ) -> np.ndarray:
+        """Bisector upper bounds against each object's four nearest others
+        in the index, all in the pool of the objects' five nearest."""
+        from repro.core.nn import bisector_upper_bounds
+
+        pool = dict.fromkeys(ids.tolist())
+        for point in points:
+            pool.update((obj_id, None) for obj_id, _ in self.index.knn(point, 5))
+        rivals = list(pool)[ids.size :]
+        pooled = np.vstack([points, self.index.points_of(rivals)])
+        return bisector_upper_bounds(gaussian, pooled)[: ids.size]
+
+    def decide_candidates(
+        self,
+        gaussian: Gaussian,
+        ids: np.ndarray,
+        points: np.ndarray,
+        delta: float,
+        theta: float,
+    ) -> tuple[np.ndarray, dict[str, int], int]:
+        rows, _, qualify = self.win_fractions(gaussian, ids, points, theta)
+        accept = np.zeros(len(points), dtype=bool)
+        accept[rows[qualify]] = True
+        tally = {"knn-cut": accept.size - rows.size, "knn-mc": rows.size}
+        return accept, tally, self.n_samples * rows.size
 
 
 # ----------------------------------------------------------------------
@@ -699,8 +702,6 @@ def adapt_pipeline(
         )
     if kind == "knn":
         rng_seed = query.seed if query.seed is not None else seed
-        decider = KNNDecider(
-            query.k, query.n_samples, np.random.default_rng(rng_seed)
-        )
-        return [KNNCutStrategy(index, decider)], decider
+        decider = KNNDecider(index, query, np.random.default_rng(rng_seed))
+        return [KNNCutStrategy(decider)], decider
     raise QueryError(f"no pipeline adapters for query kind {kind!r}")

@@ -3,35 +3,28 @@
 For a Gaussian query object, the qualification probability of a target o
 is P(o is among the k nearest objects to the query's true location) — a
 d-dimensional integral over the query density of an indicator that depends
-on *all* objects at once, so no per-object closed form exists.  We
-estimate it by Monte Carlo over the query location with an index-driven
-candidate cut:
+on *all* objects at once, so no per-object closed form exists.  The
+``knn`` query kind (:class:`repro.core.kinds.KNNCutStrategy` /
+:class:`~repro.core.kinds.KNNDecider`) estimates it by Monte Carlo over
+the query location: it draws n sample locations from N(q, Σ), keeps the
+objects within the sound cut ``2·R + kth(q)`` of q (R the largest sample
+distance from q, kth(q) the k-th neighbour distance at q), and counts,
+per object, the samples it is among the k nearest of.  The probabilities
+are unbiased binomial estimates; objects with estimate >= θ qualify.
 
-1. draw n sample locations from N(q, Σ);
-2. restrict attention to objects that can possibly be a k-NN of any
-   sample: every object within ``max_sample_radius + kth_distance`` of q,
-   where kth_distance bounds the k-th neighbour distance over samples;
-3. for every sample, find its k nearest candidates (vectorised) and count
-   wins per object.
-
-The returned probabilities are unbiased binomial estimates; objects with
-estimate >= θ qualify.
-
-For k = 1 an *exact* pre-filter exists in the spirit of the paper's BF
+For k = 1 an *exact* upper bound exists in the spirit of the paper's BF
 strategy: ``P(o is NN) <= P(o beats o')`` for any single competitor o',
 and "o beats o'" is the half-space event ‖x − o‖ ≤ ‖x − o'‖ — a *linear*
 inequality in x, whose probability under a Gaussian is a closed-form
 normal CDF (:func:`halfspace_win_probability`).  Minimizing over a few
-strong competitors gives a cheap sound upper bound that prunes most
-candidates before any sampling (:func:`bisector_upper_bounds`).
+strong competitors gives a cheap sound upper bound
+(:func:`bisector_upper_bounds`); a Monte Carlo winner whose bound is
+below θ does not qualify.
 
-The same algorithm also runs through the unified stage pipeline: a
-:class:`repro.core.kinds.KNNQuery` executed by any engine entry point
-(``execute``, ``run_batch``, ``repro.serve``, ``repro.shard``) reproduces
-:func:`probabilistic_nearest_neighbors` bit-for-bit when given the same
-seed and sample budget — this module remains the reference oracle (and
-returns the per-candidate probabilities, which the set-valued pipeline
-result does not).
+:func:`probabilistic_nearest_neighbors` runs the kind's cut and win
+counter and returns the per-candidate probabilities, which the set-valued
+pipeline result of a :class:`~repro.core.kinds.KNNQuery` does not; both
+answer with the same ids for the same seed and budget.
 """
 
 from __future__ import annotations
@@ -42,6 +35,9 @@ import numpy as np
 from scipy import special
 
 from repro.core.database import SpatialDatabase
+from repro.core.kinds import KNNCutStrategy, KNNDecider, KNNQuery
+from repro.core.stages import phase1_rect
+from repro.core.stats import QueryStats
 from repro.errors import QueryError
 from repro.gaussian.distribution import Gaussian
 
@@ -140,77 +136,25 @@ def probabilistic_nearest_neighbors(
 
     Results are sorted by descending probability.  ``n_samples`` trades
     accuracy for time; the standard error of each probability is reported.
+    The cut and the win count are the ``knn`` kind's: one search of the
+    :class:`~repro.core.kinds.KNNCutStrategy` rectangle, then
+    :meth:`~repro.core.kinds.KNNDecider.win_fractions`.
     """
-    if gaussian.dim != database.dim:
-        raise QueryError(
-            f"query dimension {gaussian.dim} does not match database "
-            f"dimension {database.dim}"
+    query = KNNQuery.create(gaussian, k, theta, n_samples=n_samples, seed=seed)
+    index = database.index
+    decider = KNNDecider(index, query, np.random.default_rng(seed))
+    cut = [KNNCutStrategy(decider)]
+    hits = index.range_search_rect(phase1_rect(query, cut, QueryStats(), dim=index.dim))
+    rows, fractions, qualify = decider.win_fractions(
+        gaussian, hits.ids, hits.points, theta
+    )
+    results = [
+        NearestNeighborCandidate(
+            obj_id, p_hat, float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
         )
-    if k < 1:
-        raise QueryError(f"k must be >= 1, got {k}")
-    if not 0.0 < theta < 1.0:
-        raise QueryError(f"theta must lie in (0, 1), got {theta}")
-    if n_samples < 10:
-        raise QueryError(f"n_samples must be >= 10, got {n_samples}")
-    if k > len(database):
-        raise QueryError(
-            f"k={k} exceeds database size {len(database)}"
+        for obj_id, p_hat in zip(
+            hits.ids[rows[qualify]].tolist(), fractions[qualify].tolist()
         )
-
-    rng = np.random.default_rng(seed)
-    samples = gaussian.sample(n_samples, rng)
-
-    # Candidate cut: any object that is a k-NN of some sample lies within
-    # (distance from q to the farthest sample) + (k-th NN distance at q's
-    # farthest sample) of q.  We bound the latter by the k-th NN distance
-    # of the farthest sample itself (one extra index query).
-    center = gaussian.mean
-    sample_radii = np.linalg.norm(samples - center, axis=1)
-    farthest = samples[int(np.argmax(sample_radii))]
-    kth_distance = database.knn(farthest, k)[-1][1]
-    cut_radius = float(sample_radii.max() + kth_distance + sample_radii.max())
-    candidate_ids = database.range_query(center, cut_radius)
-    if not candidate_ids:  # pragma: no cover - cut radius always reaches k-NNs
-        raise QueryError("candidate cut returned no objects; database empty?")
-    candidate_points = np.vstack([database.point(i) for i in candidate_ids])
-
-    if k == 1 and len(candidate_ids) > 2:
-        # Exact bisector pre-filter: candidates whose half-space upper
-        # bound is already below theta cannot qualify.  They must still
-        # *compete* in the per-sample argmin (removing them would hand
-        # their wins to someone else), so only the reporting set shrinks —
-        # but when the reporting set is small we can also shrink the
-        # competitor set to winners ∪ their rivals. We keep it simple and
-        # only restrict reporting.
-        upper = bisector_upper_bounds(gaussian, candidate_points)
-        reportable = {
-            candidate_ids[i] for i in np.nonzero(upper >= theta)[0]
-        }
-    else:
-        reportable = set(candidate_ids)
-
-    # Vectorised k-NN per sample among the candidates.
-    wins = np.zeros(len(candidate_ids), dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(1, len(candidate_ids)))
-    for start in range(0, n_samples, chunk):
-        block = samples[start : start + chunk]
-        d2 = (
-            np.einsum("ij,ij->i", block, block)[:, None]
-            - 2.0 * block @ candidate_points.T
-            + np.einsum("ij,ij->i", candidate_points, candidate_points)[None, :]
-        )
-        if k == 1:
-            nearest = np.argmin(d2, axis=1)
-            np.add.at(wins, nearest, 1)
-        else:
-            nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            np.add.at(wins, nearest.ravel(), 1)
-
-    results = []
-    for obj_id, count in zip(candidate_ids, wins):
-        p_hat = count / n_samples
-        if p_hat >= theta and obj_id in reportable:
-            stderr = float(np.sqrt(p_hat * (1.0 - p_hat) / n_samples))
-            results.append(NearestNeighborCandidate(obj_id, float(p_hat), stderr))
+    ]
     results.sort(key=lambda c: (-c.probability, c.obj_id))
     return results

@@ -163,17 +163,25 @@ class SearchStage(Stage):
     """Phase 1: prepare the strategies and run one index range search
     over the intersection of their rectangles (:func:`combined_search_rect`).
 
-    The search's :class:`~repro.index.base.SearchHits` become the
-    candidate rows as they are: ids and points, gathered once.
+    Given ``rect`` — the Phase-1 rectangle of strategies that are already
+    prepared, as a shard task carries its coordinator's — the stage
+    searches it and prepares nothing.  The search's
+    :class:`~repro.index.base.SearchHits` become the candidate rows as
+    they are: ids and points, gathered once.
     """
 
     phase = "search"
 
-    def __init__(self, index: SpatialIndex):
+    def __init__(self, index: SpatialIndex, *, rect: Rect | None = None):
         self.index = index
+        self.rect = rect
 
     def run(self, ctx: StageContext) -> None:
-        rect = phase1_rect(ctx.query, ctx.strategies, ctx.stats, dim=self.index.dim)
+        rect = self.rect
+        if rect is None:
+            rect = phase1_rect(
+                ctx.query, ctx.strategies, ctx.stats, dim=self.index.dim
+            )
         if rect is None:
             ctx.finished = True
             return

@@ -28,11 +28,18 @@ leaf), and ``IndexStats`` advances by the same amounts, once per level:
 ``node_accesses`` by every frontier size (root and leaves included),
 ``leaf_accesses`` by the leaf frontier, ``entries_examined`` by every
 expanded slot.
+
+Distance browsing (:meth:`FlatSnapshot.nearest`, behind ``knn`` and
+``nearest_iter``) is the one read that is not level-synchronous: a
+best-first heap over the same arrays, one vectorised distance pass per
+expanded node.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import heapq
+import itertools
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -150,6 +157,43 @@ class FlatSnapshot:
         gaps = points - center
         inside = np.einsum("ij,ij->i", gaps, gaps) <= r2
         return self.ids[rows[inside]].tolist()
+
+    def nearest(
+        self, point: np.ndarray, stats: IndexStats
+    ) -> Iterator[tuple[object, float]]:
+        """Yield ``(id, distance)`` nearest first, for as long as asked.
+
+        Best-first over nodes and objects (Hjaltason & Samet), keyed on
+        MINDIST plus a push counter; a node pushes its slots in slot order
+        and counts one node (and leaf) access and an examined entry per
+        slot.  A stacked ``matmul`` takes one dot product per row, so each
+        distance is ``np.linalg.norm`` of its gap bit for bit.
+        """
+        depth = len(self.levels)  # the leaves'; objects sit one below
+        counter = itertools.count()
+        heap = [(0.0, next(counter), 0, 0)]  # (distance, tie, depth, node | id)
+        while heap:
+            distance, _, at, item = heapq.heappop(heap)
+            if at > depth:
+                yield item, distance
+                continue
+            stats.node_accesses += 1
+            if at == depth:
+                stats.leaf_accesses += 1
+                begin, end = self.leaf_starts[item], self.leaf_starts[item + 1]
+                gaps = self.points[begin:end] - point
+                children = self.ids[begin:end].tolist()
+            else:
+                starts, lows, highs = self.levels[at]
+                begin, end = starts[item], starts[item + 1]
+                gaps = np.maximum(lows[begin:end] - point, 0.0) + np.maximum(
+                    point - highs[begin:end], 0.0
+                )
+                children = range(begin, end)
+            stats.entries_examined += int(end - begin)
+            distances = np.sqrt(gaps[:, None, :] @ gaps[:, :, None]).ravel()
+            for child, gap in zip(children, distances.tolist()):
+                heapq.heappush(heap, (gap, next(counter), at + 1, child))
 
     def _descend(self, keep, stats: IndexStats) -> tuple[np.ndarray, np.ndarray]:
         """Sweep the internal levels; return the touched leaves' rows.

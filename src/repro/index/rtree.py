@@ -13,12 +13,14 @@ R*-tree the paper used.  It implements the full dynamic algorithm:
 - **Delete** with tree condensation and orphan reinsertion;
 - **STR / Hilbert bulk loading** (:mod:`repro.index.bulk`);
 - rectangle and sphere range search as array sweeps over a flat snapshot
-  of the tree (:mod:`repro.index.flat`), plus best-first k-NN.
+  of the tree (:mod:`repro.index.flat`), plus best-first k-NN and
+  distance browsing over the same arrays.
 
-A bulk-loaded tree *is* its snapshot: range searches, ``get``,
-``points_of``, ``ids`` and ``len`` read its arrays, and the pointer tree
-is built from it, in its entry order, only when insertion, deletion,
-k-NN or a structure check first needs one.
+A bulk-loaded tree *is* its snapshot: every read — range searches, k-NN,
+browsing, ``get``, ``points_of``, ``ids``, ``len`` and the quality
+metrics — reads its arrays, and the pointer tree is built from it, in its
+entry order, only when insertion, deletion or a structure check first
+needs one.
 
 Statistics (node accesses, splits, reinsertions) accumulate in
 ``self.stats`` for the benchmark harness.
@@ -26,7 +28,6 @@ Statistics (node accesses, splits, reinsertions) accumulate in
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import Iterable, Sequence
@@ -202,24 +203,32 @@ class RStarTree(SpatialIndex):
         volume (dead space proxy), and total pairwise sibling-overlap
         volume at the leaf level (the quantity the R* split minimizes).
         """
+        flat = self._snapshot()
+        leaves = len(flat.levels)  # the leaves' depth
+        starts = [level.starts for level in flat.levels] + [flat.leaf_starts]
         fills: list[float] = []
-        leaf_volume = 0.0
-        overlap = 0.0
-        stack = [self._root]
+        leaf_volume = overlap = 0.0
+        # (depth, node), depth-first and last child first: the pointer
+        # tree's summation order, so every figure is the same float.
+        stack = [(0, 0)]
         while stack:
-            node = stack.pop()
-            if node is not self._root:
-                fills.append(len(node.entries) / self.max_entries)
-            if node.is_leaf:
-                if node.entries:
-                    leaf_volume += node.mbr().volume()
-            else:
-                rects = [e.rect for e in node.entries]
-                if node.level == 1:
-                    for i in range(len(rects)):
-                        for j in range(i + 1, len(rects)):
-                            overlap += rects[i].intersection_volume(rects[j])
-                stack.extend(e.child for e in node.entries)  # type: ignore[misc]
+            at, node = stack.pop()
+            begin, end = starts[at][node], starts[at][node + 1]
+            if at:
+                fills.append(int(end - begin) / self.max_entries)
+            if at == leaves:
+                if end > begin:
+                    box = Rect.bounding_points(flat.points[begin:end])
+                    leaf_volume += box.volume()
+                continue
+            if at == leaves - 1:
+                lows, highs = (side[begin:end] for side in flat.levels[at][1:])
+                i, j = np.triu_indices(end - begin, 1)
+                gaps = np.minimum(highs[i], highs[j]) - np.maximum(lows[i], lows[j])
+                volumes = np.where((gaps < 0).any(axis=1), 0.0, gaps.prod(axis=1))
+                for volume in volumes.tolist():
+                    overlap += volume
+            stack.extend((at + 1, child) for child in range(begin, end))
         return {
             "avg_fill": float(np.mean(fills)) if fills else 1.0,
             "leaf_volume": leaf_volume,
@@ -513,35 +522,14 @@ class RStarTree(SpatialIndex):
         """Distance browsing: yield ``(obj_id, distance)`` nearest-first.
 
         The classic incremental nearest-neighbour algorithm (Hjaltason &
-        Samet): a best-first heap over nodes and materialized objects.
-        Consuming k items costs the same as a k-NN query, and the iterator
-        can keep going — callers that do not know k in advance (e.g. the
-        probabilistic NN candidate cut) stop exactly when a termination
-        condition on the distance holds.
+        Samet) over the snapshot (:meth:`FlatSnapshot.nearest`).  Consuming
+        k items costs the same as a k-NN query, and the iterator can keep
+        going — callers that do not know k in advance stop exactly when a
+        termination condition on the distance holds.
         """
         p = self._validate_point(point)
         self.stats.queries += 1
-        counter = itertools.count()  # tie-breaker: heap never compares nodes
-        heap: list[tuple[float, int, _Node | None, _Entry | None]] = [
-            (0.0, next(counter), self._root, None)
-        ]
-        while heap:
-            distance, _, node, entry = heapq.heappop(heap)
-            if node is None:
-                # A materialized object: by best-first order it is the next
-                # nearest neighbour.
-                yield (entry.obj_id, distance)  # type: ignore[union-attr]
-                continue
-            self.stats.node_accesses += 1
-            self.stats.leaf_accesses += node.is_leaf
-            for child in node.entries:
-                self.stats.entries_examined += 1
-                if node.is_leaf:
-                    gap = float(np.linalg.norm(child.point - p))
-                    heapq.heappush(heap, (gap, next(counter), None, child))
-                else:
-                    gap = child.rect.min_distance(p)
-                    heapq.heappush(heap, (gap, next(counter), child.child, None))
+        yield from self._snapshot().nearest(p, self.stats)
 
 
 def _cut(entries: list[_Entry], starts: np.ndarray, level: int) -> list[_Node]:

@@ -419,9 +419,10 @@ class ShardedEngine(QueryEngine):
             ):
                 parts.append(stats)
                 # Phase-0 routing: the leg's own Phase-1 rectangle is the
-                # routing volume.  Every shard prepares the strategies
-                # anew, so one list serves them all.
-                rect = phase1_rect(leg, strategies, stats, dim=self.database.dim)
+                # routing volume, and every routed shard searches it with
+                # the strategies prepared here.
+                with stats.time_phase("search"):
+                    rect = phase1_rect(leg, strategies, stats, dim=self.database.dim)
                 routed = [] if rect is None else [
                     spec for spec in shards if spec.mbr.intersects(rect)
                 ]
@@ -433,6 +434,7 @@ class ShardedEngine(QueryEngine):
                         shard_id=spec.shard_id,
                         query=leg,
                         strategies=strategies,
+                        rect=rect,
                         integrator=decider,
                     )
                     for spec in routed

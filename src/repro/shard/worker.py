@@ -6,12 +6,11 @@ database's structure-of-arrays store file (:func:`repro.core.storage.open_soa`
 points), bulk-loads one R*-tree per owned shard (the only per-worker
 memory is the tree itself), then loops on its task queue running the
 standard three-phase pipeline (:func:`repro.core.stages.execute_pipeline`)
-against the shard-local tree.  The worker prepares the task's
-strategies itself (the coordinator's routing prepared them against the
-same leg, so this reproduces that state) and the integrator arrives
-already forked/seeded by the coordinator, so a task's outcome is a pure
-function of the task message — independent of which worker runs it or
-when.
+against the shard-local tree.  The worker searches the Phase-1
+rectangle the coordinator routed on, with the strategies it prepared
+(none is prepared twice), and the integrator arrives already
+forked/seeded, so a task's outcome is a pure function of the task
+message — independent of which worker runs it or when.
 
 Every message back goes down the worker's own result pipe: first
 :data:`READY` once the trees are built, then one :class:`ShardTaskResult`
@@ -42,6 +41,7 @@ from repro.core.stages import (
 from repro.core.stats import QueryStats
 from repro.core.storage import SoaStore, open_soa
 from repro.core.strategies import Strategy
+from repro.geometry.mbr import Rect
 from repro.index.rtree import RStarTree
 from repro.integrate.base import ProbabilityIntegrator
 
@@ -59,9 +59,11 @@ class ShardTask:
     query_index: int
     shard_id: int
     query: ProbabilisticRangeQuery
-    #: The leg's planned, kind-adapted strategies; the worker prepares
-    #: them itself against ``query``.
+    #: The leg's planned, kind-adapted strategies, prepared against
+    #: ``query`` by the coordinator's routing.
     strategies: list[Strategy]
+    #: The leg's Phase-1 rectangle, which the coordinator routed on.
+    rect: Rect
     #: Already forked/seeded for this query — identical entry state on
     #: every shard the query fans out to.
     integrator: ProbabilityIntegrator
@@ -81,10 +83,11 @@ class ShardTaskResult:
 
 
 def execute_task(tree: RStarTree, task: ShardTask) -> ShardTaskResult:
-    """Run the three-phase pipeline for one task against a shard tree."""
+    """Search the task's rectangle in a shard tree, then Filter/Integrate."""
     stats = QueryStats()
     ctx = StageContext(task.query, task.strategies, task.integrator, stats)
-    ids = execute_pipeline(ctx, [SearchStage(tree), FilterStage(), IntegrateStage()])
+    stages = [SearchStage(tree, rect=task.rect), FilterStage(), IntegrateStage()]
+    ids = execute_pipeline(ctx, stages)
     return ShardTaskResult(
         task.task_id, task.query_index, task.shard_id, ids=ids, stats=stats
     )

@@ -801,6 +801,12 @@ class TestLazyPointerTree:
         assert tree.ids() == ids.tolist()
         assert len(tree) == 3000
         assert tree.height == 3
+        nearest = tree.knn([50.0, 50.0], 7)
+        assert [pair[1] for pair in nearest] == sorted(pair[1] for pair in nearest)
+        assert list(itertools.islice(tree.nearest_iter([50.0, 50.0]), 7)) == nearest
+        assert set(tree.quality_metrics()) == {
+            "avg_fill", "leaf_volume", "leaf_sibling_overlap"
+        }
         assert built_nodes == []
         nodes = tree.node_count()
         assert built_nodes == []

@@ -3,8 +3,9 @@
 Covers the `repro.core.kinds` contract (docs/query_types.md):
 
 - oracle parity — each kind's unified-pipeline answers equal its
-  brute-force oracle (exact convolved CDF, exact mixture sum, the legacy
-  sampling k-NN with a matched seed) across dimensions and integrators;
+  brute-force oracle (exact convolved CDF, exact mixture sum, the
+  all-objects k-NN win count with matched samples) across dimensions and
+  integrators;
 - filter soundness — no kind's Phase 1/2 ever drops a qualifying object
   or free-accepts a non-qualifying one;
 - end-to-end determinism — mixed-kind `run_batch` across worker counts,
@@ -277,24 +278,122 @@ class TestMixtureOracleParity:
             assert list(result.ids) == expected
 
 
-class TestKNNLegacyParity:
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_legacy_sampler_bit_for_bit(self, dim, k):
-        points = make_points(300, dim, seed=20 + dim)
-        db = SpatialDatabase(points)
-        gaussian = paper_like_gaussian(dim)
-        legacy = probabilistic_nearest_neighbors(
-            db, gaussian, k=k, theta=0.05, n_samples=800, seed=9
-        )
-        expected = sorted(c.obj_id for c in legacy)
+def knn_oracle(points, gaussian, k, theta, n_samples, seed):
+    """Win fractions over *all* objects, and which rows qualify.
 
-        query = KNNQuery.create(
-            gaussian, k=k, theta=0.05, n_samples=800, seed=9
+    Shares no code with what it checks: the same samples, but no cut,
+    direct distance differences ranked by a stable sort, and for k = 1
+    the exact bisector restriction — each winner's half-space win
+    probability against its four nearest other objects, from SciPy's
+    normal CDF, must reach θ as well.
+    """
+    from scipy.stats import norm
+
+    samples = gaussian.sample(n_samples, np.random.default_rng(seed))
+    wins = np.zeros(len(points))
+    for block in np.array_split(samples, max(1, n_samples // 100)):
+        d2 = ((block[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
+        np.add.at(wins, np.argsort(d2, axis=1, kind="stable")[:, :k].ravel(), 1)
+    fractions = wins / n_samples
+    qualify = fractions >= theta
+    if k == 1:
+        for i in np.nonzero(qualify)[0]:
+            gaps = ((points - points[i]) ** 2).sum(axis=1)
+            gaps[i] = np.inf
+            o = points[i]
+            for rival in points[np.argsort(gaps, kind="stable")[:4]]:
+                normal = 2.0 * (rival - o)
+                if not normal.any():
+                    continue
+                z = (rival @ rival - o @ o - normal @ gaussian.mean) / np.sqrt(
+                    normal @ gaussian.sigma @ normal
+                )
+                qualify[i] &= norm.cdf(z) >= theta
+    return fractions, qualify
+
+
+def clustered_points(n, dim, seed):
+    """Tight clusters around the k-NN test query's centre."""
+    rng = np.random.default_rng(seed)
+    centers = 500.0 + rng.normal(0.0, 60.0, (5, dim))
+    return centers[rng.integers(0, 5, n)] + rng.normal(0.0, 15.0, (n, dim))
+
+
+def assert_matches_oracle(db, points, gaussian, k, theta, n_samples, seed):
+    fractions, qualify = knn_oracle(points, gaussian, k, theta, n_samples, seed)
+    expected = sorted(np.nonzero(qualify)[0].tolist())
+    found = probabilistic_nearest_neighbors(
+        db, gaussian, k=k, theta=theta, n_samples=n_samples, seed=seed
+    )
+    assert sorted(c.obj_id for c in found) == expected
+    for candidate in found:
+        assert candidate.probability == fractions[candidate.obj_id]
+    query = KNNQuery.create(
+        gaussian, k=k, theta=theta, n_samples=n_samples, seed=seed
+    )
+    for spec in ("all", "auto"):
+        assert list(db.engine(strategies=spec).execute(query).ids) == expected
+    return expected
+
+
+class TestKNNLegacyParity:
+    """The ``knn`` kind and ``probabilistic_nearest_neighbors`` (one
+    implementation) against the all-objects oracle, which replaced the
+    legacy sampler as the reference."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 9])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_legacy_sampler_bit_for_bit(self, dim, k):
+        gaussian = paper_like_gaussian(dim)
+        for points in (
+            make_points(300, dim, seed=20 + dim),
+            clustered_points(300, dim, seed=30 + dim),
+        ):
+            db = SpatialDatabase(points)
+            assert_matches_oracle(db, points, gaussian, k, 0.05, 800, 9)
+
+    def test_cut_keeps_a_far_winner(self):
+        """The cut 2·R + kth(q) keeps an object opposite the farthest
+        sample f that wins 34 of 2000 samples; R + kth(f) + R dropped it
+        and reported the object at f with probability 1."""
+        gaussian = Gaussian([0.0, 0.0], np.eye(2))
+        samples = gaussian.sample(2000, np.random.default_rng(0))
+        radii = np.linalg.norm(samples, axis=1)
+        far, reach = samples[np.argmax(radii)], radii.max()
+        points = np.array([far, -(2.0 * reach + 0.3) * far / reach])
+        db = SpatialDatabase(points)
+        expected = assert_matches_oracle(db, points, gaussian, 1, 0.015, 2000, 0)
+        assert expected == [0, 1]
+        found = probabilistic_nearest_neighbors(
+            db, gaussian, k=1, theta=0.015, n_samples=2000, seed=0
         )
-        for spec in ("all", "auto"):
-            result = db.engine(strategies=spec).execute(query)
-            assert sorted(result.ids) == expected
+        assert [(c.obj_id, c.probability) for c in found] == [(0, 0.983), (1, 0.017)]
+
+    def test_batches_and_shards_match_the_oracle(self):
+        points = clustered_points(400, 2, seed=41)
+        db = SpatialDatabase(points)
+        gaussian = paper_like_gaussian(2)
+        specs = [
+            (k, theta, seed)
+            for k in (1, 2, 3)
+            for theta, seed in ((0.05, 3), (0.02, 4))
+        ]
+        expected = []
+        for k, theta, seed in specs:
+            _, qualify = knn_oracle(points, gaussian, k, theta, 600, seed)
+            expected.append(tuple(np.nonzero(qualify)[0].tolist()))
+        queries = [
+            KNNQuery.create(gaussian, k=k, theta=theta, n_samples=600, seed=seed)
+            for k, theta, seed in specs
+        ]
+        engine = db.engine(strategies="all", integrator=CascadeIntegrator())
+        for workers in (1, 3):
+            assert list(engine.run_batch(queries, workers=workers).ids) == expected
+        with db.shard(2) as sharded:
+            scattered = sharded.engine(
+                strategies="all", integrator=CascadeIntegrator()
+            ).run_batch(queries)
+        assert list(scattered.ids) == expected
 
 
 # ----------------------------------------------------------------------

@@ -240,3 +240,33 @@ def test_sharded_engine_validates_and_types_errors_like_the_engine():
         assert str(scattered.error) == str(plain.error)
         assert isinstance(scattered.error.__cause__, RuntimeError)
         assert scattered.ids == plain.ids == ()
+
+
+def test_worker_searches_the_routed_rectangle_and_prepares_nothing(monkeypatch):
+    """A task carries the coordinator's prepared strategies and Phase-1
+    rectangle: ``execute_task`` searches that rectangle, prepares no
+    strategy a second time, and answers as the unsharded engine does."""
+    from repro.integrate import ExactIntegrator
+    from repro.shard.worker import ShardTask, execute_task
+
+    db = SpatialDatabase(point_cloud(2, seed=808))
+    engine = db.engine(strategies="all", integrator=ExactIntegrator())
+    ran = 0
+    for qseed in range(N_QUERIES):
+        query = seeded_query(2, 51_000 + qseed)
+        ((leg, strategies, decider, stats),) = engine.legs(query, engine.integrator)
+        rect = phase1_rect(leg, strategies, stats, dim=2)
+        if rect is None:
+            continue
+        task = ShardTask(0, 0, 0, leg, strategies, rect, decider)
+        prepared = []
+        with monkeypatch.context() as patch:
+            for cls in {type(strategy) for strategy in strategies}:
+                patch.setattr(cls, "prepare", lambda self, q: prepared.append(self))
+            result = execute_task(db.index, task)
+        assert prepared == []
+        assert result.ids == engine.execute(query).ids
+        assert result.stats.retrieved == len(db.index.range_search_rect(rect))
+        assert "search" in result.stats.phase_seconds
+        ran += 1
+    assert ran > 0
